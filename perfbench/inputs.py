@@ -173,11 +173,12 @@ def load_capture(directory: Path) -> dict[str, np.ndarray]:
 #: run holds several passes.
 MATRIX_SCALE = 0.5
 
-#: live-stream: 600k frames over ~62 ten-second windows per pass, a few
+#: live-stream: 660k frames over ~68 ten-second windows per pass, a few
 #: hundred senders per window, 2048 known devices plus 128 the store
-#: lacks.  A short pass lets a run hold about ten of them.
+#: lacks.  A short pass lets a run hold about a dozen of them, and the
+#: three fastest still pool over 200 windows.
 LIVE_CAPTURE = CaptureSpec(
-    frames=600_000,
+    frames=660_000,
     population=2048 + 128,
     active=320,
     epoch_frames=10_000,

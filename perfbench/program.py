@@ -95,6 +95,7 @@ def run_passes(prepare, run_pass, state, args) -> dict:
     return {
         "passes": passes,
         "layers": layers.metrics(tracer, since, wall_s, untraced_s, extra),
+        "spans": [span._asdict() for span in tracer.spans],
     }
 
 
@@ -280,6 +281,7 @@ def sensor_fleet(args) -> dict | None:
         server.SensorPipeline.ingest = ingest
     result: dict = {"passes": passes}
     if tracer is not None:
+        result["spans"] = [span._asdict() for span in tracer.spans]
         traced_wall, untraced_wall = float(command[1]), float(command[2])
         last = passes[-1]
         result["layers"] = layers.metrics(
@@ -315,6 +317,9 @@ def main(argv: list[str] | None = None) -> int:
     if result is None:
         return 0
     result["peak_rss_mb"] = peak_rss_mb()
+    spans = result.pop("spans", None)
+    if spans is not None:
+        (args.work / "spans.json").write_text(json.dumps(spans))
     (args.work / "result.json").write_text(json.dumps(result))
     return 0
 

@@ -42,7 +42,6 @@ END_TO_END = (
     ("setup_s", "s"),
     ("frames_per_s", "1/s"),
     ("latency_p50_ms", "ms"),
-    ("latency_p95_ms", "ms"),
     ("peak_rss_mb", "MiB"),
 )
 #: Launches that only set up; with the measuring launch's own set-up
@@ -488,17 +487,16 @@ def fastest_passes(passes: list[dict]) -> list[dict]:
     return ordered[: max(2, len(ordered) // 4)]
 
 
-def end_to_end(result: dict, setups: list[float]) -> tuple[dict[str, float], int]:
-    """The metrics, and how many latency samples they rest on."""
+def end_to_end(result: dict, setups: list[float]) -> tuple[dict[str, float], list[float]]:
+    """The metrics, and the latency samples they rest on."""
     kept = fastest_passes(result["passes"])
     latencies = [value for run in kept for value in run["latencies_s"]]
     return {
         "setup_s": statistics.median(setups),
         "frames_per_s": statistics.median(run["frames"] / run["wall_s"] for run in kept),
         "latency_p50_ms": percentile_ms(latencies, 50),
-        "latency_p95_ms": percentile_ms(latencies, 95),
         "peak_rss_mb": result["peak_rss_mb"],
-    }, len(latencies)
+    }, latencies
 
 
 RUNNERS = {
@@ -531,8 +529,11 @@ def main(argv: list[str] | None = None) -> int:
     work = ROOT / ".bench_build" / "perfbench" / f"{args.workload}-{args.seed}-{os.getpid()}"
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir(parents=True)
+    spans = ROOT / ".bench_build" / "perfbench" / f"spans-{args.workload}-{args.seed}.json"
     try:
         result, attempted, failed, setups = RUNNERS[args.workload](work, args)
+        if args.trace:
+            os.replace(work / "spans.json", spans)
     except BenchmarkError as error:
         print(f"benchmark failed: {error}", file=sys.stderr)
         return 1
@@ -544,13 +545,16 @@ def main(argv: list[str] | None = None) -> int:
 
         units = dict(layers.PER_LAYER)
         values = result["layers"]
-        print(f"{args.workload}: {passes} passes, the last traced")
+        print(f"{args.workload}: {passes} passes, one traced; spans in {spans}")
     else:
         units = dict(END_TO_END)
-        values, samples = end_to_end(result, setups)
+        values, latencies = end_to_end(result, setups)
+        # p95 is printed, not reported: its run-to-run spread on the
+        # machine the bounds were set on exceeded the largest bound.
         print(
-            f"{args.workload}: {passes} passes, the fastest {len(fastest_passes(result['passes']))} kept, "
-            f"{samples} latency samples, {len(setups)} set-ups"
+            f"{args.workload}: {passes} passes, the fastest "
+            f"{len(fastest_passes(result['passes']))} kept, {len(latencies)} latency "
+            f"samples (p95 {percentile_ms(latencies, 95):.3f} ms), {len(setups)} set-ups"
         )
     report = {
         "correct": failed == 0,
