@@ -16,14 +16,13 @@ Asserted every run, at every size:
   is ``sensors × queue_chunks × chunk_frames`` rows plus the engines'
   working set).
 
-The throughput bar depends on the hardware: the service adds wire
-serialisation and thread hand-offs on top of the inline pipelines, so
-on a single CPU (where nothing can overlap) it must stay within a
-bounded multiple of inline; with ≥2 cores the reader/worker threads
-overlap decode with ingest and the bar tightens.  Smoke mode shrinks
-the workload to a few seconds and checks correctness only; the emitted
-``BENCH_service.json`` records ``cpu_count`` and mode so the numbers
-are interpretable.
+Throughput is recorded, not gated: a one-shot wall-clock ratio of
+service to inline time swings by more than any useful bar from run to
+run, so the service and inline rates, their ratio and ``cpu_count``
+go to ``BENCH_service.json`` for the trajectory.  Performance claims
+are measured by the repository benchmark (``perfbench/``, the
+``sensor-fleet`` workload).  Smoke mode shrinks the workload to a few
+seconds.
 """
 
 from __future__ import annotations
@@ -56,11 +55,6 @@ SHARDS = 4
 QUEUE_CHUNKS = 8
 WINDOW_S = 10.0
 CPU_COUNT = os.cpu_count() or 1
-#: Service-vs-inline bar.  Single CPU: wire codec + thread scheduling
-#: serialise on top of the pipelines, so only bounded overhead can be
-#: demanded.  ≥2 cores: reader threads overlap decode with ingest, so
-#: the service must land near inline.
-SERVICE_SLACK = 1.5 if CPU_COUNT >= 2 else 2.5
 
 
 def synth_table(frames: int, seed: int) -> FrameTable:
@@ -163,15 +157,8 @@ def test_service_soak_throughput():
             "service_frames_per_s": service_rate,
             "inline_frames_per_s": inline_rate,
             "overhead_ratio": overhead,
-            "service_slack": SERVICE_SLACK,
             "queue_peak_chunks": stats.queue_peak,
             "windows_closed": sum(s.windows_closed for s in stats.sensors),
             "merged_devices": len(merged.devices),
         },
     )
-    if not SMOKE:
-        assert service_seconds <= inline_seconds * SERVICE_SLACK, (
-            f"service overhead too high: {service_seconds:.3f}s vs "
-            f"{inline_seconds:.3f}s inline "
-            f"(slack {SERVICE_SLACK}x on {CPU_COUNT} cpu)"
-        )

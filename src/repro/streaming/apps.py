@@ -38,10 +38,15 @@ class WindowAnalyzer:
         """Called for every routed row span of a columnar chunk.
 
         The default replays the span's backing frames through
-        :meth:`on_frame`, so every analyzer works unchanged under the
-        chunked engine; analyzers with a vectorizable frame hook can
-        override this with a columnar implementation.
+        :meth:`on_frame` when the subclass overrides it, so every
+        analyzer works unchanged under the chunked engine; analyzers
+        without a frame hook never touch frame objects, so they also
+        run on chunks that carry none (wire-decoded or column-built).
+        Analyzers with a vectorizable frame hook can override this with
+        a columnar implementation.
         """
+        if type(self).on_frame is WindowAnalyzer.on_frame:
+            return
         for row in range(lo, hi):
             self.on_frame(table.frame_at(row))
 

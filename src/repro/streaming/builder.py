@@ -1,18 +1,31 @@
-"""Online signature construction: one frame at a time, O(1) per frame.
+"""Online signature construction: frames or chunks in, one dense state.
 
 :class:`StreamingSignatureBuilder` is the incremental counterpart of
 :class:`~repro.core.signature.SignatureBuilder`: it consumes frames
 through the parameter's :meth:`~repro.core.parameters.NetworkParameter.online`
-extractor and maintains per-device, per-frame-type bin counters.  With
-decay disabled the counters are *exactly* the batch builder's histogram
-counts, so :meth:`signature`/:meth:`signatures` reproduce
+extractor, one at a time (:meth:`~StreamingSignatureBuilder.update`) or
+as columnar row spans
+(:meth:`~StreamingSignatureBuilder.update_table`), and keeps every
+resident device's bin counters in one dense state per builder:
+
+* ``counts[row, column, bin]`` and ``totals[row, column]`` — one row per
+  resident device, one column per frame type the builder has met;
+* a device → row dict in first-kept-observation order (rows freed by
+  eviction are reused) and a frame-type → column dict;
+* a first-seen sequence number per ``(row, column)``, so each device's
+  frame types read out in the order they first appeared — the dict
+  order of its signature and of the checkpoint payload;
+* per-row ``t0_us`` and ``last_seen_us`` vectors.
+
+With decay disabled the counters are *exactly* the batch builder's
+histogram counts, so :meth:`signature`/:meth:`signatures` reproduce
 :meth:`SignatureBuilder.build` bin-for-bin on the same frames
-(property-tested in ``tests/test_streaming_builder.py``).  Chunked
-ingest (:meth:`StreamingSignatureBuilder.update_table`) accepts whole
-columnar row spans and scatters their kept observations through one
-flat ``np.bincount`` — bit-identical to per-frame :meth:`update`
+(property-tested in ``tests/test_streaming_builder.py``).  A chunk
+folds in with one flat ``np.bincount`` over ``(row, column, bin)`` and
+one dict lookup per sender — bit-identical to per-frame :meth:`update`
 calls, including every checkpoint-visible detail
-(``tests/test_streaming_chunked.py``, DESIGN.md §8).
+(``tests/test_streaming_chunked.py``, the payload pinned in
+``tests/golden/streaming_builder_state.json``, DESIGN.md §8).
 
 Optional exponential decay turns the counters into a recency-weighted
 profile for long-lived accumulators (live tracking, adaptive
@@ -44,22 +57,8 @@ from repro.core.signature import DEFAULT_MIN_OBSERVATIONS, Signature
 
 #: Rebase a device's counters once its inflation factor exceeds this.
 _REBASE_AT = 1e9
-
-
-class _DeviceState:
-    """One device's live accumulators."""
-
-    __slots__ = ("counts", "totals", "t0_us", "last_seen_us")
-
-    def __init__(self, now_us: float) -> None:
-        #: ftype → per-bin weighted counts (plain lists: scalar
-        #: increments are several times faster than ndarray item set).
-        self.counts: dict[str, list[float]] = {}
-        #: ftype → total weighted count (inflated units, like counts).
-        self.totals: dict[str, float] = {}
-        #: Decay reference time: weights are relative to this instant.
-        self.t0_us = now_us
-        self.last_seen_us = now_us
+#: First-seen sequence of a (row, column) pair holding no observation.
+_UNSEEN = -1
 
 
 class StreamingSignatureBuilder:
@@ -67,8 +66,9 @@ class StreamingSignatureBuilder:
 
     One builder is bound to a network parameter and a bin spec, like
     the batch :class:`~repro.core.signature.SignatureBuilder`; frames
-    are fed through :meth:`update` and signatures can be read out at
-    any instant.  Memory is O(resident devices × frame types × bins),
+    are fed through :meth:`update` (or chunks through
+    :meth:`update_table`) and signatures can be read out at any
+    instant.  Memory is O(resident devices × frame types × bins),
     independent of stream length; :meth:`evict` and :meth:`evict_idle`
     bound the resident set.
     """
@@ -95,10 +95,79 @@ class StreamingSignatureBuilder:
             math.log(2.0) / (decay_half_life_s * 1e6) if decay_half_life_s else 0.0
         )
         self._stream = parameter.online()
-        self._devices: dict[MacAddress, _DeviceState] = {}
         self._bin_count = self.bins.bin_count
         self.frames_seen = 0
         self.observations_kept = 0
+        self._clear()
+
+    def _clear(self) -> None:
+        """Drop every device and frame type (empty dense state)."""
+        self._rows: dict[MacAddress, int] = {}
+        self._columns: dict[str, int] = {}
+        #: column → frame-type key (inverse of ``_columns``).
+        self._ftype_keys: list[str] = []
+        self._free_rows: list[int] = []
+        #: Rows ever handed out: the used prefix of the arrays.
+        self._row_count = 0
+        #: Next first-seen sequence number.
+        self._sequence = 0
+        self._counts = np.zeros((0, 0, self._bin_count))
+        self._totals = np.zeros((0, 0))
+        self._seen = np.full((0, 0), _UNSEEN, dtype=np.int64)
+        self._t0_us = np.zeros(0)
+        self._last_seen_us = np.zeros(0)
+
+    def _reserve(self, rows: int, columns: int) -> None:
+        """Grow the arrays (doubling) to hold ``rows`` × ``columns``."""
+        held_rows, held_columns = self._totals.shape
+        if rows <= held_rows and columns <= held_columns:
+            return
+        rows = held_rows if rows <= held_rows else max(rows, 2 * held_rows, 16)
+        columns = (
+            held_columns if columns <= held_columns else max(columns, 2 * held_columns, 4)
+        )
+        counts = np.zeros((rows, columns, self._bin_count))
+        counts[:held_rows, :held_columns] = self._counts
+        totals = np.zeros((rows, columns))
+        totals[:held_rows, :held_columns] = self._totals
+        seen = np.full((rows, columns), _UNSEEN, dtype=np.int64)
+        seen[:held_rows, :held_columns] = self._seen
+        self._counts, self._totals, self._seen = counts, totals, seen
+        self._t0_us = np.resize(self._t0_us, rows)
+        self._last_seen_us = np.resize(self._last_seen_us, rows)
+
+    def _new_rows(self, devices: list[MacAddress]) -> list[int]:
+        """Zeroed rows for newly kept devices (freed rows first), in
+        order; the caller sets their ``t0_us``/``last_seen_us``."""
+        reused = min(len(devices), len(self._free_rows))
+        rows = [self._free_rows.pop() for _ in range(reused)]
+        start = self._row_count
+        self._row_count += len(devices) - reused
+        rows.extend(range(start, self._row_count))
+        self._reserve(self._row_count, len(self._ftype_keys))
+        self._rows.update(zip(devices, rows))
+        return rows
+
+    def _column(self, ftype_key: str) -> int:
+        """The frame type's column, added on first use."""
+        column = self._columns.get(ftype_key)
+        if column is None:
+            column = len(self._ftype_keys)
+            self._columns[ftype_key] = column
+            self._ftype_keys.append(ftype_key)
+            self._reserve(self._row_count, column + 1)
+        return column
+
+    def _mark_seen(self, row: int, column: int) -> None:
+        if self._seen[row, column] == _UNSEEN:
+            self._seen[row, column] = self._sequence
+            self._sequence += 1
+
+    def _columns_of(self, row: int) -> list[int]:
+        """The row's frame-type columns in first-seen order."""
+        seen = self._seen[row]
+        columns = np.flatnonzero(seen != _UNSEEN)
+        return columns[np.argsort(seen[columns])].tolist()
 
     # -- ingest --------------------------------------------------------
     def update(self, frame: CapturedFrame) -> int:
@@ -121,26 +190,23 @@ class StreamingSignatureBuilder:
     def _accumulate(
         self, sender: MacAddress, ftype_key: str, index: int, now_us: float
     ) -> None:
-        """Fold one kept observation into the device's accumulators."""
-        state = self._devices.get(sender)
-        if state is None:
-            state = _DeviceState(now_us)
-            self._devices[sender] = state
+        """Fold one kept observation into the device's row."""
+        row = self._rows.get(sender)
+        if row is None:
+            (row,) = self._new_rows([sender])
+            self._t0_us[row] = now_us
+        column = self._column(ftype_key)
         if self._decay_rate:
-            weight = math.exp(self._decay_rate * (now_us - state.t0_us))
+            weight = math.exp(self._decay_rate * (now_us - float(self._t0_us[row])))
             if weight > _REBASE_AT:
-                self._rebase(state, now_us)
+                self._rebase(row, now_us)
                 weight = 1.0
         else:
             weight = 1.0
-        counts = state.counts.get(ftype_key)
-        if counts is None:
-            counts = [0.0] * self._bin_count
-            state.counts[ftype_key] = counts
-            state.totals[ftype_key] = 0.0
-        counts[index] += weight
-        state.totals[ftype_key] += weight
-        state.last_seen_us = now_us
+        self._mark_seen(row, column)
+        self._counts[row, column, index] += weight
+        self._totals[row, column] += weight
+        self._last_seen_us[row] = now_us
 
     def update_table(
         self, table: "FrameTable", lo: int = 0, hi: int | None = None
@@ -150,17 +216,17 @@ class StreamingSignatureBuilder:
         The chunked counterpart of feeding each backing frame through
         :meth:`update`: observations are extracted in one
         :meth:`~repro.core.parameters.ObservationStream.push_table`
-        pass, binned with ``index_many`` and scattered into the
-        per-device counters with one flat ``np.bincount`` — leaving
-        accumulator state (counts, totals, ``t0_us``/``last_seen_us``,
-        device and frame-type insertion order, extractor channel clock)
-        bit-identical to the per-frame path.  The channel clock carries
-        across calls, so a window spanning many chunks can be fed chunk
-        by chunk.  With decay on, the extraction is still vectorized
-        but observations are folded in one at a time so the exp/rebase
-        arithmetic matches the per-frame path exactly.  Parameters
-        without a columnar extractor fall back to per-frame updates
-        over the chunk's backing frames.
+        pass, binned with ``index_many`` and folded into the dense
+        counters with one flat ``np.bincount`` — leaving the state
+        (counts, totals, ``t0_us``/``last_seen_us``, device and
+        frame-type order, extractor channel clock) bit-identical to the
+        per-frame path.  The channel clock carries across calls, so a
+        window spanning many chunks can be fed chunk by chunk.  With
+        decay on, the extraction is still vectorized but observations
+        are folded in one at a time so the exp/rebase arithmetic
+        matches the per-frame path exactly.  Parameters without a
+        columnar extractor fall back to per-frame updates over the
+        chunk's backing frames.
         """
         if hi is None:
             hi = len(table)
@@ -192,10 +258,10 @@ class StreamingSignatureBuilder:
             ):
                 self._accumulate(senders[code], ftype_keys[fcode], index, now_us)
             return kept
-        self._scatter(table, sender_k, ftype_k, bin_k, stamps, kept)
+        self._fold(table, sender_k, ftype_k, bin_k, stamps, kept)
         return kept
 
-    def _scatter(
+    def _fold(
         self,
         table: "FrameTable",
         sender_k: np.ndarray,
@@ -204,64 +270,69 @@ class StreamingSignatureBuilder:
         stamps: np.ndarray,
         kept: int,
     ) -> None:
-        """Decay-free batch fold: one bincount over (sender, ftype, bin).
+        """Decay-free batch fold: one bincount over (row, column, bin).
 
         Increments are unit weights, so batch-summed integer counts
         added to the held float counters reproduce the one-at-a-time
-        additions exactly (integers are exact in float64).  Devices and
-        frame types are visited in first-kept-observation order via the
+        additions exactly (integers are exact in float64).  New devices
+        take rows, and new (device, frame type) pairs take first-seen
+        numbers, in first-kept-observation order, found with the
         reversed-scatter trick (duplicate fancy-assignment indices keep
-        the last write), preserving the per-frame path's dict orders.
+        the last write) — the per-frame path's orders.
         """
-        n_senders = len(table.senders)
-        n_ftypes = len(table.ftype_keys)
-        n_bins = self._bin_count
-        pair = sender_k * n_ftypes + ftype_k
-        counts = (
-            np.bincount(pair * n_bins + bin_k, minlength=n_senders * n_ftypes * n_bins)
-            .astype(np.float64)
-            .reshape(n_senders, n_ftypes, n_bins)
-        )
+        senders = table.senders
         order = np.arange(kept, dtype=np.int64)
-        first_pair = np.full(n_senders * n_ftypes, kept, dtype=np.int64)
+        first = np.full(len(senders), kept, dtype=np.int64)
+        first[sender_k[::-1]] = order[::-1]
+        last = np.zeros(len(senders), dtype=np.int64)
+        last[sender_k] = order
+        codes = np.flatnonzero(first < kept)
+        codes = codes[np.argsort(first[codes])]
+        devices = [senders[code] for code in codes.tolist()]
+        row_get = self._rows.get
+        rows = np.array([row_get(device, -1) for device in devices], dtype=np.int64)
+        fresh = np.flatnonzero(rows < 0)
+        if fresh.size:
+            rows[fresh] = self._new_rows([devices[i] for i in fresh.tolist()])
+            self._t0_us[rows[fresh]] = stamps[first[codes[fresh]]]
+        self._last_seen_us[rows] = stamps[last[codes]]
+        row_of = np.zeros(len(senders), dtype=np.int64)
+        row_of[codes] = rows
+        fcodes = np.flatnonzero(np.bincount(ftype_k, minlength=len(table.ftype_keys)))
+        column_of = np.zeros(len(table.ftype_keys), dtype=np.int64)
+        column_of[fcodes] = [self._column(table.ftype_keys[f]) for f in fcodes.tolist()]
+        n_columns = self._totals.shape[1]
+        n_pairs = self._row_count * n_columns
+        cells = n_pairs * self._bin_count
+        pair = row_of[sender_k] * n_columns + column_of[ftype_k]
+        self._counts.reshape(-1)[:cells] += np.bincount(
+            pair * self._bin_count + bin_k, minlength=cells
+        )
+        self._totals.reshape(-1)[:n_pairs] += np.bincount(pair, minlength=n_pairs)
+        first_pair = np.full(n_pairs, kept, dtype=np.int64)
         first_pair[pair[::-1]] = order[::-1]
-        first_pair = first_pair.reshape(n_senders, n_ftypes)
-        first_sender = first_pair.min(axis=1)
-        last_sender = np.zeros(n_senders, dtype=np.int64)
-        last_sender[sender_k] = order
-        active = np.flatnonzero(first_sender < kept).tolist()
-        active.sort(key=first_sender.__getitem__)
-        for code in active:
-            device = table.senders[code]
-            state = self._devices.get(device)
-            if state is None:
-                state = _DeviceState(float(stamps[first_sender[code]]))
-                self._devices[device] = state
-            state.last_seen_us = float(stamps[last_sender[code]])
-            present = np.flatnonzero(first_pair[code] < kept).tolist()
-            present.sort(key=first_pair[code].__getitem__)
-            for fcode in present:
-                key = table.ftype_keys[fcode]
-                batch = counts[code, fcode]
-                held = state.counts.get(key)
-                if held is None:
-                    state.counts[key] = batch.tolist()
-                    state.totals[key] = float(batch.sum())
-                else:
-                    state.counts[key] = (np.asarray(held) + batch).tolist()
-                    state.totals[key] += float(batch.sum())
+        seen = self._seen.reshape(-1)
+        fresh = np.flatnonzero((first_pair < kept) & (seen[:n_pairs] == _UNSEEN))
+        if fresh.size:
+            fresh = fresh[np.argsort(first_pair[fresh])]
+            seen[fresh] = np.arange(self._sequence, self._sequence + fresh.size)
+            self._sequence += int(fresh.size)
 
-    def _rebase(self, state: _DeviceState, now_us: float) -> None:
+    def _rebase(self, row: int, now_us: float) -> None:
         """Re-anchor a device's inflated counters at ``now_us``."""
-        deflate = math.exp(-self._decay_rate * (now_us - state.t0_us))
-        for counts in state.counts.values():
-            for index, value in enumerate(counts):
-                counts[index] = value * deflate
-        for ftype_key in state.totals:
-            state.totals[ftype_key] *= deflate
-        state.t0_us = now_us
+        deflate = math.exp(-self._decay_rate * (now_us - float(self._t0_us[row])))
+        self._counts[row] *= deflate
+        self._totals[row] *= deflate
+        self._t0_us[row] = now_us
 
     # -- read-out ------------------------------------------------------
+    def _deflate(self, row: int, now_us: float | None) -> float:
+        """The row's decay factor at ``now_us`` (default: last update)."""
+        if not self._decay_rate:
+            return 1.0
+        anchor = float(self._last_seen_us[row]) if now_us is None else now_us
+        return math.exp(-self._decay_rate * (anchor - float(self._t0_us[row])))
+
     def observation_mass(
         self, device: MacAddress, now_us: float | None = None
     ) -> float:
@@ -271,14 +342,11 @@ class StreamingSignatureBuilder:
         device's last update, like :meth:`signature`).  With decay off
         this is exactly the batch builder's total observation count.
         """
-        state = self._devices.get(device)
-        if state is None:
+        row = self._rows.get(device)
+        if row is None:
             return 0.0
-        total = sum(state.totals.values())
-        if self._decay_rate:
-            anchor = state.last_seen_us if now_us is None else now_us
-            total *= math.exp(-self._decay_rate * (anchor - state.t0_us))
-        return total
+        total = sum(self._totals[row, self._columns_of(row)].tolist())
+        return total * self._deflate(row, now_us)
 
     def signature(
         self, device: MacAddress, now_us: float | None = None
@@ -290,24 +358,27 @@ class StreamingSignatureBuilder:
         it, only the absolute mass used for gating and the reported
         observation counts decay.
         """
-        state = self._devices.get(device)
-        if state is None:
-            return None
-        deflate = 1.0
-        if self._decay_rate:
-            anchor = state.last_seen_us if now_us is None else now_us
-            deflate = math.exp(-self._decay_rate * (anchor - state.t0_us))
-        total = sum(state.totals.values())
+        row = self._rows.get(device)
+        return None if row is None else self._signature(row, now_us)
+
+    def _signature(self, row: int, now_us: float | None) -> Signature | None:
+        columns = self._columns_of(row)
+        ftype_totals = self._totals[row, columns].tolist()
+        # First-seen order fixes the float sum of decayed (non-integer)
+        # totals, as the per-device dicts of the checkpoint payload did.
+        total = sum(ftype_totals)
+        deflate = self._deflate(row, now_us)
         if total * deflate < self.min_observations:
             return None
+        counts = self._counts[row]
         histograms: dict[str, np.ndarray] = {}
         weights: dict[str, float] = {}
         observation_counts: dict[str, int] = {}
-        for ftype_key, counts in state.counts.items():
-            ftype_total = state.totals[ftype_key]
+        for column, ftype_total in zip(columns, ftype_totals):
             if ftype_total <= 0.0:
                 continue
-            histograms[ftype_key] = np.asarray(counts, dtype=np.float64) / ftype_total
+            ftype_key = self._ftype_keys[column]
+            histograms[ftype_key] = counts[column] / ftype_total
             weights[ftype_key] = ftype_total / total
             observation_counts[ftype_key] = int(round(ftype_total * deflate))
         if not histograms:
@@ -322,9 +393,16 @@ class StreamingSignatureBuilder:
         self, now_us: float | None = None
     ) -> dict[MacAddress, Signature]:
         """Signatures of every resident device clearing the gate."""
+        resident = list(self._rows.items())
+        if not self._decay_rate and resident:
+            # Decay-free masses are integers, exact in any summation
+            # order, so one row reduction gates every device at once.
+            rows = [row for _, row in resident]
+            clear = self._totals[rows].sum(axis=1) >= self.min_observations
+            resident = [item for item, ok in zip(resident, clear.tolist()) if ok]
         out: dict[MacAddress, Signature] = {}
-        for device in self._devices:
-            signature = self.signature(device, now_us)
+        for device, row in resident:
+            signature = self._signature(row, now_us)
             if signature is not None:
                 out[device] = signature
         return out
@@ -337,7 +415,22 @@ class StreamingSignatureBuilder:
         state, which may embed a
         :class:`~repro.dot11.capture.CapturedFrame`; the checkpoint
         layer (:mod:`repro.persistence.checkpoint`) serialises that.
+        Devices are listed in row-assignment order and each device's
+        frame types in first-seen order.
         """
+        devices = []
+        for device, row in self._rows.items():
+            columns = self._columns_of(row)
+            keys = [self._ftype_keys[column] for column in columns]
+            devices.append(
+                {
+                    "mac": device.value,
+                    "t0_us": float(self._t0_us[row]),
+                    "last_seen_us": float(self._last_seen_us[row]),
+                    "counts": dict(zip(keys, self._counts[row, columns].tolist())),
+                    "totals": dict(zip(keys, self._totals[row, columns].tolist())),
+                }
+            )
         return {
             "parameter": self.parameter.name,
             "bin_count": self._bin_count,
@@ -346,18 +439,7 @@ class StreamingSignatureBuilder:
             "frames_seen": self.frames_seen,
             "observations_kept": self.observations_kept,
             "stream": self._stream.export_state(),
-            "devices": [
-                {
-                    "mac": device.value,
-                    "t0_us": state.t0_us,
-                    "last_seen_us": state.last_seen_us,
-                    "counts": {
-                        ftype: list(counts) for ftype, counts in state.counts.items()
-                    },
-                    "totals": dict(state.totals),
-                }
-                for device, state in self._devices.items()
-            ],
+            "devices": devices,
         }
 
     def restore_state(self, payload: dict) -> None:
@@ -383,38 +465,46 @@ class StreamingSignatureBuilder:
         self._stream.restore_state(payload.get("stream", {}))
         self.frames_seen = int(payload["frames_seen"])
         self.observations_kept = int(payload["observations_kept"])
-        self._devices = {}
+        self._clear()
         for entry in payload["devices"]:
-            state = _DeviceState(float(entry["t0_us"]))
-            state.last_seen_us = float(entry["last_seen_us"])
-            state.counts = {
-                ftype: [float(value) for value in counts]
-                for ftype, counts in entry["counts"].items()
-            }
-            state.totals = {
-                ftype: float(total) for ftype, total in entry["totals"].items()
-            }
-            self._devices[MacAddress(int(entry["mac"]))] = state
-        return None
+            (row,) = self._new_rows([MacAddress(int(entry["mac"]))])
+            self._t0_us[row] = float(entry["t0_us"])
+            self._last_seen_us[row] = float(entry["last_seen_us"])
+            totals = entry["totals"]
+            for ftype_key, counts in entry["counts"].items():
+                column = self._column(ftype_key)
+                self._mark_seen(row, column)
+                self._counts[row, column] = counts
+                self._totals[row, column] = float(totals[ftype_key])
 
     # -- residency -----------------------------------------------------
     @property
     def resident_count(self) -> int:
         """Number of devices currently holding accumulators."""
-        return len(self._devices)
+        return len(self._rows)
 
     def devices(self) -> Iterator[MacAddress]:
         """Resident devices, in first-observation order."""
-        return iter(self._devices)
+        return iter(self._rows)
 
     def last_seen_us(self, device: MacAddress) -> float | None:
         """When the device last contributed a kept observation."""
-        state = self._devices.get(device)
-        return None if state is None else state.last_seen_us
+        row = self._rows.get(device)
+        return None if row is None else float(self._last_seen_us[row])
 
     def evict(self, device: MacAddress) -> bool:
-        """Drop one device's accumulators; ``False`` if absent."""
-        return self._devices.pop(device, None) is not None
+        """Drop one device's accumulators; ``False`` if absent.
+
+        The freed row is zeroed and handed to the next new device.
+        """
+        row = self._rows.pop(device, None)
+        if row is None:
+            return False
+        self._counts[row] = 0.0
+        self._totals[row] = 0.0
+        self._seen[row] = _UNSEEN
+        self._free_rows.append(row)
+        return True
 
     def evict_idle(self, now_us: float, idle_timeout_s: float) -> list[MacAddress]:
         """Drop devices with no kept observation for ``idle_timeout_s``.
@@ -427,9 +517,9 @@ class StreamingSignatureBuilder:
         horizon = now_us - idle_timeout_s * 1e6
         victims = [
             device
-            for device, state in self._devices.items()
-            if state.last_seen_us < horizon
+            for device, row in self._rows.items()
+            if self._last_seen_us[row] < horizon
         ]
         for device in victims:
-            del self._devices[device]
+            self.evict(device)
         return victims

@@ -9,11 +9,21 @@ instead of a full repack), interleaving reference updates with live
 matching stays cheap — the deployment loop the paper's applications
 imply (learn newly authorised devices, retire old ones, keep
 fingerprinting).
+
+The window's score matrix is the result: each
+:class:`StreamCandidate` holds its row of it and the window's
+reference-device tuple (the column order).  The identification test
+needs only the argmax of Algorithm 1's similarity vector, so
+:attr:`StreamCandidate.best` reads it straight off the row; the
+per-reference dict (:attr:`StreamCandidate.similarities`) is built
+only when asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.dot11.mac import MacAddress
 from repro.core.database import ReferenceDatabase
@@ -31,17 +41,27 @@ class StreamCandidate:
     device: MacAddress
     window_index: int
     signature: Signature
-    similarities: dict[MacAddress, float]
+    #: This candidate's row of the window's score matrix.
+    scores: np.ndarray
+    #: The reference devices, in ``scores`` column order.
+    references: tuple[MacAddress, ...]
+
+    @property
+    def similarities(self) -> dict[MacAddress, float]:
+        """Reference device → similarity (built on each read)."""
+        return dict(zip(self.references, self.scores.tolist()))
 
     @property
     def best(self) -> tuple[MacAddress | None, float]:
-        """Argmax reference and its similarity ((None, 0.0) if empty)."""
-        winner: MacAddress | None = None
-        best_score = 0.0
-        for device, score in self.similarities.items():
-            if winner is None or score > best_score:
-                winner, best_score = device, score
-        return winner, best_score
+        """Argmax reference and its similarity ((None, 0.0) if empty).
+
+        Ties break towards the earliest-registered reference (the
+        first maximum), as :func:`~repro.core.matcher.best_match` does.
+        """
+        if not self.references:
+            return None, 0.0
+        column = int(self.scores.argmax())
+        return self.references[column], float(self.scores[column])
 
 
 class OnlineMatcher:
@@ -67,19 +87,18 @@ class OnlineMatcher:
         """Match every candidate of one closed window in a single batch."""
         if not closed.signatures or len(self.database) == 0:
             return []
-        devices = list(closed.signatures)
+        signatures = closed.signatures
         scores = batch_match_signatures(
-            [closed.signatures[device] for device in devices],
-            self.database,
-            self.measure,
+            list(signatures.values()), self.database, self.measure
         )
-        references = self.database.devices
+        references = tuple(self.database.devices)
         return [
             StreamCandidate(
                 device=device,
                 window_index=closed.index,
-                signature=closed.signatures[device],
-                similarities=dict(zip(references, row.tolist())),
+                signature=signature,
+                scores=row,
+                references=references,
             )
-            for device, row in zip(devices, scores)
+            for (device, signature), row in zip(signatures.items(), scores)
         ]

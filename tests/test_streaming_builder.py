@@ -197,6 +197,31 @@ class TestResidency:
         assert builder.resident_count == 1
         assert builder.signature(a) is None
 
+    def test_evicted_row_is_reused_clean(self):
+        """A new device takes the row an evicted one freed, with none
+        of its counts or frame types: its state equals a fresh
+        builder's for the same frames, listed after the survivors."""
+        from repro.core.parameters import FrameSize
+        from repro.traces.table import FrameTable
+
+        a, b, c = (vendor_mac("00:13:e8", i) for i in (1, 2, 3))
+        builder = StreamingSignatureBuilder(FrameSize(), min_observations=1)
+        builder.update(make_data_capture(1000.0, a, AP, subtype=FrameSubtype.BEACON))
+        builder.update(make_data_capture(1200.0, a, AP, size=900))
+        builder.update(make_data_capture(1400.0, b, AP))
+        assert builder.evict(a)
+        table = FrameTable.from_frames(
+            [make_data_capture(t, c, AP, size=300) for t in (2000.0, 2200.0)]
+        )
+        builder.update_table(table)
+        fresh = StreamingSignatureBuilder(FrameSize(), min_observations=1)
+        fresh.update_table(table)
+
+        devices = builder.export_state()["devices"]
+        assert [entry["mac"] for entry in devices] == [b.value, c.value]
+        assert devices[1] == fresh.export_state()["devices"][0]
+        assert builder.resident_count == 2
+
     def test_evict_idle_drops_only_stale_devices(self):
         from repro.core.parameters import FrameSize
 

@@ -34,6 +34,7 @@ from repro.streaming import (
     WindowConfig,
     pcap_source,
     replay_source,
+    table_chunks,
 )
 
 PARAMETER = InterArrivalTime()
@@ -316,6 +317,55 @@ class TestApplicationAdapters:
         for key, (linked, similarity) in expected.items():
             assert streamed[key][0] == linked
             assert streamed[key][1] == pytest.approx(similarity, abs=1e-9)
+
+    def test_window_guards_run_on_chunks_without_frames(self, reference_setup):
+        """Analyzers with no per-frame hook never fetch frame objects,
+        so they run on column-built or wire-decoded chunks and raise
+        the same events as on the same rows with frames."""
+        import random
+
+        from repro.applications.attacks import spoof_mac
+        from repro.applications.spoof_detector import SpoofDetector
+        from repro.applications.tracker import DeviceTracker
+        from repro.traces.table import FrameTable
+
+        _, _, split = reference_setup
+        detector = SpoofDetector(min_observations=MIN_OBS)
+        detector.learn(split.training.frames, set(split.training.senders()))
+        tracker = DeviceTracker(min_observations=MIN_OBS, link_threshold=0.3)
+        tracker.learn(split.training.frames)
+        device = tracker.database.devices[0]
+        observed = spoof_mac(
+            split.validation.frames, device, device.randomized(random.Random(3))
+        )
+        with_frames = list(table_chunks(observed, 4096))
+        frameless = [
+            FrameTable(
+                timestamp_us=chunk.timestamp_us,
+                size=chunk.size,
+                rate_mbps=chunk.rate_mbps,
+                sender_idx=chunk.sender_idx,
+                ftype_idx=chunk.ftype_idx,
+                senders=chunk.senders,
+                ftype_keys=chunk.ftype_keys,
+            )
+            for chunk in with_frames
+        ]
+
+        def events_of(chunks):
+            sink = CollectingSink()
+            StreamEngine(
+                lambda: StreamingSignatureBuilder(PARAMETER, min_observations=MIN_OBS),
+                window=WindowConfig(window_s=WINDOW_S),
+                analyzers=[OnlineSpoofGuard(detector), LiveTracker(tracker)],
+                sinks=[sink],
+            ).run_chunked(chunks)
+            return sink.events
+
+        expected = events_of(with_frames)
+        assert any(isinstance(event, SpoofAlert) for event in expected)
+        assert any(isinstance(event, PseudonymLinked) for event in expected)
+        assert events_of(frameless) == expected
 
     def test_rogue_ap_guard_alerts_on_impostor(self, reference_setup):
         from repro.applications.attacks import spoof_mac

@@ -1,0 +1,77 @@
+"""Golden-file pin of the streaming builder's checkpoint payload.
+
+The chunked-versus-per-frame suites compare two ingest paths that share
+one accumulator layout, so a change to that layout moves both sides at
+once.  This test pins the ``export_state()`` payload itself — device
+order, frame-type order within ``counts``/``totals``, every float — for
+the inter-arrival builder fed ``FRAMES`` in mixed chunk sizes, with and
+without decay, against ``tests/golden/streaming_builder_state.json``.
+The comparison is on the serialised text, so key order counts.
+
+Regenerate only after a deliberate change to the checkpoint format:
+
+    REPRO_UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_streaming_golden.py
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+from repro.core.parameters import InterArrivalTime
+from repro.streaming import StreamingSignatureBuilder
+from tests.test_streaming_chunked import TABLE, chunk_spans
+
+GOLDEN_PATH = Path(__file__).parent / "golden" / "streaming_builder_state.json"
+CHUNK_SIZES = [1, 37, 256, 5, 400, 2, 90]
+HALF_LIVES = {"nodecay": None, "decay": 3.0}
+
+
+def make_builder(half_life: float | None) -> StreamingSignatureBuilder:
+    return StreamingSignatureBuilder(
+        InterArrivalTime(), min_observations=10, decay_half_life_s=half_life
+    )
+
+
+def compute_payloads() -> dict:
+    payloads = {}
+    for name, half_life in HALF_LIVES.items():
+        builder = make_builder(half_life)
+        for lo, hi in chunk_spans(len(TABLE), CHUNK_SIZES):
+            builder.update_table(TABLE, lo, hi)
+        payloads[name] = builder.export_state()
+    return payloads
+
+
+def dump(payloads: dict) -> str:
+    return json.dumps(payloads, indent=1) + "\n"
+
+
+def test_builder_payload_matches_golden_file():
+    text = dump(compute_payloads())
+    if os.environ.get("REPRO_UPDATE_GOLDEN"):
+        GOLDEN_PATH.write_text(text)
+        pytest.skip(f"golden file regenerated at {GOLDEN_PATH}")
+    assert text == GOLDEN_PATH.read_text()
+
+
+@pytest.mark.parametrize("name", sorted(HALF_LIVES))
+def test_restore_then_export_round_trips_the_golden_payload(name):
+    golden = json.loads(GOLDEN_PATH.read_text())[name]
+    builder = make_builder(HALF_LIVES[name])
+    builder.restore_state(golden)
+    assert dump(builder.export_state()) == dump(golden)
+
+
+def test_golden_payload_is_discriminative():
+    """Guard against a regenerated-but-degenerate file: both builders
+    hold several devices over several frame types, and decay changes
+    the numbers."""
+    golden = json.loads(GOLDEN_PATH.read_text())
+    for payload in golden.values():
+        assert len(payload["devices"]) >= 5
+        assert all(len(entry["counts"]) >= 2 for entry in payload["devices"])
+    assert golden["decay"]["devices"] != golden["nodecay"]["devices"]
