@@ -2,25 +2,21 @@
 
 Production-scale workload — thousands of reference devices, one batch
 of window candidates, the deployment-realistic *top-k* query ("which
-known devices does this candidate resemble?").  Three paths answer it:
+known devices does this candidate resemble?").  Two paths answer it:
 
 * **single-shard** — the unsharded packed engine + in-process top-k
   selection (the PR-1 baseline);
 * **sequential sharded** — K=4 consistent-hash shards matched one
-  after another and top-k-merged (pure bookkeeping overhead);
-* **process-pool sharded** — the same fan-out through
-  :class:`~repro.core.sharding.ProcessPoolShardExecutor` (workers hold
-  the shard snapshot; each query ships candidates and returns k
-  columns per shard).
+  after another and top-k-merged (pure bookkeeping overhead).
 
 Correctness is asserted every run: K=1 equals the unsharded engine
 bitwise, K=4 agrees to 1e-12 (BLAS reduction order, DESIGN.md §5) and
-the pool returns bitwise the sequential fan-out's numbers.
+the merged top-k picks equal the single-shard ones.
 
 Throughput is recorded, not gated: best-of-3 wall-clock ratios
-between the three paths swing by more than any useful bar from run to
-run, so the three rates and ``cpu_count`` go to ``BENCH_sharded.json``
-for the trajectory.  Performance claims are measured by the
+between the two paths swing by more than any useful bar from run to
+run, so both rates and ``cpu_count`` go to ``BENCH_sharded.json`` for
+the trajectory.  Performance claims are measured by the
 repository benchmark (``perfbench/``).  Smoke mode shrinks the
 workload.
 """
@@ -35,11 +31,7 @@ import numpy as np
 from repro.dot11.mac import vendor_mac
 from repro.core.database import ReferenceDatabase
 from repro.core.matcher import batch_match_signatures
-from repro.core.sharding import (
-    ProcessPoolShardExecutor,
-    ShardedReferenceDatabase,
-    _local_top_k,
-)
+from repro.core.sharding import ShardedReferenceDatabase, _local_top_k
 from repro.core.signature import Signature
 from benchmarks.conftest import bench_smoke, write_bench_json
 
@@ -116,22 +108,11 @@ def test_sharded_matching_throughput():
     for (columns, values), picks in zip(single_result, sequential_top):
         assert [devices[i] for i in columns] == [device for device, _ in picks]
 
-    # --- process-pool fan-out (pool warmed outside the timing) -------
-    with ProcessPoolShardExecutor(sharded, max_workers=SHARDS) as executor:
-        pooled_scores = sharded.batch_match(candidates, executor=executor)  # warm
-        assert np.array_equal(pooled_scores, merged)  # pool == sequential, bitwise
-        pool_seconds, pooled_top = _best_of(
-            RUNS, lambda: sharded.top_k(candidates, TOP_K, executor=executor)
-        )
-    assert pooled_top == sequential_top
-
     single_rate = CANDIDATES / single_seconds
     sequential_rate = CANDIDATES / sequential_seconds
-    pool_rate = CANDIDATES / pool_seconds
     print(
         f"\nsingle-shard: {single_rate:,.0f} cand/s  "
         f"sequential x{SHARDS}: {sequential_rate:,.0f} cand/s  "
-        f"pool x{SHARDS}: {pool_rate:,.0f} cand/s  "
         f"({CPU_COUNT} cpu)"
     )
     write_bench_json(
@@ -145,10 +126,8 @@ def test_sharded_matching_throughput():
             "cpu_count": CPU_COUNT,
             "single_shard_seconds": single_seconds,
             "sequential_sharded_seconds": sequential_seconds,
-            "pool_sharded_seconds": pool_seconds,
             "single_shard_candidates_per_s": single_rate,
             "sequential_sharded_candidates_per_s": sequential_rate,
-            "pool_sharded_candidates_per_s": pool_rate,
             "max_abs_delta_vs_unsharded": float(np.abs(merged - reference).max()),
         },
     )

@@ -23,10 +23,10 @@ simulator-produced):
 * ``repro-80211 histogram capture.pcap --device <mac>`` — render a
   device's inter-arrival histogram (Figure 2 style);
 * ``repro-80211 stream capture.pcap --db refs.json`` — run the online
-  engine: the pcap is consumed frame-by-frame in bounded memory,
-  windows are matched live and alerts stream out as they happen; with
-  ``--checkpoint``/``--resume`` the engine state survives restarts
-  (DESIGN.md §5);
+  engine: the pcap is consumed in columnar chunks of ``--chunk-frames``
+  frames in bounded memory, windows are matched live and alerts stream
+  out as they happen; with ``--checkpoint``/``--resume`` the engine
+  state survives restarts (DESIGN.md §5);
 * ``repro-80211 db save|load|merge|info`` — manage persistent
   reference-database stores (versioned ``.npz`` + JSONL directories,
   :mod:`repro.persistence.store`).  ``--db`` everywhere accepts either
@@ -63,6 +63,7 @@ from repro.core.parameters import ALL_PARAMETERS, parameter_by_name
 from repro.core.pipeline import evaluate_trace
 from repro.core.signature import Signature, SignatureBuilder
 from repro.dot11.mac import MacAddress
+from repro.streaming.sources import DEFAULT_CHUNK_FRAMES
 from repro.traces.trace import Trace
 
 
@@ -394,9 +395,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         WindowClosed,
         WindowConfig,
         pcap_chunk_source,
-        pcap_source,
         skip_processed_chunks,
-        skip_processed_frames,
     )
 
     database, parameter_name = load_any_database(Path(args.db))
@@ -470,15 +469,9 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         print(f"resumed from {args.resume} at {already_processed} frames")
     interrupted: int | None = None
     try:
-        chunked = args.chunk_frames is not None
-        if chunked:
-            source = pcap_chunk_source(
-                args.pcap,
-                chunk_frames=args.chunk_frames,
-                skip_bad_fcs=args.skip_bad_fcs,
-            )
-        else:
-            source = pcap_source(args.pcap, skip_bad_fcs=args.skip_bad_fcs)
+        source = pcap_chunk_source(
+            args.pcap, chunk_frames=args.chunk_frames, skip_bad_fcs=args.skip_bad_fcs
+        )
         if already_processed and resume_horizon_us is not None:
             # Crash recovery on the SAME capture: the first
             # `already_processed` frames (all at or before the snapshot's
@@ -486,21 +479,18 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             # them again and they would double-accumulate into the
             # restored open windows.  A continuation capture starts
             # past the horizon, so nothing is skipped there.
-            skip = skip_processed_chunks if chunked else skip_processed_frames
-            source = skip(source, already_processed, resume_horizon_us)
-        # One explicit loop for all modes, so SIGINT/SIGTERM can stop
-        # cleanly between items: final checkpoint taken, event sinks
-        # flushed, windows left OPEN (a flushed engine cannot resume,
-        # so an interrupted run must not flush).
+            source = skip_processed_chunks(
+                source, already_processed, resume_horizon_us
+            )
+        # One explicit loop, so SIGINT/SIGTERM can stop cleanly between
+        # chunks: final checkpoint taken, event sinks flushed, windows
+        # left OPEN (a flushed engine cannot resume, so an interrupted
+        # run must not flush).
         last_checkpoint_us: float | None = None
         with _graceful_shutdown() as shutdown:
-            for item in source:
-                if chunked:
-                    engine.process_chunk(item)
-                    now_us = item.end_us
-                else:
-                    engine.process_frame(item)
-                    now_us = item.timestamp_us
+            for chunk in source:
+                engine.process_chunk(chunk)
+                now_us = chunk.end_us
                 if args.checkpoint and args.checkpoint_every_s is not None:
                     if last_checkpoint_us is None:
                         last_checkpoint_us = now_us
@@ -771,6 +761,13 @@ def _cmd_histogram(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
@@ -901,10 +898,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument(
         "--chunk-frames",
-        type=int,
-        default=None,
-        help="ingest columnar chunks of this many frames (vectorized "
-        "fast path, identical events; default: per-frame)",
+        type=_positive_int,
+        default=DEFAULT_CHUNK_FRAMES,
+        help="ingest columnar chunks of this many frames (the events do "
+        "not depend on it; smaller chunks react to a signal sooner)",
     )
     stream.add_argument("--skip-bad-fcs", action="store_true")
     stream.add_argument("--verbose", action="store_true")
@@ -976,7 +973,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--sensor-id", required=True,
         help="stable sensor name (also the checkpoint/resume key)",
     )
-    sensor.add_argument("--chunk-frames", type=int, default=8192)
+    sensor.add_argument(
+        "--chunk-frames", type=_positive_int, default=DEFAULT_CHUNK_FRAMES
+    )
     sensor.add_argument("--skip-bad-fcs", action="store_true")
     sensor.add_argument(
         "--abort-after-chunks", type=int, default=None,

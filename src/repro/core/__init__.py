@@ -12,12 +12,7 @@ evaluation harness (:mod:`repro.core.pipeline`).
 """
 
 from repro.core.database import MergeReport, PackedDatabase, ReferenceDatabase
-from repro.core.sharding import (
-    ConsistentHashRing,
-    ProcessPoolShardExecutor,
-    SequentialShardExecutor,
-    ShardedReferenceDatabase,
-)
+from repro.core.sharding import ConsistentHashRing, ShardedReferenceDatabase
 from repro.core.detection import (
     DetectionConfig,
     IdentificationOutcome,
@@ -78,9 +73,7 @@ __all__ = [
     "NetworkParameter",
     "Observation",
     "PackedDatabase",
-    "ProcessPoolShardExecutor",
     "ReferenceDatabase",
-    "SequentialShardExecutor",
     "ShardedReferenceDatabase",
     "Signature",
     "SignatureBuilder",

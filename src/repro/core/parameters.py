@@ -19,20 +19,22 @@ Section IV-A semantics:
 All parameters also accept a *default binning* used throughout the
 evaluation (ablated in ``benchmarks/test_ablation_bin_width.py``).
 
-Each parameter has three equivalent extractors: the scalar reference
-:meth:`~NetworkParameter.observations`, the O(1)-per-frame streaming
-:meth:`~NetworkParameter.online`, and the vectorized
+Each parameter has two equivalent extractors: the scalar reference
+:meth:`~NetworkParameter.observations` and the vectorized
 :meth:`~NetworkParameter.observe_table` over a columnar
-:class:`~repro.traces.table.FrameTable` (the hot batch path; the
+:class:`~repro.traces.table.FrameTable` (the hot path; the
 time-derived parameters become shifted-array subtractions under a
-sender mask — DESIGN.md §6).  Equivalence is property-pinned in
-``tests/test_parameters.py`` and ``tests/test_table.py``.
+sender mask — DESIGN.md §6).  Streaming ingest runs ``observe_table``
+chunk span by chunk span through :class:`ObservationStream`, which
+carries the channel clock across spans.  Equivalence is
+property-pinned in ``tests/test_parameters.py`` and
+``tests/test_table.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -64,7 +66,8 @@ class NetworkParameter:
     #: The detection fast path uses this to slice a whole-trace
     #: observation batch into per-window batches: an observation at
     #: table row ``p`` is valid for a window starting at row ``lo``
-    #: iff ``p >= lo + table_memory`` (DESIGN.md §6).
+    #: iff ``p >= lo + table_memory`` (DESIGN.md §6); the streaming
+    #: :class:`ObservationStream` carries a channel clock iff it is 1.
     table_memory: int = 0
 
     def default_bins(self) -> BinSpec:
@@ -84,21 +87,27 @@ class NetworkParameter:
         same (sender, frame type, value) sequence :meth:`observations`
         yields on ``table.to_frames()``, bit for bit — or ``None`` when
         the parameter has no columnar implementation, in which case
-        callers fall back to the object path.  The five built-in
-        parameters all vectorize.
+        batch callers fall back to the object path (streaming ingest
+        has no fallback).  The five built-in parameters all vectorize.
         """
         return None
 
-    def online(self) -> "ObservationStream":
-        """A stateful frame-by-frame extractor (streaming engine).
+    def carried_value(
+        self, table: FrameTable, row: int, previous_t: float
+    ) -> float:
+        """The observation of table ``row`` against a carried clock.
 
-        Feeding frames one at a time through :meth:`ObservationStream.push`
-        yields exactly the observation sequence :meth:`observations`
-        produces on the whole list.  The five built-in parameters
-        override this with O(1)-per-frame extractors; the base
-        implementation works for any causal parameter with at most one
-        frame of memory (see :class:`ObservationStream`).
+        Only parameters with ``table_memory == 1`` implement this: it is
+        the one value slice-local :meth:`observe_table` cannot see — a
+        chunk's first row measured against the channel clock
+        ``previous_t`` (the previous chunk's last end-of-reception) —
+        computed from the table columns with the scalar extractor's
+        float64 arithmetic.
         """
+        raise NotImplementedError
+
+    def online(self) -> "ObservationStream":
+        """A stateful extractor over consecutive chunk spans (streaming)."""
         return ObservationStream(self)
 
     def __repr__(self) -> str:
@@ -106,169 +115,59 @@ class NetworkParameter:
 
 
 class ObservationStream:
-    """Incremental observation extraction: one frame per :meth:`push`.
+    """Incremental observation extraction, one chunk span per push.
 
-    The generic implementation exploits that every Section III
-    parameter is *causal with one frame of memory* — the observations a
-    frame contributes depend only on that frame and its predecessor
-    (the channel clock ``t_{i-1}``).  Each push therefore re-runs the
-    batch extractor over the ``(previous, current)`` pair and drops the
-    prefix the previous frame alone would have produced.  Parameters
-    with longer memory must override :meth:`NetworkParameter.online`.
+    Every Section III parameter is causal with at most one frame of
+    memory (``table_memory``), so a span's observations are the
+    parameter's :meth:`~NetworkParameter.observe_table` over the span
+    plus, for the time-derived parameters, the span's first row
+    observed against the channel clock ``t_{i-1}`` carried from the
+    previous span (:meth:`~NetworkParameter.carried_value`).  Feeding a
+    capture's rows through :meth:`push_table` in any chunking therefore
+    yields exactly the sequence :meth:`~NetworkParameter.observations`
+    produces on the whole capture.  The clock is the stream's only
+    state; unattributable ACK/CTS rows advance it without observing.
     """
 
-    __slots__ = ("_parameter", "_previous")
+    __slots__ = ("_parameter", "_previous_t")
 
     def __init__(self, parameter: NetworkParameter) -> None:
+        if type(parameter).observe_table is NetworkParameter.observe_table:
+            raise TypeError(
+                f"parameter {parameter.name!r} has no columnar extractor "
+                "(observe_table); streaming ingest needs one"
+            )
         self._parameter = parameter
-        self._previous: CapturedFrame | None = None
-
-    def push(self, frame: CapturedFrame) -> tuple[Observation, ...]:
-        """Observations this frame contributes, in batch order."""
-        if self._previous is None:
-            produced = tuple(self._parameter.observations([frame]))
-        else:
-            prefix = sum(1 for _ in self._parameter.observations([self._previous]))
-            produced = tuple(
-                self._parameter.observations([self._previous, frame])
-            )[prefix:]
-        self._previous = frame
-        return produced
-
-    def push_table(
-        self, table: FrameTable, lo: int, hi: int
-    ) -> TableObservations | None:
-        """Vectorized push of chunk rows ``[lo, hi)`` (chunked streaming).
-
-        Returns the observation batch those rows contribute given the
-        stream's current state — exactly what feeding each backing
-        frame through :meth:`push` would yield, with ``positions`` in
-        the chunk's row coordinates — and advances the state past row
-        ``hi - 1``.  Returns ``None`` when no columnar fast path
-        exists, in which case callers fall back to per-frame pushes.
-        """
-        return None
-
-    def export_state(self) -> dict:
-        """Checkpointable state (see :mod:`repro.persistence.checkpoint`).
-
-        The generic stream's whole memory is its predecessor frame;
-        the checkpoint layer knows how to serialise a
-        :class:`~repro.dot11.capture.CapturedFrame` it finds in here.
-        """
-        return {"previous_frame": self._previous}
-
-    def restore_state(self, state: dict) -> None:
-        """Re-arm the stream from :meth:`export_state` output."""
-        self._previous = state.get("previous_frame")
-
-
-class _PerFrameStream(ObservationStream):
-    """O(1) stream for values that are pure functions of one frame."""
-
-    __slots__ = ("_value",)
-
-    def __init__(
-        self, parameter: NetworkParameter, value: "Callable[[CapturedFrame], float]"
-    ) -> None:
-        super().__init__(parameter)
-        self._value = value
-
-    def push(self, frame: CapturedFrame) -> tuple[Observation, ...]:
-        sender = frame.sender
-        if sender is None:
-            return ()
-        return (Observation(sender, frame.ftype_key, self._value(frame)),)
-
-    def push_table(
-        self, table: FrameTable, lo: int, hi: int
-    ) -> TableObservations | None:
-        # Pure per-frame values carry no state: the chunk slice is the
-        # whole story, and the parameter's vectorized extractor is
-        # already bit-identical to the scalar value function.
-        observed = self._parameter.observe_table(table.slice_rows(lo, hi))
-        if observed is None:
-            return None
-        return TableObservations(
-            sender_idx=observed.sender_idx,
-            ftype_idx=observed.ftype_idx,
-            values=observed.values,
-            positions=observed.positions + lo,
-        )
-
-    def export_state(self) -> dict:
-        return {}  # pure per-frame function: nothing to remember
-
-    def restore_state(self, state: dict) -> None:
-        pass
-
-
-class _ChannelClockStream(ObservationStream):
-    """O(1) stream for the time-derived parameters.
-
-    Tracks the previous end-of-reception ``t_{i-1}`` across *all*
-    frames (unattributable ACK/CTS advance the clock without yielding
-    an observation, as in the batch extractors).
-    """
-
-    __slots__ = ("_value", "_table_value", "_previous_t")
-
-    def __init__(
-        self,
-        parameter: NetworkParameter,
-        value: "Callable[[CapturedFrame, float], float]",
-        table_value: "Callable[[FrameTable, int, float], float]",
-    ) -> None:
-        """``table_value(table, row, previous_t)`` is the columnar twin
-        of ``value`` — same float64 arithmetic over the table columns,
-        so frame-less tables (wire-decoded, shard-partitioned) take the
-        fast path too."""
-        super().__init__(parameter)
-        self._value = value
-        self._table_value = table_value
         self._previous_t: float | None = None
 
-    def push(self, frame: CapturedFrame) -> tuple[Observation, ...]:
-        previous_t = self._previous_t
-        self._previous_t = frame.timestamp_us
-        if previous_t is None or frame.sender is None:
-            return ()
-        return (
-            Observation(
-                frame.sender, frame.ftype_key, self._value(frame, previous_t)
-            ),
-        )
+    def push_table(self, table: FrameTable, lo: int, hi: int) -> TableObservations:
+        """The observations chunk rows ``[lo, hi)`` contribute.
 
-    def push_table(
-        self, table: FrameTable, lo: int, hi: int
-    ) -> TableObservations | None:
+        ``positions`` are in the chunk's row coordinates; the stream's
+        clock advances past row ``hi - 1``.
+        """
         observed = self._parameter.observe_table(table.slice_rows(lo, hi))
-        if observed is None:
-            return None
-        previous_t = self._previous_t
-        self._previous_t = float(table.timestamp_us[hi - 1])
         sender_idx = observed.sender_idx
         ftype_idx = observed.ftype_idx
         values = observed.values
         positions = observed.positions + lo
-        if previous_t is not None and table.sender_idx[lo] >= 0:
-            # The slice's first row observes against the carried
-            # channel clock — the one value slice-local extraction
-            # cannot see.  Computed from the table columns (same
-            # float64 arithmetic as the scalar value function), so
-            # frame-less tables work and the result stays bit-identical
-            # to the per-frame path.
-            value = self._table_value(table, lo, previous_t)
-            sender_idx = np.concatenate(([table.sender_idx[lo]], sender_idx))
-            ftype_idx = np.concatenate(([table.ftype_idx[lo]], ftype_idx))
-            values = np.concatenate(([value], values))
-            positions = np.concatenate(([lo], positions))
+        if self._parameter.table_memory:
+            previous_t = self._previous_t
+            self._previous_t = float(table.timestamp_us[hi - 1])
+            if previous_t is not None and table.sender_idx[lo] >= 0:
+                value = self._parameter.carried_value(table, lo, previous_t)
+                sender_idx = np.concatenate(([table.sender_idx[lo]], sender_idx))
+                ftype_idx = np.concatenate(([table.ftype_idx[lo]], ftype_idx))
+                values = np.concatenate(([value], values))
+                positions = np.concatenate(([lo], positions))
         return TableObservations(sender_idx, ftype_idx, values, positions)
 
     def export_state(self) -> dict:
-        return {"previous_t": self._previous_t}  # the channel clock
+        """Checkpointable state: the channel clock, if the parameter has one."""
+        return {"previous_t": self._previous_t} if self._parameter.table_memory else {}
 
     def restore_state(self, state: dict) -> None:
+        """Re-arm the stream from :meth:`export_state` output."""
         self._previous_t = state.get("previous_t")
 
 
@@ -316,9 +215,6 @@ class TransmissionRate(NetworkParameter):
         positions = _attributable_positions(table)
         return _gathered(table, positions, table.rate_mbps[positions])
 
-    def online(self) -> ObservationStream:
-        return _PerFrameStream(self, lambda captured: captured.rate_mbps)
-
 
 class FrameSize(NetworkParameter):
     """``p_i = size_i`` — the full MAC-layer frame size in bytes."""
@@ -339,9 +235,6 @@ class FrameSize(NetworkParameter):
     def observe_table(self, table: FrameTable) -> TableObservations:
         positions = _attributable_positions(table)
         return _gathered(table, positions, table.size[positions])
-
-    def online(self) -> ObservationStream:
-        return _PerFrameStream(self, lambda captured: float(captured.size))
 
 
 class TransmissionTime(NetworkParameter):
@@ -370,14 +263,6 @@ class TransmissionTime(NetworkParameter):
         positions = _attributable_positions(table)
         values = table.size[positions] * 8.0 / table.rate_mbps[positions]
         return _gathered(table, positions, values)
-
-    def online(self) -> ObservationStream:
-        return _PerFrameStream(
-            self,
-            lambda captured: paper_transmission_time_us(
-                captured.size, captured.rate_mbps
-            ),
-        )
 
 
 class InterArrivalTime(NetworkParameter):
@@ -418,14 +303,10 @@ class InterArrivalTime(NetworkParameter):
         t = table.timestamp_us
         return _gathered(table, positions, t[positions] - t[positions - 1])
 
-    def online(self) -> ObservationStream:
-        return _ChannelClockStream(
-            self,
-            lambda captured, previous_t: captured.timestamp_us - previous_t,
-            lambda table, row, previous_t: (
-                float(table.timestamp_us[row]) - previous_t
-            ),
-        )
+    def carried_value(
+        self, table: FrameTable, row: int, previous_t: float
+    ) -> float:
+        return float(table.timestamp_us[row]) - previous_t
 
 
 class MediumAccessTime(NetworkParameter):
@@ -467,16 +348,11 @@ class MediumAccessTime(NetworkParameter):
         values = (t[positions] - tt) - t[positions - 1]
         return _gathered(table, positions, values)
 
-    def online(self) -> ObservationStream:
-        def value(captured: CapturedFrame, previous_t: float) -> float:
-            tt_i = paper_transmission_time_us(captured.size, captured.rate_mbps)
-            return (captured.timestamp_us - tt_i) - previous_t
-
-        def table_value(table: FrameTable, row: int, previous_t: float) -> float:
-            tt_i = float(table.size[row]) * 8.0 / float(table.rate_mbps[row])
-            return (float(table.timestamp_us[row]) - tt_i) - previous_t
-
-        return _ChannelClockStream(self, value, table_value)
+    def carried_value(
+        self, table: FrameTable, row: int, previous_t: float
+    ) -> float:
+        tt_i = float(table.size[row]) * 8.0 / float(table.rate_mbps[row])
+        return (float(table.timestamp_us[row]) - tt_i) - previous_t
 
 
 #: The paper's five parameters, in its Section III order.

@@ -20,13 +20,9 @@ that shard alone; cross-partition sums agree with the unsharded engine
 to BLAS reduction-order (≈1 ULP — see DESIGN.md §5 for why bitwise
 equality across different matrix partitions is not attainable).
 
-Two executors drive the fan-out: the default
-:class:`SequentialShardExecutor` (in-process loop) and
-:class:`ProcessPoolShardExecutor`, which parks one snapshot of the
-shard set in a ``concurrent.futures`` worker pool so repeated queries
-only ship candidates, not references.  Top-k queries merge per-shard
-top-k lists — exact, because a global top-k can only contain devices
-that are top-k within their own shard.
+The fan-out is an in-process loop over the non-empty shards.  Top-k
+queries merge per-shard top-k lists — exact, because a global top-k
+can only contain devices that are top-k within their own shard.
 """
 
 from __future__ import annotations
@@ -125,168 +121,6 @@ def _stable_tie_fixup(row: np.ndarray, order: np.ndarray, k: int) -> np.ndarray:
     return np.asarray(keep + list(tied[: k - len(keep)]), dtype=order.dtype)
 
 
-class SequentialShardExecutor:
-    """Default executor: match the shards one after another, in-process."""
-
-    def map_shards(
-        self,
-        sharded: "ShardedReferenceDatabase",
-        shard_indices: Sequence[int],
-        candidates: Sequence[Signature],
-        measure: SimilarityMeasure,
-    ) -> list[np.ndarray]:
-        """Per-shard ``(M, len(shard))`` similarity matrices, in order."""
-        return [
-            batch_match_signatures(candidates, sharded.shards[index], measure)
-            for index in shard_indices
-        ]
-
-    def map_top_k(
-        self,
-        sharded: "ShardedReferenceDatabase",
-        shard_indices: Sequence[int],
-        candidates: Sequence[Signature],
-        k: int,
-        measure: SimilarityMeasure,
-    ) -> list[list[tuple[np.ndarray, np.ndarray]]]:
-        """Per-shard, per-candidate local top-k ``(columns, scores)``."""
-        return [
-            _local_top_k(
-                batch_match_signatures(candidates, sharded.shards[index], measure), k
-            )
-            for index in shard_indices
-        ]
-
-    def close(self) -> None:
-        """Nothing to release."""
-
-
-# -- process-pool plumbing (module-level so workers can unpickle it) ----
-_WORKER_SHARDS: tuple[ReferenceDatabase, ...] | None = None
-
-
-def _pool_initializer(shards: tuple[ReferenceDatabase, ...]) -> None:
-    global _WORKER_SHARDS
-    _WORKER_SHARDS = shards
-
-
-def _pool_match_shard(
-    shard_index: int,
-    candidates: Sequence[Signature],
-    measure: SimilarityMeasure,
-) -> np.ndarray:
-    assert _WORKER_SHARDS is not None, "worker pool not initialised"
-    return batch_match_signatures(candidates, _WORKER_SHARDS[shard_index], measure)
-
-
-def _pool_top_k_shard(
-    shard_index: int,
-    candidates: Sequence[Signature],
-    k: int,
-    measure: SimilarityMeasure,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    assert _WORKER_SHARDS is not None, "worker pool not initialised"
-    scores = batch_match_signatures(candidates, _WORKER_SHARDS[shard_index], measure)
-    # Selecting worker-side keeps the reply k columns wide instead of
-    # the shard's full score matrix — the fan-out's bandwidth win.
-    return _local_top_k(scores, k)
-
-
-class ProcessPoolShardExecutor:
-    """Fan shard matching out to a ``concurrent.futures`` process pool.
-
-    Workers receive the shard snapshot once at pool start-up (with the
-    ``fork`` start method the snapshot is inherited copy-on-write, so
-    nothing is pickled); each query then ships only the candidate
-    signatures and gets the per-shard score matrix back.  Mutating the
-    sharded database bumps its revision counter and the next query
-    transparently respawns the pool on the fresh snapshot.
-
-    Use as a context manager, or call :meth:`close` when done.
-    """
-
-    def __init__(
-        self,
-        sharded: "ShardedReferenceDatabase",
-        max_workers: int | None = None,
-        start_method: str | None = None,
-    ) -> None:
-        self._sharded = sharded
-        self._max_workers = max_workers
-        self._start_method = start_method
-        self._pool = None
-        self._spawned_revision: int | None = None
-
-    def _ensure_pool(self) -> None:
-        if self._pool is not None and self._spawned_revision == self._sharded.revision:
-            return
-        self.close()
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        method = self._start_method
-        if method is None:
-            available = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in available else available[0]
-        context = multiprocessing.get_context(method)
-        workers = self._max_workers or self._sharded.shard_count
-        self._pool = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=context,
-            initializer=_pool_initializer,
-            initargs=(self._sharded.shards,),
-        )
-        self._spawned_revision = self._sharded.revision
-
-    def map_shards(
-        self,
-        sharded: "ShardedReferenceDatabase",
-        shard_indices: Sequence[int],
-        candidates: Sequence[Signature],
-        measure: SimilarityMeasure,
-    ) -> list[np.ndarray]:
-        """Per-shard ``(M, len(shard))`` similarity matrices, in order."""
-        if sharded is not self._sharded:
-            raise ValueError("executor is bound to a different sharded database")
-        self._ensure_pool()
-        futures = [
-            self._pool.submit(_pool_match_shard, index, tuple(candidates), measure)
-            for index in shard_indices
-        ]
-        return [future.result() for future in futures]
-
-    def map_top_k(
-        self,
-        sharded: "ShardedReferenceDatabase",
-        shard_indices: Sequence[int],
-        candidates: Sequence[Signature],
-        k: int,
-        measure: SimilarityMeasure,
-    ) -> list[list[tuple[np.ndarray, np.ndarray]]]:
-        """Per-shard local top-k, selected worker-side."""
-        if sharded is not self._sharded:
-            raise ValueError("executor is bound to a different sharded database")
-        self._ensure_pool()
-        futures = [
-            self._pool.submit(_pool_top_k_shard, index, tuple(candidates), k, measure)
-            for index in shard_indices
-        ]
-        return [future.result() for future in futures]
-
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-            self._spawned_revision = None
-
-    def __enter__(self) -> "ProcessPoolShardExecutor":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
 class ShardedReferenceDatabase:
     """A reference database consistent-hashed across K shards.
 
@@ -313,7 +147,6 @@ class ShardedReferenceDatabase:
         self._shards = tuple(ReferenceDatabase() for _ in range(shard_count))
         #: Global insertion-ordered device registry (ordered-set dict).
         self._registry: dict[MacAddress, None] = {}
-        self.revision = 0
 
     @classmethod
     def from_database(
@@ -347,14 +180,12 @@ class ShardedReferenceDatabase:
         """Register (or replace) one device on its owning shard."""
         self._shards[self.ring.shard_of(device)].add(device, signature)
         self._registry.setdefault(device, None)
-        self.revision += 1
 
     def remove(self, device: MacAddress) -> bool:
         """Forget one device; ``False`` (no-op) if unknown."""
         removed = self._shards[self.ring.shard_of(device)].remove(device)
         if removed:
             del self._registry[device]
-            self.revision += 1
         return removed
 
     def get(self, device: MacAddress) -> Signature | None:
@@ -401,7 +232,6 @@ class ShardedReferenceDatabase:
         self,
         candidates: Sequence[Signature],
         measure: SimilarityMeasure = cosine_similarity,
-        executor: "SequentialShardExecutor | ProcessPoolShardExecutor | None" = None,
     ) -> np.ndarray:
         """Algorithm 1 fanned out per shard, merged into global order.
 
@@ -415,24 +245,19 @@ class ShardedReferenceDatabase:
         if not candidates or not devices:
             return out
         column_of = {device: column for column, device in enumerate(devices)}
-        shard_indices = [
-            index for index, shard in enumerate(self._shards) if len(shard)
-        ]
-        chosen = executor if executor is not None else SequentialShardExecutor()
-        results = chosen.map_shards(self, shard_indices, candidates, measure)
-        for index, scores in zip(shard_indices, results):
-            columns = [column_of[device] for device in self._shards[index].devices]
-            out[:, columns] = scores
+        for shard in self._shards:
+            if len(shard):
+                columns = [column_of[device] for device in shard.devices]
+                out[:, columns] = batch_match_signatures(candidates, shard, measure)
         return out
 
     def match(
         self,
         candidate: Signature,
         measure: SimilarityMeasure = cosine_similarity,
-        executor: "SequentialShardExecutor | ProcessPoolShardExecutor | None" = None,
     ) -> dict[MacAddress, float]:
         """Single-candidate Algorithm 1, in global insertion order."""
-        scores = self.batch_match([candidate], measure, executor)
+        scores = self.batch_match([candidate], measure)
         return dict(zip(self.devices, scores[0].tolist()))
 
     def top_k(
@@ -440,7 +265,6 @@ class ShardedReferenceDatabase:
         candidates: Sequence[Signature],
         k: int,
         measure: SimilarityMeasure = cosine_similarity,
-        executor: "SequentialShardExecutor | ProcessPoolShardExecutor | None" = None,
     ) -> list[list[tuple[MacAddress, float]]]:
         """The k best references per candidate, merged across shards.
 
@@ -457,21 +281,21 @@ class ShardedReferenceDatabase:
         if not devices or not candidates:
             return [[] for _ in candidates]
         column_of = {device: column for column, device in enumerate(devices)}
-        shard_indices = [
-            index for index, shard in enumerate(self._shards) if len(shard)
+        # Per non-empty shard: its columns in global order and each
+        # candidate's local top-k (columns, scores).
+        per_shard = [
+            (
+                [column_of[device] for device in shard.devices],
+                _local_top_k(batch_match_signatures(candidates, shard, measure), k),
+            )
+            for shard in self._shards
+            if len(shard)
         ]
-        chosen = executor if executor is not None else SequentialShardExecutor()
-        per_shard = chosen.map_top_k(self, shard_indices, candidates, k, measure)
-        shard_columns = {
-            index: [column_of[device] for device in self._shards[index].devices]
-            for index in shard_indices
-        }
         merged: list[list[tuple[MacAddress, float]]] = []
         for candidate_row in range(len(candidates)):
             entries: list[tuple[int, float]] = []
-            for slot, index in enumerate(shard_indices):
-                local_columns, local_scores = per_shard[slot][candidate_row]
-                to_global = shard_columns[index]
+            for to_global, local_top in per_shard:
+                local_columns, local_scores = local_top[candidate_row]
                 entries.extend(
                     (to_global[int(local)], float(score))
                     for local, score in zip(local_columns, local_scores)

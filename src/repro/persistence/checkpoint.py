@@ -9,17 +9,17 @@ consuming frames:
   origin, next slide index, and every open window with its frame
   count, sender set, eviction list and the full per-device histogram
   accumulators of its :class:`~repro.streaming.builder.StreamingSignatureBuilder`,
-  including the observation extractor's channel clock (for the generic
-  Markov-1 extractor that memory is its predecessor *frame*, which is
-  embedded as a serialised :class:`~repro.dot11.capture.CapturedFrame`).
+  including the observation extractor's channel clock.
 
-Feeding the remaining frames to a restored engine produces exactly the
-events and stats an uninterrupted run would have produced (pinned in
-``tests/test_persistence.py``).  Deliberately **not** captured: the
-reference database (persist it with :mod:`repro.persistence.store` —
-it evolves independently of the capture position) and the analyzers'
-own frame-level state (re-attach analyzers at construction; the
-rogue-AP guard restarts its in-window accumulation after a resume).
+Every piece is JSON-shaped already.  Feeding the remaining frames to a
+restored engine, in any chunking, produces exactly the events and
+stats an uninterrupted run would have produced (pinned in
+``tests/test_persistence.py`` and ``tests/test_streaming_chunked.py``).
+Deliberately **not** captured: the reference database (persist it
+with :mod:`repro.persistence.store` — it evolves independently of the
+capture position) and the analyzers' own row-level state (re-attach
+analyzers at construction; the rogue-AP guard restarts its in-window
+accumulation after a resume).
 """
 
 from __future__ import annotations
@@ -29,94 +29,11 @@ import json
 import os
 from pathlib import Path
 
-from repro.dot11.capture import CapturedFrame
-from repro.dot11.frames import Dot11Frame, FrameSubtype
-from repro.dot11.mac import MacAddress
-
 #: Checkpoint format identifier and current version.
 CHECKPOINT_FORMAT = "repro-stream-checkpoint"
 CHECKPOINT_VERSION = 1
 
-_FRAME_KEY = "__captured_frame__"
 
-
-# -- frame (de)serialisation -------------------------------------------
-def _frame_to_payload(captured: CapturedFrame) -> dict:
-    frame = captured.frame
-    return {
-        "timestamp_us": captured.timestamp_us,
-        "rate_mbps": captured.rate_mbps,
-        "signal_dbm": captured.signal_dbm,
-        "channel": captured.channel,
-        "airtime_us": captured.airtime_us,
-        "frame": {
-            "subtype": frame.subtype.name,
-            "size": frame.size,
-            "addr1": frame.addr1.value,
-            "addr2": None if frame.addr2 is None else frame.addr2.value,
-            "addr3": None if frame.addr3 is None else frame.addr3.value,
-            "retry": frame.retry,
-            "to_ds": frame.to_ds,
-            "from_ds": frame.from_ds,
-            "protected": frame.protected,
-            "power_mgmt": frame.power_mgmt,
-            "duration_us": frame.duration_us,
-            "seq": frame.seq,
-            "payload": frame.payload.hex(),
-        },
-    }
-
-
-def _frame_from_payload(payload: dict) -> CapturedFrame:
-    raw = payload["frame"]
-    frame = Dot11Frame(
-        subtype=FrameSubtype[raw["subtype"]],
-        size=int(raw["size"]),
-        addr1=MacAddress(int(raw["addr1"])),
-        addr2=None if raw["addr2"] is None else MacAddress(int(raw["addr2"])),
-        addr3=None if raw["addr3"] is None else MacAddress(int(raw["addr3"])),
-        retry=bool(raw["retry"]),
-        to_ds=bool(raw["to_ds"]),
-        from_ds=bool(raw["from_ds"]),
-        protected=bool(raw["protected"]),
-        power_mgmt=bool(raw["power_mgmt"]),
-        duration_us=int(raw["duration_us"]),
-        seq=int(raw["seq"]),
-        payload=bytes.fromhex(raw["payload"]),
-    )
-    return CapturedFrame(
-        timestamp_us=float(payload["timestamp_us"]),
-        frame=frame,
-        rate_mbps=float(payload["rate_mbps"]),
-        signal_dbm=float(payload["signal_dbm"]),
-        channel=int(payload["channel"]),
-        airtime_us=payload["airtime_us"],
-    )
-
-
-def _encode(value):
-    """Make a state tree JSON-safe (frames become tagged dicts)."""
-    if isinstance(value, CapturedFrame):
-        return {_FRAME_KEY: _frame_to_payload(value)}
-    if isinstance(value, dict):
-        return {key: _encode(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_encode(item) for item in value]
-    return value
-
-
-def _decode(value):
-    """Inverse of :func:`_encode`."""
-    if isinstance(value, dict):
-        if set(value) == {_FRAME_KEY}:
-            return _frame_from_payload(value[_FRAME_KEY])
-        return {key: _decode(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_decode(item) for item in value]
-    return value
-
-
-# -- checkpoint I/O -----------------------------------------------------
 def save_checkpoint(engine, path: str | Path) -> Path:
     """Write one engine's resumable state to a JSON checkpoint file.
 
@@ -130,7 +47,7 @@ def save_checkpoint(engine, path: str | Path) -> Path:
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "stats": dataclasses.asdict(engine.stats),
-        "windows": _encode(engine._windows.export_state()),
+        "windows": engine._windows.export_state(),
     }
     target.parent.mkdir(parents=True, exist_ok=True)
     scratch = target.with_name(target.name + ".tmp")
@@ -157,5 +74,5 @@ def load_checkpoint(engine, path: str | Path) -> None:
             f"unsupported checkpoint version {version} "
             f"(this build reads versions 1..{CHECKPOINT_VERSION})"
         )
-    engine._windows.restore_state(_decode(payload["windows"]))
+    engine._windows.restore_state(payload["windows"])
     engine.stats = StreamStats(**payload["stats"])

@@ -164,9 +164,6 @@ class ReferenceHarvester(WindowAnalyzer):
     def __init__(self, database: ReferenceDatabase) -> None:
         self.database = database
 
-    def on_table(self, table: FrameTable, lo: int, hi: int) -> None:
-        """Wire-decoded tables carry no backing frames — nothing to do."""
-
     def on_window(self, closed: ClosedWindow) -> list:
         for device, signature in closed.signatures.items():
             self.database.add(device, signature)

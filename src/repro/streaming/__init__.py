@@ -6,23 +6,22 @@ package feeds the same vectorized core incrementally, so captures of
 unbounded length run in bounded memory at wire speed (DESIGN.md §4):
 
 * :class:`StreamingSignatureBuilder` — per-device incremental
-  histograms, O(1) per frame, optional exponential decay, provably
+  histograms fed chunk by chunk, optional exponential decay, provably
   equivalent to the batch builder with decay off;
 * :class:`WindowManager` — tumbling/sliding detection windows with
   observation-count gating and idle-device eviction;
 * :class:`OnlineMatcher` — Algorithm 1 over closed windows against a
   live (incrementally re-packed) reference database;
-* :class:`StreamEngine` — pluggable frame sources in
+* :class:`StreamEngine` — chunked sources in
   (:mod:`~repro.streaming.sources`), typed events out
   (:mod:`~repro.streaming.events`), with online adapters for all three
   Section VII applications (:mod:`~repro.streaming.apps`).
 
-Ingest comes in two bit-identical flavours: the per-frame reference
-path (``run``/``process_frame``) and the chunked columnar fast path
-(``run_chunked``/``process_chunk``), which consumes
+Ingest is columnar: ``run_chunked``/``process_chunk`` consume
 :class:`~repro.traces.table.FrameTable` chunks from the
-``*_chunk_source`` builders and scatters whole observation batches
-into the incremental histograms (DESIGN.md §8).
+``*_chunk_source`` builders and scatter whole observation batches into
+the incremental histograms; the events do not depend on the chunk size
+(DESIGN.md §8).
 """
 
 from repro.streaming.builder import StreamingSignatureBuilder
@@ -47,13 +46,9 @@ from repro.streaming.apps import (
 from repro.streaming.matcher import OnlineMatcher, StreamCandidate
 from repro.streaming.sources import (
     pcap_chunk_source,
-    pcap_source,
     replay_chunk_source,
-    replay_source,
     simulation_chunk_source,
-    simulation_source,
     skip_processed_chunks,
-    skip_processed_frames,
     table_chunks,
 )
 from repro.streaming.windows import ClosedWindow, WindowConfig, WindowManager
@@ -81,12 +76,8 @@ __all__ = [
     "WindowConfig",
     "WindowManager",
     "pcap_chunk_source",
-    "pcap_source",
     "replay_chunk_source",
-    "replay_source",
     "simulation_chunk_source",
-    "simulation_source",
     "skip_processed_chunks",
-    "skip_processed_frames",
     "table_chunks",
 ]

@@ -2,9 +2,10 @@
 
 Each adapter turns one batch application into a window analyzer the
 :class:`~repro.streaming.engine.StreamEngine` drives: the engine calls
-:meth:`on_frame` for every frame (optional pre-window state) and
-:meth:`on_window` whenever a detection window closes, and the adapter
-answers with typed alert events.  The underlying detectors are the
+:meth:`~WindowAnalyzer.on_table` for every routed row span of a chunk
+(optional pre-window state) and :meth:`~WindowAnalyzer.on_window`
+whenever a detection window closes, and the adapter answers with typed
+alert events.  The underlying detectors are the
 unmodified batch implementations — the adapters reuse their
 signature-level entry points (``check_signatures``,
 ``check_signature``, ``link_signatures``), so batch and streaming
@@ -13,7 +14,8 @@ verdicts are computed by the same code.
 
 from __future__ import annotations
 
-from repro.dot11.capture import CapturedFrame
+import numpy as np
+
 from repro.dot11.mac import MacAddress
 from repro.applications.rogue_ap import RogueApDetector
 from repro.applications.spoof_detector import SpoofDetector, SpoofVerdict
@@ -26,29 +28,20 @@ from repro.streaming.events import (
     StreamEvent,
 )
 from repro.streaming.windows import ClosedWindow
+from repro.traces.table import FrameTable
 
 
 class WindowAnalyzer:
     """Base analyzer: override the hooks you need."""
 
-    def on_frame(self, frame: CapturedFrame) -> None:
-        """Called for every frame before windowing (optional)."""
+    def on_table(self, table: FrameTable, lo: int, hi: int) -> None:
+        """Called for every routed row span ``[lo, hi)`` of a chunk.
 
-    def on_table(self, table, lo: int, hi: int) -> None:
-        """Called for every routed row span of a columnar chunk.
-
-        The default replays the span's backing frames through
-        :meth:`on_frame` when the subclass overrides it, so every
-        analyzer works unchanged under the chunked engine; analyzers
-        without a frame hook never touch frame objects, so they also
-        run on chunks that carry none (wire-decoded or column-built).
-        Analyzers with a vectorizable frame hook can override this with
-        a columnar implementation.
+        Spans arrive after the windows their rows close have been
+        handled.  The default does nothing, so analyzers without
+        row-level state run on chunks that carry no backing frames
+        (wire-decoded or column-built).
         """
-        if type(self).on_frame is WindowAnalyzer.on_frame:
-            return
-        for row in range(lo, hi):
-            self.on_frame(table.frame_at(row))
 
     def on_window(self, closed: ClosedWindow) -> list[StreamEvent]:
         """Called when a detection window closes; returns alert events."""
@@ -102,6 +95,8 @@ class OnlineRogueApGuard(WindowAnalyzer):
     emits a :class:`~repro.streaming.events.RogueApAlert` whenever a
     window's fingerprint fails the reference check.  Assumes tumbling
     windows — each frame belongs to exactly one AP accumulation span.
+    Needs chunks with backing frames: the ``from_ds`` flag is not a
+    column.
     """
 
     def __init__(self, detector: RogueApDetector, ap: MacAddress) -> None:
@@ -117,13 +112,19 @@ class OnlineRogueApGuard(WindowAnalyzer):
             min_observations=self.detector.builder.min_observations,
         )
 
-    def on_frame(self, frame: CapturedFrame) -> None:
-        if frame.sender != self.ap:
+    def on_table(self, table: FrameTable, lo: int, hi: int) -> None:
+        code = table.sender_code(self.ap)
+        if code < 0:
             return
-        if frame.frame.is_data and frame.frame.from_ds:
-            return  # forwarded payload: not the AP's own behaviour
-        self._own_frames += 1
-        self._builder.update(frame)
+        rows = np.flatnonzero(table.sender_idx[lo:hi] == code) + lo
+        frames = [table.frame_at(row) for row in rows.tolist()]
+        # Forwarded payloads are not the AP's own behaviour.
+        own = [f for f in frames if not (f.frame.is_data and f.frame.from_ds)]
+        if own:
+            # The builder carries its channel clock across calls, so
+            # the AP's own frames form one continuous stream.
+            self._own_frames += len(own)
+            self._builder.update_table(FrameTable.from_frames(own))
 
     def on_window(self, closed: ClosedWindow) -> list[StreamEvent]:
         signature = self._builder.signature(self.ap)

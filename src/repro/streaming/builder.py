@@ -1,12 +1,11 @@
-"""Online signature construction: frames or chunks in, one dense state.
+"""Online signature construction: chunks in, one dense state.
 
 :class:`StreamingSignatureBuilder` is the incremental counterpart of
-:class:`~repro.core.signature.SignatureBuilder`: it consumes frames
-through the parameter's :meth:`~repro.core.parameters.NetworkParameter.online`
-extractor, one at a time (:meth:`~StreamingSignatureBuilder.update`) or
-as columnar row spans
-(:meth:`~StreamingSignatureBuilder.update_table`), and keeps every
-resident device's bin counters in one dense state per builder:
+:class:`~repro.core.signature.SignatureBuilder`: it consumes columnar
+row spans (:meth:`~StreamingSignatureBuilder.update_table`) through the
+parameter's :meth:`~repro.core.parameters.NetworkParameter.online`
+extractor, which carries the channel clock from span to span, and keeps
+every resident device's bin counters in one dense state per builder:
 
 * ``counts[row, column, bin]`` and ``totals[row, column]`` — one row per
   resident device, one column per frame type the builder has met;
@@ -19,13 +18,12 @@ resident device's bin counters in one dense state per builder:
 
 With decay disabled the counters are *exactly* the batch builder's
 histogram counts, so :meth:`signature`/:meth:`signatures` reproduce
-:meth:`SignatureBuilder.build` bin-for-bin on the same frames
-(property-tested in ``tests/test_streaming_builder.py``).  A chunk
-folds in with one flat ``np.bincount`` over ``(row, column, bin)`` and
-one dict lookup per sender — bit-identical to per-frame :meth:`update`
-calls, including every checkpoint-visible detail
-(``tests/test_streaming_chunked.py``, the payload pinned in
-``tests/golden/streaming_builder_state.json``, DESIGN.md §8).
+:meth:`SignatureBuilder.build` bin-for-bin on the same frames, in any
+chunking (property-tested in ``tests/test_streaming_builder.py`` and
+``tests/test_streaming_chunked.py``).  A chunk folds in with one flat
+``np.bincount`` over ``(row, column, bin)`` and one dict lookup per
+sender; every checkpoint-visible detail is the same for every chunking
+of the same rows (payloads pinned in ``tests/golden/``, DESIGN.md §8).
 
 Optional exponential decay turns the counters into a recency-weighted
 profile for long-lived accumulators (live tracking, adaptive
@@ -33,10 +31,10 @@ references): each observation's weight halves every
 ``decay_half_life_s`` seconds.  Decay is implemented with the inflated
 weight trick — an observation at time ``t`` is recorded with weight
 ``exp(λ(t − t0))`` against a per-device reference time ``t0``, so the
-whole histogram never needs rescaling on update (O(1) per frame); the
-common inflation factor cancels in frequencies and weights, and the
-counters are rebased once the factor grows past ``1e9`` to keep the
-floats healthy.
+whole histogram never needs rescaling on update (O(1) per
+observation); the common inflation factor cancels in frequencies and
+weights, and the counters are rebased once the factor grows past
+``1e9`` to keep the floats healthy.
 """
 
 from __future__ import annotations
@@ -49,7 +47,6 @@ import numpy as np
 if TYPE_CHECKING:
     from repro.traces.table import FrameTable
 
-from repro.dot11.capture import CapturedFrame
 from repro.dot11.mac import MacAddress
 from repro.core.histogram import BinSpec
 from repro.core.parameters import NetworkParameter
@@ -65,12 +62,13 @@ class StreamingSignatureBuilder:
     """Per-device incremental histograms with optional exponential decay.
 
     One builder is bound to a network parameter and a bin spec, like
-    the batch :class:`~repro.core.signature.SignatureBuilder`; frames
-    are fed through :meth:`update` (or chunks through
-    :meth:`update_table`) and signatures can be read out at any
-    instant.  Memory is O(resident devices × frame types × bins),
-    independent of stream length; :meth:`evict` and :meth:`evict_idle`
-    bound the resident set.
+    the batch :class:`~repro.core.signature.SignatureBuilder`; chunks
+    are fed through :meth:`update_table` and signatures can be read out
+    at any instant.  The parameter needs a columnar extractor
+    (``observe_table``); construction raises ``TypeError`` otherwise.
+    Memory is O(resident devices × frame types × bins), independent of
+    stream length; :meth:`evict` and :meth:`evict_idle` bound the
+    resident set.
     """
 
     def __init__(
@@ -170,23 +168,6 @@ class StreamingSignatureBuilder:
         return columns[np.argsort(seen[columns])].tolist()
 
     # -- ingest --------------------------------------------------------
-    def update(self, frame: CapturedFrame) -> int:
-        """Consume one frame; returns how many observations were kept."""
-        self.frames_seen += 1
-        observations = self._stream.push(frame)
-        if not observations:
-            return 0
-        kept = 0
-        now_us = frame.timestamp_us
-        for observation in observations:
-            index = self.bins.index(observation.value)
-            if index is None:
-                continue
-            self._accumulate(observation.sender, observation.ftype_key, index, now_us)
-            kept += 1
-        self.observations_kept += kept
-        return kept
-
     def _accumulate(
         self, sender: MacAddress, ftype_key: str, index: int, now_us: float
     ) -> None:
@@ -211,22 +192,20 @@ class StreamingSignatureBuilder:
     def update_table(
         self, table: "FrameTable", lo: int = 0, hi: int | None = None
     ) -> int:
-        """Consume rows ``[lo, hi)`` of a columnar chunk (vectorized).
+        """Consume rows ``[lo, hi)`` of a columnar chunk; returns how
+        many observations were kept.
 
-        The chunked counterpart of feeding each backing frame through
-        :meth:`update`: observations are extracted in one
+        Observations are extracted in one
         :meth:`~repro.core.parameters.ObservationStream.push_table`
         pass, binned with ``index_many`` and folded into the dense
-        counters with one flat ``np.bincount`` — leaving the state
-        (counts, totals, ``t0_us``/``last_seen_us``, device and
-        frame-type order, extractor channel clock) bit-identical to the
-        per-frame path.  The channel clock carries across calls, so a
-        window spanning many chunks can be fed chunk by chunk.  With
-        decay on, the extraction is still vectorized but observations
-        are folded in one at a time so the exp/rebase arithmetic
-        matches the per-frame path exactly.  Parameters without a
-        columnar extractor fall back to per-frame updates over the
-        chunk's backing frames.
+        counters with one flat ``np.bincount``.  The channel clock
+        carries across calls, so a window spanning many chunks can be
+        fed chunk by chunk, and the resulting state (counts, totals,
+        ``t0_us``/``last_seen_us``, device and frame-type order,
+        channel clock) does not depend on where the chunks were cut.
+        With decay on, observations are folded in one at a time
+        (:meth:`_accumulate`) so the exp/rebase arithmetic runs in
+        observation order.
         """
         if hi is None:
             hi = len(table)
@@ -234,11 +213,6 @@ class StreamingSignatureBuilder:
         if count <= 0:
             return 0
         pushed = self._stream.push_table(table, lo, hi)
-        if pushed is None:  # no columnar fast path: reference loop
-            kept = 0
-            for row in range(lo, hi):
-                kept += self.update(table.frame_at(row))
-            return kept
         self.frames_seen += count
         bin_idx = self.bins.index_many(pushed.values)
         keep = bin_idx >= 0
@@ -273,12 +247,12 @@ class StreamingSignatureBuilder:
         """Decay-free batch fold: one bincount over (row, column, bin).
 
         Increments are unit weights, so batch-summed integer counts
-        added to the held float counters reproduce the one-at-a-time
+        added to the held float counters reproduce one-at-a-time
         additions exactly (integers are exact in float64).  New devices
         take rows, and new (device, frame type) pairs take first-seen
         numbers, in first-kept-observation order, found with the
         reversed-scatter trick (duplicate fancy-assignment indices keep
-        the last write) — the per-frame path's orders.
+        the last write) — so the orders do not depend on the chunking.
         """
         senders = table.senders
         order = np.arange(kept, dtype=np.int64)
@@ -411,12 +385,9 @@ class StreamingSignatureBuilder:
     def export_state(self) -> dict:
         """Everything needed to resume this builder mid-capture.
 
-        The returned structure is JSON-shaped except for the extractor
-        state, which may embed a
-        :class:`~repro.dot11.capture.CapturedFrame`; the checkpoint
-        layer (:mod:`repro.persistence.checkpoint`) serialises that.
-        Devices are listed in row-assignment order and each device's
-        frame types in first-seen order.
+        The returned structure is JSON-shaped.  Devices are listed in
+        row-assignment order and each device's frame types in
+        first-seen order.
         """
         devices = []
         for device, row in self._rows.items():

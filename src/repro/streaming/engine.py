@@ -1,15 +1,15 @@
-"""The streaming fingerprint engine: frames in, typed events out.
+"""The streaming fingerprint engine: frame chunks in, typed events out.
 
 :class:`StreamEngine` composes the online subsystem end to end:
 
-1. a pluggable frame source (:mod:`repro.streaming.sources`) is pulled
-   one frame at a time — or one columnar
-   :class:`~repro.traces.table.FrameTable` chunk at a time via
-   :meth:`StreamEngine.run_chunked`, the bit-identical vectorized fast
-   path (DESIGN.md §8) — the engine never holds the trace;
-2. every frame feeds the :class:`~repro.streaming.windows.WindowManager`
-   (and any frame-level analyzer state, e.g. the rogue-AP guard's
-   own-traffic accumulator);
+1. a chunked source (:mod:`repro.streaming.sources`) is pulled one
+   columnar :class:`~repro.traces.table.FrameTable` chunk at a time
+   (:meth:`StreamEngine.run_chunked`) — the engine never holds the
+   trace;
+2. every chunk feeds the :class:`~repro.streaming.windows.WindowManager`,
+   which cuts it at window boundaries (DESIGN.md §8), and each routed
+   row span reaches the analyzers' row-level state (e.g. the rogue-AP
+   guard's own-traffic accumulator);
 3. when a detection window closes, its candidates are matched against
    the live reference database in one batch call
    (:class:`~repro.streaming.matcher.OnlineMatcher`) and the window
@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.dot11.capture import CapturedFrame
 from repro.dot11.mac import MacAddress
 from repro.core.database import ReferenceDatabase
 from repro.core.similarity import SimilarityMeasure, cosine_similarity
@@ -57,7 +56,10 @@ class StreamStats:
     candidates: int = 0
     events: int = 0
     #: Peak simultaneous per-device accumulators across open windows —
-    #: the engine's working-set high-water mark.
+    #: the engine's working-set high-water mark: the largest resident
+    #: count after routing any frame, taken before that frame's idle
+    #: sweep (if any).  Sampled after every routed span and right
+    #: before every sweep, so it does not depend on the chunking.
     peak_resident_devices: int = 0
     events_by_type: dict[str, int] = field(default_factory=dict)
     first_timestamp_us: float | None = None
@@ -89,6 +91,7 @@ class StreamEngine:
         parameter, min_observations=50)``)."""
         self._windows = WindowManager(builder_factory, window)
         self._windows.on_evict = self._emit_eviction
+        self._windows.on_sweep = self._sample_resident
         self._matcher = OnlineMatcher(database, measure) if database is not None else None
         self._analyzers: list[WindowAnalyzer] = list(analyzers)
         self._sinks: list[EventSink] = list(sinks)
@@ -129,53 +132,24 @@ class StreamEngine:
 
         Call on a freshly constructed engine with the same builder
         factory and window configuration; feeding it the remaining
-        frames then produces exactly the events an uninterrupted run
-        would have emitted.
+        frames, in any chunking, then produces exactly the events an
+        uninterrupted run would have emitted.
         """
         from repro.persistence.checkpoint import load_checkpoint
 
         load_checkpoint(self, path)
 
     # -- ingest --------------------------------------------------------
-    def process_frame(self, frame: CapturedFrame) -> None:
-        """Consume one frame, emitting any events it triggers."""
-        stats = self.stats
-        stats.frames += 1
-        if stats.first_timestamp_us is None:
-            stats.first_timestamp_us = frame.timestamp_us
-        stats.last_timestamp_us = frame.timestamp_us
-        # Close expired windows BEFORE analyzers see the frame: a frame
-        # at or past a window's end belongs to the next span, and the
-        # analyzers' on_window reset must run first (batch equivalence).
-        closed = self._windows.update(frame)
-        if closed:
-            for window in closed:
-                self._handle_closed(window)
-        for analyzer in self._analyzers:
-            analyzer.on_frame(frame)
-        resident = self._windows.resident_devices()
-        if resident > stats.peak_resident_devices:
-            stats.peak_resident_devices = resident
-
-    def run(self, frames: Iterable[CapturedFrame]) -> StreamStats:
-        """Consume a whole frame source, flush, and return the stats."""
-        process = self.process_frame
-        for frame in frames:
-            process(frame)
-        self.flush()
-        return self.stats
-
     def process_chunk(self, table: FrameTable) -> None:
         """Consume one columnar chunk, emitting any events it triggers.
 
-        Equivalent to feeding the chunk's backing frames one at a time
-        through :meth:`process_frame` — same events, in the same order,
-        leaving the same resumable state — at a fraction of the cost:
-        the window manager cuts the chunk at window boundaries and each
+        The window manager cuts the chunk at window boundaries and each
         span updates the open builders through the vectorized
-        ``observe_table``/``bincount`` fast path (DESIGN.md §8).
-        Frame-level analyzers receive the routed spans through
-        :meth:`~repro.streaming.apps.WindowAnalyzer.on_table`.
+        ``observe_table``/``bincount`` path (DESIGN.md §8).  Events,
+        stats and resumable state do not depend on where the chunks
+        were cut.  Analyzers receive the routed spans through
+        :meth:`~repro.streaming.apps.WindowAnalyzer.on_table`, after
+        the windows those rows close have been handled.
         """
         count = len(table)
         if count == 0:
@@ -192,9 +166,7 @@ class StreamEngine:
                 _, lo, hi = item
                 for analyzer in self._analyzers:
                     analyzer.on_table(table, lo, hi)
-                resident = self._windows.resident_devices()
-                if resident > stats.peak_resident_devices:
-                    stats.peak_resident_devices = resident
+                self._sample_resident()
 
     def run_chunked(self, chunks: Iterable[FrameTable]) -> StreamStats:
         """Consume a chunked (``FrameTable``) source, flush, and return stats."""
@@ -208,6 +180,11 @@ class StreamEngine:
         """Close all still-open windows (end of stream)."""
         for window in self._windows.flush():
             self._handle_closed(window)
+
+    def _sample_resident(self) -> None:
+        resident = self._windows.resident_devices()
+        if resident > self.stats.peak_resident_devices:
+            self.stats.peak_resident_devices = resident
 
     # -- window completion ---------------------------------------------
     def _handle_closed(self, closed: ClosedWindow) -> None:

@@ -1,28 +1,23 @@
-"""Pluggable frame sources for the streaming engine.
+"""Chunked frame sources for the streaming engine.
 
-A frame source is simply an iterable of
-:class:`~repro.dot11.capture.CapturedFrame` in non-decreasing
-timestamp order; the engine pulls from it one frame at a time, so a
-source backed by a file or a live feed keeps the whole pipeline in
-bounded memory.  Built-ins:
+A source is an iterable of columnar
+:class:`~repro.traces.table.FrameTable` chunks in non-decreasing
+timestamp order; :meth:`~repro.streaming.engine.StreamEngine.run_chunked`
+pulls one chunk at a time, so a source backed by a file or a live feed
+keeps the whole pipeline in bounded memory.  Built-ins:
 
-* :func:`pcap_source` — chunked iteration over an on-disk radiotap
-  pcap (:func:`repro.radiotap.pcap.iter_trace_pcap`), never
-  materialising the capture;
-* :func:`simulation_source` — the discrete-event simulator as a live
-  feed (:meth:`repro.simulator.scenario.Scenario.stream`), draining
-  the monitor's buffer as simulated time advances;
-* :func:`replay_source` — an in-memory frame list (tests, the batch
-  pipeline's traces).
+* :func:`pcap_chunk_source` — an on-disk radiotap pcap
+  (:func:`repro.radiotap.pcap.iter_trace_tables`), never materialising
+  the capture;
+* :func:`simulation_chunk_source` — the discrete-event simulator as a
+  live feed (:meth:`repro.simulator.scenario.Scenario.stream`),
+  draining the monitor's buffer as simulated time advances;
+* :func:`replay_chunk_source` — an in-memory frame list or table
+  (tests, the batch pipeline's traces).
 
-Each source also has a *chunked* counterpart yielding columnar
-:class:`~repro.traces.table.FrameTable` slices for
-:meth:`~repro.streaming.engine.StreamEngine.run_chunked`
-(:func:`pcap_chunk_source`, :func:`simulation_chunk_source`,
-:func:`replay_chunk_source`); :func:`table_chunks` adapts any frame
-iterable.  Chunking trades a bounded amount of latency (at most
-``chunk_frames`` of buffering) for vectorized ingest — the emitted
-events are bit-identical to the per-frame path.
+:func:`table_chunks` adapts any frame iterable.  Chunking trades a
+bounded amount of latency (at most ``chunk_frames`` of buffering) for
+vectorized ingest; the emitted events do not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -35,34 +30,12 @@ from repro.dot11.capture import CapturedFrame
 if TYPE_CHECKING:  # pragma: no cover
     from repro.traces.table import FrameTable
 
-#: A frame source: any time-ordered iterable of captured frames.
-FrameSource = Iterable[CapturedFrame]
-
 #: A chunked source: time-ordered columnar chunks for ``run_chunked``.
 TableSource = Iterable["FrameTable"]
 
 #: Default columnar chunk size — large enough to amortise the
 #: vectorized dispatch, small enough to bound buffering latency.
 DEFAULT_CHUNK_FRAMES = 8192
-
-
-def pcap_source(
-    source: str | Path | BinaryIO | bytes, skip_bad_fcs: bool = False
-) -> Iterator[CapturedFrame]:
-    """Stream frames from a radiotap pcap in O(1) memory."""
-    from repro.radiotap.pcap import iter_trace_pcap
-
-    return iter_trace_pcap(source, skip_bad_fcs=skip_bad_fcs)
-
-
-def simulation_source(scenario, chunk_s: float = 5.0) -> Iterator[CapturedFrame]:
-    """Run a :class:`~repro.simulator.scenario.Scenario` as a live feed."""
-    return scenario.stream(chunk_s=chunk_s)
-
-
-def replay_source(frames: Iterable[CapturedFrame]) -> Iterator[CapturedFrame]:
-    """Replay an in-memory frame sequence (testing convenience)."""
-    return iter(frames)
 
 
 def table_chunks(
@@ -103,35 +76,18 @@ def simulation_chunk_source(
     return table_chunks(scenario.stream(chunk_s=chunk_s), chunk_frames)
 
 
-def skip_processed_frames(
-    source: FrameSource, count: int, horizon_us: float
-) -> Iterator[CapturedFrame]:
-    """Drop the ``count`` leading frames a resumed checkpoint already saw.
-
-    Only frames at or before the checkpoint's capture clock
-    (``horizon_us``) are candidates for skipping, so resuming against a
-    *continuation* capture (which starts after the horizon) passes
-    everything through, while resuming against the original capture
-    skips exactly the processed prefix.
-    """
-    skipped = 0
-    for frame in source:
-        if skipped < count and frame.timestamp_us <= horizon_us:
-            skipped += 1
-            continue
-        yield frame
-
-
 def skip_processed_chunks(
     chunks: TableSource, count: int, horizon_us: float
 ) -> Iterator["FrameTable"]:
-    """Chunked counterpart of :func:`skip_processed_frames`.
+    """Drop the ``count`` leading frames a resumed checkpoint already saw.
 
-    Trims the already-processed prefix off the leading
-    :class:`~repro.traces.table.FrameTable` chunks (zero-copy views),
-    applying the same at-or-before-the-horizon guard so continuation
-    captures pass through untouched.  Wholly-skipped chunks are not
-    yielded at all.
+    Trims the already-processed prefix off the leading chunks
+    (zero-copy views).  Only frames at or before the checkpoint's
+    capture clock (``horizon_us``) are candidates for skipping, so
+    resuming against a *continuation* capture (which starts after the
+    horizon) passes everything through, while resuming against the
+    original capture skips exactly the processed prefix.
+    Wholly-skipped chunks are not yielded at all.
     """
     import numpy as np
 

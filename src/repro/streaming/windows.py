@@ -1,4 +1,4 @@
-"""Detection windows over an unbounded frame stream.
+"""Detection windows over an unbounded chunked frame stream.
 
 :class:`WindowManager` reproduces the evaluation protocol's windowing
 (:meth:`repro.traces.trace.Trace.windows`) online: windows are aligned
@@ -22,12 +22,11 @@ Window indices count *slide positions* from the stream origin, so they
 stay aligned with the batch pipeline's enumeration even when wholly
 empty stretches of the stream never open a window.
 
-Frames arrive either one at a time (:meth:`WindowManager.update`, the
-reference path) or as columnar chunks
-(:meth:`WindowManager.update_table`), which the manager cuts at window
-boundaries so each constant-open-set span routes to the open builders
-as one vectorized update — same closures, evictions, and state, in
-the same order (DESIGN.md §8).
+Frames arrive as columnar chunks (:meth:`WindowManager.update_table`),
+which the manager cuts at window boundaries so each constant-open-set
+span routes to the open builders as one vectorized update; closures,
+evictions and state do not depend on where the chunks were cut
+(DESIGN.md §8).
 
 One deliberate edge diverges from the batch path: when the capture's
 *last* frame sits exactly on a window boundary, ``Trace.windows``
@@ -50,7 +49,6 @@ import numpy as np
 if TYPE_CHECKING:
     from repro.traces.table import FrameTable
 
-from repro.dot11.capture import CapturedFrame
 from repro.dot11.mac import MacAddress
 from repro.core.signature import Signature
 from repro.streaming.builder import StreamingSignatureBuilder
@@ -143,48 +141,28 @@ class WindowManager:
         #: happen instead of at window close (``ClosedWindow.evicted``
         #: still carries the per-window summary).
         self.on_evict: Callable[[int, MacAddress, float], None] | None = None
+        #: Called with no arguments right before each idle sweep, so the
+        #: engine can sample the resident set at its pre-sweep peak.
+        self.on_sweep: Callable[[], None] | None = None
 
     # ------------------------------------------------------------------
-    def update(self, frame: CapturedFrame) -> list[ClosedWindow]:
-        """Feed one frame; returns the windows it caused to close.
-
-        Frames must arrive in non-decreasing timestamp order (the
-        capture invariant).  Windows whose end lies at or before the
-        frame's timestamp close *before* the frame is routed, in index
-        order.
-        """
-        t = frame.timestamp_us
-        if self._origin_us is None:
-            self._origin_us = t
-        closed = self._close_until(t)
-        self._open_windows_containing(t)
-        sender = frame.sender
-        for window in self._windows:
-            window.frame_count += 1
-            window.builder.update(frame)
-            if sender is not None:
-                window.senders.add(sender)
-        if self.config.idle_timeout_s is not None:
-            self._frames_since_sweep += 1
-            if self._frames_since_sweep >= _EVICTION_SWEEP_FRAMES:
-                self._frames_since_sweep = 0
-                self._sweep(t)
-        return closed
-
     def update_table(self, chunk: "FrameTable") -> Iterator[tuple]:
         """Feed one columnar chunk; yields the chunk's event timeline.
 
-        The chunked counterpart of calling :meth:`update` per backing
-        frame: the chunk is cut at window boundaries (``searchsorted``
-        on the timestamp column) and each maximal span with a constant
-        open-window set is routed to every open builder in one
-        vectorized :meth:`StreamingSignatureBuilder.update_table` call.
-        Yields ``("closed", ClosedWindow)`` items exactly when — and in
-        the order — the per-frame path would produce them, and
+        Frames must arrive in non-decreasing timestamp order (the
+        capture invariant).  The chunk is cut at window boundaries
+        (``searchsorted`` on the timestamp column) and each maximal
+        span with a constant open-window set is routed to every open
+        builder in one vectorized
+        :meth:`StreamingSignatureBuilder.update_table` call.  Windows
+        whose end lies at or before a frame's timestamp close before
+        that frame reaches the analyzers: yields
+        ``("closed", ClosedWindow)`` items in index order, and
         ``("frames", lo, hi)`` items after rows ``[lo, hi)`` have been
-        routed (the engine forwards those spans to frame-level
-        analyzers).  Idle-eviction sweeps keep their per-frame cadence
-        and report through :attr:`on_evict`.
+        routed (the engine forwards those spans to analyzers).
+        Idle-eviction sweeps run every :data:`_EVICTION_SWEEP_FRAMES`
+        routed frames, wherever the chunks end, and report through
+        :attr:`on_sweep` and :attr:`on_evict`.
         """
         count = len(chunk)
         if count == 0:
@@ -208,9 +186,8 @@ class WindowManager:
             hi = int(np.searchsorted(stamps, horizon, side="left"))
             if closed:
                 # Route the triggering frame before reporting the
-                # closures: the per-frame path returns its closures
-                # only after the frame has been routed, and the engine
-                # reads live state (resident_devices) at emission.
+                # closures: the engine reads live state
+                # (resident_devices) into each WindowClosed event.
                 self._route(chunk, pos, pos + 1)
                 for window in closed:
                     yield ("closed", window)
@@ -265,6 +242,8 @@ class WindowManager:
 
     def _sweep(self, now_us: float) -> None:
         """One idle-eviction sweep across the open windows."""
+        if self.on_sweep is not None:
+            self.on_sweep()
         for window in self._windows:
             victims = window.builder.evict_idle(now_us, self.config.idle_timeout_s)
             if victims:

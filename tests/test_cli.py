@@ -45,6 +45,40 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_stream_rejects_chunk_frames_below_one(self, tmp_path, capsys):
+        """A usage error before the database is even opened."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                [
+                    "stream",
+                    str(tmp_path / "missing.pcap"),
+                    "--db",
+                    str(tmp_path / "missing.json"),
+                    "--chunk-frames",
+                    "0",
+                ]
+            )
+        assert exit_info.value.code == 2
+        assert "--chunk-frames" in capsys.readouterr().err
+
+    def test_sensor_rejects_chunk_frames_below_one(self, tmp_path, capsys):
+        """A usage error before the sensor connects (no HELLO sent)."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                [
+                    "sensor",
+                    str(tmp_path / "missing.pcap"),
+                    "--connect",
+                    "127.0.0.1:9",
+                    "--sensor-id",
+                    "s0",
+                    "--chunk-frames",
+                    "-3",
+                ]
+            )
+        assert exit_info.value.code == 2
+        assert "--chunk-frames" in capsys.readouterr().err
+
 
 class TestDatabasePersistence:
     def test_round_trip(self, tmp_path, small_office_trace):
@@ -169,6 +203,7 @@ class TestCommands:
         assert args.window_s == 300.0 and args.slide_s is None
         assert not args.spoof_guard and not args.track
         assert args.checkpoint is None and args.resume is None
+        assert args.chunk_frames == 8192
 
 
 class TestDbCommands:

@@ -224,15 +224,18 @@ class TestGracefulShutdown:
 
         import repro.streaming as streaming
 
-        real_source = streaming.pcap_source
+        real_source = streaming.pcap_chunk_source
 
-        def interrupting_source(path, skip_bad_fcs=False):
-            for index, frame in enumerate(real_source(path, skip_bad_fcs=skip_bad_fcs)):
-                if index == 200:
+        def interrupting_source(path, chunk_frames, skip_bad_fcs=False):
+            chunks = real_source(
+                path, chunk_frames=chunk_frames, skip_bad_fcs=skip_bad_fcs
+            )
+            for index, chunk in enumerate(chunks):
+                if index == 4:
                     signal.raise_signal(signal.SIGINT)
-                yield frame
+                yield chunk
 
-        monkeypatch.setattr(streaming, "pcap_source", interrupting_source)
+        monkeypatch.setattr(streaming, "pcap_chunk_source", interrupting_source)
         checkpoint = tmp_path / "engine.ckpt"
         stats_path = tmp_path / "stream-stats.json"
         code = main(
@@ -243,6 +246,8 @@ class TestGracefulShutdown:
                 str(db_path),
                 "--window-s",
                 "30",
+                "--chunk-frames",
+                "50",
                 "--checkpoint",
                 str(checkpoint),
                 "--stats-json",
@@ -255,11 +260,11 @@ class TestGracefulShutdown:
         assert checkpoint.exists()
         payload = json.loads(stats_path.read_text())
         assert payload["interrupted"] is True
-        assert payload["frames"] == 201  # stopped right after the signal
+        assert payload["frames"] == 250  # stopped right after the signal
 
         # The interrupted run left resumable state: picking the same
         # capture back up processes exactly the remaining frames.
-        monkeypatch.setattr(streaming, "pcap_source", real_source)
+        monkeypatch.setattr(streaming, "pcap_chunk_source", real_source)
         code = main(
             [
                 "stream",
@@ -275,7 +280,7 @@ class TestGracefulShutdown:
             ]
         )
         assert code == 0
-        total = sum(1 for _ in real_source(office_pcap))
+        total = sum(len(chunk) for chunk in real_source(office_pcap))
         payload = json.loads(stats_path.read_text())
         assert payload["interrupted"] is False
         assert payload["frames"] == total

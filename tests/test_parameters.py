@@ -17,10 +17,12 @@ from repro.core.parameters import (
     FrameSize,
     InterArrivalTime,
     MediumAccessTime,
+    Observation,
     TransmissionRate,
     TransmissionTime,
     parameter_by_name,
 )
+from repro.traces.table import FrameTable
 from tests.conftest import make_data_capture
 
 A = MacAddress.parse("00:13:e8:00:00:0a")
@@ -149,43 +151,53 @@ class TestRateExtraction:
             assert bins.index(float(rate)) is not None
 
 
+def streamed(parameter, frames, sizes=(1,)) -> list[Observation]:
+    """Observations of ``frames`` pushed through the parameter's online
+    stream in chunk spans cycling through ``sizes``."""
+    table = FrameTable.from_frames(frames)
+    stream = parameter.online()
+    out: list[Observation] = []
+    lo, step = 0, 0
+    while lo < len(table):
+        hi = min(len(table), lo + sizes[step % len(sizes)])
+        pushed = stream.push_table(table, lo, hi)
+        out.extend(
+            Observation(table.senders[s], table.ftype_keys[f], v)
+            for s, f, v in zip(
+                pushed.sender_idx.tolist(),
+                pushed.ftype_idx.tolist(),
+                pushed.values.tolist(),
+            )
+        )
+        assert pushed.positions.tolist() == sorted(pushed.positions.tolist())
+        lo, step = hi, step + 1
+    return out
+
+
 class TestOnlineStreams:
-    """The online extractors must match the batch extractors frame-for-frame."""
+    """The online stream must match the batch extractors in any chunking."""
 
     def test_builtin_streams_match_batch_on_figure1(self):
         frames = figure1_frames()
         for parameter in ALL_PARAMETERS:
-            stream = parameter.online()
-            streamed = [obs for frame in frames for obs in stream.push(frame)]
-            assert streamed == list(parameter.observations(frames)), parameter.name
+            expected = list(parameter.observations(frames))
+            for sizes in ((1,), (2, 3), (len(frames),)):
+                assert streamed(parameter, frames, sizes) == expected, parameter.name
 
     def test_builtin_streams_match_batch_on_simulation(self, small_office_trace):
         frames = small_office_trace.frames
         for parameter in ALL_PARAMETERS:
-            stream = parameter.online()
-            streamed = [obs for frame in frames for obs in stream.push(frame)]
-            assert streamed == list(parameter.observations(frames)), parameter.name
-
-    def test_generic_base_stream_matches_batch(self, small_office_trace):
-        """The Markov-1 pair trick must also reproduce the batch sequence."""
-        from repro.core.parameters import ObservationStream
-
-        frames = small_office_trace.frames[:500]
-        for parameter in ALL_PARAMETERS:
-            stream = ObservationStream(parameter)  # bypass the fast overrides
-            streamed = [obs for frame in frames for obs in stream.push(frame)]
-            assert streamed == list(parameter.observations(frames)), parameter.name
+            assert streamed(parameter, frames, (1, 7, 300)) == list(
+                parameter.observations(frames)
+            ), parameter.name
 
     def test_unattributable_frames_advance_the_clock(self):
         from repro.dot11.frames import ack_frame
 
-        stream = InterArrivalTime().online()
-        assert stream.push(make_data_capture(1000.0, A, AP)) == ()
-        assert (
-            stream.push(
-                CapturedFrame(timestamp_us=1200.0, frame=ack_frame(A), rate_mbps=24.0)
-            )
-            == ()
-        )
-        (obs,) = stream.push(make_data_capture(1500.0, B, AP))
+        frames = [
+            make_data_capture(1000.0, A, AP),
+            CapturedFrame(timestamp_us=1200.0, frame=ack_frame(A), rate_mbps=24.0),
+            make_data_capture(1500.0, B, AP),
+        ]
+        (obs,) = streamed(InterArrivalTime(), frames)
         assert obs.sender == B and obs.value == pytest.approx(300.0)

@@ -7,8 +7,8 @@ The two persistence contracts (DESIGN.md §5):
   loaded database are **bitwise identical** (atol 0) — same float64
   matrices, same shapes, same products;
 * a :class:`~repro.streaming.engine.StreamEngine` restored from a
-  checkpoint and fed the remaining frames emits exactly the events an
-  uninterrupted run produces.
+  checkpoint and fed the remaining frames, in any chunking, emits
+  exactly the events an uninterrupted run produces.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.dot11.mac import vendor_mac
 from repro.core.database import PackedDatabase, ReferenceDatabase
 from repro.core.matcher import batch_match_signatures
 from repro.core.sharding import ShardedReferenceDatabase
-from repro.core.parameters import InterArrivalTime, MediumAccessTime, ObservationStream
+from repro.core.parameters import InterArrivalTime
 from repro.core.signature import Signature, SignatureBuilder
 from repro.persistence import (
     database_info,
@@ -35,6 +35,7 @@ from repro.streaming import (
     StreamEngine,
     StreamingSignatureBuilder,
     WindowConfig,
+    table_chunks,
 )
 from tests.test_batch_matching import random_database, random_signature
 from tests.test_database import assert_pack_equivalent
@@ -224,59 +225,28 @@ class TestStreamCheckpoint:
         frames, parameter, database = setting
         whole_sink = CollectingSink()
         whole = make_engine(parameter, database, whole_sink)
-        whole.run(frames)
+        whole.run_chunked(table_chunks(frames, 1000))
 
         cut = int(len(frames) * fraction)
         first_sink = CollectingSink()
         first = make_engine(parameter, database, first_sink)
-        for frame in frames[:cut]:
-            first.process_frame(frame)
+        for chunk in table_chunks(frames[:cut], 700):
+            first.process_chunk(chunk)
         checkpoint = first.checkpoint(tmp_path / "ck.json")
 
         second_sink = CollectingSink()
         second = make_engine(parameter, database, second_sink)
         second.restore(checkpoint)
-        for frame in frames[cut:]:
-            second.process_frame(frame)
-        second.flush()
+        second.run_chunked(table_chunks(frames[cut:], 700))
 
-        assert first_sink.events + second_sink.events == whole_sink.events
-        assert second.stats == whole.stats
-
-    def test_generic_extractor_state_round_trips(self, tmp_path, setting):
-        """The base ObservationStream remembers its predecessor frame;
-        the checkpoint embeds that frame and restores it exactly."""
-        frames, _, _ = setting
-
-        class GenericAccess(MediumAccessTime):
-            def online(self):
-                return ObservationStream(self)
-
-        parameter = GenericAccess()
-        whole_sink = CollectingSink()
-        whole = make_engine(parameter, None, whole_sink)
-        whole.run(frames)
-
-        cut = len(frames) // 3
-        first_sink = CollectingSink()
-        first = make_engine(parameter, None, first_sink)
-        for frame in frames[:cut]:
-            first.process_frame(frame)
-        checkpoint = first.checkpoint(tmp_path / "ck.json")
-        second_sink = CollectingSink()
-        second = make_engine(parameter, None, second_sink)
-        second.restore(checkpoint)
-        for frame in frames[cut:]:
-            second.process_frame(frame)
-        second.flush()
         assert first_sink.events + second_sink.events == whole_sink.events
         assert second.stats == whole.stats
 
     def test_config_mismatch_rejected(self, tmp_path, setting):
         frames, parameter, database = setting
         engine = make_engine(parameter, database, CollectingSink())
-        for frame in frames[:200]:
-            engine.process_frame(frame)
+        for chunk in table_chunks(frames[:200]):
+            engine.process_chunk(chunk)
         checkpoint = engine.checkpoint(tmp_path / "ck.json")
         other = make_engine(parameter, database, CollectingSink(), window_s=20.0)
         with pytest.raises(ValueError, match="window config"):
@@ -285,8 +255,8 @@ class TestStreamCheckpoint:
     def test_builder_config_mismatch_rejected(self, tmp_path, setting):
         frames, parameter, database = setting
         engine = make_engine(parameter, database, CollectingSink())
-        for frame in frames[:500]:
-            engine.process_frame(frame)
+        for chunk in table_chunks(frames[:500]):
+            engine.process_chunk(chunk)
         checkpoint = engine.checkpoint(tmp_path / "ck.json")
         other = StreamEngine(
             lambda: StreamingSignatureBuilder(parameter, min_observations=7),
@@ -311,5 +281,5 @@ class TestStreamCheckpoint:
         sink = CollectingSink()
         resumed = make_engine(parameter, database, sink)
         resumed.restore(checkpoint)
-        resumed.run(frames[:500])
+        resumed.run_chunked(table_chunks(frames[:500]))
         assert resumed.stats.frames == 500

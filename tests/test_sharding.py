@@ -1,4 +1,4 @@
-"""Tests for the sharded reference database and its executors.
+"""Tests for the sharded reference database.
 
 Exactness contract (DESIGN.md §5): every shard is matched by the
 unmodified single-shard engine, so a shard's score columns are *bitwise
@@ -16,12 +16,7 @@ import pytest
 from repro.dot11.mac import vendor_mac
 from repro.core.database import ReferenceDatabase
 from repro.core.matcher import batch_match_signatures, best_match, match_signature
-from repro.core.sharding import (
-    ConsistentHashRing,
-    ProcessPoolShardExecutor,
-    SequentialShardExecutor,
-    ShardedReferenceDatabase,
-)
+from repro.core.sharding import ConsistentHashRing, ShardedReferenceDatabase
 from repro.core.signature import Signature
 from repro.core.similarity import intersection_similarity
 from tests.test_batch_matching import random_database, random_signature
@@ -240,54 +235,6 @@ class TestTopKMerge:
         sharded = ShardedReferenceDatabase(shard_count=2)
         with pytest.raises(ValueError):
             sharded.top_k([], 0)
-
-
-class TestProcessPoolExecutor:
-    def test_pool_matches_sequential_bitwise(self):
-        rng = np.random.default_rng(33)
-        database = random_database(rng, devices=40)
-        sharded = sharded_copy(database, 4)
-        candidates = [random_signature(rng) for _ in range(10)]
-        sequential = sharded.batch_match(candidates)
-        with ProcessPoolShardExecutor(sharded, max_workers=2) as executor:
-            pooled = sharded.batch_match(candidates, executor=executor)
-            assert np.array_equal(pooled, sequential)
-            assert sharded.top_k(candidates, 4, executor=executor) == sharded.top_k(
-                candidates, 4
-            )
-
-    def test_pool_respawns_after_mutation(self):
-        rng = np.random.default_rng(34)
-        database = random_database(rng, devices=20)
-        sharded = sharded_copy(database, 2)
-        candidates = [random_signature(rng) for _ in range(5)]
-        with ProcessPoolShardExecutor(sharded, max_workers=2) as executor:
-            sharded.batch_match(candidates, executor=executor)
-            newcomer = vendor_mac("00:18:f8", 77)
-            sharded.add(newcomer, random_signature(rng))
-            pooled = sharded.batch_match(candidates, executor=executor)
-            assert pooled.shape == (5, 21)
-            assert np.array_equal(pooled, sharded.batch_match(candidates))
-
-    def test_pool_rejects_foreign_database(self):
-        rng = np.random.default_rng(35)
-        a = sharded_copy(random_database(rng, devices=5), 2)
-        b = sharded_copy(random_database(rng, devices=5), 2)
-        with ProcessPoolShardExecutor(a, max_workers=1) as executor:
-            with pytest.raises(ValueError):
-                b.batch_match([random_signature(rng)], executor=executor)
-
-
-class TestExecutorProtocol:
-    def test_sequential_executor_is_the_default(self):
-        rng = np.random.default_rng(36)
-        database = random_database(rng, devices=15)
-        sharded = sharded_copy(database, 3)
-        candidates = [random_signature(rng) for _ in range(4)]
-        explicit = sharded.batch_match(
-            candidates, executor=SequentialShardExecutor()
-        )
-        assert np.array_equal(explicit, sharded.batch_match(candidates))
 
 
 class TestApplicationsAcceptShardedDatabase:

@@ -1,7 +1,7 @@
 """Streaming/batch equivalence for the online signature builder.
 
 The tentpole invariant (mirroring ``tests/test_batch_matching.py``):
-:class:`StreamingSignatureBuilder` fed frame-by-frame with decay off
+:class:`StreamingSignatureBuilder` fed columnar chunks with decay off
 must match :meth:`SignatureBuilder.build` bin-for-bin (atol 1e-9) on
 the same frames — same devices, same frame types, same histograms,
 weights and observation counts — for every network parameter.
@@ -18,6 +18,7 @@ from repro.dot11.mac import MacAddress, vendor_mac
 from repro.core.parameters import ALL_PARAMETERS, InterArrivalTime
 from repro.core.signature import SignatureBuilder
 from repro.streaming.builder import StreamingSignatureBuilder
+from repro.traces.table import FrameTable
 from tests.conftest import make_data_capture
 
 AP = MacAddress.parse("00:0f:b5:00:00:01")
@@ -56,6 +57,17 @@ def random_frames(
     return frames
 
 
+def feed(
+    builder: StreamingSignatureBuilder,
+    frames: list[CapturedFrame],
+    chunk_frames: int = 97,
+) -> None:
+    """Feed ``frames`` to the builder in ``chunk_frames``-row chunks."""
+    table = FrameTable.from_frames(frames)
+    for lo in range(0, len(table), chunk_frames):
+        builder.update_table(table, lo, min(lo + chunk_frames, len(table)))
+
+
 def assert_signatures_equal(batch: dict, streamed: dict) -> None:
     assert set(batch) == set(streamed)
     for device, expected in batch.items():
@@ -80,8 +92,7 @@ class TestBatchEquivalence:
             for parameter in ALL_PARAMETERS:
                 batch = SignatureBuilder(parameter, min_observations=10).build(frames)
                 online = StreamingSignatureBuilder(parameter, min_observations=10)
-                for frame in frames:
-                    online.update(frame)
+                feed(online, frames, chunk_frames=1 + 40 * round_index)
                 assert_signatures_equal(batch, online.signatures())
 
     def test_simulated_capture_matches_batch(self, small_office_trace):
@@ -90,8 +101,7 @@ class TestBatchEquivalence:
                 small_office_trace.frames
             )
             online = StreamingSignatureBuilder(parameter, min_observations=30)
-            for frame in small_office_trace.frames:
-                online.update(frame)
+            feed(online, small_office_trace.frames, chunk_frames=4096)
             assert_signatures_equal(batch, online.signatures())
 
     def test_gating_matches_batch(self):
@@ -102,8 +112,7 @@ class TestBatchEquivalence:
         for gate in (1, 5, 20, 1000):
             batch = SignatureBuilder(parameter, min_observations=gate).build(frames)
             online = StreamingSignatureBuilder(parameter, min_observations=gate)
-            for frame in frames:
-                online.update(frame)
+            feed(online, frames)
             assert_signatures_equal(batch, online.signatures())
 
 
@@ -113,10 +122,9 @@ class TestDecay:
             InterArrivalTime(), min_observations=1, decay_half_life_s=10.0
         )
         device = vendor_mac("00:13:e8", 1)
-        t = 0.0
-        for _ in range(50):
-            t += 500.0
-            builder.update(make_data_capture(t, device, AP))
+        stamps = [500.0 * i for i in range(1, 51)]
+        feed(builder, [make_data_capture(t, device, AP) for t in stamps])
+        t = stamps[-1]
         mass_now = builder.observation_mass(device, now_us=t)
         mass_later = builder.observation_mass(device, now_us=t + 10.0 * 1e6)
         assert mass_later == pytest.approx(mass_now / 2.0, rel=1e-9)
@@ -131,16 +139,11 @@ class TestDecay:
         )
         device = vendor_mac("00:13:e8", 1)
         # Phase 1: tight 100 µs inter-arrivals.
-        t = 0.0
-        for _ in range(200):
-            t += 100.0
-            builder.update(make_data_capture(t, device, AP))
+        stamps = [100.0 * i for i in range(1, 201)]
         # Phase 2 (40 half-lives later): 2000 µs inter-arrivals.
-        t += 200.0 * 1e6
-        builder.update(make_data_capture(t, device, AP))
-        for _ in range(200):
-            t += 2000.0
-            builder.update(make_data_capture(t, device, AP))
+        t = stamps[-1] + 200.0 * 1e6
+        stamps += [t + 2000.0 * i for i in range(201)]
+        feed(builder, [make_data_capture(t, device, AP) for t in stamps])
         signature = builder.signature(device)
         assert signature is not None
         bins = builder.bins
@@ -155,10 +158,9 @@ class TestDecay:
             InterArrivalTime(), min_observations=30, decay_half_life_s=1.0
         )
         device = vendor_mac("00:13:e8", 1)
-        t = 0.0
-        for _ in range(60):
-            t += 200.0
-            builder.update(make_data_capture(t, device, AP))
+        stamps = [200.0 * i for i in range(1, 61)]
+        feed(builder, [make_data_capture(t, device, AP) for t in stamps])
+        t = stamps[-1]
         assert builder.signature(device, now_us=t) is not None
         assert builder.signature(device, now_us=t + 60.0 * 1e6) is None
 
@@ -168,10 +170,9 @@ class TestDecay:
             InterArrivalTime(), min_observations=1, decay_half_life_s=0.001
         )
         device = vendor_mac("00:13:e8", 1)
-        t = 0.0
-        for _ in range(3000):
-            t += 300.0
-            builder.update(make_data_capture(t, device, AP))
+        stamps = [300.0 * i for i in range(1, 3001)]
+        feed(builder, [make_data_capture(t, device, AP) for t in stamps])
+        t = stamps[-1]
         signature = builder.signature(device)
         assert signature is not None
         for histogram in signature.histograms.values():
@@ -188,9 +189,14 @@ class TestResidency:
         builder = StreamingSignatureBuilder(InterArrivalTime(), min_observations=1)
         a = vendor_mac("00:13:e8", 1)
         b = vendor_mac("00:13:e8", 2)
-        builder.update(make_data_capture(1000.0, a, AP))
-        builder.update(make_data_capture(1500.0, a, AP))
-        builder.update(make_data_capture(2000.0, b, AP))
+        feed(
+            builder,
+            [
+                make_data_capture(1000.0, a, AP),
+                make_data_capture(1500.0, a, AP),
+                make_data_capture(2000.0, b, AP),
+            ],
+        )
         assert builder.resident_count == 2
         assert builder.evict(a) is True
         assert builder.evict(a) is False
@@ -202,13 +208,17 @@ class TestResidency:
         of its counts or frame types: its state equals a fresh
         builder's for the same frames, listed after the survivors."""
         from repro.core.parameters import FrameSize
-        from repro.traces.table import FrameTable
 
         a, b, c = (vendor_mac("00:13:e8", i) for i in (1, 2, 3))
         builder = StreamingSignatureBuilder(FrameSize(), min_observations=1)
-        builder.update(make_data_capture(1000.0, a, AP, subtype=FrameSubtype.BEACON))
-        builder.update(make_data_capture(1200.0, a, AP, size=900))
-        builder.update(make_data_capture(1400.0, b, AP))
+        feed(
+            builder,
+            [
+                make_data_capture(1000.0, a, AP, subtype=FrameSubtype.BEACON),
+                make_data_capture(1200.0, a, AP, size=900),
+                make_data_capture(1400.0, b, AP),
+            ],
+        )
         assert builder.evict(a)
         table = FrameTable.from_frames(
             [make_data_capture(t, c, AP, size=300) for t in (2000.0, 2200.0)]
@@ -230,12 +240,10 @@ class TestResidency:
         builder = StreamingSignatureBuilder(FrameSize(), min_observations=1)
         a = vendor_mac("00:13:e8", 1)
         b = vendor_mac("00:13:e8", 2)
-        builder.update(make_data_capture(1000.0, a, AP))
-        builder.update(make_data_capture(1200.0, a, AP))
-        t = 1200.0
-        for _ in range(20):
-            t += 1.0 * 1e6
-            builder.update(make_data_capture(t, b, AP))
+        frames = [make_data_capture(1000.0, a, AP), make_data_capture(1200.0, a, AP)]
+        frames += [make_data_capture(1200.0 + 1e6 * i, b, AP) for i in range(1, 21)]
+        feed(builder, frames)
+        t = frames[-1].timestamp_us
         victims = builder.evict_idle(now_us=t, idle_timeout_s=5.0)
         assert victims == [a]
         assert builder.resident_count == 1

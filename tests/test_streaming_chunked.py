@@ -1,36 +1,48 @@
-"""Chunked columnar ingest is bit-identical to the per-frame path.
+"""Chunked columnar ingest does not depend on where the chunks end.
 
-The chunked fast path (``StreamEngine.process_chunk``,
-``StreamingSignatureBuilder.update_table``,
-``WindowManager.update_table``) exists purely for throughput — every
-test here pins that it produces exactly the events, stats, and
-resumable state of the per-frame reference path, for every chunking of
-the same frames.  Signatures and ``ClosedWindow`` objects hold ndarray
-fields, so equivalence is asserted through events (scalar frozen
-dataclasses), ``StreamStats``, and ``export_state()`` dictionaries.
+Chunked ingest (``StreamEngine.process_chunk``,
+``WindowManager.update_table``, ``StreamingSignatureBuilder.update_table``)
+is the only streaming path, so every test here checks it against code
+that exists for its own sake:
+
+* decay-off builder signatures equal :meth:`SignatureBuilder.build` on
+  the same frames, for all five parameters and any chunking down to
+  1-row chunks;
+* builder checkpoint payloads, decay on or off, equal a feed in 1-row
+  chunks (and the payloads pinned in ``tests/golden/``);
+* tumbling-window matches equal
+  :func:`~repro.core.detection.extract_window_candidates`;
+* sliding windows, idle eviction and checkpoint splices cut mid-chunk
+  emit exactly the events and :class:`StreamStats` of a run in 1-row
+  chunks.
+
+Each 1-row reference is computed once per parametrisation.  Signatures
+and ``ClosedWindow`` objects hold ndarray fields, so equivalence is
+asserted through events (scalar frozen dataclasses), ``StreamStats``,
+and ``export_state()`` dictionaries.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.histogram import BinSpec, UniformBins
-from repro.core.parameters import (
-    ALL_PARAMETERS,
-    InterArrivalTime,
-    NetworkParameter,
-    Observation,
-)
+from repro.core.database import ReferenceDatabase
+from repro.core.detection import DetectionConfig, extract_window_candidates
+from repro.core.joint import JointParameter
+from repro.core.parameters import ALL_PARAMETERS, InterArrivalTime, parameter_by_name
+from repro.core.signature import SignatureBuilder
 from repro.dot11.capture import CapturedFrame
 from repro.dot11.frames import Dot11Frame, FrameSubtype
-from repro.dot11.mac import MacAddress, vendor_mac
+from repro.dot11.mac import vendor_mac
 from repro.streaming import (
     CollectingSink,
     DeviceEvicted,
+    DeviceMatched,
     StreamEngine,
     StreamingSignatureBuilder,
     WindowClosed,
@@ -39,7 +51,9 @@ from repro.streaming import (
     table_chunks,
 )
 from repro.traces.table import FrameTable
+from repro.traces.trace import Trace
 from tests.conftest import make_data_capture
+from tests.test_streaming_builder import assert_signatures_equal
 
 AP = vendor_mac("00:0f:66", 99)
 
@@ -92,21 +106,24 @@ def chunk_spans(total: int, sizes: list[int]):
     return spans
 
 
-class SignedSize(NetworkParameter):
-    """A custom parameter with no columnar path (fallback coverage)."""
+def make_builder(parameter, half_life=None) -> StreamingSignatureBuilder:
+    return StreamingSignatureBuilder(
+        parameter, min_observations=10, decay_half_life_s=half_life
+    )
 
-    name = "signedsize"
-    label = "negated frame size"
 
-    def default_bins(self) -> BinSpec:
-        return UniformBins(lo=-2400.0, hi=0.0, width=100.0)
+@functools.cache
+def one_row_builder_state(name: str, half_life: float | None) -> dict:
+    """Builder payload after feeding ``FRAMES`` one row at a time."""
+    builder = make_builder(parameter_by_name(name), half_life)
+    for row in range(len(TABLE)):
+        builder.update_table(TABLE, row, row + 1)
+    return builder.export_state()
 
-    def observations(self, frames):
-        for frame in frames:
-            if frame.sender is not None:
-                yield Observation(
-                    frame.sender, frame.ftype_key, -float(frame.frame.size)
-                )
+
+@functools.cache
+def batch_signatures(name: str) -> dict:
+    return SignatureBuilder(parameter_by_name(name), min_observations=10).build(FRAMES)
 
 
 class TestBuilderEquivalence:
@@ -115,31 +132,23 @@ class TestBuilderEquivalence:
     @given(sizes=st.lists(st.integers(1, 400), min_size=1, max_size=6))
     @settings(deadline=None, max_examples=15)
     def test_update_table_matches_per_frame(self, parameter, half_life, sizes):
-        reference = StreamingSignatureBuilder(
-            parameter, min_observations=10, decay_half_life_s=half_life
-        )
-        for frame in FRAMES:
-            reference.update(frame)
-
-        chunked = StreamingSignatureBuilder(
-            parameter, min_observations=10, decay_half_life_s=half_life
-        )
+        """Any chunking leaves the state of a one-row-at-a-time feed;
+        decay off, the signatures are the batch builder's."""
+        chunked = make_builder(parameter, half_life)
         for lo, hi in chunk_spans(len(TABLE), sizes):
             chunked.update_table(TABLE, lo, hi)
 
-        assert chunked.export_state() == reference.export_state()
+        reference = one_row_builder_state(parameter.name, half_life)
+        assert chunked.export_state() == reference
+        if half_life is None:
+            batch = batch_signatures(parameter.name)
+            assert_signatures_equal(batch, chunked.signatures())
 
-    @given(sizes=st.lists(st.integers(1, 400), min_size=1, max_size=6))
-    @settings(deadline=None, max_examples=10)
-    def test_fallback_for_parameter_without_columnar_path(self, sizes):
-        parameter = SignedSize()
-        reference = StreamingSignatureBuilder(parameter, min_observations=10)
-        for frame in FRAMES:
-            reference.update(frame)
-        chunked = StreamingSignatureBuilder(parameter, min_observations=10)
-        for lo, hi in chunk_spans(len(TABLE), sizes):
-            chunked.update_table(TABLE, lo, hi)
-        assert chunked.export_state() == reference.export_state()
+    def test_parameter_without_columnar_path_is_rejected(self):
+        """Streaming has no object-path fallback: a parameter without
+        ``observe_table`` (the joint histograms) fails at construction."""
+        with pytest.raises(TypeError, match="observe_table"):
+            StreamingSignatureBuilder(JointParameter("interarrival", "size"))
 
     def test_mid_burst_chunk_boundary_carries_channel_clock(self):
         """A chunk cut between two frames of one device's burst must
@@ -148,19 +157,21 @@ class TestBuilderEquivalence:
         frames = [make_data_capture(1000.0 * i, a, AP) for i in range(1, 11)]
         table = FrameTable.from_frames(frames)
         parameter = InterArrivalTime()
-        reference = StreamingSignatureBuilder(parameter, min_observations=1)
-        for frame in frames:
-            reference.update(frame)
+        batch = SignatureBuilder(parameter, min_observations=1).build(frames)
+        assert batch[a].observation_counts == {"QoS Data": 9}
         for cut in range(1, len(frames)):
             chunked = StreamingSignatureBuilder(parameter, min_observations=1)
             chunked.update_table(table, 0, cut)
             chunked.update_table(table, cut, len(frames))
-            assert chunked.export_state() == reference.export_state()
+            assert_signatures_equal(batch, chunked.signatures())
 
 
-def make_engine(parameter, sink, window_s=10.0, slide_s=None, idle_timeout_s=None):
+def make_engine(
+    parameter, sink, window_s=10.0, slide_s=None, idle_timeout_s=None, database=None
+):
     return StreamEngine(
         lambda: StreamingSignatureBuilder(parameter, min_observations=10),
+        database=database,
         window=WindowConfig(
             window_s=window_s, slide_s=slide_s, idle_timeout_s=idle_timeout_s
         ),
@@ -168,24 +179,84 @@ def make_engine(parameter, sink, window_s=10.0, slide_s=None, idle_timeout_s=Non
     )
 
 
+def run_chunks(make, chunks):
+    """Events and stats of one engine fed ``chunks`` then flushed."""
+    sink = CollectingSink()
+    stats = make(sink).run_chunked(chunks)
+    return sink.events, stats
+
+
+#: Short windows so FRAMES (~3.2 s of capture) closes several of them.
+ENGINE_WINDOW_S = 1.0
+SLIDES = {"tumbling": None, "sliding": 0.3}
+
+
+@functools.cache
+def learnt_database(name: str) -> ReferenceDatabase:
+    return ReferenceDatabase.from_training(
+        SignatureBuilder(parameter_by_name(name), min_observations=10), FRAMES
+    )
+
+
+def engine_factory(name: str, slide: str):
+    return functools.partial(
+        make_engine,
+        parameter_by_name(name),
+        window_s=ENGINE_WINDOW_S,
+        slide_s=SLIDES[slide],
+        database=learnt_database(name),
+    )
+
+
+@functools.cache
+def one_row_run(name: str, slide: str):
+    return run_chunks(engine_factory(name, slide), replay_chunk_source(TABLE, 1))
+
+
 class TestEngineEquivalence:
     @pytest.mark.parametrize("parameter", ALL_PARAMETERS, ids=lambda p: p.name)
-    @pytest.mark.parametrize(
-        "slide_s", [None, 3.0], ids=["tumbling", "sliding"]
-    )
+    @pytest.mark.parametrize("slide", sorted(SLIDES, reverse=True))
     @given(chunk_frames=st.integers(1, 2000))
     @settings(deadline=None, max_examples=10)
-    def test_run_chunked_matches_run(self, parameter, slide_s, chunk_frames):
-        ref_sink = CollectingSink()
-        reference = make_engine(parameter, ref_sink, slide_s=slide_s)
-        reference.run(FRAMES)
+    def test_run_chunked_matches_run(self, parameter, slide, chunk_frames):
+        """Any chunk size emits the events and stats of a run in 1-row
+        chunks."""
+        events, stats = run_chunks(
+            engine_factory(parameter.name, slide),
+            replay_chunk_source(TABLE, chunk_frames),
+        )
+        reference_events, reference_stats = one_row_run(parameter.name, slide)
+        assert events == reference_events
+        assert stats == reference_stats
 
-        chunk_sink = CollectingSink()
-        chunked = make_engine(parameter, chunk_sink, slide_s=slide_s)
-        chunked.run_chunked(replay_chunk_source(TABLE, chunk_frames))
-
-        assert chunk_sink.events == ref_sink.events
-        assert chunked.stats == reference.stats
+    @pytest.mark.parametrize("parameter", ALL_PARAMETERS, ids=lambda p: p.name)
+    def test_tumbling_matches_equal_extract_window_candidates(self, parameter):
+        builder = SignatureBuilder(parameter, min_observations=10)
+        database = learnt_database(parameter.name)
+        candidates = extract_window_candidates(
+            Trace(frames=FRAMES, name="synth"),
+            builder,
+            database,
+            DetectionConfig(window_s=ENGINE_WINDOW_S, min_observations=10),
+        )
+        expected = {}
+        for candidate in candidates:
+            best = max(candidate.similarities, key=candidate.similarities.__getitem__)
+            expected[(candidate.window_index, candidate.device)] = (
+                best,
+                candidate.similarities[best],
+            )
+        events, _ = one_row_run(parameter.name, "tumbling")
+        streamed = {
+            (event.window_index, event.device): (event.best_device, event.similarity)
+            for event in events
+            if isinstance(event, DeviceMatched)
+        }
+        assert expected  # every parameter yields candidates here
+        assert set(streamed) == set(expected)
+        for key, (device, similarity) in expected.items():
+            assert streamed[key][0] == device
+            assert streamed[key][1] == pytest.approx(similarity, abs=1e-9)
 
     def test_chunk_boundary_exactly_on_window_boundary(self):
         """Windows of 10 s, one frame per second, chunks of 10 frames:
@@ -195,42 +266,62 @@ class TestEngineEquivalence:
         frames = [
             make_data_capture(1e6 * i, a if i % 2 else b, AP) for i in range(100)
         ]
+        make = functools.partial(make_engine, InterArrivalTime())
+        reference_events, reference_stats = run_chunks(make, table_chunks(frames, 1))
         for chunk_frames in (10, 20, 5):
-            ref_sink, chunk_sink = CollectingSink(), CollectingSink()
-            reference = make_engine(InterArrivalTime(), ref_sink)
-            reference.run(frames)
-            chunked = make_engine(InterArrivalTime(), chunk_sink)
-            chunked.run_chunked(table_chunks(frames, chunk_frames))
-            assert chunk_sink.events == ref_sink.events
-            assert chunked.stats == reference.stats
-        assert ref_sink.of_type(WindowClosed)  # the scenario closes windows
+            events, stats = run_chunks(make, table_chunks(frames, chunk_frames))
+            assert events == reference_events
+            assert stats == reference_stats
+        assert any(isinstance(event, WindowClosed) for event in reference_events)
 
     def test_checkpoint_at_chunk_boundary_resumes_identically(self, tmp_path):
         """Checkpoint after N whole chunks, restore into a fresh engine,
         finish with the remaining chunks: the two halves must splice
         into exactly the uninterrupted run's event stream and stats."""
-        parameter = InterArrivalTime()
-        whole_sink = CollectingSink()
-        whole = make_engine(parameter, whole_sink)
-        whole.run(FRAMES)
+        make = engine_factory("interarrival", "tumbling")
+        whole_events, whole_stats = one_row_run("interarrival", "tumbling")
 
         chunks = list(replay_chunk_source(TABLE, 170))
         for boundary in (1, len(chunks) // 2, len(chunks) - 1):
             first_sink = CollectingSink()
-            first = make_engine(parameter, first_sink)
+            first = make(first_sink)
             for chunk in chunks[:boundary]:
                 first.process_chunk(chunk)
             checkpoint = first.checkpoint(tmp_path / "ck.json")
 
             second_sink = CollectingSink()
-            second = make_engine(parameter, second_sink)
+            second = make(second_sink)
             second.restore(checkpoint)
-            for chunk in chunks[boundary:]:
-                second.process_chunk(chunk)
-            second.flush()
+            second.run_chunked(chunks[boundary:])
 
-            assert first_sink.events + second_sink.events == whole_sink.events
-            assert second.stats == whole.stats
+            assert first_sink.events + second_sink.events == whole_events
+            assert second.stats == whole_stats
+
+    @pytest.mark.parametrize("parameter", ALL_PARAMETERS, ids=lambda p: p.name)
+    @pytest.mark.parametrize("slide", sorted(SLIDES, reverse=True))
+    def test_checkpoint_cut_mid_chunk_resumes_identically(
+        self, tmp_path, parameter, slide
+    ):
+        """Cut the capture inside a chunk: the first engine ends on the
+        chunk's head, the restored one starts on its tail."""
+        make = engine_factory(parameter.name, slide)
+        whole_events, whole_stats = one_row_run(parameter.name, slide)
+        for cut in (7, 401, 950):
+            first_sink = CollectingSink()
+            first = make(first_sink)
+            for chunk in replay_chunk_source(TABLE.slice_rows(0, cut), 300):
+                first.process_chunk(chunk)
+            checkpoint = first.checkpoint(tmp_path / "ck.json")
+
+            second_sink = CollectingSink()
+            second = make(second_sink)
+            second.restore(checkpoint)
+            second.run_chunked(
+                replay_chunk_source(TABLE.slice_rows(cut, len(TABLE)), 300)
+            )
+
+            assert first_sink.events + second_sink.events == whole_events
+            assert second.stats == whole_stats
 
 
 class TestPromptEviction:
@@ -252,7 +343,7 @@ class TestPromptEviction:
         engine = make_engine(
             InterArrivalTime(), sink, window_s=3600.0, idle_timeout_s=5.0
         )
-        engine.run(frames)
+        engine.run_chunked(table_chunks(frames, 256))
         (evicted,) = sink.of_type(DeviceEvicted)
         (closed,) = sink.of_type(WindowClosed)
         assert evicted.device == a
@@ -262,14 +353,49 @@ class TestPromptEviction:
         assert sink.events.index(evicted) < sink.events.index(closed)
 
     def test_eviction_events_identical_under_chunking(self):
+        """Tumbling and sliding windows: any chunking emits the events
+        and stats of a run in 1-row chunks."""
         frames, _ = self.frames_with_idle_device()
-        ref_sink = CollectingSink()
-        make_engine(
-            InterArrivalTime(), ref_sink, window_s=3600.0, idle_timeout_s=5.0
-        ).run(frames)
-        for chunk_frames in (1, 256, 512, 513, 4096):
-            sink = CollectingSink()
-            make_engine(
-                InterArrivalTime(), sink, window_s=3600.0, idle_timeout_s=5.0
-            ).run_chunked(table_chunks(frames, chunk_frames))
-            assert sink.events == ref_sink.events
+        for slide_s in (None, 900.0):
+            make = functools.partial(
+                make_engine,
+                InterArrivalTime(),
+                window_s=3600.0,
+                slide_s=slide_s,
+                idle_timeout_s=5.0,
+            )
+            reference_events, reference_stats = run_chunks(
+                make, table_chunks(frames, 1)
+            )
+            assert any(isinstance(event, DeviceEvicted) for event in reference_events)
+            for chunk_frames in (256, 512, 513, 4096):
+                events, stats = run_chunks(make, table_chunks(frames, chunk_frames))
+                assert events == reference_events
+                assert stats == reference_stats
+
+    def test_peak_resident_devices_independent_of_chunking(self):
+        """Devices arrive one after another and go idle, so each sweep
+        drops the resident count: the peak before a sweep must count
+        wherever the chunks happen to end."""
+        frames = []
+        t = 0.0
+        for number in range(60):
+            device = vendor_mac("00:13:e8", number + 1)
+            for _ in range(40):
+                t += 1000.0
+                frames.append(make_data_capture(t, device, AP))
+        make = functools.partial(
+            make_engine,
+            InterArrivalTime(),
+            window_s=3600.0,
+            idle_timeout_s=0.05,
+        )
+        runs = [
+            run_chunks(make, table_chunks(frames, chunk_frames))
+            for chunk_frames in (1, 100, 512, 513, 4096)
+        ]
+        reference_events, reference_stats = runs[0]
+        assert any(isinstance(event, DeviceEvicted) for event in reference_events)
+        for events, stats in runs[1:]:
+            assert events == reference_events
+            assert stats == reference_stats

@@ -1,10 +1,9 @@
 """End-to-end tests for the streaming engine.
 
 The load-bearing invariant: with decay off and tumbling windows, the
-engine consuming a frame source one frame at a time produces exactly
-the matches of the batch pipeline
-(:func:`~repro.core.detection.extract_window_candidates`) on the same
-trace — across in-memory, pcap and live-simulator sources.
+engine consuming a chunked source produces exactly the matches of the
+batch pipeline (:func:`~repro.core.detection.extract_window_candidates`)
+on the same trace — across in-memory, pcap and live-simulator sources.
 """
 
 from __future__ import annotations
@@ -32,8 +31,9 @@ from repro.streaming import (
     StreamingSignatureBuilder,
     WindowClosed,
     WindowConfig,
-    pcap_source,
-    replay_source,
+    pcap_chunk_source,
+    replay_chunk_source,
+    simulation_chunk_source,
     table_chunks,
 )
 
@@ -82,7 +82,7 @@ class TestBatchPipelineEquivalence:
         )
         sink = CollectingSink()
         engine = make_engine(database, sinks=[sink])
-        stats = engine.run(replay_source(split.validation.frames))
+        stats = engine.run_chunked(replay_chunk_source(split.validation.frames, 1000))
         matches = {
             (m.window_index, m.device): (m.best_device, m.similarity)
             for m in sink.of_type(DeviceMatched)
@@ -95,7 +95,7 @@ class TestBatchPipelineEquivalence:
         assert stats.candidates == len(expected)
 
     def test_pcap_source_equals_loaded_trace(self, reference_setup, tmp_path):
-        """Chunked pcap iteration == materialising the same pcap.
+        """Pcap chunk iteration == materialising the same pcap.
 
         (The pcap container itself quantises timestamps to whole µs,
         so the reference is the *loaded* trace, not the pre-write one.)
@@ -108,14 +108,16 @@ class TestBatchPipelineEquivalence:
 
         def run(source):
             sink = CollectingSink()
-            make_engine(database, sinks=[sink]).run(source)
+            make_engine(database, sinks=[sink]).run_chunked(source)
             return [
                 (m.window_index, m.device, m.best_device, round(m.similarity, 9))
                 for m in sink.of_type(DeviceMatched)
             ]
 
         loaded = Trace.from_pcap(path)
-        assert run(pcap_source(path)) == run(replay_source(loaded.frames))
+        assert run(pcap_chunk_source(path, chunk_frames=777)) == run(
+            replay_chunk_source(loaded.frames)
+        )
 
     def test_live_simulator_source(self, reference_setup):
         """The engine consumes the simulator's incremental feed."""
@@ -131,7 +133,9 @@ class TestBatchPipelineEquivalence:
             )
         )
         sink = CollectingSink()
-        stats = make_engine(database, sinks=[sink]).run(scenario.stream(chunk_s=2.0))
+        stats = make_engine(database, sinks=[sink]).run_chunked(
+            simulation_chunk_source(scenario, chunk_s=2.0, chunk_frames=500)
+        )
         assert stats.frames > 0
         assert stats.windows_closed >= 2
         assert sink.of_type(WindowClosed)
@@ -141,8 +145,8 @@ class TestEngineBehaviour:
     def test_window_closed_events_carry_bookkeeping(self, reference_setup):
         _, database, split = reference_setup
         sink = CollectingSink()
-        stats = make_engine(database, sinks=[sink]).run(
-            replay_source(split.validation.frames)
+        stats = make_engine(database, sinks=[sink]).run_chunked(
+            replay_chunk_source(split.validation.frames)
         )
         closed = sink.of_type(WindowClosed)
         assert len(closed) == stats.windows_closed
@@ -164,7 +168,7 @@ class TestEngineBehaviour:
             lambda: StreamingSignatureBuilder(PARAMETER, min_observations=MIN_OBS),
             sinks=[sink],
         )
-        engine.run(replay_source(split.validation.frames[:2000]))
+        engine.run_chunked(replay_chunk_source(split.validation.frames[:2000]))
         assert engine.matcher is None
         assert sink.of_type(WindowClosed)
         assert not sink.of_type(DeviceMatched)
@@ -176,15 +180,13 @@ class TestEngineBehaviour:
         sink = CollectingSink()
         engine = make_engine(database, sinks=[sink])
         midpoint = len(frames) // 2
-        for frame in frames[:midpoint]:
-            engine.process_frame(frame)
+        for chunk in table_chunks(frames[:midpoint], 1000):
+            engine.process_chunk(chunk)
         retired = engine.matcher.database.devices[0]
         assert engine.matcher.forget(retired) is True
         assert engine.matcher.forget(retired) is False  # no-op on miss
         seen_before_forget = len(sink.of_type(DeviceMatched))
-        for frame in frames[midpoint:]:
-            engine.process_frame(frame)
-        engine.flush()
+        engine.run_chunked(table_chunks(frames[midpoint:], 1000))
         late = sink.of_type(DeviceMatched)[seen_before_forget:]
         assert late  # the stream kept matching after the removal
         assert all(m.best_device != retired for m in late)
@@ -196,8 +198,8 @@ class TestEngineBehaviour:
     def test_jsonl_sink_round_trips(self, reference_setup):
         _, database, split = reference_setup
         buffer = io.StringIO()
-        make_engine(database, sinks=[JsonLinesSink(buffer)]).run(
-            replay_source(split.validation.frames[:3000])
+        make_engine(database, sinks=[JsonLinesSink(buffer)]).run_chunked(
+            replay_chunk_source(split.validation.frames[:3000])
         )
         lines = [json.loads(line) for line in buffer.getvalue().splitlines()]
         assert lines
@@ -263,7 +265,7 @@ class TestApplicationAdapters:
             analyzers=[OnlineSpoofGuard(detector)],
             sinks=[sink],
         )
-        engine.run(replay_source(split.validation.frames))
+        engine.run_chunked(replay_chunk_source(split.validation.frames))
         streamed = {
             (alert.window_index, alert.device): alert.verdict
             for alert in sink.of_type(SpoofAlert)
@@ -295,7 +297,7 @@ class TestApplicationAdapters:
             analyzers=[LiveTracker(tracker)],
             sinks=[sink],
         )
-        engine.run(replay_source(observed))
+        engine.run_chunked(replay_chunk_source(observed))
         events = sink.of_type(PseudonymLinked)
         assert events
         batch_windows = [
@@ -319,7 +321,7 @@ class TestApplicationAdapters:
             assert streamed[key][1] == pytest.approx(similarity, abs=1e-9)
 
     def test_window_guards_run_on_chunks_without_frames(self, reference_setup):
-        """Analyzers with no per-frame hook never fetch frame objects,
+        """Analyzers without row-level state never fetch frame objects,
         so they run on column-built or wire-decoded chunks and raise
         the same events as on the same rows with frames."""
         import random
@@ -394,7 +396,7 @@ class TestApplicationAdapters:
         detector = RogueApDetector(parameter=FrameSize(), min_observations=MIN_OBS)
         assert detector.learn(genuine.captures, ap)
 
-        def alerts_for(frames):
+        def alerts_for(frames, chunk_frames=4096):
             sink = CollectingSink()
             engine = StreamEngine(
                 lambda: StreamingSignatureBuilder(FrameSize(), min_observations=MIN_OBS),
@@ -402,7 +404,7 @@ class TestApplicationAdapters:
                 analyzers=[OnlineRogueApGuard(detector, ap)],
                 sinks=[sink],
             )
-            engine.run(replay_source(frames))
+            engine.run_chunked(replay_chunk_source(frames, chunk_frames))
             return sink.of_type(RogueApAlert)
 
         assert alerts_for(genuine.captures) == []
@@ -410,6 +412,9 @@ class TestApplicationAdapters:
         rogue_alerts = alerts_for(impersonated)
         assert rogue_alerts
         assert all(alert.ap == ap for alert in rogue_alerts)
+        # The guard's accumulator carries its channel clock across
+        # chunks: any chunking raises the same alerts.
+        assert alerts_for(impersonated, chunk_frames=333) == rogue_alerts
 
     def test_rogue_guard_window_boundaries_match_batch(self):
         """A frame at a window's end belongs to the *next* guard span.
@@ -434,25 +439,49 @@ class TestApplicationAdapters:
                 rate_mbps=1.0,
             )
 
-        frames = [beacon(t) for t in (0.0, 0.2, 0.4, 0.6, 1.0, 1.2)]
+        def forwarded(t_s: float):
+            from repro.dot11.capture import CapturedFrame
+
+            client = MacAddress.parse("00:13:e8:00:00:02")
+            return CapturedFrame(
+                timestamp_us=t_s * 1e6,
+                frame=Dot11Frame(
+                    subtype=FrameSubtype.DATA,
+                    size=900,
+                    addr1=client,
+                    addr2=ap,
+                    addr3=client,
+                    from_ds=True,
+                ),
+                rate_mbps=54.0,
+            )
+
+        beacons = [beacon(t) for t in (0.0, 0.2, 0.4, 0.6, 1.0, 1.2)]
         detector = RogueApDetector(parameter=FrameSize(), min_observations=1)
-        detector.learn(frames, ap)
+        detector.learn(beacons, ap)
+        # Payloads the AP forwards are not its own behaviour: they must
+        # not reach the guard's accumulator.
+        frames = sorted(
+            beacons + [forwarded(t) for t in (0.1, 0.5, 1.1)],
+            key=lambda frame: frame.timestamp_us,
+        )
         detector.accept_threshold = 1.01  # force an alert per window
 
-        sink = CollectingSink()
-        engine = StreamEngine(
-            lambda: StreamingSignatureBuilder(FrameSize(), min_observations=1),
-            window=WindowConfig(window_s=1.0),
-            analyzers=[OnlineRogueApGuard(detector, ap)],
-            sinks=[sink],
-        )
-        engine.run(replay_source(frames))
-        streamed = [a.observations for a in sink.of_type(RogueApAlert)]
         expected = [
             len(ap_own_frames(window.frames, ap))
             for window in _windows_of(frames, 1.0)
         ]
-        assert streamed == expected == [4, 2]
+        for chunk_frames in (1, 4, 5, 6):
+            sink = CollectingSink()
+            engine = StreamEngine(
+                lambda: StreamingSignatureBuilder(FrameSize(), min_observations=1),
+                window=WindowConfig(window_s=1.0),
+                analyzers=[OnlineRogueApGuard(detector, ap)],
+                sinks=[sink],
+            )
+            engine.run_chunked(replay_chunk_source(frames, chunk_frames))
+            streamed = [a.observations for a in sink.of_type(RogueApAlert)]
+            assert streamed == expected == [4, 2]
 
 
 def _windows_of(frames, window_s):

@@ -5,8 +5,10 @@ one accumulator layout, so a change to that layout moves both sides at
 once.  This test pins the ``export_state()`` payload itself — device
 order, frame-type order within ``counts``/``totals``, every float — for
 the inter-arrival builder fed ``FRAMES`` in mixed chunk sizes, with and
-without decay, against ``tests/golden/streaming_builder_state.json``.
-The comparison is on the serialised text, so key order counts.
+without decay, against ``tests/golden/streaming_builder_state.json``,
+and for the other four parameters (decay off) against
+``tests/golden/streaming_builder_params.json``.  The comparison is on
+the serialised text, so key order counts.
 
 Regenerate only after a deliberate change to the checkpoint format:
 
@@ -21,13 +23,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.parameters import InterArrivalTime
+from repro.core.parameters import InterArrivalTime, parameter_by_name
 from repro.streaming import StreamingSignatureBuilder
 from tests.test_streaming_chunked import TABLE, chunk_spans
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "streaming_builder_state.json"
+PARAMS_GOLDEN_PATH = Path(__file__).parent / "golden" / "streaming_builder_params.json"
 CHUNK_SIZES = [1, 37, 256, 5, 400, 2, 90]
 HALF_LIVES = {"nodecay": None, "decay": 3.0}
+#: The parameters pinned in the second file (decay off).
+OTHER_PARAMETERS = ("rate", "size", "txtime", "access")
 
 
 def make_builder(half_life: float | None) -> StreamingSignatureBuilder:
@@ -36,26 +41,47 @@ def make_builder(half_life: float | None) -> StreamingSignatureBuilder:
     )
 
 
+def fed(builder: StreamingSignatureBuilder) -> dict:
+    for lo, hi in chunk_spans(len(TABLE), CHUNK_SIZES):
+        builder.update_table(TABLE, lo, hi)
+    return builder.export_state()
+
+
 def compute_payloads() -> dict:
-    payloads = {}
-    for name, half_life in HALF_LIVES.items():
-        builder = make_builder(half_life)
-        for lo, hi in chunk_spans(len(TABLE), CHUNK_SIZES):
-            builder.update_table(TABLE, lo, hi)
-        payloads[name] = builder.export_state()
-    return payloads
+    return {
+        name: fed(make_builder(half_life)) for name, half_life in HALF_LIVES.items()
+    }
+
+
+def compute_parameter_payloads() -> dict:
+    return {
+        name: fed(
+            StreamingSignatureBuilder(parameter_by_name(name), min_observations=10)
+        )
+        for name in OTHER_PARAMETERS
+    }
 
 
 def dump(payloads: dict) -> str:
     return json.dumps(payloads, indent=1) + "\n"
 
 
-def test_builder_payload_matches_golden_file():
-    text = dump(compute_payloads())
+def check_golden(path: Path, payloads: dict) -> None:
+    text = dump(payloads)
     if os.environ.get("REPRO_UPDATE_GOLDEN"):
-        GOLDEN_PATH.write_text(text)
-        pytest.skip(f"golden file regenerated at {GOLDEN_PATH}")
-    assert text == GOLDEN_PATH.read_text()
+        path.write_text(text)
+        pytest.skip(f"golden file regenerated at {path}")
+    assert text == path.read_text()
+
+
+def test_builder_payload_matches_golden_file():
+    check_golden(GOLDEN_PATH, compute_payloads())
+
+
+def test_other_parameter_payloads_match_golden_file():
+    """Rate, size and txtime carry no stream state; access has the most
+    delicate first-row arithmetic, ``(t - tt) - t_prev``."""
+    check_golden(PARAMS_GOLDEN_PATH, compute_parameter_payloads())
 
 
 @pytest.mark.parametrize("name", sorted(HALF_LIVES))
@@ -71,7 +97,10 @@ def test_golden_payload_is_discriminative():
     hold several devices over several frame types, and decay changes
     the numbers."""
     golden = json.loads(GOLDEN_PATH.read_text())
-    for payload in golden.values():
+    others = json.loads(PARAMS_GOLDEN_PATH.read_text())
+    assert sorted(others) == sorted(OTHER_PARAMETERS)
+    for payload in [*golden.values(), *others.values()]:
         assert len(payload["devices"]) >= 5
         assert all(len(entry["counts"]) >= 2 for entry in payload["devices"])
     assert golden["decay"]["devices"] != golden["nodecay"]["devices"]
+    assert others["access"]["stream"]["previous_t"] is not None

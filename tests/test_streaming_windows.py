@@ -14,6 +14,7 @@ from repro.dot11.mac import MacAddress, vendor_mac
 from repro.core.parameters import FrameSize
 from repro.streaming.builder import StreamingSignatureBuilder
 from repro.streaming.windows import WindowConfig, WindowManager
+from repro.traces.table import FrameTable
 from tests.conftest import make_data_capture
 
 AP = MacAddress.parse("00:0f:b5:00:00:01")
@@ -33,18 +34,24 @@ def manager(
     )
 
 
+def feed(windows: WindowManager, *frames) -> list:
+    """Route ``frames`` as one chunk; returns the windows it closed."""
+    timeline = windows.update_table(FrameTable.from_frames(list(frames)))
+    return [item[1] for item in timeline if item[0] == "closed"]
+
+
 class TestTumbling:
     def test_windows_align_to_first_frame(self):
         windows = manager(window_s=10.0)
-        assert windows.update(make_data_capture(5_000_000.0, A, AP)) == []
+        assert feed(windows, make_data_capture(5_000_000.0, A, AP)) == []
         assert windows.open_windows == 1
         (index, start, end) = next(windows.window_spans())
         assert (index, start, end) == (0, 5_000_000.0, 15_000_000.0)
 
     def test_frame_at_boundary_closes_the_window_first(self):
         windows = manager(window_s=10.0)
-        windows.update(make_data_capture(0.0, A, AP))
-        closed = windows.update(make_data_capture(10_000_000.0, B, AP))
+        feed(windows, make_data_capture(0.0, A, AP))
+        closed = feed(windows, make_data_capture(10_000_000.0, B, AP))
         assert [w.index for w in closed] == [0]
         assert closed[0].frame_count == 1
         assert closed[0].senders == {A}
@@ -54,17 +61,17 @@ class TestTumbling:
 
     def test_indices_stay_aligned_across_empty_gaps(self):
         windows = manager(window_s=10.0)
-        windows.update(make_data_capture(0.0, A, AP))
+        feed(windows, make_data_capture(0.0, A, AP))
         # A 75 s silence: windows 1–6 never open, window 7 catches the frame.
-        closed = windows.update(make_data_capture(75_000_000.0, B, AP))
+        closed = feed(windows, make_data_capture(75_000_000.0, B, AP))
         assert [w.index for w in closed] == [0]
         (index, start, _end) = next(windows.window_spans())
         assert index == 7 and start == 70_000_000.0
 
     def test_flush_closes_the_partial_tail(self):
         windows = manager(window_s=10.0)
-        windows.update(make_data_capture(0.0, A, AP))
-        windows.update(make_data_capture(12_000_000.0, B, AP))
+        feed(windows, make_data_capture(0.0, A, AP))
+        feed(windows, make_data_capture(12_000_000.0, B, AP))
         tail = windows.flush()
         assert [w.index for w in tail] == [1]
         assert windows.open_windows == 0
@@ -73,8 +80,8 @@ class TestTumbling:
     def test_gating_filters_quiet_devices_but_keeps_senders(self):
         windows = manager(window_s=10.0, min_observations=3)
         for offset in (0.0, 1000.0, 2000.0):
-            windows.update(make_data_capture(offset, A, AP))
-        windows.update(make_data_capture(3000.0, B, AP))  # one frame only
+            feed(windows, make_data_capture(offset, A, AP))
+        feed(windows, make_data_capture(3000.0, B, AP))  # one frame only
         (closed,) = windows.flush()
         assert set(closed.signatures) == {A}
         assert closed.senders == {A, B}
@@ -83,16 +90,16 @@ class TestTumbling:
 class TestSliding:
     def test_concurrent_window_count(self):
         windows = manager(window_s=10.0, slide_s=2.5)
-        windows.update(make_data_capture(0.0, A, AP))
+        feed(windows, make_data_capture(0.0, A, AP))
         assert windows.open_windows == 1  # only window 0 covers t=0
-        windows.update(make_data_capture(9_000_000.0, A, AP))
+        feed(windows, make_data_capture(9_000_000.0, A, AP))
         # Slides at 0, 2.5, 5, 7.5 s all cover t=9 s.
         assert windows.open_windows == 4
 
     def test_frame_lands_in_every_covering_window(self):
         windows = manager(window_s=10.0, slide_s=5.0)
-        windows.update(make_data_capture(0.0, A, AP))
-        windows.update(make_data_capture(7_000_000.0, B, AP))
+        feed(windows, make_data_capture(0.0, A, AP))
+        feed(windows, make_data_capture(7_000_000.0, B, AP))
         closed = {w.index: w for w in windows.flush()}
         assert set(closed) == {0, 1}
         assert closed[0].senders == {A, B}  # [0, 10) saw both
@@ -100,23 +107,23 @@ class TestSliding:
 
     def test_windows_close_in_index_order(self):
         windows = manager(window_s=10.0, slide_s=2.5)
-        windows.update(make_data_capture(0.0, A, AP))
-        windows.update(make_data_capture(9_000_000.0, A, AP))
-        closed = windows.update(make_data_capture(16_000_000.0, B, AP))
+        feed(windows, make_data_capture(0.0, A, AP))
+        feed(windows, make_data_capture(9_000_000.0, A, AP))
+        closed = feed(windows, make_data_capture(16_000_000.0, B, AP))
         assert [w.index for w in closed] == [0, 1, 2]
 
 
 class TestEviction:
     def test_idle_devices_are_swept_inside_long_windows(self):
         windows = manager(window_s=3600.0, idle_timeout_s=5.0)
-        windows.update(make_data_capture(0.0, A, AP))
-        windows.update(make_data_capture(1000.0, A, AP))
-        t = 1000.0
+        feed(windows, make_data_capture(0.0, A, AP))
+        feed(windows, make_data_capture(1000.0, A, AP))
         # Enough traffic from B to trigger a sweep (512-frame cadence)
         # long after A went silent.
-        for _ in range(1100):
-            t += 20_000.0
-            windows.update(make_data_capture(t, B, AP))
+        feed(
+            windows,
+            *[make_data_capture(1000.0 + 20_000.0 * i, B, AP) for i in range(1, 1101)],
+        )
         (closed,) = windows.flush()
         assert A in closed.evicted
         assert A not in closed.signatures
