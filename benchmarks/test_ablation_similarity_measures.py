@@ -28,14 +28,12 @@ def test_ablation_similarity_measures(datasets, benchmark):
     split = trace.split(training_s)
     builder = SignatureBuilder(InterArrivalTime(), min_observations=50)
     database = ReferenceDatabase.from_training(builder, split.training.frames)
-    config = DetectionConfig()
-
     rows = []
     aucs = {}
     for name in MEASURES:
-        measure = similarity_measure_by_name(name)
+        config = DetectionConfig(measure=similarity_measure_by_name(name))
         candidates = extract_window_candidates(
-            split.validation, builder, database, config, measure=measure
+            split.validation, builder, database, config
         )
         similarity = evaluate_similarity(candidates, database, config)
         identification = evaluate_identification(candidates, database, config)
@@ -61,6 +59,7 @@ def test_ablation_similarity_measures(datasets, benchmark):
         assert aucs[name] > aucs["cosine"] - 0.15
 
     measure = similarity_measure_by_name("cosine")
+    config = DetectionConfig()
     candidate = extract_window_candidates(
         split.validation, builder, database, config
     )[0]

@@ -3,8 +3,9 @@
 Synthetic heavy-traffic workload — a 200-device reference database and
 10 000 window candidates (what a multi-AP deployment produces in a day
 of 5-minute windows).  The batch engine must deliver at least a 10×
-throughput improvement over the per-pair scalar loop while returning
-the same similarity matrix (atol 1e-9).
+throughput improvement over the per-pair scalar loop (the oracle in
+``tests/oracles.py``) while returning the same similarity matrix
+(atol 1e-9).
 
 The scalar path is timed on a subsample (it is the slow path — timing
 all 10 000 candidates through it would dominate the whole suite) and
@@ -19,10 +20,11 @@ import numpy as np
 
 from repro.dot11.mac import vendor_mac
 from repro.core.database import ReferenceDatabase
-from repro.core.matcher import _scalar_match, batch_match_signatures
+from repro.core.matcher import batch_match_signatures
 from repro.core.signature import Signature
 from repro.core.similarity import cosine_similarity
 from benchmarks.conftest import bench_smoke, write_bench_json
+from tests.oracles import scalar_match
 
 #: Reduced sizes (and a relaxed bar) under REPRO_BENCH_SMOKE=1.
 SMOKE = bench_smoke()
@@ -67,7 +69,7 @@ def test_batch_engine_throughput(benchmark):
     # --- scalar baseline on a subsample -----------------------------
     start = time.perf_counter()
     scalar_rows = [
-        list(_scalar_match(candidate, database, cosine_similarity).values())
+        list(scalar_match(candidate, database, cosine_similarity).values())
         for candidate in candidates[:SCALAR_SAMPLE]
     ]
     scalar_seconds = time.perf_counter() - start

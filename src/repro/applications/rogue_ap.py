@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from repro.dot11.capture import CapturedFrame
 from repro.dot11.frames import FrameType
 from repro.dot11.mac import MacAddress
+from repro.core.database import ReferenceDatabase
+from repro.core.matcher import match_signature
 from repro.core.parameters import InterArrivalTime, NetworkParameter
 from repro.core.signature import Signature, SignatureBuilder
-from repro.core.similarity import cosine_similarity
 
 
 def ap_own_frames(
@@ -63,7 +64,8 @@ class RogueApDetector:
         self.builder = SignatureBuilder(
             self.parameter, min_observations=min_observations
         )
-        self._reference: Signature | None = None
+        #: The published AP signature as a one-entry database.
+        self._reference: ReferenceDatabase | None = None
         self._ap: MacAddress | None = None
 
     def learn(self, frames: list[CapturedFrame], ap: MacAddress) -> bool:
@@ -71,8 +73,7 @@ class RogueApDetector:
         signature = self.builder.build_single(ap_own_frames(frames, ap), ap)
         if signature is None:
             return False
-        self._reference = signature
-        self._ap = ap
+        self.use_reference(signature, ap)
         return True
 
     def use_reference(self, signature: Signature, ap: MacAddress) -> None:
@@ -83,7 +84,8 @@ class RogueApDetector:
         (:func:`repro.persistence.load_database` + ``database.get(ap)``)
         instead of re-learning it from a safe capture.
         """
-        self._reference = signature
+        self._reference = ReferenceDatabase()
+        self._reference.add(ap, signature)
         self._ap = ap
 
     def check(self, frames: list[CapturedFrame], claimed_ap: MacAddress) -> RogueApVerdict:
@@ -109,20 +111,13 @@ class RogueApDetector:
         silent "AP" answering clients is itself anomalous).  This is
         also the streaming rogue-AP guard's per-window entry point.
         """
-        if self._reference is None or self._ap is None:
+        if self._reference is None:
             raise RuntimeError("RogueApDetector.check called before learn()")
         if signature is None:
             return RogueApVerdict(
                 ap=claimed_ap, similarity=0.0, is_rogue=True, observations=observations
             )
-        combined = 0.0
-        for ftype_key, candidate_hist in signature.histograms.items():
-            reference_hist = self._reference.histogram(ftype_key)
-            if reference_hist is None:
-                continue
-            combined += self._reference.weight(ftype_key) * cosine_similarity(
-                candidate_hist, reference_hist
-            )
+        combined = match_signature(signature, self._reference)[self._ap]
         return RogueApVerdict(
             ap=claimed_ap,
             similarity=combined,

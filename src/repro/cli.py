@@ -18,8 +18,9 @@ simulator-produced):
   ``--scenario``/``--parameter``/``--measure`` subsetting and
   ``--resume`` to skip cells an earlier partial run already wrote;
 * ``repro-80211 scenarios list`` — the bundled scenario library;
-* ``repro-80211 simulate office --out office.pcap`` — produce a
-  synthetic dataset pcap;
+* ``repro-80211 simulate office1 --out office.pcap`` — produce a
+  synthetic dataset pcap (``office1``, ``office2``, ``conference1``
+  or ``conference2``);
 * ``repro-80211 histogram capture.pcap --device <mac>`` — render a
   device's inter-arrival histogram (Figure 2 style);
 * ``repro-80211 stream capture.pcap --db refs.json`` — run the online
@@ -57,8 +58,7 @@ import numpy as np
 
 from repro.analysis.plots import render_histogram, render_table
 from repro.core.database import ReferenceDatabase
-from repro.core.detection import DetectionConfig
-from repro.core.matcher import match_signature
+from repro.core.detection import DetectionConfig, extract_window_candidates
 from repro.core.parameters import ALL_PARAMETERS, parameter_by_name
 from repro.core.pipeline import evaluate_trace
 from repro.core.signature import Signature, SignatureBuilder
@@ -141,27 +141,31 @@ def _cmd_learn(args: argparse.Namespace) -> int:
 
 def _cmd_match(args: argparse.Namespace) -> int:
     database, parameter_name = load_any_database(Path(args.db))
-    parameter = parameter_by_name(parameter_name)
-    builder = SignatureBuilder(parameter, min_observations=args.min_observations)
-    trace = Trace.from_pcap(args.pcap)
-    trace.table()  # intern once; window views below share the columns
+    builder = SignatureBuilder(
+        parameter_by_name(parameter_name), min_observations=args.min_observations
+    )
+    config = DetectionConfig(
+        window_s=args.window_s, min_observations=args.min_observations
+    )
+    candidates = extract_window_candidates(
+        Trace.from_pcap(args.pcap), builder, database, config
+    )
     rows = []
-    for window_index, window in enumerate(trace.windows(args.window_s)):
-        for device, signature in builder.build_table(window.table()).items():
-            similarities = match_signature(signature, database)
-            if not similarities:
-                continue
-            best = max(similarities, key=lambda d: similarities[d])
-            verdict = "MATCH" if best == device else "MISMATCH"
-            rows.append(
-                (
-                    window_index,
-                    str(device),
-                    str(best),
-                    f"{similarities[best]:.3f}",
-                    verdict,
-                )
+    for candidate in candidates:
+        similarities = candidate.similarities
+        if not similarities:
+            continue
+        # The first maximum, as evaluate_identification picks it.
+        best = max(similarities, key=similarities.__getitem__)
+        rows.append(
+            (
+                candidate.window_index,
+                str(candidate.device),
+                str(best),
+                f"{similarities[best]:.3f}",
+                "MATCH" if best == candidate.device else "MISMATCH",
             )
+        )
     print(
         render_table(
             ["window", "claimed", "best match", "similarity", "verdict"], rows

@@ -32,7 +32,6 @@ from repro.core.parameters import (
     InterArrivalTime,
     MediumAccessTime,
     NetworkParameter,
-    Observation,
     TransmissionRate,
     TransmissionTime,
     parameter_by_name,
@@ -71,7 +70,6 @@ __all__ = [
     "MediumAccessTime",
     "MergeReport",
     "NetworkParameter",
-    "Observation",
     "PackedDatabase",
     "ReferenceDatabase",
     "ShardedReferenceDatabase",

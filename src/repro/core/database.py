@@ -9,16 +9,18 @@ For the batch matching engine the database also exposes a *packed*
 view (:meth:`ReferenceDatabase.packed`): per frame type, one
 contiguous ``(N_devices, n_bins)`` frequency matrix, one ``(N_devices,)``
 weight vector, and the unit-normalised frequency rows — so Algorithm 1
-for cosine reduces to one matrix–vector product per frame type (see
+for cosine reduces to one matrix–vector product per frame type, and
+every other measure to one row-wise pass over the frequency matrix (see
 DESIGN.md "Batch matrix layout").
 
 The pack is maintained **incrementally** (DESIGN.md §4): matrices live
 in capacity-doubling buffers, so :meth:`add` costs amortised O(bins)
 per frame type (one row write + one row normalisation) instead of the
 full O(N·bins) repack, and :meth:`remove` one in-place row shift.
-Databases whose signatures disagree on a frame type's bin count cannot
-be packed; mutations detect this and drop back to the full-rebuild
-path until the conflict is resolved.
+Databases whose signatures disagree on a frame type's bin count
+(*ragged*) cannot be packed, and therefore cannot be matched; mutations
+detect this and drop back to the full-rebuild path, so removing the
+conflicting device restores the packed view.
 """
 
 from __future__ import annotations
@@ -107,52 +109,13 @@ class PackedDatabase:
 
     devices: tuple[MacAddress, ...]
     frame_types: tuple[str, ...]
-    #: ftype → ``(N, n_bins)`` percentage-frequency matrix.
+    #: ftype → ``(N, n_bins)`` percentage-frequency matrix (the
+    #: non-cosine measures score against it).
     frequencies: dict[str, np.ndarray]
     #: ftype → ``(N,)`` reference frame-type weights.
     weights: dict[str, np.ndarray]
     #: ftype → ``(N, n_bins)`` unit rows ``r_i/‖r_i‖`` (cosine fast path).
     normalized: dict[str, np.ndarray]
-
-    @classmethod
-    def from_signatures(
-        cls, entries: list[tuple[MacAddress, Signature]]
-    ) -> "PackedDatabase | None":
-        """Pack signatures into matrices; ``None`` if they are ragged.
-
-        Ragged means two signatures disagree on a frame type's bin
-        count, in which case no rectangular matrix exists and callers
-        must stay on the scalar path.
-        """
-        devices = tuple(device for device, _ in entries)
-        bin_counts: dict[str, int] = {}
-        for _, signature in entries:
-            for ftype_key, histogram in signature.histograms.items():
-                bins = int(histogram.shape[-1])
-                if bin_counts.setdefault(ftype_key, bins) != bins:
-                    return None
-        frame_types = tuple(bin_counts)
-        frequencies: dict[str, np.ndarray] = {}
-        weights: dict[str, np.ndarray] = {}
-        normalized: dict[str, np.ndarray] = {}
-        for ftype_key in frame_types:
-            matrix = np.zeros((len(entries), bin_counts[ftype_key]), dtype=np.float64)
-            weight = np.zeros(len(entries), dtype=np.float64)
-            for row, (_, signature) in enumerate(entries):
-                histogram = signature.histogram(ftype_key)
-                if histogram is not None:
-                    matrix[row] = histogram
-                    weight[row] = signature.weight(ftype_key)
-            frequencies[ftype_key] = matrix
-            weights[ftype_key] = weight
-            normalized[ftype_key] = normalize_rows(matrix)
-        return cls(
-            devices=devices,
-            frame_types=frame_types,
-            frequencies=frequencies,
-            weights=weights,
-            normalized=normalized,
-        )
 
     def bin_count(self, ftype_key: str) -> int | None:
         """Histogram width of one frame type (``None`` if absent)."""
@@ -388,12 +351,10 @@ class ReferenceDatabase:
         cls, builder: SignatureBuilder, table
     ) -> "ReferenceDatabase":
         """:meth:`from_training` over a columnar
-        :class:`~repro.traces.table.FrameTable` (vectorized fast path).
+        :class:`~repro.traces.table.FrameTable`.
 
-        Device insertion order matches :meth:`from_training` exactly —
-        :meth:`SignatureBuilder.build_table` emits first-observation
-        order — so the packed matrices and every downstream score are
-        bit-identical between the two paths.
+        Devices are registered in first-observation order, the order
+        :meth:`SignatureBuilder.build_table` emits.
         """
         database = cls()
         for sender, signature in builder.build_table(table).items():

@@ -57,20 +57,17 @@ class WindowCandidate:
 
 def _columnar_window_candidates(
     validation: Trace, builder: SignatureBuilder, config: DetectionConfig
-) -> list[WindowCandidate] | None:
-    """All window candidates via the columnar fast path (DESIGN.md §6).
+) -> list[WindowCandidate]:
+    """All window candidates of a validation trace (DESIGN.md §6).
 
     Observations for the *whole* validation trace are extracted and
     binned once; each detection window is then an ``np.searchsorted``
     slice of that batch.  A window's first ``table_memory`` rows are
     excluded so a channel-clock observation never reaches back across
     the window boundary — exactly reproducing per-window extraction.
-    Returns ``None`` when the parameter has no columnar extractor.
     """
     table = validation.table()
     observed = builder.parameter.observe_table(table)
-    if observed is None:
-        return None
     bin_idx = builder.bins.index_many(observed.values)
     memory = builder.parameter.table_memory
     candidates: list[WindowCandidate] = []
@@ -101,40 +98,21 @@ def extract_window_candidates(
     builder: SignatureBuilder,
     database: ReferenceDatabase,
     config: DetectionConfig,
-    measure: SimilarityMeasure | None = None,
-    columnar: bool = True,
 ) -> list[WindowCandidate]:
     """Build and match all window candidates of a validation trace.
 
-    With ``columnar=True`` (the default) signature construction runs
-    on the trace's :class:`~repro.traces.table.FrameTable`: one
-    vectorized observation/binning pass over the whole validation
-    trace, O(log n) window cuts, one ``np.bincount`` scatter per
-    window — falling back to the per-window object path only for
-    parameters without a columnar extractor.  ``columnar=False``
-    forces the object reference path (used by the equivalence
-    benchmark).  Both paths produce bin-for-bin identical candidates.
-
-    Candidate signatures are collected first, then matched in a single
+    Signature construction runs on the trace's
+    :class:`~repro.traces.table.FrameTable`: one vectorized
+    observation/binning pass over the whole validation trace, O(log n)
+    window cuts, one ``np.bincount`` scatter per window.  Candidate
+    signatures are then matched with ``config.measure`` in a single
     :func:`~repro.core.matcher.batch_match_signatures` call — for the
     cosine measure that is one matrix–matrix product per frame type
     over every (window, device) candidate at once.
     """
-    chosen = measure if measure is not None else config.measure
-    candidates: list[WindowCandidate] | None = None
-    if columnar:
-        candidates = _columnar_window_candidates(validation, builder, config)
-    if candidates is None:
-        candidates = []
-        for window_index, window in enumerate(validation.windows(config.window_s)):
-            for device, signature in builder.build(window.frames).items():
-                candidates.append(
-                    WindowCandidate(
-                        device=device, window_index=window_index, signature=signature
-                    )
-                )
+    candidates = _columnar_window_candidates(validation, builder, config)
     scores = batch_match_signatures(
-        [candidate.signature for candidate in candidates], database, chosen
+        [candidate.signature for candidate in candidates], database, config.measure
     )
     devices = database.devices
     for candidate, row in zip(candidates, scores):

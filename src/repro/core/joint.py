@@ -15,39 +15,22 @@ aggressive backoff", which the marginals confuse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+
+import numpy as np
 
 from repro.core.histogram import BinSpec
-from repro.core.parameters import (
-    NetworkParameter,
-    Observation,
-    parameter_by_name,
-)
-from repro.dot11.capture import CapturedFrame
-from repro.dot11.phy import paper_transmission_time_us
-
-#: Per-frame value functions.  ``previous_t`` is the end-of-reception
-#: of the previous frame on the channel (None for the first frame).
-_VALUE_FUNCTIONS: dict[str, Callable[[CapturedFrame, float | None], float | None]] = {
-    "rate": lambda c, prev: c.rate_mbps,
-    "size": lambda c, prev: float(c.size),
-    "txtime": lambda c, prev: paper_transmission_time_us(c.size, c.rate_mbps),
-    "interarrival": lambda c, prev: None if prev is None else c.timestamp_us - prev,
-    "access": lambda c, prev: (
-        None
-        if prev is None
-        else (c.timestamp_us - paper_transmission_time_us(c.size, c.rate_mbps)) - prev
-    ),
-}
+from repro.core.parameters import NetworkParameter, parameter_by_name
+from repro.traces.table import FrameTable, TableObservations
 
 
 @dataclass(frozen=True)
 class JointBins(BinSpec):
     """Cartesian product of two bin specs, flattened row-major.
 
-    The value passed to :meth:`index` is an encoded pair produced by
-    :meth:`encode`; the flattening keeps the downstream histogram and
-    similarity code unchanged (they only see one long vector).
+    The value passed to :meth:`index` is already the flattened joint
+    bin ``ix * y_bins.bin_count + iy`` (:meth:`JointParameter.observe_table`
+    bins each component); the flattening keeps the downstream histogram
+    and similarity code unchanged (they only see one long vector).
     """
 
     x_bins: BinSpec
@@ -58,23 +41,14 @@ class JointBins(BinSpec):
     def __post_init__(self) -> None:
         object.__setattr__(self, "bin_count", self.x_bins.bin_count * self.y_bins.bin_count)
 
-    #: Encoding base: must exceed any bin count a spec can produce.
-    _BASE = 1 << 20
-
-    def encode(self, x: float, y: float) -> float | None:
-        """Encode a raw value pair into a joint scalar (None = drop)."""
-        ix = self.x_bins.index(x)
-        iy = self.y_bins.index(y)
-        if ix is None or iy is None:
-            return None
-        return float(ix * self._BASE + iy)
-
     def index(self, value: float) -> int | None:
-        encoded = int(value)
-        ix, iy = divmod(encoded, self._BASE)
-        if not (0 <= ix < self.x_bins.bin_count and 0 <= iy < self.y_bins.bin_count):
-            return None
-        return ix * self.y_bins.bin_count + iy
+        index = int(value)
+        return index if 0 <= index < self.bin_count else None
+
+    def index_many(self, values: np.ndarray) -> np.ndarray:
+        indices = np.asarray(values, dtype=np.float64).ravel().astype(np.int64)
+        indices[(indices < 0) | (indices >= self.bin_count)] = -1
+        return indices
 
     def bin_label(self, index: int) -> str:
         ix, iy = divmod(index, self.y_bins.bin_count)
@@ -86,7 +60,9 @@ class JointParameter(NetworkParameter):
 
     ``x``/``y`` are base-parameter names (``rate``, ``size``,
     ``txtime``, ``interarrival``, ``access``).  Bin specs default to
-    the base parameters' own defaults.
+    the base parameters' own defaults.  A pair reading the channel
+    clock (inter-arrival or access) has no ``carried_value``, so it
+    runs in batch only; streaming ingest rejects it.
     """
 
     def __init__(
@@ -96,38 +72,44 @@ class JointParameter(NetworkParameter):
         x_bins: BinSpec | None = None,
         y_bins: BinSpec | None = None,
     ) -> None:
-        if x not in _VALUE_FUNCTIONS or y not in _VALUE_FUNCTIONS:
-            raise KeyError(f"unknown base parameter in joint pair: ({x}, {y})")
+        x_parameter = parameter_by_name(x)
+        y_parameter = parameter_by_name(y)
         if x == y:
             raise ValueError("joint parameter needs two distinct base parameters")
-        self._x = x
-        self._y = y
+        #: The two base parameters, ``(x, y)``.
+        self.components = (x_parameter, y_parameter)
         self.name = f"joint:{x}x{y}"
-        self.label = (
-            f"Joint {parameter_by_name(x).label} × {parameter_by_name(y).label}"
-        )
+        self.label = f"Joint {x_parameter.label} × {y_parameter.label}"
+        self.table_memory = max(x_parameter.table_memory, y_parameter.table_memory)
         self._bins = JointBins(
-            x_bins=x_bins if x_bins is not None else parameter_by_name(x).default_bins(),
-            y_bins=y_bins if y_bins is not None else parameter_by_name(y).default_bins(),
+            x_bins=x_bins if x_bins is not None else x_parameter.default_bins(),
+            y_bins=y_bins if y_bins is not None else y_parameter.default_bins(),
         )
 
     def default_bins(self) -> BinSpec:
         return self._bins
 
-    def observations(
-        self, frames: Iterable[CapturedFrame]
-    ) -> Iterator[Observation]:
-        fx = _VALUE_FUNCTIONS[self._x]
-        fy = _VALUE_FUNCTIONS[self._y]
-        previous_t: float | None = None
-        for captured in frames:
-            if captured.sender is not None:
-                x_value = fx(captured, previous_t)
-                y_value = fy(captured, previous_t)
-                if x_value is not None and y_value is not None:
-                    encoded = self._bins.encode(x_value, y_value)
-                    if encoded is not None:
-                        yield Observation(
-                            captured.sender, captured.ftype_key, encoded
-                        )
-            previous_t = captured.timestamp_us
+    def observe_table(self, table: FrameTable) -> TableObservations:
+        """Rows both components observe, valued by their flattened joint bin.
+
+        A pair where either component's value is discarded by its bins
+        is dropped here, so it never enters the signature's first-seen
+        order.
+        """
+        x_parameter, y_parameter = self.components
+        x = x_parameter.observe_table(table)
+        y = y_parameter.observe_table(table)
+        positions, x_at, y_at = np.intersect1d(
+            x.positions, y.positions, assume_unique=True, return_indices=True
+        )
+        ix = self._bins.x_bins.index_many(x.values[x_at])
+        iy = self._bins.y_bins.index_many(y.values[y_at])
+        kept = (ix >= 0) & (iy >= 0)
+        positions = positions[kept]
+        joint = ix[kept] * self._bins.y_bins.bin_count + iy[kept]
+        return TableObservations(
+            sender_idx=table.sender_idx[positions],
+            ftype_idx=table.ftype_idx[positions],
+            values=joint.astype(np.float64),
+            positions=positions,
+        )

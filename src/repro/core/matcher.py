@@ -35,11 +35,17 @@ reproduces the scalar zero-norm convention, and a candidate frame type
 no reference exhibits contributes nothing, exactly as in the scalar
 loop.
 
-:func:`match_signature` takes this fast path automatically when the
-measure *is* :func:`~repro.core.similarity.cosine_similarity`; any
-other :class:`~repro.core.similarity.SimilarityMeasure` (or a database
-that cannot be packed into rectangular matrices) falls back to the
-original scalar loop with identical results.
+The other measures run on the same packed view: for each candidate,
+``sim += w_f ⊙ measure(hist^f(c), R_f)`` over the candidate's frame
+types in the candidate's own order, where ``R_f`` is the ``(N, bins)``
+frequency matrix and the measure returns one score per row.  That is
+the per-pair loop's arithmetic, reference by reference (the loop
+itself is kept as a test oracle).
+
+:func:`batch_match_signatures` is the one implementation;
+:func:`match_signature` is its single-candidate row.  A database whose
+signatures disagree on a frame type's bin count (*ragged*) has no
+packed view and cannot be matched.
 """
 
 from __future__ import annotations
@@ -49,54 +55,14 @@ from typing import Sequence
 import numpy as np
 
 from repro.dot11.mac import MacAddress
-from repro.core.database import PackedDatabase, ReferenceDatabase
+from repro.core.database import ReferenceDatabase
 from repro.core.signature import Signature
 from repro.core.similarity import (
     SimilarityMeasure,
-    _EPS,
     cosine_similarity,
     normalize_rows,
     unit_cosine_product,
 )
-
-
-def _cosine_scores(candidate: Signature, packed: PackedDatabase) -> np.ndarray:
-    """The matrix formulation for one candidate: ``Σ_f w_f ⊙ clip(R̂_f ĉ_f)``.
-
-    Frame types accumulate in sorted order, so the floating-point sum
-    is independent of signature/database construction order — the
-    canonical-order guarantee the sharded engine's per-shard fan-out
-    relies on (DESIGN.md §5).
-    """
-    totals = np.zeros(len(packed.devices), dtype=np.float64)
-    for ftype_key in sorted(candidate.histograms):
-        candidate_hist = candidate.histograms[ftype_key]
-        references = packed.normalized.get(ftype_key)
-        if references is None:
-            continue  # no reference exhibits this type: contributes 0
-        norm = float(np.linalg.norm(candidate_hist))
-        if norm < _EPS:
-            continue
-        scores = unit_cosine_product(candidate_hist / norm, references)[0]
-        totals += packed.weights[ftype_key] * scores
-    return totals
-
-
-def _scalar_match(
-    candidate: Signature,
-    database: ReferenceDatabase,
-    measure: SimilarityMeasure,
-) -> dict[MacAddress, float]:
-    """The original per-pair loop, kept for non-cosine measures."""
-    similarities: dict[MacAddress, float] = {device: 0.0 for device in database}
-    for ftype_key, candidate_hist in candidate.histograms.items():
-        for device, reference in database.items():
-            reference_hist = reference.histogram(ftype_key)
-            if reference_hist is None:
-                continue
-            score = measure(candidate_hist, reference_hist)
-            similarities[device] += reference.weight(ftype_key) * score
-    return similarities
 
 
 def match_signature(
@@ -106,18 +72,11 @@ def match_signature(
 ) -> dict[MacAddress, float]:
     """Run Algorithm 1; returns per-reference combined similarities.
 
-    Uses the packed matrix fast path for the cosine measure and the
-    scalar loop otherwise; both yield the same numbers.  A
-    :class:`~repro.core.sharding.ShardedReferenceDatabase` is accepted
-    transparently — the call fans out per shard and merges.
+    Row 0 of :func:`batch_match_signatures` for ``[candidate]``, keyed
+    by device in database insertion order.
     """
-    if getattr(database, "is_sharded", False):
-        return database.match(candidate, measure)
-    packed = database.packed() if measure is cosine_similarity else None
-    if packed is None:
-        return _scalar_match(candidate, database, measure)
-    scores = _cosine_scores(candidate, packed)
-    return dict(zip(packed.devices, scores.tolist()))
+    scores = batch_match_signatures([candidate], database, measure)[0]
+    return dict(zip(database.devices, scores.tolist()))
 
 
 def batch_match_signatures(
@@ -127,28 +86,36 @@ def batch_match_signatures(
 ) -> np.ndarray:
     """Algorithm 1 for many candidates at once.
 
-    Returns the ``(len(candidates), len(database))`` similarity matrix
-    whose row ``i`` equals ``match_signature(candidates[i], database,
-    measure)`` values in database insertion order (``database.devices``).
-    For the cosine measure this is one matrix–matrix product per frame
-    type (accumulated in sorted frame-type order, so the float sum does
-    not depend on database construction order); other measures fall
-    back to the scalar loop per row.  A
+    Returns the ``(len(candidates), len(database))`` similarity matrix;
+    column ``j`` is ``database.devices[j]``.  For the cosine measure
+    this is one matrix–matrix product per frame type (accumulated in
+    sorted frame-type order, so the float sum does not depend on
+    database construction order); other measures score each candidate
+    against the packed frequency matrices.  A
     :class:`~repro.core.sharding.ShardedReferenceDatabase` is accepted
     transparently — the call fans out per shard and merges columns.
+    Raises ``ValueError`` for a ragged database.
     """
     if getattr(database, "is_sharded", False):
         return database.batch_match(candidates, measure)
-    packed = database.packed() if measure is cosine_similarity else None
+    packed = database.packed()
     if packed is None:
-        return np.array(
-            [
-                list(_scalar_match(candidate, database, measure).values())
-                for candidate in candidates
-            ],
-            dtype=np.float64,
-        ).reshape(len(candidates), len(database))
+        if len(database):
+            raise ValueError(
+                "ragged reference database: its signatures disagree on a "
+                "frame type's bin count, so it cannot be matched"
+            )
+        return np.zeros((len(candidates), 0), dtype=np.float64)
     totals = np.zeros((len(candidates), len(packed.devices)), dtype=np.float64)
+    if measure is not cosine_similarity:
+        for row, candidate in enumerate(candidates):
+            for ftype_key, histogram in candidate.histograms.items():
+                references = packed.frequencies.get(ftype_key)
+                if references is not None:
+                    totals[row] += packed.weights[ftype_key] * measure(
+                        histogram, references
+                    )
+        return totals
     for ftype_key in sorted(packed.normalized):
         references = packed.normalized[ftype_key]
         rows = [

@@ -19,39 +19,24 @@ Section IV-A semantics:
 All parameters also accept a *default binning* used throughout the
 evaluation (ablated in ``benchmarks/test_ablation_bin_width.py``).
 
-Each parameter has two equivalent extractors: the scalar reference
-:meth:`~NetworkParameter.observations` and the vectorized
-:meth:`~NetworkParameter.observe_table` over a columnar
-:class:`~repro.traces.table.FrameTable` (the hot path; the
+Each parameter's extractor is :meth:`~NetworkParameter.observe_table`
+over a columnar :class:`~repro.traces.table.FrameTable`: the
 time-derived parameters become shifted-array subtractions under a
-sender mask — DESIGN.md §6).  Streaming ingest runs ``observe_table``
+sender mask (DESIGN.md §6).  Streaming ingest runs ``observe_table``
 chunk span by chunk span through :class:`ObservationStream`, which
-carries the channel clock across spans.  Equivalence is
-property-pinned in ``tests/test_parameters.py`` and
+carries the channel clock across spans.  The per-frame scalar
+extractors survive as test oracles (``tests/oracles.py``); the
+equivalence is property-pinned in ``tests/test_parameters.py`` and
 ``tests/test_table.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
-
 import numpy as np
 
-from repro.dot11.capture import CapturedFrame
-from repro.dot11.mac import MacAddress
-from repro.dot11.phy import PAPER_RATE_AXIS, paper_transmission_time_us
+from repro.dot11.phy import PAPER_RATE_AXIS
 from repro.core.histogram import BinSpec, CategoricalBins, UniformBins
 from repro.traces.table import FrameTable, TableObservations
-
-
-@dataclass(frozen=True, slots=True)
-class Observation:
-    """One attributed measurement."""
-
-    sender: MacAddress
-    ftype_key: str
-    value: float
 
 
 class NetworkParameter:
@@ -74,23 +59,13 @@ class NetworkParameter:
         """Binning used by the evaluation unless overridden."""
         raise NotImplementedError
 
-    def observations(
-        self, frames: Iterable[CapturedFrame]
-    ) -> Iterator[Observation]:
-        """Yield attributed observations from a frame sequence."""
-        raise NotImplementedError
+    def observe_table(self, table: FrameTable) -> TableObservations:
+        """The table's attributed observations as aligned arrays.
 
-    def observe_table(self, table: FrameTable) -> TableObservations | None:
-        """Vectorized observation extraction over a columnar table.
-
-        Returns the full observation batch as aligned arrays — the
-        same (sender, frame type, value) sequence :meth:`observations`
-        yields on ``table.to_frames()``, bit for bit — or ``None`` when
-        the parameter has no columnar implementation, in which case
-        batch callers fall back to the object path (streaming ingest
-        has no fallback).  The five built-in parameters all vectorize.
+        ``(sender_idx, ftype_idx, values, positions)`` in row order;
+        ``positions`` are the table rows the observations came from.
         """
-        return None
+        raise NotImplementedError
 
     def carried_value(
         self, table: FrameTable, row: int, previous_t: float
@@ -101,8 +76,8 @@ class NetworkParameter:
         the one value slice-local :meth:`observe_table` cannot see — a
         chunk's first row measured against the channel clock
         ``previous_t`` (the previous chunk's last end-of-reception) —
-        computed from the table columns with the scalar extractor's
-        float64 arithmetic.
+        computed from the table columns with the float64 arithmetic of
+        :meth:`observe_table`.
         """
         raise NotImplementedError
 
@@ -124,18 +99,21 @@ class ObservationStream:
     observed against the channel clock ``t_{i-1}`` carried from the
     previous span (:meth:`~NetworkParameter.carried_value`).  Feeding a
     capture's rows through :meth:`push_table` in any chunking therefore
-    yields exactly the sequence :meth:`~NetworkParameter.observations`
-    produces on the whole capture.  The clock is the stream's only
-    state; unattributable ACK/CTS rows advance it without observing.
+    yields exactly the observations ``observe_table`` produces on the
+    whole capture.  The clock is the stream's only state;
+    unattributable ACK/CTS rows advance it without observing.
     """
 
     __slots__ = ("_parameter", "_previous_t")
 
     def __init__(self, parameter: NetworkParameter) -> None:
-        if type(parameter).observe_table is NetworkParameter.observe_table:
+        if (
+            parameter.table_memory
+            and type(parameter).carried_value is NetworkParameter.carried_value
+        ):
             raise TypeError(
-                f"parameter {parameter.name!r} has no columnar extractor "
-                "(observe_table); streaming ingest needs one"
+                f"parameter {parameter.name!r} reads the channel clock but "
+                "has no carried_value; streaming ingest needs one"
             )
         self._parameter = parameter
         self._previous_t: float | None = None
@@ -204,13 +182,6 @@ class TransmissionRate(NetworkParameter):
     def default_bins(self) -> BinSpec:
         return CategoricalBins(categories=tuple(float(r) for r in PAPER_RATE_AXIS))
 
-    def observations(self, frames: Iterable[CapturedFrame]) -> Iterator[Observation]:
-        for captured in frames:
-            sender = captured.sender
-            if sender is None:
-                continue
-            yield Observation(sender, captured.ftype_key, captured.rate_mbps)
-
     def observe_table(self, table: FrameTable) -> TableObservations:
         positions = _attributable_positions(table)
         return _gathered(table, positions, table.rate_mbps[positions])
@@ -224,13 +195,6 @@ class FrameSize(NetworkParameter):
 
     def default_bins(self) -> BinSpec:
         return UniformBins(lo=0.0, hi=2400.0, width=32.0)
-
-    def observations(self, frames: Iterable[CapturedFrame]) -> Iterator[Observation]:
-        for captured in frames:
-            sender = captured.sender
-            if sender is None:
-                continue
-            yield Observation(sender, captured.ftype_key, float(captured.size))
 
     def observe_table(self, table: FrameTable) -> TableObservations:
         positions = _attributable_positions(table)
@@ -249,17 +213,9 @@ class TransmissionTime(NetworkParameter):
         # clip bin and washes out device differences.
         return UniformBins(lo=0.0, hi=20000.0, width=20.0)
 
-    def observations(self, frames: Iterable[CapturedFrame]) -> Iterator[Observation]:
-        for captured in frames:
-            sender = captured.sender
-            if sender is None:
-                continue
-            value = paper_transmission_time_us(captured.size, captured.rate_mbps)
-            yield Observation(sender, captured.ftype_key, value)
-
     def observe_table(self, table: FrameTable) -> TableObservations:
-        # size * 8 / rate over float64 columns is bit-identical to the
-        # scalar paper_transmission_time_us (sizes are exact in float64).
+        # size * 8 / rate over float64 columns is bit-identical to
+        # paper_transmission_time_us (sizes are exact in float64).
         positions = _attributable_positions(table)
         values = table.size[positions] * 8.0 / table.rate_mbps[positions]
         return _gathered(table, positions, values)
@@ -284,16 +240,6 @@ class InterArrivalTime(NetworkParameter):
         # would dominate every lightly-loaded device's signature and
         # make them mutually indistinguishable.
         return UniformBins(lo=0.0, hi=2500.0, width=50.0, drop_outside=True)
-
-    def observations(self, frames: Iterable[CapturedFrame]) -> Iterator[Observation]:
-        previous_t: float | None = None
-        for captured in frames:
-            t_i = captured.timestamp_us
-            if previous_t is not None and captured.sender is not None:
-                yield Observation(
-                    captured.sender, captured.ftype_key, t_i - previous_t
-                )
-            previous_t = t_i
 
     def observe_table(self, table: FrameTable) -> TableObservations:
         # The channel clock vectorizes as a shifted-array subtraction:
@@ -327,21 +273,10 @@ class MediumAccessTime(NetworkParameter):
         # the contention range carry device information.
         return UniformBins(lo=0.0, hi=1000.0, width=20.0, drop_outside=True)
 
-    def observations(self, frames: Iterable[CapturedFrame]) -> Iterator[Observation]:
-        previous_t: float | None = None
-        for captured in frames:
-            t_i = captured.timestamp_us
-            if previous_t is not None and captured.sender is not None:
-                tt_i = paper_transmission_time_us(captured.size, captured.rate_mbps)
-                yield Observation(
-                    captured.sender, captured.ftype_key, (t_i - tt_i) - previous_t
-                )
-            previous_t = t_i
-
     def observe_table(self, table: FrameTable) -> TableObservations:
         # Same shift-and-mask as the inter-arrival time, with the
         # start-of-reception estimate t_i − tt_i in place of t_i; the
-        # operation order matches the scalar path bit for bit.
+        # operation order matches carried_value bit for bit.
         positions = _clocked_positions(table)
         t = table.timestamp_us
         tt = table.size[positions] * 8.0 / table.rate_mbps[positions]

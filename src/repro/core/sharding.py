@@ -251,15 +251,6 @@ class ShardedReferenceDatabase:
                 out[:, columns] = batch_match_signatures(candidates, shard, measure)
         return out
 
-    def match(
-        self,
-        candidate: Signature,
-        measure: SimilarityMeasure = cosine_similarity,
-    ) -> dict[MacAddress, float]:
-        """Single-candidate Algorithm 1, in global insertion order."""
-        scores = self.batch_match([candidate], measure)
-        return dict(zip(self.devices, scores[0].tolist()))
-
     def top_k(
         self,
         candidates: Sequence[Signature],

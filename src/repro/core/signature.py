@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.dot11.capture import CapturedFrame
 from repro.dot11.mac import MacAddress
-from repro.core.histogram import BinSpec, Histogram
+from repro.core.histogram import BinSpec
 from repro.core.parameters import NetworkParameter
 from repro.traces.table import FrameTable
 
@@ -66,7 +66,8 @@ class SignatureBuilder:
 
     One builder is bound to a network parameter and a bin spec; its
     :meth:`build` can be called on any frame sequence (full training
-    trace or a 5-minute candidate window).
+    trace or a 5-minute candidate window) and :meth:`build_table` on
+    any columnar table.
     """
 
     def __init__(
@@ -87,46 +88,11 @@ class SignatureBuilder:
         """Extract observations and assemble per-device signatures.
 
         Devices with fewer than ``min_observations`` kept observations
-        are omitted, mirroring the paper's tool.
+        are omitted, mirroring the paper's tool.  The frames are
+        interned into a :class:`FrameTable` and run through
+        :meth:`build_table`.
         """
-        # Gather raw values per (sender, frame type) first, then bin
-        # each bucket in one vectorized Histogram.add_array pass —
-        # identical counts to per-value add(), without the per-value
-        # Python dispatch.
-        buckets: dict[MacAddress, dict[str, list[float]]] = {}
-        for observation in self.parameter.observations(frames):
-            per_type = buckets.setdefault(observation.sender, {})
-            per_type.setdefault(observation.ftype_key, []).append(observation.value)
-
-        accumulators: dict[MacAddress, dict[str, Histogram]] = {}
-        for sender, values_by_type in buckets.items():
-            per_type = accumulators.setdefault(sender, {})
-            for ftype_key, values in values_by_type.items():
-                histogram = Histogram(self.bins)
-                histogram.add_array(np.asarray(values, dtype=np.float64))
-                per_type[ftype_key] = histogram
-
-        signatures: dict[MacAddress, Signature] = {}
-        for sender, per_type in accumulators.items():
-            total = sum(h.total for h in per_type.values())
-            if total < self.min_observations:
-                continue
-            histograms: dict[str, np.ndarray] = {}
-            weights: dict[str, float] = {}
-            counts: dict[str, int] = {}
-            for ftype_key, histogram in per_type.items():
-                if histogram.total == 0:
-                    continue
-                histograms[ftype_key] = histogram.frequencies()
-                weights[ftype_key] = histogram.total / total
-                counts[ftype_key] = histogram.total
-            if histograms:
-                signatures[sender] = Signature(
-                    histograms=histograms,
-                    weights=weights,
-                    observation_counts=counts,
-                )
-        return signatures
+        return self.build_table(FrameTable.from_frames(frames))
 
     def build_single(
         self, frames: list[CapturedFrame], sender: MacAddress
@@ -134,20 +100,14 @@ class SignatureBuilder:
         """Signature of one specific device (``None`` below threshold)."""
         return self.build(frames).get(sender)
 
-    # -- columnar fast path --------------------------------------------
     def build_table(self, table: FrameTable) -> dict[MacAddress, Signature]:
-        """:meth:`build` over a columnar :class:`FrameTable`.
+        """Signatures of every device in a columnar :class:`FrameTable`.
 
         Extracts observations vectorized, bins them in one
         ``index_many`` pass and scatters them into the per-(device,
-        frame type) count matrix with a single flat ``np.bincount`` —
-        bin-for-bin identical to the object path (property-pinned in
-        ``tests/test_table.py``).  Parameters without a columnar
-        extractor fall back to :meth:`build` on the backing frames.
+        frame type) count matrix with a single flat ``np.bincount``.
         """
         observed = self.parameter.observe_table(table)
-        if observed is None:
-            return self.build(table.to_frames())
         bin_idx = self.bins.index_many(observed.values)
         return self.build_binned(
             observed.sender_idx,
@@ -170,10 +130,10 @@ class SignatureBuilder:
         ``bin_idx`` uses the vectorized binning convention (``-1`` =
         discarded).  The detection fast path bins a whole validation
         trace once and calls this per window slice.  Devices and frame
-        types are emitted in first-observation order — matching the
-        scalar path's dict ordering exactly, so every downstream
+        types are emitted in first-observation order, counting
+        observations the bins discard, so every downstream
         insertion-order-dependent structure (reference databases,
-        candidate lists) is identical between the two paths.
+        candidate lists) follows the capture.
         """
         if sender_idx.size == 0:
             return {}
@@ -186,8 +146,8 @@ class SignatureBuilder:
         active = np.flatnonzero(np.bincount(sender_idx, minlength=len(senders)))
         local_code = np.zeros(len(senders), dtype=np.int64)
         local_code[active] = np.arange(active.size)
-        # One cell per (sender, ftype) pair; bucket order (pre-discard,
-        # like the scalar path's) via the first occurrence of each pair.
+        # One cell per (sender, ftype) pair; bucket order (pre-discard)
+        # via the first occurrence of each pair.
         pair = local_code[sender_idx] * n_ftypes + ftype_idx
         kept = bin_idx >= 0
         flat = pair[kept] * n_bins + bin_idx[kept]

@@ -13,11 +13,15 @@ also ships the classic alternatives used in the ablation benchmark:
 intersection, chi-square, Bhattacharyya and Jensen–Shannon.  All are
 *similarities* normalised to [0, 1] with 1 = identical.
 
-The batch matching engine (see DESIGN.md "Batch matrix layout") needs
-cosine over whole histogram matrices at once: :func:`normalize_rows`
-and :func:`cosine_similarity_matrix` are the vectorized kernels, with
-the same zero-norm semantics as the scalar :func:`cosine_similarity`
-(an all-zero histogram scores 0 against everything).
+The batch matching engine (see DESIGN.md "Batch matrix layout") scores
+one candidate histogram against a whole packed reference matrix at
+once.  Cosine runs as a matrix product: :func:`normalize_rows` and
+:func:`unit_cosine_product` are its kernels, with the same zero-norm
+semantics as :func:`cosine_similarity` (an all-zero histogram scores 0
+against everything).  The four alternatives take an ``(N, bins)``
+reference matrix directly and return the ``(N,)`` row scores: an
+elementwise expression followed by one row reduction, which for
+intersection and Bhattacharyya gives the per-pair values bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +30,12 @@ from typing import Callable
 
 import numpy as np
 
-SimilarityMeasure = Callable[[np.ndarray, np.ndarray], float]
+#: ``measure(candidate, reference)``: a ``(bins,)`` candidate histogram
+#: against a ``(bins,)`` reference (→ float) or against every row of an
+#: ``(N, bins)`` reference matrix (→ ``(N,)``).  The batch matcher hands
+#: every measure except :func:`cosine_similarity` (matched by matrix
+#: product) one frame type's packed reference matrix.
+SimilarityMeasure = Callable[[np.ndarray, np.ndarray], "float | np.ndarray"]
 
 _EPS = 1e-12
 
@@ -105,60 +114,93 @@ def cosine_similarity_matrix(
     return unit_cosine_product(normalize_rows(candidates), normalize_rows(references))
 
 
-def intersection_similarity(candidate: np.ndarray, reference: np.ndarray) -> float:
+def _row_inputs(
+    candidate: np.ndarray, reference: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate and reference masses (``()`` or ``(N,)``), after
+    checking that the reference rows have the candidate's shape."""
+    if reference.shape[-1:] != candidate.shape:
+        raise ValueError(
+            f"histogram shapes differ: {candidate.shape} vs {reference.shape}"
+        )
+    return candidate.sum(), reference.sum(axis=-1)
+
+
+def _scores(
+    values: np.ndarray, total_c: float, total_r: np.ndarray
+) -> float | np.ndarray:
+    """Row scores with empty histograms scoring 0; a float for one row."""
+    scores = np.where((total_c < _EPS) | (total_r < _EPS), 0.0, values)
+    return float(scores) if scores.ndim == 0 else scores
+
+
+def _distributions(
+    candidate: np.ndarray,
+    reference: np.ndarray,
+    total_c: float,
+    total_r: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides scaled to unit mass; an empty side is left unscaled
+    (:func:`_scores` zeroes its scores)."""
+    p = candidate / (total_c if total_c >= _EPS else 1.0)
+    q = reference / np.where(total_r < _EPS, 1.0, total_r)[..., None]
+    return p, q
+
+
+def intersection_similarity(
+    candidate: np.ndarray, reference: np.ndarray
+) -> float | np.ndarray:
     """Histogram intersection: Σ min(c_j, r_j) (1 for identical
     normalised histograms)."""
-    _validate(candidate, reference)
-    if candidate.sum() < _EPS or reference.sum() < _EPS:
-        return 0.0
-    return float(np.minimum(candidate, reference).sum())
+    total_c, total_r = _row_inputs(candidate, reference)
+    return _scores(np.minimum(candidate, reference).sum(axis=-1), total_c, total_r)
 
 
-def chi_square_similarity(candidate: np.ndarray, reference: np.ndarray) -> float:
+def chi_square_similarity(
+    candidate: np.ndarray, reference: np.ndarray
+) -> float | np.ndarray:
     """1 − χ²/2 with the symmetric chi-square statistic.
 
     For normalised histograms the symmetric χ² statistic lies in
     [0, 2] (2 at disjoint support), so this maps exactly onto [0, 1]
     with 1 = identical and 0 = disjoint.
     """
-    _validate(candidate, reference)
-    total_c = candidate.sum()
-    total_r = reference.sum()
-    if total_c < _EPS or total_r < _EPS:
-        return 0.0
-    p = candidate / total_c
-    q = reference / total_r
+    total_c, total_r = _row_inputs(candidate, reference)
+    p, q = _distributions(candidate, reference, total_c, total_r)
     denominator = p + q
-    mask = denominator > _EPS
-    chi2 = float(np.sum((p[mask] - q[mask]) ** 2 / denominator[mask]))
-    return max(0.0, 1.0 - chi2 / 2.0)
+    terms = np.divide(
+        (p - q) ** 2,
+        denominator,
+        out=np.zeros(denominator.shape),
+        where=denominator > _EPS,
+    )
+    chi2 = terms.sum(axis=-1)
+    return _scores(np.maximum(0.0, 1.0 - chi2 / 2.0), total_c, total_r)
 
 
-def bhattacharyya_similarity(candidate: np.ndarray, reference: np.ndarray) -> float:
+def bhattacharyya_similarity(
+    candidate: np.ndarray, reference: np.ndarray
+) -> float | np.ndarray:
     """Bhattacharyya coefficient Σ √(c_j·r_j) ∈ [0, 1]."""
-    _validate(candidate, reference)
-    if candidate.sum() < _EPS or reference.sum() < _EPS:
-        return 0.0
-    return float(np.sqrt(candidate * reference).sum())
+    total_c, total_r = _row_inputs(candidate, reference)
+    return _scores(np.sqrt(candidate * reference).sum(axis=-1), total_c, total_r)
 
 
-def jensen_shannon_similarity(candidate: np.ndarray, reference: np.ndarray) -> float:
+def jensen_shannon_similarity(
+    candidate: np.ndarray, reference: np.ndarray
+) -> float | np.ndarray:
     """1 − JSD(c‖r) with the base-2 Jensen–Shannon divergence."""
-    _validate(candidate, reference)
-    total_c = candidate.sum()
-    total_r = reference.sum()
-    if total_c < _EPS or total_r < _EPS:
-        return 0.0
-    p = candidate / total_c
-    q = reference / total_r
+    total_c, total_r = _row_inputs(candidate, reference)
+    p, q = _distributions(candidate, reference, total_c, total_r)
     mid = (p + q) / 2.0
 
-    def _kl(a: np.ndarray, b: np.ndarray) -> float:
-        mask = a > _EPS
-        return float(np.sum(a[mask] * np.log2(a[mask] / b[mask])))
+    def _kl(a: np.ndarray) -> np.ndarray:
+        a = np.broadcast_to(a, mid.shape)
+        ratio = np.divide(a, mid, out=np.ones(mid.shape), where=a > _EPS)
+        return (a * np.log2(ratio)).sum(axis=-1)
 
-    divergence = (_kl(p, mid) + _kl(q, mid)) / 2.0
-    return max(0.0, 1.0 - divergence)
+    divergence = (_kl(p) + _kl(q)) / 2.0
+    return _scores(np.maximum(0.0, 1.0 - divergence), total_c, total_r)
 
 
 _MEASURES: dict[str, SimilarityMeasure] = {

@@ -128,7 +128,7 @@ class ServiceConfig:
             )
 
     def builder_factory(self) -> StreamingSignatureBuilder:
-        """One decay-free per-window builder (engine factory hook)."""
+        """One per-window builder (engine factory hook)."""
         return StreamingSignatureBuilder(
             self.parameter, min_observations=self.min_observations
         )

@@ -6,8 +6,8 @@ package feeds the same vectorized core incrementally, so captures of
 unbounded length run in bounded memory at wire speed (DESIGN.md §4):
 
 * :class:`StreamingSignatureBuilder` — per-device incremental
-  histograms fed chunk by chunk, optional exponential decay, provably
-  equivalent to the batch builder with decay off;
+  histograms fed chunk by chunk, provably equivalent to the batch
+  builder;
 * :class:`WindowManager` — tumbling/sliding detection windows with
   observation-count gating and idle-device eviction;
 * :class:`OnlineMatcher` — Algorithm 1 over closed windows against a

@@ -16,30 +16,18 @@ every resident device's bin counters in one dense state per builder:
   order of its signature and of the checkpoint payload;
 * per-row ``t0_us`` and ``last_seen_us`` vectors.
 
-With decay disabled the counters are *exactly* the batch builder's
-histogram counts, so :meth:`signature`/:meth:`signatures` reproduce
+The counters are *exactly* the batch builder's histogram counts, so
+:meth:`signature`/:meth:`signatures` reproduce
 :meth:`SignatureBuilder.build` bin-for-bin on the same frames, in any
 chunking (property-tested in ``tests/test_streaming_builder.py`` and
 ``tests/test_streaming_chunked.py``).  A chunk folds in with one flat
 ``np.bincount`` over ``(row, column, bin)`` and one dict lookup per
 sender; every checkpoint-visible detail is the same for every chunking
 of the same rows (payloads pinned in ``tests/golden/``, DESIGN.md §8).
-
-Optional exponential decay turns the counters into a recency-weighted
-profile for long-lived accumulators (live tracking, adaptive
-references): each observation's weight halves every
-``decay_half_life_s`` seconds.  Decay is implemented with the inflated
-weight trick — an observation at time ``t`` is recorded with weight
-``exp(λ(t − t0))`` against a per-device reference time ``t0``, so the
-whole histogram never needs rescaling on update (O(1) per
-observation); the common inflation factor cancels in frequencies and
-weights, and the counters are rebased once the factor grows past
-``1e9`` to keep the floats healthy.
 """
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
@@ -52,20 +40,18 @@ from repro.core.histogram import BinSpec
 from repro.core.parameters import NetworkParameter
 from repro.core.signature import DEFAULT_MIN_OBSERVATIONS, Signature
 
-#: Rebase a device's counters once its inflation factor exceeds this.
-_REBASE_AT = 1e9
 #: First-seen sequence of a (row, column) pair holding no observation.
 _UNSEEN = -1
 
 
 class StreamingSignatureBuilder:
-    """Per-device incremental histograms with optional exponential decay.
+    """Per-device incremental histograms.
 
     One builder is bound to a network parameter and a bin spec, like
     the batch :class:`~repro.core.signature.SignatureBuilder`; chunks
     are fed through :meth:`update_table` and signatures can be read out
-    at any instant.  The parameter needs a columnar extractor
-    (``observe_table``); construction raises ``TypeError`` otherwise.
+    at any instant.  A parameter reading the channel clock needs a
+    ``carried_value``; construction raises ``TypeError`` otherwise.
     Memory is O(resident devices × frame types × bins), independent of
     stream length; :meth:`evict` and :meth:`evict_idle` bound the
     resident set.
@@ -76,22 +62,12 @@ class StreamingSignatureBuilder:
         parameter: NetworkParameter,
         bins: BinSpec | None = None,
         min_observations: int = DEFAULT_MIN_OBSERVATIONS,
-        decay_half_life_s: float | None = None,
     ) -> None:
         if min_observations < 1:
             raise ValueError(f"min_observations must be >= 1: {min_observations}")
-        if decay_half_life_s is not None and decay_half_life_s <= 0:
-            raise ValueError(
-                f"decay half-life must be positive: {decay_half_life_s}"
-            )
         self.parameter = parameter
         self.bins = bins if bins is not None else parameter.default_bins()
         self.min_observations = min_observations
-        self.decay_half_life_s = decay_half_life_s
-        #: Decay rate λ in 1/µs (0 = decay off).
-        self._decay_rate = (
-            math.log(2.0) / (decay_half_life_s * 1e6) if decay_half_life_s else 0.0
-        )
         self._stream = parameter.online()
         self._bin_count = self.bins.bin_count
         self.frames_seen = 0
@@ -156,11 +132,6 @@ class StreamingSignatureBuilder:
             self._reserve(self._row_count, column + 1)
         return column
 
-    def _mark_seen(self, row: int, column: int) -> None:
-        if self._seen[row, column] == _UNSEEN:
-            self._seen[row, column] = self._sequence
-            self._sequence += 1
-
     def _columns_of(self, row: int) -> list[int]:
         """The row's frame-type columns in first-seen order."""
         seen = self._seen[row]
@@ -168,27 +139,6 @@ class StreamingSignatureBuilder:
         return columns[np.argsort(seen[columns])].tolist()
 
     # -- ingest --------------------------------------------------------
-    def _accumulate(
-        self, sender: MacAddress, ftype_key: str, index: int, now_us: float
-    ) -> None:
-        """Fold one kept observation into the device's row."""
-        row = self._rows.get(sender)
-        if row is None:
-            (row,) = self._new_rows([sender])
-            self._t0_us[row] = now_us
-        column = self._column(ftype_key)
-        if self._decay_rate:
-            weight = math.exp(self._decay_rate * (now_us - float(self._t0_us[row])))
-            if weight > _REBASE_AT:
-                self._rebase(row, now_us)
-                weight = 1.0
-        else:
-            weight = 1.0
-        self._mark_seen(row, column)
-        self._counts[row, column, index] += weight
-        self._totals[row, column] += weight
-        self._last_seen_us[row] = now_us
-
     def update_table(
         self, table: "FrameTable", lo: int = 0, hi: int | None = None
     ) -> int:
@@ -203,9 +153,6 @@ class StreamingSignatureBuilder:
         fed chunk by chunk, and the resulting state (counts, totals,
         ``t0_us``/``last_seen_us``, device and frame-type order,
         channel clock) does not depend on where the chunks were cut.
-        With decay on, observations are folded in one at a time
-        (:meth:`_accumulate`) so the exp/rebase arithmetic runs in
-        observation order.
         """
         if hi is None:
             hi = len(table)
@@ -224,14 +171,6 @@ class StreamingSignatureBuilder:
         ftype_k = pushed.ftype_idx[keep]
         bin_k = bin_idx[keep]
         stamps = table.timestamp_us[pushed.positions[keep]]
-        if self._decay_rate:
-            senders = table.senders
-            ftype_keys = table.ftype_keys
-            for code, fcode, index, now_us in zip(
-                sender_k.tolist(), ftype_k.tolist(), bin_k.tolist(), stamps.tolist()
-            ):
-                self._accumulate(senders[code], ftype_keys[fcode], index, now_us)
-            return kept
         self._fold(table, sender_k, ftype_k, bin_k, stamps, kept)
         return kept
 
@@ -244,7 +183,7 @@ class StreamingSignatureBuilder:
         stamps: np.ndarray,
         kept: int,
     ) -> None:
-        """Decay-free batch fold: one bincount over (row, column, bin).
+        """Batch fold: one bincount over (row, column, bin).
 
         Increments are unit weights, so batch-summed integer counts
         added to the held float counters reproduce one-at-a-time
@@ -292,57 +231,17 @@ class StreamingSignatureBuilder:
             seen[fresh] = np.arange(self._sequence, self._sequence + fresh.size)
             self._sequence += int(fresh.size)
 
-    def _rebase(self, row: int, now_us: float) -> None:
-        """Re-anchor a device's inflated counters at ``now_us``."""
-        deflate = math.exp(-self._decay_rate * (now_us - float(self._t0_us[row])))
-        self._counts[row] *= deflate
-        self._totals[row] *= deflate
-        self._t0_us[row] = now_us
-
     # -- read-out ------------------------------------------------------
-    def _deflate(self, row: int, now_us: float | None) -> float:
-        """The row's decay factor at ``now_us`` (default: last update)."""
-        if not self._decay_rate:
-            return 1.0
-        anchor = float(self._last_seen_us[row]) if now_us is None else now_us
-        return math.exp(-self._decay_rate * (anchor - float(self._t0_us[row])))
-
-    def observation_mass(
-        self, device: MacAddress, now_us: float | None = None
-    ) -> float:
-        """The device's decayed total observation mass (0 if absent).
-
-        ``now_us`` anchors the decay evaluation (defaults to the
-        device's last update, like :meth:`signature`).  With decay off
-        this is exactly the batch builder's total observation count.
-        """
+    def signature(self, device: MacAddress) -> Signature | None:
+        """The device's current signature (``None`` below the gate)."""
         row = self._rows.get(device)
-        if row is None:
-            return 0.0
-        total = sum(self._totals[row, self._columns_of(row)].tolist())
-        return total * self._deflate(row, now_us)
+        return None if row is None else self._signature(row)
 
-    def signature(
-        self, device: MacAddress, now_us: float | None = None
-    ) -> Signature | None:
-        """The device's current signature (``None`` below the gate).
-
-        ``now_us`` anchors the decay evaluation (defaults to the
-        device's last update); frequencies and weights are invariant to
-        it, only the absolute mass used for gating and the reported
-        observation counts decay.
-        """
-        row = self._rows.get(device)
-        return None if row is None else self._signature(row, now_us)
-
-    def _signature(self, row: int, now_us: float | None) -> Signature | None:
+    def _signature(self, row: int) -> Signature | None:
         columns = self._columns_of(row)
         ftype_totals = self._totals[row, columns].tolist()
-        # First-seen order fixes the float sum of decayed (non-integer)
-        # totals, as the per-device dicts of the checkpoint payload did.
         total = sum(ftype_totals)
-        deflate = self._deflate(row, now_us)
-        if total * deflate < self.min_observations:
+        if total < self.min_observations:
             return None
         counts = self._counts[row]
         histograms: dict[str, np.ndarray] = {}
@@ -354,7 +253,7 @@ class StreamingSignatureBuilder:
             ftype_key = self._ftype_keys[column]
             histograms[ftype_key] = counts[column] / ftype_total
             weights[ftype_key] = ftype_total / total
-            observation_counts[ftype_key] = int(round(ftype_total * deflate))
+            observation_counts[ftype_key] = int(ftype_total)
         if not histograms:
             return None
         return Signature(
@@ -363,20 +262,18 @@ class StreamingSignatureBuilder:
             observation_counts=observation_counts,
         )
 
-    def signatures(
-        self, now_us: float | None = None
-    ) -> dict[MacAddress, Signature]:
+    def signatures(self) -> dict[MacAddress, Signature]:
         """Signatures of every resident device clearing the gate."""
         resident = list(self._rows.items())
-        if not self._decay_rate and resident:
-            # Decay-free masses are integers, exact in any summation
-            # order, so one row reduction gates every device at once.
+        if resident:
+            # Masses are integers, exact in any summation order, so one
+            # row reduction gates every device at once.
             rows = [row for _, row in resident]
             clear = self._totals[rows].sum(axis=1) >= self.min_observations
             resident = [item for item, ok in zip(resident, clear.tolist()) if ok]
         out: dict[MacAddress, Signature] = {}
         for device, row in resident:
-            signature = self._signature(row, now_us)
+            signature = self._signature(row)
             if signature is not None:
                 out[device] = signature
         return out
@@ -406,7 +303,9 @@ class StreamingSignatureBuilder:
             "parameter": self.parameter.name,
             "bin_count": self._bin_count,
             "min_observations": self.min_observations,
-            "decay_half_life_s": self.decay_half_life_s,
+            # The format's decay key is always null: builders do not
+            # decay, and restore_state rejects a snapshot that did.
+            "decay_half_life_s": None,
             "frames_seen": self.frames_seen,
             "observations_kept": self.observations_kept,
             "stream": self._stream.export_state(),
@@ -425,7 +324,7 @@ class StreamingSignatureBuilder:
             ("parameter", self.parameter.name),
             ("bin_count", self._bin_count),
             ("min_observations", self.min_observations),
-            ("decay_half_life_s", self.decay_half_life_s),
+            ("decay_half_life_s", None),
         ):
             theirs = payload.get(key)
             if theirs != mine:
@@ -444,7 +343,8 @@ class StreamingSignatureBuilder:
             totals = entry["totals"]
             for ftype_key, counts in entry["counts"].items():
                 column = self._column(ftype_key)
-                self._mark_seen(row, column)
+                self._seen[row, column] = self._sequence
+                self._sequence += 1
                 self._counts[row, column] = counts
                 self._totals[row, column] = float(totals[ftype_key])
 

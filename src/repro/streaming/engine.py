@@ -18,7 +18,7 @@
    :class:`~repro.streaming.events.StreamEvent` delivered to the
    registered sinks.
 
-With decay off and tumbling windows the emitted matches are identical
+With tumbling windows the emitted matches are identical
 to the batch pipeline (:func:`~repro.core.detection.extract_window_candidates`)
 on the same frames — the equivalence the streaming tests pin down —
 while memory stays bounded by the live working set (open windows ×
@@ -85,7 +85,7 @@ class StreamEngine:
         analyzers: Iterable[WindowAnalyzer] = (),
         sinks: Iterable[EventSink] = (),
     ) -> None:
-        """``builder_factory`` makes one decay-free
+        """``builder_factory`` makes one
         :class:`StreamingSignatureBuilder` per detection window (a
         zero-argument callable, e.g. ``lambda: StreamingSignatureBuilder(
         parameter, min_observations=50)``)."""

@@ -8,7 +8,7 @@ the batch pipeline's; a smaller slide yields overlapping sliding
 windows (each frame feeds every window containing it, at most
 ``ceil(window_s / slide_s)`` concurrently resident).
 
-Each open window owns one decay-free
+Each open window owns one
 :class:`~repro.streaming.builder.StreamingSignatureBuilder`, so closing
 a window yields one candidate signature per device that cleared the
 minimum-observation gate — identical to running the batch builder on

@@ -14,8 +14,8 @@ unattributable frames (ACK/CTS, the paper's ``si = null``) carry the
 sentinel ``-1`` so they still advance the channel clock in the
 time-derived parameters without ever producing an observation.
 ``ftype_keys[ftype_idx[i]]`` is the histogram key.  Codes are assigned
-in first-appearance order, so downstream dict orderings match the
-object path's exactly.
+in first-appearance order, so downstream dict orderings follow first
+appearance in the capture.
 
 Tables are cheap to slice: row slices are NumPy **views** onto the
 parent's columns (zero copy), and the backing
@@ -44,10 +44,9 @@ from repro.dot11.mac import MacAddress
 class TableObservations(NamedTuple):
     """One parameter's vectorized observation batch over a table.
 
-    Rows are aligned across the four arrays and appear in frame order —
-    the exact sequence :meth:`~repro.core.parameters.NetworkParameter.observations`
-    yields, with ``sender_idx``/``ftype_idx`` coded against the source
-    table's intern tuples.  ``positions`` holds each observation's row
+    Rows are aligned across the four arrays and appear in frame order,
+    with ``sender_idx``/``ftype_idx`` coded against the source table's
+    intern tuples.  ``positions`` holds each observation's row
     index in the source table, which is what lets a window slice of a
     *whole-trace* observation batch reproduce per-window extraction
     (the shift-and-mask argument in DESIGN.md §6).

@@ -1,0 +1,350 @@
+"""Scalar reference implementations: the test oracles of the batch path.
+
+The runtime has one implementation of each batch stage of the paper's
+method: columnar extraction (``observe_table``), signature assembly
+from binned observation codes (``SignatureBuilder.build_binned``) and
+Algorithm 1 on the packed reference matrices
+(``batch_match_signatures``).  The original per-frame and per-pair code
+lives here, so the equivalence suites and the perf benchmarks compare
+the runtime against an independent implementation:
+
+* :func:`observations` — the per-frame extractors of the five
+  parameters (Section III) and of the joint pairs;
+* :func:`build` — signature assembly from those observations through
+  per-(device, frame type) histogram buckets, and :func:`from_training`
+  on top of it;
+* :func:`window_candidates` — detection windows cut from the frame
+  list and assembled with :func:`build`, then matched like
+  ``extract_window_candidates``;
+* :func:`scalar_match` — the per-pair Algorithm 1 loop, with the 1-D
+  forms of the non-cosine measures (:data:`SCALAR_MEASURES`);
+* :func:`pack` — the from-scratch rebuild of a database's packed view.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator
+
+import numpy as np
+
+from repro.core import similarity
+from repro.core.database import PackedDatabase, ReferenceDatabase
+from repro.core.detection import DetectionConfig, WindowCandidate
+from repro.core.histogram import Histogram
+from repro.core.joint import JointParameter
+from repro.core.matcher import batch_match_signatures
+from repro.core.parameters import NetworkParameter
+from repro.core.signature import Signature, SignatureBuilder
+from repro.core.similarity import _EPS, _validate, SimilarityMeasure, normalize_rows
+from repro.dot11.capture import CapturedFrame
+from repro.dot11.mac import MacAddress
+from repro.dot11.phy import paper_transmission_time_us
+from repro.traces.trace import Trace
+
+
+# -- extraction ------------------------------------------------------------
+@dataclass(frozen=True, slots=True)
+class Observation:
+    """One attributed measurement."""
+
+    sender: MacAddress
+    ftype_key: str
+    value: float
+
+
+def _rate(frames: Iterable[CapturedFrame]) -> Iterator[Observation]:
+    for captured in frames:
+        sender = captured.sender
+        if sender is None:
+            continue
+        yield Observation(sender, captured.ftype_key, captured.rate_mbps)
+
+
+def _size(frames: Iterable[CapturedFrame]) -> Iterator[Observation]:
+    for captured in frames:
+        sender = captured.sender
+        if sender is None:
+            continue
+        yield Observation(sender, captured.ftype_key, float(captured.size))
+
+
+def _txtime(frames: Iterable[CapturedFrame]) -> Iterator[Observation]:
+    for captured in frames:
+        sender = captured.sender
+        if sender is None:
+            continue
+        value = paper_transmission_time_us(captured.size, captured.rate_mbps)
+        yield Observation(sender, captured.ftype_key, value)
+
+
+def _interarrival(frames: Iterable[CapturedFrame]) -> Iterator[Observation]:
+    previous_t: float | None = None
+    for captured in frames:
+        t_i = captured.timestamp_us
+        if previous_t is not None and captured.sender is not None:
+            yield Observation(captured.sender, captured.ftype_key, t_i - previous_t)
+        previous_t = t_i
+
+
+def _access(frames: Iterable[CapturedFrame]) -> Iterator[Observation]:
+    previous_t: float | None = None
+    for captured in frames:
+        t_i = captured.timestamp_us
+        if previous_t is not None and captured.sender is not None:
+            tt_i = paper_transmission_time_us(captured.size, captured.rate_mbps)
+            yield Observation(
+                captured.sender, captured.ftype_key, (t_i - tt_i) - previous_t
+            )
+        previous_t = t_i
+
+
+_EXTRACTORS: dict[str, Callable[[Iterable[CapturedFrame]], Iterator[Observation]]] = {
+    "rate": _rate,
+    "size": _size,
+    "txtime": _txtime,
+    "interarrival": _interarrival,
+    "access": _access,
+}
+
+#: Per-frame value functions of the joint pairs.  ``previous_t`` is the
+#: end-of-reception of the previous frame on the channel (None for the
+#: first frame).
+_VALUE_FUNCTIONS: dict[str, Callable[[CapturedFrame, float | None], float | None]] = {
+    "rate": lambda c, prev: c.rate_mbps,
+    "size": lambda c, prev: float(c.size),
+    "txtime": lambda c, prev: paper_transmission_time_us(c.size, c.rate_mbps),
+    "interarrival": lambda c, prev: None if prev is None else c.timestamp_us - prev,
+    "access": lambda c, prev: (
+        None
+        if prev is None
+        else (c.timestamp_us - paper_transmission_time_us(c.size, c.rate_mbps)) - prev
+    ),
+}
+
+
+def _joint(
+    parameter: JointParameter, frames: Iterable[CapturedFrame]
+) -> Iterator[Observation]:
+    """Each attributable frame's pair, binned per component and valued
+    by the flattened joint bin; a pair with a discarded side is dropped."""
+    x_name, y_name = (component.name for component in parameter.components)
+    fx = _VALUE_FUNCTIONS[x_name]
+    fy = _VALUE_FUNCTIONS[y_name]
+    bins = parameter.default_bins()
+    previous_t: float | None = None
+    for captured in frames:
+        if captured.sender is not None:
+            x_value = fx(captured, previous_t)
+            y_value = fy(captured, previous_t)
+            if x_value is not None and y_value is not None:
+                ix = bins.x_bins.index(x_value)
+                iy = bins.y_bins.index(y_value)
+                if ix is not None and iy is not None:
+                    yield Observation(
+                        captured.sender,
+                        captured.ftype_key,
+                        float(ix * bins.y_bins.bin_count + iy),
+                    )
+        previous_t = captured.timestamp_us
+
+
+def observations(
+    parameter: NetworkParameter, frames: Iterable[CapturedFrame]
+) -> Iterator[Observation]:
+    """The parameter's attributed observations, one frame at a time."""
+    if isinstance(parameter, JointParameter):
+        return _joint(parameter, frames)
+    return _EXTRACTORS[parameter.name](frames)
+
+
+# -- signature assembly ----------------------------------------------------
+def build(
+    builder: SignatureBuilder, frames: list[CapturedFrame]
+) -> dict[MacAddress, Signature]:
+    """``builder.build(frames)`` through per-(device, frame type) buckets."""
+    buckets: dict[MacAddress, dict[str, list[float]]] = {}
+    for observation in observations(builder.parameter, frames):
+        per_type = buckets.setdefault(observation.sender, {})
+        per_type.setdefault(observation.ftype_key, []).append(observation.value)
+
+    accumulators: dict[MacAddress, dict[str, Histogram]] = {}
+    for sender, values_by_type in buckets.items():
+        per_type = accumulators.setdefault(sender, {})
+        for ftype_key, values in values_by_type.items():
+            histogram = Histogram(builder.bins)
+            histogram.add_array(np.asarray(values, dtype=np.float64))
+            per_type[ftype_key] = histogram
+
+    signatures: dict[MacAddress, Signature] = {}
+    for sender, per_type in accumulators.items():
+        total = sum(h.total for h in per_type.values())
+        if total < builder.min_observations:
+            continue
+        histograms: dict[str, np.ndarray] = {}
+        weights: dict[str, float] = {}
+        counts: dict[str, int] = {}
+        for ftype_key, histogram in per_type.items():
+            if histogram.total == 0:
+                continue
+            histograms[ftype_key] = histogram.frequencies()
+            weights[ftype_key] = histogram.total / total
+            counts[ftype_key] = histogram.total
+        if histograms:
+            signatures[sender] = Signature(
+                histograms=histograms,
+                weights=weights,
+                observation_counts=counts,
+            )
+    return signatures
+
+
+def from_training(
+    builder: SignatureBuilder, frames: list[CapturedFrame]
+) -> ReferenceDatabase:
+    """``ReferenceDatabase.from_training`` with :func:`build`."""
+    database = ReferenceDatabase()
+    for sender, signature in build(builder, frames).items():
+        database.add(sender, signature)
+    return database
+
+
+def window_candidates(
+    validation: Trace,
+    builder: SignatureBuilder,
+    database: ReferenceDatabase,
+    config: DetectionConfig,
+) -> list[WindowCandidate]:
+    """``extract_window_candidates`` with each window's frames run
+    through :func:`build`."""
+    candidates = []
+    for window_index, window in enumerate(validation.windows(config.window_s)):
+        for device, signature in build(builder, window.frames).items():
+            candidates.append(
+                WindowCandidate(
+                    device=device, window_index=window_index, signature=signature
+                )
+            )
+    scores = batch_match_signatures(
+        [candidate.signature for candidate in candidates], database, config.measure
+    )
+    devices = database.devices
+    for candidate, row in zip(candidates, scores):
+        candidate.similarities = dict(zip(devices, row.tolist()))
+    return candidates
+
+
+# -- matching --------------------------------------------------------------
+def scalar_match(
+    candidate: Signature,
+    database: ReferenceDatabase,
+    measure: SimilarityMeasure = similarity.cosine_similarity,
+) -> dict[MacAddress, float]:
+    """Algorithm 1 as the per-pair loop over (frame type, reference)."""
+    similarities: dict[MacAddress, float] = {device: 0.0 for device in database}
+    for ftype_key, candidate_hist in candidate.histograms.items():
+        for device, reference in database.items():
+            reference_hist = reference.histogram(ftype_key)
+            if reference_hist is None:
+                continue
+            score = measure(candidate_hist, reference_hist)
+            similarities[device] += reference.weight(ftype_key) * score
+    return similarities
+
+
+def intersection_similarity(candidate: np.ndarray, reference: np.ndarray) -> float:
+    """Histogram intersection: Σ min(c_j, r_j)."""
+    _validate(candidate, reference)
+    if candidate.sum() < _EPS or reference.sum() < _EPS:
+        return 0.0
+    return float(np.minimum(candidate, reference).sum())
+
+
+def chi_square_similarity(candidate: np.ndarray, reference: np.ndarray) -> float:
+    """1 − χ²/2 with the symmetric chi-square statistic."""
+    _validate(candidate, reference)
+    total_c = candidate.sum()
+    total_r = reference.sum()
+    if total_c < _EPS or total_r < _EPS:
+        return 0.0
+    p = candidate / total_c
+    q = reference / total_r
+    denominator = p + q
+    mask = denominator > _EPS
+    chi2 = float(np.sum((p[mask] - q[mask]) ** 2 / denominator[mask]))
+    return max(0.0, 1.0 - chi2 / 2.0)
+
+
+def bhattacharyya_similarity(candidate: np.ndarray, reference: np.ndarray) -> float:
+    """Bhattacharyya coefficient Σ √(c_j·r_j)."""
+    _validate(candidate, reference)
+    if candidate.sum() < _EPS or reference.sum() < _EPS:
+        return 0.0
+    return float(np.sqrt(candidate * reference).sum())
+
+
+def jensen_shannon_similarity(candidate: np.ndarray, reference: np.ndarray) -> float:
+    """1 − JSD(c‖r) with the base-2 Jensen–Shannon divergence."""
+    _validate(candidate, reference)
+    total_c = candidate.sum()
+    total_r = reference.sum()
+    if total_c < _EPS or total_r < _EPS:
+        return 0.0
+    p = candidate / total_c
+    q = reference / total_r
+    mid = (p + q) / 2.0
+
+    def _kl(a: np.ndarray, b: np.ndarray) -> float:
+        mask = a > _EPS
+        return float(np.sum(a[mask] * np.log2(a[mask] / b[mask])))
+
+    divergence = (_kl(p, mid) + _kl(q, mid)) / 2.0
+    return max(0.0, 1.0 - divergence)
+
+
+#: Runtime measure → the 1-D form :func:`scalar_match` runs it as.
+SCALAR_MEASURES: dict[SimilarityMeasure, SimilarityMeasure] = {
+    similarity.cosine_similarity: similarity.cosine_similarity,
+    similarity.intersection_similarity: intersection_similarity,
+    similarity.chi_square_similarity: chi_square_similarity,
+    similarity.bhattacharyya_similarity: bhattacharyya_similarity,
+    similarity.jensen_shannon_similarity: jensen_shannon_similarity,
+}
+
+
+# -- packing ---------------------------------------------------------------
+def pack(entries: list[tuple[MacAddress, Signature]]) -> PackedDatabase | None:
+    """Pack signatures into matrices from scratch; ``None`` if ragged.
+
+    Ragged means two signatures disagree on a frame type's bin count,
+    in which case no rectangular matrix exists.
+    """
+    devices = tuple(device for device, _ in entries)
+    bin_counts: dict[str, int] = {}
+    for _, signature in entries:
+        for ftype_key, histogram in signature.histograms.items():
+            bins = int(histogram.shape[-1])
+            if bin_counts.setdefault(ftype_key, bins) != bins:
+                return None
+    frame_types = tuple(bin_counts)
+    frequencies: dict[str, np.ndarray] = {}
+    weights: dict[str, np.ndarray] = {}
+    normalized: dict[str, np.ndarray] = {}
+    for ftype_key in frame_types:
+        matrix = np.zeros((len(entries), bin_counts[ftype_key]), dtype=np.float64)
+        weight = np.zeros(len(entries), dtype=np.float64)
+        for row, (_, signature) in enumerate(entries):
+            histogram = signature.histogram(ftype_key)
+            if histogram is not None:
+                matrix[row] = histogram
+                weight[row] = signature.weight(ftype_key)
+        frequencies[ftype_key] = matrix
+        weights[ftype_key] = weight
+        normalized[ftype_key] = normalize_rows(matrix)
+    return PackedDatabase(
+        devices=devices,
+        frame_types=frame_types,
+        frequencies=frequencies,
+        weights=weights,
+        normalized=normalized,
+    )

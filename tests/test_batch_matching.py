@@ -1,9 +1,11 @@
 """Equivalence tests for the vectorized batch matching engine.
 
 The batch matrix formulation (packed database + matrix products) must
-reproduce the scalar Algorithm 1 loop bit-for-bit up to float rounding
-(atol 1e-9): per-candidate via :func:`match_signature`'s fast path and
-row-wise via :func:`batch_match_signatures`.
+reproduce the per-pair Algorithm 1 loop (``tests/oracles.py``): within
+float rounding (atol 1e-9) for cosine, bit for bit for intersection and
+Bhattacharyya, within 1e-12 for chi-square and Jensen–Shannon — per
+candidate via :func:`match_signature` and row-wise via
+:func:`batch_match_signatures`.
 """
 
 from __future__ import annotations
@@ -12,20 +14,19 @@ import numpy as np
 import pytest
 
 from repro.dot11.mac import MacAddress, vendor_mac
-from repro.core.database import PackedDatabase, ReferenceDatabase
-from repro.core.matcher import (
-    _scalar_match,
-    batch_match_signatures,
-    best_match,
-    match_signature,
-)
+from repro.core.database import ReferenceDatabase
+from repro.core.matcher import batch_match_signatures, best_match, match_signature
 from repro.core.signature import Signature
 from repro.core.similarity import (
+    bhattacharyya_similarity,
+    chi_square_similarity,
     cosine_similarity,
     cosine_similarity_matrix,
     intersection_similarity,
+    jensen_shannon_similarity,
     normalize_rows,
 )
+from tests.oracles import SCALAR_MEASURES, scalar_match
 
 FRAME_TYPES = ("Data", "Beacon", "RTS", "Probe Request")
 
@@ -58,8 +59,31 @@ def random_database(
 
 
 def forced_scalar(candidate, database):
-    """Algorithm 1 through the original per-pair loop."""
-    return _scalar_match(candidate, database, cosine_similarity)
+    """Algorithm 1 through the per-pair oracle loop."""
+    return scalar_match(candidate, database, cosine_similarity)
+
+
+#: The non-cosine measures, with the tolerance their row reductions keep
+#: against the per-pair oracle: 0 (bit for bit) where the 1-D sum and the
+#: row sum add the same elements, 1e-12 where the oracle sums a masked
+#: subset.
+NON_COSINE = pytest.mark.parametrize(
+    "measure, tolerance",
+    [
+        pytest.param(intersection_similarity, 0.0, id="intersection"),
+        pytest.param(chi_square_similarity, 1e-12, id="chi2"),
+        pytest.param(bhattacharyya_similarity, 0.0, id="bhattacharyya"),
+        pytest.param(jensen_shannon_similarity, 1e-12, id="jensen-shannon"),
+    ],
+)
+
+
+def assert_scores_agree(actual, expected, tolerance):
+    actual, expected = list(actual), list(expected)
+    if tolerance:
+        np.testing.assert_allclose(actual, expected, rtol=0, atol=tolerance)
+    else:
+        assert actual == expected
 
 
 class TestMatchSignatureFastPath:
@@ -76,13 +100,17 @@ class TestMatchSignatureFastPath:
                     list(fast.values()), list(slow.values()), atol=1e-9
                 )
 
-    def test_non_cosine_measure_uses_scalar_path(self):
+    @NON_COSINE
+    def test_non_cosine_measure_uses_scalar_path(self, measure, tolerance):
+        """Non-cosine measures run on the packed matrices and keep the
+        per-pair loop's numbers."""
         rng = np.random.default_rng(1)
         database = random_database(rng, devices=5)
         candidate = random_signature(rng)
-        scores = match_signature(candidate, database, intersection_similarity)
-        expected = _scalar_match(candidate, database, intersection_similarity)
-        assert scores == expected
+        scores = match_signature(candidate, database, measure)
+        expected = scalar_match(candidate, database, SCALAR_MEASURES[measure])
+        assert list(scores) == list(expected)
+        assert_scores_agree(scores.values(), expected.values(), tolerance)
 
     def test_best_match_agrees_with_scalar(self):
         rng = np.random.default_rng(2)
@@ -126,14 +154,15 @@ class TestBatchMatchSignatures:
                 row, list(forced_scalar(candidate, database).values()), atol=1e-9
             )
 
-    def test_non_cosine_fallback_matrix(self):
+    @NON_COSINE
+    def test_non_cosine_fallback_matrix(self, measure, tolerance):
         rng = np.random.default_rng(4)
         database = random_database(rng, devices=6)
         candidates = [random_signature(rng) for _ in range(4)]
-        matrix = batch_match_signatures(candidates, database, intersection_similarity)
+        matrix = batch_match_signatures(candidates, database, measure)
         for row, candidate in zip(matrix, candidates):
-            expected = _scalar_match(candidate, database, intersection_similarity)
-            np.testing.assert_allclose(row, list(expected.values()), atol=1e-12)
+            expected = scalar_match(candidate, database, SCALAR_MEASURES[measure])
+            assert_scores_agree(row.tolist(), expected.values(), tolerance)
 
     def test_empty_database_and_empty_candidates(self):
         rng = np.random.default_rng(5)
@@ -188,7 +217,7 @@ class TestPackedDatabase:
     def test_empty_database_packs_to_none(self):
         assert ReferenceDatabase().packed() is None
 
-    def test_ragged_bins_fall_back_to_scalar(self):
+    def test_ragged_database_cannot_be_matched(self):
         database = ReferenceDatabase()
         database.add(
             vendor_mac("00:13:e8", 1),
@@ -201,12 +230,19 @@ class TestPackedDatabase:
             ),
         )
         assert database.packed() is None
+        # Even a candidate avoiding the ragged type has no packed view
+        # to be matched against.
         candidate = Signature(
             histograms={"Beacon": np.array([1.0, 0.0])}, weights={"Beacon": 1.0}
         )
-        # Candidate avoids the ragged type, so the scalar loop handles it.
-        scores = match_signature(candidate, database)
-        assert all(score == 0.0 for score in scores.values())
+        for measure in SCALAR_MEASURES:
+            with pytest.raises(ValueError, match="ragged"):
+                match_signature(candidate, database, measure)
+            with pytest.raises(ValueError, match="ragged"):
+                batch_match_signatures([candidate], database, measure)
+        # Removing the conflicting device restores matching.
+        database.remove(vendor_mac("00:13:e8", 2))
+        assert match_signature(candidate, database) == {vendor_mac("00:13:e8", 1): 0.0}
 
 
 class TestVectorizedCosineKernels:

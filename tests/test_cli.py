@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, load_database, main, save_database
@@ -120,6 +121,45 @@ class TestCommands:
         ) == 0
         out = capsys.readouterr().out
         assert "MATCH" in out
+
+    def test_match_rows_equal_extract_window_candidates(
+        self, tmp_path, office_pcap, capsys
+    ):
+        """Every printed row is a candidate of the batch detection path,
+        identified as its first maximum."""
+        from repro.core.detection import DetectionConfig, extract_window_candidates
+        from repro.core.parameters import parameter_by_name
+        from repro.traces.trace import Trace
+
+        db_path = tmp_path / "refs.json"
+        assert main(["learn", str(office_pcap), "--db", str(db_path)]) == 0
+        capsys.readouterr()
+        args = ["--window-s", "20", "--min-observations", "30"]
+        assert main(["match", str(office_pcap), "--db", str(db_path), *args]) == 0
+        printed = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
+
+        database, parameter_name = load_database(db_path)
+        candidates = extract_window_candidates(
+            Trace.from_pcap(office_pcap),
+            SignatureBuilder(parameter_by_name(parameter_name), min_observations=30),
+            database,
+            DetectionConfig(window_s=20.0, min_observations=30),
+        )
+        expected = []
+        for candidate in candidates:
+            scores = np.array(list(candidate.similarities.values()))
+            best = database.devices[int(scores.argmax())]
+            expected.append(
+                [
+                    str(candidate.window_index),
+                    str(candidate.device),
+                    str(best),
+                    f"{scores.max():.3f}",
+                    "MATCH" if best == candidate.device else "MISMATCH",
+                ]
+            )
+        assert len(expected) > 3
+        assert printed == expected
 
     def test_evaluate(self, office_pcap, capsys):
         code = main(

@@ -2,7 +2,7 @@
 
 The incremental pack (capacity-doubling buffers, per-row updates on
 ``add``/``remove``) must stay numerically identical to a from-scratch
-:meth:`PackedDatabase.from_signatures` rebuild after any mutation
+:func:`tests.oracles.pack` rebuild after any mutation
 sequence, including frame-type purges and ragged transitions.
 """
 
@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from repro.dot11.mac import vendor_mac
-from repro.core.database import PackedDatabase, ReferenceDatabase
+from repro.core.database import ReferenceDatabase
 from repro.core.signature import Signature
+from tests.oracles import pack, scalar_match
 from tests.test_batch_matching import random_database, random_signature
 
 
@@ -23,7 +24,7 @@ def assert_pack_equivalent(database: ReferenceDatabase) -> None:
     if len(database) == 0:
         assert incremental is None  # empty databases never pack
         return
-    rebuilt = PackedDatabase.from_signatures(list(database.items()))
+    rebuilt = pack(list(database.items()))
     if rebuilt is None:
         assert incremental is None
         return
@@ -252,7 +253,7 @@ class TestMerge:
 
 class TestMatchingAfterMutations:
     def test_match_scores_track_membership_changes(self):
-        from repro.core.matcher import _scalar_match, match_signature
+        from repro.core.matcher import match_signature
         from repro.core.similarity import cosine_similarity
 
         rng = np.random.default_rng(15)
@@ -267,7 +268,7 @@ class TestMatchingAfterMutations:
             if len(database) == 0:
                 continue
             fast = match_signature(candidate, database)
-            slow = _scalar_match(candidate, database, cosine_similarity)
+            slow = scalar_match(candidate, database, cosine_similarity)
             assert list(fast) == list(slow)
             np.testing.assert_allclose(
                 list(fast.values()), list(slow.values()), atol=1e-9

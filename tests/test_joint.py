@@ -2,16 +2,37 @@
 
 from __future__ import annotations
 
+import itertools
+
+import numpy as np
 import pytest
 
+from repro.core.database import ReferenceDatabase
+from repro.core.detection import DetectionConfig, extract_window_candidates
 from repro.core.histogram import Histogram, UniformBins
 from repro.core.joint import JointBins, JointParameter
+from repro.core.parameters import ALL_PARAMETERS
 from repro.core.signature import SignatureBuilder
+from repro.dot11.frames import FrameSubtype
 from repro.dot11.mac import MacAddress
+from repro.traces.table import FrameTable
+from tests import oracles
 from tests.conftest import make_data_capture
 
 A = MacAddress.parse("00:13:e8:00:00:0a")
 AP = MacAddress.parse("00:0f:b5:00:00:01")
+
+
+def assert_identical(expected: dict, actual: dict) -> None:
+    """Same devices, frame types, bins, weights and counts, in order."""
+    assert list(expected) == list(actual)
+    for device, signature in expected.items():
+        other = actual[device]
+        assert list(signature.histograms) == list(other.histograms)
+        for key, histogram in signature.histograms.items():
+            assert np.array_equal(histogram, other.histograms[key])
+        assert signature.weights == other.weights
+        assert signature.observation_counts == other.observation_counts
 
 
 class TestJointBins:
@@ -22,23 +43,37 @@ class TestJointBins:
         )
         assert joint.bin_count == 30
 
-    def test_encode_index_round_trip(self):
+    def test_index_reads_flattened_bin(self):
         joint = JointBins(
             x_bins=UniformBins(lo=0, hi=100, width=10),
             y_bins=UniformBins(lo=0, hi=30, width=10),
         )
-        encoded = joint.encode(55.0, 25.0)
-        assert encoded is not None
-        index = joint.index(encoded)
-        assert index == 5 * 3 + 2
-        assert "×" in joint.bin_label(index)
+        flat = 5 * 3 + 2  # x bin 5, y bin 2
+        assert joint.index(float(flat)) == flat
+        assert joint.index(30.0) is None
+        assert joint.index_many(np.array([flat, -1.0, 30.0])).tolist() == [flat, -1, -1]
+        assert joint.bin_label(flat) == "[50,60)×[20,30)"
 
     def test_dropped_component_drops_pair(self):
-        joint = JointBins(
-            x_bins=UniformBins(lo=0, hi=100, width=10, drop_outside=True),
-            y_bins=UniformBins(lo=0, hi=30, width=10),
-        )
-        assert joint.encode(500.0, 25.0) is None
+        """A pair with a side its bins discard is dropped before
+        assembly: it neither counts nor sets the first-seen order."""
+        stamps = [1000.0, 6000.0, 6300.0, 6600.0]  # 5000 µs gap: dropped
+        subtypes = [
+            FrameSubtype.QOS_DATA,
+            FrameSubtype.BEACON,
+            FrameSubtype.QOS_DATA,
+            FrameSubtype.BEACON,
+        ]
+        frames = [
+            make_data_capture(t, A, AP, subtype=subtype)
+            for t, subtype in zip(stamps, subtypes)
+        ]
+        parameter = JointParameter("interarrival", "size")
+        observed = parameter.observe_table(FrameTable.from_frames(frames))
+        assert observed.positions.tolist() == [2, 3]
+        signature = SignatureBuilder(parameter, min_observations=1).build(frames)[A]
+        assert list(signature.histograms) == ["QoS Data", "Beacon"]
+        assert signature.observation_counts == {"QoS Data": 1, "Beacon": 1}
 
 
 class TestJointParameter:
@@ -48,19 +83,59 @@ class TestJointParameter:
         with pytest.raises(ValueError):
             JointParameter("size", "size")
 
+    def test_table_memory_is_the_larger_of_the_components(self):
+        assert JointParameter("size", "rate").table_memory == 0
+        assert JointParameter("size", "access").table_memory == 1
+        assert JointParameter("interarrival", "txtime").table_memory == 1
+
     def test_size_rate_joint_extraction(self):
         frames = [
             make_data_capture(1000.0 * i, A, AP, size=500, rate=54.0)
             for i in range(10)
         ]
         parameter = JointParameter("size", "rate")
-        observations = list(parameter.observations(frames))
-        assert len(observations) == 10
+        observed = parameter.observe_table(FrameTable.from_frames(frames))
+        assert len(observed.values) == 10
         histogram = Histogram(parameter.default_bins())
-        for observation in observations:
-            assert histogram.add(observation.value)
+        for value in observed.values.tolist():
+            assert histogram.add(value)
         # All identical pairs land in one joint bin.
         assert (histogram.frequencies() > 0).sum() == 1
+
+    @pytest.mark.parametrize(
+        "x, y",
+        list(itertools.permutations([p.name for p in ALL_PARAMETERS], 2)),
+        ids=lambda name: name,
+    )
+    def test_build_matches_oracle(self, small_office_trace, x, y):
+        """Columnar joint signatures equal the per-frame oracle's, dict
+        order included, for all 20 ordered pairs."""
+        builder = SignatureBuilder(JointParameter(x, y), min_observations=1)
+        frames = small_office_trace.frames
+        expected = oracles.build(builder, frames)
+        assert expected
+        assert_identical(expected, builder.build(frames))
+
+    @pytest.mark.parametrize("x, y", [("interarrival", "size"), ("rate", "access")])
+    def test_window_candidates_match_oracle(self, small_office_trace, x, y):
+        """The whole-trace window slices skip each window's first row
+        for a pair reading the channel clock (``table_memory``), as
+        per-window extraction does."""
+        builder = SignatureBuilder(JointParameter(x, y), min_observations=10)
+        split = small_office_trace.split(30.0)
+        database = ReferenceDatabase.from_training_table(
+            builder, split.training.table()
+        )
+        config = DetectionConfig(window_s=10.0, min_observations=10)
+        validation = split.validation
+        expected = oracles.window_candidates(validation, builder, database, config)
+        actual = extract_window_candidates(validation, builder, database, config)
+        assert expected
+        assert [(c.device, c.window_index) for c in expected] == [
+            (c.device, c.window_index) for c in actual
+        ]
+        for reference, candidate in zip(expected, actual):
+            assert reference.similarities == candidate.similarities
 
     def test_joint_separates_what_marginals_confuse(self):
         """Two devices with identical size AND inter-arrival marginals

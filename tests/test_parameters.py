@@ -2,7 +2,9 @@
 
 The Figure 1 example from the paper is encoded as a test: frames
 DATA(A), ACK, DATA(A→ null sender), ... with ACK/CTS values dropped but
-still advancing the channel clock.
+still advancing the channel clock.  The semantics are checked on the
+runtime extractor (``observe_table``); the online streams are checked
+against the per-frame oracles of ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -17,18 +19,31 @@ from repro.core.parameters import (
     FrameSize,
     InterArrivalTime,
     MediumAccessTime,
-    Observation,
     TransmissionRate,
     TransmissionTime,
     parameter_by_name,
 )
 from repro.traces.table import FrameTable
+from tests import oracles
 from tests.conftest import make_data_capture
+from tests.oracles import Observation
 
 A = MacAddress.parse("00:13:e8:00:00:0a")
 B = MacAddress.parse("00:18:f8:00:00:0b")
 C = MacAddress.parse("00:14:a4:00:00:0c")
 AP = MacAddress.parse("00:0f:b5:00:00:01")
+
+
+def observed(parameter, frames) -> list[Observation]:
+    """The parameter's runtime observations of ``frames``."""
+    table = FrameTable.from_frames(frames)
+    batch = parameter.observe_table(table)
+    return [
+        Observation(table.senders[s], table.ftype_keys[f], v)
+        for s, f, v in zip(
+            batch.sender_idx.tolist(), batch.ftype_idx.tolist(), batch.values.tolist()
+        )
+    ]
 
 
 def figure1_frames() -> list[CapturedFrame]:
@@ -47,24 +62,24 @@ def figure1_frames() -> list[CapturedFrame]:
 
 class TestSenderAttribution:
     def test_anonymous_frames_yield_nothing(self):
-        observations = list(TransmissionRate().observations(figure1_frames()))
+        observations = observed(TransmissionRate(), figure1_frames())
         senders = {o.sender for o in observations}
         assert senders == {A, C}
 
     def test_observation_count(self):
         # 6 frames, 3 anonymous (2 ACK + 1 CTS) -> 3 attributed.
-        observations = list(FrameSize().observations(figure1_frames()))
+        observations = observed(FrameSize(), figure1_frames())
         assert len(observations) == 3
 
     def test_ftype_keys(self):
-        observations = list(TransmissionRate().observations(figure1_frames()))
+        observations = observed(TransmissionRate(), figure1_frames())
         keys = {o.ftype_key for o in observations}
         assert keys == {"QoS Data", "RTS"}
 
 
 class TestInterArrival:
     def test_figure1_intervals(self):
-        observations = list(InterArrivalTime().observations(figure1_frames()))
+        observations = observed(InterArrivalTime(), figure1_frames())
         by_sender = {}
         for o in observations:
             by_sender.setdefault(o.sender, []).append(o.value)
@@ -75,11 +90,11 @@ class TestInterArrival:
 
     def test_first_frame_yields_nothing(self):
         frames = [make_data_capture(1000.0, A, AP)]
-        assert list(InterArrivalTime().observations(frames)) == []
+        assert observed(InterArrivalTime(), frames) == []
 
     def test_anonymous_frames_advance_clock(self):
         frames = figure1_frames()
-        observations = list(InterArrivalTime().observations(frames))
+        observations = observed(InterArrivalTime(), frames)
         # The DATA at 1400 measures against the ACK at 1100, not the
         # DATA at 1000.
         values = [o.value for o in observations if o.sender == A]
@@ -91,13 +106,13 @@ class TestInterArrival:
 class TestTransmissionTime:
     def test_value(self):
         frames = [make_data_capture(1000.0, A, AP, size=1500, rate=54.0)]
-        observations = list(TransmissionTime().observations(frames))
+        observations = observed(TransmissionTime(), frames)
         assert observations[0].value == pytest.approx(1500 * 8 / 54.0)
 
     def test_rate_dependence(self):
         fast = make_data_capture(1000.0, A, AP, size=1500, rate=54.0)
         slow = make_data_capture(2000.0, A, AP, size=1500, rate=11.0)
-        values = [o.value for o in TransmissionTime().observations([fast, slow])]
+        values = [o.value for o in observed(TransmissionTime(), [fast, slow])]
         assert values[1] > values[0]
 
 
@@ -109,13 +124,13 @@ class TestMediumAccessTime:
             make_data_capture(1100.0, B, AP, size=540, rate=54.0),
             make_data_capture(1400.0, A, AP, size=540, rate=54.0),
         ]
-        observations = list(MediumAccessTime().observations(frames))
+        observations = observed(MediumAccessTime(), frames)
         tt = 540 * 8 / 54.0
         assert observations[-1].value == pytest.approx(300.0 - tt)
 
     def test_requires_previous_frame(self):
         frames = [make_data_capture(1000.0, A, AP)]
-        assert list(MediumAccessTime().observations(frames)) == []
+        assert observed(MediumAccessTime(), frames) == []
 
 
 class TestRegistry:
@@ -142,7 +157,7 @@ class TestRateExtraction:
             make_data_capture(1000.0, A, AP, rate=54.0),
             make_data_capture(2000.0, A, AP, rate=5.5),
         ]
-        values = [o.value for o in TransmissionRate().observations(frames)]
+        values = [o.value for o in observed(TransmissionRate(), frames)]
         assert values == [54.0, 5.5]
 
     def test_rate_bins_cover_paper_axis(self):
@@ -180,7 +195,7 @@ class TestOnlineStreams:
     def test_builtin_streams_match_batch_on_figure1(self):
         frames = figure1_frames()
         for parameter in ALL_PARAMETERS:
-            expected = list(parameter.observations(frames))
+            expected = list(oracles.observations(parameter, frames))
             for sizes in ((1,), (2, 3), (len(frames),)):
                 assert streamed(parameter, frames, sizes) == expected, parameter.name
 
@@ -188,7 +203,7 @@ class TestOnlineStreams:
         frames = small_office_trace.frames
         for parameter in ALL_PARAMETERS:
             assert streamed(parameter, frames, (1, 7, 300)) == list(
-                parameter.observations(frames)
+                oracles.observations(parameter, frames)
             ), parameter.name
 
     def test_unattributable_frames_advance_the_clock(self):

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.dot11.mac import vendor_mac
-from repro.core.database import PackedDatabase, ReferenceDatabase
+from repro.core.database import ReferenceDatabase
 from repro.core.matcher import batch_match_signatures
 from repro.core.sharding import ShardedReferenceDatabase
 from repro.core.parameters import InterArrivalTime
@@ -37,6 +37,7 @@ from repro.streaming import (
     WindowConfig,
     table_chunks,
 )
+from tests.oracles import pack
 from tests.test_batch_matching import random_database, random_signature
 from tests.test_database import assert_pack_equivalent
 
@@ -80,7 +81,7 @@ class TestStoreRoundTrip:
         save_database(database, tmp_path / "store")
         loaded = load_database(tmp_path / "store").database
         packed = loaded.packed()
-        rebuilt = PackedDatabase.from_signatures(loaded.items())
+        rebuilt = pack(loaded.items())
         assert packed.devices == rebuilt.devices
         assert packed.frame_types == rebuilt.frame_types  # order preserved
         for ftype in rebuilt.frame_types:

@@ -7,7 +7,7 @@ Two properties the ISSUE pins down:
   types, missing observation counts, and ragged bin widths;
 * under any add/replace/remove sequence the incrementally maintained
   :class:`~repro.core.database.PackedDatabase` stays equal to a fresh
-  :meth:`PackedDatabase.from_signatures` rebuild (the stateful
+  :func:`tests.oracles.pack` rebuild (the stateful
   counterpart of the example-based tests in ``tests/test_database.py``).
 """
 
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.dot11.mac import MacAddress, vendor_mac
-from repro.core.database import PackedDatabase, ReferenceDatabase
+from repro.core.database import ReferenceDatabase
 from repro.core.matcher import batch_match_signatures
 from repro.core.signature import Signature
 from repro.persistence import load_database, save_database
@@ -109,7 +109,7 @@ class PackConsistencyMachine(RuleBasedStateMachine):
     Random interleavings of add / replace / remove (including ragged
     transitions and frame-type purges) must leave
     ``ReferenceDatabase.packed()`` equal to a from-scratch
-    ``PackedDatabase.from_signatures`` rebuild.
+    :func:`tests.oracles.pack` rebuild.
     """
 
     POOL = [vendor_mac("00:13:e8", index + 1) for index in range(8)]

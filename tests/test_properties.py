@@ -18,6 +18,7 @@ from repro.dot11.frames import Dot11Frame, FrameSubtype
 from repro.dot11.mac import MacAddress, vendor_mac
 from repro.dot11.phy import ALL_RATES
 from repro.radiotap.pcap import read_trace_pcap, write_trace_pcap
+from repro.traces.table import FrameTable
 
 SENDERS = [vendor_mac("00:13:e8", i) for i in range(1, 4)]
 AP = vendor_mac("00:0f:b5", 1)
@@ -56,8 +57,9 @@ class TestExtractionInvariants:
     def test_observation_conservation(self, frames):
         """Per-frame parameters yield exactly one observation per
         attributable frame (time-derived ones skip the first frame)."""
+        table = FrameTable.from_frames(frames)
         for parameter in ALL_PARAMETERS:
-            observations = list(parameter.observations(frames))
+            observations = parameter.observe_table(table).values
             if parameter.name in ("rate", "size", "txtime"):
                 assert len(observations) == len(frames)
             else:
@@ -67,9 +69,10 @@ class TestExtractionInvariants:
     @settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
     def test_observations_attributed_to_real_senders(self, frames):
         senders = {c.sender for c in frames}
+        table = FrameTable.from_frames(frames)
         for parameter in ALL_PARAMETERS:
-            for observation in parameter.observations(frames):
-                assert observation.sender in senders
+            for code in parameter.observe_table(table).sender_idx.tolist():
+                assert table.senders[code] in senders
 
 
 class TestSignatureInvariants:

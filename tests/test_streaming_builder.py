@@ -1,8 +1,8 @@
 """Streaming/batch equivalence for the online signature builder.
 
 The tentpole invariant (mirroring ``tests/test_batch_matching.py``):
-:class:`StreamingSignatureBuilder` fed columnar chunks with decay off
-must match :meth:`SignatureBuilder.build` bin-for-bin (atol 1e-9) on
+:class:`StreamingSignatureBuilder` fed columnar chunks must match the
+per-frame oracle :func:`tests.oracles.build` bin-for-bin (atol 1e-9) on
 the same frames — same devices, same frame types, same histograms,
 weights and observation counts — for every network parameter.
 """
@@ -19,6 +19,7 @@ from repro.core.parameters import ALL_PARAMETERS, InterArrivalTime
 from repro.core.signature import SignatureBuilder
 from repro.streaming.builder import StreamingSignatureBuilder
 from repro.traces.table import FrameTable
+from tests import oracles
 from tests.conftest import make_data_capture
 
 AP = MacAddress.parse("00:0f:b5:00:00:01")
@@ -90,15 +91,18 @@ class TestBatchEquivalence:
         for round_index in range(5):
             frames = random_frames(rng, count=300 + 50 * round_index)
             for parameter in ALL_PARAMETERS:
-                batch = SignatureBuilder(parameter, min_observations=10).build(frames)
+                batch = oracles.build(
+                    SignatureBuilder(parameter, min_observations=10), frames
+                )
                 online = StreamingSignatureBuilder(parameter, min_observations=10)
                 feed(online, frames, chunk_frames=1 + 40 * round_index)
                 assert_signatures_equal(batch, online.signatures())
 
     def test_simulated_capture_matches_batch(self, small_office_trace):
         for parameter in ALL_PARAMETERS:
-            batch = SignatureBuilder(parameter, min_observations=30).build(
-                small_office_trace.frames
+            batch = oracles.build(
+                SignatureBuilder(parameter, min_observations=30),
+                small_office_trace.frames,
             )
             online = StreamingSignatureBuilder(parameter, min_observations=30)
             feed(online, small_office_trace.frames, chunk_frames=4096)
@@ -110,78 +114,12 @@ class TestBatchEquivalence:
         frames = random_frames(rng, count=120, senders=8)
         parameter = InterArrivalTime()
         for gate in (1, 5, 20, 1000):
-            batch = SignatureBuilder(parameter, min_observations=gate).build(frames)
+            batch = oracles.build(
+                SignatureBuilder(parameter, min_observations=gate), frames
+            )
             online = StreamingSignatureBuilder(parameter, min_observations=gate)
             feed(online, frames)
             assert_signatures_equal(batch, online.signatures())
-
-
-class TestDecay:
-    def test_half_life_halves_the_mass(self):
-        builder = StreamingSignatureBuilder(
-            InterArrivalTime(), min_observations=1, decay_half_life_s=10.0
-        )
-        device = vendor_mac("00:13:e8", 1)
-        stamps = [500.0 * i for i in range(1, 51)]
-        feed(builder, [make_data_capture(t, device, AP) for t in stamps])
-        t = stamps[-1]
-        mass_now = builder.observation_mass(device, now_us=t)
-        mass_later = builder.observation_mass(device, now_us=t + 10.0 * 1e6)
-        assert mass_later == pytest.approx(mass_now / 2.0, rel=1e-9)
-        # Omitting now_us anchors at the device's last update — the
-        # deflated mass, never the raw inflated counters.
-        assert builder.observation_mass(device) == pytest.approx(mass_now, rel=1e-9)
-
-    def test_decay_shifts_weight_to_recent_behaviour(self):
-        """After several half-lives, old behaviour barely registers."""
-        builder = StreamingSignatureBuilder(
-            InterArrivalTime(), min_observations=1, decay_half_life_s=5.0
-        )
-        device = vendor_mac("00:13:e8", 1)
-        # Phase 1: tight 100 µs inter-arrivals.
-        stamps = [100.0 * i for i in range(1, 201)]
-        # Phase 2 (40 half-lives later): 2000 µs inter-arrivals.
-        t = stamps[-1] + 200.0 * 1e6
-        stamps += [t + 2000.0 * i for i in range(201)]
-        feed(builder, [make_data_capture(t, device, AP) for t in stamps])
-        signature = builder.signature(device)
-        assert signature is not None
-        bins = builder.bins
-        histogram = signature.histograms["QoS Data"]
-        old_bin = bins.index(100.0)
-        new_bin = bins.index(2000.0)
-        assert histogram[new_bin] > 0.99
-        assert histogram[old_bin] < 1e-6
-
-    def test_decayed_mass_can_fall_below_the_gate(self):
-        builder = StreamingSignatureBuilder(
-            InterArrivalTime(), min_observations=30, decay_half_life_s=1.0
-        )
-        device = vendor_mac("00:13:e8", 1)
-        stamps = [200.0 * i for i in range(1, 61)]
-        feed(builder, [make_data_capture(t, device, AP) for t in stamps])
-        t = stamps[-1]
-        assert builder.signature(device, now_us=t) is not None
-        assert builder.signature(device, now_us=t + 60.0 * 1e6) is None
-
-    def test_rebase_keeps_numbers_stable_on_long_streams(self):
-        """Inflated weights are rebased, not overflowed."""
-        builder = StreamingSignatureBuilder(
-            InterArrivalTime(), min_observations=1, decay_half_life_s=0.001
-        )
-        device = vendor_mac("00:13:e8", 1)
-        stamps = [300.0 * i for i in range(1, 3001)]
-        feed(builder, [make_data_capture(t, device, AP) for t in stamps])
-        t = stamps[-1]
-        signature = builder.signature(device)
-        assert signature is not None
-        for histogram in signature.histograms.values():
-            assert np.isfinite(histogram).all()
-        assert builder.observation_mass(device, now_us=t) > 0
-
-    def test_invalid_half_life_rejected(self):
-        with pytest.raises(ValueError):
-            StreamingSignatureBuilder(InterArrivalTime(), decay_half_life_s=0.0)
 
 
 class TestResidency:

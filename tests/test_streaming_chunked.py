@@ -5,11 +5,11 @@ Chunked ingest (``StreamEngine.process_chunk``,
 is the only streaming path, so every test here checks it against code
 that exists for its own sake:
 
-* decay-off builder signatures equal :meth:`SignatureBuilder.build` on
-  the same frames, for all five parameters and any chunking down to
-  1-row chunks;
-* builder checkpoint payloads, decay on or off, equal a feed in 1-row
-  chunks (and the payloads pinned in ``tests/golden/``);
+* builder signatures equal the per-frame oracle
+  :func:`tests.oracles.build` on the same frames, for all five
+  parameters and any chunking down to 1-row chunks;
+* builder checkpoint payloads equal a feed in 1-row chunks (and the
+  payloads pinned in ``tests/golden/``);
 * tumbling-window matches equal
   :func:`~repro.core.detection.extract_window_candidates`;
 * sliding windows, idle eviction and checkpoint splices cut mid-chunk
@@ -52,6 +52,7 @@ from repro.streaming import (
 )
 from repro.traces.table import FrameTable
 from repro.traces.trace import Trace
+from tests import oracles
 from tests.conftest import make_data_capture
 from tests.test_streaming_builder import assert_signatures_equal
 
@@ -106,16 +107,14 @@ def chunk_spans(total: int, sizes: list[int]):
     return spans
 
 
-def make_builder(parameter, half_life=None) -> StreamingSignatureBuilder:
-    return StreamingSignatureBuilder(
-        parameter, min_observations=10, decay_half_life_s=half_life
-    )
+def make_builder(parameter) -> StreamingSignatureBuilder:
+    return StreamingSignatureBuilder(parameter, min_observations=10)
 
 
 @functools.cache
-def one_row_builder_state(name: str, half_life: float | None) -> dict:
+def one_row_builder_state(name: str) -> dict:
     """Builder payload after feeding ``FRAMES`` one row at a time."""
-    builder = make_builder(parameter_by_name(name), half_life)
+    builder = make_builder(parameter_by_name(name))
     for row in range(len(TABLE)):
         builder.update_table(TABLE, row, row + 1)
     return builder.export_state()
@@ -123,32 +122,40 @@ def one_row_builder_state(name: str, half_life: float | None) -> dict:
 
 @functools.cache
 def batch_signatures(name: str) -> dict:
-    return SignatureBuilder(parameter_by_name(name), min_observations=10).build(FRAMES)
+    return oracles.build(
+        SignatureBuilder(parameter_by_name(name), min_observations=10), FRAMES
+    )
 
 
 class TestBuilderEquivalence:
     @pytest.mark.parametrize("parameter", ALL_PARAMETERS, ids=lambda p: p.name)
-    @pytest.mark.parametrize("half_life", [None, 3.0], ids=["nodecay", "decay"])
     @given(sizes=st.lists(st.integers(1, 400), min_size=1, max_size=6))
     @settings(deadline=None, max_examples=15)
-    def test_update_table_matches_per_frame(self, parameter, half_life, sizes):
-        """Any chunking leaves the state of a one-row-at-a-time feed;
-        decay off, the signatures are the batch builder's."""
-        chunked = make_builder(parameter, half_life)
+    def test_update_table_matches_per_frame(self, parameter, sizes):
+        """Any chunking leaves the state of a one-row-at-a-time feed,
+        and the signatures are the per-frame oracle's."""
+        chunked = make_builder(parameter)
         for lo, hi in chunk_spans(len(TABLE), sizes):
             chunked.update_table(TABLE, lo, hi)
 
-        reference = one_row_builder_state(parameter.name, half_life)
-        assert chunked.export_state() == reference
-        if half_life is None:
-            batch = batch_signatures(parameter.name)
-            assert_signatures_equal(batch, chunked.signatures())
+        assert chunked.export_state() == one_row_builder_state(parameter.name)
+        assert_signatures_equal(batch_signatures(parameter.name), chunked.signatures())
 
     def test_parameter_without_columnar_path_is_rejected(self):
-        """Streaming has no object-path fallback: a parameter without
-        ``observe_table`` (the joint histograms) fails at construction."""
-        with pytest.raises(TypeError, match="observe_table"):
+        """A joint pair reading the channel clock has no carried_value
+        to observe a chunk's first row with: it fails at construction."""
+        with pytest.raises(TypeError, match="carried_value"):
             StreamingSignatureBuilder(JointParameter("interarrival", "size"))
+
+    def test_joint_pair_without_clock_streams(self):
+        """A per-frame joint pair needs no carried clock and streams."""
+        parameter = JointParameter("size", "rate")
+        chunked = make_builder(parameter)
+        for lo, hi in chunk_spans(len(TABLE), [1, 37, 256]):
+            chunked.update_table(TABLE, lo, hi)
+        batch = oracles.build(SignatureBuilder(parameter, min_observations=10), FRAMES)
+        assert batch
+        assert_signatures_equal(batch, chunked.signatures())
 
     def test_mid_burst_chunk_boundary_carries_channel_clock(self):
         """A chunk cut between two frames of one device's burst must
@@ -157,7 +164,7 @@ class TestBuilderEquivalence:
         frames = [make_data_capture(1000.0 * i, a, AP) for i in range(1, 11)]
         table = FrameTable.from_frames(frames)
         parameter = InterArrivalTime()
-        batch = SignatureBuilder(parameter, min_observations=1).build(frames)
+        batch = oracles.build(SignatureBuilder(parameter, min_observations=1), frames)
         assert batch[a].observation_counts == {"QoS Data": 9}
         for cut in range(1, len(frames)):
             chunked = StreamingSignatureBuilder(parameter, min_observations=1)

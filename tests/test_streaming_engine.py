@@ -1,7 +1,7 @@
 """End-to-end tests for the streaming engine.
 
-The load-bearing invariant: with decay off and tumbling windows, the
-engine consuming a chunked source produces exactly the matches of the
+The load-bearing invariant: with tumbling windows, the engine
+consuming a chunked source produces exactly the matches of the
 batch pipeline (:func:`~repro.core.detection.extract_window_candidates`)
 on the same trace — across in-memory, pcap and live-simulator sources.
 """

@@ -4,11 +4,12 @@ The chunked-versus-per-frame suites compare two ingest paths that share
 one accumulator layout, so a change to that layout moves both sides at
 once.  This test pins the ``export_state()`` payload itself — device
 order, frame-type order within ``counts``/``totals``, every float — for
-the inter-arrival builder fed ``FRAMES`` in mixed chunk sizes, with and
-without decay, against ``tests/golden/streaming_builder_state.json``,
-and for the other four parameters (decay off) against
+the inter-arrival builder fed ``FRAMES`` in mixed chunk sizes against
+the ``nodecay`` entry of ``tests/golden/streaming_builder_state.json``,
+and for the other four parameters against
 ``tests/golden/streaming_builder_params.json``.  The comparison is on
-the serialised text, so key order counts.
+the serialised text, so key order counts; the payload keeps the
+format's ``decay_half_life_s`` key, always null.
 
 Regenerate only after a deliberate change to the checkpoint format:
 
@@ -30,15 +31,14 @@ from tests.test_streaming_chunked import TABLE, chunk_spans
 GOLDEN_PATH = Path(__file__).parent / "golden" / "streaming_builder_state.json"
 PARAMS_GOLDEN_PATH = Path(__file__).parent / "golden" / "streaming_builder_params.json"
 CHUNK_SIZES = [1, 37, 256, 5, 400, 2, 90]
-HALF_LIVES = {"nodecay": None, "decay": 3.0}
-#: The parameters pinned in the second file (decay off).
+#: The entry of the first file: the inter-arrival builder's payload.
+PAYLOAD = "nodecay"
+#: The parameters pinned in the second file.
 OTHER_PARAMETERS = ("rate", "size", "txtime", "access")
 
 
-def make_builder(half_life: float | None) -> StreamingSignatureBuilder:
-    return StreamingSignatureBuilder(
-        InterArrivalTime(), min_observations=10, decay_half_life_s=half_life
-    )
+def make_builder() -> StreamingSignatureBuilder:
+    return StreamingSignatureBuilder(InterArrivalTime(), min_observations=10)
 
 
 def fed(builder: StreamingSignatureBuilder) -> dict:
@@ -48,9 +48,7 @@ def fed(builder: StreamingSignatureBuilder) -> dict:
 
 
 def compute_payloads() -> dict:
-    return {
-        name: fed(make_builder(half_life)) for name, half_life in HALF_LIVES.items()
-    }
+    return {PAYLOAD: fed(make_builder())}
 
 
 def compute_parameter_payloads() -> dict:
@@ -84,23 +82,28 @@ def test_other_parameter_payloads_match_golden_file():
     check_golden(PARAMS_GOLDEN_PATH, compute_parameter_payloads())
 
 
-@pytest.mark.parametrize("name", sorted(HALF_LIVES))
+@pytest.mark.parametrize("name", [PAYLOAD])
 def test_restore_then_export_round_trips_the_golden_payload(name):
     golden = json.loads(GOLDEN_PATH.read_text())[name]
-    builder = make_builder(HALF_LIVES[name])
+    builder = make_builder()
     builder.restore_state(golden)
     assert dump(builder.export_state()) == dump(golden)
 
 
+def test_decay_checkpoint_is_rejected():
+    """A snapshot taken with a decay half-life cannot be resumed."""
+    golden = json.loads(GOLDEN_PATH.read_text())[PAYLOAD]
+    with pytest.raises(ValueError, match="decay_half_life_s"):
+        make_builder().restore_state({**golden, "decay_half_life_s": 3.0})
+
+
 def test_golden_payload_is_discriminative():
-    """Guard against a regenerated-but-degenerate file: both builders
-    hold several devices over several frame types, and decay changes
-    the numbers."""
+    """Guard against a regenerated-but-degenerate file: every builder
+    holds several devices over several frame types."""
     golden = json.loads(GOLDEN_PATH.read_text())
     others = json.loads(PARAMS_GOLDEN_PATH.read_text())
     assert sorted(others) == sorted(OTHER_PARAMETERS)
     for payload in [*golden.values(), *others.values()]:
         assert len(payload["devices"]) >= 5
         assert all(len(entry["counts"]) >= 2 for entry in payload["devices"])
-    assert golden["decay"]["devices"] != golden["nodecay"]["devices"]
     assert others["access"]["stream"]["previous_t"] is not None

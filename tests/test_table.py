@@ -1,16 +1,17 @@
 """The columnar trace backbone: FrameTable, vectorized extraction.
 
-Property-pins the tentpole equivalences of DESIGN.md §6:
+Property-pins the equivalences of DESIGN.md §6 against the per-frame
+oracles of ``tests/oracles.py``:
 
-* ``observe_table`` reproduces ``observations()`` **bit for bit** for
+* ``observe_table`` reproduces the scalar extractors **bit for bit** for
   all five parameters on arbitrary frame sequences — including
   sender-less ACK/CTS frames that advance the channel clock without
   ever yielding an observation;
 * ``FrameTable.from_frames`` / ``to_frames`` round-trip losslessly;
-* ``SignatureBuilder.build_table`` matches ``build`` bin for bin,
-  weight for weight, in the same dict order;
-* the columnar window-candidate fast path matches the per-window
-  object path, similarities included.
+* ``SignatureBuilder.build_table`` matches the bucketed oracle
+  ``build`` bin for bin, weight for weight, in the same dict order;
+* the whole-trace window-candidate path matches per-window oracle
+  assembly, similarities included.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from repro.dot11.mac import vendor_mac
 from repro.dot11.phy import ALL_RATES
 from repro.traces.table import FrameTable, window_bounds
 from repro.traces.trace import Trace
+from tests import oracles
 
 SENDERS = [vendor_mac("00:13:e8", i) for i in range(1, 5)]
 AP = vendor_mac("00:0f:b5", 1)
@@ -81,7 +83,7 @@ class TestObserveTableEquivalence:
     def test_observe_table_matches_observations_bitwise(self, frames):
         table = FrameTable.from_frames(frames)
         for parameter in ALL_PARAMETERS:
-            scalar = list(parameter.observations(frames))
+            scalar = list(oracles.observations(parameter, frames))
             batch = parameter.observe_table(table)
             assert batch is not None
             assert len(scalar) == batch.values.shape[0], parameter.name
@@ -108,7 +110,7 @@ class TestObserveTableEquivalence:
         for parameter in ALL_PARAMETERS:
             builder = SignatureBuilder(parameter, min_observations=1)
             table = FrameTable.from_frames(frames)
-            scalar = builder.build(frames)
+            scalar = oracles.build(builder, frames)
             columnar = builder.build_table(table)
             assert list(scalar) == list(columnar), parameter.name
             for device, expected in scalar.items():
@@ -207,17 +209,17 @@ class TestColumnarDetectionEquivalence:
     ):
         builder = SignatureBuilder(parameter, min_observations=10)
         split = small_office_trace.split(30.0)
-        database = ReferenceDatabase.from_training(builder, split.training.frames)
+        database = oracles.from_training(builder, split.training.frames)
         table_db = ReferenceDatabase.from_training_table(
             builder, split.training.table()
         )
         assert database.devices == table_db.devices
         config = DetectionConfig(window_s=10.0, min_observations=10)
-        reference = extract_window_candidates(
-            split.validation, builder, database, config, columnar=False
+        reference = oracles.window_candidates(
+            split.validation, builder, database, config
         )
         columnar = extract_window_candidates(
-            split.validation, builder, database, config, columnar=True
+            split.validation, builder, table_db, config
         )
         assert [(c.device, c.window_index) for c in reference] == [
             (c.device, c.window_index) for c in columnar
