@@ -62,10 +62,9 @@ class SpoofDetector:
         database: ReferenceDatabase | None = None,
     ) -> None:
         """``database`` seeds the allow-list with an existing reference
-        database — e.g. one loaded from disk
-        (:func:`repro.persistence.load_database`) or a
-        :class:`~repro.core.sharding.ShardedReferenceDatabase`; the
-        default is a fresh empty database filled by :meth:`learn`."""
+        database, e.g. one loaded from disk
+        (:func:`repro.persistence.load_database`); the default is a
+        fresh empty database filled by :meth:`learn`."""
         if not 0.0 <= accept_threshold <= 1.0:
             raise ValueError(f"threshold out of range: {accept_threshold}")
         self.parameter = parameter if parameter is not None else InterArrivalTime()

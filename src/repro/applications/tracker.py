@@ -72,9 +72,9 @@ class DeviceTracker:
         database: ReferenceDatabase | None = None,
     ) -> None:
         """``database`` seeds the tracker with an existing reference
-        database — a loaded store (:func:`repro.persistence.load_database`)
-        or a :class:`~repro.core.sharding.ShardedReferenceDatabase`;
-        the default is a fresh database filled by :meth:`learn`."""
+        database, e.g. a loaded store
+        (:func:`repro.persistence.load_database`); the default is a
+        fresh database filled by :meth:`learn`."""
         self.parameter = parameter if parameter is not None else InterArrivalTime()
         self.link_threshold = link_threshold
         self.builder = SignatureBuilder(

@@ -926,14 +926,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(serve)
     serve.add_argument(
-        "--shards", type=int, default=4,
+        "--shards", type=_positive_int, default=4,
         help="consistent-hash shard engines per sensor pipeline",
     )
     serve.add_argument("--window-s", type=float, default=300.0)
     serve.add_argument("--slide-s", type=float, default=None)
     serve.add_argument("--idle-timeout-s", type=float, default=None)
     serve.add_argument(
-        "--queue-chunks", type=int, default=8,
+        "--queue-chunks", type=_positive_int, default=8,
         help="bounded per-sensor ingest queue (backpressure threshold)",
     )
     serve.add_argument(
@@ -947,11 +947,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="checkpoint/resume sensor sessions under this directory",
     )
     serve.add_argument(
-        "--checkpoint-every-chunks", type=int, default=None,
+        "--checkpoint-every-chunks", type=_positive_int, default=None,
         help="additionally checkpoint a sensor every N consumed chunks",
     )
     serve.add_argument(
-        "--sessions", type=int, default=None,
+        "--sessions", type=_positive_int, default=None,
         help="exit after this many completed sensor sessions "
         "(default: run until SIGINT/SIGTERM)",
     )

@@ -12,7 +12,6 @@ evaluation harness (:mod:`repro.core.pipeline`).
 """
 
 from repro.core.database import MergeReport, PackedDatabase, ReferenceDatabase
-from repro.core.sharding import ConsistentHashRing, ShardedReferenceDatabase
 from repro.core.detection import (
     DetectionConfig,
     IdentificationOutcome,
@@ -55,7 +54,6 @@ __all__ = [
     "ALL_PARAMETERS",
     "BinSpec",
     "CategoricalBins",
-    "ConsistentHashRing",
     "CurvePoint",
     "DetectionConfig",
     "EvaluationResult",
@@ -72,7 +70,6 @@ __all__ = [
     "NetworkParameter",
     "PackedDatabase",
     "ReferenceDatabase",
-    "ShardedReferenceDatabase",
     "Signature",
     "SignatureBuilder",
     "SimilarityCurve",

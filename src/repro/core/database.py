@@ -61,13 +61,11 @@ class MergeReport:
 
 
 def merge_databases(target, source, on_conflict: str = "replace") -> MergeReport:
-    """Fold ``source``'s devices into ``target`` (shared merge body).
+    """Fold ``source``'s devices into ``target``.
 
-    ``target`` needs only membership (``in``) and ``add``; ``source``
-    only ``items()`` — so this one implementation backs both
-    :meth:`ReferenceDatabase.merge` and
-    :meth:`~repro.core.sharding.ShardedReferenceDatabase.merge`.
-    Conflicting devices (present in both) follow ``on_conflict``:
+    The body of :meth:`ReferenceDatabase.merge`, also called directly
+    by the ingest service's harvest merge.  Conflicting devices
+    (present in both) follow ``on_conflict``:
 
     * ``"replace"`` (default) — the source signature wins
       (``report.replaced``);
@@ -458,8 +456,7 @@ class ReferenceDatabase:
         """(device, signature) pairs in insertion order.
 
         Returns a snapshot list, so callers may :meth:`add`/:meth:`remove`
-        while iterating — the mutation-during-iteration hazard the
-        sharded rebalancing path would otherwise hit.
+        while iterating.
         """
         return list(self._signatures.items())
 

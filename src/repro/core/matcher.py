@@ -91,13 +91,9 @@ def batch_match_signatures(
     this is one matrix–matrix product per frame type (accumulated in
     sorted frame-type order, so the float sum does not depend on
     database construction order); other measures score each candidate
-    against the packed frequency matrices.  A
-    :class:`~repro.core.sharding.ShardedReferenceDatabase` is accepted
-    transparently — the call fans out per shard and merges columns.
-    Raises ``ValueError`` for a ragged database.
+    against the packed frequency matrices.  Raises ``ValueError`` for a
+    ragged database.
     """
-    if getattr(database, "is_sharded", False):
-        return database.batch_match(candidates, measure)
     packed = database.packed()
     if packed is None:
         if len(database):

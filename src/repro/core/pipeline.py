@@ -13,8 +13,8 @@ the train/validation split and every detection window are
 vectorized observation batches with ``np.bincount``, and all window
 candidates are matched against the packed reference matrices in a
 single :func:`~repro.core.matcher.batch_match_signatures` call (see
-DESIGN.md "Batch matrix layout").  Parameters without a columnar
-extractor transparently fall back to the object reference path.
+DESIGN.md "Batch matrix layout").  Every parameter has a columnar
+extractor; there is no per-frame path to fall back to.
 """
 
 from __future__ import annotations

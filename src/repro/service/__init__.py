@@ -4,7 +4,7 @@ The production deployment of the paper's pipeline: N capture sensors
 stream columnar chunks over a length-prefixed wire format
 (:mod:`~repro.service.wire`) into one long-running
 :class:`IngestServer`, which partitions each sensor's traffic across
-shard engines with the PR 3 consistent-hash ring
+shard engines with a consistent-hash ring
 (:class:`~repro.service.router.ShardRouter`), harvests every closed
 window's gated signatures, and merges the lot — deterministically —
 into one shared reference database.  :func:`run_inline` is the

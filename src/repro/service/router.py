@@ -2,17 +2,13 @@
 
 :class:`ShardRouter` partitions each incoming
 :class:`~repro.traces.table.FrameTable` chunk across the ``K`` shard
-engines of one sensor pipeline, reusing the PR 3
-:class:`~repro.core.sharding.ConsistentHashRing` so a device lands on
-the **same shard** in the ingest service and in the sharded matching
-tier — the learnt per-shard reference databases line up with the
-query-side shard layout with no re-hashing.
+engines of one sensor pipeline.  The owner of a device is given by
+:class:`ConsistentHashRing`, a pure function of its MAC address.
 
 Routing semantics (DESIGN.md §9):
 
 * attributable rows go to exactly the shard that owns their sender's
-  MAC (a pure function of the address — stable across sensors,
-  processes and restarts);
+  MAC (stable across sensors, processes and restarts);
 * unattributable rows (ACK/CTS, ``sender_idx == -1``) are **broadcast
   to every shard**: they never produce observations, but they advance
   the channel clock of the time-derived parameters, and every shard
@@ -22,25 +18,65 @@ Each shard's rows keep their relative order (boolean-mask selection
 preserves it), so every shard engine sees a valid non-decreasing
 capture stream.  The per-sender shard lookup is vectorized: the
 ring is consulted once per *interned sender* (cached across chunks),
-then applied to the whole ``sender_idx`` column in one take.
+then applied to the attributable rows of ``sender_idx`` in one take.
 """
 
 from __future__ import annotations
 
+import bisect
+import hashlib
+
 import numpy as np
 
-from repro.core.sharding import DEFAULT_VNODES, ConsistentHashRing
 from repro.dot11.mac import MacAddress
 from repro.traces.table import FrameTable
+
+#: Virtual nodes per shard on the consistent-hash ring.  More vnodes
+#: flatten the device distribution across shards at the cost of a
+#: larger (bisected, so cheap) ring.  Part of the sensor checkpoint
+#: fingerprint: changing it remaps devices.
+VNODES = 64
+
+
+def _hash64(data: bytes) -> int:
+    """Stable 64-bit hash (blake2b) — independent of PYTHONHASHSEED."""
+    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
+
+
+class ConsistentHashRing:
+    """Maps MAC addresses onto shard indices via a vnode ring.
+
+    Each shard owns :data:`VNODES` points on a 64-bit ring; a device
+    lands on the first point at or clockwise-after the hash of its
+    address.  The assignment is deterministic across processes
+    (blake2b, not ``hash()``) and *consistent*: re-ringing ``K`` →
+    ``K+1`` shards only moves the devices whose arc the new shard's
+    vnodes capture, ≈``1/(K+1)`` of the population.
+    """
+
+    def __init__(self, shard_count: int) -> None:
+        if shard_count < 1:
+            raise ValueError(f"shard count must be >= 1: {shard_count}")
+        self.shard_count = shard_count
+        points = sorted(
+            (_hash64(f"shard:{shard}:vnode:{vnode}".encode("ascii")), shard)
+            for shard in range(shard_count)
+            for vnode in range(VNODES)
+        )
+        self._hashes = [point for point, _ in points]
+        self._owners = [owner for _, owner in points]
+
+    def shard_of(self, device: MacAddress) -> int:
+        """The shard index owning one MAC address."""
+        position = bisect.bisect_right(self._hashes, _hash64(device.to_bytes()))
+        return self._owners[position % len(self._owners)]
 
 
 class ShardRouter:
     """Partitions columnar chunks across shard engines via the ring."""
 
-    def __init__(
-        self, shard_count: int, vnodes: int = DEFAULT_VNODES
-    ) -> None:
-        self.ring = ConsistentHashRing(shard_count, vnodes)
+    def __init__(self, shard_count: int) -> None:
+        self.ring = ConsistentHashRing(shard_count)
         self.shard_count = shard_count
         self._owner_of: dict[MacAddress, int] = {}
 
@@ -69,9 +105,11 @@ class ShardRouter:
         )
         sender_idx = table.sender_idx
         sentinel = sender_idx == -1
-        # Sentinel rows briefly pose as shard 0, then the mask ORs
-        # them into every shard.
-        row_shard = np.where(sentinel, 0, owners[sender_idx])
+        # Only attributable rows index ``owners``: a chunk of nothing
+        # but ACK/CTS rows interns no sender at all.  Sentinel rows
+        # keep -1, and the mask ORs them into every shard.
+        row_shard = np.full(len(sender_idx), -1, dtype=np.int64)
+        row_shard[~sentinel] = owners[sender_idx[~sentinel]]
         return [
             _select(table, (row_shard == shard) | sentinel)
             for shard in range(self.shard_count)

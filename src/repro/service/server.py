@@ -14,7 +14,7 @@ concurrently**, as a service rather than a one-shot CLI run.
 * a per-sensor worker drains the queue into a
   :class:`SensorPipeline`: the chunk is partitioned across ``K``
   shard engines (:class:`~repro.streaming.engine.StreamEngine`) by the
-  PR 3 consistent-hash ring (:class:`~repro.service.router.ShardRouter`),
+  consistent-hash ring (:class:`~repro.service.router.ShardRouter`),
   and every closed detection window's gated signatures are folded into
   the sensor's per-shard harvest databases (latest window wins);
 * per-sensor **checkpoint/resume** reuses
@@ -27,13 +27,16 @@ concurrently**, as a service rather than a one-shot CLI run.
   into one shared reference database with the existing
   :func:`~repro.core.database.merge_databases` policies, in sorted
   sensor order — deterministic regardless of thread interleaving —
-  and :meth:`IngestServer.publish` persists it as a PR 3 store.
+  and :meth:`IngestServer.publish` persists it as a database store.
 
 Because routing is a pure per-row function and every (sensor, shard)
 engine consumes only that sensor's shard partition, the service's
 merged database is **bin-for-bin identical** to running each sensor's
 traffic through one inline engine per shard sequentially
 (:func:`run_inline`), no matter how the concurrent sessions interleave.
+It is not always identical to one engine per sensor: a shard engine's
+channel clock skips the other shards' frames, so the clock parameters'
+signatures depend on ``shard_count`` (DESIGN.md §9).
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from typing import Callable, Iterable
 
 from repro.core.database import ReferenceDatabase, merge_databases
 from repro.core.parameters import NetworkParameter, parameter_by_name
-from repro.service.router import ShardRouter
+from repro.service.router import VNODES, ShardRouter
 from repro.service.wire import (
     RECORD_CHUNK,
     RECORD_END,
@@ -60,7 +63,6 @@ from repro.service.wire import (
     decode_json,
     iter_records,
 )
-from repro.core.sharding import DEFAULT_VNODES
 from repro.streaming.apps import WindowAnalyzer
 from repro.streaming.engine import StreamEngine
 from repro.streaming.events import EventSink
@@ -100,7 +102,6 @@ class ServiceConfig:
 
     parameter: NetworkParameter
     shard_count: int = 4
-    vnodes: int = DEFAULT_VNODES
     window: WindowConfig = field(default_factory=WindowConfig)
     min_observations: int = 50
     #: Bounded per-sensor ingest queue (chunks) — the backpressure knob.
@@ -138,7 +139,7 @@ class ServiceConfig:
         return {
             "parameter": self.parameter.name,
             "shard_count": self.shard_count,
-            "vnodes": self.vnodes,
+            "vnodes": VNODES,
             "window_s": self.window.window_s,
             "slide_s": self.window.slide_s,
             "idle_timeout_s": self.window.idle_timeout_s,
@@ -237,7 +238,7 @@ class SensorPipeline:
     ) -> None:
         self.sensor = _check_sensor_id(sensor)
         self.config = config
-        self._router = ShardRouter(config.shard_count, config.vnodes)
+        self._router = ShardRouter(config.shard_count)
         self.harvests = tuple(
             ReferenceDatabase() for _ in range(config.shard_count)
         )
@@ -719,7 +720,7 @@ class IngestServer:
         return combined
 
     def publish(self, path: str | Path) -> Path:
-        """Persist the merged database as a versioned store (PR 3)."""
+        """Persist the merged database as a versioned store."""
         from repro.persistence.store import save_database
 
         return save_database(

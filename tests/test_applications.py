@@ -17,6 +17,7 @@ from repro.applications.tracker import DeviceTracker
 from repro.core.parameters import InterArrivalTime
 from repro.dot11.frames import FrameSubtype
 from repro.dot11.mac import MacAddress
+from repro.persistence import load_database, save_database
 from repro.simulator import CbrTraffic, Scenario, StationSpec, WebTraffic
 from repro.traces.trace import Trace
 
@@ -250,6 +251,69 @@ class TestTracker:
             assert link.linked_device == best_device
             assert link.similarity == pytest.approx(best_sim, abs=1e-9)
             assert link.window_index == 3
+
+
+class TestApplicationsAcceptLoadedDatabase:
+    """The detectors' ``database=`` seam: a store round-tripped through
+    disk gives the same verdicts and links as the learner's own
+    database."""
+
+    @staticmethod
+    def round_trip(database, path):
+        save_database(database, path)
+        return load_database(path).database
+
+    def test_spoof_detector_with_loaded_database(self, small_office_trace, tmp_path):
+        frames = small_office_trace.frames
+        half = len(frames) // 2
+        learner = SpoofDetector(min_observations=30)
+        allowed = {
+            sender for sender in small_office_trace.senders() if sender is not None
+        }
+        learner.learn(frames[:half], allowed)
+        guarded = SpoofDetector(
+            min_observations=30,
+            database=self.round_trip(learner.database, tmp_path / "store"),
+        )
+        plain_checks = learner.check_window(frames[half:])
+        loaded_checks = guarded.check_window(frames[half:])
+        assert [(c.device, c.verdict) for c in loaded_checks] == [
+            (c.device, c.verdict) for c in plain_checks
+        ]
+        assert any(c.verdict is SpoofVerdict.GENUINE for c in loaded_checks)
+
+    def test_tracker_with_loaded_database(self, small_office_trace, tmp_path):
+        import random
+
+        frames = small_office_trace.frames
+        half = len(frames) // 2
+        learner = DeviceTracker(min_observations=30)
+        learner.learn(frames[:half])
+        tracker = DeviceTracker(
+            min_observations=30,
+            database=self.round_trip(learner.database, tmp_path / "store"),
+        )
+        rng = random.Random(9)
+        pseudonym_of: dict = {}
+        pseudonymous = []
+        for frame in frames[half:]:
+            sender = frame.sender
+            if sender is None or not frame.frame.subtype.has_transmitter_address:
+                pseudonymous.append(frame)
+                continue
+            if sender not in pseudonym_of:
+                pseudonym_of[sender] = sender.randomized(rng)
+            pseudonymous.append(frame.with_sender(pseudonym_of[sender]))
+        links = tracker.link_signatures(
+            tracker.builder.build(pseudonymous), window_index=0
+        )
+        plain_links = learner.link_signatures(
+            learner.builder.build(pseudonymous), window_index=0
+        )
+        assert links  # the office devices are active enough to link
+        assert [(link.pseudonym, link.linked_device) for link in links] == [
+            (link.pseudonym, link.linked_device) for link in plain_links
+        ]
 
 
 class TestAttackModels:

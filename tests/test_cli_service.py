@@ -59,6 +59,17 @@ class TestServeParser:
         assert sensor.chunk_frames == 8192
         assert sensor.abort_after_chunks is None
 
+    @pytest.mark.parametrize(
+        "option",
+        ["--shards", "--queue-chunks", "--checkpoint-every-chunks", "--sessions"],
+    )
+    def test_serve_rejects_counts_below_one(self, option, capsys):
+        """A usage error before the server is configured or listens."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", option, "0"])
+        assert exit_info.value.code == 2
+        assert option in capsys.readouterr().err
+
     def test_stream_grew_stats_json(self):
         args = build_parser().parse_args(
             ["stream", "x.pcap", "--db", "d.json", "--stats-json", "s.json"]

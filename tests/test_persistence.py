@@ -21,7 +21,6 @@ import pytest
 from repro.dot11.mac import vendor_mac
 from repro.core.database import ReferenceDatabase
 from repro.core.matcher import batch_match_signatures
-from repro.core.sharding import ShardedReferenceDatabase
 from repro.core.parameters import InterArrivalTime
 from repro.core.signature import Signature, SignatureBuilder
 from repro.persistence import (
@@ -135,19 +134,6 @@ class TestStoreRoundTrip:
         save_database(database, tmp_path / "store")
         loaded = load_database(tmp_path / "store").database
         assert_databases_equal(database, loaded)
-
-    def test_sharded_rebuild_from_loaded_store(self, tmp_path):
-        """A loaded store reshards deterministically (pure MAC hash)."""
-        rng = np.random.default_rng(54)
-        database = random_database(rng, devices=30)
-        save_database(database, tmp_path / "store")
-        loaded = load_database(tmp_path / "store").database
-        a = ShardedReferenceDatabase.from_database(database, 4)
-        b = ShardedReferenceDatabase.from_database(loaded, 4)
-        assert a.shard_sizes() == b.shard_sizes()
-        assert [shard.devices for shard in a.shards] == [
-            shard.devices for shard in b.shards
-        ]
 
 
 class TestStoreFormat:

@@ -13,6 +13,9 @@ The load-bearing claims (DESIGN.md §9) pinned here:
   remainder event-for-event identically to an uninterrupted run.
 * **Backpressure**: the per-sensor ingest queue never exceeds its
   configured bound.
+* **Single-engine reference**: the service's database against one
+  engine over the same capture; the clock parameters still depend on
+  the shard count (strict xfails).
 """
 
 from __future__ import annotations
@@ -20,11 +23,17 @@ from __future__ import annotations
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.core.database import ReferenceDatabase
-from repro.core.parameters import InterArrivalTime, TransmissionRate
+from repro.core.parameters import (
+    InterArrivalTime,
+    TransmissionRate,
+    parameter_by_name,
+)
 from repro.persistence.store import load_database
+from repro.scenarios.library import build_scenario
 from repro.service import (
     IngestServer,
     ReferenceHarvester,
@@ -40,6 +49,7 @@ from repro.streaming import (
     StreamingSignatureBuilder,
     WindowConfig,
     replay_chunk_source,
+    table_chunks,
 )
 from repro.traces.table import FrameTable
 
@@ -119,6 +129,18 @@ class TestShardRouter:
                 expected = int((self.table.sender_idx == idx).sum())
                 assert rows == (expected if shard == owner else 0)
 
+    def test_all_ack_chunk_goes_whole_to_every_shard(self):
+        """A chunk of nothing but ACK/CTS rows interns no sender."""
+        acks = FrameTable.from_frames(
+            [frame for frame in synth_frames(count=600, seed=7) if frame.sender is None]
+        )
+        assert len(acks) > 0 and acks.senders == ()
+        parts = ShardRouter(shard_count=4).partition(acks)
+        assert len(parts) == 4
+        for part in parts:
+            assert np.array_equal(part.timestamp_us, acks.timestamp_us)
+            assert np.array_equal(part.sender_idx, acks.sender_idx)
+
     def test_single_shard_is_passthrough(self):
         router = ShardRouter(shard_count=1)
         parts = router.partition(self.table)
@@ -176,6 +198,25 @@ class TestMultiSensorEquivalence:
         assert stats.frames == expected_frames
         assert all(sensor.completed for sensor in stats.sensors)
 
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_one_frame_chunks_equal_one_chunk(self, small_office_trace, shards):
+        """In 1-frame chunks every ACK is a chunk with no sender."""
+        config = make_config(
+            shard_count=shards,
+            window=WindowConfig(window_s=10.0),
+            min_observations=20,
+        )
+        whole = run_inline({"sensor-0": [small_office_trace.table()]}, config)
+        split = run_inline(
+            {"sensor-0": table_chunks(small_office_trace.frames, 1)}, config
+        )
+        assert len(whole.database) > 0
+        assert_databases_equal(split.database, whole.database)
+        fields = ("windows_closed", "candidates", "events", "peak_resident_devices")
+        assert [[getattr(s, f) for f in fields] for s in split.stats()] == [
+            [getattr(s, f) for f in fields] for s in whole.stats()
+        ]
+
     def test_single_shard_service_matches_plain_engine(self):
         captures = sensor_captures(1, frames=600)
         (sensor, chunks), = captures.items()
@@ -212,6 +253,65 @@ class TestMultiSensorEquivalence:
         loaded = load_database(store)
         assert loaded.parameter == config.parameter.name
         assert_databases_equal(loaded.database, merged)
+
+
+#: Each shard engine keeps its own channel clock, which skips the
+#: other shards' frames, so the clock parameters' signatures depend on
+#: ``shard_count``.
+SHARD_CLOCK_SKEW = pytest.mark.xfail(
+    strict=True,
+    reason="shard engines keep separate channel clocks "
+    "(ROADMAP: one engine per sensor)",
+)
+
+
+def single_engine_cases():
+    for name in ("rate", "size", "txtime", "interarrival", "access"):
+        for shards in (1, 2, 4):
+            skewed = name in ("interarrival", "access") and shards > 1
+            yield pytest.param(
+                name,
+                shards,
+                marks=SHARD_CLOCK_SKEW if skewed else (),
+                id=f"{name}-K{shards}",
+            )
+
+
+@pytest.fixture(scope="module")
+def lecture_hall_table() -> FrameTable:
+    """A dense capture on which shard clocks visibly diverge."""
+    trace = build_scenario("lecture-hall", duration_s=40.0, scale=0.5).simulate()
+    return trace.table()
+
+
+class TestSingleEngineEquivalence:
+    """The service's database against the unpartitioned reference: one
+    :class:`StreamEngine` harvesting the same capture."""
+
+    @pytest.mark.parametrize("name, shards", list(single_engine_cases()))
+    def test_service_equals_one_engine(self, lecture_hall_table, name, shards):
+        config = make_config(
+            parameter=parameter_by_name(name),
+            shard_count=shards,
+            window=WindowConfig(window_s=10.0),
+            min_observations=20,
+        )
+        service = run_inline({"sensor-0": [lecture_hall_table]}, config).database
+        reference = ReferenceDatabase()
+        engine = StreamEngine(
+            config.builder_factory,
+            window=config.window,
+            analyzers=[ReferenceHarvester(reference)],
+        )
+        engine.run_chunked(iter([lecture_hall_table]))
+
+        assert len(reference) > 0
+        assert set(service.devices) == set(reference.devices)
+        # Shards merge in shard order; compare in the engine's order.
+        reordered = ReferenceDatabase()
+        for device in reference.devices:
+            reordered.add(device, service.get(device))
+        assert_databases_equal(reordered, reference)
 
 
 class TestKillAndResume:
