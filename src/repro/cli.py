@@ -152,17 +152,15 @@ def _cmd_match(args: argparse.Namespace) -> int:
     )
     rows = []
     for candidate in candidates:
-        similarities = candidate.similarities
-        if not similarities:
+        best, score = candidate.best
+        if best is None:
             continue
-        # The first maximum, as evaluate_identification picks it.
-        best = max(similarities, key=similarities.__getitem__)
         rows.append(
             (
                 candidate.window_index,
                 str(candidate.device),
                 str(best),
-                f"{similarities[best]:.3f}",
+                f"{score:.3f}",
                 "MATCH" if best == candidate.device else "MISMATCH",
             )
         )
@@ -772,6 +770,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
@@ -783,7 +788,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--parameter", default="interarrival",
                        help="network parameter (rate, size, access, txtime, interarrival)")
-        p.add_argument("--min-observations", type=int, default=50)
+        p.add_argument("--min-observations", type=_positive_int, default=50)
 
     learn = sub.add_parser("learn", help="build a reference database from a pcap")
     learn.add_argument("pcap")
@@ -794,8 +799,8 @@ def build_parser() -> argparse.ArgumentParser:
     match = sub.add_parser("match", help="match a capture against a database")
     match.add_argument("pcap")
     match.add_argument("--db", required=True)
-    match.add_argument("--window-s", type=float, default=300.0)
-    match.add_argument("--min-observations", type=int, default=50)
+    match.add_argument("--window-s", type=_positive_float, default=300.0)
+    match.add_argument("--min-observations", type=_positive_int, default=50)
     match.set_defaults(func=_cmd_match)
 
     evaluate = sub.add_parser(
@@ -809,8 +814,8 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument(
         "--training-s", type=float, help="training prefix (pcap mode)"
     )
-    evaluate.add_argument("--window-s", type=float, default=300.0)
-    evaluate.add_argument("--min-observations", type=int, default=50)
+    evaluate.add_argument("--window-s", type=_positive_float, default=300.0)
+    evaluate.add_argument("--min-observations", type=_positive_int, default=50)
     evaluate.add_argument(
         "--scenario",
         action="append",
@@ -838,7 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     evaluate.add_argument(
         "--scale",
-        type=float,
+        type=_positive_float,
         default=1.0,
         help="station-count scale factor for matrix scenarios",
     )
@@ -859,17 +864,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument("pcap")
     stream.add_argument("--db", required=True, help="reference database JSON")
-    stream.add_argument("--window-s", type=float, default=300.0)
+    stream.add_argument("--window-s", type=_positive_float, default=300.0)
     stream.add_argument(
         "--slide-s",
-        type=float,
+        type=_positive_float,
         default=None,
         help="sliding-window step (default: tumbling windows)",
     )
-    stream.add_argument("--min-observations", type=int, default=50)
+    stream.add_argument("--min-observations", type=_positive_int, default=50)
     stream.add_argument(
         "--idle-timeout-s",
-        type=float,
+        type=_positive_float,
         default=None,
         help="evict devices idle this long inside a window (memory bound)",
     )
@@ -893,7 +898,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument(
         "--checkpoint-every-s",
-        type=float,
+        type=_positive_float,
         default=None,
         help="additionally checkpoint every N capture-seconds",
     )
@@ -929,9 +934,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards", type=_positive_int, default=4,
         help="consistent-hash shard engines per sensor pipeline",
     )
-    serve.add_argument("--window-s", type=float, default=300.0)
-    serve.add_argument("--slide-s", type=float, default=None)
-    serve.add_argument("--idle-timeout-s", type=float, default=None)
+    serve.add_argument("--window-s", type=_positive_float, default=300.0)
+    serve.add_argument("--slide-s", type=_positive_float, default=None)
+    serve.add_argument("--idle-timeout-s", type=_positive_float, default=None)
     serve.add_argument(
         "--queue-chunks", type=_positive_int, default=8,
         help="bounded per-sensor ingest queue (backpressure threshold)",
@@ -1032,7 +1037,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["office1", "office2", "conference1", "conference2"],
     )
     simulate.add_argument("--out", required=True)
-    simulate.add_argument("--scale", type=float, default=1.0)
+    simulate.add_argument("--scale", type=_positive_float, default=1.0)
     simulate.set_defaults(func=_cmd_simulate)
 
     histogram = sub.add_parser("histogram", help="render one device's histograms")
@@ -1048,6 +1053,9 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point (``repro-80211`` / ``python -m repro.cli``)."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    slide_s = getattr(args, "slide_s", None)
+    if slide_s is not None and slide_s > args.window_s:
+        parser.error(f"argument --slide-s: must be <= --window-s, got {slide_s}")
     return args.func(args)
 
 

@@ -5,7 +5,9 @@ detection windows (5 minutes in the paper); each window yields one
 candidate signature per device active enough to clear the minimum
 observation count; every candidate is matched against the reference
 database (Algorithm 1) and the two tests are scored across a threshold
-sweep.
+sweep.  Each :class:`WindowCandidate` keeps its row of the score
+matrix, and both tests count on the stacked rows with one ``np.sort``
+and one ``np.searchsorted`` over all thresholds (DESIGN.md §8).
 """
 
 from __future__ import annotations
@@ -52,13 +54,33 @@ class WindowCandidate:
     device: MacAddress
     window_index: int
     signature: Signature
-    similarities: dict[MacAddress, float] = field(default_factory=dict)
+    #: This candidate's row of the score matrix (empty until matched).
+    scores: np.ndarray = field(default_factory=lambda: np.empty(0))
+    #: The reference devices, in ``scores`` column order.
+    references: tuple[MacAddress, ...] = ()
+
+    @property
+    def similarities(self) -> dict[MacAddress, float]:
+        """Reference device → similarity (built on each read)."""
+        return dict(zip(self.references, self.scores.tolist()))
+
+    @property
+    def best(self) -> tuple[MacAddress | None, float]:
+        """Argmax reference and its similarity ((None, 0.0) if empty).
+
+        Ties break towards the earliest-registered reference (the
+        first maximum), as :func:`~repro.core.matcher.best_match` does.
+        """
+        if not self.references:
+            return None, 0.0
+        column = int(self.scores.argmax())
+        return self.references[column], float(self.scores[column])
 
 
 def _columnar_window_candidates(
     validation: Trace, builder: SignatureBuilder, config: DetectionConfig
 ) -> list[WindowCandidate]:
-    """All window candidates of a validation trace (DESIGN.md §6).
+    """All window candidates of a validation trace, unmatched (DESIGN.md §6).
 
     Observations for the *whole* validation trace are extracted and
     binned once; each detection window is then an ``np.searchsorted``
@@ -108,16 +130,37 @@ def extract_window_candidates(
     signatures are then matched with ``config.measure`` in a single
     :func:`~repro.core.matcher.batch_match_signatures` call — for the
     cosine measure that is one matrix–matrix product per frame type
-    over every (window, device) candidate at once.
+    over every (window, device) candidate at once — and each candidate
+    keeps its row of the result.
     """
     candidates = _columnar_window_candidates(validation, builder, config)
     scores = batch_match_signatures(
         [candidate.signature for candidate in candidates], database, config.measure
     )
-    devices = database.devices
+    references = tuple(database.devices)
     for candidate, row in zip(candidates, scores):
-        candidate.similarities = dict(zip(devices, row.tolist()))
+        candidate.scores = row
+        candidate.references = references
     return candidates
+
+
+def _score_matrix(
+    candidates: list[WindowCandidate], database: ReferenceDatabase
+) -> tuple[np.ndarray, np.ndarray]:
+    """The candidates' stacked score rows and true columns (−1: unknown)."""
+    references = tuple(database.devices)
+    if any(candidate.references != references for candidate in candidates):
+        raise ValueError("candidates were not matched against this database")
+    columns = {device: column for column, device in enumerate(references)}
+    truth = np.array([columns.get(c.device, -1) for c in candidates], dtype=np.intp)
+    rows = [candidate.scores for candidate in candidates]
+    return np.stack(rows) if rows else np.empty((0, len(references))), truth
+
+
+def _at_or_above(scores: np.ndarray, thresholds: tuple[float, ...]) -> list[int]:
+    """How many of ``scores`` are ≥ each threshold."""
+    ordered = np.sort(scores, axis=None)
+    return (ordered.size - np.searchsorted(ordered, thresholds, side="left")).tolist()
 
 
 @dataclass
@@ -144,36 +187,24 @@ def evaluate_similarity(
     TPR: fraction of known candidates whose returned set (similarity ≥
     T) contains the true device.  FPR: wrong references returned,
     normalised by the N−1 wrong references available per candidate.
+    On the known candidates' rows, the true positives are the
+    true-device scores ≥ T and the false positives all other scores ≥ T.
     """
-    reference_count = len(database)
-    known = [c for c in candidates if c.device in database]
+    scores, truth = _score_matrix(candidates, database)
+    known = truth >= 0
+    known_count = int(known.sum())
     points: list[CurvePoint] = []
-    for threshold in config.thresholds:
-        true_positives = 0
-        false_positives = 0
-        false_capacity = 0
-        for candidate in known:
-            returned = {
-                device
-                for device, sim in candidate.similarities.items()
-                if sim >= threshold
-            }
-            if candidate.device in returned:
-                true_positives += 1
-            false_positives += len(returned - {candidate.device})
-            false_capacity += max(reference_count - 1, 1)
-        if not known:
-            continue
-        points.append(
-            CurvePoint(
-                threshold=threshold,
-                tpr=true_positives / len(known),
-                fpr=false_positives / false_capacity,
-            )
-        )
+    if known_count:
+        hits = _at_or_above(scores[known, truth[known]], config.thresholds)
+        returned = _at_or_above(scores[known], config.thresholds)
+        capacity = known_count * max(len(database) - 1, 1)
+        points = [
+            CurvePoint(threshold=t, tpr=tp / known_count, fpr=(n - tp) / capacity)
+            for t, tp, n in zip(config.thresholds, hits, returned)
+        ]
     return SimilarityOutcome(
         curve=SimilarityCurve(points=points),
-        known_candidates=len(known),
+        known_candidates=known_count,
         total_candidates=len(candidates),
     )
 
@@ -198,41 +229,30 @@ def evaluate_identification(
 ) -> IdentificationOutcome:
     """Score the identification test across acceptance thresholds.
 
-    A candidate is *identified* as the argmax reference if that best
-    similarity clears the acceptance threshold.  The identification
-    ratio counts known candidates identified correctly; the FPR counts
-    candidates (known or not) identified as a wrong device.
+    A candidate is *identified* as the argmax reference (the first
+    maximum of its row) if that best similarity clears the acceptance
+    threshold.  The identification ratio counts known candidates
+    identified correctly; the FPR counts candidates (known or not)
+    identified as a wrong device.
     """
-    known_total = sum(1 for c in candidates if c.device in database)
+    scores, truth = _score_matrix(candidates, database)
+    known_total = int((truth >= 0).sum())
     points: list[IdentificationPoint] = []
-    prepared: list[tuple[WindowCandidate, MacAddress | None, float]] = []
-    for candidate in candidates:
-        best_device: MacAddress | None = None
-        best_sim = float("-inf")
-        for device, sim in candidate.similarities.items():
-            if sim > best_sim:
-                best_device, best_sim = device, sim
-        prepared.append((candidate, best_device, best_sim))
-
-    for threshold in config.thresholds:
-        correct = 0
-        wrong = 0
-        for candidate, best_device, best_sim in prepared:
-            if best_device is None or best_sim < threshold:
-                continue  # rejected: no identification claimed
-            if best_device == candidate.device:
-                correct += 1
-            else:
-                wrong += 1
-        if not candidates:
-            continue
-        points.append(
+    if candidates:
+        # Each row's first maximum (no picks at all without references).
+        picks = scores.argmax(axis=1) if scores.size else np.empty(0, dtype=np.intp)
+        best = scores[np.arange(picks.size), picks]
+        right = picks == truth[: picks.size]
+        correct = _at_or_above(best[right], config.thresholds)
+        wrong = _at_or_above(best[~right], config.thresholds)
+        points = [
             IdentificationPoint(
                 threshold=threshold,
-                identification_ratio=correct / known_total if known_total else 0.0,
-                fpr=wrong / len(candidates),
+                identification_ratio=hits / known_total if known_total else 0.0,
+                fpr=misses / len(candidates),
             )
-        )
+            for threshold, hits, misses in zip(config.thresholds, correct, wrong)
+        ]
     return IdentificationOutcome(
         curve=IdentificationCurve(points=points),
         known_candidates=known_total,

@@ -10,58 +10,29 @@ matching stays cheap — the deployment loop the paper's applications
 imply (learn newly authorised devices, retire old ones, keep
 fingerprinting).
 
-The window's score matrix is the result: each
-:class:`StreamCandidate` holds its row of it and the window's
-reference-device tuple (the column order).  The identification test
-needs only the argmax of Algorithm 1's similarity vector, so
-:attr:`StreamCandidate.best` reads it straight off the row; the
-per-reference dict (:attr:`StreamCandidate.similarities`) is built
-only when asked for.
+The window's score matrix is the result, carried by the batch path's
+candidate class: :class:`StreamCandidate` *is*
+:class:`~repro.core.detection.WindowCandidate`, which holds its row of
+the matrix and the window's reference-device tuple (the column order).
+The identification test needs only the argmax of Algorithm 1's
+similarity vector, so :attr:`StreamCandidate.best` reads it straight
+off the row; the per-reference dict
+(:attr:`StreamCandidate.similarities`) is built only when asked for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from repro.dot11.mac import MacAddress
 from repro.core.database import ReferenceDatabase
+from repro.core.detection import WindowCandidate
 from repro.core.matcher import batch_match_signatures
 from repro.core.signature import Signature
 from repro.core.similarity import SimilarityMeasure, cosine_similarity
 from repro.streaming.windows import ClosedWindow
 
 
-@dataclass(slots=True)
-class StreamCandidate:
-    """One matched window candidate (streaming analogue of
-    :class:`~repro.core.detection.WindowCandidate`)."""
-
-    device: MacAddress
-    window_index: int
-    signature: Signature
-    #: This candidate's row of the window's score matrix.
-    scores: np.ndarray
-    #: The reference devices, in ``scores`` column order.
-    references: tuple[MacAddress, ...]
-
-    @property
-    def similarities(self) -> dict[MacAddress, float]:
-        """Reference device → similarity (built on each read)."""
-        return dict(zip(self.references, self.scores.tolist()))
-
-    @property
-    def best(self) -> tuple[MacAddress | None, float]:
-        """Argmax reference and its similarity ((None, 0.0) if empty).
-
-        Ties break towards the earliest-registered reference (the
-        first maximum), as :func:`~repro.core.matcher.best_match` does.
-        """
-        if not self.references:
-            return None, 0.0
-        column = int(self.scores.argmax())
-        return self.references[column], float(self.scores[column])
+#: A matched window candidate of the live path: the batch path's class.
+StreamCandidate = WindowCandidate
 
 
 class OnlineMatcher:

@@ -16,6 +16,11 @@ the runtime against an independent implementation:
 * :func:`window_candidates` — detection windows cut from the frame
   list and assembled with :func:`build`, then matched like
   ``extract_window_candidates``;
+* :func:`similarity_test` and :func:`identification_test` — Section
+  IV-B's two tests as loops over thresholds, candidates and each
+  candidate's per-reference similarity dict (the runtime counts on the
+  stacked score matrix, ``evaluate_similarity`` and
+  ``evaluate_identification``);
 * :func:`scalar_match` — the per-pair Algorithm 1 loop, with the 1-D
   forms of the non-cosine measures (:data:`SCALAR_MEASURES`);
 * :func:`pack` — the from-scratch rebuild of a database's packed view.
@@ -30,10 +35,21 @@ import numpy as np
 
 from repro.core import similarity
 from repro.core.database import PackedDatabase, ReferenceDatabase
-from repro.core.detection import DetectionConfig, WindowCandidate
+from repro.core.detection import (
+    DetectionConfig,
+    IdentificationOutcome,
+    SimilarityOutcome,
+    WindowCandidate,
+)
 from repro.core.histogram import Histogram
 from repro.core.joint import JointParameter
 from repro.core.matcher import batch_match_signatures
+from repro.core.metrics import (
+    CurvePoint,
+    IdentificationCurve,
+    IdentificationPoint,
+    SimilarityCurve,
+)
 from repro.core.parameters import NetworkParameter
 from repro.core.signature import Signature, SignatureBuilder
 from repro.core.similarity import _EPS, _validate, SimilarityMeasure, normalize_rows
@@ -228,10 +244,105 @@ def window_candidates(
     scores = batch_match_signatures(
         [candidate.signature for candidate in candidates], database, config.measure
     )
-    devices = database.devices
+    references = tuple(database.devices)
     for candidate, row in zip(candidates, scores):
-        candidate.similarities = dict(zip(devices, row.tolist()))
+        candidate.scores = row
+        candidate.references = references
     return candidates
+
+
+# -- detection tests -------------------------------------------------------
+def similarity_test(
+    candidates: list[WindowCandidate],
+    database: ReferenceDatabase,
+    config: DetectionConfig,
+) -> SimilarityOutcome:
+    """Score the similarity test across the threshold sweep.
+
+    TPR: fraction of known candidates whose returned set (similarity ≥
+    T) contains the true device.  FPR: wrong references returned,
+    normalised by the N−1 wrong references available per candidate.
+    """
+    reference_count = len(database)
+    known = [c for c in candidates if c.device in database]
+    points: list[CurvePoint] = []
+    for threshold in config.thresholds:
+        true_positives = 0
+        false_positives = 0
+        false_capacity = 0
+        for candidate in known:
+            returned = {
+                device
+                for device, sim in candidate.similarities.items()
+                if sim >= threshold
+            }
+            if candidate.device in returned:
+                true_positives += 1
+            false_positives += len(returned - {candidate.device})
+            false_capacity += max(reference_count - 1, 1)
+        if not known:
+            continue
+        points.append(
+            CurvePoint(
+                threshold=threshold,
+                tpr=true_positives / len(known),
+                fpr=false_positives / false_capacity,
+            )
+        )
+    return SimilarityOutcome(
+        curve=SimilarityCurve(points=points),
+        known_candidates=len(known),
+        total_candidates=len(candidates),
+    )
+
+
+def identification_test(
+    candidates: list[WindowCandidate],
+    database: ReferenceDatabase,
+    config: DetectionConfig,
+) -> IdentificationOutcome:
+    """Score the identification test across acceptance thresholds.
+
+    A candidate is *identified* as the argmax reference if that best
+    similarity clears the acceptance threshold.  The identification
+    ratio counts known candidates identified correctly; the FPR counts
+    candidates (known or not) identified as a wrong device.
+    """
+    known_total = sum(1 for c in candidates if c.device in database)
+    points: list[IdentificationPoint] = []
+    prepared: list[tuple[WindowCandidate, MacAddress | None, float]] = []
+    for candidate in candidates:
+        best_device: MacAddress | None = None
+        best_sim = float("-inf")
+        for device, sim in candidate.similarities.items():
+            if sim > best_sim:
+                best_device, best_sim = device, sim
+        prepared.append((candidate, best_device, best_sim))
+
+    for threshold in config.thresholds:
+        correct = 0
+        wrong = 0
+        for candidate, best_device, best_sim in prepared:
+            if best_device is None or best_sim < threshold:
+                continue  # rejected: no identification claimed
+            if best_device == candidate.device:
+                correct += 1
+            else:
+                wrong += 1
+        if not candidates:
+            continue
+        points.append(
+            IdentificationPoint(
+                threshold=threshold,
+                identification_ratio=correct / known_total if known_total else 0.0,
+                fpr=wrong / len(candidates),
+            )
+        )
+    return IdentificationOutcome(
+        curve=IdentificationCurve(points=points),
+        known_candidates=known_total,
+        total_candidates=len(candidates),
+    )
 
 
 # -- matching --------------------------------------------------------------

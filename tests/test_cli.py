@@ -80,6 +80,36 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "--chunk-frames" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "match {pcap} --db {db} --window-s 0",
+            "match {pcap} --db {db} --window-s -5",
+            "evaluate {pcap} --training-s 9 --window-s 0",
+            "stream {pcap} --db {db} --window-s -5",
+            "stream {pcap} --db {db} --idle-timeout-s 0",
+            "stream {pcap} --db {db} --slide-s 0",
+            "stream {pcap} --db {db} --window-s 10 --slide-s 20",
+            "stream {pcap} --db {db} --checkpoint-every-s 0",
+            "stream {pcap} --db {db} --checkpoint-every-s -1",
+            "learn {pcap} --db {db} --min-observations 0",
+            "match {pcap} --db {db} --min-observations 0",
+            "stream {pcap} --db {db} --min-observations 0",
+            "histogram {pcap} --device 00:11:22:33:44:55 --min-observations 0",
+            "db save {pcap} {db} --min-observations 0",
+            "simulate office1 --out {pcap} --scale 0",
+            "evaluate --scenario office-baseline --scale 0",
+        ],
+    )
+    def test_out_of_range_number_is_a_usage_error(self, tmp_path, capsys, command):
+        """Exit 2 naming the last option given, before any file is opened."""
+        paths = {"pcap": tmp_path / "missing.pcap", "db": tmp_path / "missing.json"}
+        argv = [arg.format(**paths) for arg in command.split()]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert argv[-2] in capsys.readouterr().err
+
 
 class TestDatabasePersistence:
     def test_round_trip(self, tmp_path, small_office_trace):

@@ -70,6 +70,29 @@ class TestServeParser:
         assert exit_info.value.code == 2
         assert option in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--window-s", "0"),
+            ("--window-s", "-5"),
+            ("--slide-s", "0"),
+            ("--idle-timeout-s", "0"),
+            ("--min-observations", "0"),
+        ],
+    )
+    def test_serve_rejects_out_of_range_numbers(self, option, value, capsys):
+        """Rejected while parsing, so the server never starts listening."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["serve", option, value])
+        assert exit_info.value.code == 2
+        assert option in capsys.readouterr().err
+
+    def test_serve_rejects_slide_longer_than_window(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--window-s", "10", "--slide-s", "20"])
+        assert exit_info.value.code == 2
+        assert "--slide-s" in capsys.readouterr().err
+
     def test_stream_grew_stats_json(self):
         args = build_parser().parse_args(
             ["stream", "x.pcap", "--db", "d.json", "--stats-json", "s.json"]

@@ -1,20 +1,32 @@
-"""Unit tests for the detection phase (similarity & identification)."""
+"""Unit tests for the detection phase (similarity & identification).
+
+Both tests count on the stacked score matrix; every curve they produce
+must equal, point for point (``==``), the per-threshold loops of
+``tests/oracles.py`` — on simulated presets and on hand-made score rows
+built to hit the edge cases (empty database, unknown candidates, ties,
+scores equal to a threshold, unsorted thresholds).
+"""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.database import ReferenceDatabase
 from repro.core.detection import (
     DetectionConfig,
+    WindowCandidate,
     evaluate_identification,
     evaluate_similarity,
     extract_window_candidates,
 )
-from repro.core.parameters import FrameSize
-from repro.core.signature import SignatureBuilder
+from repro.core.parameters import ALL_PARAMETERS, FrameSize
+from repro.core.signature import Signature, SignatureBuilder
+from repro.core.similarity import similarity_measure_by_name
 from repro.dot11.mac import MacAddress
+from repro.evaluation import SimulationCache
 from repro.traces.trace import Trace
+from tests import oracles
 from tests.conftest import make_data_capture
 
 A = MacAddress.parse("00:13:e8:00:00:0a")
@@ -119,3 +131,166 @@ class TestIdentificationTest:
         outcome = evaluate_identification(candidates, database, config)
         fprs = [p.fpr for p in outcome.curve.points]
         assert fprs == sorted(fprs, reverse=True)  # higher T, lower FPR
+
+
+def assert_tests_equal_oracles(candidates, database, config):
+    """Run both tests and their oracles; every curve point must be ``==``."""
+    similarity = evaluate_similarity(candidates, database, config)
+    expected = oracles.similarity_test(candidates, database, config)
+    assert similarity.curve.points == expected.curve.points
+    assert similarity.known_candidates == expected.known_candidates
+    assert similarity.total_candidates == expected.total_candidates
+    identification = evaluate_identification(candidates, database, config)
+    expected = oracles.identification_test(candidates, database, config)
+    assert identification.curve.points == expected.curve.points
+    assert identification.known_candidates == expected.known_candidates
+    assert identification.total_candidates == expected.total_candidates
+    return similarity, identification
+
+
+@pytest.fixture(scope="module")
+def preset_cache() -> SimulationCache:
+    """One half-scale simulation per preset across this module."""
+    return SimulationCache()
+
+
+class TestOracleEquivalence:
+    @pytest.mark.parametrize("measure", ["cosine", "intersection"])
+    @pytest.mark.parametrize("parameter", ALL_PARAMETERS, ids=lambda p: p.name)
+    @pytest.mark.parametrize("scenario", ["lecture-hall", "mobile-commuters"])
+    def test_curves_equal_oracles(self, preset_cache, scenario, parameter, measure):
+        built = preset_cache.built_scenario(scenario, scale=0.5)
+        meta = built.metadata
+        config = DetectionConfig(
+            window_s=meta.window_s,
+            min_observations=meta.min_observations,
+            measure=similarity_measure_by_name(measure),
+        )
+        builder = SignatureBuilder(parameter, min_observations=config.min_observations)
+        split = built.simulate().split(meta.training_s)
+        database = ReferenceDatabase.from_training_table(builder, split.training.table())
+        candidates = extract_window_candidates(split.validation, builder, database, config)
+        similarity, identification = assert_tests_equal_oracles(
+            candidates, database, config
+        )
+        assert similarity.known_candidates > 0
+        assert len(identification.curve.points) == len(config.thresholds)
+
+
+#: A signature for hand-made candidates; the tests read only score rows.
+SIGNATURE = Signature(
+    histograms={"Data": np.array([1.0, 0.0])},
+    weights={"Data": 1.0},
+    observation_counts={"Data": 50},
+)
+
+
+def reference_database(*devices: MacAddress) -> ReferenceDatabase:
+    database = ReferenceDatabase()
+    for device in devices:
+        database.add(device, SIGNATURE)
+    return database
+
+
+def scored(database: ReferenceDatabase, *rows) -> list[WindowCandidate]:
+    """Matched candidates from (device, score row) pairs."""
+    references = tuple(database.devices)
+    return [
+        WindowCandidate(
+            device=device,
+            window_index=index,
+            signature=SIGNATURE,
+            scores=np.array(row, dtype=np.float64),
+            references=references,
+        )
+        for index, (device, row) in enumerate(rows)
+    ]
+
+
+class TestEdgeCasesEqualOracles:
+    def test_empty_reference_database(self):
+        config = DetectionConfig(window_s=20.0, min_observations=20)
+        builder = SignatureBuilder(FrameSize(), min_observations=20)
+        validation = _distinct_trace().split(training_s=30.0).validation
+        empty = ReferenceDatabase()
+        candidates = extract_window_candidates(validation, builder, empty, config)
+        assert candidates and all(c.scores.shape == (0,) for c in candidates)
+        similarity, identification = assert_tests_equal_oracles(
+            candidates, empty, config
+        )
+        assert similarity.curve.points == []
+        assert {p.fpr for p in identification.curve.points} == {0.0}
+
+    def test_no_candidates(self, separable_setup):
+        database, _candidates, config = separable_setup
+        similarity, identification = assert_tests_equal_oracles([], database, config)
+        assert similarity.curve.points == identification.curve.points == []
+
+    def test_every_candidate_unknown(self):
+        database = reference_database(A, B)
+        candidates = scored(database, (C, [0.8, 0.3]), (AP, [0.1, 0.6]))
+        similarity, identification = assert_tests_equal_oracles(
+            candidates, database, DetectionConfig()
+        )
+        assert similarity.known_candidates == identification.known_candidates == 0
+        assert similarity.curve.points == []
+        assert identification.curve.points[0].fpr == 1.0
+
+    def test_unknown_beside_known(self):
+        database = reference_database(A, B, C)
+        candidates = scored(
+            database,
+            (A, [0.9, 0.2, 0.4]),
+            (AP, [0.7, 0.1, 0.0]),
+            (B, [0.6, 0.5, 0.1]),
+        )
+        assert_tests_equal_oracles(candidates, database, DetectionConfig())
+
+    @pytest.mark.parametrize("claimed", [A, B])
+    def test_tie_goes_to_earliest_registered_reference(self, claimed):
+        database = reference_database(C, A, B)
+        candidates = scored(database, (claimed, [0.5, 0.9, 0.9]))
+        config = DetectionConfig(thresholds=(0.9,))
+        _similarity, identification = assert_tests_equal_oracles(
+            candidates, database, config
+        )
+        (point,) = identification.curve.points
+        # A registered before B, so the tie picks A.
+        assert (point.identification_ratio, point.fpr) == (
+            (1.0, 0.0) if claimed == A else (0.0, 1.0)
+        )
+
+    def test_score_equal_to_threshold_counts(self):
+        database = reference_database(A, B)
+        candidates = scored(database, (A, [0.75, 0.25]))
+        config = DetectionConfig(thresholds=(0.25, 0.75, 0.755))
+        similarity, identification = assert_tests_equal_oracles(
+            candidates, database, config
+        )
+        by_threshold = {p.threshold: p for p in similarity.curve.points}
+        assert (by_threshold[0.25].tpr, by_threshold[0.25].fpr) == (1.0, 1.0)
+        assert (by_threshold[0.75].tpr, by_threshold[0.75].fpr) == (1.0, 0.0)
+        assert by_threshold[0.755].tpr == 0.0
+        ratios = [p.identification_ratio for p in identification.curve.points]
+        assert ratios == [1.0, 1.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "thresholds",
+        [(0.9, 0.1, 0.5, 0.0, 1.0), (0.5, 0.5, 0.2, 0.5, 0.2), (1, 0, 0.5)],
+        ids=["unsorted", "duplicates", "ints"],
+    )
+    def test_unsorted_or_duplicate_thresholds(self, separable_setup, thresholds):
+        database, candidates, _config = separable_setup
+        config = DetectionConfig(thresholds=thresholds)
+        _similarity, identification = assert_tests_equal_oracles(
+            candidates, database, config
+        )
+        assert [p.threshold for p in identification.curve.points] == list(thresholds)
+
+    def test_candidates_from_another_database_rejected(self, separable_setup):
+        database, candidates, config = separable_setup
+        other = reference_database(*reversed(database.devices))
+        with pytest.raises(ValueError, match="not matched against this database"):
+            evaluate_similarity(candidates, other, config)
+        with pytest.raises(ValueError, match="not matched against this database"):
+            evaluate_identification(candidates, other, config)

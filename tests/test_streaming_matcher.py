@@ -3,7 +3,9 @@
 A candidate holds its row of the window's score matrix and the window's
 reference tuple; ``best`` is the row's argmax and ``similarities`` the
 per-reference dict built on read.  Both must agree with the scalar
-entry points of :mod:`repro.core.matcher` on the same signature.
+entry points of :mod:`repro.core.matcher` on the same signature.  The
+live path's candidate is the batch path's class, so these checks hold
+for both.
 """
 
 from __future__ import annotations
@@ -12,9 +14,10 @@ import numpy as np
 import pytest
 
 from repro.core.database import ReferenceDatabase
+from repro.core.detection import WindowCandidate
 from repro.core.matcher import best_match, match_signature
 from repro.dot11.mac import vendor_mac
-from repro.streaming import OnlineMatcher
+from repro.streaming import OnlineMatcher, StreamCandidate
 from repro.streaming.windows import ClosedWindow
 from tests.test_batch_matching import random_signature
 
@@ -36,6 +39,10 @@ def rng() -> np.random.Generator:
 
 
 class TestStreamCandidate:
+    def test_is_the_batch_candidate_class(self):
+        assert StreamCandidate is WindowCandidate
+        assert isinstance(StreamCandidate.__dict__["best"], property)
+
     @pytest.mark.parametrize("twin_first", [True, False])
     def test_tie_breaks_towards_earlier_registered_reference(self, rng, twin_first):
         shared = random_signature(rng)
