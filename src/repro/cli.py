@@ -6,9 +6,10 @@ different network parameters [...] also implements the fingerprinting
 methodology".  This CLI does the same against radiotap pcaps (real or
 simulator-produced):
 
-* ``repro-80211 learn capture.pcap --db refs.json`` — build a
-  reference database from a training capture;
-* ``repro-80211 match capture.pcap --db refs.json`` — match candidate
+* ``repro-80211 learn capture.pcap --db refs.db`` — build a
+  reference database from a training capture and save it as a store
+  directory (:mod:`repro.persistence.store`);
+* ``repro-80211 match capture.pcap --db refs.db`` — match candidate
   windows against the database;
 * ``repro-80211 evaluate capture.pcap --training-s 600`` — run the
   full similarity/identification evaluation on one capture;
@@ -23,15 +24,14 @@ simulator-produced):
   or ``conference2``);
 * ``repro-80211 histogram capture.pcap --device <mac>`` — render a
   device's inter-arrival histogram (Figure 2 style);
-* ``repro-80211 stream capture.pcap --db refs.json`` — run the online
+* ``repro-80211 stream capture.pcap --db refs.db`` — run the online
   engine: the pcap is consumed in columnar chunks of ``--chunk-frames``
   frames in bounded memory, windows are matched live and alerts stream
   out as they happen; with ``--checkpoint``/``--resume`` the engine
   state survives restarts (DESIGN.md §5);
-* ``repro-80211 db save|load|merge|info`` — manage persistent
-  reference-database stores (versioned ``.npz`` + JSONL directories,
-  :mod:`repro.persistence.store`).  ``--db`` everywhere accepts either
-  a legacy JSON file or a store directory;
+* ``repro-80211 db load|merge|info`` — inspect and merge the
+  reference-database stores (versioned ``.npz`` + JSONL directories)
+  that ``learn`` and ``serve --db-out`` write and every ``--db`` reads;
 * ``repro-80211 serve`` / ``repro-80211 sensor capture.pcap --connect
   HOST:PORT --sensor-id s0`` — the multi-sensor ingest service
   (DESIGN.md §9): N concurrent capture sessions stream columnar chunks
@@ -54,93 +54,50 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from repro.analysis.plots import render_histogram, render_table
 from repro.core.database import ReferenceDatabase
 from repro.core.detection import DetectionConfig, extract_window_candidates
 from repro.core.parameters import ALL_PARAMETERS, parameter_by_name
 from repro.core.pipeline import evaluate_trace
-from repro.core.signature import Signature, SignatureBuilder
+from repro.core.signature import SignatureBuilder
 from repro.dot11.mac import MacAddress
 from repro.streaming.sources import DEFAULT_CHUNK_FRAMES
 from repro.traces.trace import Trace
 
 
-def _signature_to_json(signature: Signature) -> dict:
-    return {
-        "histograms": {k: v.tolist() for k, v in signature.histograms.items()},
-        "weights": signature.weights,
-        "observation_counts": signature.observation_counts,
-    }
+def _load_store(path: str) -> tuple[ReferenceDatabase, str]:
+    """A ``--db`` store's database and the network parameter it was
+    learnt from."""
+    from repro.persistence import load_database
 
-
-def _signature_from_json(payload: dict) -> Signature:
-    return Signature(
-        histograms={k: np.array(v) for k, v in payload["histograms"].items()},
-        weights=dict(payload["weights"]),
-        observation_counts={
-            k: int(v) for k, v in payload.get("observation_counts", {}).items()
-        },
-    )
-
-
-def save_database(database: ReferenceDatabase, parameter_name: str, path: Path) -> None:
-    """Persist a reference database as JSON."""
-    payload = {
-        "parameter": parameter_name,
-        "devices": {
-            str(device): _signature_to_json(signature)
-            for device, signature in database.items()
-        },
-    }
-    path.write_text(json.dumps(payload))
-
-
-def load_database(path: Path) -> tuple[ReferenceDatabase, str]:
-    """Load a JSON reference database; returns (db, parameter name)."""
-    payload = json.loads(path.read_text())
-    database = ReferenceDatabase()
-    for mac_text, signature_payload in payload["devices"].items():
-        database.add(
-            MacAddress.parse(mac_text), _signature_from_json(signature_payload)
+    if Path(path).is_file():
+        raise SystemExit(
+            f"{path}: a file, not a database store directory (legacy JSON "
+            "databases are no longer read); re-learn it with `repro-80211 learn`"
         )
-    return database, payload["parameter"]
-
-
-def load_any_database(path: Path) -> tuple[ReferenceDatabase, str]:
-    """Load a reference database from either supported format.
-
-    A directory (or anything holding a ``meta.json``) is treated as a
-    versioned store (:mod:`repro.persistence.store`); anything else as
-    the legacy single-file JSON format.
-    """
-    from repro.persistence.store import is_database_store
-    from repro.persistence import load_database as load_store
-
-    if is_database_store(path):
-        loaded = load_store(path)
-        if loaded.parameter is None:
-            raise SystemExit(
-                f"{path}: store does not record its network parameter; "
-                "re-save it with `repro-80211 db save`"
-            )
-        return loaded.database, loaded.parameter
-    return load_database(path)
+    loaded = load_database(path)
+    if loaded.parameter is None:
+        raise SystemExit(
+            f"{path}: store does not record its network parameter; "
+            "re-learn it with `repro-80211 learn`"
+        )
+    return loaded.database, loaded.parameter
 
 
 def _cmd_learn(args: argparse.Namespace) -> int:
+    from repro.persistence import save_database
+
     trace = Trace.from_pcap(args.pcap)
     parameter = parameter_by_name(args.parameter)
     builder = SignatureBuilder(parameter, min_observations=args.min_observations)
     database = ReferenceDatabase.from_training_table(builder, trace.table())
-    save_database(database, parameter.name, Path(args.db))
+    save_database(database, args.db, parameter=parameter.name)
     print(f"learnt {len(database)} reference devices -> {args.db}")
     return 0
 
 
 def _cmd_match(args: argparse.Namespace) -> int:
-    database, parameter_name = load_any_database(Path(args.db))
+    database, parameter_name = _load_store(args.db)
     builder = SignatureBuilder(
         parameter_by_name(parameter_name), min_observations=args.min_observations
     )
@@ -400,7 +357,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         skip_processed_chunks,
     )
 
-    database, parameter_name = load_any_database(Path(args.db))
+    database, parameter_name = _load_store(args.db)
     parameter = parameter_by_name(parameter_name)
 
     analyzers = []
@@ -636,22 +593,10 @@ def _cmd_sensor(args: argparse.Namespace) -> int:
     return 0 if report.ended else 1
 
 
-def _cmd_db_save(args: argparse.Namespace) -> int:
-    from repro.persistence import save_database as save_store
-
-    trace = Trace.from_pcap(args.pcap)
-    parameter = parameter_by_name(args.parameter)
-    builder = SignatureBuilder(parameter, min_observations=args.min_observations)
-    database = ReferenceDatabase.from_training_table(builder, trace.table())
-    save_store(database, args.store, parameter=parameter.name)
-    print(f"learnt {len(database)} reference devices -> {args.store}")
-    return 0
-
-
 def _cmd_db_load(args: argparse.Namespace) -> int:
-    from repro.persistence import load_database as load_store
+    from repro.persistence import load_database
 
-    loaded = load_store(args.store)
+    loaded = load_database(args.store)
     database = loaded.database
     rows = [
         (
@@ -667,33 +612,20 @@ def _cmd_db_load(args: argparse.Namespace) -> int:
             rows,
             title=(
                 f"{args.store}: {len(database)} devices, "
-                f"parameter={loaded.parameter}, layout={loaded.layout} "
-                f"(format v{loaded.version})"
+                f"parameter={loaded.parameter} (format v{loaded.version})"
             ),
         )
     )
-    if args.json:
-        if loaded.parameter is None:
-            print(
-                f"{args.store}: store does not record its network parameter; "
-                "cannot export usable legacy JSON — re-save it with "
-                "`repro-80211 db save`",
-                file=sys.stderr,
-            )
-            return 1
-        save_database(database, loaded.parameter, Path(args.json))
-        print(f"exported legacy JSON -> {args.json}")
     return 0
 
 
 def _cmd_db_merge(args: argparse.Namespace) -> int:
-    from repro.persistence import load_database as load_store
-    from repro.persistence import save_database as save_store
+    from repro.persistence import load_database, save_database
 
     merged = ReferenceDatabase()
     parameter: str | None = None
     for store in args.stores:
-        loaded = load_store(store)
+        loaded = load_database(store)
         if parameter is None:
             parameter = loaded.parameter
         elif loaded.parameter is not None and loaded.parameter != parameter:
@@ -708,7 +640,7 @@ def _cmd_db_merge(args: argparse.Namespace) -> int:
             f"{store}: +{len(report.added)} added, "
             f"{len(report.replaced)} replaced, {len(report.skipped)} kept"
         )
-    save_store(merged, args.out, parameter=parameter)
+    save_database(merged, args.out, parameter=parameter)
     print(f"merged {len(merged)} devices -> {args.out}")
     return 0
 
@@ -718,7 +650,6 @@ def _cmd_db_info(args: argparse.Namespace) -> int:
 
     info = database_info(args.store)
     print(f"{info['path']}: {info['format']} v{info['version']}")
-    print(f"  layout: {info['layout']}")
     print(f"  parameter: {info['parameter']}")
     print(f"  devices: {info['device_count']}")
     bins = info.get("bin_counts", {})
@@ -792,13 +723,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     learn = sub.add_parser("learn", help="build a reference database from a pcap")
     learn.add_argument("pcap")
-    learn.add_argument("--db", required=True, help="output JSON database path")
+    learn.add_argument(
+        "--db", required=True, help="output reference database store directory"
+    )
     common(learn)
     learn.set_defaults(func=_cmd_learn)
 
     match = sub.add_parser("match", help="match a capture against a database")
     match.add_argument("pcap")
-    match.add_argument("--db", required=True)
+    match.add_argument(
+        "--db", required=True, help="reference database store (written by learn)"
+    )
     match.add_argument("--window-s", type=_positive_float, default=300.0)
     match.add_argument("--min-observations", type=_positive_int, default=50)
     match.set_defaults(func=_cmd_match)
@@ -863,7 +798,9 @@ def build_parser() -> argparse.ArgumentParser:
         "stream", help="online fingerprinting over a pcap (bounded memory)"
     )
     stream.add_argument("pcap")
-    stream.add_argument("--db", required=True, help="reference database JSON")
+    stream.add_argument(
+        "--db", required=True, help="reference database store (written by learn)"
+    )
     stream.add_argument("--window-s", type=_positive_float, default=300.0)
     stream.add_argument(
         "--slide-s",
@@ -998,19 +935,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dbsub = db.add_subparsers(dest="db_command", required=True)
 
-    db_save = dbsub.add_parser(
-        "save", help="learn a database from a pcap and persist it"
-    )
-    db_save.add_argument("pcap")
-    db_save.add_argument("store", help="output store directory")
-    common(db_save)
-    db_save.set_defaults(func=_cmd_db_save)
-
     db_load = dbsub.add_parser(
         "load", help="load a store and list its devices"
     )
     db_load.add_argument("store")
-    db_load.add_argument("--json", help="also export as legacy JSON to this path")
     db_load.set_defaults(func=_cmd_db_load)
 
     db_merge = dbsub.add_parser(

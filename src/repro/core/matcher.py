@@ -43,9 +43,8 @@ the per-pair loop's arithmetic, reference by reference (the loop
 itself is kept as a test oracle).
 
 :func:`batch_match_signatures` is the one implementation;
-:func:`match_signature` is its single-candidate row.  A database whose
-signatures disagree on a frame type's bin count (*ragged*) has no
-packed view and cannot be matched.
+:func:`match_signature` is its single-candidate row and
+:func:`best_match` that row's first maximum.
 """
 
 from __future__ import annotations
@@ -91,16 +90,10 @@ def batch_match_signatures(
     this is one matrix–matrix product per frame type (accumulated in
     sorted frame-type order, so the float sum does not depend on
     database construction order); other measures score each candidate
-    against the packed frequency matrices.  Raises ``ValueError`` for a
-    ragged database.
+    against the packed frequency matrices.
     """
     packed = database.packed()
     if packed is None:
-        if len(database):
-            raise ValueError(
-                "ragged reference database: its signatures disagree on a "
-                "frame type's bin count, so it cannot be matched"
-            )
         return np.zeros((len(candidates), 0), dtype=np.float64)
     totals = np.zeros((len(candidates), len(packed.devices)), dtype=np.float64)
     if measure is not cosine_similarity:
@@ -137,15 +130,12 @@ def best_match(
     """The identification test's core: the argmax reference device.
 
     Returns ``(None, 0.0)`` on an empty database.  Ties break towards
-    the earliest-registered reference for determinism.
+    the earliest-registered reference (the first maximum of the score
+    row), the rule :attr:`~repro.core.detection.WindowCandidate.best`
+    uses.
     """
-    similarities = match_signature(candidate, database, measure)
-    winner: MacAddress | None = None
-    best_score = float("-inf")
-    for device, score in similarities.items():
-        if score > best_score:
-            winner = device
-            best_score = score
-    if winner is None:
+    scores = batch_match_signatures([candidate], database, measure)[0]
+    if not scores.size:
         return None, 0.0
-    return winner, best_score
+    column = int(scores.argmax())
+    return database.devices[column], float(scores[column])

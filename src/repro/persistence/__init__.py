@@ -7,10 +7,9 @@ state durable:
 * :mod:`repro.persistence.store` — versioned on-disk format for a
   :class:`~repro.core.database.ReferenceDatabase`: one compact ``.npz``
   holding the packed matrices, one JSONL sidecar with per-device
-  metadata, one ``meta.json`` describing the layout.  Loading restores
-  the incremental packed view by adopting the matrices directly — no
-  per-signature Python repack — and reproduces match scores bit for
-  bit;
+  metadata, one ``meta.json`` describing the matrices.  Loading hands
+  the matrices to the database as its packed view — no per-signature
+  Python repack — and reproduces match scores bit for bit;
 * :mod:`repro.persistence.checkpoint` — snapshot/restore for the
   streaming engine: builder histograms, open-window state and stream
   counters, so a :class:`~repro.streaming.engine.StreamEngine` can

@@ -2,9 +2,9 @@
 
 A saved database is a directory of three files:
 
-* ``meta.json`` — format name, version, layout, the network parameter
-  the signatures were built from, and the frame-type table (names and
-  bin counts, in pack order);
+* ``meta.json`` — format name, version, layout (always ``packed``), the
+  network parameter the signatures were built from, the device count,
+  and the frame-type table (names and bin counts, in pack order);
 * ``matrices.npz`` — the packed matrices: the device list as one
   ``uint64`` array plus, per frame type ``j``, the ``(N, bins)``
   float64 frequency matrix ``freq_j`` and the ``(N,)`` weight vector
@@ -15,17 +15,11 @@ A saved database is a directory of three files:
   derivable from the matrices — an all-zero row is a legal histogram),
   and its observation counts.
 
-Databases whose signatures disagree on a frame type's bin count cannot
-be packed into rectangular matrices; they are stored in the ``ragged``
-layout instead (per-device histogram arrays ``sig_{i}_{j}``, weights
-in the sidecar) and re-pack lazily on first use.
-
-Loading a packed layout calls
-:meth:`~repro.core.database._PackBuffers.adopt` with the matrices
-straight off disk: the incremental packed view is restored with one
-vectorized row-normalisation per frame type instead of the
-per-signature Python repack, and the signature histograms are views
-into the same loaded arrays (no duplication).
+Loading checks the three files against each other, so a store torn by
+a crash between its writes is refused rather than misread.  The loaded
+matrices become the database's cached pack, with one vectorized
+row-normalisation per frame type and no repack, and the signature
+histograms are views into the same arrays (no duplication).
 """
 
 from __future__ import annotations
@@ -37,8 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from repro.dot11.mac import MacAddress
-from repro.core.database import ReferenceDatabase, _PackBuffers
+from repro.core.database import PackedDatabase, ReferenceDatabase
 from repro.core.signature import Signature
+from repro.core.similarity import normalize_rows
 
 #: On-disk format identifier and current version.
 FORMAT_NAME = "repro-refdb"
@@ -47,6 +42,9 @@ FORMAT_VERSION = 1
 _META_FILE = "meta.json"
 _MATRICES_FILE = "matrices.npz"
 _DEVICES_FILE = "devices.jsonl"
+#: The one matrix layout.  ``meta.json`` still names it, so that older
+#: builds, which knew a second layout, keep reading new stores.
+_LAYOUT = "packed"
 
 
 @dataclass(frozen=True)
@@ -58,7 +56,6 @@ class LoadedDatabase:
     #: the saver did not record one).
     parameter: str | None
     version: int
-    layout: str
     path: Path
 
 
@@ -78,64 +75,38 @@ def save_database(
     store.mkdir(parents=True, exist_ok=True)
     entries = database.items()
     packed = database.packed()
+    frame_types = list(packed.frame_types) if packed is not None else []
     arrays: dict[str, np.ndarray] = {
         "devices": np.array(
             [device.value for device, _ in entries], dtype=np.uint64
         )
     }
-    if packed is not None:
-        layout = "packed"
-        frame_types = list(packed.frame_types)
-        bin_counts = {
-            ftype: int(packed.frequencies[ftype].shape[-1]) for ftype in frame_types
-        }
-        for j, ftype in enumerate(frame_types):
-            arrays[f"freq_{j}"] = packed.frequencies[ftype]
-            arrays[f"weight_{j}"] = packed.weights[ftype]
-    elif entries:
-        layout = "ragged"
-        frame_types = []
-        seen: set[str] = set()
-        for _, signature in entries:
-            for ftype in signature.histograms:
-                if ftype not in seen:
-                    seen.add(ftype)
-                    frame_types.append(ftype)
-        bin_counts = {}
-        for i, (_, signature) in enumerate(entries):
-            for j, ftype in enumerate(signature.histograms):
-                arrays[f"sig_{i}_{j}"] = np.asarray(
-                    signature.histograms[ftype], dtype=np.float64
-                )
-    else:
-        layout = "packed"
-        frame_types = []
-        bin_counts = {}
+    for j, ftype in enumerate(frame_types):
+        arrays[f"freq_{j}"] = packed.frequencies[ftype]
+        arrays[f"weight_{j}"] = packed.weights[ftype]
 
     with open(store / _MATRICES_FILE, "wb") as handle:
         np.savez(handle, **arrays)
 
     with open(store / _DEVICES_FILE, "w") as handle:
         for i, (device, signature) in enumerate(entries):
-            line: dict = {
+            line = {
                 "index": i,
                 "mac": str(device),
                 "frame_types": list(signature.histograms),
                 "observation_counts": dict(signature.observation_counts),
             }
-            if layout == "ragged":
-                line["weights"] = dict(signature.weights)
             handle.write(json.dumps(line, sort_keys=True))
             handle.write("\n")
 
     meta = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
-        "layout": layout,
+        "layout": _LAYOUT,
         "parameter": parameter,
         "device_count": len(entries),
         "frame_types": frame_types,
-        "bin_counts": bin_counts,
+        "bin_counts": {ftype: packed.bin_count(ftype) for ftype in frame_types},
     }
     (store / _META_FILE).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return store
@@ -154,6 +125,11 @@ def _read_meta(store: Path) -> dict:
             f"unsupported store version {version} at {store} "
             f"(this build reads versions 1..{FORMAT_VERSION})"
         )
+    if meta.get("layout") != _LAYOUT:
+        raise ValueError(
+            f"unsupported store layout {meta.get('layout')!r} at {store}: "
+            f"this build reads only the {_LAYOUT!r} layout; re-learn the database"
+        )
     return meta
 
 
@@ -170,9 +146,16 @@ def _read_sidecar(store: Path, expected: int) -> list[dict]:
     return lines
 
 
-def is_database_store(path: str | Path) -> bool:
-    """True when ``path`` looks like a saved reference database."""
-    return (Path(path) / _META_FILE).is_file()
+def _matrix(arrays: dict, key: str, shape: tuple[int, ...], store: Path) -> np.ndarray:
+    """One array of ``matrices.npz``, checked against the shape meta implies."""
+    array = arrays.get(key)
+    found = None if array is None else array.shape
+    if found != shape:
+        raise ValueError(
+            f"torn store at {store}: {key} has shape {found}, "
+            f"meta.json implies {shape}"
+        )
+    return array
 
 
 def load_database(path: str | Path) -> LoadedDatabase:
@@ -180,15 +163,21 @@ def load_database(path: str | Path) -> LoadedDatabase:
 
     The restored database matches the saved one bin for bin — match
     scores against it are bitwise identical (the matrices are the same
-    float64 values, multiplied in the same shapes).
+    float64 values, multiplied in the same shapes).  Raises
+    ``ValueError`` when the three files disagree on the device count or
+    a matrix shape, as they do after a crash between their writes.
     """
     store = Path(path)
     meta = _read_meta(store)
-    sidecar = _read_sidecar(store, int(meta["device_count"]))
+    count = int(meta["device_count"])
+    sidecar = _read_sidecar(store, count)
     with np.load(store / _MATRICES_FILE) as archive:
         arrays = {key: archive[key] for key in archive.files}
 
-    devices = [MacAddress(int(value)) for value in arrays["devices"]]
+    devices = [
+        MacAddress(int(value))
+        for value in _matrix(arrays, "devices", (count,), store)
+    ]
     for line, device in zip(sidecar, devices):
         if MacAddress.parse(line["mac"]) != device:
             raise ValueError(
@@ -196,62 +185,34 @@ def load_database(path: str | Path) -> LoadedDatabase:
                 f"{line['mac']} vs {device}"
             )
 
-    frame_types: list[str] = list(meta["frame_types"])
+    frequencies: dict[str, np.ndarray] = {}
+    weights: dict[str, np.ndarray] = {}
+    for j, ftype in enumerate(meta["frame_types"]):
+        bins = int(meta["bin_counts"][ftype])
+        frequencies[ftype] = _matrix(arrays, f"freq_{j}", (count, bins), store)
+        weights[ftype] = _matrix(arrays, f"weight_{j}", (count,), store)
     signatures: dict[MacAddress, Signature] = {}
-    buffers: _PackBuffers | None = None
-    if meta["layout"] == "packed":
-        frequencies = {
-            ftype: arrays[f"freq_{j}"] for j, ftype in enumerate(frame_types)
-        }
-        weights = {
-            ftype: arrays[f"weight_{j}"] for j, ftype in enumerate(frame_types)
-        }
-        members = {ftype: 0 for ftype in frame_types}
-        for i, (line, device) in enumerate(zip(sidecar, devices)):
-            histograms = {}
-            device_weights = {}
-            for ftype in line["frame_types"]:
-                histograms[ftype] = frequencies[ftype][i]
-                device_weights[ftype] = float(weights[ftype][i])
-                members[ftype] += 1
-            signatures[device] = Signature(
-                histograms=histograms,
-                weights=device_weights,
-                observation_counts={
-                    ftype: int(count)
-                    for ftype, count in line["observation_counts"].items()
-                },
-            )
-        members = {ftype: count for ftype, count in members.items() if count}
-        frequencies = {f: m for f, m in frequencies.items() if f in members}
-        weights = {f: v for f, v in weights.items() if f in members}
-        if devices:
-            buffers = _PackBuffers.adopt(devices, frequencies, weights, members)
-    elif meta["layout"] == "ragged":
-        for i, (line, device) in enumerate(zip(sidecar, devices)):
-            histograms = {
-                ftype: arrays[f"sig_{i}_{j}"]
-                for j, ftype in enumerate(line["frame_types"])
-            }
-            signatures[device] = Signature(
-                histograms=histograms,
-                weights={
-                    ftype: float(weight) for ftype, weight in line["weights"].items()
-                },
-                observation_counts={
-                    ftype: int(count)
-                    for ftype, count in line["observation_counts"].items()
-                },
-            )
-    else:
-        raise ValueError(f"unknown store layout {meta['layout']!r} at {store}")
-
-    database = ReferenceDatabase._restore(signatures, buffers)
+    for i, (line, device) in enumerate(zip(sidecar, devices)):
+        present = line["frame_types"]
+        signatures[device] = Signature(
+            histograms={ftype: frequencies[ftype][i] for ftype in present},
+            weights={ftype: float(weights[ftype][i]) for ftype in present},
+            observation_counts={
+                ftype: int(observed)
+                for ftype, observed in line["observation_counts"].items()
+            },
+        )
+    packed = PackedDatabase(
+        devices=tuple(devices),
+        frame_types=tuple(frequencies),
+        frequencies=frequencies,
+        weights=weights,
+        normalized={ftype: normalize_rows(m) for ftype, m in frequencies.items()},
+    )
     return LoadedDatabase(
-        database=database,
+        database=ReferenceDatabase._from_pack(signatures, packed),
         parameter=meta.get("parameter"),
         version=int(meta["version"]),
-        layout=meta["layout"],
         path=store,
     )
 

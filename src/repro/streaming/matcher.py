@@ -2,13 +2,12 @@
 
 :class:`OnlineMatcher` rides the packed matrix engine
 (:func:`~repro.core.matcher.batch_match_signatures`): each closed
-window is matched in one matrix product per frame type, and because
-:class:`~repro.core.database.ReferenceDatabase` now maintains its
-packed view incrementally (O(bins) per :meth:`learn`/:meth:`forget`
-instead of a full repack), interleaving reference updates with live
-matching stays cheap — the deployment loop the paper's applications
-imply (learn newly authorised devices, retire old ones, keep
-fingerprinting).
+window is matched in one matrix product per frame type.  Reference
+updates may be interleaved with live matching — the deployment loop
+the paper's applications imply (learn newly authorised devices,
+retire old ones, keep fingerprinting): :meth:`OnlineMatcher.learn`
+and :meth:`OnlineMatcher.forget` drop the database's packed view, and
+the next window's match rebuilds it.
 
 The window's score matrix is the result, carried by the batch path's
 candidate class: :class:`StreamCandidate` *is*
@@ -47,7 +46,7 @@ class OnlineMatcher:
         self.measure = measure
 
     def learn(self, device: MacAddress, signature: Signature) -> None:
-        """Register (or refresh) one reference device — O(bins)."""
+        """Register (or refresh) one reference device."""
         self.database.add(device, signature)
 
     def forget(self, device: MacAddress) -> bool:

@@ -424,19 +424,17 @@ SCALAR_MEASURES: dict[SimilarityMeasure, SimilarityMeasure] = {
 
 
 # -- packing ---------------------------------------------------------------
-def pack(entries: list[tuple[MacAddress, Signature]]) -> PackedDatabase | None:
-    """Pack signatures into matrices from scratch; ``None`` if ragged.
+def pack(entries: list[tuple[MacAddress, Signature]]) -> PackedDatabase:
+    """Pack signatures into matrices from scratch, row by row.
 
-    Ragged means two signatures disagree on a frame type's bin count,
-    in which case no rectangular matrix exists.
+    Every frame type must have one bin count across the signatures, as
+    :meth:`~repro.core.database.ReferenceDatabase.add` enforces.
     """
     devices = tuple(device for device, _ in entries)
     bin_counts: dict[str, int] = {}
     for _, signature in entries:
         for ftype_key, histogram in signature.histograms.items():
-            bins = int(histogram.shape[-1])
-            if bin_counts.setdefault(ftype_key, bins) != bins:
-                return None
+            bin_counts.setdefault(ftype_key, int(histogram.shape[-1]))
     frame_types = tuple(bin_counts)
     frequencies: dict[str, np.ndarray] = {}
     weights: dict[str, np.ndarray] = {}

@@ -217,32 +217,29 @@ class TestPackedDatabase:
     def test_empty_database_packs_to_none(self):
         assert ReferenceDatabase().packed() is None
 
-    def test_ragged_database_cannot_be_matched(self):
+    def test_width_conflict_is_refused_so_every_database_matches(self):
+        from tests.test_database import assert_add_refused
+
         database = ReferenceDatabase()
         database.add(
             vendor_mac("00:13:e8", 1),
             Signature(histograms={"Data": np.array([1.0, 0.0])}, weights={"Data": 1.0}),
         )
-        database.add(
+        assert_add_refused(
+            database,
             vendor_mac("00:13:e8", 2),
             Signature(
                 histograms={"Data": np.array([1.0, 0.0, 0.0])}, weights={"Data": 1.0}
             ),
         )
-        assert database.packed() is None
-        # Even a candidate avoiding the ragged type has no packed view
-        # to be matched against.
         candidate = Signature(
             histograms={"Beacon": np.array([1.0, 0.0])}, weights={"Beacon": 1.0}
         )
         for measure in SCALAR_MEASURES:
-            with pytest.raises(ValueError, match="ragged"):
-                match_signature(candidate, database, measure)
-            with pytest.raises(ValueError, match="ragged"):
-                batch_match_signatures([candidate], database, measure)
-        # Removing the conflicting device restores matching.
-        database.remove(vendor_mac("00:13:e8", 2))
-        assert match_signature(candidate, database) == {vendor_mac("00:13:e8", 1): 0.0}
+            assert match_signature(candidate, database, measure) == {
+                vendor_mac("00:13:e8", 1): 0.0
+            }
+            assert batch_match_signatures([candidate], database, measure).shape == (1, 1)
 
 
 class TestVectorizedCosineKernels:

@@ -7,10 +7,13 @@ import json
 import numpy as np
 import pytest
 
-from repro.cli import build_parser, load_database, main, save_database
+from repro.cli import build_parser, main
 from repro.core.database import ReferenceDatabase
 from repro.core.parameters import InterArrivalTime
 from repro.core.signature import SignatureBuilder
+from repro.persistence import load_database
+from repro.traces.trace import Trace
+from tests.test_persistence import assert_databases_equal
 
 
 @pytest.fixture(scope="module")
@@ -27,9 +30,9 @@ class TestParser:
             args = None
             try:
                 if command == "learn":
-                    args = parser.parse_args(["learn", "x.pcap", "--db", "d.json"])
+                    args = parser.parse_args(["learn", "x.pcap", "--db", "d.db"])
                 elif command == "match":
-                    args = parser.parse_args(["match", "x.pcap", "--db", "d.json"])
+                    args = parser.parse_args(["match", "x.pcap", "--db", "d.db"])
                 elif command == "evaluate":
                     args = parser.parse_args(["evaluate", "x.pcap", "--training-s", "60"])
                 elif command == "simulate":
@@ -46,6 +49,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["db", "save", "x.pcap", "refs.db"],
+            ["db", "load", "refs.db", "--json", "refs.json"],
+        ],
+    )
+    def test_removed_db_commands_no_longer_parse(self, argv, capsys):
+        """``learn`` writes stores and no JSON format is left to export."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        capsys.readouterr()
+
     def test_stream_rejects_chunk_frames_below_one(self, tmp_path, capsys):
         """A usage error before the database is even opened."""
         with pytest.raises(SystemExit) as exit_info:
@@ -54,7 +71,7 @@ class TestParser:
                     "stream",
                     str(tmp_path / "missing.pcap"),
                     "--db",
-                    str(tmp_path / "missing.json"),
+                    str(tmp_path / "missing.db"),
                     "--chunk-frames",
                     "0",
                 ]
@@ -96,14 +113,13 @@ class TestParser:
             "match {pcap} --db {db} --min-observations 0",
             "stream {pcap} --db {db} --min-observations 0",
             "histogram {pcap} --device 00:11:22:33:44:55 --min-observations 0",
-            "db save {pcap} {db} --min-observations 0",
             "simulate office1 --out {pcap} --scale 0",
             "evaluate --scenario office-baseline --scale 0",
         ],
     )
     def test_out_of_range_number_is_a_usage_error(self, tmp_path, capsys, command):
         """Exit 2 naming the last option given, before any file is opened."""
-        paths = {"pcap": tmp_path / "missing.pcap", "db": tmp_path / "missing.json"}
+        paths = {"pcap": tmp_path / "missing.pcap", "db": tmp_path / "missing.db"}
         argv = [arg.format(**paths) for arg in command.split()]
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
@@ -112,37 +128,56 @@ class TestParser:
 
 
 class TestDatabasePersistence:
-    def test_round_trip(self, tmp_path, small_office_trace):
+    def test_round_trip(self, tmp_path, office_pcap, capsys):
+        """``learn`` saves exactly the database learnt in memory."""
+        store = tmp_path / "refs.db"
+        assert main(["learn", str(office_pcap), "--db", str(store)]) == 0
+        assert "learnt" in capsys.readouterr().out
+        loaded = load_database(store)
+        assert loaded.parameter == "interarrival"
         builder = SignatureBuilder(InterArrivalTime(), min_observations=50)
-        database = ReferenceDatabase.from_training(
-            builder, small_office_trace.frames
+        database = ReferenceDatabase.from_training_table(
+            builder, Trace.from_pcap(office_pcap).table()
         )
-        path = tmp_path / "db.json"
-        save_database(database, "interarrival", path)
-        loaded, parameter_name = load_database(path)
-        assert parameter_name == "interarrival"
-        assert set(loaded.devices) == set(database.devices)
-        device = database.devices[0]
-        original = database.get(device)
-        restored = loaded.get(device)
-        assert original.frame_types == restored.frame_types
-        for ftype in original.frame_types:
-            assert original.weight(ftype) == pytest.approx(restored.weight(ftype))
+        assert len(database) > 0
+        assert_databases_equal(database, loaded.database)
 
-    def test_json_is_valid(self, tmp_path, small_office_trace):
+    @pytest.mark.parametrize("command", ["match", "stream"])
+    def test_legacy_json_database_is_refused(
+        self, tmp_path, office_pcap, small_office_trace, command
+    ):
+        """The single-file JSON format older builds wrote is not read."""
         builder = SignatureBuilder(InterArrivalTime(), min_observations=50)
         database = ReferenceDatabase.from_training(
             builder, small_office_trace.frames
         )
-        path = tmp_path / "db.json"
-        save_database(database, "interarrival", path)
-        payload = json.loads(path.read_text())
-        assert "devices" in payload and payload["parameter"] == "interarrival"
+        legacy = tmp_path / "refs.json"
+        legacy.write_text(
+            json.dumps(
+                {
+                    "parameter": "interarrival",
+                    "devices": {
+                        str(device): {
+                            "histograms": {
+                                f: h.tolist() for f, h in signature.histograms.items()
+                            },
+                            "weights": signature.weights,
+                            "observation_counts": signature.observation_counts,
+                        }
+                        for device, signature in database.items()
+                    },
+                }
+            )
+        )
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, str(office_pcap), "--db", str(legacy)])
+        assert str(legacy) in str(exit_info.value.code)
+        assert "learn" in str(exit_info.value.code)
 
 
 class TestCommands:
     def test_learn_then_match(self, tmp_path, office_pcap, capsys):
-        db_path = tmp_path / "refs.json"
+        db_path = tmp_path / "refs.db"
         assert main(["learn", str(office_pcap), "--db", str(db_path)]) == 0
         out = capsys.readouterr().out
         assert "learnt" in out
@@ -159,19 +194,19 @@ class TestCommands:
         identified as its first maximum."""
         from repro.core.detection import DetectionConfig, extract_window_candidates
         from repro.core.parameters import parameter_by_name
-        from repro.traces.trace import Trace
 
-        db_path = tmp_path / "refs.json"
+        db_path = tmp_path / "refs.db"
         assert main(["learn", str(office_pcap), "--db", str(db_path)]) == 0
         capsys.readouterr()
         args = ["--window-s", "20", "--min-observations", "30"]
         assert main(["match", str(office_pcap), "--db", str(db_path), *args]) == 0
         printed = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
 
-        database, parameter_name = load_database(db_path)
+        loaded = load_database(db_path)
+        database = loaded.database
         candidates = extract_window_candidates(
             Trace.from_pcap(office_pcap),
-            SignatureBuilder(parameter_by_name(parameter_name), min_observations=30),
+            SignatureBuilder(parameter_by_name(loaded.parameter), min_observations=30),
             database,
             DetectionConfig(window_s=20.0, min_observations=30),
         )
@@ -238,7 +273,7 @@ class TestCommands:
         assert "wrote" in capsys.readouterr().out
 
     def test_stream(self, tmp_path, office_pcap, capsys):
-        db_path = tmp_path / "refs.json"
+        db_path = tmp_path / "refs.db"
         assert main(["learn", str(office_pcap), "--db", str(db_path)]) == 0
         capsys.readouterr()
         events_path = tmp_path / "events.jsonl"
@@ -268,7 +303,7 @@ class TestCommands:
         assert any(payload["event"] == "DeviceMatched" for payload in lines)
 
     def test_stream_parser_defaults(self):
-        args = build_parser().parse_args(["stream", "x.pcap", "--db", "d.json"])
+        args = build_parser().parse_args(["stream", "x.pcap", "--db", "d.db"])
         assert args.command == "stream"
         assert args.window_s == 300.0 and args.slide_s is None
         assert not args.spoof_guard and not args.track
@@ -281,12 +316,12 @@ class TestDbCommands:
     def store(self, tmp_path, office_pcap, capsys):
         path = tmp_path / "store"
         assert main(
-            ["db", "save", str(office_pcap), str(path), "--min-observations", "30"]
+            ["learn", str(office_pcap), "--db", str(path), "--min-observations", "30"]
         ) == 0
         capsys.readouterr()
         return path
 
-    def test_db_save_creates_versioned_store(self, store, capsys):
+    def test_learn_creates_versioned_store(self, store, capsys):
         assert (store / "meta.json").is_file()
         assert (store / "matrices.npz").is_file()
         assert (store / "devices.jsonl").is_file()
@@ -297,13 +332,12 @@ class TestDbCommands:
         assert "repro-refdb v1" in out
         assert "parameter: interarrival" in out
 
-    def test_db_load_lists_devices_and_exports_json(self, store, tmp_path, capsys):
-        legacy = tmp_path / "legacy.json"
-        assert main(["db", "load", str(store), "--json", str(legacy)]) == 0
+    def test_db_load_lists_devices(self, store, capsys):
+        assert main(["db", "load", str(store)]) == 0
         out = capsys.readouterr().out
         assert "devices" in out and "observations" in out
-        payload = json.loads(legacy.read_text())
-        assert payload["parameter"] == "interarrival" and payload["devices"]
+        assert "parameter=interarrival" in out
+        assert len(out.splitlines()) > len(load_database(store).database)
 
     def test_db_merge_reports_conflicts(self, store, tmp_path, capsys):
         merged = tmp_path / "merged"
@@ -340,7 +374,7 @@ class TestStreamCheckpointCli:
     def test_checkpoint_then_resume(self, tmp_path, office_pcap, capsys):
         store = tmp_path / "store"
         assert main(
-            ["db", "save", str(office_pcap), str(store), "--min-observations", "30"]
+            ["learn", str(office_pcap), "--db", str(store), "--min-observations", "30"]
         ) == 0
         checkpoint = tmp_path / "ck.json"
         assert main(
@@ -386,7 +420,7 @@ class TestStreamCheckpointCli:
         re-feed the already-processed prefix into the restored windows."""
         store = tmp_path / "store"
         assert main(
-            ["db", "save", str(office_pcap), str(store), "--min-observations", "30"]
+            ["learn", str(office_pcap), "--db", str(store), "--min-observations", "30"]
         ) == 0
         checkpoint = tmp_path / "ck.json"
         args = [

@@ -17,7 +17,7 @@ import time
 import pytest
 
 from repro.cli import build_parser, main
-from repro.persistence.store import is_database_store, load_database
+from repro.persistence.store import load_database
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +95,7 @@ class TestServeParser:
 
     def test_stream_grew_stats_json(self):
         args = build_parser().parse_args(
-            ["stream", "x.pcap", "--db", "d.json", "--stats-json", "s.json"]
+            ["stream", "x.pcap", "--db", "d.db", "--stats-json", "s.json"]
         )
         assert args.stats_json == "s.json"
 
@@ -176,7 +176,6 @@ class TestServeSensorEndToEnd:
         assert "listening on 127.0.0.1" in out
         assert "served 2 sensors" in out and "published" in out
 
-        assert is_database_store(store)
         loaded = load_database(store)
         assert loaded.parameter == "interarrival"
         assert len(loaded.database.devices) > 0
@@ -252,7 +251,7 @@ class TestGracefulShutdown:
     def test_stream_sigint_checkpoints_and_reports(
         self, tmp_path, office_pcap, capsys, monkeypatch
     ):
-        db_path = tmp_path / "refs.json"
+        db_path = tmp_path / "refs.db"
         assert main(["learn", str(office_pcap), "--db", str(db_path)]) == 0
         capsys.readouterr()
 
@@ -320,7 +319,7 @@ class TestGracefulShutdown:
         assert payload["frames"] == total
 
     def test_stream_stats_json_uninterrupted(self, tmp_path, office_pcap, capsys):
-        db_path = tmp_path / "refs.json"
+        db_path = tmp_path / "refs.db"
         assert main(["learn", str(office_pcap), "--db", str(db_path)]) == 0
         stats_path = tmp_path / "stats.json"
         code = main(

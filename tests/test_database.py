@@ -1,9 +1,10 @@
-"""Tests for the reference database and its incremental packed view.
+"""Tests for the reference database and its packed view.
 
-The incremental pack (capacity-doubling buffers, per-row updates on
-``add``/``remove``) must stay numerically identical to a from-scratch
-:func:`tests.oracles.pack` rebuild after any mutation
-sequence, including frame-type purges and ragged transitions.
+After any mutation sequence, frame-type purges and width changes
+included, the pack that :meth:`ReferenceDatabase.packed` rebuilds must
+equal the row-by-row :func:`tests.oracles.pack` bit for bit, and an
+``add`` whose histogram width conflicts with the other devices' must
+raise and leave the database unchanged.
 """
 
 from __future__ import annotations
@@ -19,28 +20,32 @@ from tests.test_batch_matching import random_database, random_signature
 
 
 def assert_pack_equivalent(database: ReferenceDatabase) -> None:
-    """The live pack must equal a full rebuild from the signatures."""
-    incremental = database.packed()
+    """The database's pack must equal the oracle's, bit for bit."""
+    packed = database.packed()
     if len(database) == 0:
-        assert incremental is None  # empty databases never pack
+        assert packed is None  # empty databases never pack
         return
     rebuilt = pack(list(database.items()))
-    if rebuilt is None:
-        assert incremental is None
-        return
-    assert incremental is not None
-    assert incremental.devices == rebuilt.devices
-    assert set(incremental.frame_types) == set(rebuilt.frame_types)
+    assert packed.devices == rebuilt.devices
+    assert packed.frame_types == rebuilt.frame_types
     for ftype in rebuilt.frame_types:
-        np.testing.assert_allclose(
-            incremental.frequencies[ftype], rebuilt.frequencies[ftype], atol=1e-12
-        )
-        np.testing.assert_allclose(
-            incremental.weights[ftype], rebuilt.weights[ftype], atol=1e-12
-        )
-        np.testing.assert_allclose(
-            incremental.normalized[ftype], rebuilt.normalized[ftype], atol=1e-12
-        )
+        assert np.array_equal(packed.frequencies[ftype], rebuilt.frequencies[ftype])
+        assert np.array_equal(packed.weights[ftype], rebuilt.weights[ftype])
+        assert np.array_equal(packed.normalized[ftype], rebuilt.normalized[ftype])
+
+
+def assert_add_refused(
+    database: ReferenceDatabase, device, signature: Signature
+) -> str:
+    """A width-conflicting ``add`` raises and leaves nothing changed;
+    returns the error message."""
+    items = database.items()
+    packed = database.packed()
+    with pytest.raises(ValueError) as error:
+        database.add(device, signature)
+    assert database.items() == items
+    assert database.packed() is packed
+    return str(error.value)
 
 
 def one_type_signature(ftype: str, bins: int) -> Signature:
@@ -67,12 +72,11 @@ class TestRemove:
         assert_pack_equivalent(database)
 
 
-class TestIncrementalPack:
+class TestPackRebuild:
     def test_random_mutation_sequence_stays_equivalent(self):
         rng = np.random.default_rng(12)
         database = ReferenceDatabase()
         pool = [vendor_mac("00:13:e8", i + 1) for i in range(25)]
-        database.packed()  # start from the (empty) incremental path
         for _ in range(120):
             action = rng.random()
             device = pool[int(rng.integers(len(pool)))]
@@ -92,7 +96,7 @@ class TestIncrementalPack:
             assert list(packed.devices) == database.devices
         assert database.packed().devices == tuple(devices)
 
-    def test_replacement_updates_row_in_place(self):
+    def test_replacement_keeps_row_position(self):
         rng = np.random.default_rng(14)
         database = random_database(rng, devices=5)
         database.packed()
@@ -116,22 +120,45 @@ class TestIncrementalPack:
         packed = database.packed()
         assert set(packed.frame_types) == {"Data"}
         # A later re-add may use a *different* bin count for the purged
-        # type without making the pack ragged.
+        # type: no device holds the old one any more.
         database.add(b, one_type_signature("Beacon", 9))
-        assert database.packed() is not None
+        assert database.packed().bin_count("Beacon") == 9
         assert_pack_equivalent(database)
 
-    def test_ragged_add_and_recovery_via_remove(self):
+    def test_conflicting_add_raises_and_changes_nothing(self):
         database = ReferenceDatabase()
         a = vendor_mac("00:13:e8", 1)
-        offender = vendor_mac("00:13:e8", 2)
+        b = vendor_mac("00:13:e8", 2)
+        offender = vendor_mac("00:13:e8", 3)
         database.add(a, one_type_signature("Data", 4))
-        assert database.packed() is not None
-        database.add(offender, one_type_signature("Data", 7))
-        assert database.packed() is None  # ragged
-        assert database.remove(offender) is True
-        packed = database.packed()  # full rebuild resolves the conflict
-        assert packed is not None and packed.devices == (a,)
+        database.add(b, one_type_signature("Beacon", 6))
+        # A new device is refused, and so is a replacement that brings
+        # a frame type another device holds at a different width.
+        message = assert_add_refused(
+            database, offender, one_type_signature("Data", 7)
+        )
+        assert "'Data'" in message and "7 bins" in message and "hold 4" in message
+        wide = Signature(
+            histograms={"Beacon": np.ones(6), "Data": np.ones(7)},
+            weights={"Beacon": 0.5, "Data": 0.5},
+        )
+        assert_add_refused(database, b, wide)
+        assert offender not in database
+        assert_pack_equivalent(database)
+
+    def test_replacing_the_only_holder_may_change_width(self):
+        database = ReferenceDatabase()
+        a = vendor_mac("00:13:e8", 1)
+        b = vendor_mac("00:13:e8", 2)
+        database.add(a, one_type_signature("Data", 4))
+        database.add(b, one_type_signature("Beacon", 6))
+        database.add(b, one_type_signature("Beacon", 9))
+        assert database.packed().bin_count("Beacon") == 9
+        assert database.devices == [a, b]
+        # ...and the new width is the one later devices must match.
+        assert_add_refused(
+            database, vendor_mac("00:13:e8", 3), one_type_signature("Beacon", 6)
+        )
         assert_pack_equivalent(database)
 
     def test_empty_database_packs_to_none_after_removals(self):

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.dot11.mac import vendor_mac
-from repro.core.database import ReferenceDatabase
+from repro.core.database import PackedDatabase, ReferenceDatabase
 from repro.core.matcher import batch_match_signatures
 from repro.core.parameters import InterArrivalTime
 from repro.core.signature import Signature, SignatureBuilder
@@ -28,7 +28,6 @@ from repro.persistence import (
     load_database,
     save_database,
 )
-from repro.persistence.store import is_database_store
 from repro.streaming import (
     CollectingSink,
     StreamEngine,
@@ -60,7 +59,6 @@ class TestStoreRoundTrip:
         save_database(database, tmp_path / "store", parameter="interarrival")
         loaded = load_database(tmp_path / "store")
         assert loaded.parameter == "interarrival"
-        assert loaded.layout == "packed"
         assert_databases_equal(database, loaded.database)
 
     def test_match_scores_bitwise_identical(self, tmp_path):
@@ -74,12 +72,20 @@ class TestStoreRoundTrip:
             batch_match_signatures(candidates, loaded), reference
         )  # atol 0, bit for bit
 
-    def test_loaded_pack_equals_fresh_rebuild_without_repack(self, tmp_path):
+    def test_loaded_pack_equals_fresh_rebuild_without_repack(
+        self, tmp_path, monkeypatch
+    ):
         rng = np.random.default_rng(52)
         database = random_database(rng, devices=25)
         save_database(database, tmp_path / "store")
-        loaded = load_database(tmp_path / "store").database
-        packed = loaded.packed()
+
+        def repack(entries):
+            raise AssertionError("loading repacked the signatures")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(PackedDatabase, "from_signatures", repack)
+            loaded = load_database(tmp_path / "store").database
+            packed = loaded.packed()
         rebuilt = pack(loaded.items())
         assert packed.devices == rebuilt.devices
         assert packed.frame_types == rebuilt.frame_types  # order preserved
@@ -104,26 +110,6 @@ class TestStoreRoundTrip:
         assert len(loaded.database) == 0
         assert loaded.database.packed() is None
 
-    def test_ragged_database_round_trips(self, tmp_path):
-        database = ReferenceDatabase()
-        narrow, wide = np.zeros(4), np.zeros(9)
-        narrow[1] = 1.0
-        wide[5] = 1.0
-        database.add(
-            vendor_mac("00:13:e8", 1),
-            Signature({"Data": narrow}, {"Data": 1.0}, {"Data": 60}),
-        )
-        database.add(
-            vendor_mac("00:13:e8", 2),
-            Signature({"Data": wide}, {"Data": 1.0}, {"Data": 70}),
-        )
-        assert database.packed() is None
-        save_database(database, tmp_path / "store")
-        loaded = load_database(tmp_path / "store")
-        assert loaded.layout == "ragged"
-        assert_databases_equal(database, loaded.database)
-        assert loaded.database.packed() is None
-
     def test_signature_without_observation_counts(self, tmp_path):
         database = ReferenceDatabase()
         histogram = np.zeros(5)
@@ -137,10 +123,66 @@ class TestStoreRoundTrip:
 
 
 class TestStoreFormat:
-    def test_is_database_store(self, tmp_path):
-        assert not is_database_store(tmp_path / "nope")
-        save_database(ReferenceDatabase(), tmp_path / "store")
-        assert is_database_store(tmp_path / "store")
+    def test_ragged_store_is_refused(self, tmp_path):
+        """A store in the second layout older builds wrote, for
+        databases whose signatures disagreed on a frame type's width."""
+        store = tmp_path / "store"
+        store.mkdir()
+        devices = [vendor_mac("00:13:e8", 1), vendor_mac("00:13:e8", 2)]
+        with open(store / "matrices.npz", "wb") as handle:
+            np.savez(
+                handle,
+                devices=np.array([d.value for d in devices], dtype=np.uint64),
+                sig_0_0=np.eye(4)[1],
+                sig_1_0=np.eye(9)[5],
+            )
+        (store / "devices.jsonl").write_text(
+            "".join(
+                json.dumps(
+                    {
+                        "index": i,
+                        "mac": str(device),
+                        "frame_types": ["Data"],
+                        "observation_counts": {"Data": 60},
+                        "weights": {"Data": 1.0},
+                    }
+                )
+                + "\n"
+                for i, device in enumerate(devices)
+            )
+        )
+        meta = {
+            "format": "repro-refdb",
+            "version": 1,
+            "layout": "ragged",
+            "parameter": "interarrival",
+            "device_count": 2,
+            "frame_types": ["Data"],
+            "bin_counts": {},
+        }
+        (store / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="'ragged'.*re-learn"):
+            load_database(store)
+
+    @pytest.mark.parametrize(
+        "newer_devices, newer_bins",
+        [(6, 40), (3, 20)],
+        ids=["more-devices", "other-width"],
+    )
+    def test_torn_store_is_refused(self, tmp_path, newer_devices, newer_bins):
+        """A crash between the store's writes can leave a newer
+        ``matrices.npz`` beside the older ``meta.json`` and sidecar."""
+        older = random_database(np.random.default_rng(59), devices=3)
+        newer = random_database(
+            np.random.default_rng(59), devices=newer_devices, bins=newer_bins
+        )
+        save_database(older, tmp_path / "store")
+        save_database(newer, tmp_path / "newer")
+        (tmp_path / "store" / "matrices.npz").write_bytes(
+            (tmp_path / "newer" / "matrices.npz").read_bytes()
+        )
+        with pytest.raises(ValueError, match="torn store"):
+            load_database(tmp_path / "store")
 
     def test_info_without_loading(self, tmp_path):
         rng = np.random.default_rng(55)

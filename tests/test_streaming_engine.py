@@ -174,7 +174,8 @@ class TestEngineBehaviour:
         assert not sink.of_type(DeviceMatched)
 
     def test_live_reference_updates_between_windows(self, reference_setup):
-        """learn/forget mid-stream rides the incremental pack."""
+        """learn/forget mid-stream: the next window matches against
+        the rebuilt pack."""
         _, database, split = reference_setup
         frames = split.validation.frames
         sink = CollectingSink()
@@ -190,7 +191,7 @@ class TestEngineBehaviour:
         late = sink.of_type(DeviceMatched)[seen_before_forget:]
         assert late  # the stream kept matching after the removal
         assert all(m.best_device != retired for m in late)
-        # Re-learning the device is a single O(bins) row append.
+        # Re-learning the device registers it again.
         signature = database.get(database.devices[0])
         engine.matcher.learn(retired, signature)
         assert retired in engine.matcher.database
