@@ -23,21 +23,17 @@ restricted to the frame subset each figure names.
 Measurement runs on the simulation's columnar
 :class:`~repro.traces.table.FrameTable` view
 (:meth:`SimulationResult.table`): the timeline inter-arrivals are one
-shifted-array subtraction under a sender mask, and only an explicit
-frame *predicate* (retry flags, rate equality, ...) still walks the
-backing frames.
+shifted-array subtraction under a sender mask, and each figure's frame
+subset is a row mask built from :mod:`repro.traces.filters`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from repro.core.histogram import BinSpec, CategoricalBins, Histogram, UniformBins
-from repro.dot11.capture import CapturedFrame
-from repro.dot11.frames import FrameSubtype, FrameType
 from repro.dot11.mac import MacAddress
 from repro.dot11.phy import PAPER_RATE_AXIS
 from repro.simulator.channel import ChannelModel
@@ -51,13 +47,8 @@ from repro.simulator.profiles import (
 )
 from repro.simulator.scenario import Scenario, StationSpec
 from repro.simulator.traffic import CbrTraffic, IgmpService, LlmnrService, MdnsService, SsdpService, WebTraffic
-from repro.traces.filters import FramePredicate
+from repro.traces import filters
 from repro.traces.table import FrameTable
-
-#: Frame-type labels of the data family (Figure 6's rate histograms).
-_DATA_LABELS = frozenset(
-    subtype.label for subtype in FrameSubtype if subtype.ftype is FrameType.DATA
-)
 
 
 @dataclass
@@ -92,32 +83,24 @@ class FactorExperimentResult:
 
 
 def timeline_interarrivals(
-    frames: list[CapturedFrame] | FrameTable,
+    table: FrameTable,
     sender: MacAddress,
-    predicate: FramePredicate | None = None,
+    mask: np.ndarray | None = None,
 ) -> np.ndarray:
     """Inter-arrivals on the full timeline, restricted to a sender and
-    optional frame predicate — the paper's Figure 4/7/8 measurement.
+    an optional row mask — the paper's Figure 4/7/8 measurement.
 
-    Accepts a frame list or a columnar
-    :class:`~repro.traces.table.FrameTable`; the subtraction runs
-    vectorized on the timestamp column either way.  A predicate, being
-    an arbitrary callable, is evaluated against the backing frames.
+    The previous frame may be anyone's; ``mask`` (built from
+    :mod:`repro.traces.filters`) only decides which of the sender's
+    frames yield a value.
     """
-    table = frames if isinstance(frames, FrameTable) else FrameTable.from_frames(frames)
     code = table.sender_code(sender)
     if len(table) == 0 or code < 0:
         return np.empty(0, dtype=np.float64)
-    positions = np.flatnonzero(table.sender_idx == code)
-    if predicate is not None:
-        # The predicate is an arbitrary Python callable, so it walks
-        # frames — but only the target sender's, never the full trace.
-        keep = np.fromiter(
-            (bool(predicate(table.frame_at(int(row)))) for row in positions),
-            dtype=bool,
-            count=positions.size,
-        )
-        positions = positions[keep]
+    rows = table.sender_idx == code
+    if mask is not None:
+        rows &= mask
+    positions = np.flatnonzero(rows)
     positions = positions[positions >= 1]  # the first frame has no t_{i-1}
     stamps = table.timestamp_us
     return stamps[positions] - stamps[positions - 1]
@@ -195,17 +178,14 @@ def backoff_experiment(
         "early-slot-backoff", BackoffStyle.EXTRA_EARLY_SLOT, difs_offset_us=2.0
     )
     result = FactorExperimentResult(title="Figure 4: random backoff", bins=bins)
-
-    def fig4_filter(captured: CapturedFrame) -> bool:
-        return (
-            captured.frame.is_data
-            and not captured.frame.retry
-            and abs(captured.rate_mbps - 54.0) < 1e-9
-        )
-
     for label, profile in (("device-1", device_a), ("device-2", device_b)):
         table, sender = _run_cage(profile, duration_s, seed)
-        values = timeline_interarrivals(table, sender, fig4_filter)
+        mask = (
+            filters.data_frames_only(table)
+            & filters.first_transmissions_only(table)
+            & filters.sent_at_rate(table, 54.0)
+        )
+        values = timeline_interarrivals(table, sender, mask)
         result.histograms[label] = _histogram_of(values, bins)
         result.observation_counts[label] = len(values)
     return result
@@ -259,9 +239,8 @@ def rts_experiment(duration_s: float = 20.0, seed: int = 17) -> FactorExperiment
         sender = next(
             mac for mac, name in run.station_names.items() if name == "subject"
         )
-        values = timeline_interarrivals(
-            run.table(), sender, lambda c: c.frame.is_data
-        )
+        table = run.table()
+        values = timeline_interarrivals(table, sender, filters.data_frames_only(table))
         result.histograms[label] = _histogram_of(values, bins)
         result.observation_counts[label] = len(values)
     return result
@@ -309,14 +288,11 @@ def rate_experiment(duration_s: float = 15.0, seed: int = 23) -> FactorExperimen
             mac for mac, name in run.station_names.items() if name == "subject"
         )
         table = run.table()
-        values = timeline_interarrivals(
-            table, sender, lambda c: c.frame.is_data
-        )
+        data = filters.data_frames_only(table)
+        values = timeline_interarrivals(table, sender, data)
         result.histograms[label] = _histogram_of(values, bins)
         result.observation_counts[label] = len(values)
-        rates_mask = (table.sender_idx == table.sender_code(sender)) & table.mask_ftypes(
-            _DATA_LABELS
-        )
+        rates_mask = (table.sender_idx == table.sender_code(sender)) & data
         result.companions[f"{label}-rates"] = (
             _histogram_of(table.rate_mbps[rates_mask], rate_bins),
             rate_bins,
@@ -366,13 +342,11 @@ def services_experiment(
         )
     )
     run = scenario.run()
+    table = run.table()
+    broadcast_data = filters.broadcast_data_only(table)
     for label in ("netbook-1", "netbook-2"):
         sender = next(mac for mac, name in run.station_names.items() if name == label)
-        values = timeline_interarrivals(
-            run.table(),
-            sender,
-            lambda c: c.frame.is_data and c.frame.is_multicast,
-        )
+        values = timeline_interarrivals(table, sender, broadcast_data)
         result.histograms[label] = _histogram_of(values, bins)
         result.observation_counts[label] = len(values)
     return result
@@ -403,11 +377,11 @@ def psm_experiment(duration_s: float = 600.0, seed: int = 57) -> FactorExperimen
         )
     )
     run = scenario.run()
+    table = run.table()
+    null_function = filters.null_function_only(table)
     for label in ("card-1", "card-2"):
         sender = next(mac for mac, name in run.station_names.items() if name == label)
-        values = timeline_interarrivals(
-            run.table(), sender, lambda c: c.frame.is_null_function
-        )
+        values = timeline_interarrivals(table, sender, null_function)
         result.histograms[label] = _histogram_of(values, bins)
         result.observation_counts[label] = len(values)
     return result

@@ -13,31 +13,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.dot11.capture import CapturedFrame
-from repro.dot11.frames import FrameType
 from repro.dot11.mac import MacAddress
 from repro.core.database import ReferenceDatabase
 from repro.core.matcher import match_signature
 from repro.core.parameters import InterArrivalTime, NetworkParameter
 from repro.core.signature import Signature, SignatureBuilder
+from repro.traces.filters import data_frames_only
+from repro.traces.table import FROM_DS, FrameTable
 
 
-def ap_own_frames(
-    frames: list[CapturedFrame], ap: MacAddress
-) -> list[CapturedFrame]:
-    """The AP's non-forwarded frames: management traffic it originates.
+def ap_own_rows(table: FrameTable, ap: MacAddress) -> np.ndarray:
+    """Row mask of the AP's non-forwarded frames: traffic it originates.
 
-    Data frames with ``from_ds`` set are forwarded payloads and are
-    dropped, exactly as Section VII-B2 prescribes.
+    Data frames with from-DS set are forwarded payloads and are
+    dropped, exactly as Section VII-B2 prescribes.  The batch detector
+    and the live guard both select with this mask.
     """
-    own: list[CapturedFrame] = []
-    for captured in frames:
-        if captured.sender != ap:
-            continue
-        if captured.frame.ftype is FrameType.DATA and captured.frame.from_ds:
-            continue
-        own.append(captured)
-    return own
+    code = table.sender_code(ap)
+    if code < 0:
+        return np.zeros(len(table), dtype=bool)
+    forwarded = data_frames_only(table) & ((table.flags & FROM_DS) != 0)
+    return (table.sender_idx == code) & ~forwarded
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,7 +69,7 @@ class RogueApDetector:
 
     def learn(self, frames: list[CapturedFrame], ap: MacAddress) -> bool:
         """Record the legitimate AP's signature from a safe capture."""
-        signature = self.builder.build_single(ap_own_frames(frames, ap), ap)
+        signature, _ = self._own_signature(frames, ap)
         if signature is None:
             return False
         self.use_reference(signature, ap)
@@ -94,9 +93,16 @@ class RogueApDetector:
         The combined similarity follows Algorithm 1 with the stored
         reference as the single database entry.
         """
-        own = ap_own_frames(frames, claimed_ap)
-        signature = self.builder.build_single(own, claimed_ap)
-        return self.check_signature(signature, claimed_ap, observations=len(own))
+        signature, observations = self._own_signature(frames, claimed_ap)
+        return self.check_signature(signature, claimed_ap, observations=observations)
+
+    def _own_signature(
+        self, frames: list[CapturedFrame], ap: MacAddress
+    ) -> tuple[Signature | None, int]:
+        """The signature of the AP's own frames, and how many there are."""
+        table = FrameTable.from_frames(frames)
+        own = table.select(ap_own_rows(table, ap))
+        return self.builder.build_table(own).get(ap), len(own)
 
     def check_signature(
         self,

@@ -61,8 +61,8 @@ class JointParameter(NetworkParameter):
     ``x``/``y`` are base-parameter names (``rate``, ``size``,
     ``txtime``, ``interarrival``, ``access``).  Bin specs default to
     the base parameters' own defaults.  A pair reading the channel
-    clock (inter-arrival or access) has no ``carried_value``, so it
-    runs in batch only; streaming ingest rejects it.
+    clock (inter-arrival or access) streams like its component: the
+    carried clock is forwarded to both components.
     """
 
     def __init__(
@@ -89,16 +89,18 @@ class JointParameter(NetworkParameter):
     def default_bins(self) -> BinSpec:
         return self._bins
 
-    def observe_table(self, table: FrameTable) -> TableObservations:
+    def observe_table(
+        self, table: FrameTable, previous_t: float | None = None
+    ) -> TableObservations:
         """Rows both components observe, valued by their flattened joint bin.
 
         A pair where either component's value is discarded by its bins
         is dropped here, so it never enters the signature's first-seen
-        order.
+        order.  ``previous_t`` goes to both components.
         """
         x_parameter, y_parameter = self.components
-        x = x_parameter.observe_table(table)
-        y = y_parameter.observe_table(table)
+        x = x_parameter.observe_table(table, previous_t)
+        y = y_parameter.observe_table(table, previous_t)
         positions, x_at, y_at = np.intersect1d(
             x.positions, y.positions, assume_unique=True, return_indices=True
         )

@@ -24,10 +24,10 @@ over a columnar :class:`~repro.traces.table.FrameTable`: the
 time-derived parameters become shifted-array subtractions under a
 sender mask (DESIGN.md §6).  Streaming ingest runs ``observe_table``
 chunk span by chunk span through :class:`ObservationStream`, which
-carries the channel clock across spans.  The per-frame scalar
-extractors survive as test oracles (``tests/oracles.py``); the
-equivalence is property-pinned in ``tests/test_parameters.py`` and
-``tests/test_table.py``.
+passes in the channel clock carried from the previous span.  The
+per-frame scalar extractors survive as test oracles
+(``tests/oracles.py``); the equivalence is property-pinned in
+``tests/test_parameters.py`` and ``tests/test_table.py``.
 """
 
 from __future__ import annotations
@@ -59,25 +59,18 @@ class NetworkParameter:
         """Binning used by the evaluation unless overridden."""
         raise NotImplementedError
 
-    def observe_table(self, table: FrameTable) -> TableObservations:
+    def observe_table(
+        self, table: FrameTable, previous_t: float | None = None
+    ) -> TableObservations:
         """The table's attributed observations as aligned arrays.
 
         ``(sender_idx, ftype_idx, values, positions)`` in row order;
         ``positions`` are the table rows the observations came from.
-        """
-        raise NotImplementedError
-
-    def carried_value(
-        self, table: FrameTable, row: int, previous_t: float
-    ) -> float:
-        """The observation of table ``row`` against a carried clock.
-
-        Only parameters with ``table_memory == 1`` implement this: it is
-        the one value slice-local :meth:`observe_table` cannot see — a
-        chunk's first row measured against the channel clock
-        ``previous_t`` (the previous chunk's last end-of-reception) —
-        computed from the table columns with the float64 arithmetic of
-        :meth:`observe_table`.
+        ``previous_t`` is the channel clock before row 0 (the previous
+        chunk's last end-of-reception): a parameter with
+        ``table_memory == 1`` then observes row 0 against it, while
+        without it row 0 only arms the clock.  Parameters without
+        memory ignore it.
         """
         raise NotImplementedError
 
@@ -95,26 +88,17 @@ class ObservationStream:
     Every Section III parameter is causal with at most one frame of
     memory (``table_memory``), so a span's observations are the
     parameter's :meth:`~NetworkParameter.observe_table` over the span
-    plus, for the time-derived parameters, the span's first row
-    observed against the channel clock ``t_{i-1}`` carried from the
-    previous span (:meth:`~NetworkParameter.carried_value`).  Feeding a
-    capture's rows through :meth:`push_table` in any chunking therefore
-    yields exactly the observations ``observe_table`` produces on the
-    whole capture.  The clock is the stream's only state;
-    unattributable ACK/CTS rows advance it without observing.
+    with the channel clock ``t_{i-1}`` carried from the previous span
+    passed in.  Feeding a capture's rows through :meth:`push_table` in
+    any chunking therefore yields exactly the observations
+    ``observe_table`` produces on the whole capture.  The clock is the
+    stream's only state; unattributable ACK/CTS rows advance it without
+    observing.
     """
 
     __slots__ = ("_parameter", "_previous_t")
 
     def __init__(self, parameter: NetworkParameter) -> None:
-        if (
-            parameter.table_memory
-            and type(parameter).carried_value is NetworkParameter.carried_value
-        ):
-            raise TypeError(
-                f"parameter {parameter.name!r} reads the channel clock but "
-                "has no carried_value; streaming ingest needs one"
-            )
         self._parameter = parameter
         self._previous_t: float | None = None
 
@@ -124,21 +108,12 @@ class ObservationStream:
         ``positions`` are in the chunk's row coordinates; the stream's
         clock advances past row ``hi - 1``.
         """
-        observed = self._parameter.observe_table(table.slice_rows(lo, hi))
-        sender_idx = observed.sender_idx
-        ftype_idx = observed.ftype_idx
-        values = observed.values
-        positions = observed.positions + lo
+        observed = self._parameter.observe_table(
+            table.slice_rows(lo, hi), self._previous_t
+        )
         if self._parameter.table_memory:
-            previous_t = self._previous_t
             self._previous_t = float(table.timestamp_us[hi - 1])
-            if previous_t is not None and table.sender_idx[lo] >= 0:
-                value = self._parameter.carried_value(table, lo, previous_t)
-                sender_idx = np.concatenate(([table.sender_idx[lo]], sender_idx))
-                ftype_idx = np.concatenate(([table.ftype_idx[lo]], ftype_idx))
-                values = np.concatenate(([value], values))
-                positions = np.concatenate(([lo], positions))
-        return TableObservations(sender_idx, ftype_idx, values, positions)
+        return observed._replace(positions=observed.positions + lo)
 
     def export_state(self) -> dict:
         """Checkpointable state: the channel clock, if the parameter has one."""
@@ -154,12 +129,25 @@ def _attributable_positions(table: FrameTable) -> np.ndarray:
     return np.flatnonzero(table.sender_idx >= 0)
 
 
-def _clocked_positions(table: FrameTable) -> np.ndarray:
-    """Rows yielding a time-derived observation: attributable rows
-    with a predecessor on the channel (the first row has no
-    ``t_{i-1}``; ACK/CTS rows advance the clock but are masked out)."""
-    positions = np.flatnonzero(table.sender_idx[1:] >= 0)
-    return positions + 1
+def _clocked(
+    table: FrameTable, previous_t: float | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows yielding a time-derived observation and each one's
+    ``t_{i-1}``: attributable rows with a predecessor on the channel.
+
+    Row 0's predecessor is the carried clock ``previous_t``; without
+    one, row 0 has no ``t_{i-1}``.  ACK/CTS rows advance the clock but
+    are masked out.
+    """
+    t = table.timestamp_us
+    if previous_t is None:
+        positions = np.flatnonzero(table.sender_idx[1:] >= 0) + 1
+        return positions, t[positions - 1]
+    positions = np.flatnonzero(table.sender_idx >= 0)
+    before = t[positions - 1]
+    if positions.size and positions[0] == 0:
+        before[0] = previous_t
+    return positions, before
 
 
 def _gathered(
@@ -182,7 +170,9 @@ class TransmissionRate(NetworkParameter):
     def default_bins(self) -> BinSpec:
         return CategoricalBins(categories=tuple(float(r) for r in PAPER_RATE_AXIS))
 
-    def observe_table(self, table: FrameTable) -> TableObservations:
+    def observe_table(
+        self, table: FrameTable, previous_t: float | None = None
+    ) -> TableObservations:
         positions = _attributable_positions(table)
         return _gathered(table, positions, table.rate_mbps[positions])
 
@@ -196,7 +186,9 @@ class FrameSize(NetworkParameter):
     def default_bins(self) -> BinSpec:
         return UniformBins(lo=0.0, hi=2400.0, width=32.0)
 
-    def observe_table(self, table: FrameTable) -> TableObservations:
+    def observe_table(
+        self, table: FrameTable, previous_t: float | None = None
+    ) -> TableObservations:
         positions = _attributable_positions(table)
         return _gathered(table, positions, table.size[positions])
 
@@ -213,7 +205,9 @@ class TransmissionTime(NetworkParameter):
         # clip bin and washes out device differences.
         return UniformBins(lo=0.0, hi=20000.0, width=20.0)
 
-    def observe_table(self, table: FrameTable) -> TableObservations:
+    def observe_table(
+        self, table: FrameTable, previous_t: float | None = None
+    ) -> TableObservations:
         # size * 8 / rate over float64 columns is bit-identical to
         # paper_transmission_time_us (sizes are exact in float64).
         positions = _attributable_positions(table)
@@ -241,18 +235,14 @@ class InterArrivalTime(NetworkParameter):
         # make them mutually indistinguishable.
         return UniformBins(lo=0.0, hi=2500.0, width=50.0, drop_outside=True)
 
-    def observe_table(self, table: FrameTable) -> TableObservations:
+    def observe_table(
+        self, table: FrameTable, previous_t: float | None = None
+    ) -> TableObservations:
         # The channel clock vectorizes as a shifted-array subtraction:
         # t_{i-1} is simply the timestamp column shifted by one row,
         # because *every* frame (attributable or not) advances it.
-        positions = _clocked_positions(table)
-        t = table.timestamp_us
-        return _gathered(table, positions, t[positions] - t[positions - 1])
-
-    def carried_value(
-        self, table: FrameTable, row: int, previous_t: float
-    ) -> float:
-        return float(table.timestamp_us[row]) - previous_t
+        positions, before = _clocked(table, previous_t)
+        return _gathered(table, positions, table.timestamp_us[positions] - before)
 
 
 class MediumAccessTime(NetworkParameter):
@@ -273,21 +263,15 @@ class MediumAccessTime(NetworkParameter):
         # the contention range carry device information.
         return UniformBins(lo=0.0, hi=1000.0, width=20.0, drop_outside=True)
 
-    def observe_table(self, table: FrameTable) -> TableObservations:
+    def observe_table(
+        self, table: FrameTable, previous_t: float | None = None
+    ) -> TableObservations:
         # Same shift-and-mask as the inter-arrival time, with the
-        # start-of-reception estimate t_i − tt_i in place of t_i; the
-        # operation order matches carried_value bit for bit.
-        positions = _clocked_positions(table)
-        t = table.timestamp_us
+        # start-of-reception estimate t_i − tt_i in place of t_i.
+        positions, before = _clocked(table, previous_t)
         tt = table.size[positions] * 8.0 / table.rate_mbps[positions]
-        values = (t[positions] - tt) - t[positions - 1]
+        values = (table.timestamp_us[positions] - tt) - before
         return _gathered(table, positions, values)
-
-    def carried_value(
-        self, table: FrameTable, row: int, previous_t: float
-    ) -> float:
-        tt_i = float(table.size[row]) * 8.0 / float(table.rate_mbps[row])
-        return (float(table.timestamp_us[row]) - tt_i) - previous_t
 
 
 #: The paper's five parameters, in its Section III order.

@@ -240,42 +240,14 @@ def read_trace_pcap(
     return list(iter_trace_pcap(source, skip_bad_fcs=skip_bad_fcs))
 
 
-def iter_trace_tables(
-    source: str | Path | BinaryIO | bytes,
-    chunk_frames: int = 8192,
-    skip_bad_fcs: bool = False,
-):
-    """Stream a radiotap pcap as columnar chunks of ``chunk_frames``.
-
-    The chunked streaming engine's pcap source: frames are decoded
-    lazily (:func:`iter_trace_pcap`) and interned ``chunk_frames`` at a
-    time into independent :class:`~repro.traces.table.FrameTable`
-    chunks, so memory stays bounded by the chunk size while ingest runs
-    through the vectorized columnar path.  The final chunk may be
-    shorter.
-    """
-    if chunk_frames < 1:
-        raise ValueError(f"chunk_frames must be >= 1: {chunk_frames}")
-    from repro.traces.table import FrameTable
-
-    batch: list[CapturedFrame] = []
-    for captured in iter_trace_pcap(source, skip_bad_fcs=skip_bad_fcs):
-        batch.append(captured)
-        if len(batch) >= chunk_frames:
-            yield FrameTable.from_frames(batch)
-            batch = []
-    if batch:
-        yield FrameTable.from_frames(batch)
-
-
 def read_trace_table(source: str | Path | BinaryIO | bytes, skip_bad_fcs: bool = False):
     """Load a radiotap pcap straight into a columnar
     :class:`~repro.traces.table.FrameTable`.
 
     Records are decoded and interned in a single streaming pass — the
     columnar analysis backbone never sees a :class:`Trace`
-    intermediate, and the decoded frames stay attached to the table
-    for lossless ``to_frames`` round-trips.
+    intermediate.  The retry, from-DS and group-addressed bits of each
+    decoded MAC header land in the table's ``flags`` column.
     """
     from repro.traces.table import FrameTable
 

@@ -111,19 +111,7 @@ class ShardRouter:
         row_shard = np.full(len(sender_idx), -1, dtype=np.int64)
         row_shard[~sentinel] = owners[sender_idx[~sentinel]]
         return [
-            _select(table, (row_shard == shard) | sentinel)
+            table.select((row_shard == shard) | sentinel)
             for shard in range(self.shard_count)
         ]
 
-
-def _select(table: FrameTable, mask: np.ndarray) -> FrameTable:
-    """Mask-select rows into a standalone (frame-less) table."""
-    return FrameTable(
-        timestamp_us=table.timestamp_us[mask],
-        size=table.size[mask],
-        rate_mbps=table.rate_mbps[mask],
-        sender_idx=table.sender_idx[mask],
-        ftype_idx=table.ftype_idx[mask],
-        senders=table.senders,
-        ftype_keys=table.ftype_keys,
-    )

@@ -18,8 +18,9 @@ concurrently**, as a service rather than a one-shot CLI run.
   and every closed detection window's gated signatures are folded into
   the sensor's per-shard harvest databases (latest window wins);
 * per-sensor **checkpoint/resume** reuses
-  :mod:`repro.persistence.checkpoint`: a manifest + one engine
-  checkpoint per shard + one persisted harvest store per shard.  A
+  :mod:`repro.persistence.checkpoint`: a manifest naming a snapshot
+  directory that holds one engine checkpoint and one persisted harvest
+  store per shard.  A
   sensor that dies mid-session is checkpointed; when it reconnects and
   re-sends its capture, the skip-processed trim replays the remainder
   **event-for-event identically** (``tests/test_service.py``);
@@ -44,6 +45,7 @@ from __future__ import annotations
 import json
 import os
 import queue
+import shutil
 import socket
 import threading
 import time
@@ -73,9 +75,11 @@ from repro.traces.table import FrameTable
 
 #: Sensor-checkpoint manifest identifier and version.
 MANIFEST_FORMAT = "repro-sensor-checkpoint"
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 _MANIFEST_FILE = "manifest.json"
+#: Snapshot directories are ``snapshot-<n>``; ``n`` is never reused.
+_SNAPSHOT_PREFIX = "snapshot-"
 
 #: Queue sentinels (identity-compared).
 _END = object()
@@ -305,25 +309,34 @@ class SensorPipeline:
 
     # -- checkpoint / resume -------------------------------------------
     def checkpoint(self, directory: str | Path) -> Path:
-        """Snapshot manifest + per-shard engine state + harvests.
+        """Snapshot per-shard engine state + harvests, then the manifest.
 
-        The manifest is written last (atomically), so a crash mid-
-        checkpoint leaves the previous consistent snapshot in charge.
+        Each snapshot goes into a directory no earlier snapshot used;
+        the manifest naming it is replaced atomically only after every
+        shard file is written, and only then are the older snapshot
+        directories deleted.  A crash at any point therefore leaves the
+        previous manifest and the whole snapshot it names in charge.
         """
         from repro.persistence.store import save_database
 
         base = Path(directory) / self.sensor
         base.mkdir(parents=True, exist_ok=True)
+        older = _snapshot_dirs(base)
+        snapshot = base / f"{_SNAPSHOT_PREFIX}{max(older, default=0) + 1}"
+        snapshot.mkdir()
         for shard, engine in enumerate(self.engines):
-            engine.checkpoint(base / f"shard-{shard}.ckpt")
+            engine.checkpoint(snapshot / f"shard-{shard}.ckpt")
         for shard, harvest in enumerate(self.harvests):
             save_database(
-                harvest, base / f"harvest-{shard}", parameter=self.config.parameter.name
+                harvest,
+                snapshot / f"harvest-{shard}",
+                parameter=self.config.parameter.name,
             )
         manifest = {
             "format": MANIFEST_FORMAT,
             "version": MANIFEST_VERSION,
             "config": self.config.fingerprint(),
+            "snapshot": snapshot.name,
             "frames": self.frames,
             "chunks": self.chunks,
             "horizon_us": self.horizon_us,
@@ -333,6 +346,8 @@ class SensorPipeline:
         scratch = target.with_name(target.name + ".tmp")
         scratch.write_text(json.dumps(manifest, sort_keys=True) + "\n")
         os.replace(scratch, target)
+        for path in older.values():
+            shutil.rmtree(path)
         return base
 
     @classmethod
@@ -356,10 +371,16 @@ class SensorPipeline:
         if manifest.get("format") != MANIFEST_FORMAT:
             raise ValueError(f"not a sensor checkpoint: {base}")
         version = int(manifest.get("version", 0))
-        if not 1 <= version <= MANIFEST_VERSION:
+        if version == 1:
+            raise ValueError(
+                f"sensor checkpoint {base} is version 1, whose shard files "
+                "were overwritten in place and may mix two snapshots; "
+                "delete it and re-ingest the sensor's capture"
+            )
+        if version != MANIFEST_VERSION:
             raise ValueError(
                 f"unsupported sensor checkpoint version {version} "
-                f"(this build reads versions 1..{MANIFEST_VERSION})"
+                f"(this build reads version {MANIFEST_VERSION})"
             )
         fingerprint = config.fingerprint()
         if manifest["config"] != fingerprint:
@@ -367,12 +388,13 @@ class SensorPipeline:
                 f"sensor checkpoint config mismatch for {sensor!r}: "
                 f"snapshot has {manifest['config']}, service has {fingerprint}"
             )
+        snapshot = base / manifest["snapshot"]
         pipeline = cls(sensor, config, sinks=sinks)
         for shard, engine in enumerate(pipeline.engines):
-            engine.restore(base / f"shard-{shard}.ckpt")
+            engine.restore(snapshot / f"shard-{shard}.ckpt")
         for shard, harvest in enumerate(pipeline.harvests):
             harvest.merge(
-                load_database(base / f"harvest-{shard}").database,
+                load_database(snapshot / f"harvest-{shard}").database,
                 on_conflict="error",
             )
         pipeline.frames = int(manifest["frames"])
@@ -382,6 +404,16 @@ class SensorPipeline:
         pipeline.completed = bool(manifest["completed"])
         pipeline.resumed_from_frames = pipeline.frames
         return pipeline
+
+
+def _snapshot_dirs(base: Path) -> dict[int, Path]:
+    """A sensor's snapshot directories, keyed by their number."""
+    found = {}
+    for path in base.iterdir():
+        number = path.name[len(_SNAPSHOT_PREFIX) :]
+        if path.name.startswith(_SNAPSHOT_PREFIX) and number.isdigit():
+            found[int(number)] = path
+    return found
 
 
 class _SensorState:

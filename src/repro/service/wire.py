@@ -6,7 +6,7 @@ checksummed **records**:
 ```
 offset  size  field
 0       4     magic  b"RPWF"
-4       2     format version (little-endian u16, currently 1)
+4       2     format version (little-endian u16, currently 2)
 6       1     record type (1 HELLO, 2 CHUNK, 3 END)
 7       1     reserved flags (0)
 8       4     payload length (little-endian u32)
@@ -28,21 +28,24 @@ offset   size   field
 ...      rows*8 rate_mbps     (little-endian float64)
 ...      rows*8 sender_idx    (little-endian int64, -1 = ACK/CTS)
 ...      rows*8 ftype_idx     (little-endian int64)
+...      rows   flags         (uint8, the FrameTable flag bits)
 ```
 
 Columns are raw IEEE-754/two's-complement bytes, so
 :func:`decode_chunk` reproduces :func:`encode_chunk`'s input **bit for
-bit** — every timestamp, size, rate, intern code and intern tuple is
-identical (property-pinned in ``tests/test_wire.py``).  The backing
-:class:`~repro.dot11.capture.CapturedFrame` objects are deliberately
-*not* shipped: the server consumes columns only, and everything the
-pipeline derives (observations, signatures, events) is a pure function
-of them.
+bit** — every timestamp, size, rate, intern code, flag byte and intern
+tuple is identical (property-pinned in ``tests/test_wire.py``).  The
+six columns are the whole table: everything the pipeline derives
+(observations, signatures, events, the rogue-AP guard's own-frame
+selection) is a pure function of them.
 
 Corruption never passes silently: a wrong magic, an unsupported
-version, a length/checksum mismatch, or a stream that ends mid-record
-all raise :class:`WireError` with the byte offset where decoding
-stopped.
+version (version-1 records, which lack the flags column, included), a
+length/checksum mismatch, or a stream that ends mid-record all raise
+:class:`WireError` with the byte offset where decoding stopped.  So
+does a chunk whose values a captured frame could not hold: an intern
+code out of range, a timestamp or size that is not finite and
+non-negative, or a rate that is not finite and positive.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from repro.traces.table import FrameTable
 #: Record framing magic ("RePro Wire Format").
 MAGIC = b"RPWF"
 #: Current wire format version.
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 #: Record types.
 RECORD_HELLO = 1
@@ -70,18 +73,21 @@ RECORD_END = 3
 _HEADER = struct.Struct("<4sHBBII")
 _U32 = struct.Struct("<I")
 
-#: The five FrameTable columns, in wire order, with their wire dtypes.
+#: The six FrameTable columns, in wire order, with their wire dtypes.
 _COLUMNS = (
     ("timestamp_us", "<f8"),
     ("size", "<f8"),
     ("rate_mbps", "<f8"),
     ("sender_idx", "<i8"),
     ("ftype_idx", "<i8"),
+    ("flags", "u1"),
 )
+#: Bytes per row across all columns.
+_ROW_BYTES = sum(np.dtype(dtype).itemsize for _, dtype in _COLUMNS)
 
 
 class WireError(ValueError):
-    """Malformed wire data (bad magic/version/length/checksum)."""
+    """Malformed wire data (bad magic/version/length/checksum/values)."""
 
 
 # -- record framing -----------------------------------------------------
@@ -166,8 +172,7 @@ def encode_chunk(table: FrameTable) -> bytes:
     """Serialise one columnar chunk as a CHUNK record.
 
     The columns are written as raw little-endian bytes, so the encode →
-    decode round trip is bit-identical; the backing frames (if any) are
-    not shipped.
+    decode round trip is bit-identical.
     """
     header = json.dumps(
         {
@@ -187,10 +192,11 @@ def encode_chunk(table: FrameTable) -> bytes:
 def decode_chunk(payload: bytes) -> FrameTable:
     """Rebuild the :class:`FrameTable` a CHUNK payload carries.
 
-    The returned table has no backing frames (``to_frames`` raises);
-    its five columns and two intern tuples are bit-identical to the
+    Its six columns and two intern tuples are bit-identical to the
     encoder's input.  Columns are read-only zero-copy views onto the
-    payload bytes — every downstream consumer only reads them.
+    payload bytes — every downstream consumer only reads them.  A
+    chunk whose values no captured frame could hold raises
+    :class:`WireError` here, before any pipeline sees it.
     """
     if len(payload) < _U32.size:
         raise WireError("chunk payload shorter than its header length field")
@@ -210,7 +216,7 @@ def decode_chunk(payload: bytes) -> FrameTable:
         raise WireError(f"malformed chunk header: {error}") from error
     if rows < 0:
         raise WireError(f"negative chunk row count: {rows}")
-    expected = body + rows * 8 * len(_COLUMNS)
+    expected = body + rows * _ROW_BYTES
     if len(payload) != expected:
         raise WireError(
             f"chunk column data length mismatch: expected {expected} "
@@ -220,20 +226,25 @@ def decode_chunk(payload: bytes) -> FrameTable:
     offset = body
     for name, dtype in _COLUMNS:
         columns[name] = np.frombuffer(payload, dtype=dtype, count=rows, offset=offset)
-        offset += rows * 8
+        offset += rows * np.dtype(dtype).itemsize
     if rows:
-        sender_idx = columns["sender_idx"]
-        if int(sender_idx.min()) < -1 or int(sender_idx.max()) >= len(senders):
-            raise WireError("chunk sender_idx out of intern range")
-        ftype_idx = columns["ftype_idx"]
-        if int(ftype_idx.min()) < 0 or int(ftype_idx.max()) >= len(ftype_keys):
-            raise WireError("chunk ftype_idx out of intern range")
-    return FrameTable(
-        timestamp_us=columns["timestamp_us"],
-        size=columns["size"],
-        rate_mbps=columns["rate_mbps"],
-        sender_idx=columns["sender_idx"],
-        ftype_idx=columns["ftype_idx"],
-        senders=senders,
-        ftype_keys=ftype_keys,
-    )
+        _check_values(columns, len(senders), len(ftype_keys))
+    return FrameTable(senders=senders, ftype_keys=ftype_keys, **columns)
+
+
+def _check_values(columns: dict, sender_count: int, ftype_count: int) -> None:
+    """Refuse values a :class:`~repro.dot11.capture.CapturedFrame`
+    could not hold: they would fail deep inside the pipeline instead."""
+    sender_idx = columns["sender_idx"]
+    if int(sender_idx.min()) < -1 or int(sender_idx.max()) >= sender_count:
+        raise WireError("chunk sender_idx out of intern range")
+    ftype_idx = columns["ftype_idx"]
+    if int(ftype_idx.min()) < 0 or int(ftype_idx.max()) >= ftype_count:
+        raise WireError("chunk ftype_idx out of intern range")
+    for name in ("timestamp_us", "size"):
+        column = columns[name]
+        if not (np.isfinite(column).all() and (column >= 0.0).all()):
+            raise WireError(f"chunk {name} must be finite and >= 0")
+    rates = columns["rate_mbps"]
+    if not (np.isfinite(rates).all() and (rates > 0.0).all()):
+        raise WireError("chunk rate_mbps must be finite and > 0")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dot11.mac import MacAddress
-from repro.applications.rogue_ap import RogueApDetector
+from repro.applications.rogue_ap import RogueApDetector, ap_own_rows
 from repro.applications.spoof_detector import SpoofDetector, SpoofVerdict
 from repro.applications.tracker import DeviceTracker
 from repro.streaming.builder import StreamingSignatureBuilder
@@ -38,9 +38,9 @@ class WindowAnalyzer:
         """Called for every routed row span ``[lo, hi)`` of a chunk.
 
         Spans arrive after the windows their rows close have been
-        handled.  The default does nothing, so analyzers without
-        row-level state run on chunks that carry no backing frames
-        (wire-decoded or column-built).
+        handled.  The default does nothing.  A table is columns only,
+        so an analyzer with row-level state reads the same fields from
+        every chunk source (interned, wire-decoded or mask-selected).
         """
 
     def on_window(self, closed: ClosedWindow) -> list[StreamEvent]:
@@ -90,13 +90,12 @@ class OnlineRogueApGuard(WindowAnalyzer):
     """Rogue-AP detection per closed window (Section VII-B2, live).
 
     Maintains its own per-window accumulator over the AP's *own*
-    frames (forwarded payloads excluded, as the batch detector's
-    :func:`~repro.applications.rogue_ap.ap_own_frames` prescribes) and
-    emits a :class:`~repro.streaming.events.RogueApAlert` whenever a
-    window's fingerprint fails the reference check.  Assumes tumbling
+    frames, selected with the batch detector's row mask
+    (:func:`~repro.applications.rogue_ap.ap_own_rows`: forwarded data,
+    read from the from-DS bit of the ``flags`` column, is excluded),
+    and emits a :class:`~repro.streaming.events.RogueApAlert` whenever
+    a window's fingerprint fails the reference check.  Assumes tumbling
     windows — each frame belongs to exactly one AP accumulation span.
-    Needs chunks with backing frames: the ``from_ds`` flag is not a
-    column.
     """
 
     def __init__(self, detector: RogueApDetector, ap: MacAddress) -> None:
@@ -113,18 +112,14 @@ class OnlineRogueApGuard(WindowAnalyzer):
         )
 
     def on_table(self, table: FrameTable, lo: int, hi: int) -> None:
-        code = table.sender_code(self.ap)
-        if code < 0:
-            return
-        rows = np.flatnonzero(table.sender_idx[lo:hi] == code) + lo
-        frames = [table.frame_at(row) for row in rows.tolist()]
-        # Forwarded payloads are not the AP's own behaviour.
-        own = [f for f in frames if not (f.frame.is_data and f.frame.from_ds)]
-        if own:
+        span = table.slice_rows(lo, hi)
+        own = ap_own_rows(span, self.ap)
+        count = int(np.count_nonzero(own))
+        if count:
             # The builder carries its channel clock across calls, so
             # the AP's own frames form one continuous stream.
-            self._own_frames += len(own)
-            self._builder.update_table(FrameTable.from_frames(own))
+            self._own_frames += count
+            self._builder.update_table(span.select(own))
 
     def on_window(self, closed: ClosedWindow) -> list[StreamEvent]:
         signature = self._builder.signature(self.ap)

@@ -50,11 +50,9 @@ class StreamingSignatureBuilder:
     One builder is bound to a network parameter and a bin spec, like
     the batch :class:`~repro.core.signature.SignatureBuilder`; chunks
     are fed through :meth:`update_table` and signatures can be read out
-    at any instant.  A parameter reading the channel clock needs a
-    ``carried_value``; construction raises ``TypeError`` otherwise.
-    Memory is O(resident devices × frame types × bins), independent of
-    stream length; :meth:`evict` and :meth:`evict_idle` bound the
-    resident set.
+    at any instant.  Memory is O(resident devices × frame types ×
+    bins), independent of stream length; :meth:`evict` and
+    :meth:`evict_idle` bound the resident set.
     """
 
     def __init__(

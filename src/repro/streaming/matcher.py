@@ -5,9 +5,9 @@
 window is matched in one matrix product per frame type.  Reference
 updates may be interleaved with live matching — the deployment loop
 the paper's applications imply (learn newly authorised devices,
-retire old ones, keep fingerprinting): :meth:`OnlineMatcher.learn`
-and :meth:`OnlineMatcher.forget` drop the database's packed view, and
-the next window's match rebuilds it.
+retire old ones, keep fingerprinting): the database's ``add`` and
+``remove`` drop its packed view, and the next window's match rebuilds
+it.
 
 The window's score matrix is the result, carried by the batch path's
 candidate class: :class:`StreamCandidate` *is*
@@ -21,11 +21,9 @@ off the row; the per-reference dict
 
 from __future__ import annotations
 
-from repro.dot11.mac import MacAddress
 from repro.core.database import ReferenceDatabase
 from repro.core.detection import WindowCandidate
 from repro.core.matcher import batch_match_signatures
-from repro.core.signature import Signature
 from repro.core.similarity import SimilarityMeasure, cosine_similarity
 from repro.streaming.windows import ClosedWindow
 
@@ -44,14 +42,6 @@ class OnlineMatcher:
     ) -> None:
         self.database = database if database is not None else ReferenceDatabase()
         self.measure = measure
-
-    def learn(self, device: MacAddress, signature: Signature) -> None:
-        """Register (or refresh) one reference device."""
-        self.database.add(device, signature)
-
-    def forget(self, device: MacAddress) -> bool:
-        """Retire one reference device; no-op ``False`` if unknown."""
-        return self.database.remove(device)
 
     def match_window(self, closed: ClosedWindow) -> list[StreamCandidate]:
         """Match every candidate of one closed window in a single batch."""

@@ -6,8 +6,8 @@ timestamp order; :meth:`~repro.streaming.engine.StreamEngine.run_chunked`
 pulls one chunk at a time, so a source backed by a file or a live feed
 keeps the whole pipeline in bounded memory.  Built-ins:
 
-* :func:`pcap_chunk_source` — an on-disk radiotap pcap
-  (:func:`repro.radiotap.pcap.iter_trace_tables`), never materialising
+* :func:`pcap_chunk_source` — an on-disk radiotap pcap decoded lazily
+  (:func:`repro.radiotap.pcap.iter_trace_pcap`), never materialising
   the capture;
 * :func:`simulation_chunk_source` — the discrete-event simulator as a
   live feed (:meth:`repro.simulator.scenario.Scenario.stream`),
@@ -62,10 +62,10 @@ def pcap_chunk_source(
     skip_bad_fcs: bool = False,
 ) -> Iterator["FrameTable"]:
     """Stream a radiotap pcap as columnar chunks (bounded memory)."""
-    from repro.radiotap.pcap import iter_trace_tables
+    from repro.radiotap.pcap import iter_trace_pcap
 
-    return iter_trace_tables(
-        source, chunk_frames=chunk_frames, skip_bad_fcs=skip_bad_fcs
+    return table_chunks(
+        iter_trace_pcap(source, skip_bad_fcs=skip_bad_fcs), chunk_frames
     )
 
 

@@ -17,12 +17,17 @@ time-derived parameters without ever producing an observation.
 in first-appearance order, so downstream dict orderings follow first
 appearance in the capture.
 
+A sixth column, ``flags`` (``uint8``), carries the MAC-header bits two
+of the paper's frame rules read: :data:`RETRY` (Figure 4 keeps first
+transmissions only), :data:`FROM_DS` (Section VII-B2 drops the data an
+AP forwards) and :data:`GROUP_ADDRESSED` (the receiver's I/G bit;
+Figure 7 keeps broadcast data only).  The table holds nothing but
+columns and intern tuples, so a wire-decoded or mask-selected chunk is
+as complete as one interned from frame objects.
+
 Tables are cheap to slice: row slices are NumPy **views** onto the
-parent's columns (zero copy), and the backing
-:class:`~repro.dot11.capture.CapturedFrame` sequence — kept for
-lossless :meth:`FrameTable.to_frames` round-trips and for consumers
-that need fields outside the columns — is shared by reference with an
-offset, never copied per window.
+parent's columns (zero copy) sharing the intern tuples, never copied
+per window; :meth:`FrameTable.select` copies the rows of a mask.
 
 :func:`window_bounds` is the single implementation of the evaluation
 protocol's tumbling windows, shared by :meth:`repro.traces.trace.Trace.windows`,
@@ -33,12 +38,19 @@ instead of the former O(n) stamp-list rebuild.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from repro.dot11.capture import CapturedFrame
 from repro.dot11.mac import MacAddress
+
+#: ``flags`` bit: the frame is a retransmission (802.11 Retry bit).
+RETRY = 0x01
+#: ``flags`` bit: the frame comes from the distribution system (From DS).
+FROM_DS = 0x02
+#: ``flags`` bit: the receiver (addr1) is a group address (its I/G bit).
+GROUP_ADDRESSED = 0x04
 
 
 class TableObservations(NamedTuple):
@@ -94,7 +106,9 @@ class FrameTable:
     Build one with :meth:`from_frames` (or the zero-copy accessors
     ``Trace.table()`` / ``SimulationResult.table()`` /
     :func:`repro.radiotap.pcap.read_trace_table`); slice it with
-    :meth:`slice_rows` / :meth:`slice_us` / :meth:`windows` — all views.
+    :meth:`slice_rows` / :meth:`slice_us` / :meth:`windows` — all views
+    — or copy a row subset with :meth:`select`.  A table built from bare
+    columns without ``flags`` gets an all-zero flags column.
     """
 
     __slots__ = (
@@ -103,10 +117,9 @@ class FrameTable:
         "rate_mbps",
         "sender_idx",
         "ftype_idx",
+        "flags",
         "senders",
         "ftype_keys",
-        "_frames",
-        "_base",
     )
 
     def __init__(
@@ -118,18 +131,18 @@ class FrameTable:
         ftype_idx: np.ndarray,
         senders: tuple[MacAddress, ...],
         ftype_keys: tuple[str, ...],
-        frames: Sequence[CapturedFrame] | None = None,
-        base: int = 0,
+        flags: np.ndarray | None = None,
     ) -> None:
         self.timestamp_us = timestamp_us
         self.size = size
         self.rate_mbps = rate_mbps
         self.sender_idx = sender_idx
         self.ftype_idx = ftype_idx
+        self.flags = (
+            np.zeros(timestamp_us.shape[0], dtype=np.uint8) if flags is None else flags
+        )
         self.senders = senders
         self.ftype_keys = ftype_keys
-        self._frames = frames
-        self._base = base
 
     # -- construction --------------------------------------------------
     @classmethod
@@ -141,27 +154,25 @@ class FrameTable:
     ) -> "FrameTable":
         """Intern a frame sequence into columns in one pass.
 
-        The source frames are retained by reference (no copy), so
-        :meth:`to_frames` round-trips losslessly.  ``timestamps`` lets
-        a caller that already extracted the timestamp column (e.g.
-        :meth:`Trace.table`, whose constructor cached it) share it
-        instead of re-walking the frames.
+        ``timestamps`` lets a caller that already extracted the
+        timestamp column (e.g. :meth:`Trace.table`, whose constructor
+        cached it) share it instead of re-walking the frames.
         """
-        backing = frames if isinstance(frames, list) else list(frames)
-        count = len(backing)
+        frames = frames if isinstance(frames, list) else list(frames)
+        count = len(frames)
         # Column-at-a-time fromiter passes beat a single row loop: each
         # pass is one attribute access per frame with no index writes.
         if timestamps is not None:
             stamps = timestamps
         else:
             stamps = np.fromiter(
-                (c.timestamp_us for c in backing), dtype=np.float64, count=count
+                (c.timestamp_us for c in frames), dtype=np.float64, count=count
             )
         sizes = np.fromiter(
-            (c.frame.size for c in backing), dtype=np.float64, count=count
+            (c.frame.size for c in frames), dtype=np.float64, count=count
         )
         rates = np.fromiter(
-            (c.rate_mbps for c in backing), dtype=np.float64, count=count
+            (c.rate_mbps for c in frames), dtype=np.float64, count=count
         )
         sender_codes: dict[MacAddress, int] = {}
         ftype_codes: dict = {}
@@ -170,14 +181,24 @@ class FrameTable:
                 -1
                 if (sender := c.frame.addr2) is None
                 else sender_codes.setdefault(sender, len(sender_codes))
-                for c in backing
+                for c in frames
             ),
             dtype=np.int64,
             count=count,
         )
         ftype_idx = np.fromiter(
-            (ftype_codes.setdefault(c.frame.subtype, len(ftype_codes)) for c in backing),
+            (ftype_codes.setdefault(c.frame.subtype, len(ftype_codes)) for c in frames),
             dtype=np.int64,
+            count=count,
+        )
+        flags = np.fromiter(
+            (
+                (RETRY if (f := c.frame).retry else 0)
+                | (FROM_DS if f.from_ds else 0)
+                | (GROUP_ADDRESSED if f.addr1.is_multicast else 0)
+                for c in frames
+            ),
+            dtype=np.uint8,
             count=count,
         )
         return cls(
@@ -188,7 +209,7 @@ class FrameTable:
             ftype_idx=ftype_idx,
             senders=tuple(sender_codes),
             ftype_keys=tuple(subtype.label for subtype in ftype_codes),
-            frames=backing,
+            flags=flags,
         )
 
     # -- basic protocol ------------------------------------------------
@@ -211,35 +232,12 @@ class FrameTable:
         """Timestamp of the last row (0 for an empty table)."""
         return float(self.timestamp_us[-1]) if len(self) else 0.0
 
-    # -- round trip ----------------------------------------------------
-    def to_frames(self) -> list[CapturedFrame]:
-        """The backing captured frames (lossless round trip)."""
-        if self._frames is None:
-            raise ValueError(
-                "this FrameTable carries no backing frames; build it with "
-                "FrameTable.from_frames to round-trip"
-            )
-        return list(self._frames[self._base : self._base + len(self)])
-
-    def iter_frames(self) -> Iterator[CapturedFrame]:
-        """Iterate the backing frames without materialising a copy."""
-        if self._frames is None:
-            raise ValueError("this FrameTable carries no backing frames")
-        for row in range(self._base, self._base + len(self)):
-            yield self._frames[row]
-
-    def frame_at(self, row: int) -> CapturedFrame:
-        """The backing frame of one table row."""
-        if self._frames is None:
-            raise ValueError("this FrameTable carries no backing frames")
-        return self._frames[self._base + row]
-
-    # -- slicing (views) -----------------------------------------------
+    # -- row subsets ---------------------------------------------------
     def slice_rows(self, lo: int, hi: int) -> "FrameTable":
         """Row range ``[lo, hi)`` as a zero-copy view table.
 
-        Column slices are NumPy views; the intern tuples and the
-        backing frame sequence are shared with the parent.
+        Column slices are NumPy views; the intern tuples are shared
+        with the parent.
         """
         return FrameTable(
             timestamp_us=self.timestamp_us[lo:hi],
@@ -249,8 +247,24 @@ class FrameTable:
             ftype_idx=self.ftype_idx[lo:hi],
             senders=self.senders,
             ftype_keys=self.ftype_keys,
-            frames=self._frames,
-            base=self._base + lo,
+            flags=self.flags[lo:hi],
+        )
+
+    def select(self, mask: np.ndarray) -> "FrameTable":
+        """The rows of a boolean mask, in order, as a standalone table.
+
+        The columns are copies; the intern tuples are shared with the
+        parent, so codes keep their meaning.
+        """
+        return FrameTable(
+            timestamp_us=self.timestamp_us[mask],
+            size=self.size[mask],
+            rate_mbps=self.rate_mbps[mask],
+            sender_idx=self.sender_idx[mask],
+            ftype_idx=self.ftype_idx[mask],
+            senders=self.senders,
+            ftype_keys=self.ftype_keys,
+            flags=self.flags[mask],
         )
 
     def slice_us(self, start_us: float, end_us: float) -> "FrameTable":

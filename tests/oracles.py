@@ -23,7 +23,12 @@ the runtime against an independent implementation:
   ``evaluate_identification``);
 * :func:`scalar_match` — the per-pair Algorithm 1 loop, with the 1-D
   forms of the non-cosine measures (:data:`SCALAR_MEASURES`);
-* :func:`pack` — the from-scratch rebuild of a database's packed view.
+* :func:`pack` — the from-scratch rebuild of a database's packed view;
+* :data:`FRAME_RULES` and :func:`ap_own_frames` — the Section VI frame
+  conditions and the Section VII-B2 own-frame rule as per-frame
+  predicates over the decoded MAC header (the runtime reads row masks
+  off a table's columns, ``repro.traces.filters`` and
+  ``repro.applications.rogue_ap.ap_own_rows``).
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ from repro.core.parameters import NetworkParameter
 from repro.core.signature import Signature, SignatureBuilder
 from repro.core.similarity import _EPS, _validate, SimilarityMeasure, normalize_rows
 from repro.dot11.capture import CapturedFrame
+from repro.dot11.frames import FrameType
 from repro.dot11.mac import MacAddress
 from repro.dot11.phy import paper_transmission_time_us
 from repro.traces.trace import Trace
@@ -457,3 +463,28 @@ def pack(entries: list[tuple[MacAddress, Signature]]) -> PackedDatabase:
         weights=weights,
         normalized=normalized,
     )
+
+
+# -- frame rules -----------------------------------------------------------
+#: The Section VI conditions, one predicate per ``repro.traces.filters``
+#: function name (``sent_at_rate`` takes the rate as a second argument).
+FRAME_RULES: dict[str, Callable[..., bool]] = {
+    "data_frames_only": lambda c: c.frame.is_data,
+    "first_transmissions_only": lambda c: not c.frame.retry,
+    "broadcast_data_only": lambda c: c.frame.is_data and c.frame.is_multicast,
+    "null_function_only": lambda c: c.frame.is_null_function,
+    "sent_at_rate": lambda c, rate_mbps: abs(c.rate_mbps - rate_mbps) < 1e-9,
+}
+
+
+def ap_own_frames(
+    frames: list[CapturedFrame], ap: MacAddress
+) -> list[CapturedFrame]:
+    """The AP's non-forwarded frames: data frames with ``from_ds`` set
+    are forwarded payloads and are dropped (Section VII-B2)."""
+    return [
+        captured
+        for captured in frames
+        if captured.sender == ap
+        and not (captured.frame.ftype is FrameType.DATA and captured.frame.from_ds)
+    ]

@@ -16,6 +16,8 @@ from repro.analysis.factors import (
 from repro.analysis.plots import render_curve, render_histogram, render_table
 from repro.core.histogram import UniformBins
 from repro.dot11.mac import MacAddress
+from repro.traces.filters import sent_at_rate
+from repro.traces.table import FrameTable
 from tests.conftest import make_data_capture
 
 A = MacAddress.parse("00:13:e8:00:00:0a")
@@ -30,18 +32,17 @@ class TestTimelineInterarrivals:
             make_data_capture(1400.0, A, AP),
             make_data_capture(2000.0, A, AP),
         ]
-        values = timeline_interarrivals(frames, A)
+        values = timeline_interarrivals(FrameTable.from_frames(frames), A)
         assert values.tolist() == [pytest.approx(400.0), pytest.approx(600.0)]
 
-    def test_predicate_restricts_observations(self):
+    def test_mask_restricts_observations(self):
         frames = [
             make_data_capture(1000.0, A, AP, rate=54.0),
             make_data_capture(1500.0, A, AP, rate=11.0),
             make_data_capture(2100.0, A, AP, rate=54.0),
         ]
-        values = timeline_interarrivals(
-            frames, A, lambda c: c.rate_mbps == 54.0
-        )
+        table = FrameTable.from_frames(frames)
+        values = timeline_interarrivals(table, A, sent_at_rate(table, 54.0))
         assert values.tolist() == [pytest.approx(600.0)]
 
 

@@ -11,7 +11,7 @@ from repro.applications.attacks import (
     replay_with_insertions,
     spoof_mac,
 )
-from repro.applications.rogue_ap import RogueApDetector, ap_own_frames
+from repro.applications.rogue_ap import RogueApDetector, ap_own_rows
 from repro.applications.spoof_detector import SpoofDetector, SpoofVerdict
 from repro.applications.tracker import DeviceTracker
 from repro.core.parameters import InterArrivalTime
@@ -20,6 +20,7 @@ from repro.dot11.mac import MacAddress
 from repro.persistence import load_database, save_database
 from repro.simulator import CbrTraffic, Scenario, StationSpec, WebTraffic
 from repro.traces.trace import Trace
+from tests import oracles
 
 
 @pytest.fixture(scope="module")
@@ -146,9 +147,11 @@ class TestRogueApDetection:
     def test_forwarded_frames_excluded(self, two_ap_runs):
         genuine, _rogue = two_ap_runs
         ap = next(mac for mac, name in genuine.station_names.items() if name == "ap-0")
-        own = ap_own_frames(genuine.captures, ap)
-        assert own
-        assert all(not (c.frame.is_data and c.frame.from_ds) for c in own)
+        own = ap_own_rows(genuine.table(), ap)
+        kept = [c for c, keep in zip(genuine.captures, own.tolist()) if keep]
+        assert kept
+        assert all(not (c.frame.is_data and c.frame.from_ds) for c in kept)
+        assert kept == oracles.ap_own_frames(genuine.captures, ap)
 
     def test_genuine_ap_accepted(self, two_ap_runs):
         from repro.core.parameters import FrameSize

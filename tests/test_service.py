@@ -11,6 +11,13 @@ The load-bearing claims (DESIGN.md §9) pinned here:
   (no END record) is checkpointed; re-sending the same capture —
   against the live server or a freshly restarted one — replays the
   remainder event-for-event identically to an uninterrupted run.
+* **Torn checkpoints**: a crash at any write of a sensor checkpoint
+  leaves the previous snapshot whole, and resuming from it equals the
+  uninterrupted run; a version-1 manifest, which may describe a torn
+  snapshot, is refused.
+* **Malformed chunks**: a chunk with a valid checksum but values no
+  captured frame could hold pauses its sensor instead of killing the
+  ingest worker.
 * **Backpressure**: the per-sensor ingest queue never exceeds its
   configured bound.
 * **Single-engine reference**: the service's database against one
@@ -20,6 +27,9 @@ The load-bearing claims (DESIGN.md §9) pinned here:
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+import json
 import threading
 import time
 
@@ -30,6 +40,7 @@ from repro.core.database import ReferenceDatabase
 from repro.core.parameters import (
     InterArrivalTime,
     TransmissionRate,
+    TransmissionTime,
     parameter_by_name,
 )
 from repro.persistence.store import load_database
@@ -394,6 +405,97 @@ class TestKillAndResume:
         replayed = phase1_events + list(second_sinks.sinks[sensor].events)
         assert replayed == baseline_events
 
+    @pytest.mark.parametrize("crash_after", range(6))
+    def test_crash_mid_checkpoint_resumes_like_uninterrupted_run(
+        self, tmp_path, monkeypatch, crash_after
+    ):
+        """The second checkpoint dies after its ``crash_after``-th write
+        (three engine files, then three harvest stores).  The previous
+        snapshot stays whole: restoring it and re-sending the capture
+        reproduces the uninterrupted run's events and stats."""
+        import repro.persistence.store as store
+
+        config = make_config()
+        sensor = "sensor-0"
+        chunks = sensor_captures(1, frames=900)[sensor]
+        baseline_sink = CollectingSink()
+        baseline = SensorPipeline(sensor, config, sinks=[baseline_sink])
+        for chunk in chunks:
+            baseline.ingest(chunk)
+        baseline.finish()
+
+        sink = CollectingSink()
+        pipeline = SensorPipeline(sensor, config, sinks=[sink])
+        for chunk in chunks[:5]:
+            pipeline.ingest(chunk)
+        pipeline.checkpoint(tmp_path)
+        events_at_checkpoint = len(sink.events)
+        for chunk in chunks[5:9]:
+            pipeline.ingest(chunk)
+
+        writes = []
+
+        def crashing(write):
+            def wrapper(*args, **kwargs):
+                result = write(*args, **kwargs)
+                writes.append(args[1])
+                if len(writes) > crash_after:
+                    raise OSError("simulated crash mid-checkpoint")
+                return result
+
+            return wrapper
+
+        monkeypatch.setattr(StreamEngine, "checkpoint", crashing(StreamEngine.checkpoint))
+        monkeypatch.setattr(store, "save_database", crashing(store.save_database))
+        with pytest.raises(OSError, match="simulated crash"):
+            pipeline.checkpoint(tmp_path)
+        monkeypatch.undo()
+        assert len(writes) == crash_after + 1
+
+        resumed_sink = CollectingSink()
+        restored = SensorPipeline.restore(tmp_path, sensor, config, sinks=[resumed_sink])
+        assert restored.frames == sum(len(chunk) for chunk in chunks[:5])
+        for chunk in restored.resume_trimmed(chunks):
+            restored.ingest(chunk)
+        restored.finish()
+        replayed = sink.events[:events_at_checkpoint] + resumed_sink.events
+        assert replayed == baseline_sink.events
+        stats = restored.stats()
+        assert stats.resumed_from_frames == restored.resumed_from_frames > 0
+        assert dataclasses.replace(stats, resumed_from_frames=0) == baseline.stats()
+        for ours, theirs in zip(restored.harvests, baseline.harvests):
+            assert_databases_equal(ours, theirs)
+
+    def test_checkpoint_keeps_only_the_newest_snapshot(self, tmp_path):
+        config = make_config()
+        pipeline = SensorPipeline("sensor-0", config)
+        chunks = sensor_captures(1, frames=300)["sensor-0"]
+        pipeline.ingest(chunks[0])
+        pipeline.checkpoint(tmp_path)
+        pipeline.ingest(chunks[1])
+        base = pipeline.checkpoint(tmp_path)
+        assert sorted(path.name for path in base.iterdir()) == [
+            "manifest.json",
+            "snapshot-2",
+        ]
+        manifest = json.loads((base / "manifest.json").read_text())
+        assert manifest["snapshot"] == "snapshot-2"
+
+    def test_version_1_manifest_is_refused(self, tmp_path):
+        """A version-1 snapshot overwrote its shard files in place, so
+        it may mix two snapshots: restoring it is refused."""
+        config = make_config()
+        pipeline = SensorPipeline("sensor-0", config)
+        for chunk in sensor_captures(1, frames=300)["sensor-0"]:
+            pipeline.ingest(chunk)
+        base = pipeline.checkpoint(tmp_path)
+        manifest_path = base / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["version"] = 1
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="re-ingest"):
+            SensorPipeline.restore(tmp_path, "sensor-0", config)
+
     def test_checkpoint_rejects_config_mismatch(self, tmp_path):
         config = make_config()
         pipeline = SensorPipeline("sensor-0", config)
@@ -490,6 +592,47 @@ class TestServerBehaviour:
         assert stats.sensors[0].sensor == "mangled"
         assert stats.sensors[0].frames == 0
         assert not stats.sensors[0].completed
+
+    @pytest.mark.parametrize(
+        "parameter, damage",
+        [
+            (InterArrivalTime(), {"timestamp_us": float("nan")}),
+            (TransmissionTime(), {"size": 0.0, "rate_mbps": 0.0}),
+        ],
+        ids=["nan-timestamp", "zero-rate"],
+    )
+    def test_malformed_chunk_pauses_sensor(self, parameter, damage):
+        """A chunk with a valid checksum but impossible values pauses
+        its session: the sensor detaches, and a clean re-send completes
+        with the uninterrupted run's database."""
+        captures = sensor_captures(1, frames=600)
+        (sensor, chunks), = captures.items()
+        config = make_config(parameter=parameter)
+        baseline = run_inline({sensor: chunks}, config).database
+        good = chunks[3]
+        columns = {
+            name: getattr(good, name).copy()
+            for name in ("timestamp_us", "size", "rate_mbps", "sender_idx", "ftype_idx", "flags")
+        }
+        for name, value in damage.items():
+            columns[name][5] = value
+        bad = FrameTable(senders=good.senders, ftype_keys=good.ftype_keys, **columns)
+        with IngestServer(config) as server:
+            port = server.listen()
+            with contextlib.suppress(OSError):
+                SensorSession(sensor, chunks[:3] + [bad]).connect("127.0.0.1", port)
+            assert server.wait_for_detach(sensor, timeout=10.0)
+            assert server.completed_sessions == 0
+            assert server.stats().sensors[0].frames == sum(len(c) for c in chunks[:3])
+
+            report = SensorSession(sensor, chunks).connect("127.0.0.1", port)
+            assert report.ended
+            assert server.wait_for_sessions(1, timeout=60.0)
+            merged = server.merged_database()
+            stats = server.stats().sensors[0]
+        assert stats.completed
+        assert stats.frames == sum(len(c) for c in chunks)
+        assert_databases_equal(merged, baseline)
 
     def test_bad_sensor_ids_rejected(self):
         with pytest.raises(ValueError):

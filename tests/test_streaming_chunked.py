@@ -95,6 +95,13 @@ def synth_frames(
 
 FRAMES = synth_frames()
 TABLE = FrameTable.from_frames(FRAMES)
+#: The ordered joint pairs with a channel-clock component (14 of 20).
+CLOCK_PAIRS = [
+    (x.name, y.name)
+    for x in ALL_PARAMETERS
+    for y in ALL_PARAMETERS
+    if x is not y and (x.table_memory or y.table_memory)
+]
 
 
 def chunk_spans(total: int, sizes: list[int]):
@@ -141,11 +148,19 @@ class TestBuilderEquivalence:
         assert chunked.export_state() == one_row_builder_state(parameter.name)
         assert_signatures_equal(batch_signatures(parameter.name), chunked.signatures())
 
-    def test_parameter_without_columnar_path_is_rejected(self):
-        """A joint pair reading the channel clock has no carried_value
-        to observe a chunk's first row with: it fails at construction."""
-        with pytest.raises(TypeError, match="carried_value"):
-            StreamingSignatureBuilder(JointParameter("interarrival", "size"))
+    @pytest.mark.parametrize("x, y", CLOCK_PAIRS, ids=[f"{x}x{y}" for x, y in CLOCK_PAIRS])
+    def test_clock_joint_pairs_stream(self, x, y):
+        """A joint pair reading the channel clock observes each chunk's
+        first row against the carried clock, through both components:
+        any chunking reproduces the per-frame oracle."""
+        parameter = JointParameter(x, y)
+        batch = oracles.build(SignatureBuilder(parameter, min_observations=10), FRAMES)
+        assert batch
+        for size in (1, 37, 256):
+            chunked = make_builder(parameter)
+            for lo, hi in chunk_spans(len(TABLE), [size]):
+                chunked.update_table(TABLE, lo, hi)
+            assert_signatures_equal(batch, chunked.signatures())
 
     def test_joint_pair_without_clock_streams(self):
         """A per-frame joint pair needs no carried clock and streams."""

@@ -36,6 +36,8 @@ from repro.streaming import (
     simulation_chunk_source,
     table_chunks,
 )
+from tests import oracles
+from tests.test_wire import wire_round_trip
 
 PARAMETER = InterArrivalTime()
 WINDOW_S = 15.0
@@ -174,8 +176,8 @@ class TestEngineBehaviour:
         assert not sink.of_type(DeviceMatched)
 
     def test_live_reference_updates_between_windows(self, reference_setup):
-        """learn/forget mid-stream: the next window matches against
-        the rebuilt pack."""
+        """Database add/remove mid-stream: the next window matches
+        against the rebuilt pack."""
         _, database, split = reference_setup
         frames = split.validation.frames
         sink = CollectingSink()
@@ -184,8 +186,8 @@ class TestEngineBehaviour:
         for chunk in table_chunks(frames[:midpoint], 1000):
             engine.process_chunk(chunk)
         retired = engine.matcher.database.devices[0]
-        assert engine.matcher.forget(retired) is True
-        assert engine.matcher.forget(retired) is False  # no-op on miss
+        assert engine.matcher.database.remove(retired) is True
+        assert engine.matcher.database.remove(retired) is False  # no-op on miss
         seen_before_forget = len(sink.of_type(DeviceMatched))
         engine.run_chunked(table_chunks(frames[midpoint:], 1000))
         late = sink.of_type(DeviceMatched)[seen_before_forget:]
@@ -193,7 +195,7 @@ class TestEngineBehaviour:
         assert all(m.best_device != retired for m in late)
         # Re-learning the device registers it again.
         signature = database.get(database.devices[0])
-        engine.matcher.learn(retired, signature)
+        engine.matcher.database.add(retired, signature)
         assert retired in engine.matcher.database
 
     def test_jsonl_sink_round_trips(self, reference_setup):
@@ -322,15 +324,14 @@ class TestApplicationAdapters:
             assert streamed[key][1] == pytest.approx(similarity, abs=1e-9)
 
     def test_window_guards_run_on_chunks_without_frames(self, reference_setup):
-        """Analyzers without row-level state never fetch frame objects,
-        so they run on column-built or wire-decoded chunks and raise
-        the same events as on the same rows with frames."""
+        """A table is columns only, so the window guards raise the same
+        events on wire-decoded chunks as on chunks interned from
+        frames."""
         import random
 
         from repro.applications.attacks import spoof_mac
         from repro.applications.spoof_detector import SpoofDetector
         from repro.applications.tracker import DeviceTracker
-        from repro.traces.table import FrameTable
 
         _, _, split = reference_setup
         detector = SpoofDetector(min_observations=MIN_OBS)
@@ -342,18 +343,7 @@ class TestApplicationAdapters:
             split.validation.frames, device, device.randomized(random.Random(3))
         )
         with_frames = list(table_chunks(observed, 4096))
-        frameless = [
-            FrameTable(
-                timestamp_us=chunk.timestamp_us,
-                size=chunk.size,
-                rate_mbps=chunk.rate_mbps,
-                sender_idx=chunk.sender_idx,
-                ftype_idx=chunk.ftype_idx,
-                senders=chunk.senders,
-                ftype_keys=chunk.ftype_keys,
-            )
-            for chunk in with_frames
-        ]
+        decoded = [wire_round_trip(chunk) for chunk in with_frames]
 
         def events_of(chunks):
             sink = CollectingSink()
@@ -368,7 +358,7 @@ class TestApplicationAdapters:
         expected = events_of(with_frames)
         assert any(isinstance(event, SpoofAlert) for event in expected)
         assert any(isinstance(event, PseudonymLinked) for event in expected)
-        assert events_of(frameless) == expected
+        assert events_of(decoded) == expected
 
     def test_rogue_ap_guard_alerts_on_impostor(self, reference_setup):
         from repro.applications.attacks import spoof_mac
@@ -397,7 +387,7 @@ class TestApplicationAdapters:
         detector = RogueApDetector(parameter=FrameSize(), min_observations=MIN_OBS)
         assert detector.learn(genuine.captures, ap)
 
-        def alerts_for(frames, chunk_frames=4096):
+        def alerts_for(frames, chunk_frames=4096, wire=False):
             sink = CollectingSink()
             engine = StreamEngine(
                 lambda: StreamingSignatureBuilder(FrameSize(), min_observations=MIN_OBS),
@@ -405,10 +395,14 @@ class TestApplicationAdapters:
                 analyzers=[OnlineRogueApGuard(detector, ap)],
                 sinks=[sink],
             )
-            engine.run_chunked(replay_chunk_source(frames, chunk_frames))
+            chunks = replay_chunk_source(frames, chunk_frames)
+            if wire:
+                chunks = [wire_round_trip(chunk) for chunk in chunks]
+            engine.run_chunked(chunks)
             return sink.of_type(RogueApAlert)
 
         assert alerts_for(genuine.captures) == []
+        assert alerts_for(genuine.captures, wire=True) == []
         impersonated = spoof_mac(rogue.captures, rogue_ap, ap)
         rogue_alerts = alerts_for(impersonated)
         assert rogue_alerts
@@ -416,6 +410,10 @@ class TestApplicationAdapters:
         # The guard's accumulator carries its channel clock across
         # chunks: any chunking raises the same alerts.
         assert alerts_for(impersonated, chunk_frames=333) == rogue_alerts
+        # Wire-decoded chunks carry the from-DS bit in their flags, so
+        # the guard raises the same alerts on them.
+        assert alerts_for(impersonated, wire=True) == rogue_alerts
+        assert alerts_for(impersonated, chunk_frames=333, wire=True) == rogue_alerts
 
     def test_rogue_guard_window_boundaries_match_batch(self):
         """A frame at a window's end belongs to the *next* guard span.
@@ -424,7 +422,7 @@ class TestApplicationAdapters:
         guard's accumulator) before the guard sees the boundary frame,
         or per-window observation counts drift from the batch truth.
         """
-        from repro.applications.rogue_ap import RogueApDetector, ap_own_frames
+        from repro.applications.rogue_ap import RogueApDetector
         from repro.core.parameters import FrameSize
         from repro.dot11.frames import Dot11Frame, FrameSubtype
         from repro.dot11.mac import MacAddress
@@ -469,20 +467,24 @@ class TestApplicationAdapters:
         detector.accept_threshold = 1.01  # force an alert per window
 
         expected = [
-            len(ap_own_frames(window.frames, ap))
+            len(oracles.ap_own_frames(window.frames, ap))
             for window in _windows_of(frames, 1.0)
         ]
         for chunk_frames in (1, 4, 5, 6):
-            sink = CollectingSink()
-            engine = StreamEngine(
-                lambda: StreamingSignatureBuilder(FrameSize(), min_observations=1),
-                window=WindowConfig(window_s=1.0),
-                analyzers=[OnlineRogueApGuard(detector, ap)],
-                sinks=[sink],
-            )
-            engine.run_chunked(replay_chunk_source(frames, chunk_frames))
-            streamed = [a.observations for a in sink.of_type(RogueApAlert)]
-            assert streamed == expected == [4, 2]
+            for wire in (False, True):
+                sink = CollectingSink()
+                engine = StreamEngine(
+                    lambda: StreamingSignatureBuilder(FrameSize(), min_observations=1),
+                    window=WindowConfig(window_s=1.0),
+                    analyzers=[OnlineRogueApGuard(detector, ap)],
+                    sinks=[sink],
+                )
+                chunks = replay_chunk_source(frames, chunk_frames)
+                if wire:
+                    chunks = [wire_round_trip(chunk) for chunk in chunks]
+                engine.run_chunked(chunks)
+                streamed = [a.observations for a in sink.of_type(RogueApAlert)]
+                assert streamed == expected == [4, 2], (chunk_frames, wire)
 
 
 def _windows_of(frames, window_s):

@@ -7,7 +7,11 @@ oracles of ``tests/oracles.py``:
   all five parameters on arbitrary frame sequences — including
   sender-less ACK/CTS frames that advance the channel clock without
   ever yielding an observation;
-* ``FrameTable.from_frames`` / ``to_frames`` round-trip losslessly;
+* ``FrameTable.from_frames`` columns hold every frame's fields, flag
+  bits included, and the flags survive slicing, mask selection and the
+  wire;
+* each Section VI filter mask and the rogue-AP own-row mask select
+  exactly the frames of their per-frame oracle;
 * ``SignatureBuilder.build_table`` matches the bucketed oracle
   ``build`` bin for bin, weight for weight, in the same dict order;
 * the whole-trace window-candidate path matches per-window oracle
@@ -21,20 +25,31 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.applications.rogue_ap import ap_own_rows
 from repro.core.database import ReferenceDatabase
 from repro.core.detection import DetectionConfig, extract_window_candidates
 from repro.core.parameters import ALL_PARAMETERS
 from repro.core.signature import SignatureBuilder
 from repro.dot11.capture import CapturedFrame
 from repro.dot11.frames import Dot11Frame, FrameSubtype, ack_frame, cts_frame
-from repro.dot11.mac import vendor_mac
+from repro.dot11.mac import BROADCAST, MacAddress, vendor_mac
 from repro.dot11.phy import ALL_RATES
-from repro.traces.table import FrameTable, window_bounds
+from repro.traces import filters
+from repro.traces.table import (
+    FROM_DS,
+    GROUP_ADDRESSED,
+    RETRY,
+    FrameTable,
+    window_bounds,
+)
 from repro.traces.trace import Trace
 from tests import oracles
+from tests.test_wire import wire_round_trip
 
 SENDERS = [vendor_mac("00:13:e8", i) for i in range(1, 5)]
 AP = vendor_mac("00:0f:b5", 1)
+#: Receivers: the AP, a station, the broadcast address and a multicast group.
+RECEIVERS = [AP, SENDERS[0], BROADCAST, MacAddress.parse("01:00:5e:00:00:fb")]
 
 _SUBTYPES = [
     FrameSubtype.QOS_DATA,
@@ -63,9 +78,11 @@ def capture_sequences(draw):
             frame = Dot11Frame(
                 subtype=draw(st.sampled_from(_SUBTYPES)),
                 size=draw(st.integers(min_value=20, max_value=2400)),
-                addr1=AP,
-                addr2=draw(st.sampled_from(SENDERS)),
+                addr1=draw(st.sampled_from(RECEIVERS)),
+                addr2=draw(st.sampled_from(SENDERS + [AP])),
                 addr3=AP,
+                retry=draw(st.booleans()),
+                from_ds=draw(st.booleans()),
             )
         frames.append(
             CapturedFrame(
@@ -96,13 +113,13 @@ class TestObserveTableEquivalence:
 
     @given(frames=capture_sequences())
     @settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
-    def test_from_frames_to_frames_round_trip(self, frames):
+    def test_from_frames_columns_hold_every_frame(self, frames):
         table = FrameTable.from_frames(frames)
-        assert table.to_frames() == frames
-        # Row slices round-trip the corresponding sub-list.
+        assert_columns_match(table, frames)
+        # Row slices hold the corresponding sub-list.
         if len(frames) >= 2:
             lo, hi = 1, len(frames) - 1
-            assert table.slice_rows(lo, hi).to_frames() == frames[lo:hi]
+            assert_columns_match(table.slice_rows(lo, hi), frames[lo:hi])
 
     @given(frames=capture_sequences())
     @settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
@@ -125,6 +142,90 @@ class TestObserveTableEquivalence:
                     )
 
 
+def frame_flags(captured: CapturedFrame) -> int:
+    """The flag byte a frame's MAC header should intern to."""
+    frame = captured.frame
+    return (
+        (RETRY if frame.retry else 0)
+        | (FROM_DS if frame.from_ds else 0)
+        | (GROUP_ADDRESSED if frame.addr1.is_multicast else 0)
+    )
+
+
+def assert_columns_match(table: FrameTable, frames: list[CapturedFrame]) -> None:
+    """Every column (flags included) holds the frames' fields, row by row."""
+    assert len(table) == len(frames)
+    assert table.flags.dtype == np.uint8
+    assert table.timestamp_us.tolist() == [c.timestamp_us for c in frames]
+    assert table.size.tolist() == [float(c.size) for c in frames]
+    assert table.rate_mbps.tolist() == [c.rate_mbps for c in frames]
+    assert [
+        None if code < 0 else table.senders[code] for code in table.sender_idx.tolist()
+    ] == [c.sender for c in frames]
+    assert [table.ftype_keys[code] for code in table.ftype_idx.tolist()] == [
+        c.ftype_key for c in frames
+    ]
+    assert table.flags.tolist() == [frame_flags(c) for c in frames]
+
+
+class TestFlags:
+    @given(frames=capture_sequences(), data=st.data())
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+    def test_flags_survive_slice_select_and_wire(self, frames, data):
+        table = FrameTable.from_frames(frames)
+        expected = [frame_flags(c) for c in frames]
+        assert table.flags.tolist() == expected
+        lo = data.draw(st.integers(min_value=0, max_value=len(frames)))
+        hi = data.draw(st.integers(min_value=lo, max_value=len(frames)))
+        assert table.slice_rows(lo, hi).flags.tolist() == expected[lo:hi]
+        keep = data.draw(
+            st.lists(st.booleans(), min_size=len(frames), max_size=len(frames))
+        )
+        selected = table.select(np.asarray(keep, dtype=bool))
+        assert_columns_match(selected, [c for c, k in zip(frames, keep) if k])
+        assert selected.senders is table.senders
+        decoded = wire_round_trip(table)
+        assert decoded.flags.tolist() == expected
+        assert_columns_match(decoded, frames)
+
+    @given(frames=capture_sequences())
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+    def test_filter_masks_match_frame_oracles(self, frames):
+        table = FrameTable.from_frames(frames)
+        for name, rule in oracles.FRAME_RULES.items():
+            mask = getattr(filters, name)
+            if name == "sent_at_rate":
+                for rate in (1.0, 11.0, 54.0):
+                    assert mask(table, rate).tolist() == [
+                        rule(c, rate) for c in frames
+                    ], (name, rate)
+            else:
+                assert mask(table).tolist() == [rule(c) for c in frames], name
+
+    @given(frames=capture_sequences())
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+    def test_ap_own_rows_match_oracle(self, frames):
+        table = FrameTable.from_frames(frames)
+        for ap in (AP, SENDERS[0], vendor_mac("00:0f:b5", 9)):
+            own = ap_own_rows(table, ap)
+            assert own.dtype == bool and len(own) == len(frames)
+            kept = [c for c, keep in zip(frames, own.tolist()) if keep]
+            assert kept == oracles.ap_own_frames(frames, ap)
+
+    def test_bare_columns_get_zero_flags(self):
+        table = FrameTable(
+            timestamp_us=np.array([0.0, 1.0]),
+            size=np.array([100.0, 100.0]),
+            rate_mbps=np.array([54.0, 54.0]),
+            sender_idx=np.array([0, -1]),
+            ftype_idx=np.array([0, 0]),
+            senders=(SENDERS[0],),
+            ftype_keys=("QoS Data",),
+        )
+        assert table.flags.dtype == np.uint8
+        assert table.flags.tolist() == [0, 0]
+
+
 class TestTableSlicing:
     def _frames(self, stamps):
         return [
@@ -145,7 +246,8 @@ class TestTableSlicing:
         assert len(window) == 2
         assert window.timestamp_us.base is not None  # view, not copy
         assert window.senders is table.senders
-        assert window.to_frames() == table.to_frames()[1:3]
+        assert window.flags.base is not None
+        assert_columns_match(window, self._frames([0.0, 10.0, 20.0, 30.0])[1:3])
 
     def test_windows_match_trace_windows(self):
         stamps = [0.0, 40.0, 100.0, 160.0, 200.0]
@@ -183,23 +285,9 @@ class TestTableSlicing:
         path = tmp_path / "t.pcap"
         write_trace_pcap(path, frames)
         table = read_trace_table(path)
-        assert table.to_frames() == read_trace_pcap(path)
+        assert_columns_match(table, read_trace_pcap(path))
         assert len(table) == 4
         assert table.sender_idx.tolist()[-1] == -1  # ACK stays sender-less
-
-    def test_to_frames_requires_backing(self):
-        table = FrameTable.from_frames(self._frames([0.0]))
-        bare = FrameTable(
-            timestamp_us=table.timestamp_us,
-            size=table.size,
-            rate_mbps=table.rate_mbps,
-            sender_idx=table.sender_idx,
-            ftype_idx=table.ftype_idx,
-            senders=table.senders,
-            ftype_keys=table.ftype_keys,
-        )
-        with pytest.raises(ValueError):
-            bare.to_frames()
 
 
 class TestColumnarDetectionEquivalence:

@@ -7,13 +7,12 @@ import pytest
 from repro.dot11.mac import MacAddress
 from repro.traces.filters import (
     broadcast_data_only,
-    combine,
     data_frames_only,
-    filter_frames,
     first_transmissions_only,
     null_function_only,
     sent_at_rate,
 )
+from repro.traces.table import FrameTable
 from repro.traces.trace import Trace
 from repro.dot11.frames import FrameSubtype
 from tests.conftest import make_data_capture
@@ -123,36 +122,48 @@ class TestPcapRoundTrip:
 
 
 class TestFilters:
+    """Each Section VI condition is a row mask over a table."""
+
     def test_data_only(self):
         data = make_data_capture(0.0, A, AP)
         beacon = make_data_capture(1.0, A, AP, subtype=FrameSubtype.BEACON, size=180)
-        assert filter_frames([data, beacon], data_frames_only) == [data]
+        table = FrameTable.from_frames([data, beacon])
+        assert data_frames_only(table).tolist() == [True, False]
 
     def test_first_tx_only(self):
         first = make_data_capture(0.0, A, AP)
         retry = make_data_capture(1.0, A, AP, retry=True)
-        assert filter_frames([first, retry], first_transmissions_only) == [first]
+        table = FrameTable.from_frames([first, retry])
+        assert first_transmissions_only(table).tolist() == [True, False]
 
     def test_rate_filter(self):
         fast = make_data_capture(0.0, A, AP, rate=54.0)
         slow = make_data_capture(1.0, A, AP, rate=11.0)
-        assert filter_frames([fast, slow], sent_at_rate(54.0)) == [fast]
+        table = FrameTable.from_frames([fast, slow])
+        assert sent_at_rate(table, 54.0).tolist() == [True, False]
 
     def test_broadcast_data(self):
         from repro.dot11.mac import BROADCAST
 
         unicast = make_data_capture(0.0, A, AP)
         broadcast = make_data_capture(1.0, A, BROADCAST, size=80)
-        assert filter_frames([unicast, broadcast], broadcast_data_only) == [broadcast]
+        table = FrameTable.from_frames([unicast, broadcast])
+        assert broadcast_data_only(table).tolist() == [False, True]
 
     def test_null_function(self):
         null = make_data_capture(0.0, A, AP, subtype=FrameSubtype.NULL_FUNCTION, size=28)
         data = make_data_capture(1.0, A, AP)
-        assert filter_frames([null, data], null_function_only) == [null]
+        table = FrameTable.from_frames([null, data])
+        assert null_function_only(table).tolist() == [True, False]
 
-    def test_combined_predicates(self):
+    def test_conjunction_of_masks(self):
         wanted = make_data_capture(0.0, A, AP, rate=54.0)
         wrong_rate = make_data_capture(1.0, A, AP, rate=11.0)
         retried = make_data_capture(2.0, A, AP, rate=54.0, retry=True)
-        joint = combine(data_frames_only, first_transmissions_only, sent_at_rate(54.0))
-        assert [c for c in [wanted, wrong_rate, retried] if joint(c)] == [wanted]
+        table = FrameTable.from_frames([wanted, wrong_rate, retried])
+        joint = (
+            data_frames_only(table)
+            & first_transmissions_only(table)
+            & sent_at_rate(table, 54.0)
+        )
+        assert joint.tolist() == [True, False, False]

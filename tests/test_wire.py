@@ -1,9 +1,10 @@
 """Wire format round-trip and rejection tests (DESIGN.md §9).
 
 The encode → decode round trip must be **bit-identical** for any
-columnar chunk — including ACK/CTS ``-1`` sender sentinels and empty
-chunks — and every way a record can be damaged (bad magic, wrong
-version, flipped payload bytes, truncation at any byte) must raise
+columnar chunk — including ACK/CTS ``-1`` sender sentinels, the flags
+column and empty chunks — and every way a record can be damaged (bad
+magic, wrong version, flipped payload bytes, truncation at any byte,
+values no captured frame could hold) must raise
 :class:`~repro.service.wire.WireError` instead of yielding a wrong
 table.
 """
@@ -11,6 +12,8 @@ table.
 from __future__ import annotations
 
 import io
+import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,10 +40,20 @@ from repro.traces.table import FrameTable
 from tests.test_streaming_chunked import synth_frames
 
 
+_COLUMN_NAMES = ("timestamp_us", "size", "rate_mbps", "sender_idx", "ftype_idx", "flags")
+
+
+def wire_round_trip(table: FrameTable) -> FrameTable:
+    """Encode a table as a CHUNK record and decode it back."""
+    record = read_record(io.BytesIO(encode_chunk(table)))
+    assert record is not None and record[0] == RECORD_CHUNK
+    return decode_chunk(record[1])
+
+
 def assert_tables_bit_identical(left: FrameTable, right: FrameTable) -> None:
     """Columns byte-for-byte equal, intern tuples equal."""
     assert len(left) == len(right)
-    for name in ("timestamp_us", "size", "rate_mbps", "sender_idx", "ftype_idx"):
+    for name in _COLUMN_NAMES:
         mine = np.ascontiguousarray(getattr(left, name))
         theirs = np.ascontiguousarray(getattr(right, name))
         assert mine.tobytes() == theirs.tobytes(), f"column {name} differs"
@@ -51,6 +64,14 @@ def assert_tables_bit_identical(left: FrameTable, right: FrameTable) -> None:
 # -- arbitrary-table strategy -------------------------------------------
 _finite = st.floats(
     min_value=0.0, max_value=1e12, allow_nan=False, allow_infinity=False
+)
+#: Rates a captured frame can hold: finite and strictly positive.
+_rates = st.floats(
+    min_value=0.0,
+    max_value=1e12,
+    exclude_min=True,
+    allow_nan=False,
+    allow_infinity=False,
 )
 
 
@@ -72,7 +93,7 @@ def frame_tables(draw) -> FrameTable:
         draw(st.lists(_finite, min_size=rows, max_size=rows)), dtype=np.float64
     )
     rates = np.asarray(
-        draw(st.lists(_finite, min_size=rows, max_size=rows)), dtype=np.float64
+        draw(st.lists(_rates, min_size=rows, max_size=rows)), dtype=np.float64
     )
     sender_idx = np.asarray(
         draw(
@@ -94,6 +115,10 @@ def frame_tables(draw) -> FrameTable:
         ),
         dtype=np.int64,
     )
+    flags = np.asarray(
+        draw(st.lists(st.integers(0, 255), min_size=rows, max_size=rows)),
+        dtype=np.uint8,
+    )
     senders = tuple(vendor_mac("00:13:e8", i + 1) for i in range(sender_count))
     ftype_keys = tuple(f"FType{i}" for i in range(ftype_count))
     return FrameTable(
@@ -104,6 +129,7 @@ def frame_tables(draw) -> FrameTable:
         ftype_idx=ftype_idx,
         senders=senders,
         ftype_keys=ftype_keys,
+        flags=flags,
     )
 
 
@@ -111,9 +137,7 @@ class TestChunkRoundTrip:
     @settings(max_examples=120, deadline=None)
     @given(frame_tables())
     def test_arbitrary_tables_round_trip_bit_identically(self, table):
-        record = read_record(io.BytesIO(encode_chunk(table)))
-        assert record is not None and record[0] == RECORD_CHUNK
-        assert_tables_bit_identical(decode_chunk(record[1]), table)
+        assert_tables_bit_identical(wire_round_trip(table), table)
 
     def test_realistic_capture_round_trips(self):
         table = FrameTable.from_frames(synth_frames(count=600, seed=11))
@@ -128,12 +152,16 @@ class TestChunkRoundTrip:
         assert len(decoded) == 0
         assert_tables_bit_identical(decoded, table)
 
-    def test_decoded_table_has_no_backing_frames(self):
-        table = FrameTable.from_frames(synth_frames(count=50))
-        record = read_record(io.BytesIO(encode_chunk(table)))
-        decoded = decode_chunk(record[1])
-        with pytest.raises(ValueError, match="no backing frames"):
-            decoded.to_frames()
+    def test_decoded_table_carries_the_flags(self):
+        """A decoded chunk is as complete as the interned one: its
+        columns, flags included, equal the frames' fields."""
+        from tests.test_table import assert_columns_match
+
+        frames = synth_frames(count=50)
+        frames[3] = replace(frames[3], frame=replace(frames[3].frame, retry=True))
+        decoded = wire_round_trip(FrameTable.from_frames(frames))
+        assert decoded.flags.any()
+        assert_columns_match(decoded, frames)
 
 
 class TestControlRecords:
@@ -150,6 +178,17 @@ class TestControlRecords:
     def test_non_object_control_payload_rejected(self):
         with pytest.raises(WireError, match="not an object"):
             decode_json(b"[1, 2]")
+
+
+def _column_offset(payload: bytes, rows: int, column: str) -> int:
+    """Byte offset of a column's first value inside a CHUNK payload."""
+    (header_length,) = struct.unpack_from("<I", payload)
+    offset = 4 + header_length
+    for name in _COLUMN_NAMES:
+        if name == column:
+            return offset
+        offset += rows * (1 if name == "flags" else 8)
+    raise KeyError(column)
 
 
 class TestRejection:
@@ -201,11 +240,46 @@ class TestRejection:
         table = FrameTable.from_frames(synth_frames(count=30))
         record = read_record(io.BytesIO(encode_chunk(table)))
         payload = bytearray(record[1])
-        # Point the last sender_idx value past the intern tuple.
-        offset = len(payload) - 2 * len(table) * 8
+        # Point the first sender_idx value past the intern tuple.
+        offset = _column_offset(payload, len(table), "sender_idx")
         payload[offset : offset + 8] = (10**6).to_bytes(8, "little")
         with pytest.raises(WireError, match="intern range"):
             decode_chunk(bytes(payload))
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            ("timestamp_us", float("nan")),
+            ("timestamp_us", float("inf")),
+            ("timestamp_us", float("-inf")),
+            ("timestamp_us", -1.0),
+            ("size", float("nan")),
+            ("size", float("inf")),
+            ("size", float("-inf")),
+            ("size", -1.0),
+            ("rate_mbps", float("nan")),
+            ("rate_mbps", float("inf")),
+            ("rate_mbps", float("-inf")),
+            ("rate_mbps", -1.0),
+            ("rate_mbps", 0.0),
+        ],
+    )
+    def test_chunk_values_checked(self, column, value):
+        """Values a captured frame refuses are refused at decode, not
+        deep inside a sensor's ingest worker."""
+        table = FrameTable.from_frames(synth_frames(count=30))
+        record = read_record(io.BytesIO(encode_chunk(table)))
+        payload = bytearray(record[1])
+        offset = _column_offset(payload, len(table), column) + 8 * 7
+        payload[offset : offset + 8] = struct.pack("<d", value)
+        with pytest.raises(WireError, match=column):
+            decode_chunk(bytes(payload))
+
+    def test_version_1_record_refused(self):
+        record = bytearray(self._chunk_record())
+        record[4:6] = (1).to_bytes(2, "little")
+        with pytest.raises(WireError, match="unsupported wire version 1"):
+            read_record(io.BytesIO(bytes(record)))
 
     def test_encode_record_rejects_unknown_type(self):
         with pytest.raises(ValueError, match="unknown record type"):
