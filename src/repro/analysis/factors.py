@@ -22,9 +22,10 @@ restricted to the frame subset each figure names.
 
 Measurement runs on the simulation's columnar
 :class:`~repro.traces.table.FrameTable` view
-(:meth:`SimulationResult.table`): the timeline inter-arrivals are one
-shifted-array subtraction under a sender mask, and each figure's frame
-subset is a row mask built from :mod:`repro.traces.filters`.
+(:meth:`SimulationResult.table`): the timeline inter-arrivals are the
+inter-arrival parameter's ``observe_table`` values selected by sender,
+and each figure's frame subset is a row mask built from
+:mod:`repro.traces.filters`.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.histogram import BinSpec, CategoricalBins, Histogram, UniformBins
+from repro.core.parameters import InterArrivalTime
 from repro.dot11.mac import MacAddress
 from repro.dot11.phy import PAPER_RATE_AXIS
 from repro.simulator.channel import ChannelModel
@@ -90,20 +92,16 @@ def timeline_interarrivals(
     """Inter-arrivals on the full timeline, restricted to a sender and
     an optional row mask — the paper's Figure 4/7/8 measurement.
 
-    The previous frame may be anyone's; ``mask`` (built from
+    The values are :class:`InterArrivalTime`'s observations: the
+    previous frame may be anyone's, and ``mask`` (built from
     :mod:`repro.traces.filters`) only decides which of the sender's
     frames yield a value.
     """
-    code = table.sender_code(sender)
-    if len(table) == 0 or code < 0:
-        return np.empty(0, dtype=np.float64)
-    rows = table.sender_idx == code
+    observed = InterArrivalTime().observe_table(table)
+    keep = observed.sender_idx == table.sender_code(sender)
     if mask is not None:
-        rows &= mask
-    positions = np.flatnonzero(rows)
-    positions = positions[positions >= 1]  # the first frame has no t_{i-1}
-    stamps = table.timestamp_us
-    return stamps[positions] - stamps[positions - 1]
+        keep &= mask[observed.positions]
+    return observed.values[keep]
 
 
 def _histogram_of(values: np.ndarray | list[float], bins: BinSpec) -> np.ndarray:

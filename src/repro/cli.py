@@ -3,8 +3,10 @@
 Section V-C: "We have developed a tool in Python based on the pcap
 library.  It analyses standard pcap files [...] and extracts the
 different network parameters [...] also implements the fingerprinting
-methodology".  This CLI does the same against radiotap pcaps (real or
-simulator-produced):
+methodology".  This CLI does the same against pcaps (real or
+simulator-produced) whose frames carry Radiotap or Prism capture
+headers, the two the paper reads metadata from (Section III); every
+command that reads a pcap accepts either:
 
 * ``repro-80211 learn capture.pcap --db refs.db`` — build a
   reference database from a training capture and save it as a store
@@ -42,6 +44,9 @@ simulator-produced):
 ``stream`` and ``serve`` shut down gracefully on SIGINT/SIGTERM —
 final checkpoint written, sinks flushed, then exit — and both accept
 ``--stats-json PATH`` to dump their final statistics machine-readably.
+An out-of-range number (a negative or, where it must be positive,
+zero count; a duration that is not positive; a port outside
+0..65535) is a usage error, exit 2.
 """
 
 from __future__ import annotations
@@ -63,6 +68,9 @@ from repro.core.signature import SignatureBuilder
 from repro.dot11.mac import MacAddress
 from repro.streaming.sources import DEFAULT_CHUNK_FRAMES
 from repro.traces.trace import Trace
+
+#: The largest TCP port number.
+MAX_PORT = 65535
 
 
 def _load_store(path: str) -> tuple[ReferenceDatabase, str]:
@@ -568,9 +576,10 @@ def _cmd_sensor(args: argparse.Namespace) -> int:
     from repro.streaming import pcap_chunk_source
 
     host, _, port_text = args.connect.rpartition(":")
-    if not port_text.isdigit():
+    if not (port_text.isdecimal() and 0 < int(port_text) <= MAX_PORT):
         print(
-            f"--connect must be HOST:PORT, got {args.connect!r}",
+            f"--connect must be HOST:PORT with a port in 1..{MAX_PORT}, "
+            f"got {args.connect!r}",
             file=sys.stderr,
         )
         return 2
@@ -701,10 +710,24 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
+def _port(text: str) -> int:
+    value = int(text)
+    if not 0 <= value <= MAX_PORT:
+        raise argparse.ArgumentTypeError(f"must be in 0..{MAX_PORT}, got {value}")
     return value
 
 
@@ -747,7 +770,7 @@ def build_parser() -> argparse.ArgumentParser:
         "pcap", nargs="?", help="capture to evaluate (omit for matrix mode)"
     )
     evaluate.add_argument(
-        "--training-s", type=float, help="training prefix (pcap mode)"
+        "--training-s", type=_positive_float, help="training prefix (pcap mode)"
     )
     evaluate.add_argument("--window-s", type=_positive_float, default=300.0)
     evaluate.add_argument("--min-observations", type=_positive_int, default=50)
@@ -864,7 +887,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
-        "--port", type=int, default=0, help="TCP port (0: ephemeral, printed)"
+        "--port", type=_port, default=0, help="TCP port (0: ephemeral, printed)"
     )
     common(serve)
     serve.add_argument(
@@ -924,7 +947,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sensor.add_argument("--skip-bad-fcs", action="store_true")
     sensor.add_argument(
-        "--abort-after-chunks", type=int, default=None,
+        "--abort-after-chunks", type=_non_negative_int, default=None,
         help="drop the connection after N chunks without END "
         "(crash/resume drills)",
     )

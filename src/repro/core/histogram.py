@@ -11,12 +11,11 @@ heavy tail (e.g. very long inter-arrivals) still contributes mass
 instead of silently vanishing; ``drop_outside=True`` reproduces strict
 range-limited histograms.
 
-Binning has two code paths with identical results: the scalar
-:meth:`BinSpec.index` for one value at a time, and the vectorized
-:meth:`BinSpec.index_many`/:meth:`Histogram.add_array` pair that bins a
-whole observation array in one NumPy pass (see DESIGN.md "Batch matrix
-layout").  Discarded values are encoded as index ``-1`` in the
-vectorized path, mirroring ``None`` in the scalar one.
+Binning has one code path: :meth:`BinSpec.index_many` bins a whole
+observation array in one NumPy pass, encoding discarded values as
+index ``-1``, and :meth:`Histogram.add_array` counts the kept indices
+with ``np.bincount``.  The scalar per-value rules are the test oracle
+``tests.oracles.bin_index`` (DESIGN.md §3).
 """
 
 from __future__ import annotations
@@ -32,23 +31,9 @@ class BinSpec:
     #: Number of bins this spec produces.
     bin_count: int = 0
 
-    def index(self, value: float) -> int | None:
-        """Bin index for ``value`` (``None`` = discard the value)."""
-        raise NotImplementedError
-
     def index_many(self, values: np.ndarray) -> np.ndarray:
-        """Bin indices for an array of values (``-1`` = discard).
-
-        The base implementation loops over :meth:`index` so any custom
-        ``BinSpec`` subclass is automatically batch-capable; the
-        built-in specs override it with fully vectorized versions.
-        """
-        flat = np.asarray(values, dtype=np.float64).ravel()
-        indices = np.empty(flat.shape[0], dtype=np.int64)
-        for position, value in enumerate(flat):
-            index = self.index(float(value))
-            indices[position] = -1 if index is None else index
-        return indices
+        """Bin indices (int64) for an array of values (``-1`` = discard)."""
+        raise NotImplementedError
 
     def bin_label(self, index: int) -> str:
         """Human-readable label of one bin (for rendering)."""
@@ -75,25 +60,16 @@ class UniformBins(BinSpec):
 
     bin_count: int = field(init=False, default=0)
 
-    def index(self, value: float) -> int | None:
-        if value < self.lo:
-            return None if self.drop_outside else 0
-        if value >= self.hi:
-            return None if self.drop_outside else self.bin_count - 1
-        return int((value - self.lo) / self.width)
-
     def index_many(self, values: np.ndarray) -> np.ndarray:
         flat = np.asarray(values, dtype=np.float64).ravel()
         if np.isnan(flat).any():
-            # Parity with the scalar path, where int(nan) raises.
             raise ValueError("cannot bin NaN values")
         below = flat < self.lo
         above = flat >= self.hi
         # Out-of-range values (±inf included) are replaced before the
         # integer cast so it never sees a non-finite quotient; their
-        # indices are overwritten by the masks below.  In-range values
-        # use the same arithmetic as the scalar path: quotients are
-        # non-negative, so int64 truncation equals the scalar int().
+        # indices are overwritten by the masks below.  In-range
+        # quotients are non-negative, so int64 truncation is the floor.
         safe = np.where(below | above, self.lo, flat)
         indices = ((safe - self.lo) / self.width).astype(np.int64)
         if self.drop_outside:
@@ -110,7 +86,12 @@ class UniformBins(BinSpec):
 
 @dataclass(frozen=True)
 class CategoricalBins(BinSpec):
-    """One bin per discrete category (e.g. the 802.11 rate set)."""
+    """One bin per discrete category (e.g. the 802.11 rate set).
+
+    A value falls into the first declared category within
+    ``tolerance`` of it; a value near no category (NaN and ±inf
+    included) is discarded.
+    """
 
     categories: tuple[float, ...]
     tolerance: float = 1e-6
@@ -119,62 +100,17 @@ class CategoricalBins(BinSpec):
         if not self.categories:
             raise ValueError("at least one category required")
         object.__setattr__(self, "bin_count", len(self.categories))
-        order = np.argsort(self.categories, kind="stable")
-        object.__setattr__(self, "_sorted", np.asarray(self.categories, dtype=np.float64)[order])
-        object.__setattr__(self, "_order", order.astype(np.int64))
-        # When tolerance windows overlap, "first category in tuple
-        # order" can differ from "nearest category"; the searchsorted
-        # path only sees the two nearest neighbours, so fall back to
-        # the scan that preserves the declared-order semantics.
-        gaps = np.diff(self._sorted)
-        object.__setattr__(
-            self, "_overlapping", bool(gaps.size and gaps.min() <= 2 * self.tolerance)
-        )
 
     bin_count: int = field(init=False, default=0)
-    _sorted: np.ndarray = field(init=False, repr=False, compare=False, default=None)
-    _order: np.ndarray = field(init=False, repr=False, compare=False, default=None)
-    _overlapping: bool = field(init=False, repr=False, compare=False, default=False)
-
-    def index(self, value: float) -> int | None:
-        if self._overlapping:
-            return self._index_scan(value)
-        position = int(np.searchsorted(self._sorted, value))
-        best: int | None = None
-        best_distance = self.tolerance
-        for neighbour in (position - 1, position):
-            if 0 <= neighbour < self.bin_count:
-                distance = abs(value - float(self._sorted[neighbour]))
-                if distance <= best_distance:
-                    best = int(self._order[neighbour])
-                    best_distance = distance
-        return best
-
-    def _index_scan(self, value: float) -> int | None:
-        for position, category in enumerate(self.categories):
-            if abs(value - category) <= self.tolerance:
-                return position
-        return None
 
     def index_many(self, values: np.ndarray) -> np.ndarray:
         flat = np.asarray(values, dtype=np.float64).ravel()
-        if self._overlapping:
-            return super().index_many(flat)
-        positions = np.searchsorted(self._sorted, flat)
-        left = np.clip(positions - 1, 0, self.bin_count - 1)
-        right = np.clip(positions, 0, self.bin_count - 1)
-        left_distance = np.abs(flat - self._sorted[left])
-        right_distance = np.abs(flat - self._sorted[right])
-        # The scalar path prefers the left neighbour on exact distance
-        # ties; with non-overlapping tolerance windows at most one
-        # neighbour can actually be in range, so <= keeps them equal.
-        take_left = left_distance <= right_distance
-        nearest = np.where(take_left, left, right)
-        distance = np.where(take_left, left_distance, right_distance)
-        indices = self._order[nearest]
-        # ~(d <= tol) rather than d > tol so NaN distances (NaN input)
-        # are discarded, matching the scalar comparison semantics.
-        indices[~(distance <= self.tolerance)] = -1
+        indices = np.full(flat.shape[0], -1, dtype=np.int64)
+        # Last category first, so where tolerance windows overlap the
+        # first declared category is the last write and wins.
+        for position in range(self.bin_count - 1, -1, -1):
+            near = np.abs(flat - self.categories[position]) <= self.tolerance
+            indices[near] = position
         return indices
 
     def bin_label(self, index: int) -> str:
@@ -191,29 +127,11 @@ class Histogram:
         self.counts = np.zeros(spec.bin_count, dtype=np.int64)
         self.total = 0
 
-    def add(self, value: float) -> bool:
-        """Record one observation; returns False if it was discarded."""
-        index = self.spec.index(value)
-        if index is None:
-            return False
-        self.counts[index] += 1
-        self.total += 1
-        return True
-
-    def add_many(self, values: list[float]) -> int:
-        """Record many observations; returns how many were kept."""
-        kept = 0
-        for value in values:
-            if self.add(value):
-                kept += 1
-        return kept
-
     def add_array(self, values: np.ndarray) -> int:
         """Record a whole observation array in one vectorized pass.
 
-        Equivalent to :meth:`add_many` (property-tested) but bins with
-        :meth:`BinSpec.index_many` and accumulates via ``np.bincount``.
-        Returns how many observations were kept.
+        Bins with :meth:`BinSpec.index_many` and accumulates via
+        ``np.bincount``.  Returns how many observations were kept.
         """
         flat = np.asarray(values, dtype=np.float64).ravel()
         if flat.size == 0:
@@ -234,15 +152,6 @@ class Histogram:
         if self.total == 0:
             return np.zeros(self.spec.bin_count, dtype=np.float64)
         return self.counts.astype(np.float64) / self.total
-
-    def merged_with(self, other: "Histogram") -> "Histogram":
-        """Combine two histograms over the same spec."""
-        if self.spec is not other.spec and self.spec != other.spec:
-            raise ValueError("cannot merge histograms with different bin specs")
-        merged = Histogram(self.spec)
-        merged.counts = self.counts + other.counts
-        merged.total = self.total + other.total
-        return merged
 
     def __repr__(self) -> str:
         return f"<Histogram n={self.total} bins={self.spec.bin_count}>"

@@ -27,8 +27,8 @@ from repro.traces.table import FrameTable, TableObservations
 class JointBins(BinSpec):
     """Cartesian product of two bin specs, flattened row-major.
 
-    The value passed to :meth:`index` is already the flattened joint
-    bin ``ix * y_bins.bin_count + iy`` (:meth:`JointParameter.observe_table`
+    The values passed to :meth:`index_many` are already flattened joint
+    bins ``ix * y_bins.bin_count + iy`` (:meth:`JointParameter.observe_table`
     bins each component); the flattening keeps the downstream histogram
     and similarity code unchanged (they only see one long vector).
     """
@@ -40,10 +40,6 @@ class JointBins(BinSpec):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bin_count", self.x_bins.bin_count * self.y_bins.bin_count)
-
-    def index(self, value: float) -> int | None:
-        index = int(value)
-        return index if 0 <= index < self.bin_count else None
 
     def index_many(self, values: np.ndarray) -> np.ndarray:
         indices = np.asarray(values, dtype=np.float64).ravel().astype(np.int64)

@@ -14,6 +14,7 @@ The builder enforces the implementation's minimum-observation rule
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -59,6 +60,37 @@ class Signature:
     def weight(self, ftype_key: str) -> float:
         """Weight of one frame type (0 if absent)."""
         return self.weights.get(ftype_key, 0.0)
+
+    @classmethod
+    def from_counts(
+        cls,
+        ftype_keys: Sequence[str],
+        counts: np.ndarray,
+        totals: Sequence[float],
+        order: Sequence[int],
+    ) -> "Signature":
+        """Definition 1 read-out of one device's bin counts.
+
+        ``counts[f]`` holds the bin counts of frame type
+        ``ftype_keys[f]`` and ``totals[f]`` their sum ``|P^f|``;
+        ``order`` lists the frame types to read out, in the signature's
+        dict order.  The histogram is ``counts[f] / |P^f|`` and the
+        weight ``|P^f| / Σ|P|``, summed over ``order``; a frame type
+        with no observation is left out.  Both builders read out
+        through here, each ordering by its own first-seen rule.
+        """
+        total = sum(totals[f] for f in order)
+        histograms: dict[str, np.ndarray] = {}
+        weights: dict[str, float] = {}
+        observation_counts: dict[str, int] = {}
+        for f in order:
+            count = totals[f]
+            if count > 0:
+                key = ftype_keys[f]
+                histograms[key] = counts[f] / count
+                weights[key] = count / total
+                observation_counts[key] = int(count)
+        return cls(histograms, weights, observation_counts)
 
 
 class SignatureBuilder:
@@ -169,23 +201,9 @@ class SignatureBuilder:
         eligible.sort(key=sender_first.__getitem__)
         signatures: dict[MacAddress, Signature] = {}
         for s in eligible:
-            total = int(sender_totals[s])
-            first_row = first_seen[s]
             present = np.flatnonzero(ftype_totals[s] > 0).tolist()
-            present.sort(key=first_row.__getitem__)
-            histograms: dict[str, np.ndarray] = {}
-            weights: dict[str, float] = {}
-            obs_counts: dict[str, int] = {}
-            for f in present:
-                kept_count = int(ftype_totals[s, f])
-                key = ftype_keys[f]
-                histograms[key] = counts[s, f].astype(np.float64) / kept_count
-                weights[key] = kept_count / total
-                obs_counts[key] = kept_count
-            if histograms:
-                signatures[senders[int(active[s])]] = Signature(
-                    histograms=histograms,
-                    weights=weights,
-                    observation_counts=obs_counts,
-                )
+            present.sort(key=first_seen[s].__getitem__)
+            signatures[senders[int(active[s])]] = Signature.from_counts(
+                ftype_keys, counts[s], ftype_totals[s].tolist(), present
+            )
         return signatures

@@ -58,15 +58,6 @@ class CapturedFrame:
         """Histogram key (frame-type label)."""
         return self.frame.ftype_key
 
-    @property
-    def timestamp_s(self) -> float:
-        """Timestamp in seconds (pcap convenience)."""
-        return self.timestamp_us / 1e6
-
-    def with_timestamp(self, timestamp_us: float) -> "CapturedFrame":
-        """Copy with a shifted timestamp (used by replay attacks)."""
-        return replace(self, timestamp_us=timestamp_us)
-
     def with_sender(self, sender: MacAddress) -> "CapturedFrame":
         """Copy with a rewritten transmitter (MAC spoofing model)."""
         if not self.frame.subtype.has_transmitter_address:

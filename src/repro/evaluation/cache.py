@@ -17,7 +17,6 @@ runs) share a single simulation.
 from __future__ import annotations
 
 from repro.scenarios.library import BuiltScenario, build_scenario
-from repro.traces.trace import Trace
 
 
 class SimulationCache:
@@ -72,15 +71,3 @@ class SimulationCache:
                 name, duration_s=duration_s, seed=seed, scale=scale
             )
         return self._results[key]
-
-    def scenario_trace(
-        self,
-        name: str,
-        duration_s: float | None = None,
-        seed: int | None = None,
-        scale: float = 1.0,
-    ) -> Trace:
-        """The simulated ground-truth trace for one library scenario."""
-        return self.built_scenario(
-            name, duration_s=duration_s, seed=seed, scale=scale
-        ).simulate()

@@ -7,7 +7,9 @@ A from-scratch, pure-Python implementation of:
   bitmap chaining (:mod:`repro.radiotap.fields`, ``parser``, ``writer``);
 * the 802.11 MAC header wire format for the frame subtypes the model
   uses (:mod:`repro.radiotap.dot11_codec`);
+* the Prism (wlan-ng) monitoring header (:mod:`repro.radiotap.prism`);
 * the classic libpcap file format with ``LINKTYPE_IEEE802_11_RADIOTAP``
+  or ``LINKTYPE_PRISM_HEADER``, read by one decoder
   (:mod:`repro.radiotap.pcap`).
 
 Together these let the library ingest real monitor-mode captures and
@@ -18,14 +20,14 @@ paper's pcap-based tool (Section V-C).
 from repro.radiotap.dot11_codec import decode_dot11, encode_dot11
 from repro.radiotap.fields import RadiotapField
 from repro.radiotap.parser import RadiotapHeader, parse_radiotap
-from repro.radiotap.pcap import PcapReader, PcapWriter, read_trace_pcap, write_trace_pcap
-from repro.radiotap.prism import (
-    PrismHeader,
-    build_prism,
-    parse_prism,
-    read_trace_pcap_prism,
+from repro.radiotap.pcap import (
+    PcapReader,
+    PcapWriter,
+    read_trace_pcap,
+    write_trace_pcap,
     write_trace_pcap_prism,
 )
+from repro.radiotap.prism import PrismHeader, build_prism, parse_prism
 from repro.radiotap.writer import build_radiotap
 
 __all__ = [
@@ -41,7 +43,6 @@ __all__ = [
     "parse_prism",
     "parse_radiotap",
     "read_trace_pcap",
-    "read_trace_pcap_prism",
     "write_trace_pcap",
     "write_trace_pcap_prism",
 ]

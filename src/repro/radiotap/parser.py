@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 from repro.radiotap.fields import (
     FIELD_SPECS,
-    FLAG_BADFCS,
     FLAG_FCS_AT_END,
     RadiotapField,
     align_offset,
@@ -61,11 +60,6 @@ class RadiotapHeader:
     def has_fcs(self) -> bool:
         """Whether the captured frame bytes include the 4-byte FCS."""
         return bool(self.flags is not None and self.flags & FLAG_FCS_AT_END)
-
-    @property
-    def fcs_bad(self) -> bool:
-        """Whether the capture card flagged a failed FCS check."""
-        return bool(self.flags is not None and self.flags & FLAG_BADFCS)
 
 
 def _read_present_words(data: bytes) -> tuple[list[int], int]:

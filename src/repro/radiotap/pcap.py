@@ -1,15 +1,18 @@
-"""libpcap file reader/writer for radiotap-encapsulated 802.11 captures.
+"""libpcap file reader/writer for 802.11 monitor-mode captures.
 
 Implements the classic pcap container (24-byte global header, 16-byte
-per-record headers) with microsecond timestamps and
+per-record headers) with microsecond timestamps, for the two capture
+headers the paper's method reads metadata from (Section III):
 ``LINKTYPE_IEEE802_11_RADIOTAP`` (127) — the format monitor-mode
-captures such as the Sigcomm'08 CRAWDAD trace ship in.
+captures such as the Sigcomm'08 CRAWDAD trace ship in — and
+``LINKTYPE_PRISM_HEADER`` (119), the older wlan-ng/HostAP format.
 
-Three integration helpers bridge pcap files and the in-memory trace
-model: :func:`write_trace_pcap` persists a list of
-:class:`~repro.dot11.capture.CapturedFrame`, :func:`read_trace_pcap`
-re-materialises them, and :func:`iter_trace_pcap` streams them one at
-a time in O(1) memory (the streaming engine's on-disk source), so
+The integration helpers bridge pcap files and the in-memory trace
+model: :func:`write_trace_pcap` and :func:`write_trace_pcap_prism`
+persist a list of :class:`~repro.dot11.capture.CapturedFrame`,
+:func:`iter_trace_pcap` is the one decoder — it streams either
+linktype one frame at a time in O(1) memory (the streaming engine's
+on-disk source) — and :func:`read_trace_pcap` lists its frames, so
 every fingerprinting experiment can run off a standard on-disk
 capture.
 """
@@ -25,6 +28,7 @@ from typing import BinaryIO, Iterable, Iterator
 from repro.dot11.capture import CapturedFrame
 from repro.radiotap.dot11_codec import decode_dot11, encode_dot11
 from repro.radiotap.parser import parse_radiotap
+from repro.radiotap.prism import LINKTYPE_PRISM_HEADER, build_prism, parse_prism
 from repro.radiotap.writer import build_radiotap
 
 PCAP_MAGIC_US = 0xA1B2C3D4
@@ -192,43 +196,71 @@ def write_trace_pcap(
     return count
 
 
+def write_trace_pcap_prism(
+    destination: str | Path | BinaryIO, frames: Iterable[CapturedFrame]
+) -> int:
+    """Persist captured frames as a Prism-encapsulated pcap; returns
+    the count."""
+    count = 0
+    with PcapWriter(destination, linktype=LINKTYPE_PRISM_HEADER) as writer:
+        for captured in frames:
+            prism = build_prism(
+                mactime_us=round(captured.timestamp_us),
+                channel=captured.channel,
+                rate_mbps=captured.rate_mbps,
+                frame_length=captured.size,
+                signal_dbm=round(captured.signal_dbm),
+            )
+            writer.write_record(
+                captured.timestamp_us, prism + encode_dot11(captured.frame)
+            )
+            count += 1
+    return count
+
+
 def iter_trace_pcap(
     source: str | Path | BinaryIO | bytes, skip_bad_fcs: bool = False
 ) -> Iterator[CapturedFrame]:
-    """Stream a radiotap pcap one frame at a time, in O(1) memory.
+    """Stream a radiotap or Prism pcap one frame at a time, in O(1) memory.
 
     The streaming engine's pcap source: records are decoded lazily as
     the iterator advances, so captures of unbounded length never
-    materialise as a list.  Timestamps prefer the radiotap TSFT (µs
+    materialise as a list.  Radiotap timestamps prefer the TSFT (µs
     precision inside the capture) and fall back to the pcap record
-    timestamp.  Frames whose FCS fails verification are kept unless
-    ``skip_bad_fcs`` is set — mirroring the choice a real monitoring
-    deployment must make.
+    timestamp; Prism timestamps are the record timestamp, because the
+    32-bit Prism MAC time wraps every ~71 minutes.  Any other linktype
+    raises :class:`PcapError`.  Frames whose FCS fails verification are
+    kept unless ``skip_bad_fcs`` is set — mirroring the choice a real
+    monitoring deployment must make.
     """
     with PcapReader(source) as reader:
-        if reader.linktype != LINKTYPE_IEEE802_11_RADIOTAP:
+        prism = reader.linktype == LINKTYPE_PRISM_HEADER
+        if not prism and reader.linktype != LINKTYPE_IEEE802_11_RADIOTAP:
             raise PcapError(
-                f"expected radiotap linktype 127, got {reader.linktype}"
+                f"unsupported linktype {reader.linktype}: expected radiotap "
+                f"({LINKTYPE_IEEE802_11_RADIOTAP}) or Prism ({LINKTYPE_PRISM_HEADER})"
             )
         for record in reader:
-            header = parse_radiotap(record.data)
+            if prism:
+                header = parse_prism(record.data)
+                timestamp_us = record.timestamp_us
+                signal_dbm = header.signal_dbm
+            else:
+                header = parse_radiotap(record.data)
+                timestamp_us = (
+                    float(header.tsft_us)
+                    if header.tsft_us is not None
+                    else record.timestamp_us
+                )
+                signal_dbm = header.antenna_signal_dbm
             decoded = decode_dot11(record.data[header.length :], has_fcs=True)
             if skip_bad_fcs and not decoded.fcs_ok:
                 continue
-            timestamp_us = (
-                float(header.tsft_us)
-                if header.tsft_us is not None
-                else record.timestamp_us
-            )
             yield CapturedFrame(
                 timestamp_us=timestamp_us,
                 frame=decoded.frame,
                 rate_mbps=header.rate_mbps if header.rate_mbps else 1.0,
-                signal_dbm=float(
-                    header.antenna_signal_dbm
-                    if header.antenna_signal_dbm is not None
-                    else -50
-                ),
+                signal_dbm=float(signal_dbm if signal_dbm is not None else -50),
                 channel=header.channel or 6,
             )
 
@@ -236,19 +268,5 @@ def iter_trace_pcap(
 def read_trace_pcap(
     source: str | Path | BinaryIO | bytes, skip_bad_fcs: bool = False
 ) -> list[CapturedFrame]:
-    """Load a radiotap pcap fully into memory (batch pipeline)."""
+    """Load a radiotap or Prism pcap fully into memory (batch pipeline)."""
     return list(iter_trace_pcap(source, skip_bad_fcs=skip_bad_fcs))
-
-
-def read_trace_table(source: str | Path | BinaryIO | bytes, skip_bad_fcs: bool = False):
-    """Load a radiotap pcap straight into a columnar
-    :class:`~repro.traces.table.FrameTable`.
-
-    Records are decoded and interned in a single streaming pass — the
-    columnar analysis backbone never sees a :class:`Trace`
-    intermediate.  The retry, from-DS and group-addressed bits of each
-    decoded MAC header land in the table's ``flags`` column.
-    """
-    from repro.traces.table import FrameTable
-
-    return FrameTable.from_frames(iter_trace_pcap(source, skip_bad_fcs=skip_bad_fcs))

@@ -8,22 +8,15 @@ signal, noise, rate, direction, frame length) preceding the 802.11
 frame, as produced by older wlan-ng/HostAP drivers and carried in
 pcaps with ``LINKTYPE_PRISM_HEADER`` (119).
 
-The :func:`read_trace_pcap_prism` helper mirrors
-:func:`repro.radiotap.pcap.read_trace_pcap` for Prism-encapsulated
-captures, so the fingerprinting pipeline accepts either format — the
-same property the paper's tool had.
+:func:`repro.radiotap.pcap.iter_trace_pcap` decodes Prism-encapsulated
+captures with :func:`parse_prism`, so the fingerprinting pipeline and
+the CLI accept either format — the same property the paper's tool had.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from pathlib import Path
-from typing import BinaryIO, Iterable
-
-from repro.dot11.capture import CapturedFrame
-from repro.radiotap.dot11_codec import decode_dot11, encode_dot11
-from repro.radiotap.pcap import PcapError, PcapReader, PcapWriter
 
 LINKTYPE_PRISM_HEADER = 119
 
@@ -160,56 +153,3 @@ def parse_prism(data: bytes) -> PrismHeader:
         elif did == DID_FRMLEN:
             header.frame_length = raw
     return header
-
-
-def write_trace_pcap_prism(
-    destination: str | Path | BinaryIO, frames: Iterable[CapturedFrame]
-) -> int:
-    """Persist captured frames as a Prism-encapsulated pcap."""
-    count = 0
-    with PcapWriter(destination, linktype=LINKTYPE_PRISM_HEADER) as writer:
-        for captured in frames:
-            prism = build_prism(
-                mactime_us=round(captured.timestamp_us),
-                channel=captured.channel,
-                rate_mbps=captured.rate_mbps,
-                frame_length=captured.size,
-                signal_dbm=round(captured.signal_dbm),
-            )
-            writer.write_record(
-                captured.timestamp_us, prism + encode_dot11(captured.frame)
-            )
-            count += 1
-    return count
-
-
-def read_trace_pcap_prism(
-    source: str | Path | BinaryIO | bytes,
-) -> list[CapturedFrame]:
-    """Load a Prism-encapsulated pcap into captured frames.
-
-    The 32-bit MAC time wraps every ~71 minutes; the pcap record
-    timestamp provides the absolute time, with the MAC time unused for
-    ordering (records are already in capture order).
-    """
-    frames: list[CapturedFrame] = []
-    with PcapReader(source) as reader:
-        if reader.linktype != LINKTYPE_PRISM_HEADER:
-            raise PcapError(
-                f"expected Prism linktype 119, got {reader.linktype}"
-            )
-        for record in reader:
-            header = parse_prism(record.data)
-            decoded = decode_dot11(record.data[PRISM_HEADER_LEN:], has_fcs=True)
-            frames.append(
-                CapturedFrame(
-                    timestamp_us=record.timestamp_us,
-                    frame=decoded.frame,
-                    rate_mbps=header.rate_mbps if header.rate_mbps else 1.0,
-                    signal_dbm=float(
-                        header.signal_dbm if header.signal_dbm is not None else -50
-                    ),
-                    channel=header.channel or 6,
-                )
-            )
-    return frames

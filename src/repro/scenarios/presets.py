@@ -180,7 +180,7 @@ def _iot_swarm(duration_s: float, seed: int, scale: float) -> Scenario:
     seed=3304,
     window_s=20.0,
 )
-def _overlapping_bss(duration_s: float, seed: int, scale: float) -> Scenario:
+def _co_channel_bss(duration_s: float, seed: int, scale: float) -> Scenario:
     rng = random.Random(seed)
     scenario = Scenario(
         duration_s=duration_s,

@@ -54,7 +54,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from repro.core.database import ReferenceDatabase, merge_databases
-from repro.core.parameters import NetworkParameter, parameter_by_name
+from repro.core.parameters import NetworkParameter
 from repro.service.router import VNODES, ShardRouter
 from repro.service.wire import (
     RECORD_CHUNK,
@@ -149,13 +149,6 @@ class ServiceConfig:
             "idle_timeout_s": self.window.idle_timeout_s,
             "min_observations": self.min_observations,
         }
-
-    @classmethod
-    def from_names(
-        cls, parameter: str, **kwargs
-    ) -> "ServiceConfig":
-        """Build a config from the CLI's parameter name."""
-        return cls(parameter=parameter_by_name(parameter), **kwargs)
 
 
 class ReferenceHarvester(WindowAnalyzer):

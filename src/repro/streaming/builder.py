@@ -16,7 +16,9 @@ every resident device's bin counters in one dense state per builder:
   order of its signature and of the checkpoint payload;
 * per-row ``t0_us`` and ``last_seen_us`` vectors.
 
-The counters are *exactly* the batch builder's histogram counts, so
+The counters are *exactly* the batch builder's histogram counts, and
+both builders read signatures out through
+:meth:`~repro.core.signature.Signature.from_counts`, so
 :meth:`signature`/:meth:`signatures` reproduce
 :meth:`SignatureBuilder.build` bin-for-bin on the same frames, in any
 chunking (property-tested in ``tests/test_streaming_builder.py`` and
@@ -237,27 +239,11 @@ class StreamingSignatureBuilder:
 
     def _signature(self, row: int) -> Signature | None:
         columns = self._columns_of(row)
-        ftype_totals = self._totals[row, columns].tolist()
-        total = sum(ftype_totals)
-        if total < self.min_observations:
+        totals = self._totals[row].tolist()
+        if sum(totals[column] for column in columns) < self.min_observations:
             return None
-        counts = self._counts[row]
-        histograms: dict[str, np.ndarray] = {}
-        weights: dict[str, float] = {}
-        observation_counts: dict[str, int] = {}
-        for column, ftype_total in zip(columns, ftype_totals):
-            if ftype_total <= 0.0:
-                continue
-            ftype_key = self._ftype_keys[column]
-            histograms[ftype_key] = counts[column] / ftype_total
-            weights[ftype_key] = ftype_total / total
-            observation_counts[ftype_key] = int(ftype_total)
-        if not histograms:
-            return None
-        return Signature(
-            histograms=histograms,
-            weights=weights,
-            observation_counts=observation_counts,
+        return Signature.from_counts(
+            self._ftype_keys, self._counts[row], totals, columns
         )
 
     def signatures(self) -> dict[MacAddress, Signature]:

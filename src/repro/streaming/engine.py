@@ -102,10 +102,6 @@ class StreamEngine:
         """Register one event sink."""
         self._sinks.append(sink)
 
-    def add_analyzer(self, analyzer: WindowAnalyzer) -> None:
-        """Register one window analyzer (application adapter)."""
-        self._analyzers.append(analyzer)
-
     @property
     def matcher(self) -> OnlineMatcher | None:
         """The live matcher (``None`` when running without a database)."""

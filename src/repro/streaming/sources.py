@@ -6,9 +6,9 @@ timestamp order; :meth:`~repro.streaming.engine.StreamEngine.run_chunked`
 pulls one chunk at a time, so a source backed by a file or a live feed
 keeps the whole pipeline in bounded memory.  Built-ins:
 
-* :func:`pcap_chunk_source` — an on-disk radiotap pcap decoded lazily
-  (:func:`repro.radiotap.pcap.iter_trace_pcap`), never materialising
-  the capture;
+* :func:`pcap_chunk_source` — an on-disk radiotap or Prism pcap
+  decoded lazily (:func:`repro.radiotap.pcap.iter_trace_pcap`), never
+  materialising the capture;
 * :func:`simulation_chunk_source` — the discrete-event simulator as a
   live feed (:meth:`repro.simulator.scenario.Scenario.stream`),
   draining the monitor's buffer as simulated time advances;
@@ -61,7 +61,7 @@ def pcap_chunk_source(
     chunk_frames: int = DEFAULT_CHUNK_FRAMES,
     skip_bad_fcs: bool = False,
 ) -> Iterator["FrameTable"]:
-    """Stream a radiotap pcap as columnar chunks (bounded memory)."""
+    """Stream a radiotap or Prism pcap as columnar chunks (bounded memory)."""
     from repro.radiotap.pcap import iter_trace_pcap
 
     return table_chunks(

@@ -103,9 +103,8 @@ def window_bounds(
 class FrameTable:
     """A captured frame sequence as parallel columns.
 
-    Build one with :meth:`from_frames` (or the zero-copy accessors
-    ``Trace.table()`` / ``SimulationResult.table()`` /
-    :func:`repro.radiotap.pcap.read_trace_table`); slice it with
+    Build one with :meth:`from_frames` (or the memoised accessors
+    ``Trace.table()`` / ``SimulationResult.table()``); slice it with
     :meth:`slice_rows` / :meth:`slice_us` / :meth:`windows` — all views
     — or copy a row subset with :meth:`select`.  A table built from bare
     columns without ``flags`` gets an all-zero flags column.

@@ -158,7 +158,7 @@ class Trace:
     def from_pcap(
         cls, path: str | Path, name: str = "", encrypted: bool = False
     ) -> "Trace":
-        """Load a radiotap pcap from disk."""
+        """Load a radiotap or Prism pcap from disk."""
         from repro.radiotap.pcap import read_trace_pcap
 
         return cls(frames=read_trace_pcap(path), name=name or str(path), encrypted=encrypted)

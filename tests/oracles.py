@@ -1,18 +1,22 @@
 """Scalar reference implementations: the test oracles of the batch path.
 
 The runtime has one implementation of each batch stage of the paper's
-method: columnar extraction (``observe_table``), signature assembly
-from binned observation codes (``SignatureBuilder.build_binned``) and
-Algorithm 1 on the packed reference matrices
-(``batch_match_signatures``).  The original per-frame and per-pair code
-lives here, so the equivalence suites and the perf benchmarks compare
-the runtime against an independent implementation:
+method: columnar extraction (``observe_table``), binning
+(``BinSpec.index_many``), signature assembly from binned observation
+codes (``SignatureBuilder.build_binned`` and its read-out
+``Signature.from_counts``) and Algorithm 1 on the packed reference
+matrices (``batch_match_signatures``).  The original per-frame,
+per-value and per-pair code lives here, so the equivalence suites and
+the perf benchmarks compare the runtime against an independent
+implementation:
 
 * :func:`observations` — the per-frame extractors of the five
-  parameters (Section III) and of the joint pairs;
+  parameters (Section III) and of the joint pairs, and
+  :func:`timeline_interarrivals`, the Section VI measurement;
+* :func:`bin_index` — the scalar binning rule of each bin spec;
 * :func:`build` — signature assembly from those observations through
-  per-(device, frame type) histogram buckets, and :func:`from_training`
-  on top of it;
+  per-(device, frame type) histogram buckets, with its own Definition 1
+  read-out, and :func:`from_training` on top of it;
 * :func:`window_candidates` — detection windows cut from the frame
   list and assembled with :func:`build`, then matched like
   ``extract_window_candidates``;
@@ -46,8 +50,8 @@ from repro.core.detection import (
     SimilarityOutcome,
     WindowCandidate,
 )
-from repro.core.histogram import Histogram
-from repro.core.joint import JointParameter
+from repro.core.histogram import BinSpec, CategoricalBins, Histogram, UniformBins
+from repro.core.joint import JointBins, JointParameter
 from repro.core.matcher import batch_match_signatures
 from repro.core.metrics import (
     CurvePoint,
@@ -121,6 +125,23 @@ def _access(frames: Iterable[CapturedFrame]) -> Iterator[Observation]:
         previous_t = t_i
 
 
+def timeline_interarrivals(
+    frames: Iterable[CapturedFrame],
+    sender: MacAddress,
+    keep: Callable[[CapturedFrame], bool] = lambda captured: True,
+) -> list[float]:
+    """``t_i − t_{i−1}`` on the full channel timeline for the sender's
+    frames that ``keep`` accepts (the previous frame may be anyone's)."""
+    values = []
+    previous_t: float | None = None
+    for captured in frames:
+        t_i = captured.timestamp_us
+        if previous_t is not None and captured.sender == sender and keep(captured):
+            values.append(t_i - previous_t)
+        previous_t = t_i
+    return values
+
+
 _EXTRACTORS: dict[str, Callable[[Iterable[CapturedFrame]], Iterator[Observation]]] = {
     "rate": _rate,
     "size": _size,
@@ -160,8 +181,8 @@ def _joint(
             x_value = fx(captured, previous_t)
             y_value = fy(captured, previous_t)
             if x_value is not None and y_value is not None:
-                ix = bins.x_bins.index(x_value)
-                iy = bins.y_bins.index(y_value)
+                ix = bin_index(bins.x_bins, x_value)
+                iy = bin_index(bins.y_bins, y_value)
                 if ix is not None and iy is not None:
                     yield Observation(
                         captured.sender,
@@ -178,6 +199,32 @@ def observations(
     if isinstance(parameter, JointParameter):
         return _joint(parameter, frames)
     return _EXTRACTORS[parameter.name](frames)
+
+
+# -- binning ---------------------------------------------------------------
+def bin_index(spec: BinSpec, value: float) -> int | None:
+    """The bin of one value (``None`` = discarded), one rule per spec.
+
+    Uniform bins clip (or drop) values outside ``[lo, hi)`` and floor
+    the rest; ``int`` raises ``ValueError`` on NaN.  Categorical bins
+    take the first declared category within the tolerance.  Joint bins
+    read the value as an already flattened bin.
+    """
+    if isinstance(spec, UniformBins):
+        if value < spec.lo:
+            return None if spec.drop_outside else 0
+        if value >= spec.hi:
+            return None if spec.drop_outside else spec.bin_count - 1
+        return int((value - spec.lo) / spec.width)
+    if isinstance(spec, CategoricalBins):
+        for position, category in enumerate(spec.categories):
+            if abs(value - category) <= spec.tolerance:
+                return position
+        return None
+    if isinstance(spec, JointBins):
+        index = int(value)
+        return index if 0 <= index < spec.bin_count else None
+    raise TypeError(f"no scalar rule for {type(spec).__name__}")
 
 
 # -- signature assembly ----------------------------------------------------

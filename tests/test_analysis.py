@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro.analysis.factors import (
     backoff_experiment,
@@ -16,9 +17,13 @@ from repro.analysis.factors import (
 from repro.analysis.plots import render_curve, render_histogram, render_table
 from repro.core.histogram import UniformBins
 from repro.dot11.mac import MacAddress
+from repro.traces import filters
 from repro.traces.filters import sent_at_rate
 from repro.traces.table import FrameTable
+from tests import oracles
 from tests.conftest import make_data_capture
+from tests.test_table import AP as TABLE_AP
+from tests.test_table import SENDERS, capture_sequences
 
 A = MacAddress.parse("00:13:e8:00:00:0a")
 B = MacAddress.parse("00:18:f8:00:00:0b")
@@ -44,6 +49,32 @@ class TestTimelineInterarrivals:
         table = FrameTable.from_frames(frames)
         values = timeline_interarrivals(table, A, sent_at_rate(table, 54.0))
         assert values.tolist() == [pytest.approx(600.0)]
+
+    @given(frames=capture_sequences())
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+    def test_matches_per_frame_oracle_under_every_frame_rule(self, frames):
+        """Bit for bit, for every sender (and one absent from the
+        capture), unmasked and under each Section VI frame rule."""
+        table = FrameTable.from_frames(frames)
+        cases = [(None, lambda captured: True)]
+        for name, rule in oracles.FRAME_RULES.items():
+            if name == "sent_at_rate":
+                for rate in (1.0, 11.0, 54.0):
+                    cases.append(
+                        (
+                            filters.sent_at_rate(table, rate),
+                            lambda captured, rule=rule, rate=rate: rule(captured, rate),
+                        )
+                    )
+            else:
+                cases.append((getattr(filters, name)(table), rule))
+        for sender in SENDERS + [TABLE_AP, B]:
+            for mask, keep in cases:
+                values = timeline_interarrivals(table, sender, mask)
+                assert values.dtype == np.float64
+                assert values.tolist() == oracles.timeline_interarrivals(
+                    frames, sender, keep
+                )
 
 
 class TestBackoffExperiment:

@@ -115,6 +115,10 @@ class TestParser:
             "histogram {pcap} --device 00:11:22:33:44:55 --min-observations 0",
             "simulate office1 --out {pcap} --scale 0",
             "evaluate --scenario office-baseline --scale 0",
+            "evaluate {pcap} --training-s 0",
+            "evaluate {pcap} --training-s -60",
+            "serve --port 70000",
+            "sensor {pcap} --connect 127.0.0.1:9 --sensor-id s0 --abort-after-chunks -1",
         ],
     )
     def test_out_of_range_number_is_a_usage_error(self, tmp_path, capsys, command):

@@ -99,13 +99,16 @@ class TestServeParser:
         )
         assert args.stats_json == "s.json"
 
-    def test_sensor_rejects_malformed_connect(self, office_pcap, capsys):
+    @pytest.mark.parametrize(
+        "address", ["nonsense", "127.0.0.1:70000", "127.0.0.1:0", "127.0.0.1:-1"]
+    )
+    def test_sensor_rejects_malformed_connect(self, office_pcap, capsys, address):
         code = main(
             [
                 "sensor",
                 str(office_pcap),
                 "--connect",
-                "nonsense",
+                address,
                 "--sensor-id",
                 "s0",
             ]

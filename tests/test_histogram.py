@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.histogram import BinSpec, CategoricalBins, Histogram, UniformBins
+from repro.core.histogram import CategoricalBins, Histogram, UniformBins
+from tests.oracles import bin_index
+
+
+def binned(spec, values) -> list[int]:
+    return spec.index_many(np.array(values, dtype=np.float64)).tolist()
 
 
 class TestUniformBins:
@@ -17,21 +22,15 @@ class TestUniformBins:
 
     def test_index_interior(self):
         bins = UniformBins(lo=0, hi=100, width=10)
-        assert bins.index(0.0) == 0
-        assert bins.index(9.999) == 0
-        assert bins.index(10.0) == 1
-        assert bins.index(99.9) == 9
+        assert binned(bins, [0.0, 9.999, 10.0, 99.9]) == [0, 0, 1, 9]
 
     def test_clipping_default(self):
         bins = UniformBins(lo=0, hi=100, width=10)
-        assert bins.index(-5.0) == 0
-        assert bins.index(150.0) == 9
+        assert binned(bins, [-5.0, 150.0]) == [0, 9]
 
     def test_drop_outside(self):
         bins = UniformBins(lo=0, hi=100, width=10, drop_outside=True)
-        assert bins.index(-5.0) is None
-        assert bins.index(150.0) is None
-        assert bins.index(50.0) == 5
+        assert binned(bins, [-5.0, 150.0, 50.0]) == [-1, -1, 5]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -47,8 +46,7 @@ class TestUniformBins:
     @given(st.floats(min_value=0, max_value=99.999, allow_nan=False))
     def test_index_in_range_property(self, value):
         bins = UniformBins(lo=0, hi=100, width=7)
-        index = bins.index(value)
-        assert index is not None
+        (index,) = binned(bins, [value])
         assert 0 <= index < bins.bin_count
         low = bins.lo + index * bins.width
         assert low <= value < low + bins.width + 1e-9
@@ -57,17 +55,15 @@ class TestUniformBins:
 class TestCategoricalBins:
     def test_rate_categories(self):
         bins = CategoricalBins(categories=(1.0, 2.0, 5.5, 11.0, 54.0))
-        assert bins.index(5.5) == 2
-        assert bins.index(54.0) == 4
+        assert binned(bins, [5.5, 54.0]) == [2, 4]
 
     def test_unknown_category_dropped(self):
         bins = CategoricalBins(categories=(1.0, 2.0))
-        assert bins.index(3.0) is None
+        assert binned(bins, [3.0]) == [-1]
 
     def test_tolerance(self):
         bins = CategoricalBins(categories=(5.5,), tolerance=0.01)
-        assert bins.index(5.505) == 0
-        assert bins.index(5.6) is None
+        assert binned(bins, [5.505, 5.6]) == [0, -1]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -78,12 +74,30 @@ class TestCategoricalBins:
         assert bins.bin_label(0) == "5.5"
         assert bins.bin_label(1) == "54"
 
+    def test_unsorted_categories_keep_declared_positions(self):
+        bins = CategoricalBins(categories=(54.0, 1.0, 11.0, 2.0, 5.5))
+        assert binned(bins, bins.categories) == [0, 1, 2, 3, 4]
+
+    def test_overlapping_windows_first_declared_wins(self):
+        """5.05 lies within 0.2 of both categories: the first declared
+        one takes it, in either declaration order."""
+        assert binned(CategoricalBins((5.0, 5.1), tolerance=0.2), [5.05, 5.25]) == [0, 1]
+        assert binned(CategoricalBins((5.1, 5.0), tolerance=0.2), [5.05, 4.85]) == [0, 1]
+
+    def test_nan_and_infinities_discarded(self):
+        bins = CategoricalBins(categories=(1.0, 2.0))
+        assert binned(bins, [float("nan"), float("inf"), float("-inf"), 1.0]) == [
+            -1,
+            -1,
+            -1,
+            0,
+        ]
+
 
 class TestHistogram:
     def test_add_and_frequencies(self):
         histogram = Histogram(UniformBins(lo=0, hi=10, width=1))
-        for value in [0.5, 0.7, 3.2, 9.9]:
-            assert histogram.add(value)
+        assert histogram.add_array(np.array([0.5, 0.7, 3.2, 9.9])) == 4
         frequencies = histogram.frequencies()
         assert frequencies[0] == pytest.approx(0.5)
         assert frequencies[3] == pytest.approx(0.25)
@@ -95,34 +109,25 @@ class TestHistogram:
 
     def test_dropped_values_not_counted(self):
         histogram = Histogram(UniformBins(lo=0, hi=10, width=1, drop_outside=True))
-        assert not histogram.add(50.0)
+        assert histogram.add_array(np.array([1.0, 2.0, 100.0])) == 2
+        assert histogram.total == 2
+
+    def test_add_array_empty(self):
+        histogram = Histogram(UniformBins(lo=0, hi=10, width=1))
+        assert histogram.add_array(np.array([])) == 0
         assert histogram.total == 0
 
-    def test_add_many(self):
-        histogram = Histogram(UniformBins(lo=0, hi=10, width=1, drop_outside=True))
-        kept = histogram.add_many([1.0, 2.0, 100.0])
-        assert kept == 2
-
-    def test_merge(self):
-        spec = UniformBins(lo=0, hi=10, width=1)
-        a = Histogram(spec)
-        b = Histogram(spec)
-        a.add_many([1.0, 2.0])
-        b.add_many([2.0, 3.0])
-        merged = a.merged_with(b)
-        assert merged.total == 4
-        assert merged.counts[2] == 2
-
-    def test_merge_spec_mismatch(self):
-        a = Histogram(UniformBins(lo=0, hi=10, width=1))
-        b = Histogram(UniformBins(lo=0, hi=20, width=1))
-        with pytest.raises(ValueError):
-            a.merged_with(b)
+    def test_add_array_accumulates(self):
+        histogram = Histogram(UniformBins(lo=0, hi=10, width=1))
+        histogram.add_array(np.array([1.0, 2.0]))
+        histogram.add_array(np.array([2.0, 3.0]))
+        assert histogram.total == 4
+        assert histogram.counts.tolist() == [0, 1, 2, 1, 0, 0, 0, 0, 0, 0]
 
     @given(st.lists(st.floats(min_value=-50, max_value=150, allow_nan=False), max_size=200))
     def test_frequencies_always_normalised(self, values):
         histogram = Histogram(UniformBins(lo=0, hi=100, width=10))
-        histogram.add_many(values)
+        histogram.add_array(np.array(values, dtype=np.float64))
         frequencies = histogram.frequencies()
         assert np.all(frequencies >= 0)
         if values:
@@ -135,68 +140,75 @@ VECTOR_SPECS = [
     UniformBins(lo=-20, hi=80, width=13, drop_outside=True),
     CategoricalBins(categories=(5.5, 1.0, 54.0, 2.0, 11.0)),
     CategoricalBins(categories=(1.0, 1.1, 1.2), tolerance=0.08),
-    # Overlapping tolerance windows exercise the declared-order
-    # fallback path.
+    # Overlapping tolerance windows: the first declared category wins.
     CategoricalBins(categories=(5.0, 5.1), tolerance=0.2),
 ]
 
+#: Values in and around every spec's range, values within a hair of
+#: the categories and their tolerance edges, NaN and ±inf.
+VALUES = st.lists(
+    st.one_of(
+        st.floats(min_value=-60, max_value=160),
+        st.builds(
+            lambda category, offset: category + offset,
+            st.sampled_from([1.0, 1.1, 1.2, 2.0, 5.0, 5.1, 5.5, 11.0, 54.0]),
+            st.floats(min_value=-0.3, max_value=0.3),
+        ),
+        st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    ),
+    max_size=150,
+)
 
-class TestVectorizedEquivalence:
-    """The scalar and vectorized paths must agree bin for bin."""
+
+def oracle_or_error(spec, values) -> list[int | None] | type[ValueError]:
+    """The scalar oracle's bins, or ``ValueError`` if a value raises."""
+    try:
+        return [bin_index(spec, value) for value in values]
+    except ValueError:
+        return ValueError
+
+
+class TestOracleEquivalence:
+    """``index_many`` and ``add_array`` against the scalar rules."""
 
     @pytest.mark.parametrize("spec", VECTOR_SPECS, ids=lambda s: type(s).__name__ + str(s.bin_count))
-    @given(values=st.lists(st.floats(min_value=-60, max_value=160, allow_nan=False), max_size=150))
-    def test_index_many_matches_index(self, spec, values):
+    @given(values=VALUES)
+    def test_index_many_matches_oracle(self, spec, values):
         array = np.array(values, dtype=np.float64)
+        expected = oracle_or_error(spec, values)
+        if expected is ValueError:
+            with pytest.raises(ValueError):
+                spec.index_many(array)
+            return
         vectorized = spec.index_many(array)
-        scalar = [spec.index(v) for v in values]
-        assert [None if i < 0 else int(i) for i in vectorized] == scalar
+        assert vectorized.dtype == np.int64
+        assert [None if i < 0 else i for i in vectorized.tolist()] == expected
 
     @pytest.mark.parametrize("spec", VECTOR_SPECS, ids=lambda s: type(s).__name__ + str(s.bin_count))
-    @given(values=st.lists(st.floats(min_value=-60, max_value=160, allow_nan=False), max_size=150))
-    def test_add_array_matches_add_many(self, spec, values):
-        one_by_one = Histogram(spec)
-        batched = Histogram(spec)
-        kept_scalar = one_by_one.add_many(values)
-        kept_vector = batched.add_array(np.array(values, dtype=np.float64))
-        assert kept_scalar == kept_vector
-        assert one_by_one.total == batched.total
-        assert np.array_equal(one_by_one.counts, batched.counts)
+    @given(values=VALUES)
+    def test_add_array_matches_oracle(self, spec, values):
+        expected = oracle_or_error(spec, values)
+        if expected is ValueError:
+            return
+        histogram = Histogram(spec)
+        kept = histogram.add_array(np.array(values, dtype=np.float64))
+        indices = [index for index in expected if index is not None]
+        assert kept == histogram.total == len(indices)
+        assert np.array_equal(
+            histogram.counts, np.bincount(indices, minlength=spec.bin_count)
+        )
 
-    def test_add_array_empty(self):
-        histogram = Histogram(UniformBins(lo=0, hi=10, width=1))
-        assert histogram.add_array(np.array([])) == 0
-        assert histogram.total == 0
-
-    def test_uniform_nan_raises_like_scalar(self):
+    def test_uniform_nan_raises_like_oracle(self):
         bins = UniformBins(lo=0, hi=10, width=1)
         with pytest.raises(ValueError):
-            bins.index(float("nan"))
+            bin_index(bins, float("nan"))
         with pytest.raises(ValueError):
             bins.index_many(np.array([1.0, float("nan")]))
 
-    def test_uniform_infinities_clip_like_scalar(self):
+    def test_uniform_infinities_clip_like_oracle(self):
         for drop in (False, True):
             bins = UniformBins(lo=0, hi=10, width=1, drop_outside=drop)
-            values = np.array([float("-inf"), float("inf"), 5.0])
-            vectorized = bins.index_many(values)
-            scalar = [bins.index(v) for v in values]
-            assert [None if i < 0 else int(i) for i in vectorized] == scalar
-
-    def test_categorical_nan_discarded_both_paths(self):
-        bins = CategoricalBins(categories=(1.0, 2.0))
-        assert bins.index(float("nan")) is None
-        assert bins.index_many(np.array([float("nan"), 1.0])).tolist() == [-1, 0]
-
-    def test_index_many_generic_fallback(self):
-        bins = CategoricalBins(categories=(1.0, 2.0, 3.0))
-        values = np.array([1.0, 2.5, 3.0, 9.0])
-        generic = BinSpec.index_many(bins, values)
-        assert np.array_equal(generic, bins.index_many(values))
-
-    def test_categorical_index_is_sublinear_ready(self):
-        # The sorted lookup must keep exact declared-order positions.
-        bins = CategoricalBins(categories=(54.0, 1.0, 11.0, 2.0, 5.5))
-        for position, category in enumerate(bins.categories):
-            assert bins.index(category) == position
-            assert bins.index_many(np.array([category]))[0] == position
+            values = [float("-inf"), float("inf"), 5.0]
+            assert [None if i < 0 else i for i in binned(bins, values)] == [
+                bin_index(bins, value) for value in values
+            ]

@@ -43,15 +43,18 @@ class TestJointBins:
         )
         assert joint.bin_count == 30
 
-    def test_index_reads_flattened_bin(self):
+    def test_index_many_reads_flattened_bin(self):
         joint = JointBins(
             x_bins=UniformBins(lo=0, hi=100, width=10),
             y_bins=UniformBins(lo=0, hi=30, width=10),
         )
         flat = 5 * 3 + 2  # x bin 5, y bin 2
-        assert joint.index(float(flat)) == flat
-        assert joint.index(30.0) is None
-        assert joint.index_many(np.array([flat, -1.0, 30.0])).tolist() == [flat, -1, -1]
+        values = [float(flat), -1.0, 30.0, 0.0, 29.0, 31.0]
+        assert joint.index_many(np.array(values)).tolist() == [flat, -1, -1, 0, 29, -1]
+        assert [
+            -1 if index is None else index
+            for index in (oracles.bin_index(joint, value) for value in values)
+        ] == [flat, -1, -1, 0, 29, -1]
         assert joint.bin_label(flat) == "[50,60)×[20,30)"
 
     def test_dropped_component_drops_pair(self):
@@ -97,8 +100,7 @@ class TestJointParameter:
         observed = parameter.observe_table(FrameTable.from_frames(frames))
         assert len(observed.values) == 10
         histogram = Histogram(parameter.default_bins())
-        for value in observed.values.tolist():
-            assert histogram.add(value)
+        assert histogram.add_array(observed.values) == 10
         # All identical pairs land in one joint bin.
         assert (histogram.frequencies() > 0).sum() == 1
 

@@ -4,20 +4,28 @@ from __future__ import annotations
 
 import io
 
+import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.dot11.capture import CapturedFrame
 from repro.dot11.frames import Dot11Frame, FrameSubtype
 from repro.dot11.mac import MacAddress
-from repro.radiotap.pcap import PcapError, write_trace_pcap
+from repro.persistence import load_database
+from repro.radiotap.pcap import (
+    PcapError,
+    PcapWriter,
+    read_trace_pcap,
+    write_trace_pcap,
+    write_trace_pcap_prism,
+)
 from repro.radiotap.prism import (
     PRISM_HEADER_LEN,
     PrismError,
     build_prism,
     parse_prism,
-    read_trace_pcap_prism,
-    write_trace_pcap_prism,
 )
+from repro.traces.table import FrameTable
 
 A = MacAddress.parse("00:13:e8:00:00:01")
 B = MacAddress.parse("00:18:f8:00:00:02")
@@ -89,7 +97,7 @@ class TestPrismPcap:
         buffer = io.BytesIO()
         count = write_trace_pcap_prism(buffer, frames)
         assert count == 5
-        restored = read_trace_pcap_prism(buffer.getvalue())
+        restored = read_trace_pcap(buffer.getvalue())
         assert len(restored) == 5
         for original, loaded in zip(frames, restored):
             assert loaded.sender == A
@@ -100,11 +108,54 @@ class TestPrismPcap:
                 original.timestamp_us, abs=1.0
             )
 
-    def test_rejects_radiotap_pcap(self):
+    def test_rejects_other_linktypes(self):
         buffer = io.BytesIO()
-        write_trace_pcap(buffer, self._frames(2))
-        with pytest.raises(PcapError):
-            read_trace_pcap_prism(buffer.getvalue())
+        with PcapWriter(buffer, linktype=1) as writer:  # Ethernet
+            writer.write_record(10.0, b"\x00" * 60)
+        with pytest.raises(PcapError, match="linktype 1:"):
+            read_trace_pcap(buffer.getvalue())
+
+    def test_skip_bad_fcs_applies_to_prism(self):
+        buffer = io.BytesIO()
+        write_trace_pcap_prism(buffer, self._frames(3))
+        raw = bytearray(buffer.getvalue())
+        raw[-1] ^= 0xFF  # the last record's FCS
+        assert len(read_trace_pcap(bytes(raw))) == 3
+        kept = read_trace_pcap(bytes(raw), skip_bad_fcs=True)
+        assert [c.size for c in kept] == [400, 401]
+
+    def test_prism_and_radiotap_decode_to_equal_tables(self, small_office_trace):
+        """One set of frames through both encapsulations: equal frames,
+        and equal columns, flags, senders and frame-type keys."""
+        frames = small_office_trace.frames
+        radiotap, prism = io.BytesIO(), io.BytesIO()
+        write_trace_pcap(radiotap, frames)
+        write_trace_pcap_prism(prism, frames)
+        from_radiotap = read_trace_pcap(radiotap.getvalue())
+        from_prism = read_trace_pcap(prism.getvalue())
+        assert len(from_prism) == len(frames)
+        assert from_prism == from_radiotap
+        expected = FrameTable.from_frames(from_radiotap)
+        actual = FrameTable.from_frames(from_prism)
+        for column in ("timestamp_us", "size", "rate_mbps", "sender_idx", "ftype_idx", "flags"):
+            assert np.array_equal(getattr(actual, column), getattr(expected, column)), column
+        assert actual.senders == expected.senders
+        assert actual.ftype_keys == expected.ftype_keys
+
+    def test_learn_from_prism_writes_the_radiotap_store(
+        self, small_office_trace, tmp_path
+    ):
+        radiotap = tmp_path / "office.pcap"
+        prism = tmp_path / "office-prism.pcap"
+        write_trace_pcap(radiotap, small_office_trace.frames)
+        write_trace_pcap_prism(prism, small_office_trace.frames)
+        for pcap in (radiotap, prism):
+            assert main(["learn", str(pcap), "--db", str(pcap.with_suffix(".db"))]) == 0
+        expected = radiotap.with_suffix(".db")
+        actual = prism.with_suffix(".db")
+        for name in ("meta.json", "devices.jsonl", "matrices.npz"):
+            assert (actual / name).read_bytes() == (expected / name).read_bytes()
+        assert len(load_database(actual).database) >= 2
 
     def test_fingerprinting_from_prism_capture(self, small_office_trace):
         """The full pipeline works identically off Prism captures."""
@@ -112,7 +163,7 @@ class TestPrismPcap:
 
         buffer = io.BytesIO()
         write_trace_pcap_prism(buffer, small_office_trace.frames[:5000])
-        restored = read_trace_pcap_prism(buffer.getvalue())
+        restored = read_trace_pcap(buffer.getvalue())
         builder = SignatureBuilder(InterArrivalTime(), min_observations=50)
         signatures = builder.build(restored)
         assert len(signatures) >= 2

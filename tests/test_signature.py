@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.dot11.mac import MacAddress
@@ -120,3 +121,39 @@ class TestSignatureValidation:
         )[A]
         assert signature.total_observations == 25
         assert signature.frame_types == {"QoS Data"}
+
+
+class TestFromCounts:
+    """The Definition 1 read-out both builders share."""
+
+    def test_definition_1(self):
+        counts = np.array([[1, 3, 0], [0, 0, 4]], dtype=np.int64)
+        signature = Signature.from_counts(["Beacon", "Data"], counts, [4, 4], [0, 1])
+        assert list(signature.histograms) == ["Beacon", "Data"]
+        assert signature.histograms["Beacon"].tolist() == [0.25, 0.75, 0.0]
+        assert signature.histograms["Data"].tolist() == [0.0, 0.0, 1.0]
+        assert signature.weights == {"Beacon": 0.5, "Data": 0.5}
+        assert signature.observation_counts == {"Beacon": 4, "Data": 4}
+
+    def test_order_is_dict_order_and_empty_types_left_out(self):
+        counts = np.array([[0.0, 2.0], [0.0, 0.0], [1.0, 0.0], [5.0, 5.0]])
+        signature = Signature.from_counts(
+            ["Data", "Beacon", "Probe", "Unread"], counts, [2.0, 0.0, 1.0, 10.0], [2, 1, 0]
+        )
+        assert list(signature.histograms) == ["Probe", "Data"]
+        assert list(signature.weights) == ["Probe", "Data"]
+        assert signature.weights["Data"] == 2.0 / 3.0
+        assert signature.observation_counts == {"Probe": 1, "Data": 2}
+
+    def test_integer_and_float_counts_read_out_alike(self):
+        """Batch counts are int64, streaming counts float64: the same
+        integers give bit-identical signatures."""
+        counts = np.array([[3, 0, 7], [1, 1, 1]], dtype=np.int64)
+        batch = Signature.from_counts(["a", "b"], counts, [10, 3], [1, 0])
+        streaming = Signature.from_counts(
+            ["a", "b"], counts.astype(np.float64), [10.0, 3.0], [1, 0]
+        )
+        for key in ("a", "b"):
+            assert np.array_equal(batch.histograms[key], streaming.histograms[key])
+        assert batch.weights == streaming.weights
+        assert batch.observation_counts == streaming.observation_counts

@@ -276,17 +276,16 @@ class TestTableSlicing:
         assert table.sender_code(SENDERS[0]) == 0
         assert table.sender_code(SENDERS[3]) == -1
 
-    def test_read_trace_table_matches_read_trace_pcap(self, tmp_path):
-        from repro.radiotap.pcap import read_trace_pcap, read_trace_table, write_trace_pcap
+    def test_pcap_table_holds_the_written_frames(self, tmp_path):
+        from repro.radiotap.pcap import write_trace_pcap
 
         frames = self._frames([0.0, 100.0, 250.0]) + [
             CapturedFrame(timestamp_us=300.0, frame=ack_frame(SENDERS[0]), rate_mbps=1.0)
         ]
         path = tmp_path / "t.pcap"
         write_trace_pcap(path, frames)
-        table = read_trace_table(path)
-        assert_columns_match(table, read_trace_pcap(path))
-        assert len(table) == 4
+        table = Trace.from_pcap(path).table()
+        assert_columns_match(table, frames)
         assert table.sender_idx.tolist()[-1] == -1  # ACK stays sender-less
 
 
