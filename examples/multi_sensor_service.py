@@ -38,8 +38,7 @@ def simulate_site(name: str, seed: int, profiles: list[str]) -> Trace:
                          WebTraffic(mean_think_s=4.0)],
             )
         )
-    result = scenario.run()
-    return Trace(frames=result.captures, name=name, encrypted=True)
+    return scenario.run().trace(name=name, encrypted=True)
 
 
 def main() -> None:

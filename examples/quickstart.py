@@ -20,7 +20,6 @@ from repro.core import (
 )
 from repro.core.matcher import best_match
 from repro.simulator import CbrTraffic, Scenario, StationSpec, WebTraffic
-from repro.traces import Trace
 
 
 def main() -> None:
@@ -47,13 +46,7 @@ def main() -> None:
             sources=[CbrTraffic(interval_ms=60), WebTraffic(mean_think_s=8.0)],
         )
     )
-    result = scenario.run()
-    trace = Trace(
-        frames=result.captures,
-        name="quickstart-office",
-        encrypted=True,
-        device_names=result.station_names,
-    )
+    trace = scenario.run().trace(name="quickstart-office", encrypted=True)
     print(f"captured {len(trace)} frames over {trace.duration_s:.0f}s "
           f"from {len(trace.senders())} senders")
 

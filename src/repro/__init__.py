@@ -85,13 +85,7 @@ def quick_fingerprint_demo() -> str:
             sources=[WebTraffic(mean_think_s=4.0)],
         )
     )
-    result = scenario.run()
-    trace = Trace(
-        frames=result.captures,
-        name="quick-demo",
-        encrypted=True,
-        device_names=result.station_names,
-    )
+    trace = scenario.run().trace(name="quick-demo", encrypted=True)
     outcome = evaluate_trace(
         trace,
         InterArrivalTime(),

@@ -5,6 +5,11 @@ frame size, the transmission rate, signal strength, channel and the
 decoded MAC header.  :class:`CapturedFrame` is that view — the *only*
 input to the fingerprinting core, which enforces the paper's constraint
 that fingerprints be computable from Radiotap/Prism metadata alone.
+
+The three MAC-header bits the paper's frame rules read travel with a
+capture's columns as one ``flags`` byte
+(:attr:`repro.traces.table.FrameTable.flags`); its bit values are
+defined here, next to the frame view they summarise.
 """
 
 from __future__ import annotations
@@ -13,6 +18,13 @@ from dataclasses import dataclass, replace
 
 from repro.dot11.frames import Dot11Frame, FrameSubtype
 from repro.dot11.mac import MacAddress
+
+#: ``flags`` bit: the frame is a retransmission (802.11 Retry bit).
+RETRY = 0x01
+#: ``flags`` bit: the frame comes from the distribution system (From DS).
+FROM_DS = 0x02
+#: ``flags`` bit: the receiver (addr1) is a group address (its I/G bit).
+GROUP_ADDRESSED = 0x04
 
 
 @dataclass(frozen=True, slots=True)

@@ -80,7 +80,7 @@ class FrameSubtype(enum.Enum):
         ACK and CTS frames carry only a receiver address (paper
         Section IV-A, footnote 2): their sender is ``None``.
         """
-        return self not in (FrameSubtype.ACK, FrameSubtype.CTS)
+        return self not in _UNATTRIBUTABLE
 
     @classmethod
     def from_codes(cls, ftype: int, subtype: int) -> "FrameSubtype":
@@ -117,6 +117,10 @@ _LABELS: dict[FrameSubtype, str] = {
 _BY_CODE: dict[tuple[int, int], FrameSubtype] = {
     (st.ftype.value, st.subtype_code): st for st in FrameSubtype
 }
+
+#: Subtypes without a transmitter address.  A tuple, tested by
+#: identity: building a frame must not run an enum property per frame.
+_UNATTRIBUTABLE = (FrameSubtype.ACK, FrameSubtype.CTS)
 
 #: MAC header + FCS overhead in bytes for the common three-address
 #: data/management format (24 header + 4 FCS).
@@ -159,7 +163,7 @@ class Dot11Frame:
     def __post_init__(self) -> None:
         if self.size < 10:
             raise ValueError(f"frame too small to be valid 802.11: {self.size}")
-        if self.addr2 is not None and not self.subtype.has_transmitter_address:
+        if self.addr2 is not None and self.subtype in _UNATTRIBUTABLE:
             raise ValueError(f"{self.subtype.label} frames carry no transmitter address")
 
     @property

@@ -18,6 +18,7 @@ Two notions of "transmission time" coexist deliberately:
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,6 +57,7 @@ _OFDM_SYMBOL_US = 4.0
 _OFDM_SERVICE_TAIL_BITS = 16 + 6
 
 
+@functools.lru_cache(maxsize=4096)
 def frame_airtime_us(
     size_bytes: int, rate_mbps: float, short_preamble: bool = True
 ) -> float:
@@ -63,7 +65,10 @@ def frame_airtime_us(
 
     For OFDM the payload duration is rounded up to whole symbols as the
     standard requires; for DSSS it is ``bits / rate`` plus the (long or
-    short) preamble.
+    short) preamble.  The function is pure and memoised: a simulation
+    sees a few hundred (size, rate, preamble) triples (807 over the
+    eight library presets at half scale) across tens of thousands of
+    exchanges.
     """
     if size_bytes <= 0:
         raise ValueError(f"size must be positive: {size_bytes}")
@@ -118,8 +123,10 @@ class Phy:
 
     def clamp_rate(self, rate_mbps: float) -> float:
         """Closest supported rate not above ``rate_mbps`` (or lowest)."""
-        eligible = [r for r in self.supported_rates if r <= rate_mbps]
-        return eligible[-1] if eligible else self.supported_rates[0]
+        for rate in reversed(self.supported_rates):
+            if rate <= rate_mbps:
+                return rate
+        return self.supported_rates[0]
 
     def next_rate_up(self, rate_mbps: float) -> float:
         """The next rung above ``rate_mbps`` (or ``rate_mbps`` at top)."""

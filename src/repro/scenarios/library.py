@@ -65,12 +65,8 @@ class BuiltScenario:
     def simulate(self) -> Trace:
         """Run (or recall) the simulation as a ground-truth trace."""
         if self._trace is None:
-            result = self.scenario.run()
-            self._trace = Trace(
-                frames=result.captures,
-                name=self.metadata.name,
-                encrypted=self.metadata.encrypted,
-                device_names=result.station_names,
+            self._trace = self.scenario.run().trace(
+                name=self.metadata.name, encrypted=self.metadata.encrypted
             )
         return self._trace
 

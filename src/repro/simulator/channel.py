@@ -117,14 +117,22 @@ class ChannelModel:
     monitor_capture_bonus_db: float = 3.0
     noiseless: bool = False
 
-    def snr_db(self, distance_m: float, rng: random.Random) -> float:
-        """Instantaneous SNR over a link of ``distance_m`` metres."""
-        path_loss = self.reference_loss_db + 10 * self.path_loss_exponent * math.log10(
-            max(distance_m, 0.5)
+    def received_dbm(self, distance_m: float) -> float:
+        """Mean received power over a link of ``distance_m`` metres.
+
+        Transmit power minus log-distance path loss, before shadowing.
+        It is also the signal strength the monitor reports for a frame
+        sent over that link.  A static link computes it once.
+        """
+        return self.tx_power_dbm - (
+            self.reference_loss_db
+            + 10 * self.path_loss_exponent * math.log10(max(distance_m, 0.5))
         )
+
+    def snr_db(self, received_dbm: float, rng: random.Random) -> float:
+        """Instantaneous SNR of a link with mean power ``received_dbm``."""
         shadowing = rng.gauss(0.0, self.shadowing_sigma_db)
-        rx_power = self.tx_power_dbm - path_loss + shadowing
-        return rx_power - self.noise_floor_dbm
+        return received_dbm + shadowing - self.noise_floor_dbm
 
     def success_probability(self, snr_db: float, rate_mbps: float, size: int) -> float:
         """Probability one frame decodes at this SNR and rate.
@@ -139,16 +147,16 @@ class ChannelModel:
         return base**exponent
 
     def frame_succeeds(
-        self, distance_m: float, rate_mbps: float, size: int, rng: random.Random
+        self, received_dbm: float, rate_mbps: float, size: int, rng: random.Random
     ) -> bool:
-        """Draw whether a frame crosses this link intact."""
+        """Draw whether a frame crosses a link intact."""
         if self.noiseless:
             return True
-        snr = self.snr_db(distance_m, rng)
+        snr = self.snr_db(received_dbm, rng)
         return rng.random() < self.success_probability(snr, rate_mbps, size)
 
     def monitor_captures(
-        self, distance_m: float, rate_mbps: float, size: int, rng: random.Random
+        self, received_dbm: float, rate_mbps: float, size: int, rng: random.Random
     ) -> bool:
         """Draw whether the monitor's card decodes a frame.
 
@@ -158,7 +166,7 @@ class ChannelModel:
         """
         if self.noiseless:
             return True
-        snr = self.snr_db(distance_m, rng) + self.monitor_capture_bonus_db
+        snr = self.snr_db(received_dbm, rng) + self.monitor_capture_bonus_db
         return rng.random() < self.success_probability(snr, rate_mbps, size)
 
     def best_rate_for_snr(self, snr_db: float, rates: tuple[float, ...]) -> float:

@@ -5,20 +5,29 @@ profile's timing personality, a rate controller and a mobility process.
 The medium (:mod:`repro.simulator.medium`) arbitrates *when* a station
 transmits; the station decides *what* goes on air — RTS/CTS usage,
 rates, frame construction — and performs the channel/monitor draws for
-its exchange.
+its exchange, appending what the monitor decodes to a
+:class:`~repro.simulator.capture.CaptureBuffer`.
+
+An exchange runs tens of thousands of times per simulated minute, so
+everything in it that does not change between exchanges is computed
+once per station: the DIFS base, the basic rate, the responder's ACK,
+and the mean received power of every static link (recomputed only
+when a position is reassigned; a moving station's own links are
+measured per exchange).
 """
 
 from __future__ import annotations
 
-import math
 import random
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
-from repro.dot11.capture import CapturedFrame
 from repro.dot11.frames import (
+    ACK_SIZE,
+    CTS_SIZE,
     Dot11Frame,
     FrameSubtype,
+    FrameType,
     ack_frame,
     cts_frame,
     rts_frame,
@@ -26,6 +35,7 @@ from repro.dot11.frames import (
 from repro.dot11.mac import BROADCAST, MacAddress
 from repro.dot11.phy import DSSS_RATES, Phy
 from repro.dot11.timing import MacTiming
+from repro.simulator.capture import CaptureBuffer
 from repro.simulator.channel import ChannelModel, Mobility, Position
 from repro.simulator.profiles import (
     BackoffStyle,
@@ -52,6 +62,13 @@ from repro.simulator.traffic import (
 #: A multicast group address (01:00:5e…) used for service frames.
 MULTICAST_GROUP = MacAddress.parse("01:00:5e:00:00:fb")
 
+# Subtype groups for identity tests: an enum member's ``ftype`` and
+# ``value`` are Python-level properties and its hash runs in Python,
+# so the exchange path tests membership in tuples instead.
+_MANAGEMENT = tuple(st for st in FrameSubtype if st.ftype is FrameType.MANAGEMENT)
+_DATA = tuple(st for st in FrameSubtype if st.ftype is FrameType.DATA)
+_GROUP_DESTINATIONS = (DST_BROADCAST, DST_MULTICAST)
+
 
 def build_rate_control(
     profile: DeviceProfile, phy: Phy, channel: ChannelModel, rng: random.Random
@@ -75,17 +92,35 @@ def build_rate_control(
 
 @dataclass(slots=True)
 class ExchangeOutcome:
-    """Result of one medium access: captures plus bookkeeping.
+    """Bookkeeping of one medium access (its captures went to the buffer).
 
-    ``aired`` lists the primary frames that actually went on air
-    (independent of whether the monitor captured them) so reactive
-    behaviours — an AP answering a probe request — can be wired up.
+    ``aired`` is the primary frame that actually went on air — the RTS
+    when no CTS came back, else the data or management frame —
+    whether or not the monitor captured it, so reactive behaviours (an
+    AP answering a probe request) can be wired up.
     """
 
-    captures: list[CapturedFrame]
     busy_until_us: float
     dequeued: bool
-    aired: list[Dot11Frame] = field(default_factory=list)
+    aired: Dot11Frame
+
+
+@dataclass(slots=True)
+class _Links:
+    """Mean received powers (dBm) of the links an exchange draws over.
+
+    ``peer`` is station → peer (SNR hints and delivery draws),
+    ``monitor`` station → monitor and ``peer_monitor`` peer → monitor
+    (the responder's CTS/ACK).  A monitor link's signal is its power
+    floored at -95 dBm.  ``moving`` links are re-measured per exchange.
+    """
+
+    moving: bool
+    peer: float
+    monitor: float
+    monitor_signal: float
+    peer_monitor: float
+    peer_monitor_signal: float
 
 
 @dataclass(slots=True)
@@ -138,15 +173,43 @@ class Station:
         # Per-unit manufacturing spread: two cards of the same model
         # still differ slightly in radio turnaround calibration.
         self.unit_difs_offset_us = rng.gauss(0.0, 0.7)
+        self._difs_base_us = (
+            self.timing.difs_us + profile.difs_offset_us + self.unit_difs_offset_us
+        )
         self._seq = rng.randint(0, 4000)
         self.rate_control = build_rate_control(profile, self.phy, channel_model, rng)
+        # Management and group-addressed frames go at a basic rate.
+        self._basic_rate = 1.0 if 1.0 in self.phy.supported_rates else 6.0
+        # The responder's ACK to this station is always the same frame.
+        self._ack = ack_frame(mac)
         # Positions the exchange draws need; set by the scenario.  For
         # clients the peer is the AP; for an AP it is a nominal client.
-        self.peer_position = Position(0.0, 0.0)
-        self.monitor_position = Position(5.0, 5.0)
+        self._links: _Links | None = None
+        self._peer_position = Position(0.0, 0.0)
+        self._monitor_position = Position(5.0, 5.0)
         # Responder SIFS personality of the AP answering this station is
         # configured by the scenario (affects CTS/ACK gaps we observe).
         self.responder_sifs_offset_us = 0.0
+
+    @property
+    def peer_position(self) -> Position:
+        """Where the station's peer (its AP, or a nominal client) is."""
+        return self._peer_position
+
+    @peer_position.setter
+    def peer_position(self, position: Position) -> None:
+        self._peer_position = position
+        self._links = None
+
+    @property
+    def monitor_position(self) -> Position:
+        """Where the capturing monitor is."""
+        return self._monitor_position
+
+    @monitor_position.setter
+    def monitor_position(self, position: Position) -> None:
+        self._monitor_position = position
+        self._links = None
 
     # ------------------------------------------------------------------
     # Queue / contention state
@@ -170,11 +233,8 @@ class Station:
         """Draw a fresh backoff and per-attempt DIFS timing."""
         cw = self.timing.backoff_window(self.retry_count)
         self.backoff_counter = draw_backoff(self.profile.backoff_style, cw, self.rng)
-        self.pending_difs_us = (
-            self.timing.difs_us
-            + self.profile.difs_offset_us
-            + self.unit_difs_offset_us
-            + self.rng.gauss(0.0, self.profile.timing_jitter_us)
+        self.pending_difs_us = self._difs_base_us + self.rng.gauss(
+            0.0, self.profile.timing_jitter_us
         )
 
     def access_time(self, contention_start_us: float) -> float:
@@ -214,11 +274,6 @@ class Station:
             return BROADCAST
         return MULTICAST_GROUP
 
-    _QOS_DOWNGRADE = {
-        FrameSubtype.QOS_DATA: FrameSubtype.DATA,
-        FrameSubtype.QOS_NULL: FrameSubtype.NULL_FUNCTION,
-    }
-
     def materialize(self, app_frame: AppFrame, retry: bool) -> Dot11Frame:
         """Build the on-air frame for a queued application frame.
 
@@ -226,22 +281,22 @@ class Station:
         what the application asked for — the QoS-vs-legacy frame-type
         mix is itself part of a card's fingerprint.
         """
+        subtype = app_frame.subtype
         if not self.profile.qos_capable:
-            downgraded = self._QOS_DOWNGRADE.get(app_frame.subtype)
-            if downgraded is not None:
-                app_frame = replace(app_frame, subtype=downgraded)
+            if subtype is FrameSubtype.QOS_DATA:
+                subtype = FrameSubtype.DATA
+            elif subtype is FrameSubtype.QOS_NULL:
+                subtype = FrameSubtype.NULL_FUNCTION
         destination = self._destination(app_frame)
-        protect = (
-            self.encrypted
-            and app_frame.subtype
-            in (FrameSubtype.DATA, FrameSubtype.QOS_DATA)
+        # Only payload-carrying data grows by the CCMP header; null
+        # frames have no payload to protect.
+        protect = self.encrypted and (
+            subtype is FrameSubtype.DATA or subtype is FrameSubtype.QOS_DATA
         )
         size = app_frame.size + (8 if protect else 0)
-        if app_frame.subtype in (FrameSubtype.NULL_FUNCTION, FrameSubtype.QOS_NULL):
-            size = app_frame.size  # null frames carry no payload to protect
-        is_data = app_frame.subtype.ftype.value == 2
+        is_data = subtype in _DATA
         return Dot11Frame(
-            subtype=app_frame.subtype,
+            subtype=subtype,
             size=max(size, 28),
             addr1=destination,
             addr2=self.mac,
@@ -257,11 +312,11 @@ class Station:
     def data_rate_for(self, app_frame: AppFrame) -> float:
         """Rate selection: management/group frames go at a basic rate,
         unicast data at the rate controller's choice."""
-        if app_frame.subtype.ftype.value == 0:  # management
-            return 1.0 if 1.0 in self.phy.supported_rates else 6.0
-        if app_frame.destination in (DST_BROADCAST, DST_MULTICAST):
-            # Group-addressed data goes at a low basic rate.
-            return 1.0 if 1.0 in self.phy.supported_rates else 6.0
+        if (
+            app_frame.subtype in _MANAGEMENT
+            or app_frame.destination in _GROUP_DESTINATIONS
+        ):
+            return self._basic_rate
         return self.phy.clamp_rate(self.rate_control.current_rate())
 
     def control_response_rate(self, data_rate: float) -> float:
@@ -277,124 +332,126 @@ class Station:
         """Current position (advances the mobility process)."""
         return self.mobility.position_at(time_us, self.rng)
 
+    def _links_at(self, time_us: float) -> _Links:
+        """The exchange's link powers: cached for a static station,
+        re-measured (advancing the mobility walk) for a moving one."""
+        links = self._links
+        if links is None or links.moving:
+            position = self.position_at(time_us)
+            model = self.channel_model
+            monitor = model.received_dbm(position.distance_to(self._monitor_position))
+            peer_monitor = model.received_dbm(
+                self._peer_position.distance_to(self._monitor_position)
+            )
+            links = self._links = _Links(
+                moving=self.mobility.speed_mps > 0,
+                peer=model.received_dbm(position.distance_to(self._peer_position)),
+                monitor=monitor,
+                monitor_signal=max(-95.0, monitor),
+                peer_monitor=peer_monitor,
+                peer_monitor_signal=max(-95.0, peer_monitor),
+            )
+        return links
+
     def _capture(
         self,
-        captures: list[CapturedFrame],
+        capture: CaptureBuffer,
         end_time_us: float,
         frame: Dot11Frame,
         rate: float,
-        sender_position: Position,
+        received_dbm: float,
+        signal_dbm: float,
     ) -> None:
-        """Append a monitor capture draw for one on-air frame."""
-        distance = sender_position.distance_to(self.monitor_position)
-        if self.channel_model.monitor_captures(distance, rate, frame.size, self.rng):
-            signal = self.channel_model.tx_power_dbm - (
-                self.channel_model.reference_loss_db
-                + 10
-                * self.channel_model.path_loss_exponent
-                * math.log10(max(distance, 0.5))
-            )
-            captures.append(
-                CapturedFrame(
-                    timestamp_us=end_time_us,
-                    frame=frame,
-                    rate_mbps=rate,
-                    signal_dbm=max(-95.0, signal),
-                    channel=self.channel_number,
-                )
-            )
+        """The monitor's capture draw for one on-air frame."""
+        model = self.channel_model
+        if model.monitor_captures(received_dbm, rate, frame.size, self.rng):
+            capture.append(end_time_us, frame, rate, signal_dbm, self.channel_number)
 
-    def execute_exchange(self, tx_start_us: float) -> ExchangeOutcome:
+    def execute_exchange(
+        self, tx_start_us: float, capture: CaptureBuffer
+    ) -> ExchangeOutcome:
         """Run a full medium access starting at ``tx_start_us``.
 
         Handles RTS/CTS when the profile's threshold demands it, the
         data frame, the responder's ACK, channel error draws, retry
-        bookkeeping, rate-control feedback and monitor capture draws.
+        bookkeeping, rate-control feedback and monitor capture draws;
+        the frames the monitor decodes are appended to ``capture``.
         """
         if not self.queue:
             raise RuntimeError(f"{self.mac} won arbitration with an empty queue")
         app_frame = self.queue[0]
-        retry = self.retry_count > 0
-        frame = self.materialize(app_frame, retry)
+        frame = self.materialize(app_frame, self.retry_count > 0)
         rate = self.data_rate_for(app_frame)
-        my_position = self.position_at(tx_start_us)
-        distance_peer = my_position.distance_to(self.peer_position)
+        links = self._links_at(tx_start_us)
+        model = self.channel_model
+        rng = self.rng
+        airtime = self.phy.airtime_us
         # Any unicast frame is acknowledged; group-addressed frames
         # (broadcast data, probe requests, beacons) are fire-and-forget.
         needs_ack = not frame.addr1.is_multicast
-        captures: list[CapturedFrame] = []
-        aired: list[Dot11Frame] = [frame]
         sifs = self.timing.sifs_us
         responder_sifs = sifs + self.responder_sifs_offset_us
         now = tx_start_us
 
         # SNR hint for rate control (driver channel estimation).
-        snr_hint = self.channel_model.snr_db(distance_peer, self.rng)
-        self.rate_control.on_snr_hint(snr_hint)
+        self.rate_control.on_snr_hint(model.snr_db(links.peer, rng))
 
-        use_rts = (
-            needs_ack
-            and self.profile.rts_threshold is not None
-            and frame.size > self.profile.rts_threshold
-        )
-        if use_rts:
-            data_air = self.phy.airtime_us(frame.size, rate)
+        threshold = self.profile.rts_threshold
+        if needs_ack and threshold is not None and frame.size > threshold:
+            data_air = airtime(frame.size, rate)
             ctl_rate = self.control_response_rate(rate)
-            cts_air = self.phy.airtime_us(14, ctl_rate)
-            ack_air = self.phy.airtime_us(14, ctl_rate)
+            cts_air = airtime(CTS_SIZE, ctl_rate)
+            ack_air = airtime(ACK_SIZE, ctl_rate)
             nav = round(3 * sifs + cts_air + data_air + ack_air)
             rts = rts_frame(self.mac, frame.addr1, nav)
-            rts_air = self.phy.airtime_us(rts.size, ctl_rate)
-            rts_end = now + rts_air
-            self._capture(captures, rts_end, rts, ctl_rate, my_position)
-            rts_ok = self.channel_model.frame_succeeds(
-                distance_peer, ctl_rate, rts.size, self.rng
+            rts_end = now + airtime(rts.size, ctl_rate)
+            self._capture(
+                capture, rts_end, rts, ctl_rate, links.monitor, links.monitor_signal
             )
-            if not rts_ok:
+            if not model.frame_succeeds(links.peer, ctl_rate, rts.size, rng):
                 # No CTS: the sender times out and recontends.
                 self._on_failure()
-                return ExchangeOutcome(
-                    captures=captures,
-                    busy_until_us=rts_end + sifs + cts_air,
-                    dequeued=False,
-                    aired=[rts],
-                )
+                return ExchangeOutcome(rts_end + sifs + cts_air, False, rts)
             cts = cts_frame(self.mac, max(0, nav - round(sifs + cts_air)))
             cts_end = rts_end + responder_sifs + cts_air
-            self._capture(captures, cts_end, cts, ctl_rate, self.peer_position)
+            self._capture(
+                capture,
+                cts_end,
+                cts,
+                ctl_rate,
+                links.peer_monitor,
+                links.peer_monitor_signal,
+            )
             now = cts_end + sifs
         # Data (or management/null) frame itself.
-        data_air = self.phy.airtime_us(frame.size, rate)
-        data_end = now + data_air
-        self._capture(captures, data_end, frame, rate, my_position)
+        data_end = now + airtime(frame.size, rate)
+        self._capture(
+            capture, data_end, frame, rate, links.monitor, links.monitor_signal
+        )
 
         if not needs_ack:
             # Group-addressed / management-broadcast: fire and forget.
             self._on_success()
-            return ExchangeOutcome(
-                captures=captures, busy_until_us=data_end, dequeued=True, aired=aired
-            )
+            return ExchangeOutcome(data_end, True, frame)
 
-        data_ok = self.channel_model.frame_succeeds(
-            distance_peer, rate, frame.size, self.rng
-        )
-        if not data_ok:
-            self._on_failure()
-            ack_air = self.phy.airtime_us(14, self.control_response_rate(rate))
-            return ExchangeOutcome(
-                captures=captures,
-                busy_until_us=data_end + sifs + ack_air,
-                dequeued=False,
-                aired=aired,
-            )
         ctl_rate = self.control_response_rate(rate)
-        ack = ack_frame(self.mac)
-        ack_end = data_end + responder_sifs + self.phy.airtime_us(ack.size, ctl_rate)
-        self._capture(captures, ack_end, ack, ctl_rate, self.peer_position)
-        self._on_success()
-        return ExchangeOutcome(
-            captures=captures, busy_until_us=ack_end, dequeued=True, aired=aired
+        if not model.frame_succeeds(links.peer, rate, frame.size, rng):
+            self._on_failure()
+            return ExchangeOutcome(
+                data_end + sifs + airtime(ACK_SIZE, ctl_rate), False, frame
+            )
+        ack = self._ack
+        ack_end = data_end + responder_sifs + airtime(ack.size, ctl_rate)
+        self._capture(
+            capture,
+            ack_end,
+            ack,
+            ctl_rate,
+            links.peer_monitor,
+            links.peer_monitor_signal,
         )
+        self._on_success()
+        return ExchangeOutcome(ack_end, True, frame)
 
     def execute_collision_leg(self, tx_start_us: float) -> float:
         """This station's part of a collision: its frame airs but is

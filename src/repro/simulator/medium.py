@@ -14,20 +14,26 @@ The medium serialises transmissions on one channel.  Contention follows
   (freeze semantics) and resume in the next idle period.
 
 Event-queue staleness is handled with generation tokens so arbitration
-can be recomputed whenever membership changes.
+can be recomputed whenever membership changes; a round's access times
+are computed once, when it is scheduled, and reused when it fires.
+What the monitor decodes goes to the medium's
+:class:`~repro.simulator.capture.CaptureBuffer`.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable
 
-from repro.dot11.capture import CapturedFrame
 from repro.dot11.frames import Dot11Frame
+from repro.simulator.capture import CaptureBuffer
 from repro.simulator.device import Station
 from repro.simulator.events import EventQueue
 
 #: Signature of reactive hooks: (sender, frame, air-end time in µs).
 AiredHook = Callable[[Station, Dot11Frame, float], None]
+
+_TX_TIME = itemgetter(0)
 
 
 class Medium:
@@ -38,10 +44,14 @@ class Medium:
         self.busy_until = 0.0
         self.contention_start = 0.0
         self.contenders: dict[Station, float] = {}  # station -> join time
-        self.captures: list[CapturedFrame] = []
+        #: What the monitor decoded, as interned rows.
+        self.capture = CaptureBuffer()
         #: Reactive listeners (e.g. an AP answering probe requests).
         self.aired_hooks: list[AiredHook] = []
         self._generation = 0
+        # The scheduled round: (tx time, station, contention start) per
+        # contender, valid while ``_generation`` is unchanged.
+        self._round: list[tuple[float, Station, float]] = []
         self._exchanges = 0
         self._collision_rounds = 0
 
@@ -61,30 +71,36 @@ class Medium:
         if station in self.contenders:
             return
         self.contenders[station] = now_us
-        if now_us >= self.busy_until and not self._busy_event_pending(now_us):
+        if now_us >= self.busy_until:
             # Medium is idle: this join opens (or extends) a contention
             # round anchored at the later of idle start and join time.
             self.contention_start = max(self.contention_start, self.busy_until)
         self._reschedule(now_us)
 
-    def _busy_event_pending(self, now_us: float) -> bool:
-        return now_us < self.busy_until
-
     # ------------------------------------------------------------------
     def _reschedule(self, now_us: float) -> None:
-        """Recompute the next winner and schedule its transmission."""
+        """Compute the round's access times and schedule its winner.
+
+        Every input of an access time (the contenders, their backoff
+        state, the anchor) changes only through :meth:`join` or
+        :meth:`_fire`, and both end here with a new generation, so
+        :meth:`_fire` reuses these times instead of recomputing them.
+        """
         self._generation += 1
         generation = self._generation
         if not self.contenders:
+            self._round = []
             return
         anchor = max(self.contention_start, self.busy_until)
+        timed = []
         earliest = None
         for station, join_us in self.contenders.items():
             start = max(anchor, join_us)
             tx_time = station.access_time(start)
+            timed.append((tx_time, station, start))
             if earliest is None or tx_time < earliest:
                 earliest = tx_time
-        assert earliest is not None
+        self._round = timed
         fire_at = max(earliest, now_us)
         self.queue.schedule(fire_at, lambda: self._fire(generation))
 
@@ -93,20 +109,21 @@ class Medium:
         if generation != self._generation:
             return  # superseded by a membership change
         now = self.queue.now
-        anchor = max(self.contention_start, self.busy_until)
-        timed: list[tuple[float, Station]] = []
-        for station, join_us in self.contenders.items():
-            start = max(anchor, join_us)
-            timed.append((station.access_time(start), station))
-        timed.sort(key=lambda pair: pair[0])
-        win_time, winner = timed[0]
-        slot = winner.timing.slot_us
-        colliders = [
-            station for tx, station in timed[1:] if tx - win_time < slot / 2
-        ]
-
+        timed = self._round
         self._exchanges += 1
-        aired_frames = []
+        if len(timed) == 1:
+            # One contender (most rounds): it wins alone, nobody freezes.
+            win_time, winner, _start = timed[0]
+            colliders = []
+        else:
+            timed.sort(key=_TX_TIME)
+            win_time, winner, _start = timed[0]
+            half_slot = winner.timing.slot_us / 2
+            colliders = [
+                station for tx, station, _ in timed[1:] if tx - win_time < half_slot
+            ]
+
+        aired = None
         if colliders:
             self._collision_rounds += 1
             end = winner.execute_collision_leg(win_time)
@@ -114,18 +131,15 @@ class Medium:
                 end = max(end, station.execute_collision_leg(win_time))
             participants = [winner, *colliders]
         else:
-            outcome = winner.execute_exchange(win_time)
-            self.captures.extend(outcome.captures)
+            outcome = winner.execute_exchange(win_time, self.capture)
             end = outcome.busy_until_us
             participants = [winner]
-            aired_frames = outcome.aired
+            aired = outcome.aired
 
         # Freeze semantics for everyone who lost this round.
-        for tx_time, station in timed:
-            if station in participants:
-                continue
-            start = max(anchor, self.contenders[station])
-            station.consume_elapsed_slots(win_time, start)
+        for _tx, station, start in timed:
+            if station not in participants:
+                station.consume_elapsed_slots(win_time, start)
 
         for station in participants:
             if not station.wants_medium:
@@ -138,19 +152,7 @@ class Medium:
 
         # Reactive hooks run after bookkeeping so joins they trigger see
         # a consistent medium state; they reschedule internally.
-        if self.aired_hooks and aired_frames:
-            for frame in aired_frames:
-                for hook in self.aired_hooks:
-                    hook(winner, frame, end)
+        if aired is not None:
+            for hook in self.aired_hooks:
+                hook(winner, aired, end)
         self._reschedule(now)
-
-    # ------------------------------------------------------------------
-    def verify_capture_order(self) -> None:
-        """Invariant check: monitor timestamps are non-decreasing."""
-        previous = -1.0
-        for captured in self.captures:
-            if captured.timestamp_us < previous - 1e-6:
-                raise AssertionError(
-                    f"capture order violated: {captured.timestamp_us} < {previous}"
-                )
-            previous = captured.timestamp_us

@@ -5,7 +5,9 @@ a wired simulation: stations with their profiles, driver-level services
 (power save, probe scanning) derived from those profiles, application
 traffic sources, one or more APs, a monitor position, and the shared
 medium.  ``run()`` executes the event loop and returns the monitor's
-capture — the exact artefact the fingerprinting layer consumes.
+capture — the exact artefact the fingerprinting layer consumes — as a
+columnar table interned while the simulation ran; frame objects are
+built only for callers that ask for them.
 """
 
 from __future__ import annotations
@@ -13,19 +15,24 @@ from __future__ import annotations
 import copy
 import random
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.dot11.capture import CapturedFrame
 from repro.dot11.frames import Dot11Frame
 from repro.dot11.mac import MacAddress, vendor_mac
 from repro.dot11.timing import TIMING_BG_MIXED, MacTiming
 from repro.simulator.ap import AccessPoint
+from repro.simulator.capture import Capture
 from repro.simulator.channel import ChannelModel, Mobility, Position
 from repro.simulator.device import Station
 from repro.simulator.events import EventQueue
 from repro.simulator.medium import Medium
 from repro.simulator.profiles import DeviceProfile, profile_by_name
 from repro.simulator.traffic import PowerSaveService, ProbeScanService, TrafficSource
+
+if TYPE_CHECKING:
+    from repro.traces.table import FrameTable
+    from repro.traces.trace import Trace
 
 
 @dataclass
@@ -59,33 +66,52 @@ class StationSpec:
 
 @dataclass(slots=True)
 class SimulationResult:
-    """Output of one scenario run."""
+    """Output of one scenario run.
 
-    captures: list[CapturedFrame]
+    ``capture`` holds the monitor's capture as columns, interned while
+    the simulation ran; :attr:`captures` builds the
+    :class:`~repro.dot11.capture.CapturedFrame` objects only when it is
+    first read.
+    """
+
+    capture: Capture
     station_names: dict[MacAddress, str]
     duration_s: float
     exchange_count: int
     collision_rounds: int
-    _table: object = field(default=None, init=False, repr=False, compare=False)
+    _captures: list[CapturedFrame] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def frame_count(self) -> int:
         """Number of frames the monitor captured."""
-        return len(self.captures)
+        return len(self.capture)
 
-    def table(self):
+    def table(self) -> FrameTable:
         """The capture as a columnar
-        :class:`~repro.traces.table.FrameTable` (interned once, cached).
+        :class:`~repro.traces.table.FrameTable`."""
+        return self.capture.table
 
-        The table references ``captures`` rather than copying it, so
-        analysis code gets the vectorized view at the cost of a single
-        interning pass.
-        """
-        if self._table is None:
-            from repro.traces.table import FrameTable
+    @property
+    def captures(self) -> list[CapturedFrame]:
+        """The capture as frame objects, built on first read."""
+        if self._captures is None:
+            self._captures = self.capture.frames()
+        return self._captures
 
-            self._table = FrameTable.from_frames(self.captures)
-        return self._table
+    def trace(self, name: str = "", encrypted: bool = False) -> Trace:
+        """The capture as a ground-truth :class:`~repro.traces.trace.Trace`
+        over :meth:`table`, whose frames are built only if read."""
+        from repro.traces.trace import Trace
+
+        return Trace.from_table(
+            self.table(),
+            lambda: self.captures,
+            name=name,
+            encrypted=encrypted,
+            device_names=self.station_names,
+        )
 
 
 class Scenario:
@@ -200,9 +226,8 @@ class Scenario:
         """Build the simulation, run it, and return the capture."""
         queue, medium, station_names = self._wire()
         queue.run_until(self.duration_s * 1e6)
-        medium.verify_capture_order()
         return SimulationResult(
-            captures=medium.captures,
+            capture=medium.capture.finish(),
             station_names=station_names,
             duration_s=self.duration_s,
             exchange_count=medium.exchange_count,
@@ -224,21 +249,15 @@ class Scenario:
         queue, medium, _station_names = self._wire()
         duration_us = self.duration_s * 1e6
         chunk_us = chunk_s * 1e6
-        previous_t = -1.0
+        previous_us = -1.0
         now = 0.0
         while now < duration_us:
             now = min(now + chunk_us, duration_us)
             queue.run_until(now)
-            if medium.captures:
-                chunk, medium.captures = medium.captures, []
-                for captured in chunk:
-                    if captured.timestamp_us < previous_t - 1e-6:
-                        raise AssertionError(
-                            f"capture order violated: "
-                            f"{captured.timestamp_us} < {previous_t}"
-                        )
-                    previous_t = captured.timestamp_us
-                    yield captured
+            if medium.capture.rows:
+                chunk = medium.capture.drain(previous_us)
+                previous_us = chunk[-1].timestamp_us
+                yield from chunk
 
     def _wire(self) -> tuple[EventQueue, Medium, dict[MacAddress, str]]:
         """Assemble the event queue, medium, stations and traffic."""

@@ -233,13 +233,7 @@ def build_dataset(spec: DatasetSpec) -> Trace:
                 pause_s=rng.uniform(400.0, 1000.0) if spec.mobile else 30.0,
             )
         )
-    result = scenario.run()
-    return Trace(
-        frames=result.captures,
-        name=spec.name,
-        encrypted=spec.encrypted,
-        device_names=result.station_names,
-    )
+    return scenario.run().trace(name=spec.name, encrypted=spec.encrypted)
 
 
 _CACHE: dict[tuple[str, float], Trace] = {}

@@ -21,9 +21,10 @@ A sixth column, ``flags`` (``uint8``), carries the MAC-header bits two
 of the paper's frame rules read: :data:`RETRY` (Figure 4 keeps first
 transmissions only), :data:`FROM_DS` (Section VII-B2 drops the data an
 AP forwards) and :data:`GROUP_ADDRESSED` (the receiver's I/G bit;
-Figure 7 keeps broadcast data only).  The table holds nothing but
-columns and intern tuples, so a wire-decoded or mask-selected chunk is
-as complete as one interned from frame objects.
+Figure 7 keeps broadcast data only); the bit values live in
+:mod:`repro.dot11.capture` and are re-exported here.  The table holds
+nothing but columns and intern tuples, so a wire-decoded or
+mask-selected chunk is as complete as one interned from frame objects.
 
 Tables are cheap to slice: row slices are NumPy **views** onto the
 parent's columns (zero copy) sharing the intern tuples, never copied
@@ -42,15 +43,8 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from repro.dot11.capture import CapturedFrame
+from repro.dot11.capture import FROM_DS, GROUP_ADDRESSED, RETRY, CapturedFrame
 from repro.dot11.mac import MacAddress
-
-#: ``flags`` bit: the frame is a retransmission (802.11 Retry bit).
-RETRY = 0x01
-#: ``flags`` bit: the frame comes from the distribution system (From DS).
-FROM_DS = 0x02
-#: ``flags`` bit: the receiver (addr1) is a group address (its I/G bit).
-GROUP_ADDRESSED = 0x04
 
 
 class TableObservations(NamedTuple):

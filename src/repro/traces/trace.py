@@ -1,28 +1,31 @@
 """The :class:`Trace` container and train/validation splitting.
 
-A trace is an immutable, time-ordered list of captured frames plus
-metadata (name, encryption, device-name mapping for ground truth).
-Splitting and windowing follow the paper's evaluation protocol: a
-training prefix builds the reference database, the remainder is cut
-into fixed detection windows (5 minutes in the paper) that each yield
-one candidate signature per active device.
+A trace is an immutable, time-ordered capture plus metadata (name,
+encryption, device-name mapping for ground truth).  Splitting and
+windowing follow the paper's evaluation protocol: a training prefix
+builds the reference database, the remainder is cut into fixed
+detection windows (5 minutes in the paper) that each yield one
+candidate signature per active device.
 
-The frames list is treated as immutable, so the timestamp column is
-extracted **once** (at construction, where it also vectorizes the
-time-order check) and every cut — :meth:`Trace.slice_us`,
-:meth:`Trace.split`, :meth:`Trace.windows` — is an ``np.searchsorted``
-on that cached array plus a frame-list slice: O(log n) per window
-instead of the former per-cut O(n) stamp-list rebuild.  Sliced traces
-share the parent's column views (and its columnar
-:class:`~repro.traces.table.FrameTable`, if built) without re-scanning
-their frames.
+A trace is built either from frame objects (a pcap, a test fixture)
+or, by :meth:`Trace.from_table`, over a columnar
+:class:`~repro.traces.table.FrameTable` that already exists — a
+simulation's capture, interned while it ran — in which case
+:attr:`Trace.frames` is built only if something reads it.  Either way
+the timestamp column is held **once** (extracted at construction,
+where it also vectorizes the time-order check, or taken from the
+table) and every cut — :meth:`Trace.slice_us`, :meth:`Trace.split`,
+:meth:`Trace.windows` — is an ``np.searchsorted`` on it.  Sliced
+traces share the parent's column views (and its
+:class:`~repro.traces.table.FrameTable`, if built) and slice its
+frames only when theirs are read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -31,51 +34,114 @@ from repro.dot11.mac import MacAddress
 from repro.traces.table import FrameTable, window_bounds
 
 
-@dataclass
 class Trace:
     """A time-ordered 802.11 capture with ground-truth metadata."""
 
-    frames: list[CapturedFrame]
-    name: str = ""
-    encrypted: bool = False
-    device_names: dict[MacAddress, str] = field(default_factory=dict)
-    #: Cached timestamp column (µs), shared with slices as a view.
-    _stamps: np.ndarray = field(
-        init=False, default=None, repr=False, compare=False
-    )
-    #: Cached columnar view, built lazily by :meth:`table`.
-    _table: FrameTable | None = field(
-        init=False, default=None, repr=False, compare=False
+    __slots__ = (
+        "name",
+        "encrypted",
+        "device_names",
+        "_frames",
+        "_build_frames",
+        "_stamps",
+        "_table",
     )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        frames: list[CapturedFrame],
+        name: str = "",
+        encrypted: bool = False,
+        device_names: dict[MacAddress, str] | None = None,
+    ) -> None:
+        self.name = name
+        self.encrypted = encrypted
+        self.device_names = {} if device_names is None else device_names
+        self._frames: list[CapturedFrame] | None = frames
+        self._build_frames: Callable[[], list[CapturedFrame]] | None = None
         self._stamps = np.fromiter(
-            (captured.timestamp_us for captured in self.frames),
+            (captured.timestamp_us for captured in frames),
             dtype=np.float64,
-            count=len(self.frames),
+            count=len(frames),
         )
-        self._table = None
+        #: Columnar view, built lazily by :meth:`table`.
+        self._table: FrameTable | None = None
         # Same tolerance as the historical per-frame check: allow
         # sub-microsecond backwards jitter, reject real disorder.
         if self._stamps.size > 1 and float(np.min(np.diff(self._stamps))) < -1e-6:
             raise ValueError(f"trace {self.name!r} is not time-ordered")
 
     @classmethod
+    def from_table(
+        cls,
+        table: FrameTable,
+        frames: Callable[[], list[CapturedFrame]],
+        name: str = "",
+        encrypted: bool = False,
+        device_names: dict[MacAddress, str] | None = None,
+    ) -> "Trace":
+        """A trace over an existing, time-ordered table.
+
+        ``frames`` builds the same capture as frame objects; it is
+        called at most once, the first time :attr:`frames` is read.
+        The table is trusted to be time-ordered (a simulation's table
+        is checked when it is built).
+        """
+        return cls._lazy(
+            name,
+            encrypted,
+            {} if device_names is None else device_names,
+            table.timestamp_us,
+            table,
+            frames,
+        )
+
+    @classmethod
     def _view(cls, parent: "Trace", lo: int, hi: int) -> "Trace":
         """A sub-trace sharing the parent's cached columns (no re-scan)."""
-        trace = cls.__new__(cls)
-        trace.frames = parent.frames[lo:hi]
-        trace.name = parent.name
-        trace.encrypted = parent.encrypted
-        trace.device_names = parent.device_names
-        trace._stamps = parent._stamps[lo:hi]
-        trace._table = (
-            parent._table.slice_rows(lo, hi) if parent._table is not None else None
+        return cls._lazy(
+            parent.name,
+            parent.encrypted,
+            parent.device_names,
+            parent._stamps[lo:hi],
+            parent._table.slice_rows(lo, hi) if parent._table is not None else None,
+            lambda: parent.frames[lo:hi],
         )
+
+    @classmethod
+    def _lazy(
+        cls,
+        name: str,
+        encrypted: bool,
+        device_names: dict[MacAddress, str],
+        stamps: np.ndarray,
+        table: FrameTable | None,
+        build_frames: Callable[[], list[CapturedFrame]],
+    ) -> "Trace":
+        """A trace whose frames ``build_frames`` builds on first read."""
+        trace = cls.__new__(cls)
+        trace.name = name
+        trace.encrypted = encrypted
+        trace.device_names = device_names
+        trace._frames = None
+        trace._build_frames = build_frames
+        trace._stamps = stamps
+        trace._table = table
         return trace
 
+    def __repr__(self) -> str:
+        return f"<Trace {self.name!r} frames={len(self)} encrypted={self.encrypted}>"
+
+    @property
+    def frames(self) -> list[CapturedFrame]:
+        """The captured frames (built on first read for a trace over a table)."""
+        if self._frames is None:
+            self._frames = self._build_frames()
+            self._build_frames = None
+        return self._frames
+
     def __len__(self) -> int:
-        return len(self.frames)
+        return len(self._stamps)
 
     def __iter__(self) -> Iterator[CapturedFrame]:
         return iter(self.frames)
@@ -97,7 +163,9 @@ class Trace:
 
     def senders(self) -> set[MacAddress]:
         """All attributable senders appearing in the trace."""
-        return {c.sender for c in self.frames if c.sender is not None}
+        table = self.table()
+        codes = np.unique(table.sender_idx[table.sender_idx >= 0])
+        return {table.senders[code] for code in codes.tolist()}
 
     def frames_of(self, sender: MacAddress) -> list[CapturedFrame]:
         """All frames attributed to one sender."""

@@ -42,12 +42,7 @@ def small_office_result():
 @pytest.fixture(scope="session")
 def small_office_trace(small_office_result) -> Trace:
     """The small office simulation as a Trace."""
-    return Trace(
-        frames=small_office_result.captures,
-        name="small-office",
-        encrypted=True,
-        device_names=small_office_result.station_names,
-    )
+    return small_office_result.trace(name="small-office", encrypted=True)
 
 
 @pytest.fixture()

@@ -10,6 +10,7 @@ from repro.dot11.frames import Dot11Frame, FrameSubtype
 from repro.dot11.mac import BROADCAST, MacAddress
 from repro.dot11.timing import TIMING_BG_MIXED
 from repro.simulator.ap import AccessPoint, BeaconSource
+from repro.simulator.capture import CaptureBuffer
 from repro.simulator.channel import ChannelModel, Position
 from repro.simulator.profiles import profile_by_name
 
@@ -101,8 +102,9 @@ class TestProbeResponse:
             addr2=client.mac,
         )
         ap.on_frame_aired(client, probe, 1000.0)
-        outcome = ap.execute_exchange(5000.0)
-        subtypes = [c.subtype for c in outcome.captures]
+        capture = CaptureBuffer()
+        ap.execute_exchange(5000.0, capture)
+        subtypes = [c.subtype for c in capture.drain()]
         assert FrameSubtype.PROBE_RESPONSE in subtypes
         assert FrameSubtype.ACK in subtypes  # unicast mgmt is acked
 

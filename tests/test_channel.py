@@ -26,14 +26,15 @@ class TestSnr:
     def test_snr_decreases_with_distance(self):
         channel = ChannelModel(shadowing_sigma_db=0.0)
         rng = random.Random(1)
-        near = channel.snr_db(2.0, rng)
-        far = channel.snr_db(40.0, rng)
+        near = channel.snr_db(channel.received_dbm(2.0), rng)
+        far = channel.snr_db(channel.received_dbm(40.0), rng)
         assert near > far
 
     def test_shadowing_variation(self):
         channel = ChannelModel(shadowing_sigma_db=4.0)
         rng = random.Random(1)
-        values = {round(channel.snr_db(10.0, rng), 3) for _ in range(20)}
+        received = channel.received_dbm(10.0)
+        values = {round(channel.snr_db(received, rng), 3) for _ in range(20)}
         assert len(values) > 10
 
 
@@ -61,11 +62,12 @@ class TestSuccessProbability:
     def test_noiseless_channel_always_succeeds(self):
         channel = ChannelModel(noiseless=True)
         rng = random.Random(1)
+        received = channel.received_dbm(100.0)
         assert all(
-            channel.frame_succeeds(100.0, 54.0, 2000, rng) for _ in range(100)
+            channel.frame_succeeds(received, 54.0, 2000, rng) for _ in range(100)
         )
         assert all(
-            channel.monitor_captures(100.0, 54.0, 2000, rng) for _ in range(100)
+            channel.monitor_captures(received, 54.0, 2000, rng) for _ in range(100)
         )
 
     def test_every_rate_has_threshold(self):

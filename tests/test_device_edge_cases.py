@@ -9,6 +9,7 @@ import pytest
 from repro.dot11.frames import FrameSubtype
 from repro.dot11.mac import MacAddress
 from repro.dot11.timing import TIMING_BG_MIXED
+from repro.simulator.capture import CaptureBuffer
 from repro.simulator.channel import ChannelModel, Mobility, Position
 from repro.simulator.device import Station
 from repro.simulator.profiles import profile_by_name
@@ -40,7 +41,7 @@ class TestRetryHandling:
     def test_failed_exchange_keeps_frame_queued(self):
         station = _station(lossy=True)
         station.enqueue(AppFrame(subtype=FrameSubtype.QOS_DATA, size=500))
-        outcome = station.execute_exchange(10_000.0)
+        outcome = station.execute_exchange(10_000.0, CaptureBuffer())
         assert not outcome.dequeued
         assert station.retry_count == 1
         assert station.queue  # still pending
@@ -48,9 +49,10 @@ class TestRetryHandling:
     def test_retry_bit_set_on_retransmission(self):
         station = _station(lossy=True)
         station.enqueue(AppFrame(subtype=FrameSubtype.QOS_DATA, size=500))
-        station.execute_exchange(10_000.0)
-        outcome = station.execute_exchange(50_000.0)
-        data = [c for c in outcome.captures if c.frame.is_data]
+        station.execute_exchange(10_000.0, CaptureBuffer())
+        capture = CaptureBuffer()
+        station.execute_exchange(50_000.0, capture)
+        data = [c for c in capture.drain() if c.frame.is_data]
         if data:  # capture to the monitor may itself be lossy
             assert data[0].frame.retry
 
@@ -59,7 +61,7 @@ class TestRetryHandling:
         station.enqueue(AppFrame(subtype=FrameSubtype.QOS_DATA, size=500))
         time = 10_000.0
         for _ in range(station.profile.retry_limit + 1):
-            outcome = station.execute_exchange(time)
+            outcome = station.execute_exchange(time, CaptureBuffer())
             time = outcome.busy_until_us + 1000
         assert not station.queue
         assert station.stats.dropped == 1
@@ -105,7 +107,7 @@ class TestBackoffState:
     def test_exchange_with_empty_queue_raises(self):
         station = _station()
         with pytest.raises(RuntimeError):
-            station.execute_exchange(0.0)
+            station.execute_exchange(0.0, CaptureBuffer())
 
 
 class TestQosDowngrade:

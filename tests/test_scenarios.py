@@ -21,15 +21,18 @@ from repro.traces.table import FrameTable
 DETERMINISM_DURATION_S = 30.0
 
 
+TABLE_COLUMNS = ("timestamp_us", "size", "rate_mbps", "sender_idx", "ftype_idx", "flags")
+
+
 def assert_tables_identical(left: FrameTable, right: FrameTable) -> None:
-    """Bit-identical column comparison of two captures."""
+    """Bit-identical comparison of two captures: every column, with
+    its dtype, and both intern tuples."""
     assert left.senders == right.senders
     assert left.ftype_keys == right.ftype_keys
-    np.testing.assert_array_equal(left.timestamp_us, right.timestamp_us)
-    np.testing.assert_array_equal(left.size, right.size)
-    np.testing.assert_array_equal(left.rate_mbps, right.rate_mbps)
-    np.testing.assert_array_equal(left.sender_idx, right.sender_idx)
-    np.testing.assert_array_equal(left.ftype_idx, right.ftype_idx)
+    for column in TABLE_COLUMNS:
+        ours, theirs = getattr(left, column), getattr(right, column)
+        assert ours.dtype == theirs.dtype, column
+        np.testing.assert_array_equal(ours, theirs, err_msg=column)
 
 
 class TestRegistry:
@@ -153,6 +156,16 @@ def test_scenario_is_deterministic(name):
     assert len(first) == len(second)
     assert first.device_names == second.device_names
     assert_tables_identical(first.table(), second.table())
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_simulated_table_matches_interned_captures(name):
+    """The table the simulator interns while it runs is the table
+    ``FrameTable.from_frames`` interns from the frames it builds on
+    demand: same codes, flags and dtypes."""
+    result = build_scenario(name, duration_s=DETERMINISM_DURATION_S).scenario.run()
+    assert result.frame_count == len(result.captures)
+    assert_tables_identical(result.table(), FrameTable.from_frames(result.captures))
 
 
 @pytest.mark.parametrize("name", ["office-baseline", "iot-swarm"])

@@ -17,17 +17,22 @@ from repro.simulator import (
     StationSpec,
     WebTraffic,
 )
+from repro.simulator.capture import CaptureBuffer
 from repro.simulator.channel import Mobility, Position
-from repro.simulator.device import Station
+from repro.simulator.device import ExchangeOutcome, Station
 from repro.simulator.events import EventQueue
 from repro.simulator.medium import Medium
 from repro.simulator.profiles import profile_by_name
 from repro.simulator.traffic import AppFrame
 
 
-def _make_station(seed: int = 1, profile: str = "intel-2200bg-linux") -> Station:
+def _make_station(
+    seed: int = 1,
+    profile: str = "intel-2200bg-linux",
+    mac: str = "00:13:e8:00:00:01",
+) -> Station:
     return Station(
-        mac=MacAddress.parse("00:13:e8:00:00:01"),
+        mac=MacAddress.parse(mac),
         profile=profile_by_name(profile),
         channel_model=ChannelModel(noiseless=True),
         network_timing=TIMING_BG_MIXED,
@@ -35,6 +40,13 @@ def _make_station(seed: int = 1, profile: str = "intel-2200bg-linux") -> Station
         mobility=Mobility(speed_mps=0.0, _position=Position(3, 3)),
         bssid=MacAddress.parse("00:0f:b5:0a:00:00"),
     )
+
+
+def _exchange(station: Station, time_us: float) -> tuple[ExchangeOutcome, list]:
+    """Run one exchange; return its outcome and the frames it captured."""
+    capture = CaptureBuffer()
+    outcome = station.execute_exchange(time_us, capture)
+    return outcome, capture.drain()
 
 
 class TestStation:
@@ -55,9 +67,9 @@ class TestStation:
     def test_exchange_produces_data_and_ack(self):
         station = _make_station()
         station.enqueue(AppFrame(subtype=FrameSubtype.QOS_DATA, size=500))
-        outcome = station.execute_exchange(10_000.0)
+        outcome, captured = _exchange(station, 10_000.0)
         assert outcome.dequeued
-        subtypes = [c.subtype for c in outcome.captures]
+        subtypes = [c.subtype for c in captured]
         assert FrameSubtype.QOS_DATA in subtypes
         assert FrameSubtype.ACK in subtypes
         assert outcome.busy_until_us > 10_000.0
@@ -67,29 +79,29 @@ class TestStation:
         station.enqueue(
             AppFrame(subtype=FrameSubtype.DATA, size=200, destination="broadcast")
         )
-        outcome = station.execute_exchange(10_000.0)
-        subtypes = [c.subtype for c in outcome.captures]
+        outcome, captured = _exchange(station, 10_000.0)
+        subtypes = [c.subtype for c in captured]
         assert FrameSubtype.ACK not in subtypes
 
     def test_rts_used_above_threshold(self):
         station = _make_station(profile="atheros-ar9285-ath9k")  # RTS at 2000
         station.enqueue(AppFrame(subtype=FrameSubtype.QOS_DATA, size=2100))
-        outcome = station.execute_exchange(10_000.0)
-        subtypes = [c.subtype for c in outcome.captures]
+        outcome, captured = _exchange(station, 10_000.0)
+        subtypes = [c.subtype for c in captured]
         assert FrameSubtype.RTS in subtypes
         assert FrameSubtype.CTS in subtypes
 
     def test_no_rts_below_threshold(self):
         station = _make_station(profile="atheros-ar9285-ath9k")
         station.enqueue(AppFrame(subtype=FrameSubtype.QOS_DATA, size=500))
-        outcome = station.execute_exchange(10_000.0)
-        assert FrameSubtype.RTS not in [c.subtype for c in outcome.captures]
+        outcome, captured = _exchange(station, 10_000.0)
+        assert FrameSubtype.RTS not in [c.subtype for c in captured]
 
     def test_monotone_capture_times_within_exchange(self):
         station = _make_station()
         station.enqueue(AppFrame(subtype=FrameSubtype.QOS_DATA, size=2500))
-        outcome = station.execute_exchange(10_000.0)
-        times = [c.timestamp_us for c in outcome.captures]
+        outcome, captured = _exchange(station, 10_000.0)
+        times = [c.timestamp_us for c in captured]
         assert times == sorted(times)
 
     def test_sequence_numbers_increment(self):
@@ -99,8 +111,8 @@ class TestStation:
             station.enqueue(AppFrame(subtype=FrameSubtype.QOS_DATA, size=500))
         time = 10_000.0
         for _ in range(3):
-            outcome = station.execute_exchange(time)
-            data = next(c for c in outcome.captures if c.subtype is FrameSubtype.QOS_DATA)
+            outcome, captured = _exchange(station, time)
+            data = next(c for c in captured if c.subtype is FrameSubtype.QOS_DATA)
             seqs.append(data.frame.seq)
             time = outcome.busy_until_us + 100
         assert seqs[1] == (seqs[0] + 1) % 4096
@@ -110,8 +122,8 @@ class TestStation:
         station = _make_station()
         station.encrypted = True
         station.enqueue(AppFrame(subtype=FrameSubtype.QOS_DATA, size=500))
-        outcome = station.execute_exchange(10_000.0)
-        data = next(c for c in outcome.captures if c.subtype is FrameSubtype.QOS_DATA)
+        outcome, captured = _exchange(station, 10_000.0)
+        data = next(c for c in captured if c.subtype is FrameSubtype.QOS_DATA)
         assert data.frame.protected
         assert data.size == 508  # +8 bytes CCMP overhead
 
@@ -121,17 +133,16 @@ class TestMedium:
         queue = EventQueue()
         medium = Medium(queue)
         a = _make_station(seed=1)
-        b = _make_station(seed=2)
-        b.mac = MacAddress.parse("00:18:f8:00:00:02")
+        b = _make_station(seed=2, mac="00:18:f8:00:00:02")
         for station in (a, b):
             station.enqueue(AppFrame(subtype=FrameSubtype.QOS_DATA, size=800))
             medium.join(station, 0.0)
         queue.run_until(1e6)
-        medium.verify_capture_order()
-        senders = {c.sender for c in medium.captures if c.sender is not None}
+        captures = medium.capture.finish().frames()
+        senders = {c.sender for c in captures if c.sender is not None}
         assert senders == {a.mac, b.mac}
         # No two data frames overlap in time.
-        data = [c for c in medium.captures if c.subtype is FrameSubtype.QOS_DATA]
+        data = [c for c in captures if c.subtype is FrameSubtype.QOS_DATA]
         assert len(data) == 2
 
     def test_exchange_counter(self):
