@@ -34,7 +34,9 @@ def test_ablation_interarrival_bin_width(datasets, benchmark):
         builder = SignatureBuilder(
             InterArrivalTime(), bins=bins, min_observations=50
         )
-        database = ReferenceDatabase.from_training(builder, split.training.frames)
+        database = ReferenceDatabase.from_training_table(
+            builder, split.training.table()
+        )
         candidates = extract_window_candidates(
             split.validation, builder, database, config
         )
@@ -65,6 +67,6 @@ def test_ablation_interarrival_bin_width(datasets, benchmark):
     def kernel():
         bins = UniformBins(lo=0.0, hi=2500.0, width=50.0)
         builder = SignatureBuilder(InterArrivalTime(), bins=bins, min_observations=50)
-        return len(builder.build(split.training.frames))
+        return len(builder.build_table(split.training.table()))
 
     benchmark.pedantic(kernel, rounds=1, iterations=1)

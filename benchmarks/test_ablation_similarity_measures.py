@@ -27,7 +27,7 @@ def test_ablation_similarity_measures(datasets, benchmark):
     trace, training_s = datasets["office2"]
     split = trace.split(training_s)
     builder = SignatureBuilder(InterArrivalTime(), min_observations=50)
-    database = ReferenceDatabase.from_training(builder, split.training.frames)
+    database = ReferenceDatabase.from_training_table(builder, split.training.table())
     rows = []
     aucs = {}
     for name in MEASURES:

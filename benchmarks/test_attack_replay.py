@@ -26,6 +26,7 @@ from repro.core.signature import SignatureBuilder
 from repro.core.similarity import cosine_similarity
 from repro.dot11.mac import MacAddress
 from repro.simulator import CbrTraffic, Scenario, StationSpec, WebTraffic
+from repro.traces.table import FrameTable
 
 
 @pytest.fixture(scope="module")
@@ -49,11 +50,11 @@ def victim_capture():
     victim = next(
         mac for mac, name in result.station_names.items() if name == "victim"
     )
-    return result.captures, victim
+    return result, victim
 
 
-def _self_similarity(builder, reference, frames, device) -> float:
-    candidate = builder.build_single(frames, device)
+def _self_similarity(builder, reference, table, device) -> float:
+    candidate = builder.build_table(table).get(device)
     if candidate is None:
         return 0.0
     combined = 0.0
@@ -66,20 +67,23 @@ def _self_similarity(builder, reference, frames, device) -> float:
 
 
 def test_attack_replay_and_mimicry(victim_capture, benchmark):
-    frames, victim = victim_capture
+    result, victim = victim_capture
+    frames = result.captures
     builder = SignatureBuilder(InterArrivalTime(), min_observations=50)
-    reference = builder.build_single(frames, victim)
+    reference = builder.build_table(result.table()).get(victim)
     assert reference is not None
 
     rows = []
     degradation = {}
     for rate_hz in (0.0, 20.0, 100.0, 400.0):
         if rate_hz == 0.0:
-            attacked = frames
+            attacked = result.table()
         else:
-            attacked = replay_with_insertions(
-                [c for c in frames if c.sender == victim or c.sender is None],
-                insertion_rate_hz=rate_hz,
+            attacked = FrameTable.from_frames(
+                replay_with_insertions(
+                    [c for c in frames if c.sender == victim or c.sender is None],
+                    insertion_rate_hz=rate_hz,
+                )
             )
         similarity = _self_similarity(builder, reference, attacked, victim)
         degradation[rate_hz] = similarity
@@ -88,7 +92,7 @@ def test_attack_replay_and_mimicry(victim_capture, benchmark):
     # Size mimicry: reproduce the victim's size histogram with Poisson
     # timing; check both fingerprints.
     size_builder = SignatureBuilder(FrameSize(), min_observations=50)
-    size_reference = size_builder.build_single(frames, victim)
+    size_reference = size_builder.build_table(result.table()).get(victim)
     assert size_reference is not None
     attacker_mac = MacAddress.parse("02:66:6f:72:67:65")
     bssid = next(c.frame.addr1 for c in frames if c.sender == victim)
@@ -98,7 +102,7 @@ def test_attack_replay_and_mimicry(victim_capture, benchmark):
         bssid=bssid,
         duration_s=120.0,
     )
-    mimic_as_victim = [c.with_sender(victim) for c in mimic]
+    mimic_as_victim = FrameTable.from_frames([c.with_sender(victim) for c in mimic])
     size_similarity = _self_similarity(
         size_builder, size_reference, mimic_as_victim, victim
     )

@@ -25,12 +25,12 @@ def _fusion_identification(trace, training_s: float, window_s: float = 300.0):
         weights={"interarrival": 2.0, "txtime": 1.5, "size": 1.0},
         min_observations=50,
     )
-    fusion.learn(split.training.frames)
+    fusion.learn(split.training.table())
     known = fusion.devices
     correct = 0
     total = 0
     for window in split.validation.windows(window_s):
-        for device, fused in fusion.extract(window.frames).items():
+        for device, fused in fusion.extract(window.table()).items():
             if device not in known:
                 continue
             winner, _score = fusion.identify(fused)

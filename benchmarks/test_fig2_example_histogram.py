@@ -18,12 +18,11 @@ def test_fig2_example_interarrival_histogram(datasets, benchmark):
     trace, _training_s = datasets["office1"]
     parameter = InterArrivalTime()
 
-    # Busiest attributable device.
-    counts: dict = {}
-    for captured in trace.frames:
-        if captured.sender is not None:
-            counts[captured.sender] = counts.get(captured.sender, 0) + 1
-    busiest = max(counts, key=counts.get)
+    # Busiest attributable device (ties go to the first to transmit:
+    # codes follow first appearance).
+    table = trace.table()
+    counts = np.bincount(table.sender_idx[table.sender_idx >= 0])
+    busiest = table.senders[int(counts.argmax())]
 
     bins = UniformBins(lo=0.0, hi=2500.0, width=50.0, drop_outside=True)
 

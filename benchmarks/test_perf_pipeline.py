@@ -13,11 +13,11 @@ scores).
 Both sides are timed as the minimum over ``ROUNDS`` rounds taken
 alternately, so a slowdown of the machine during one side's run cannot
 decide the ratio.  The one-time columnar interning pass
-(``Trace.table()``) happens outside the timed region — one table
-serves every parameter, window and consumer, mirroring how
-``test_perf_matching`` pre-packs the reference matrices — but it is
-measured and reported separately, and the ingest-inclusive speedup is
-gated too (≥2×/≥1.2× smoke).
+(``Trace.from_frames``, which builds the trace's table) happens
+outside the timed region — one table serves every parameter, window
+and consumer, mirroring how ``test_perf_matching`` pre-packs the
+reference matrices — but it is measured and reported separately, and
+the ingest-inclusive speedup is gated too (≥2×/≥1.2× smoke).
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ _SUBTYPES = (
 )
 
 
-def _workload() -> Trace:
+def _workload() -> list[CapturedFrame]:
     rng = np.random.default_rng(4127)
     senders = [vendor_mac("00:13:e8", i + 1) for i in range(DEVICES)]
     ap = vendor_mac("00:0f:b5", 1)
@@ -90,7 +90,7 @@ def _workload() -> Trace:
                 rate_mbps=float(rates[i]),
             )
         )
-    return Trace(frames=frames, name="perf-pipeline")
+    return frames
 
 
 def _object_sweep(split):
@@ -124,15 +124,14 @@ def _timed(sweep, *args):
 
 
 def test_columnar_pipeline_throughput():
-    trace = _workload()
+    frames = _workload()
 
     # --- one-time interning (measured, outside the timed sweeps) ----
     start = time.perf_counter()
-    trace.table()
+    trace = Trace.from_frames(frames, name="perf-pipeline")
+    interning_seconds = time.perf_counter() - start
     split = trace.split(trace.duration_s * TRAINING_FRACTION)  # table views
     training_table = split.training.table()
-    split.validation.table()
-    interning_seconds = time.perf_counter() - start
 
     # --- both paths, alternating rounds -----------------------------
     object_times, columnar_times = [], []

@@ -35,6 +35,7 @@ from repro.streaming import (
     WindowConfig,
     table_chunks,
 )
+from repro.traces.table import FrameTable
 from benchmarks.conftest import bench_smoke, write_bench_json
 
 SMOKE = bench_smoke()
@@ -91,8 +92,9 @@ def test_streaming_engine_throughput():
     validation = synth_frames(STREAM_FRAMES, rng, t0=training[-1].timestamp_us + 100.0)
 
     parameter = InterArrivalTime()
-    database = ReferenceDatabase.from_training(
-        SignatureBuilder(parameter, min_observations=MIN_OBS), training
+    database = ReferenceDatabase.from_training_table(
+        SignatureBuilder(parameter, min_observations=MIN_OBS),
+        FrameTable.from_frames(training),
     )
     assert len(database) == DEVICES
     database.packed()  # pack outside the timed region, like a deployment

@@ -48,7 +48,7 @@ def main() -> None:
     config = DetectionConfig(window_s=120.0, min_observations=50)
     builder = SignatureBuilder(InterArrivalTime(), min_observations=50)
     split = loaded.split(training_s=spec.training_s * 0.25)
-    database = ReferenceDatabase.from_training(builder, split.training.frames)
+    database = ReferenceDatabase.from_training_table(builder, split.training.table())
     candidates = extract_window_candidates(split.validation, builder, database, config)
     similarity = evaluate_similarity(candidates, database, config)
     identification = evaluate_identification(candidates, database, config)

@@ -53,7 +53,7 @@ def main() -> None:
     # --- 2. Learning phase: build the reference database ------------
     builder = SignatureBuilder(InterArrivalTime(), min_observations=50)
     split = trace.split(training_s=40.0)
-    database = ReferenceDatabase.from_training(builder, split.training.frames)
+    database = ReferenceDatabase.from_training_table(builder, split.training.table())
     print(f"learnt {len(database)} reference signatures:")
     for device in database:
         print(f"  {device}  ({trace.device_names.get(device, '?')})")
@@ -62,7 +62,7 @@ def main() -> None:
     config = DetectionConfig(window_s=20.0, min_observations=50)
     correct = total = 0
     for index, window in enumerate(split.validation.windows(config.window_s)):
-        for device, signature in builder.build(window.frames).items():
+        for device, signature in builder.build_table(window.table()).items():
             if device not in database:
                 continue
             winner, score = best_match(signature, database)

@@ -15,6 +15,7 @@ from __future__ import annotations
 from repro.applications import RogueApDetector, spoof_mac
 from repro.core import FrameSize
 from repro.simulator import CbrTraffic, Scenario, StationSpec, WebTraffic
+from repro.traces import FrameTable
 
 
 def _run_hotspot(ap_profile: str, beacon_size: int, seed: int):
@@ -34,26 +35,24 @@ def _run_hotspot(ap_profile: str, beacon_size: int, seed: int):
     )
     result = scenario.run()
     ap = next(mac for mac, name in result.station_names.items() if name == "ap-0")
-    return result.captures, ap
+    return result, ap
 
 
 def main() -> None:
     # The genuine hot-spot AP, captured during installation.
-    genuine_frames, genuine_ap = _run_hotspot(
+    genuine, genuine_ap = _run_hotspot(
         "atheros-ar9285-ath9k", beacon_size=180, seed=61
     )
     print(f"genuine AP: {genuine_ap} (atheros-ar9285-ath9k, 180-byte beacons)")
 
     detector = RogueApDetector(parameter=FrameSize(), min_observations=50)
     half = 60e6
-    assert detector.learn(
-        [c for c in genuine_frames if c.timestamp_us < half], genuine_ap
-    )
+    assert detector.learn(genuine.table().slice_us(0.0, half), genuine_ap)
     print("operator published the AP's signature (learning stage)")
 
     # Routine check against the genuine AP.
     verdict = detector.check(
-        [c for c in genuine_frames if c.timestamp_us >= half], genuine_ap
+        genuine.table().slice_us(half, float("inf")), genuine_ap
     )
     print(
         f"\n[later, same AP]      similarity {verdict.similarity:.3f} "
@@ -62,10 +61,13 @@ def main() -> None:
 
     # An attacker impersonates the AP with different hardware and a
     # slightly different beacon IE set.
-    rogue_frames, rogue_ap = _run_hotspot(
+    rogue, rogue_ap = _run_hotspot(
         "broadcom-4318-win", beacon_size=212, seed=62
     )
-    impersonated = spoof_mac(rogue_frames, rogue_ap, genuine_ap)
+    # The impersonation rewrites frame objects; its capture is interned.
+    impersonated = FrameTable.from_frames(
+        spoof_mac(rogue.captures, rogue_ap, genuine_ap)
+    )
     verdict = detector.check(impersonated, genuine_ap)
     print(
         f"[rogue AP, same MAC]  similarity {verdict.similarity:.3f} "

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from repro.applications import SpoofDetector, SpoofVerdict, spoof_mac
 from repro.simulator import CbrTraffic, Scenario, StationSpec, WebTraffic
+from repro.traces import FrameTable
 
 
 def main() -> None:
@@ -48,13 +49,14 @@ def main() -> None:
 
     # --- Learning stage (clean, user-initiated) ----------------------
     boundary_us = 75e6
-    training = [c for c in result.captures if c.timestamp_us < boundary_us]
+    capture = result.table()
+    training = capture.slice_us(0.0, boundary_us)
     detector = SpoofDetector(min_observations=50)
     learnt = detector.learn(training, {victim, macs["customer-2"]})
     print(f"\nlearning stage: {len(learnt)} allow-listed devices fingerprinted")
 
     # --- Scene 1: normal operation -----------------------------------
-    live = [c for c in result.captures if c.timestamp_us >= boundary_us]
+    live = capture.slice_us(boundary_us, float("inf"))
     print("\n[scene 1] normal operation:")
     for check in detector.check_window(live):
         print(
@@ -63,10 +65,13 @@ def main() -> None:
         )
 
     # --- Scene 2: the attacker takes over the victim's MAC ----------
+    # The attack rewrites frame objects; its capture is interned again.
     victim_gone = [
-        c for c in live if c.sender is None or c.sender != victim
+        c
+        for c in result.captures
+        if c.timestamp_us >= boundary_us and (c.sender is None or c.sender != victim)
     ]
-    hijacked = spoof_mac(victim_gone, attacker, victim)
+    hijacked = FrameTable.from_frames(spoof_mac(victim_gone, attacker, victim))
     print("\n[scene 2] attacker spoofs the victim's MAC:")
     alarms = 0
     for check in detector.check_window(hijacked):

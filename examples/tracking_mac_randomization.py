@@ -19,6 +19,7 @@ import random
 
 from repro.applications import DeviceTracker, spoof_mac
 from repro.simulator import CbrTraffic, Scenario, StationSpec, WebTraffic
+from repro.traces import FrameTable
 
 
 def main() -> None:
@@ -38,12 +39,13 @@ def main() -> None:
 
     # --- Learning: devices observed under their true addresses -------
     boundary_us = 120e6
-    training = [c for c in result.captures if c.timestamp_us < boundary_us]
+    training = result.table().slice_us(0.0, boundary_us)
     tracker = DeviceTracker(min_observations=50, link_threshold=0.4)
     learnt = tracker.learn(training)
     print(f"learnt {learnt} signatures during the open observation phase")
 
     # --- Later: every device randomises its MAC per window ----------
+    # Randomising rewrites frame objects; each window is interned again.
     rng = random.Random(3)
     later = [c for c in result.captures if c.timestamp_us >= boundary_us]
     window_length_us = 60e6
@@ -58,7 +60,7 @@ def main() -> None:
             pseudonym = real_mac.randomized(rng)
             truth[pseudonym] = real_mac
             window = spoof_mac(window, real_mac, pseudonym)
-        windows.append(window)
+        windows.append(FrameTable.from_frames(window))
 
     report = tracker.track(windows)
     print(f"\n{len(report.links)} pseudonymous identities observed:")

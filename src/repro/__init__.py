@@ -14,13 +14,18 @@ Quickstart::
 
 or assemble the pieces (see README.md / examples/)::
 
-    from repro.core import SignatureBuilder, InterArrivalTime, ReferenceDatabase
+    from repro.core import (
+        InterArrivalTime, ReferenceDatabase, SignatureBuilder, best_match,
+    )
     from repro.traces import office_trace
 
     trace = office_trace(1)
     split = trace.split(training_s=600)
     builder = SignatureBuilder(InterArrivalTime())
-    database = ReferenceDatabase.from_training(builder, split.training.frames)
+    database = ReferenceDatabase.from_training_table(builder, split.training.table())
+    for window in split.validation.windows(300.0):
+        for device, signature in builder.build_table(window.table()).items():
+            print(device, "->", *best_match(signature, database))
 """
 
 from repro.core import (

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dot11.capture import CapturedFrame
 from repro.dot11.mac import MacAddress
 from repro.core.database import ReferenceDatabase
 from repro.core.matcher import match_signature
@@ -67,9 +66,9 @@ class RogueApDetector:
         self._reference: ReferenceDatabase | None = None
         self._ap: MacAddress | None = None
 
-    def learn(self, frames: list[CapturedFrame], ap: MacAddress) -> bool:
+    def learn(self, table: FrameTable, ap: MacAddress) -> bool:
         """Record the legitimate AP's signature from a safe capture."""
-        signature, _ = self._own_signature(frames, ap)
+        signature, _ = self._own_signature(table, ap)
         if signature is None:
             return False
         self.use_reference(signature, ap)
@@ -87,20 +86,19 @@ class RogueApDetector:
         self._reference.add(ap, signature)
         self._ap = ap
 
-    def check(self, frames: list[CapturedFrame], claimed_ap: MacAddress) -> RogueApVerdict:
+    def check(self, table: FrameTable, claimed_ap: MacAddress) -> RogueApVerdict:
         """Fingerprint the currently visible AP traffic.
 
         The combined similarity follows Algorithm 1 with the stored
         reference as the single database entry.
         """
-        signature, observations = self._own_signature(frames, claimed_ap)
+        signature, observations = self._own_signature(table, claimed_ap)
         return self.check_signature(signature, claimed_ap, observations=observations)
 
     def _own_signature(
-        self, frames: list[CapturedFrame], ap: MacAddress
+        self, table: FrameTable, ap: MacAddress
     ) -> tuple[Signature | None, int]:
         """The signature of the AP's own frames, and how many there are."""
-        table = FrameTable.from_frames(frames)
         own = table.select(ap_own_rows(table, ap))
         return self.builder.build_table(own).get(ap), len(own)
 

@@ -13,12 +13,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.dot11.capture import CapturedFrame
 from repro.dot11.mac import MacAddress
 from repro.core.database import ReferenceDatabase
 from repro.core.matcher import match_signature
 from repro.core.parameters import InterArrivalTime, NetworkParameter
 from repro.core.signature import Signature, SignatureBuilder
+from repro.traces.table import FrameTable
 
 
 class SpoofVerdict(enum.Enum):
@@ -75,24 +75,27 @@ class SpoofDetector:
         )
         self.database = database if database is not None else ReferenceDatabase()
 
-    def learn(self, frames: list[CapturedFrame], allowed: set[MacAddress]) -> set[MacAddress]:
+    def learn(self, table: FrameTable, allowed: set[MacAddress]) -> set[MacAddress]:
         """Learning stage over a clean window; returns devices learnt.
 
         Only allow-listed addresses enter the reference database —
         bystander traffic in the learning capture is ignored.
         """
         learnt: set[MacAddress] = set()
-        for device, signature in self.builder.build(frames).items():
+        for device, signature in self.builder.build_table(table).items():
             if device in allowed:
                 self.database.add(device, signature)
                 learnt.add(device)
         return learnt
 
-    def check_window(self, frames: list[CapturedFrame]) -> list[SpoofCheck]:
-        """Fingerprint one detection window; verdict per active device."""
+    def check_window(self, table: FrameTable) -> list[SpoofCheck]:
+        """Fingerprint one detection window; verdict per active device.
+
+        The active devices are the senders with rows in ``table`` (a
+        window slice shares its parent's ``senders`` tuple).
+        """
         return self.check_signatures(
-            self.builder.build(frames),
-            {c.sender for c in frames if c.sender is not None},
+            self.builder.build_table(table), table.active_senders()
         )
 
     def check_signatures(

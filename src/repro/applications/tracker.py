@@ -11,13 +11,14 @@ device.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
-from repro.dot11.capture import CapturedFrame
 from repro.dot11.mac import MacAddress
 from repro.core.database import ReferenceDatabase
 from repro.core.matcher import batch_match_signatures
 from repro.core.parameters import InterArrivalTime, NetworkParameter
 from repro.core.signature import Signature, SignatureBuilder
+from repro.traces.table import FrameTable
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,9 +83,9 @@ class DeviceTracker:
         )
         self.database = database if database is not None else ReferenceDatabase()
 
-    def learn(self, frames: list[CapturedFrame]) -> int:
+    def learn(self, table: FrameTable) -> int:
         """Learn device signatures from a capture with true addresses."""
-        signatures = self.builder.build(frames)
+        signatures = self.builder.build_table(table)
         for device, signature in signatures.items():
             self.database.add(device, signature)
         return len(signatures)
@@ -132,14 +133,14 @@ class DeviceTracker:
         return links
 
     def track_window(
-        self, frames: list[CapturedFrame], window_index: int = 0
+        self, table: FrameTable, window_index: int = 0
     ) -> list[PseudonymLink]:
         """Link every pseudonymous sender in one observation window."""
-        return self.link_signatures(self.builder.build(frames), window_index)
+        return self.link_signatures(self.builder.build_table(table), window_index)
 
-    def track(self, windows: list[list[CapturedFrame]]) -> TrackingReport:
+    def track(self, windows: Iterable[FrameTable]) -> TrackingReport:
         """Track across a sequence of observation windows."""
         report = TrackingReport()
-        for index, frames in enumerate(windows):
-            report.links.extend(self.track_window(frames, index))
+        for index, table in enumerate(windows):
+            report.links.extend(self.track_window(table, index))
         return report

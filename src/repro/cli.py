@@ -683,7 +683,7 @@ def _cmd_histogram(args: argparse.Namespace) -> int:
     parameter = parameter_by_name(args.parameter)
     builder = SignatureBuilder(parameter, min_observations=args.min_observations)
     device = MacAddress.parse(args.device)
-    signature = builder.build_single(trace.frames, device)
+    signature = builder.build_table(trace.table()).get(device)
     if signature is None:
         print(f"{device}: fewer than {args.min_observations} observations", file=sys.stderr)
         return 1

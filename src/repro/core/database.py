@@ -28,10 +28,10 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.dot11.capture import CapturedFrame
 from repro.dot11.mac import MacAddress
 from repro.core.signature import Signature, SignatureBuilder
 from repro.core.similarity import normalize_rows
+from repro.traces.table import FrameTable
 
 
 @dataclass
@@ -170,20 +170,10 @@ class ReferenceDatabase:
         self._packed: PackedDatabase | None = None
 
     @classmethod
-    def from_training(
-        cls, builder: SignatureBuilder, frames: list[CapturedFrame]
-    ) -> "ReferenceDatabase":
-        """Learning phase: one signature per device in the training trace."""
-        database = cls()
-        for sender, signature in builder.build(frames).items():
-            database.add(sender, signature)
-        return database
-
-    @classmethod
     def from_training_table(
-        cls, builder: SignatureBuilder, table
+        cls, builder: SignatureBuilder, table: FrameTable
     ) -> "ReferenceDatabase":
-        """:meth:`from_training` over a columnar
+        """Learning phase: one signature per device in a training
         :class:`~repro.traces.table.FrameTable`.
 
         Devices are registered in first-observation order, the order

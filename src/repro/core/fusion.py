@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.dot11.capture import CapturedFrame
 from repro.dot11.mac import MacAddress
 from repro.core.database import ReferenceDatabase
 from repro.core.matcher import match_signature
 from repro.core.parameters import NetworkParameter
 from repro.core.signature import Signature, SignatureBuilder
 from repro.core.similarity import SimilarityMeasure, cosine_similarity
+from repro.traces.table import FrameTable
 
 
 @dataclass
@@ -66,10 +66,10 @@ class FusionMatcher:
         self.measure = measure
         self._databases: dict[str, ReferenceDatabase] = {}
 
-    def learn(self, frames: list[CapturedFrame]) -> None:
-        """Learning phase over all parameters."""
+    def learn(self, table: FrameTable) -> None:
+        """Learning phase over all parameters, from a training table."""
         self._databases = {
-            name: ReferenceDatabase.from_training(builder, frames)
+            name: ReferenceDatabase.from_training_table(builder, table)
             for name, builder in self.builders.items()
         }
 
@@ -81,11 +81,11 @@ class FusionMatcher:
             known.update(database.devices)
         return known
 
-    def extract(self, frames: list[CapturedFrame]) -> dict[MacAddress, FusedSignature]:
-        """Candidate fused signatures from a detection window."""
+    def extract(self, table: FrameTable) -> dict[MacAddress, FusedSignature]:
+        """Candidate fused signatures from a detection window's table."""
         fused: dict[MacAddress, FusedSignature] = {}
         for name, builder in self.builders.items():
-            for device, signature in builder.build(frames).items():
+            for device, signature in builder.build_table(table).items():
                 fused.setdefault(device, FusedSignature()).per_parameter[name] = signature
         return fused
 

@@ -18,7 +18,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.dot11.capture import CapturedFrame
 from repro.dot11.mac import MacAddress
 from repro.core.histogram import BinSpec
 from repro.core.parameters import NetworkParameter
@@ -97,9 +96,8 @@ class SignatureBuilder:
     """Builds signatures for every device visible in a capture.
 
     One builder is bound to a network parameter and a bin spec; its
-    :meth:`build` can be called on any frame sequence (full training
-    trace or a 5-minute candidate window) and :meth:`build_table` on
-    any columnar table.
+    :meth:`build_table` can be called on any columnar table (a full
+    training trace or a 5-minute candidate window).
     """
 
     def __init__(
@@ -114,30 +112,14 @@ class SignatureBuilder:
         self.bins = bins if bins is not None else parameter.default_bins()
         self.min_observations = min_observations
 
-    def build(
-        self, frames: list[CapturedFrame]
-    ) -> dict[MacAddress, Signature]:
-        """Extract observations and assemble per-device signatures.
-
-        Devices with fewer than ``min_observations`` kept observations
-        are omitted, mirroring the paper's tool.  The frames are
-        interned into a :class:`FrameTable` and run through
-        :meth:`build_table`.
-        """
-        return self.build_table(FrameTable.from_frames(frames))
-
-    def build_single(
-        self, frames: list[CapturedFrame], sender: MacAddress
-    ) -> Signature | None:
-        """Signature of one specific device (``None`` below threshold)."""
-        return self.build(frames).get(sender)
-
     def build_table(self, table: FrameTable) -> dict[MacAddress, Signature]:
         """Signatures of every device in a columnar :class:`FrameTable`.
 
         Extracts observations vectorized, bins them in one
         ``index_many`` pass and scatters them into the per-(device,
         frame type) count matrix with a single flat ``np.bincount``.
+        Devices with fewer than ``min_observations`` kept observations
+        are omitted, mirroring the paper's tool.
         """
         observed = self.parameter.observe_table(table)
         bin_idx = self.bins.index_many(observed.values)

@@ -6,8 +6,9 @@ a wired simulation: stations with their profiles, driver-level services
 traffic sources, one or more APs, a monitor position, and the shared
 medium.  ``run()`` executes the event loop and returns the monitor's
 capture — the exact artefact the fingerprinting layer consumes — as a
-columnar table interned while the simulation ran; frame objects are
-built only for callers that ask for them.
+columnar table interned while the simulation ran; ``stream()`` hands
+out the same columns chunk by chunk as simulated time advances.  Frame
+objects are built only for callers that ask for them.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ class SimulationResult:
         over :meth:`table`, whose frames are built only if read."""
         from repro.traces.trace import Trace
 
-        return Trace.from_table(
+        return Trace(
             self.table(),
             lambda: self.captures,
             name=name,
@@ -131,7 +132,7 @@ class Scenario:
         ap_beacon_size: int = 170,
         ap_probe_response_size: int = 260,
     ) -> None:
-        if duration_s <= 0:
+        if not duration_s > 0:
             raise ValueError(f"duration must be positive: {duration_s}")
         if ap_count < 0:
             raise ValueError(f"ap_count must be >= 0: {ap_count}")
@@ -234,17 +235,21 @@ class Scenario:
             collision_rounds=medium.collision_rounds,
         )
 
-    def stream(self, chunk_s: float = 5.0) -> "Iterator[CapturedFrame]":
-        """Run the simulation incrementally, yielding frames live.
+    def stream(self, chunk_s: float = 5.0) -> Iterator[FrameTable]:
+        """Run the simulation incrementally, yielding table chunks live.
 
         The event loop advances ``chunk_s`` of simulated time at a
-        time and the monitor's capture buffer is drained after every
-        step, so the generator feeds the streaming engine without ever
-        holding the full trace — the simulator acts as a live traffic
-        feed.  Frame order matches :meth:`run` exactly (same seed, same
-        event schedule).
+        time and the monitor's capture buffer is drained into a
+        :class:`~repro.traces.table.FrameTable` after every step that
+        captured a frame, so the generator is a chunked source for
+        :meth:`~repro.streaming.engine.StreamEngine.run_chunked` that
+        never holds the full trace — the simulator acts as a live
+        traffic feed.  The chunks' columns, concatenated, equal
+        :meth:`run`'s table (same seed, same event schedule, same
+        interner); each chunk carries the intern tuples as they stand
+        when it is drained.
         """
-        if chunk_s <= 0:
+        if not chunk_s > 0:
             raise ValueError(f"chunk size must be positive: {chunk_s}")
         queue, medium, _station_names = self._wire()
         duration_us = self.duration_s * 1e6
@@ -256,8 +261,8 @@ class Scenario:
             queue.run_until(now)
             if medium.capture.rows:
                 chunk = medium.capture.drain(previous_us)
-                previous_us = chunk[-1].timestamp_us
-                yield from chunk
+                previous_us = chunk.end_us
+                yield chunk
 
     def _wire(self) -> tuple[EventQueue, Medium, dict[MacAddress, str]]:
         """Assemble the event queue, medium, stations and traffic."""

@@ -4,20 +4,21 @@ A source is an iterable of columnar
 :class:`~repro.traces.table.FrameTable` chunks in non-decreasing
 timestamp order; :meth:`~repro.streaming.engine.StreamEngine.run_chunked`
 pulls one chunk at a time, so a source backed by a file or a live feed
-keeps the whole pipeline in bounded memory.  Built-ins:
+keeps the whole pipeline in bounded memory.  The sources:
 
 * :func:`pcap_chunk_source` — an on-disk radiotap or Prism pcap
   decoded lazily (:func:`repro.radiotap.pcap.iter_trace_pcap`), never
-  materialising the capture;
-* :func:`simulation_chunk_source` — the discrete-event simulator as a
-  live feed (:meth:`repro.simulator.scenario.Scenario.stream`),
-  draining the monitor's buffer as simulated time advances;
-* :func:`replay_chunk_source` — an in-memory frame list or table
-  (tests, the batch pipeline's traces).
+  materialising the capture; :func:`table_chunks` interns the decoded
+  frames ``chunk_frames`` at a time;
+* :func:`replay_chunk_source` — an in-memory table (a trace's
+  ``table()``, a test fixture) as zero-copy row slices;
+* :meth:`repro.simulator.scenario.Scenario.stream` — the
+  discrete-event simulator as a live feed, draining the monitor's
+  capture buffer into a table as simulated time advances.
 
-:func:`table_chunks` adapts any frame iterable.  Chunking trades a
-bounded amount of latency (at most ``chunk_frames`` of buffering) for
-vectorized ingest; the emitted events do not depend on the chunk size.
+Chunking trades a bounded amount of latency (at most ``chunk_frames``
+of buffering) for vectorized ingest; the emitted events do not depend
+on the chunk size.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ DEFAULT_CHUNK_FRAMES = 8192
 def table_chunks(
     frames: Iterable[CapturedFrame], chunk_frames: int = DEFAULT_CHUNK_FRAMES
 ) -> Iterator["FrameTable"]:
-    """Batch any frame iterable into columnar ``chunk_frames`` chunks."""
+    """Intern a frame iterable ``chunk_frames`` frames at a time."""
     if chunk_frames < 1:
         raise ValueError(f"chunk_frames must be >= 1: {chunk_frames}")
     from repro.traces.table import FrameTable
@@ -67,13 +68,6 @@ def pcap_chunk_source(
     return table_chunks(
         iter_trace_pcap(source, skip_bad_fcs=skip_bad_fcs), chunk_frames
     )
-
-
-def simulation_chunk_source(
-    scenario, chunk_s: float = 5.0, chunk_frames: int = DEFAULT_CHUNK_FRAMES
-) -> Iterator["FrameTable"]:
-    """Run a simulator scenario as a columnar chunk feed."""
-    return table_chunks(scenario.stream(chunk_s=chunk_s), chunk_frames)
 
 
 def skip_processed_chunks(
@@ -107,22 +101,12 @@ def skip_processed_chunks(
 
 
 def replay_chunk_source(
-    frames: "Iterable[CapturedFrame] | FrameTable",
-    chunk_frames: int = DEFAULT_CHUNK_FRAMES,
+    table: "FrameTable", chunk_frames: int = DEFAULT_CHUNK_FRAMES
 ) -> Iterator["FrameTable"]:
-    """Replay in-memory frames as columnar chunks.
-
-    An already-columnar :class:`~repro.traces.table.FrameTable` is
-    sliced into zero-copy views; anything else is interned through
-    :func:`table_chunks`.
-    """
-    from repro.traces.table import FrameTable
-
-    if isinstance(frames, FrameTable):
-        if chunk_frames < 1:
-            raise ValueError(f"chunk_frames must be >= 1: {chunk_frames}")
-        return (
-            frames.slice_rows(lo, min(lo + chunk_frames, len(frames)))
-            for lo in range(0, len(frames), chunk_frames)
-        )
-    return table_chunks(frames, chunk_frames)
+    """Replay an in-memory table as zero-copy ``chunk_frames`` slices."""
+    if chunk_frames < 1:
+        raise ValueError(f"chunk_frames must be >= 1: {chunk_frames}")
+    return (
+        table.slice_rows(lo, min(lo + chunk_frames, len(table)))
+        for lo in range(0, len(table), chunk_frames)
+    )

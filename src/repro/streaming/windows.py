@@ -12,7 +12,7 @@ Each open window owns one
 :class:`~repro.streaming.builder.StreamingSignatureBuilder`, so closing
 a window yields one candidate signature per device that cleared the
 minimum-observation gate — identical to running the batch builder on
-the window's frame list — after which the window's state is dropped.
+the window's rows — after which the window's state is dropped.
 Memory is therefore bounded by the device population of the open
 windows, never by the stream length.  Optional idle eviction
 additionally drops per-device accumulators that stay silent inside a
@@ -71,14 +71,14 @@ class WindowConfig:
     idle_timeout_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.window_s <= 0:
+        if not self.window_s > 0:
             raise ValueError(f"window size must be positive: {self.window_s}")
         slide = self.slide_s
         if slide is not None and not 0 < slide <= self.window_s:
             raise ValueError(
                 f"slide must be in (0, window_s]: {slide} vs {self.window_s}"
             )
-        if self.idle_timeout_s is not None and self.idle_timeout_s <= 0:
+        if self.idle_timeout_s is not None and not self.idle_timeout_s > 0:
             raise ValueError(
                 f"idle timeout must be positive: {self.idle_timeout_s}"
             )

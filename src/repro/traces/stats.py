@@ -7,8 +7,9 @@ training-prefix activity clears the 50-observation minimum.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.traces.trace import Trace
 
@@ -50,10 +51,9 @@ def summarize_trace(
 
     split = trace.split(training_s)
     builder = SignatureBuilder(InterArrivalTime(), min_observations=min_observations)
-    references = builder.build(split.training.frames)
-    sender_counts = Counter(
-        c.sender for c in trace.frames if c.sender is not None
-    )
+    references = builder.build_table(split.training.table())
+    sender_idx = trace.table().sender_idx
+    attributed = sender_idx[sender_idx >= 0]
     return TraceStats(
         name=trace.name,
         total_duration_s=trace.duration_s,
@@ -62,6 +62,6 @@ def summarize_trace(
         encrypted=trace.encrypted,
         reference_devices=len(references),
         total_frames=len(trace),
-        attributed_frames=sum(sender_counts.values()),
-        distinct_senders=len(sender_counts),
+        attributed_frames=int(attributed.size),
+        distinct_senders=int(np.unique(attributed).size),
     )

@@ -28,7 +28,14 @@ mask-selected chunk is as complete as one interned from frame objects.
 
 Tables are cheap to slice: row slices are NumPy **views** onto the
 parent's columns (zero copy) sharing the intern tuples, never copied
-per window; :meth:`FrameTable.select` copies the rows of a mask.
+per window; :meth:`FrameTable.select` copies the rows of a mask.  A
+slice keeps its parent's ``senders`` tuple, so the senders a slice
+holds rows of are read from its codes (:meth:`FrameTable.active_senders`).
+
+Frames become rows in one place, :class:`RowInterner`: the simulated
+monitor's capture buffer appends through it as frames are decoded, and
+:meth:`FrameTable.from_frames` runs frame objects (a pcap, a test
+fixture) through it.
 
 :func:`window_bounds` is the single implementation of the evaluation
 protocol's tumbling windows, shared by :meth:`repro.traces.trace.Trace.windows`,
@@ -39,11 +46,13 @@ instead of the former O(n) stamp-list rebuild.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from repro.dot11.capture import FROM_DS, GROUP_ADDRESSED, RETRY, CapturedFrame
+from repro.dot11.frames import Dot11Frame, FrameSubtype
 from repro.dot11.mac import MacAddress
 
 
@@ -75,7 +84,7 @@ def window_bounds(
     degenerate extra window beyond the trace span.  An empty trace
     yields one empty window, matching the historical contract.
     """
-    if window_s <= 0:
+    if not window_s > 0:
         raise ValueError(f"window size must be positive: {window_s}")
     step = window_s * 1e6
     count = len(stamps)
@@ -97,8 +106,9 @@ def window_bounds(
 class FrameTable:
     """A captured frame sequence as parallel columns.
 
-    Build one with :meth:`from_frames` (or the memoised accessors
-    ``Trace.table()`` / ``SimulationResult.table()``); slice it with
+    Build one with :meth:`from_frames` or a :class:`RowInterner` (a
+    trace or a simulation hands out its own: ``Trace.table()``,
+    ``SimulationResult.table()``); slice it with
     :meth:`slice_rows` / :meth:`slice_us` / :meth:`windows` — all views
     — or copy a row subset with :meth:`select`.  A table built from bare
     columns without ``flags`` gets an all-zero flags column.
@@ -139,71 +149,13 @@ class FrameTable:
 
     # -- construction --------------------------------------------------
     @classmethod
-    def from_frames(
-        cls,
-        frames: Iterable[CapturedFrame],
-        *,
-        timestamps: np.ndarray | None = None,
-    ) -> "FrameTable":
-        """Intern a frame sequence into columns in one pass.
-
-        ``timestamps`` lets a caller that already extracted the
-        timestamp column (e.g. :meth:`Trace.table`, whose constructor
-        cached it) share it instead of re-walking the frames.
-        """
-        frames = frames if isinstance(frames, list) else list(frames)
-        count = len(frames)
-        # Column-at-a-time fromiter passes beat a single row loop: each
-        # pass is one attribute access per frame with no index writes.
-        if timestamps is not None:
-            stamps = timestamps
-        else:
-            stamps = np.fromiter(
-                (c.timestamp_us for c in frames), dtype=np.float64, count=count
-            )
-        sizes = np.fromiter(
-            (c.frame.size for c in frames), dtype=np.float64, count=count
-        )
-        rates = np.fromiter(
-            (c.rate_mbps for c in frames), dtype=np.float64, count=count
-        )
-        sender_codes: dict[MacAddress, int] = {}
-        ftype_codes: dict = {}
-        sender_idx = np.fromiter(
-            (
-                -1
-                if (sender := c.frame.addr2) is None
-                else sender_codes.setdefault(sender, len(sender_codes))
-                for c in frames
-            ),
-            dtype=np.int64,
-            count=count,
-        )
-        ftype_idx = np.fromiter(
-            (ftype_codes.setdefault(c.frame.subtype, len(ftype_codes)) for c in frames),
-            dtype=np.int64,
-            count=count,
-        )
-        flags = np.fromiter(
-            (
-                (RETRY if (f := c.frame).retry else 0)
-                | (FROM_DS if f.from_ds else 0)
-                | (GROUP_ADDRESSED if f.addr1.is_multicast else 0)
-                for c in frames
-            ),
-            dtype=np.uint8,
-            count=count,
-        )
-        return cls(
-            timestamp_us=stamps,
-            size=sizes,
-            rate_mbps=rates,
-            sender_idx=sender_idx,
-            ftype_idx=ftype_idx,
-            senders=tuple(sender_codes),
-            ftype_keys=tuple(subtype.label for subtype in ftype_codes),
-            flags=flags,
-        )
+    def from_frames(cls, frames: Iterable[CapturedFrame]) -> "FrameTable":
+        """Intern a frame sequence into columns (through :class:`RowInterner`)."""
+        interner = RowInterner()
+        append = interner.append
+        for c in frames:
+            append(c.timestamp_us, c.frame, c.rate_mbps, c.signal_dbm, c.channel)
+        return interner.table(interner.take())
 
     # -- basic protocol ------------------------------------------------
     def __len__(self) -> int:
@@ -275,6 +227,15 @@ class FrameTable:
             yield self.slice_rows(lo, hi)
 
     # -- column helpers ------------------------------------------------
+    def active_senders(self) -> set[MacAddress]:
+        """The attributable senders with at least one row in this table.
+
+        Read from the sender codes present, not from :attr:`senders`,
+        which a slice shares with its parent.
+        """
+        codes = np.unique(self.sender_idx[self.sender_idx >= 0])
+        return {self.senders[code] for code in codes.tolist()}
+
     def sender_code(self, sender: MacAddress) -> int:
         """Intern code of one sender (-1 if it never transmitted)."""
         try:
@@ -289,3 +250,96 @@ class FrameTable:
         if not codes:
             return np.zeros(len(self), dtype=bool)
         return np.isin(self.ftype_idx, np.asarray(codes, dtype=np.int64))
+
+
+class RowInterner:
+    """Frames as interned table rows: the one place frames become rows.
+
+    :meth:`append` records one frame as a row — timestamp, size, rate,
+    signal, the ``flags`` bits, the sender and frame-type codes, the
+    channel and the frame itself — assigning codes at first appearance,
+    in append order.  :meth:`take` hands over the rows appended since
+    the last take and keeps the codes, so tables of consecutive takes
+    code the same sender alike; :meth:`table` turns rows into a
+    :class:`FrameTable` with the intern tuples as they stand.  The
+    signal, channel and frame stay in the rows for callers that
+    rebuild :class:`~repro.dot11.capture.CapturedFrame` objects.
+    """
+
+    __slots__ = ("rows", "senders", "subtypes", "_sender_codes", "_ftype_codes")
+
+    def __init__(self) -> None:
+        #: ``(timestamp_us, size, rate_mbps, signal_dbm, flags,
+        #: sender_code, ftype_code, channel, frame)`` per frame.
+        self.rows: list[tuple] = []
+        #: Interned senders and frame subtypes, in first-appearance order.
+        self.senders: list[MacAddress] = []
+        self.subtypes: list[FrameSubtype] = []
+        # Keyed by the MAC's integer and the subtype's name: both hash
+        # in C, where a MacAddress or an enum member hashes in Python.
+        self._sender_codes: dict[int, int] = {}
+        self._ftype_codes: dict[str, int] = {}
+
+    def append(
+        self,
+        timestamp_us: float,
+        frame: Dot11Frame,
+        rate_mbps: float,
+        signal_dbm: float,
+        channel: int,
+    ) -> None:
+        """Record one frame as a row."""
+        sender = frame.addr2
+        if sender is None:
+            sender_code = -1
+        else:
+            sender_code = self._sender_codes.get(sender.value)
+            if sender_code is None:
+                sender_code = self._sender_codes[sender.value] = len(self.senders)
+                self.senders.append(sender)
+        subtype = frame.subtype
+        ftype_code = self._ftype_codes.get(subtype._name_)
+        if ftype_code is None:
+            ftype_code = self._ftype_codes[subtype._name_] = len(self.subtypes)
+            self.subtypes.append(subtype)
+        flags = (
+            (RETRY if frame.retry else 0)
+            | (FROM_DS if frame.from_ds else 0)
+            | (GROUP_ADDRESSED if frame.addr1.is_multicast else 0)
+        )
+        self.rows.append(
+            (
+                timestamp_us,
+                frame.size,
+                rate_mbps,
+                signal_dbm,
+                flags,
+                sender_code,
+                ftype_code,
+                channel,
+                frame,
+            )
+        )
+
+    def take(self) -> list[tuple]:
+        """The rows appended since the last take (cleared; codes kept)."""
+        rows, self.rows = self.rows, []
+        return rows
+
+    def table(self, rows: list[tuple]) -> FrameTable:
+        """``rows`` as a :class:`FrameTable` over the current intern tuples."""
+        return FrameTable(
+            timestamp_us=row_column(rows, 0, np.float64),
+            size=row_column(rows, 1, np.float64),
+            rate_mbps=row_column(rows, 2, np.float64),
+            sender_idx=row_column(rows, 5, np.int64),
+            ftype_idx=row_column(rows, 6, np.int64),
+            senders=tuple(self.senders),
+            ftype_keys=tuple(subtype.label for subtype in self.subtypes),
+            flags=row_column(rows, 4, np.uint8),
+        )
+
+
+def row_column(rows: list[tuple], index: int, dtype) -> np.ndarray:
+    """Field ``index`` of :class:`RowInterner` rows as one column."""
+    return np.fromiter(map(itemgetter(index), rows), dtype=dtype, count=len(rows))

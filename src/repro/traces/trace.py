@@ -7,18 +7,17 @@ builds the reference database, the remainder is cut into fixed
 detection windows (5 minutes in the paper) that each yield one
 candidate signature per active device.
 
-A trace is built either from frame objects (a pcap, a test fixture)
-or, by :meth:`Trace.from_table`, over a columnar
-:class:`~repro.traces.table.FrameTable` that already exists — a
-simulation's capture, interned while it ran — in which case
-:attr:`Trace.frames` is built only if something reads it.  Either way
-the timestamp column is held **once** (extracted at construction,
-where it also vectorizes the time-order check, or taken from the
-table) and every cut — :meth:`Trace.slice_us`, :meth:`Trace.split`,
-:meth:`Trace.windows` — is an ``np.searchsorted`` on it.  Sliced
-traces share the parent's column views (and its
-:class:`~repro.traces.table.FrameTable`, if built) and slice its
-frames only when theirs are read.
+A trace holds its capture as a columnar
+:class:`~repro.traces.table.FrameTable`, and everything between the
+edges reads that table: signatures, the evaluation, streaming replay,
+statistics.  A simulation hands its table straight to the constructor;
+:meth:`Trace.from_frames` interns frame objects once (a pcap, a test
+fixture).  :attr:`Trace.frames` is built only when something reads it —
+writing a pcap, or an attack helper rewriting frames.  Every cut —
+:meth:`Trace.slice_us`, :meth:`Trace.split`, :meth:`Trace.windows` — is
+an ``np.searchsorted`` on the timestamp column, and a sliced trace
+holds a view of its parent's table and slices the parent's frames only
+when its own are read.
 """
 
 from __future__ import annotations
@@ -35,21 +34,26 @@ from repro.traces.table import FrameTable, window_bounds
 
 
 class Trace:
-    """A time-ordered 802.11 capture with ground-truth metadata."""
+    """A time-ordered 802.11 capture with ground-truth metadata.
+
+    ``table`` is the capture's columns, trusted to be time-ordered;
+    ``frames`` builds the same capture as frame objects and is called
+    at most once, the first time :attr:`frames` is read.
+    """
 
     __slots__ = (
         "name",
         "encrypted",
         "device_names",
+        "_table",
         "_frames",
         "_build_frames",
-        "_stamps",
-        "_table",
     )
 
     def __init__(
         self,
-        frames: list[CapturedFrame],
+        table: FrameTable,
+        frames: Callable[[], list[CapturedFrame]],
         name: str = "",
         encrypted: bool = False,
         device_names: dict[MacAddress, str] | None = None,
@@ -57,104 +61,68 @@ class Trace:
         self.name = name
         self.encrypted = encrypted
         self.device_names = {} if device_names is None else device_names
-        self._frames: list[CapturedFrame] | None = frames
-        self._build_frames: Callable[[], list[CapturedFrame]] | None = None
-        self._stamps = np.fromiter(
-            (captured.timestamp_us for captured in frames),
-            dtype=np.float64,
-            count=len(frames),
-        )
-        #: Columnar view, built lazily by :meth:`table`.
-        self._table: FrameTable | None = None
-        # Same tolerance as the historical per-frame check: allow
-        # sub-microsecond backwards jitter, reject real disorder.
-        if self._stamps.size > 1 and float(np.min(np.diff(self._stamps))) < -1e-6:
-            raise ValueError(f"trace {self.name!r} is not time-ordered")
+        self._table = table
+        self._frames: list[CapturedFrame] | None = None
+        self._build_frames: Callable[[], list[CapturedFrame]] | None = frames
 
     @classmethod
-    def from_table(
+    def from_frames(
         cls,
-        table: FrameTable,
-        frames: Callable[[], list[CapturedFrame]],
+        frames: list[CapturedFrame],
         name: str = "",
         encrypted: bool = False,
         device_names: dict[MacAddress, str] | None = None,
     ) -> "Trace":
-        """A trace over an existing, time-ordered table.
+        """A trace over frame objects, interned once.
 
-        ``frames`` builds the same capture as frame objects; it is
-        called at most once, the first time :attr:`frames` is read.
-        The table is trusted to be time-ordered (a simulation's table
-        is checked when it is built).
+        Raises ``ValueError`` if the frames are not time-ordered
+        (sub-microsecond backwards jitter is tolerated).
         """
-        return cls._lazy(
-            name,
-            encrypted,
-            {} if device_names is None else device_names,
-            table.timestamp_us,
+        table = FrameTable.from_frames(frames)
+        stamps = table.timestamp_us
+        if stamps.size > 1 and float(np.min(np.diff(stamps))) < -1e-6:
+            raise ValueError(f"trace {name!r} is not time-ordered")
+        return cls(
             table,
-            frames,
+            lambda: frames,
+            name=name,
+            encrypted=encrypted,
+            device_names=device_names,
         )
 
-    @classmethod
-    def _view(cls, parent: "Trace", lo: int, hi: int) -> "Trace":
-        """A sub-trace sharing the parent's cached columns (no re-scan)."""
-        return cls._lazy(
-            parent.name,
-            parent.encrypted,
-            parent.device_names,
-            parent._stamps[lo:hi],
-            parent._table.slice_rows(lo, hi) if parent._table is not None else None,
-            lambda: parent.frames[lo:hi],
+    def _view(self, lo: int, hi: int) -> "Trace":
+        """Rows ``[lo, hi)`` as a sub-trace over a view of the table."""
+        return Trace(
+            self._table.slice_rows(lo, hi),
+            lambda: self.frames[lo:hi],
+            name=self.name,
+            encrypted=self.encrypted,
+            device_names=self.device_names,
         )
-
-    @classmethod
-    def _lazy(
-        cls,
-        name: str,
-        encrypted: bool,
-        device_names: dict[MacAddress, str],
-        stamps: np.ndarray,
-        table: FrameTable | None,
-        build_frames: Callable[[], list[CapturedFrame]],
-    ) -> "Trace":
-        """A trace whose frames ``build_frames`` builds on first read."""
-        trace = cls.__new__(cls)
-        trace.name = name
-        trace.encrypted = encrypted
-        trace.device_names = device_names
-        trace._frames = None
-        trace._build_frames = build_frames
-        trace._stamps = stamps
-        trace._table = table
-        return trace
 
     def __repr__(self) -> str:
         return f"<Trace {self.name!r} frames={len(self)} encrypted={self.encrypted}>"
 
     @property
     def frames(self) -> list[CapturedFrame]:
-        """The captured frames (built on first read for a trace over a table)."""
+        """The captured frames (built on first read)."""
         if self._frames is None:
             self._frames = self._build_frames()
             self._build_frames = None
         return self._frames
 
     def __len__(self) -> int:
-        return len(self._stamps)
-
-    def __iter__(self) -> Iterator[CapturedFrame]:
-        return iter(self.frames)
+        return len(self._table)
 
     @property
     def start_us(self) -> float:
         """Timestamp of the first frame (0 for an empty trace)."""
-        return float(self._stamps[0]) if self._stamps.size else 0.0
+        return self._table.start_us
 
     @property
     def end_us(self) -> float:
         """Timestamp of the last frame (0 for an empty trace)."""
-        return float(self._stamps[-1]) if self._stamps.size else 0.0
+        return self._table.end_us
 
     @property
     def duration_s(self) -> float:
@@ -163,29 +131,22 @@ class Trace:
 
     def senders(self) -> set[MacAddress]:
         """All attributable senders appearing in the trace."""
-        table = self.table()
-        codes = np.unique(table.sender_idx[table.sender_idx >= 0])
-        return {table.senders[code] for code in codes.tolist()}
-
-    def frames_of(self, sender: MacAddress) -> list[CapturedFrame]:
-        """All frames attributed to one sender."""
-        return [c for c in self.frames if c.sender == sender]
+        return self._table.active_senders()
 
     def table(self) -> FrameTable:
-        """The trace as a columnar :class:`FrameTable` (built once).
+        """The trace as a columnar :class:`FrameTable`.
 
-        Slices taken *after* the first call share the parent table's
-        columns as views, so windowing a tabled trace never re-interns.
+        A slice's table is a view of its parent's, so windowing a trace
+        never re-interns.
         """
-        if self._table is None:
-            self._table = FrameTable.from_frames(self.frames, timestamps=self._stamps)
         return self._table
 
     # ------------------------------------------------------------------
     def slice_us(self, start_us: float, end_us: float) -> "Trace":
         """Sub-trace with timestamps in ``[start_us, end_us)``."""
-        lo, hi = np.searchsorted(self._stamps, (start_us, end_us), side="left")
-        return Trace._view(self, int(lo), int(hi))
+        stamps = self._table.timestamp_us
+        lo, hi = np.searchsorted(stamps, (start_us, end_us), side="left")
+        return self._view(int(lo), int(hi))
 
     def split(self, training_s: float) -> "TraceSplit":
         """Split into a training prefix and a validation remainder.
@@ -193,7 +154,7 @@ class Trace:
         ``training_s`` is measured from the trace start, matching the
         paper's "first hour / first 20 minutes" protocol.
         """
-        if training_s <= 0:
+        if not training_s > 0:
             raise ValueError(f"training duration must be positive: {training_s}")
         boundary = self.start_us + training_s * 1e6
         return TraceSplit(
@@ -212,8 +173,8 @@ class Trace:
         window beyond the trace span (see
         :func:`repro.traces.table.window_bounds`).
         """
-        for lo, hi in window_bounds(self._stamps, window_s):
-            yield Trace._view(self, lo, hi)
+        for lo, hi in window_bounds(self._table.timestamp_us, window_s):
+            yield self._view(lo, hi)
 
     # ------------------------------------------------------------------
     def to_pcap(self, path: str | Path) -> int:
@@ -229,7 +190,9 @@ class Trace:
         """Load a radiotap or Prism pcap from disk."""
         from repro.radiotap.pcap import read_trace_pcap
 
-        return cls(frames=read_trace_pcap(path), name=name or str(path), encrypted=encrypted)
+        return cls.from_frames(
+            read_trace_pcap(path), name=name or str(path), encrypted=encrypted
+        )
 
 
 @dataclass(slots=True)

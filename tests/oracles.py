@@ -231,7 +231,8 @@ def bin_index(spec: BinSpec, value: float) -> int | None:
 def build(
     builder: SignatureBuilder, frames: list[CapturedFrame]
 ) -> dict[MacAddress, Signature]:
-    """``builder.build(frames)`` through per-(device, frame type) buckets."""
+    """``builder.build_table`` over the frames' table, through
+    per-(device, frame type) buckets."""
     buckets: dict[MacAddress, dict[str, list[float]]] = {}
     for observation in observations(builder.parameter, frames):
         per_type = buckets.setdefault(observation.sender, {})
@@ -271,7 +272,7 @@ def build(
 def from_training(
     builder: SignatureBuilder, frames: list[CapturedFrame]
 ) -> ReferenceDatabase:
-    """``ReferenceDatabase.from_training`` with :func:`build`."""
+    """``ReferenceDatabase.from_training_table`` with :func:`build`."""
     database = ReferenceDatabase()
     for sender, signature in build(builder, frames).items():
         database.add(sender, signature)

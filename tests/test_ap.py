@@ -104,7 +104,7 @@ class TestProbeResponse:
         ap.on_frame_aired(client, probe, 1000.0)
         capture = CaptureBuffer()
         ap.execute_exchange(5000.0, capture)
-        subtypes = [c.subtype for c in capture.drain()]
+        subtypes = [c.subtype for c in capture.finish().frames()]
         assert FrameSubtype.PROBE_RESPONSE in subtypes
         assert FrameSubtype.ACK in subtypes  # unicast mgmt is acked
 

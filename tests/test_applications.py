@@ -3,6 +3,7 @@ tracking, and the attack models."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.applications.attacks import (
@@ -14,13 +15,16 @@ from repro.applications.attacks import (
 from repro.applications.rogue_ap import RogueApDetector, ap_own_rows
 from repro.applications.spoof_detector import SpoofDetector, SpoofVerdict
 from repro.applications.tracker import DeviceTracker
+from repro.core.matcher import batch_match_signatures
 from repro.core.parameters import InterArrivalTime
+from repro.core.signature import Signature
 from repro.dot11.frames import FrameSubtype
 from repro.dot11.mac import MacAddress
 from repro.persistence import load_database, save_database
 from repro.simulator import CbrTraffic, Scenario, StationSpec, WebTraffic
-from repro.traces.trace import Trace
+from repro.traces.table import FrameTable
 from tests import oracles
+from tests.conftest import make_data_capture
 
 
 @pytest.fixture(scope="module")
@@ -71,8 +75,8 @@ class TestSpoofDetector:
         result, macs = spoof_scenario
         allowed = {macs["legit-1"], macs["legit-2"]}
         boundary = 60e6
-        train = [c for c in result.captures if c.timestamp_us < boundary]
-        check = [c for c in result.captures if c.timestamp_us >= boundary]
+        train = result.table().slice_us(0.0, boundary)
+        check = result.table().slice_us(boundary, np.inf)
         detector = SpoofDetector(min_observations=30)
         learnt = detector.learn(train, allowed)
         assert learnt == allowed
@@ -86,11 +90,11 @@ class TestSpoofDetector:
         attacker = macs["attacker"]
         allowed = {victim}
         boundary = 60e6
-        train = [
-            c
-            for c in result.captures
-            if c.timestamp_us < boundary and (c.sender is None or c.sender != attacker)
-        ]
+        table = result.table()
+        train = table.select(
+            (table.timestamp_us < boundary)
+            & (table.sender_idx != table.sender_code(attacker))
+        )
         # Validation: the attacker takes over the victim's MAC and the
         # real victim goes silent.
         check = [
@@ -98,7 +102,7 @@ class TestSpoofDetector:
             for c in result.captures
             if c.timestamp_us >= boundary and (c.sender is None or c.sender != victim)
         ]
-        check = spoof_mac(check, attacker, victim)
+        check = FrameTable.from_frames(spoof_mac(check, attacker, victim))
         detector = SpoofDetector(min_observations=30)
         detector.learn(train, allowed)
         verdicts = {c.device: c for c in detector.check_window(check)}
@@ -107,8 +111,8 @@ class TestSpoofDetector:
     def test_unknown_device_flagged(self, spoof_scenario):
         result, macs = spoof_scenario
         detector = SpoofDetector(min_observations=30)
-        detector.learn(result.captures, {macs["legit-1"]})
-        verdicts = {c.device: c for c in detector.check_window(result.captures)}
+        detector.learn(result.table(), {macs["legit-1"]})
+        verdicts = {c.device: c for c in detector.check_window(result.table())}
         assert verdicts[macs["attacker"]].verdict is SpoofVerdict.UNKNOWN_DEVICE
 
     def test_threshold_validation(self):
@@ -160,12 +164,8 @@ class TestRogueApDetection:
         ap = next(mac for mac, name in genuine.station_names.items() if name == "ap-0")
         boundary = 45e6
         detector = RogueApDetector(parameter=FrameSize(), min_observations=30)
-        assert detector.learn(
-            [c for c in genuine.captures if c.timestamp_us < boundary], ap
-        )
-        verdict = detector.check(
-            [c for c in genuine.captures if c.timestamp_us >= boundary], ap
-        )
+        assert detector.learn(genuine.table().slice_us(0.0, boundary), ap)
+        verdict = detector.check(genuine.table().slice_us(boundary, np.inf), ap)
         assert not verdict.is_rogue
         assert verdict.similarity > 0.6
 
@@ -180,8 +180,8 @@ class TestRogueApDetection:
         # The rogue's beacons carry a different IE set (size) and come
         # from different hardware; size fingerprints expose it.
         detector = RogueApDetector(parameter=FrameSize(), min_observations=30)
-        detector.learn(genuine.captures, ap)
-        impersonated = spoof_mac(rogue.captures, rogue_ap, ap)
+        detector.learn(genuine.table(), ap)
+        impersonated = FrameTable.from_frames(spoof_mac(rogue.captures, rogue_ap, ap))
         verdict = detector.check(impersonated, ap)
         assert verdict.is_rogue
         assert verdict.similarity < 0.6
@@ -189,7 +189,9 @@ class TestRogueApDetection:
     def test_check_before_learn(self):
         detector = RogueApDetector()
         with pytest.raises(RuntimeError):
-            detector.check([], MacAddress.parse("00:0f:b5:00:00:01"))
+            detector.check(
+                FrameTable.from_frames([]), MacAddress.parse("00:0f:b5:00:00:01")
+            )
 
 
 class TestTracker:
@@ -199,11 +201,11 @@ class TestTracker:
         result, macs = spoof_scenario
         device = macs["legit-1"]
         boundary = 60e6
-        train = [c for c in result.captures if c.timestamp_us < boundary]
+        train = result.table().slice_us(0.0, boundary)
         later = [c for c in result.captures if c.timestamp_us >= boundary]
         # The device randomises its MAC for the second half.
         pseudonym = device.randomized(random.Random(5))
-        observed = spoof_mac(later, device, pseudonym)
+        observed = FrameTable.from_frames(spoof_mac(later, device, pseudonym))
         tracker = DeviceTracker(min_observations=30, link_threshold=0.4)
         assert tracker.learn(train) >= 3
         report = tracker.track([observed])
@@ -216,8 +218,8 @@ class TestTracker:
     def test_real_addresses_skipped(self, spoof_scenario):
         result, _macs = spoof_scenario
         tracker = DeviceTracker(min_observations=30)
-        tracker.learn(result.captures)
-        assert tracker.track_window(result.captures) == []
+        tracker.learn(result.table())
+        assert tracker.track_window(result.table()) == []
 
     def test_batch_port_equals_scalar_linking(self, spoof_scenario):
         """track_window's single batch call must reproduce the former
@@ -228,7 +230,7 @@ class TestTracker:
 
         result, macs = spoof_scenario
         boundary = 60e6
-        train = [c for c in result.captures if c.timestamp_us < boundary]
+        train = result.table().slice_us(0.0, boundary)
         later = [c for c in result.captures if c.timestamp_us >= boundary]
         rng = random.Random(11)
         observed = later
@@ -239,11 +241,13 @@ class TestTracker:
             truth[pseudonym] = macs[name]
         tracker = DeviceTracker(min_observations=30, link_threshold=0.4)
         tracker.learn(train)
-        links = tracker.track_window(observed, window_index=3)
+        window = FrameTable.from_frames(observed)
+        links = tracker.track_window(window, window_index=3)
         assert len(links) == len(truth)
         # Reference implementation: the scalar per-pseudonym loop.
+        signatures = tracker.builder.build_table(window)
         for link in links:
-            signature = tracker.builder.build(observed)[link.pseudonym]
+            signature = signatures[link.pseudonym]
             similarities = match_signature(signature, tracker.database)
             best_device, best_sim = None, 0.0
             for device, sim in similarities.items():
@@ -254,6 +258,95 @@ class TestTracker:
             assert link.linked_device == best_device
             assert link.similarity == pytest.approx(best_sim, abs=1e-9)
             assert link.window_index == 3
+
+
+class TestTrackerLinkRule:
+    """``link_signatures`` links a pseudonym to the first reference with
+    its row's maximum score, and only when that maximum is above 0.0
+    and at least ``link_threshold``."""
+
+    PSEUDONYM = MacAddress.parse("02:00:00:00:00:01")  # locally administered
+
+    @staticmethod
+    def _signature(ftype: str) -> Signature:
+        return Signature(
+            histograms={ftype: np.array([0.25, 0.5, 0.25])}, weights={ftype: 1.0}
+        )
+
+    def test_tie_links_the_earlier_registered_reference(self):
+        first = MacAddress.parse("00:13:e8:00:00:01")
+        second = MacAddress.parse("00:18:f8:00:00:02")
+        signature = self._signature("QoS Data")
+        tracker = DeviceTracker(link_threshold=0.5)
+        tracker.database.add(first, signature)
+        tracker.database.add(second, signature)
+        (row,) = batch_match_signatures([signature], tracker.database)
+        assert row[0] == row[1] > 0.5  # a true tie
+        (link,) = tracker.link_signatures({self.PSEUDONYM: signature})
+        assert link.linked_device == first
+        assert link.similarity == row[0]
+
+    def test_all_zero_row_stays_unlinked_at_zero_threshold(self):
+        tracker = DeviceTracker(link_threshold=0.0)
+        reference = MacAddress.parse("00:13:e8:00:00:01")
+        tracker.database.add(reference, self._signature("Beacon"))
+        candidate = self._signature("QoS Data")  # no frame type in common
+        (row,) = batch_match_signatures([candidate], tracker.database)
+        assert row.tolist() == [0.0]
+        (link,) = tracker.link_signatures({self.PSEUDONYM: candidate})
+        assert link.linked_device is None
+        assert link.similarity == 0.0
+
+
+class TestWindowSlices:
+    """The table-input applications on a ``FrameTable.windows()`` slice
+    report only the senders with rows in it, though the slice holds its
+    parent's ``senders`` tuple, and agree with the same window interned
+    alone."""
+
+    AP = MacAddress.parse("00:0f:b5:00:00:01")
+    A = MacAddress.parse("00:13:e8:00:00:0a")
+    B = MacAddress.parse("00:18:f8:00:00:0b")
+    P1 = MacAddress.parse("02:00:00:00:00:01")
+    P2 = MacAddress.parse("02:00:00:00:00:02")
+
+    def _frames(self):
+        """``A`` and pseudonym ``P1`` talk in the first 10 s, ``B`` and
+        ``P2`` in the next 10 s."""
+
+        def talk(sender, start_us, gap_us, size):
+            return [
+                make_data_capture(start_us + i * gap_us, sender, self.AP, size=size)
+                for i in range(80)
+            ]
+
+        frames = (
+            talk(self.A, 0.0, 1000.0, 300)
+            + talk(self.P1, 500.0, 1700.0, 900)
+            + talk(self.B, 10e6, 1200.0, 600)
+            + talk(self.P2, 10e6 + 300.0, 1500.0, 1200)
+        )
+        return sorted(frames, key=lambda c: c.timestamp_us)
+
+    def test_window_slice_reports_only_its_senders(self):
+        frames = self._frames()
+        parent = FrameTable.from_frames(frames)
+        early, late = parent.windows(10.0)
+        assert late.senders == parent.senders  # all four, shared
+        alone = FrameTable.from_frames(frames[len(early) :])
+
+        detector = SpoofDetector(min_observations=20)
+        assert detector.learn(parent, {self.A, self.B}) == {self.A, self.B}
+        checks = detector.check_window(late)
+        assert {check.device for check in checks} == {self.B, self.P2}
+        assert checks == detector.check_window(alone)
+
+        tracker = DeviceTracker(min_observations=20, link_threshold=0.0)
+        real = [parent.sender_code(self.A), parent.sender_code(self.B)]
+        assert tracker.learn(parent.select(np.isin(parent.sender_idx, real))) == 2
+        links = tracker.track_window(late, window_index=1)
+        assert [link.pseudonym for link in links] == [self.P2]
+        assert links == tracker.track_window(alone, window_index=1)
 
 
 class TestApplicationsAcceptLoadedDatabase:
@@ -267,19 +360,20 @@ class TestApplicationsAcceptLoadedDatabase:
         return load_database(path).database
 
     def test_spoof_detector_with_loaded_database(self, small_office_trace, tmp_path):
-        frames = small_office_trace.frames
-        half = len(frames) // 2
+        table = small_office_trace.table()
+        half = len(table) // 2
         learner = SpoofDetector(min_observations=30)
         allowed = {
             sender for sender in small_office_trace.senders() if sender is not None
         }
-        learner.learn(frames[:half], allowed)
+        learner.learn(table.slice_rows(0, half), allowed)
         guarded = SpoofDetector(
             min_observations=30,
             database=self.round_trip(learner.database, tmp_path / "store"),
         )
-        plain_checks = learner.check_window(frames[half:])
-        loaded_checks = guarded.check_window(frames[half:])
+        window = table.slice_rows(half, len(table))
+        plain_checks = learner.check_window(window)
+        loaded_checks = guarded.check_window(window)
         assert [(c.device, c.verdict) for c in loaded_checks] == [
             (c.device, c.verdict) for c in plain_checks
         ]
@@ -291,7 +385,7 @@ class TestApplicationsAcceptLoadedDatabase:
         frames = small_office_trace.frames
         half = len(frames) // 2
         learner = DeviceTracker(min_observations=30)
-        learner.learn(frames[:half])
+        learner.learn(small_office_trace.table().slice_rows(0, half))
         tracker = DeviceTracker(
             min_observations=30,
             database=self.round_trip(learner.database, tmp_path / "store"),
@@ -307,11 +401,12 @@ class TestApplicationsAcceptLoadedDatabase:
             if sender not in pseudonym_of:
                 pseudonym_of[sender] = sender.randomized(rng)
             pseudonymous.append(frame.with_sender(pseudonym_of[sender]))
+        window = FrameTable.from_frames(pseudonymous)
         links = tracker.link_signatures(
-            tracker.builder.build(pseudonymous), window_index=0
+            tracker.builder.build_table(window), window_index=0
         )
         plain_links = learner.link_signatures(
-            learner.builder.build(pseudonymous), window_index=0
+            learner.builder.build_table(window), window_index=0
         )
         assert links  # the office devices are active enough to link
         assert [(link.pseudonym, link.linked_device) for link in links] == [
@@ -367,14 +462,13 @@ class TestAttackModels:
 
         result, macs = spoof_scenario
         victim = macs["legit-1"]
-        genuine = result.captures
         builder = SignatureBuilder(InterArrivalTime(), min_observations=30)
-        original = builder.build_single(genuine, victim)
+        original = builder.build_table(result.table()).get(victim)
         heavy = replay_with_insertions(
-            [c for c in genuine if c.sender == victim or c.sender is None],
+            [c for c in result.captures if c.sender == victim or c.sender is None],
             insertion_rate_hz=100.0,
         )
-        replayed = builder.build_single(heavy, victim)
+        replayed = builder.build_table(FrameTable.from_frames(heavy)).get(victim)
         assert original is not None and replayed is not None
         shared = original.frame_types & replayed.frame_types
         sims = [

@@ -152,8 +152,8 @@ class TestDatabasePersistence:
     ):
         """The single-file JSON format older builds wrote is not read."""
         builder = SignatureBuilder(InterArrivalTime(), min_observations=50)
-        database = ReferenceDatabase.from_training(
-            builder, small_office_trace.frames
+        database = ReferenceDatabase.from_training_table(
+            builder, small_office_trace.table()
         )
         legacy = tmp_path / "refs.json"
         legacy.write_text(
@@ -441,7 +441,7 @@ class TestStreamCheckpointCli:
         capsys.readouterr()
         assert main(args + ["--resume", str(checkpoint)]) == 0
         out = capsys.readouterr().out
-        total = len(small_office_trace.frames)
+        total = len(small_office_trace)
         # The whole capture was already consumed before the snapshot,
         # so the resumed run skips it all: the frame count must stay at
         # the original total instead of doubling.

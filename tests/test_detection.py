@@ -25,6 +25,7 @@ from repro.core.signature import Signature, SignatureBuilder
 from repro.core.similarity import similarity_measure_by_name
 from repro.dot11.mac import MacAddress
 from repro.evaluation import SimulationCache
+from repro.traces.table import FrameTable
 from repro.traces.trace import Trace
 from tests import oracles
 from tests.conftest import make_data_capture
@@ -46,7 +47,7 @@ def _distinct_trace(duration_s: float = 120.0) -> Trace:
         frames.append(make_data_capture(t, sender, AP, size=sizes[sender]))
         index += 1
         t += 1e5
-    return Trace(frames=frames, name="distinct")
+    return Trace.from_frames(frames, name="distinct")
 
 
 @pytest.fixture()
@@ -55,7 +56,7 @@ def separable_setup():
     config = DetectionConfig(window_s=20.0, min_observations=20)
     builder = SignatureBuilder(FrameSize(), min_observations=20)
     split = trace.split(training_s=30.0)
-    database = ReferenceDatabase.from_training(builder, split.training.frames)
+    database = ReferenceDatabase.from_training_table(builder, split.training.table())
     candidates = extract_window_candidates(split.validation, builder, database, config)
     return database, candidates, config
 
@@ -112,12 +113,13 @@ class TestIdentificationTest:
         for _ in range(60):
             frames.append(make_data_capture(t, B, AP, size=500))
             t += 1e5
-        trace = Trace(frames=frames)
         config = DetectionConfig(window_s=6.0, min_observations=20)
         builder = SignatureBuilder(FrameSize(), min_observations=20)
-        database = ReferenceDatabase.from_training(builder, trace.frames[:60])
+        database = ReferenceDatabase.from_training_table(
+            builder, FrameTable.from_frames(frames[:60])
+        )
         candidates = extract_window_candidates(
-            Trace(frames=trace.frames[60:]), builder, database, config
+            Trace.from_frames(frames[60:]), builder, database, config
         )
         outcome = evaluate_identification(candidates, database, config)
         # B is unknown but matches A perfectly: at low thresholds it is

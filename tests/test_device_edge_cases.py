@@ -52,7 +52,7 @@ class TestRetryHandling:
         station.execute_exchange(10_000.0, CaptureBuffer())
         capture = CaptureBuffer()
         station.execute_exchange(50_000.0, capture)
-        data = [c for c in capture.drain() if c.frame.is_data]
+        data = [c for c in capture.finish().frames() if c.frame.is_data]
         if data:  # capture to the monitor may itself be lossy
             assert data[0].frame.retry
 

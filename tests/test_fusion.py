@@ -15,18 +15,19 @@ from repro.core.fusion import FusedSignature, FusionMatcher
 from repro.core.matcher import match_signature
 from repro.core.parameters import FrameSize, InterArrivalTime
 from repro.core.signature import SignatureBuilder
+from repro.traces.table import FrameTable
 
 
 @pytest.fixture(scope="module")
-def split_frames(small_office_trace):
-    frames = small_office_trace.frames
-    half = len(frames) // 2
-    return frames[:half], frames[half:]
+def split_tables(small_office_trace):
+    table = small_office_trace.table()
+    half = len(table) // 2
+    return table.slice_rows(0, half), table.slice_rows(half, len(table))
 
 
 @pytest.fixture(scope="module")
-def learnt_matcher(split_frames):
-    training, _ = split_frames
+def learnt_matcher(split_tables):
+    training, _ = split_tables
     matcher = FusionMatcher(
         [InterArrivalTime(), FrameSize()], min_observations=30
     )
@@ -69,8 +70,8 @@ class TestConstruction:
 
 
 class TestFusedSignature:
-    def test_parameter_names(self, learnt_matcher, split_frames):
-        _, validation = split_frames
+    def test_parameter_names(self, learnt_matcher, split_tables):
+        _, validation = split_tables
         fused = learnt_matcher.extract(validation)
         assert fused  # the office trace has active devices
         for signature in fused.values():
@@ -89,12 +90,12 @@ class TestLearnAndExtract:
             assert set(database.devices) <= learnt_matcher.devices
 
     def test_extract_agrees_with_plain_builders(
-        self, learnt_matcher, split_frames
+        self, learnt_matcher, split_tables
     ):
-        _, validation = split_frames
+        _, validation = split_tables
         fused = learnt_matcher.extract(validation)
         for parameter in learnt_matcher.parameters:
-            expected = SignatureBuilder(parameter, min_observations=30).build(
+            expected = SignatureBuilder(parameter, min_observations=30).build_table(
                 validation
             )
             got = {
@@ -112,9 +113,9 @@ class TestMatchAndIdentify:
             matcher.match(FusedSignature())
 
     def test_match_is_weighted_sum_of_single_parameter_scores(
-        self, learnt_matcher, split_frames
+        self, learnt_matcher, split_tables
     ):
-        _, validation = split_frames
+        _, validation = split_tables
         fused = learnt_matcher.extract(validation)
         device, signature = next(iter(fused.items()))
         combined = learnt_matcher.match(signature)
@@ -131,10 +132,10 @@ class TestMatchAndIdentify:
             assert combined[reference] == pytest.approx(expected, abs=1e-12)
 
     def test_self_identification_on_office_trace(
-        self, learnt_matcher, split_frames
+        self, learnt_matcher, split_tables
     ):
         """Fused fingerprints identify the office devices as themselves."""
-        _, validation = split_frames
+        _, validation = split_tables
         fused = learnt_matcher.extract(validation)
         correct = total = 0
         for device, signature in fused.items():
@@ -154,8 +155,8 @@ class TestMatchAndIdentify:
         assert score == 0.0
         assert winner in learnt_matcher.devices
 
-    def test_identify_with_no_references(self, split_frames):
+    def test_identify_with_no_references(self):
         matcher = FusionMatcher([InterArrivalTime()], min_observations=30)
-        matcher.learn([])  # nothing to learn from
+        matcher.learn(FrameTable.from_frames([]))  # nothing to learn from
         winner, score = matcher.identify(FusedSignature())
         assert winner is None and score == 0.0

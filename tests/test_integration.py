@@ -35,7 +35,9 @@ class TestFullWorkflow:
         config = DetectionConfig(window_s=15.0, min_observations=50)
         builder = SignatureBuilder(InterArrivalTime(), min_observations=50)
         split = trace.split(training_s=30.0)
-        database = ReferenceDatabase.from_training(builder, split.training.frames)
+        database = ReferenceDatabase.from_training_table(
+            builder, split.training.table()
+        )
         assert len(database) >= 3
 
         candidates = extract_window_candidates(
@@ -72,5 +74,5 @@ class TestFullWorkflow:
         populations = []
         for parameter in (TransmissionRate(), FrameSize(), TransmissionTime()):
             builder = SignatureBuilder(parameter, min_observations=50)
-            populations.append(frozenset(builder.build(split.training.frames)))
+            populations.append(frozenset(builder.build_table(split.training.table())))
         assert populations[0] == populations[1] == populations[2]

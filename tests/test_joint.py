@@ -72,9 +72,10 @@ class TestJointBins:
             for t, subtype in zip(stamps, subtypes)
         ]
         parameter = JointParameter("interarrival", "size")
-        observed = parameter.observe_table(FrameTable.from_frames(frames))
+        table = FrameTable.from_frames(frames)
+        observed = parameter.observe_table(table)
         assert observed.positions.tolist() == [2, 3]
-        signature = SignatureBuilder(parameter, min_observations=1).build(frames)[A]
+        signature = SignatureBuilder(parameter, min_observations=1).build_table(table)[A]
         assert list(signature.histograms) == ["QoS Data", "Beacon"]
         assert signature.observation_counts == {"QoS Data": 1, "Beacon": 1}
 
@@ -113,10 +114,9 @@ class TestJointParameter:
         """Columnar joint signatures equal the per-frame oracle's, dict
         order included, for all 20 ordered pairs."""
         builder = SignatureBuilder(JointParameter(x, y), min_observations=1)
-        frames = small_office_trace.frames
-        expected = oracles.build(builder, frames)
+        expected = oracles.build(builder, small_office_trace.frames)
         assert expected
-        assert_identical(expected, builder.build(frames))
+        assert_identical(expected, builder.build_table(small_office_trace.table()))
 
     @pytest.mark.parametrize("x, y", [("interarrival", "size"), ("rate", "access")])
     def test_window_candidates_match_oracle(self, small_office_trace, x, y):
@@ -161,8 +161,8 @@ class TestJointParameter:
             )
         joint = JointParameter("interarrival", "size")
         builder = SignatureBuilder(joint, min_observations=10)
-        sig_a = builder.build(frames_a)[A]
-        sig_b = builder.build(frames_b)[A]
+        sig_a = builder.build_table(FrameTable.from_frames(frames_a))[A]
+        sig_b = builder.build_table(FrameTable.from_frames(frames_b))[A]
         joint_sim = cosine_similarity(
             sig_a.histograms["QoS Data"], sig_b.histograms["QoS Data"]
         )
@@ -172,8 +172,8 @@ class TestJointParameter:
         from repro.core.parameters import FrameSize
 
         size_builder = SignatureBuilder(FrameSize(), min_observations=10)
-        size_a = size_builder.build(frames_a)[A]
-        size_b = size_builder.build(frames_b)[A]
+        size_a = size_builder.build_table(FrameTable.from_frames(frames_a))[A]
+        size_b = size_builder.build_table(FrameTable.from_frames(frames_b))[A]
         size_sim = cosine_similarity(
             size_a.histograms["QoS Data"], size_b.histograms["QoS Data"]
         )

@@ -38,7 +38,9 @@ class TestDatabase:
         from repro.core.signature import SignatureBuilder
 
         builder = SignatureBuilder(InterArrivalTime(), min_observations=50)
-        database = ReferenceDatabase.from_training(builder, small_office_trace.frames)
+        database = ReferenceDatabase.from_training_table(
+            builder, small_office_trace.table()
+        )
         assert len(database) >= 3  # three clients (+ possibly the AP)
 
 

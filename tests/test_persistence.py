@@ -244,8 +244,8 @@ class TestStreamCheckpoint:
         frames = small_office_trace.frames
         parameter = InterArrivalTime()
         builder = SignatureBuilder(parameter, min_observations=30)
-        database = ReferenceDatabase.from_training(
-            builder, frames[: len(frames) // 2]
+        database = ReferenceDatabase.from_training_table(
+            builder, small_office_trace.table().slice_rows(0, len(frames) // 2)
         )
         return frames, parameter, database
 

@@ -48,12 +48,12 @@ class TestFusion:
             parameters=[InterArrivalTime(), TransmissionTime()],
             min_observations=30,
         )
-        fusion.learn(split.training.frames)
+        fusion.learn(split.training.table())
         assert len(fusion.devices) >= 3
         correct = 0
         total = 0
         for window in split.validation.windows(15.0):
-            for device, fused in fusion.extract(window.frames).items():
+            for device, fused in fusion.extract(window.table()).items():
                 if device not in fusion.devices:
                     continue
                 winner, score = fusion.identify(fused)
@@ -84,6 +84,6 @@ class TestFusion:
 
     def test_match_before_learn_rejected(self, small_office_trace):
         fusion = FusionMatcher(parameters=[InterArrivalTime()])
-        fused = fusion.extract(small_office_trace.frames)
+        fused = fusion.extract(small_office_trace.table())
         with pytest.raises(RuntimeError):
             fusion.match(next(iter(fused.values())))

@@ -165,5 +165,5 @@ class TestPrismPcap:
         write_trace_pcap_prism(buffer, small_office_trace.frames[:5000])
         restored = read_trace_pcap(buffer.getvalue())
         builder = SignatureBuilder(InterArrivalTime(), min_observations=50)
-        signatures = builder.build(restored)
+        signatures = builder.build_table(FrameTable.from_frames(restored))
         assert len(signatures) >= 2

@@ -80,7 +80,8 @@ class TestSignatureInvariants:
     @settings(max_examples=30, suppress_health_check=[HealthCheck.too_slow])
     def test_weights_and_histograms_normalised(self, frames):
         builder = SignatureBuilder(FrameSize(), min_observations=1)
-        for signature in builder.build(frames).values():
+        table = FrameTable.from_frames(frames)
+        for signature in builder.build_table(table).values():
             assert sum(signature.weights.values()) == pytest.approx(1.0)
             for histogram in signature.histograms.values():
                 assert histogram.sum() == pytest.approx(1.0)
@@ -92,7 +93,7 @@ class TestSignatureInvariants:
         """A candidate matched against a database containing its own
         signature scores highest (or ties) for itself."""
         builder = SignatureBuilder(FrameSize(), min_observations=1)
-        signatures = builder.build(frames)
+        signatures = builder.build_table(FrameTable.from_frames(frames))
         database = ReferenceDatabase()
         for device, signature in signatures.items():
             database.add(device, signature)
@@ -104,7 +105,7 @@ class TestSignatureInvariants:
     @settings(max_examples=30, suppress_health_check=[HealthCheck.too_slow])
     def test_scores_bounded(self, frames):
         builder = SignatureBuilder(FrameSize(), min_observations=1)
-        signatures = builder.build(frames)
+        signatures = builder.build_table(FrameTable.from_frames(frames))
         database = ReferenceDatabase()
         for device, signature in signatures.items():
             database.add(device, signature)

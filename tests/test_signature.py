@@ -9,6 +9,7 @@ from repro.dot11.mac import MacAddress
 from repro.core.parameters import FrameSize, InterArrivalTime
 from repro.core.signature import Signature, SignatureBuilder
 from repro.dot11.frames import FrameSubtype
+from repro.traces.table import FrameTable
 from tests.conftest import make_data_capture
 
 A = MacAddress.parse("00:13:e8:00:00:0a")
@@ -23,22 +24,27 @@ def _frames(sender, count, start=0.0, gap=1000.0, subtype=FrameSubtype.QOS_DATA,
     ]
 
 
+def _build(builder, frames):
+    """The builder's signatures of a hand-built frame list."""
+    return builder.build_table(FrameTable.from_frames(frames))
+
+
 class TestMinimumObservations:
     def test_below_threshold_omitted(self):
         builder = SignatureBuilder(FrameSize(), min_observations=50)
-        signatures = builder.build(_frames(A, 49))
+        signatures = _build(builder, _frames(A, 49))
         assert A not in signatures
 
     def test_at_threshold_included(self):
         builder = SignatureBuilder(FrameSize(), min_observations=50)
-        signatures = builder.build(_frames(A, 50))
+        signatures = _build(builder, _frames(A, 50))
         assert A in signatures
 
     def test_threshold_counts_kept_observations(self):
         # Inter-arrival yields n-1 observations for n frames.
         builder = SignatureBuilder(InterArrivalTime(), min_observations=50)
-        assert A not in builder.build(_frames(A, 50))
-        assert A in builder.build(_frames(A, 51))
+        assert A not in _build(builder, _frames(A, 50))
+        assert A in _build(builder, _frames(A, 51))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -51,17 +57,19 @@ class TestWeights:
             A, 70, start=1e6, subtype=FrameSubtype.PROBE_REQUEST, size=120
         )
         builder = SignatureBuilder(FrameSize(), min_observations=50)
-        signature = builder.build(frames)[A]
+        signature = _build(builder, frames)[A]
         assert signature.weight("QoS Data") == pytest.approx(0.3)
         assert signature.weight("Probe Request") == pytest.approx(0.7)
 
     def test_weights_sum_to_one(self):
         frames = _frames(A, 40) + _frames(A, 25, start=1e6, subtype=FrameSubtype.DATA)
-        signature = SignatureBuilder(FrameSize(), min_observations=50).build(frames)[A]
+        builder = SignatureBuilder(FrameSize(), min_observations=50)
+        signature = _build(builder, frames)[A]
         assert sum(signature.weights.values()) == pytest.approx(1.0)
 
     def test_absent_type_weight_zero(self):
-        signature = SignatureBuilder(FrameSize(), min_observations=10).build(
+        signature = _build(
+            SignatureBuilder(FrameSize(), min_observations=10),
             _frames(A, 20)
         )[A]
         assert signature.weight("Beacon") == 0.0
@@ -69,7 +77,8 @@ class TestWeights:
 
 class TestHistogramContent:
     def test_histograms_normalised(self):
-        signature = SignatureBuilder(FrameSize(), min_observations=10).build(
+        signature = _build(
+            SignatureBuilder(FrameSize(), min_observations=10),
             _frames(A, 20, size=500) + _frames(A, 20, start=1e6, size=1500)
         )[A]
         histogram = signature.histogram("QoS Data")
@@ -77,7 +86,8 @@ class TestHistogramContent:
         assert histogram.sum() == pytest.approx(1.0)
 
     def test_distinct_sizes_in_distinct_bins(self):
-        signature = SignatureBuilder(FrameSize(), min_observations=10).build(
+        signature = _build(
+            SignatureBuilder(FrameSize(), min_observations=10),
             _frames(A, 10, size=100) + _frames(A, 10, start=1e6, size=2000)
         )[A]
         histogram = signature.histogram("QoS Data")
@@ -88,16 +98,11 @@ class TestHistogramContent:
             _frames(A, 30, size=100) + _frames(B, 30, start=500.0, size=2000),
             key=lambda c: c.timestamp_us,
         )
-        signatures = SignatureBuilder(FrameSize(), min_observations=10).build(frames)
+        signatures = _build(SignatureBuilder(FrameSize(), min_observations=10), frames)
         assert set(signatures) == {A, B}
         hist_a = signatures[A].histogram("QoS Data")
         hist_b = signatures[B].histogram("QoS Data")
         assert (hist_a * hist_b).sum() == pytest.approx(0.0)  # disjoint bins
-
-    def test_build_single(self):
-        builder = SignatureBuilder(FrameSize(), min_observations=10)
-        assert builder.build_single(_frames(A, 20), A) is not None
-        assert builder.build_single(_frames(A, 20), B) is None
 
 
 class TestSignatureValidation:
@@ -116,7 +121,8 @@ class TestSignatureValidation:
             )
 
     def test_total_observations(self):
-        signature = SignatureBuilder(FrameSize(), min_observations=10).build(
+        signature = _build(
+            SignatureBuilder(FrameSize(), min_observations=10),
             _frames(A, 25)
         )[A]
         assert signature.total_observations == 25

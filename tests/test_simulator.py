@@ -46,7 +46,7 @@ def _exchange(station: Station, time_us: float) -> tuple[ExchangeOutcome, list]:
     """Run one exchange; return its outcome and the frames it captured."""
     capture = CaptureBuffer()
     outcome = station.execute_exchange(time_us, capture)
-    return outcome, capture.drain()
+    return outcome, capture.finish().frames()
 
 
 class TestStation:

@@ -215,8 +215,8 @@ SLIDES = {"tumbling": None, "sliding": 0.3}
 
 @functools.cache
 def learnt_database(name: str) -> ReferenceDatabase:
-    return ReferenceDatabase.from_training(
-        SignatureBuilder(parameter_by_name(name), min_observations=10), FRAMES
+    return ReferenceDatabase.from_training_table(
+        SignatureBuilder(parameter_by_name(name), min_observations=10), TABLE
     )
 
 
@@ -256,7 +256,7 @@ class TestEngineEquivalence:
         builder = SignatureBuilder(parameter, min_observations=10)
         database = learnt_database(parameter.name)
         candidates = extract_window_candidates(
-            Trace(frames=FRAMES, name="synth"),
+            Trace.from_frames(FRAMES, name="synth"),
             builder,
             database,
             DetectionConfig(window_s=ENGINE_WINDOW_S, min_observations=10),

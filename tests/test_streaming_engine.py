@@ -33,9 +33,9 @@ from repro.streaming import (
     WindowConfig,
     pcap_chunk_source,
     replay_chunk_source,
-    simulation_chunk_source,
     table_chunks,
 )
+from repro.traces.table import FrameTable
 from tests import oracles
 from tests.test_wire import wire_round_trip
 
@@ -49,7 +49,7 @@ def reference_setup(small_office_trace):
     """Training database + validation remainder of the office trace."""
     split = small_office_trace.split(45.0)
     builder = SignatureBuilder(PARAMETER, min_observations=MIN_OBS)
-    database = ReferenceDatabase.from_training(builder, split.training.frames)
+    database = ReferenceDatabase.from_training_table(builder, split.training.table())
     assert len(database) >= 2
     return builder, database, split
 
@@ -84,7 +84,7 @@ class TestBatchPipelineEquivalence:
         )
         sink = CollectingSink()
         engine = make_engine(database, sinks=[sink])
-        stats = engine.run_chunked(replay_chunk_source(split.validation.frames, 1000))
+        stats = engine.run_chunked(replay_chunk_source(split.validation.table(), 1000))
         matches = {
             (m.window_index, m.device): (m.best_device, m.similarity)
             for m in sink.of_type(DeviceMatched)
@@ -93,7 +93,7 @@ class TestBatchPipelineEquivalence:
         for key, (device, similarity) in expected.items():
             assert matches[key][0] == device
             assert matches[key][1] == pytest.approx(similarity, abs=1e-9)
-        assert stats.frames == len(split.validation.frames)
+        assert stats.frames == len(split.validation)
         assert stats.candidates == len(expected)
 
     def test_pcap_source_equals_loaded_trace(self, reference_setup, tmp_path):
@@ -118,7 +118,7 @@ class TestBatchPipelineEquivalence:
 
         loaded = Trace.from_pcap(path)
         assert run(pcap_chunk_source(path, chunk_frames=777)) == run(
-            replay_chunk_source(loaded.frames)
+            replay_chunk_source(loaded.table())
         )
 
     def test_live_simulator_source(self, reference_setup):
@@ -136,7 +136,7 @@ class TestBatchPipelineEquivalence:
         )
         sink = CollectingSink()
         stats = make_engine(database, sinks=[sink]).run_chunked(
-            simulation_chunk_source(scenario, chunk_s=2.0, chunk_frames=500)
+            scenario.stream(chunk_s=2.0)
         )
         assert stats.frames > 0
         assert stats.windows_closed >= 2
@@ -148,16 +148,14 @@ class TestEngineBehaviour:
         _, database, split = reference_setup
         sink = CollectingSink()
         stats = make_engine(database, sinks=[sink]).run_chunked(
-            replay_chunk_source(split.validation.frames)
+            replay_chunk_source(split.validation.table())
         )
         closed = sink.of_type(WindowClosed)
         assert len(closed) == stats.windows_closed
         assert [event.window_index for event in closed] == sorted(
             event.window_index for event in closed
         )
-        assert sum(event.frame_count for event in closed) >= len(
-            split.validation.frames
-        )
+        assert sum(event.frame_count for event in closed) >= len(split.validation)
         assert stats.peak_resident_devices >= max(
             event.candidate_count for event in closed
         )
@@ -170,7 +168,9 @@ class TestEngineBehaviour:
             lambda: StreamingSignatureBuilder(PARAMETER, min_observations=MIN_OBS),
             sinks=[sink],
         )
-        engine.run_chunked(replay_chunk_source(split.validation.frames[:2000]))
+        engine.run_chunked(
+            replay_chunk_source(split.validation.table().slice_rows(0, 2000))
+        )
         assert engine.matcher is None
         assert sink.of_type(WindowClosed)
         assert not sink.of_type(DeviceMatched)
@@ -179,17 +179,19 @@ class TestEngineBehaviour:
         """Database add/remove mid-stream: the next window matches
         against the rebuilt pack."""
         _, database, split = reference_setup
-        frames = split.validation.frames
+        table = split.validation.table()
         sink = CollectingSink()
         engine = make_engine(database, sinks=[sink])
-        midpoint = len(frames) // 2
-        for chunk in table_chunks(frames[:midpoint], 1000):
+        midpoint = len(table) // 2
+        for chunk in replay_chunk_source(table.slice_rows(0, midpoint), 1000):
             engine.process_chunk(chunk)
         retired = engine.matcher.database.devices[0]
         assert engine.matcher.database.remove(retired) is True
         assert engine.matcher.database.remove(retired) is False  # no-op on miss
         seen_before_forget = len(sink.of_type(DeviceMatched))
-        engine.run_chunked(table_chunks(frames[midpoint:], 1000))
+        engine.run_chunked(
+            replay_chunk_source(table.slice_rows(midpoint, len(table)), 1000)
+        )
         late = sink.of_type(DeviceMatched)[seen_before_forget:]
         assert late  # the stream kept matching after the removal
         assert all(m.best_device != retired for m in late)
@@ -202,7 +204,7 @@ class TestEngineBehaviour:
         _, database, split = reference_setup
         buffer = io.StringIO()
         make_engine(database, sinks=[JsonLinesSink(buffer)]).run_chunked(
-            replay_chunk_source(split.validation.frames[:3000])
+            replay_chunk_source(split.validation.table().slice_rows(0, 3000))
         )
         lines = [json.loads(line) for line in buffer.getvalue().splitlines()]
         assert lines
@@ -260,7 +262,7 @@ class TestApplicationAdapters:
 
         _, _, split = reference_setup
         detector = SpoofDetector(min_observations=MIN_OBS)
-        detector.learn(split.training.frames, set(split.training.senders()))
+        detector.learn(split.training.table(), set(split.training.senders()))
         sink = CollectingSink()
         engine = StreamEngine(
             lambda: StreamingSignatureBuilder(PARAMETER, min_observations=MIN_OBS),
@@ -268,14 +270,14 @@ class TestApplicationAdapters:
             analyzers=[OnlineSpoofGuard(detector)],
             sinks=[sink],
         )
-        engine.run_chunked(replay_chunk_source(split.validation.frames))
+        engine.run_chunked(replay_chunk_source(split.validation.table()))
         streamed = {
             (alert.window_index, alert.device): alert.verdict
             for alert in sink.of_type(SpoofAlert)
         }
         expected = {}
         for index, window in enumerate(split.validation.windows(WINDOW_S)):
-            for check in detector.check_window(window.frames):
+            for check in detector.check_window(window.table()):
                 if check.verdict.value in ("spoofed", "unknown"):
                     expected[(index, check.device)] = check.verdict.value
         assert streamed == expected
@@ -288,10 +290,12 @@ class TestApplicationAdapters:
 
         _, _, split = reference_setup
         tracker = DeviceTracker(min_observations=MIN_OBS, link_threshold=0.3)
-        assert tracker.learn(split.training.frames) >= 2
+        assert tracker.learn(split.training.table()) >= 2
         device = tracker.database.devices[0]
         pseudonym = device.randomized(random.Random(3))
-        observed = spoof_mac(split.validation.frames, device, pseudonym)
+        observed = FrameTable.from_frames(
+            spoof_mac(split.validation.frames, device, pseudonym)
+        )
 
         sink = CollectingSink()
         engine = StreamEngine(
@@ -303,10 +307,7 @@ class TestApplicationAdapters:
         engine.run_chunked(replay_chunk_source(observed))
         events = sink.of_type(PseudonymLinked)
         assert events
-        batch_windows = [
-            window.frames for window in _windows_of(observed, WINDOW_S)
-        ]
-        report = tracker.track(batch_windows)
+        report = tracker.track(observed.windows(WINDOW_S))
         expected = {
             (link.window_index, link.pseudonym): (link.linked_device, link.similarity)
             for link in report.links
@@ -335,9 +336,9 @@ class TestApplicationAdapters:
 
         _, _, split = reference_setup
         detector = SpoofDetector(min_observations=MIN_OBS)
-        detector.learn(split.training.frames, set(split.training.senders()))
+        detector.learn(split.training.table(), set(split.training.senders()))
         tracker = DeviceTracker(min_observations=MIN_OBS, link_threshold=0.3)
-        tracker.learn(split.training.frames)
+        tracker.learn(split.training.table())
         device = tracker.database.devices[0]
         observed = spoof_mac(
             split.validation.frames, device, device.randomized(random.Random(3))
@@ -385,9 +386,9 @@ class TestApplicationAdapters:
         rogue_ap = next(m for m, n in rogue.station_names.items() if n == "ap-0")
 
         detector = RogueApDetector(parameter=FrameSize(), min_observations=MIN_OBS)
-        assert detector.learn(genuine.captures, ap)
+        assert detector.learn(genuine.table(), ap)
 
-        def alerts_for(frames, chunk_frames=4096, wire=False):
+        def alerts_for(table, chunk_frames=4096, wire=False):
             sink = CollectingSink()
             engine = StreamEngine(
                 lambda: StreamingSignatureBuilder(FrameSize(), min_observations=MIN_OBS),
@@ -395,15 +396,15 @@ class TestApplicationAdapters:
                 analyzers=[OnlineRogueApGuard(detector, ap)],
                 sinks=[sink],
             )
-            chunks = replay_chunk_source(frames, chunk_frames)
+            chunks = replay_chunk_source(table, chunk_frames)
             if wire:
                 chunks = [wire_round_trip(chunk) for chunk in chunks]
             engine.run_chunked(chunks)
             return sink.of_type(RogueApAlert)
 
-        assert alerts_for(genuine.captures) == []
-        assert alerts_for(genuine.captures, wire=True) == []
-        impersonated = spoof_mac(rogue.captures, rogue_ap, ap)
+        assert alerts_for(genuine.table()) == []
+        assert alerts_for(genuine.table(), wire=True) == []
+        impersonated = FrameTable.from_frames(spoof_mac(rogue.captures, rogue_ap, ap))
         rogue_alerts = alerts_for(impersonated)
         assert rogue_alerts
         assert all(alert.ap == ap for alert in rogue_alerts)
@@ -426,6 +427,7 @@ class TestApplicationAdapters:
         from repro.core.parameters import FrameSize
         from repro.dot11.frames import Dot11Frame, FrameSubtype
         from repro.dot11.mac import MacAddress
+        from repro.traces.trace import Trace
 
         ap = MacAddress.parse("00:0f:b5:00:00:01")
 
@@ -457,7 +459,7 @@ class TestApplicationAdapters:
 
         beacons = [beacon(t) for t in (0.0, 0.2, 0.4, 0.6, 1.0, 1.2)]
         detector = RogueApDetector(parameter=FrameSize(), min_observations=1)
-        detector.learn(beacons, ap)
+        detector.learn(FrameTable.from_frames(beacons), ap)
         # Payloads the AP forwards are not its own behaviour: they must
         # not reach the guard's accumulator.
         frames = sorted(
@@ -468,8 +470,9 @@ class TestApplicationAdapters:
 
         expected = [
             len(oracles.ap_own_frames(window.frames, ap))
-            for window in _windows_of(frames, 1.0)
+            for window in Trace.from_frames(frames).windows(1.0)
         ]
+        table = FrameTable.from_frames(frames)
         for chunk_frames in (1, 4, 5, 6):
             for wire in (False, True):
                 sink = CollectingSink()
@@ -479,15 +482,10 @@ class TestApplicationAdapters:
                     analyzers=[OnlineRogueApGuard(detector, ap)],
                     sinks=[sink],
                 )
-                chunks = replay_chunk_source(frames, chunk_frames)
+                chunks = replay_chunk_source(table, chunk_frames)
                 if wire:
                     chunks = [wire_round_trip(chunk) for chunk in chunks]
                 engine.run_chunked(chunks)
                 streamed = [a.observations for a in sink.of_type(RogueApAlert)]
                 assert streamed == expected == [4, 2], (chunk_frames, wire)
 
-
-def _windows_of(frames, window_s):
-    from repro.traces.trace import Trace
-
-    return Trace(frames=list(frames), name="w").windows(window_s)

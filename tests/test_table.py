@@ -253,7 +253,7 @@ class TestTableSlicing:
         stamps = [0.0, 40.0, 100.0, 160.0, 200.0]
         frames = self._frames(stamps)
         table = FrameTable.from_frames(frames)
-        trace = Trace(frames=frames)
+        trace = Trace.from_frames(frames)
         for window_s in (100 / 1e6, 60 / 1e6, 250 / 1e6):
             table_lens = [len(w) for w in table.windows(window_s)]
             trace_lens = [len(w) for w in trace.windows(window_s)]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.dot11.mac import MacAddress
@@ -12,7 +13,9 @@ from repro.traces.filters import (
     null_function_only,
     sent_at_rate,
 )
-from repro.traces.table import FrameTable
+from repro.simulator import CbrTraffic, Scenario, StationSpec
+from repro.streaming import WindowConfig
+from repro.traces.table import FrameTable, window_bounds
 from repro.traces.trace import Trace
 from repro.dot11.frames import FrameSubtype
 from tests.conftest import make_data_capture
@@ -24,31 +27,27 @@ AP = MacAddress.parse("00:0f:b5:00:00:01")
 
 def _trace(count: int = 100, gap_us: float = 1e5) -> Trace:
     frames = [make_data_capture(i * gap_us, A if i % 2 else B, AP) for i in range(count)]
-    return Trace(frames=frames, name="unit")
+    return Trace.from_frames(frames, name="unit")
 
 
 class TestContainer:
     def test_ordering_enforced(self):
         frames = [make_data_capture(100.0, A, AP), make_data_capture(50.0, A, AP)]
         with pytest.raises(ValueError):
-            Trace(frames=frames)
+            Trace.from_frames(frames)
 
     def test_duration(self):
         trace = _trace(11, gap_us=1e6)
         assert trace.duration_s == pytest.approx(10.0)
 
     def test_empty_trace(self):
-        trace = Trace(frames=[])
+        trace = Trace.from_frames([])
         assert len(trace) == 0
         assert trace.duration_s == 0.0
         assert trace.senders() == set()
 
     def test_senders(self):
         assert _trace().senders() == {A, B}
-
-    def test_frames_of(self):
-        trace = _trace(10)
-        assert len(trace.frames_of(A)) == 5
 
 
 class TestSlicing:
@@ -86,7 +85,7 @@ class TestSlicing:
         the final window instead of spawning an extra one-frame window
         beyond the trace span."""
         frames = [make_data_capture(t, A, AP) for t in (0.0, 50.0, 100.0)]
-        trace = Trace(frames=frames)
+        trace = Trace.from_frames(frames)
         windows = list(trace.windows(window_s=100 / 1e6))  # span == 1 window
         assert [len(w) for w in windows] == [3]
 
@@ -97,18 +96,60 @@ class TestSlicing:
     def test_windows_final_window_is_right_closed_only(self):
         # A non-boundary tail behaves exactly as before.
         frames = [make_data_capture(t, A, AP) for t in (0.0, 50.0, 120.0)]
-        windows = list(Trace(frames=frames).windows(window_s=50 / 1e6))
+        windows = list(Trace.from_frames(frames).windows(window_s=50 / 1e6))
         assert [len(w) for w in windows] == [1, 1, 1]
 
     def test_windows_on_empty_trace(self):
-        assert [len(w) for w in Trace(frames=[]).windows(1.0)] == [0]
+        assert [len(w) for w in Trace.from_frames([]).windows(1.0)] == [0]
 
     def test_slice_shares_cached_stamps(self):
         trace = _trace(50, gap_us=1e4)
         window = trace.slice_us(1e5, 3e5)
-        # The slice's timestamp cache is a view of the parent's.
-        assert window._stamps.base is trace._stamps
+        # The slice's table columns are views of the parent's, and its
+        # frames are the parent's frames over the same rows.
+        parent = trace.table()
+        for column in ("timestamp_us", "size", "sender_idx", "flags"):
+            assert getattr(window.table(), column).base is getattr(parent, column)
+        assert window.table().senders is parent.senders
+        assert window.frames == trace.frames[10:30]
         assert window.slice_us(1e5, 2e5).start_us >= 1e5
+
+
+def _one_station(duration_s: float) -> Scenario:
+    scenario = Scenario(duration_s=duration_s)
+    scenario.add_station(
+        StationSpec("a", "intel-2200bg-linux", sources=[CbrTraffic(interval_ms=50)])
+    )
+    return scenario
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "refuse",
+    [
+        # One next() call: a regression yields windows instead of hanging.
+        lambda: next(window_bounds(np.array([0.0, 1e6]), NAN)),
+        lambda: WindowConfig(window_s=NAN),
+        lambda: WindowConfig(idle_timeout_s=NAN),
+        lambda: _trace().split(NAN),
+        lambda: _one_station(NAN),
+        lambda: next(_one_station(5.0).stream(chunk_s=NAN)),
+    ],
+    ids=[
+        "window_bounds",
+        "window_s",
+        "idle_timeout_s",
+        "split",
+        "scenario_duration",
+        "stream_chunk",
+    ],
+)
+def test_nan_durations_are_refused(refuse):
+    """Every duration check reads ``not x > 0``, which NaN fails."""
+    with pytest.raises(ValueError, match="positive"):
+        refuse()
 
 
 class TestPcapRoundTrip:
