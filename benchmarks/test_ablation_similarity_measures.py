@@ -16,6 +16,7 @@ from repro.core.detection import (
     evaluate_similarity,
     extract_window_candidates,
 )
+from repro.core.matcher import batch_match_signatures
 from repro.core.parameters import InterArrivalTime
 from repro.core.signature import SignatureBuilder
 from repro.core.similarity import similarity_measure_by_name
@@ -65,8 +66,6 @@ def test_ablation_similarity_measures(datasets, benchmark):
     )[0]
 
     def kernel():
-        from repro.core.matcher import match_signature
-
-        return match_signature(candidate.signature, database, measure)
+        return batch_match_signatures([candidate.signature], database, measure)
 
     benchmark(kernel)

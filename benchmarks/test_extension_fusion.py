@@ -30,10 +30,10 @@ def _fusion_identification(trace, training_s: float, window_s: float = 300.0):
     correct = 0
     total = 0
     for window in split.validation.windows(window_s):
-        for device, fused in fusion.extract(window.table()).items():
-            if device not in known:
-                continue
-            winner, _score = fusion.identify(fused)
+        fused = fusion.extract(window.table())
+        devices = [device for device in fused if device in known]
+        winners = fusion.identify([fused[device] for device in devices])
+        for device, (winner, _score) in zip(devices, winners):
             total += 1
             correct += winner == device
     return correct / total if total else 0.0, total

@@ -12,6 +12,8 @@ Run:  python examples/rogue_ap_detection.py
 
 from __future__ import annotations
 
+import sys
+
 from repro.applications import RogueApDetector, spoof_mac
 from repro.core import FrameSize
 from repro.simulator import CbrTraffic, Scenario, StationSpec, WebTraffic
@@ -38,7 +40,7 @@ def _run_hotspot(ap_profile: str, beacon_size: int, seed: int):
     return result, ap
 
 
-def main() -> None:
+def main() -> int:
     # The genuine hot-spot AP, captured during installation.
     genuine, genuine_ap = _run_hotspot(
         "atheros-ar9285-ath9k", beacon_size=180, seed=61
@@ -51,12 +53,12 @@ def main() -> None:
     print("operator published the AP's signature (learning stage)")
 
     # Routine check against the genuine AP.
-    verdict = detector.check(
+    routine = detector.check(
         genuine.table().slice_us(half, float("inf")), genuine_ap
     )
     print(
-        f"\n[later, same AP]      similarity {verdict.similarity:.3f} "
-        f"-> {'ROGUE!' if verdict.is_rogue else 'genuine'}"
+        f"\n[later, same AP]      similarity {routine.similarity:.3f} "
+        f"-> {'ROGUE!' if routine.is_rogue else 'genuine'}"
     )
 
     # An attacker impersonates the AP with different hardware and a
@@ -68,12 +70,15 @@ def main() -> None:
     impersonated = FrameTable.from_frames(
         spoof_mac(rogue.captures, rogue_ap, genuine_ap)
     )
-    verdict = detector.check(impersonated, genuine_ap)
+    impostor = detector.check(impersonated, genuine_ap)
     print(
-        f"[rogue AP, same MAC]  similarity {verdict.similarity:.3f} "
-        f"-> {'ROGUE!' if verdict.is_rogue else 'genuine'}"
+        f"[rogue AP, same MAC]  similarity {impostor.similarity:.3f} "
+        f"-> {'ROGUE!' if impostor.is_rogue else 'genuine'}"
     )
+    # The outcome this scene gives: the genuine AP accepted, the
+    # impostor flagged.
+    return 0 if not routine.is_rogue and impostor.is_rogue else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -11,12 +11,14 @@ Run:  python examples/spoof_detection.py
 
 from __future__ import annotations
 
+import sys
+
 from repro.applications import SpoofDetector, SpoofVerdict, spoof_mac
 from repro.simulator import CbrTraffic, Scenario, StationSpec, WebTraffic
 from repro.traces import FrameTable
 
 
-def main() -> None:
+def main() -> int:
     # --- The hot-spot: two legitimate clients, one attacker ----------
     scenario = Scenario(duration_s=150.0, seed=29, encrypted=False)
     scenario.add_station(
@@ -52,13 +54,15 @@ def main() -> None:
     capture = result.table()
     training = capture.slice_us(0.0, boundary_us)
     detector = SpoofDetector(min_observations=50)
-    learnt = detector.learn(training, {victim, macs["customer-2"]})
+    allowed = {victim, macs["customer-2"]}
+    learnt = detector.learn(training, allowed)
     print(f"\nlearning stage: {len(learnt)} allow-listed devices fingerprinted")
 
     # --- Scene 1: normal operation -----------------------------------
     live = capture.slice_us(boundary_us, float("inf"))
     print("\n[scene 1] normal operation:")
-    for check in detector.check_window(live):
+    normal = detector.check_window(live)
+    for check in normal:
         print(
             f"  {check.device}: {check.verdict.value:12s} "
             f"self-sim {check.self_similarity:.3f}"
@@ -74,7 +78,8 @@ def main() -> None:
     hijacked = FrameTable.from_frames(spoof_mac(victim_gone, attacker, victim))
     print("\n[scene 2] attacker spoofs the victim's MAC:")
     alarms = 0
-    for check in detector.check_window(hijacked):
+    attacked = detector.check_window(hijacked)
+    for check in attacked:
         print(
             f"  {check.device}: {check.verdict.value:12s} "
             f"self-sim {check.self_similarity:.3f}"
@@ -82,6 +87,12 @@ def main() -> None:
         alarms += check.verdict is SpoofVerdict.SPOOFED
     print(f"\n{alarms} spoofing alarm(s) raised" if alarms else "\nno alarm (!)")
 
+    # The outcome these scenes give: both customers genuine in normal
+    # operation, the victim spoofed once the attacker takes its MAC.
+    genuine = {c.device for c in normal if c.verdict is SpoofVerdict.GENUINE}
+    spoofed = {c.device for c in attacked if c.verdict is SpoofVerdict.SPOOFED}
+    return 0 if allowed <= genuine and victim in spoofed else 1
+
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

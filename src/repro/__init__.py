@@ -15,7 +15,8 @@ Quickstart::
 or assemble the pieces (see README.md / examples/)::
 
     from repro.core import (
-        InterArrivalTime, ReferenceDatabase, SignatureBuilder, best_match,
+        DetectionConfig, InterArrivalTime, ReferenceDatabase,
+        SignatureBuilder, extract_window_candidates,
     )
     from repro.traces import office_trace
 
@@ -23,9 +24,11 @@ or assemble the pieces (see README.md / examples/)::
     split = trace.split(training_s=600)
     builder = SignatureBuilder(InterArrivalTime())
     database = ReferenceDatabase.from_training_table(builder, split.training.table())
-    for window in split.validation.windows(300.0):
-        for device, signature in builder.build_table(window.table()).items():
-            print(device, "->", *best_match(signature, database))
+    config = DetectionConfig(window_s=300.0)
+    for candidate in extract_window_candidates(
+        split.validation, builder, database, config
+    ):
+        print(candidate.window_index, candidate.device, "->", *candidate.best)
 """
 
 from repro.core import (
@@ -40,7 +43,6 @@ from repro.core import (
     TransmissionRate,
     TransmissionTime,
     evaluate_trace,
-    match_signature,
 )
 from repro.traces import FrameTable, Trace, conference_trace, office_trace
 
@@ -61,7 +63,6 @@ __all__ = [
     "TransmissionTime",
     "conference_trace",
     "evaluate_trace",
-    "match_signature",
     "office_trace",
     "quick_fingerprint_demo",
 ]

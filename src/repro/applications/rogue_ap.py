@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.dot11.mac import MacAddress
 from repro.core.database import ReferenceDatabase
-from repro.core.matcher import match_signature
+from repro.core.matcher import batch_match_signatures
 from repro.core.parameters import InterArrivalTime, NetworkParameter
 from repro.core.signature import Signature, SignatureBuilder
 from repro.traces.filters import data_frames_only
@@ -57,6 +57,8 @@ class RogueApDetector:
         accept_threshold: float = 0.6,
         min_observations: int = 50,
     ) -> None:
+        if not 0.0 <= accept_threshold <= 1.0:
+            raise ValueError(f"threshold out of range: {accept_threshold}")
         self.parameter = parameter if parameter is not None else InterArrivalTime()
         self.accept_threshold = accept_threshold
         self.builder = SignatureBuilder(
@@ -64,7 +66,6 @@ class RogueApDetector:
         )
         #: The published AP signature as a one-entry database.
         self._reference: ReferenceDatabase | None = None
-        self._ap: MacAddress | None = None
 
     def learn(self, table: FrameTable, ap: MacAddress) -> bool:
         """Record the legitimate AP's signature from a safe capture."""
@@ -84,7 +85,6 @@ class RogueApDetector:
         """
         self._reference = ReferenceDatabase()
         self._reference.add(ap, signature)
-        self._ap = ap
 
     def check(self, table: FrameTable, claimed_ap: MacAddress) -> RogueApVerdict:
         """Fingerprint the currently visible AP traffic.
@@ -121,7 +121,7 @@ class RogueApDetector:
             return RogueApVerdict(
                 ap=claimed_ap, similarity=0.0, is_rogue=True, observations=observations
             )
-        combined = match_signature(signature, self._reference)[self._ap]
+        combined = float(batch_match_signatures([signature], self._reference)[0, 0])
         return RogueApVerdict(
             ap=claimed_ap,
             similarity=combined,

@@ -13,9 +13,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.dot11.mac import MacAddress
 from repro.core.database import ReferenceDatabase
-from repro.core.matcher import match_signature
+from repro.core.matcher import batch_match_signatures
 from repro.core.parameters import InterArrivalTime, NetworkParameter
 from repro.core.signature import Signature, SignatureBuilder
 from repro.traces.table import FrameTable
@@ -107,37 +109,38 @@ class SpoofDetector:
 
         ``active`` is every sender seen in the window — devices too
         quiet to clear the signature gate still get an INSUFFICIENT
-        verdict.  This is also the streaming spoof guard's per-window
-        entry point.
+        verdict.  The allow-listed devices with a signature are matched
+        in one :func:`~repro.core.matcher.batch_match_signatures` call:
+        a device's self-similarity is its own column of its row, and
+        its best other similarity the maximum of the other columns
+        (0.0 with one reference).  This is also the streaming spoof
+        guard's per-window entry point.
         """
+        ordered = sorted(active, key=lambda m: m.value)
+        matched = [d for d in ordered if d in self.database and d in signatures]
+        scores = batch_match_signatures(
+            [signatures[device] for device in matched], self.database
+        )
+        column = {device: index for index, device in enumerate(self.database)}
+        rows = np.arange(len(matched))
+        own = [column[device] for device in matched]
+        self_sims = scores[rows, own]
+        # Clipped cosine scores are >= 0, so with the own column zeroed
+        # a row's maximum is the best other reference (0.0 if none).
+        scores[rows, own] = 0.0
+        best_others = scores.max(axis=1, initial=0.0)
+        evidence = dict(zip(matched, zip(self_sims.tolist(), best_others.tolist())))
         checks: list[SpoofCheck] = []
-        for device in sorted(active, key=lambda m: m.value):
+        for device in ordered:
             if device not in self.database:
-                checks.append(
-                    SpoofCheck(device, SpoofVerdict.UNKNOWN_DEVICE, 0.0, 0.0)
+                verdict, self_sim, best_other = SpoofVerdict.UNKNOWN_DEVICE, 0.0, 0.0
+            elif device not in evidence:
+                verdict, self_sim, best_other = SpoofVerdict.INSUFFICIENT, 0.0, 0.0
+            else:
+                self_sim, best_other = evidence[device]
+                genuine = self_sim >= self.accept_threshold and (
+                    self_sim >= best_other + self.margin
                 )
-                continue
-            signature = signatures.get(device)
-            if signature is None:
-                checks.append(
-                    SpoofCheck(device, SpoofVerdict.INSUFFICIENT, 0.0, 0.0)
-                )
-                continue
-            similarities = match_signature(signature, self.database)
-            self_sim = similarities.get(device, 0.0)
-            best_other = max(
-                (sim for other, sim in similarities.items() if other != device),
-                default=0.0,
-            )
-            genuine = self_sim >= self.accept_threshold and (
-                self_sim >= best_other + self.margin
-            )
-            checks.append(
-                SpoofCheck(
-                    device=device,
-                    verdict=SpoofVerdict.GENUINE if genuine else SpoofVerdict.SPOOFED,
-                    self_similarity=self_sim,
-                    best_other_similarity=best_other,
-                )
-            )
+                verdict = SpoofVerdict.GENUINE if genuine else SpoofVerdict.SPOOFED
+            checks.append(SpoofCheck(device, verdict, self_sim, best_other))
         return checks

@@ -76,6 +76,8 @@ class DeviceTracker:
         database, e.g. a loaded store
         (:func:`repro.persistence.load_database`); the default is a
         fresh database filled by :meth:`learn`."""
+        if not 0.0 <= link_threshold <= 1.0:
+            raise ValueError(f"threshold out of range: {link_threshold}")
         self.parameter = parameter if parameter is not None else InterArrivalTime()
         self.link_threshold = link_threshold
         self.builder = SignatureBuilder(
@@ -99,9 +101,10 @@ class DeviceTracker:
         treated as pseudonyms; devices still using their real address
         are trivially trackable and skipped.  All pseudonyms of the
         window are matched in one
-        :func:`~repro.core.matcher.batch_match_signatures` call — a
-        single matrix product per frame type instead of the former
-        per-pseudonym scalar loop.  This is also the streaming live
+        :func:`~repro.core.matcher.batch_match_signatures` call, and
+        each row's first maximum is its link, kept only when above 0.0
+        and at least ``link_threshold``; a tie goes to the
+        earliest-registered reference.  This is also the streaming live
         tracker's per-window entry point.
         """
         pseudonyms = [
@@ -115,18 +118,17 @@ class DeviceTracker:
         references = self.database.devices
         links: list[PseudonymLink] = []
         for pseudonym, row in zip(pseudonyms, scores):
-            best_device: MacAddress | None = None
-            best_sim = 0.0
-            for device, sim in zip(references, row.tolist()):
-                if sim > best_sim:
-                    best_device, best_sim = device, sim
-            if best_sim < self.link_threshold:
-                best_device = None
+            linked, similarity = None, 0.0
+            if row.size:
+                column = int(row.argmax())
+                similarity = float(row[column])
+                if similarity > 0.0 and similarity >= self.link_threshold:
+                    linked = references[column]
             links.append(
                 PseudonymLink(
                     pseudonym=pseudonym,
-                    linked_device=best_device,
-                    similarity=best_sim,
+                    linked_device=linked,
+                    similarity=similarity,
                     window_index=window_index,
                 )
             )

@@ -373,17 +373,19 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         from repro.applications.spoof_detector import SpoofDetector
 
         detector = SpoofDetector(
-            parameter=parameter, min_observations=args.min_observations
+            parameter=parameter,
+            min_observations=args.min_observations,
+            database=database,  # the allow-list is the learnt db
         )
-        detector.database = database  # the allow-list is the learnt db
         analyzers.append(OnlineSpoofGuard(detector))
     if args.track:
         from repro.applications.tracker import DeviceTracker
 
         tracker = DeviceTracker(
-            parameter=parameter, min_observations=args.min_observations
+            parameter=parameter,
+            min_observations=args.min_observations,
+            database=database,
         )
-        tracker.database = database
         analyzers.append(LiveTracker(tracker))
 
     def console_sink(event: StreamEvent) -> None:

@@ -20,10 +20,10 @@ from repro.core.detection import (
     evaluate_similarity,
     extract_window_candidates,
 )
-from repro.core.fusion import FusedSignature, FusionMatcher
+from repro.core.fusion import FusionMatcher
 from repro.core.histogram import BinSpec, CategoricalBins, Histogram, UniformBins
 from repro.core.joint import JointBins, JointParameter
-from repro.core.matcher import batch_match_signatures, best_match, match_signature
+from repro.core.matcher import batch_match_signatures
 from repro.core.metrics import CurvePoint, SimilarityCurve, area_under_curve
 from repro.core.parameters import (
     ALL_PARAMETERS,
@@ -42,7 +42,6 @@ from repro.core.similarity import (
     chi_square_similarity,
     cosine_distance,
     cosine_similarity,
-    cosine_similarity_matrix,
     intersection_similarity,
     jensen_shannon_similarity,
     normalize_rows,
@@ -58,7 +57,6 @@ __all__ = [
     "DetectionConfig",
     "EvaluationResult",
     "FrameSize",
-    "FusedSignature",
     "FusionMatcher",
     "Histogram",
     "IdentificationOutcome",
@@ -79,19 +77,16 @@ __all__ = [
     "UniformBins",
     "area_under_curve",
     "batch_match_signatures",
-    "best_match",
     "bhattacharyya_similarity",
     "chi_square_similarity",
     "cosine_distance",
     "cosine_similarity",
-    "cosine_similarity_matrix",
     "evaluate_identification",
     "evaluate_similarity",
     "evaluate_trace",
     "extract_window_candidates",
     "intersection_similarity",
     "jensen_shannon_similarity",
-    "match_signature",
     "normalize_rows",
     "parameter_by_name",
     "similarity_measure_by_name",

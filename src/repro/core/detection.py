@@ -60,16 +60,12 @@ class WindowCandidate:
     references: tuple[MacAddress, ...] = ()
 
     @property
-    def similarities(self) -> dict[MacAddress, float]:
-        """Reference device → similarity (built on each read)."""
-        return dict(zip(self.references, self.scores.tolist()))
-
-    @property
     def best(self) -> tuple[MacAddress | None, float]:
         """Argmax reference and its similarity ((None, 0.0) if empty).
 
         Ties break towards the earliest-registered reference (the
-        first maximum), as :func:`~repro.core.matcher.best_match` does.
+        first maximum of the row), the rule of every identification
+        site (DESIGN.md §8).
         """
         if not self.references:
             return None, 0.0

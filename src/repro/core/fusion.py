@@ -2,36 +2,28 @@
 
 Section VIII: "future work should also investigate whether the
 fingerprinting method can be improved by combining several network
-parameters."  :class:`FusionMatcher` does exactly that: it maintains
-one signature per parameter per device and combines per-parameter
-Algorithm 1 scores with configurable fusion weights.  The extension
-benchmark compares fused fingerprints against the best single
-parameter.
+parameters."  :class:`FusionMatcher` does exactly that: it keeps one
+reference database per parameter, and a candidate is a ``dict`` of its
+per-parameter signatures.  A window's candidates are scored with one
+:func:`~repro.core.matcher.batch_match_signatures` call per parameter,
+and each parameter's matrix, scaled by its fusion weight, is added into
+one union device axis.  The extension benchmark compares fused
+fingerprints against the best single parameter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Sequence
+
+import numpy as np
 
 from repro.dot11.mac import MacAddress
 from repro.core.database import ReferenceDatabase
-from repro.core.matcher import match_signature
+from repro.core.matcher import batch_match_signatures
 from repro.core.parameters import NetworkParameter
 from repro.core.signature import Signature, SignatureBuilder
 from repro.core.similarity import SimilarityMeasure, cosine_similarity
 from repro.traces.table import FrameTable
-
-
-@dataclass
-class FusedSignature:
-    """One device's signatures across several parameters."""
-
-    per_parameter: dict[str, Signature] = field(default_factory=dict)
-
-    @property
-    def parameter_names(self) -> set[str]:
-        """Parameters this fused signature covers."""
-        return set(self.per_parameter)
 
 
 class FusionMatcher:
@@ -65,6 +57,12 @@ class FusionMatcher:
         }
         self.measure = measure
         self._databases: dict[str, ReferenceDatabase] = {}
+        #: Devices known to at least one parameter's database, in
+        #: first-registration order (parameter order, then each
+        #: database's insertion order): the columns of :meth:`match`.
+        self.devices: tuple[MacAddress, ...] = ()
+        #: Parameter name → the union column of each database device.
+        self._columns: dict[str, list[int]] = {}
 
     def learn(self, table: FrameTable) -> None:
         """Learning phase over all parameters, from a training table."""
@@ -72,48 +70,61 @@ class FusionMatcher:
             name: ReferenceDatabase.from_training_table(builder, table)
             for name, builder in self.builders.items()
         }
-
-    @property
-    def devices(self) -> set[MacAddress]:
-        """Devices known to at least one per-parameter database."""
-        known: set[MacAddress] = set()
+        union: dict[MacAddress, int] = {}
         for database in self._databases.values():
-            known.update(database.devices)
-        return known
+            for device in database:
+                union.setdefault(device, len(union))
+        self.devices = tuple(union)
+        self._columns = {
+            name: [union[device] for device in database]
+            for name, database in self._databases.items()
+        }
 
-    def extract(self, table: FrameTable) -> dict[MacAddress, FusedSignature]:
-        """Candidate fused signatures from a detection window's table."""
-        fused: dict[MacAddress, FusedSignature] = {}
+    def extract(self, table: FrameTable) -> dict[MacAddress, dict[str, Signature]]:
+        """Candidates from a detection window's table: device →
+        parameter name → signature."""
+        fused: dict[MacAddress, dict[str, Signature]] = {}
         for name, builder in self.builders.items():
             for device, signature in builder.build_table(table).items():
-                fused.setdefault(device, FusedSignature()).per_parameter[name] = signature
+                fused.setdefault(device, {})[name] = signature
         return fused
 
-    def match(self, candidate: FusedSignature) -> dict[MacAddress, float]:
-        """Combined similarity vector across all parameters."""
+    def match(self, candidates: Sequence[dict[str, Signature]]) -> np.ndarray:
+        """The ``(len(candidates), len(devices))`` fused score matrix.
+
+        The weighted sum, in parameter order, of one
+        :func:`~repro.core.matcher.batch_match_signatures` matrix per
+        parameter over the candidates that have its signature, each
+        added into the :attr:`devices` columns of its database.
+        """
         if not self._databases:
             raise RuntimeError("FusionMatcher.match called before learn()")
-        combined: dict[MacAddress, float] = {
-            device: 0.0 for device in self.devices
-        }
-        for name, signature in candidate.per_parameter.items():
-            database = self._databases.get(name)
-            if database is None:
+        fused = np.zeros((len(candidates), len(self.devices)), dtype=np.float64)
+        for name, database in self._databases.items():
+            rows = [
+                row for row, candidate in enumerate(candidates) if name in candidate
+            ]
+            if not rows:
                 continue
-            scores = match_signature(signature, database, self.measure)
-            weight = self.weights[name]
-            for device, score in scores.items():
-                combined[device] = combined.get(device, 0.0) + weight * score
-        return combined
+            scores = batch_match_signatures(
+                [candidates[row][name] for row in rows], database, self.measure
+            )
+            fused[np.ix_(rows, self._columns[name])] += self.weights[name] * scores
+        return fused
 
-    def identify(self, candidate: FusedSignature) -> tuple[MacAddress | None, float]:
-        """Argmax identification over the combined scores."""
-        scores = self.match(candidate)
-        winner: MacAddress | None = None
-        best = float("-inf")
-        for device, score in scores.items():
-            if score > best:
-                winner, best = device, score
-        if winner is None:
-            return None, 0.0
-        return winner, best
+    def identify(
+        self, candidates: Sequence[dict[str, Signature]]
+    ) -> list[tuple[MacAddress | None, float]]:
+        """Each candidate's first maximum over :attr:`devices`.
+
+        A tie goes to the earliest-registered device; every candidate
+        gets ``(None, 0.0)`` when there are no references.
+        """
+        scores = self.match(candidates)
+        if not self.devices:
+            return [(None, 0.0)] * len(candidates)
+        columns = scores.argmax(axis=1).tolist()
+        return [
+            (self.devices[column], float(row[column]))
+            for column, row in zip(columns, scores)
+        ]

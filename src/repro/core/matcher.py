@@ -42,9 +42,11 @@ frequency matrix and the measure returns one score per row.  That is
 the per-pair loop's arithmetic, reference by reference (the loop
 itself is kept as a test oracle).
 
-:func:`batch_match_signatures` is the one implementation;
-:func:`match_signature` is its single-candidate row and
-:func:`best_match` that row's first maximum.
+:func:`batch_match_signatures` is the one entry point.  Every consumer
+reads rows of its matrix: the detection phase, the stream engine, the
+Section VII applications and parameter fusion.  Each picks a row's
+winner the same way, as its first maximum, so a tie goes to the
+earliest-registered reference.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.dot11.mac import MacAddress
 from repro.core.database import ReferenceDatabase
 from repro.core.signature import Signature
 from repro.core.similarity import (
@@ -62,20 +63,6 @@ from repro.core.similarity import (
     normalize_rows,
     unit_cosine_product,
 )
-
-
-def match_signature(
-    candidate: Signature,
-    database: ReferenceDatabase,
-    measure: SimilarityMeasure = cosine_similarity,
-) -> dict[MacAddress, float]:
-    """Run Algorithm 1; returns per-reference combined similarities.
-
-    Row 0 of :func:`batch_match_signatures` for ``[candidate]``, keyed
-    by device in database insertion order.
-    """
-    scores = batch_match_signatures([candidate], database, measure)[0]
-    return dict(zip(database.devices, scores.tolist()))
 
 
 def batch_match_signatures(
@@ -120,22 +107,3 @@ def batch_match_signatures(
         scores = unit_cosine_product(normalize_rows(stacked), references)
         totals[rows] += scores * packed.weights[ftype_key]
     return totals
-
-
-def best_match(
-    candidate: Signature,
-    database: ReferenceDatabase,
-    measure: SimilarityMeasure = cosine_similarity,
-) -> tuple[MacAddress | None, float]:
-    """The identification test's core: the argmax reference device.
-
-    Returns ``(None, 0.0)`` on an empty database.  Ties break towards
-    the earliest-registered reference (the first maximum of the score
-    row), the rule :attr:`~repro.core.detection.WindowCandidate.best`
-    uses.
-    """
-    scores = batch_match_signatures([candidate], database, measure)[0]
-    if not scores.size:
-        return None, 0.0
-    column = int(scores.argmax())
-    return database.devices[column], float(scores[column])

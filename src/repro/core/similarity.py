@@ -101,19 +101,6 @@ def unit_cosine_product(
     return scores
 
 
-def cosine_similarity_matrix(
-    candidates: np.ndarray, references: np.ndarray
-) -> np.ndarray:
-    """Pairwise cosine similarities, ``(M, bins) × (N, bins) → (M, N)``.
-
-    One matrix–matrix product replaces M·N scalar
-    :func:`cosine_similarity` calls; rows with zero norm score 0
-    against everything.  Results are clipped to [0, 1] like the scalar
-    measure.
-    """
-    return unit_cosine_product(normalize_rows(candidates), normalize_rows(references))
-
-
 def _row_inputs(
     candidate: np.ndarray, reference: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,9 @@ alert events.  The underlying detectors are the
 unmodified batch implementations — the adapters reuse their
 signature-level entry points (``check_signatures``,
 ``check_signature``, ``link_signatures``), so batch and streaming
-verdicts are computed by the same code.
+verdicts are computed by the same code: one
+:func:`~repro.core.matcher.batch_match_signatures` call per closed
+window, whose score rows give every verdict and link.
 """
 
 from __future__ import annotations

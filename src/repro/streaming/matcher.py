@@ -15,8 +15,8 @@ candidate class: :class:`StreamCandidate` *is*
 the matrix and the window's reference-device tuple (the column order).
 The identification test needs only the argmax of Algorithm 1's
 similarity vector, so :attr:`StreamCandidate.best` reads it straight
-off the row; the per-reference dict
-(:attr:`StreamCandidate.similarities`) is built only when asked for.
+off the row, and a consumer that needs one reference's score reads
+that reference's column.
 """
 
 from __future__ import annotations

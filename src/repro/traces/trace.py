@@ -12,8 +12,10 @@ A trace holds its capture as a columnar
 edges reads that table: signatures, the evaluation, streaming replay,
 statistics.  A simulation hands its table straight to the constructor;
 :meth:`Trace.from_frames` interns frame objects once (a pcap, a test
-fixture).  :attr:`Trace.frames` is built only when something reads it —
-writing a pcap, or an attack helper rewriting frames.  Every cut —
+fixture), and :meth:`Trace.from_pcap` keeps only the table, decoding
+the file again if its frames are read.  :attr:`Trace.frames` is built
+only when something reads it — writing a pcap, or an attack helper
+rewriting frames.  Every cut —
 :meth:`Trace.slice_us`, :meth:`Trace.split`, :meth:`Trace.windows` — is
 an ``np.searchsorted`` on the timestamp column, and a sliced trace
 holds a view of its parent's table and slices the parent's frames only
@@ -187,11 +189,21 @@ class Trace:
     def from_pcap(
         cls, path: str | Path, name: str = "", encrypted: bool = False
     ) -> "Trace":
-        """Load a radiotap or Prism pcap from disk."""
+        """Load a radiotap or Prism pcap from disk.
+
+        The decoded frames are interned and dropped, so the trace holds
+        only its table; :attr:`frames` decodes the file again when read.
+        """
         from repro.radiotap.pcap import read_trace_pcap
 
-        return cls.from_frames(
+        loaded = cls.from_frames(
             read_trace_pcap(path), name=name or str(path), encrypted=encrypted
+        )
+        return cls(
+            loaded.table(),
+            lambda: read_trace_pcap(path),
+            name=loaded.name,
+            encrypted=encrypted,
         )
 
 

@@ -74,3 +74,18 @@ def make_data_capture(
         retry=retry,
     )
     return CapturedFrame(timestamp_us=timestamp_us, frame=frame, rate_mbps=rate)
+
+
+def count_match_calls(monkeypatch, module: str) -> list[int]:
+    """Record every ``batch_match_signatures`` call made through
+    ``module``: the returned list gets each call's candidate count."""
+    from repro.core.matcher import batch_match_signatures
+
+    calls: list[int] = []
+
+    def counting(candidates, *args, **kwargs):
+        calls.append(len(candidates))
+        return batch_match_signatures(candidates, *args, **kwargs)
+
+    monkeypatch.setattr(f"{module}.batch_match_signatures", counting)
+    return calls

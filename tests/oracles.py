@@ -22,11 +22,13 @@ implementation:
   ``extract_window_candidates``;
 * :func:`similarity_test` and :func:`identification_test` — Section
   IV-B's two tests as loops over thresholds, candidates and each
-  candidate's per-reference similarity dict (the runtime counts on the
-  stacked score matrix, ``evaluate_similarity`` and
-  ``evaluate_identification``);
+  candidate's per-reference similarity dict (:func:`similarities`; the
+  runtime counts on the stacked score matrix, ``evaluate_similarity``
+  and ``evaluate_identification``);
 * :func:`scalar_match` — the per-pair Algorithm 1 loop, with the 1-D
-  forms of the non-cosine measures (:data:`SCALAR_MEASURES`);
+  forms of the non-cosine measures (:data:`SCALAR_MEASURES`), and
+  :func:`first_maximum`, the identification rule as a loop over a
+  per-reference dict (the runtime reads each score row's ``argmax``);
 * :func:`pack` — the from-scratch rebuild of a database's packed view;
 * :data:`FRAME_RULES` and :func:`ap_own_frames` — the Section VI frame
   conditions and the Section VII-B2 own-frame rule as per-frame
@@ -306,6 +308,24 @@ def window_candidates(
 
 
 # -- detection tests -------------------------------------------------------
+def similarities(candidate: WindowCandidate) -> dict[MacAddress, float]:
+    """A matched candidate's score row as reference device → similarity."""
+    return dict(zip(candidate.references, candidate.scores.tolist()))
+
+
+def first_maximum(
+    scores: dict[MacAddress, float],
+) -> tuple[MacAddress | None, float]:
+    """The first reference with the largest score, and that score
+    (``(None, 0.0)`` for no references)."""
+    best_device: MacAddress | None = None
+    best_score = 0.0
+    for device, score in scores.items():
+        if best_device is None or score > best_score:
+            best_device, best_score = device, score
+    return best_device, best_score
+
+
 def similarity_test(
     candidates: list[WindowCandidate],
     database: ReferenceDatabase,
@@ -327,7 +347,7 @@ def similarity_test(
         for candidate in known:
             returned = {
                 device
-                for device, sim in candidate.similarities.items()
+                for device, sim in similarities(candidate).items()
                 if sim >= threshold
             }
             if candidate.device in returned:
@@ -364,14 +384,9 @@ def identification_test(
     """
     known_total = sum(1 for c in candidates if c.device in database)
     points: list[IdentificationPoint] = []
-    prepared: list[tuple[WindowCandidate, MacAddress | None, float]] = []
-    for candidate in candidates:
-        best_device: MacAddress | None = None
-        best_sim = float("-inf")
-        for device, sim in candidate.similarities.items():
-            if sim > best_sim:
-                best_device, best_sim = device, sim
-        prepared.append((candidate, best_device, best_sim))
+    prepared = [
+        (candidate, *first_maximum(similarities(candidate))) for candidate in candidates
+    ]
 
     for threshold in config.thresholds:
         correct = 0
@@ -406,15 +421,15 @@ def scalar_match(
     measure: SimilarityMeasure = similarity.cosine_similarity,
 ) -> dict[MacAddress, float]:
     """Algorithm 1 as the per-pair loop over (frame type, reference)."""
-    similarities: dict[MacAddress, float] = {device: 0.0 for device in database}
+    combined: dict[MacAddress, float] = {device: 0.0 for device in database}
     for ftype_key, candidate_hist in candidate.histograms.items():
         for device, reference in database.items():
             reference_hist = reference.histogram(ftype_key)
             if reference_hist is None:
                 continue
             score = measure(candidate_hist, reference_hist)
-            similarities[device] += reference.weight(ftype_key) * score
-    return similarities
+            combined[device] += reference.weight(ftype_key) * score
+    return combined
 
 
 def intersection_similarity(candidate: np.ndarray, reference: np.ndarray) -> float:

@@ -15,6 +15,7 @@ from repro.applications.attacks import (
 from repro.applications.rogue_ap import RogueApDetector, ap_own_rows
 from repro.applications.spoof_detector import SpoofDetector, SpoofVerdict
 from repro.applications.tracker import DeviceTracker
+from repro.core.database import ReferenceDatabase
 from repro.core.matcher import batch_match_signatures
 from repro.core.parameters import InterArrivalTime
 from repro.core.signature import Signature
@@ -24,7 +25,7 @@ from repro.persistence import load_database, save_database
 from repro.simulator import CbrTraffic, Scenario, StationSpec, WebTraffic
 from repro.traces.table import FrameTable
 from tests import oracles
-from tests.conftest import make_data_capture
+from tests.conftest import count_match_calls, make_data_capture
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +121,117 @@ class TestSpoofDetector:
             SpoofDetector(accept_threshold=1.5)
 
 
+def qos_data_signature(*mass: float) -> Signature:
+    """A signature of QoS Data frames alone, with the given bin masses."""
+    return Signature(
+        histograms={"QoS Data": np.array(mass, dtype=float)},
+        weights={"QoS Data": 1.0},
+    )
+
+
+class TestSpoofRule:
+    """``check_signatures`` matches a window's allow-listed devices in
+    one batch call: a device's self-similarity is its own column of its
+    row, its best other similarity the maximum of the other columns
+    (0.0 with one reference), and it is genuine when the self-similarity
+    is at least ``accept_threshold`` and at least the best other plus
+    ``margin``."""
+
+    A = MacAddress.parse("00:13:e8:00:00:0a")
+    B = MacAddress.parse("00:18:f8:00:00:0b")
+    C = MacAddress.parse("00:14:a4:00:00:0c")
+    STRANGER = MacAddress.parse("00:0e:8e:00:00:0d")
+
+    def _detector(self, **kwargs) -> SpoofDetector:
+        detector = SpoofDetector(**kwargs)
+        detector.database.add(self.A, qos_data_signature(1, 0, 0))
+        detector.database.add(self.B, qos_data_signature(0, 1, 0))
+        detector.database.add(self.C, qos_data_signature(1, 1, 0))
+        return detector
+
+    def test_one_call_per_window(self, monkeypatch):
+        detector = self._detector()
+        calls = count_match_calls(monkeypatch, "repro.applications.spoof_detector")
+        window = {
+            self.A: qos_data_signature(1, 0.2, 0),
+            self.C: qos_data_signature(0.1, 1, 0),
+        }
+        active = {self.A, self.B, self.C, self.STRANGER}
+        checks = detector.check_signatures(window, active)
+        assert calls == [2]
+        assert [(check.device, check.verdict) for check in checks] == [
+            (self.STRANGER, SpoofVerdict.UNKNOWN_DEVICE),
+            (self.A, SpoofVerdict.GENUINE),
+            (self.C, SpoofVerdict.SPOOFED),
+            (self.B, SpoofVerdict.INSUFFICIENT),
+        ]
+
+    def test_similarities_are_entries_of_the_window_matrix(self):
+        detector = self._detector()
+        window = {
+            self.A: qos_data_signature(1, 0.2, 0),
+            self.B: qos_data_signature(0.3, 1, 0.5),
+            self.C: qos_data_signature(1, 0.8, 0.1),
+        }
+        checks = detector.check_signatures(window, set(window))
+        matrix = batch_match_signatures(
+            [window[check.device] for check in checks], detector.database
+        )
+        devices = detector.database.devices
+        for check, row in zip(checks, matrix.tolist()):
+            own = devices.index(check.device)
+            assert check.self_similarity == row[own]
+            assert check.best_other_similarity == max(row[:own] + row[own + 1 :])
+
+    def test_one_reference_leaves_best_other_at_zero(self):
+        detector = SpoofDetector()
+        detector.database.add(self.A, qos_data_signature(1, 0, 0))
+        (check,) = detector.check_signatures(
+            {self.A: qos_data_signature(1, 0.5, 0)}, {self.A}
+        )
+        assert check.self_similarity > 0.55
+        assert check.best_other_similarity == 0.0
+        assert check.verdict is SpoofVerdict.GENUINE
+
+    @pytest.mark.parametrize(
+        "accept_threshold, margin, verdict",
+        [
+            (0.55, 0.0, SpoofVerdict.GENUINE),
+            (0.55, 0.2, SpoofVerdict.GENUINE),
+            (0.55, 0.25, SpoofVerdict.SPOOFED),  # the margin decides
+            (0.999, 0.0, SpoofVerdict.SPOOFED),  # the threshold decides
+        ],
+    )
+    def test_threshold_and_margin(self, accept_threshold, margin, verdict):
+        # Self 0.995 against A, best other 0.774 against C.
+        detector = self._detector(accept_threshold=accept_threshold, margin=margin)
+        (check,) = detector.check_signatures(
+            {self.A: qos_data_signature(1, 0.1, 0)}, {self.A}
+        )
+        assert check.verdict is verdict
+
+
+class TestDetectorThresholds:
+    @pytest.mark.parametrize("value", [float("nan"), -0.5, 1.5])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(
+                lambda value: SpoofDetector(accept_threshold=value), id="spoof"
+            ),
+            pytest.param(
+                lambda value: RogueApDetector(accept_threshold=value), id="rogue-ap"
+            ),
+            pytest.param(
+                lambda value: DeviceTracker(link_threshold=value), id="tracker"
+            ),
+        ],
+    )
+    def test_out_of_range_threshold_refused(self, make, value):
+        with pytest.raises(ValueError, match="out of range"):
+            make(value)
+
+
 class TestRogueApDetection:
     @pytest.fixture(scope="class")
     def two_ap_runs(self):
@@ -186,6 +298,22 @@ class TestRogueApDetection:
         assert verdict.is_rogue
         assert verdict.similarity < 0.6
 
+    def test_similarity_is_the_one_row_entry(self, monkeypatch):
+        ap = MacAddress.parse("00:0f:b5:00:00:01")
+        reference = qos_data_signature(0.5, 0.5, 0)
+        detector = RogueApDetector(accept_threshold=0.9)
+        detector.use_reference(reference, ap)
+        candidate = qos_data_signature(1, 0, 0)
+        calls = count_match_calls(monkeypatch, "repro.applications.rogue_ap")
+        verdict = detector.check_signature(candidate, ap)
+        assert calls == [1]
+        published = ReferenceDatabase()
+        published.add(ap, reference)
+        (row,) = batch_match_signatures([candidate], published)
+        assert verdict.similarity == row[0]
+        assert verdict.similarity == pytest.approx(0.5**0.5)
+        assert verdict.is_rogue
+
     def test_check_before_learn(self):
         detector = RogueApDetector()
         with pytest.raises(RuntimeError):
@@ -222,11 +350,9 @@ class TestTracker:
         assert tracker.track_window(result.table()) == []
 
     def test_batch_port_equals_scalar_linking(self, spoof_scenario):
-        """track_window's single batch call must reproduce the former
-        per-pseudonym match_signature loop exactly."""
+        """track_window's single batch call links like the per-pair
+        Algorithm 1 loop, pseudonym by pseudonym."""
         import random
-
-        from repro.core.matcher import match_signature
 
         result, macs = spoof_scenario
         boundary = 60e6
@@ -248,12 +374,9 @@ class TestTracker:
         signatures = tracker.builder.build_table(window)
         for link in links:
             signature = signatures[link.pseudonym]
-            similarities = match_signature(signature, tracker.database)
-            best_device, best_sim = None, 0.0
-            for device, sim in similarities.items():
-                if sim > best_sim:
-                    best_device, best_sim = device, sim
-            if best_sim < tracker.link_threshold:
+            similarities = oracles.scalar_match(signature, tracker.database)
+            best_device, best_sim = oracles.first_maximum(similarities)
+            if not (best_sim > 0.0 and best_sim >= tracker.link_threshold):
                 best_device = None
             assert link.linked_device == best_device
             assert link.similarity == pytest.approx(best_sim, abs=1e-9)
@@ -266,6 +389,9 @@ class TestTrackerLinkRule:
     and at least ``link_threshold``."""
 
     PSEUDONYM = MacAddress.parse("02:00:00:00:00:01")  # locally administered
+    OTHER_PSEUDONYM = MacAddress.parse("02:00:00:00:00:02")
+    FIRST = MacAddress.parse("00:13:e8:00:00:01")
+    SECOND = MacAddress.parse("00:18:f8:00:00:02")
 
     @staticmethod
     def _signature(ftype: str) -> Signature:
@@ -296,6 +422,46 @@ class TestTrackerLinkRule:
         (link,) = tracker.link_signatures({self.PSEUDONYM: candidate})
         assert link.linked_device is None
         assert link.similarity == 0.0
+
+
+    def test_one_call_per_window(self, monkeypatch):
+        tracker = DeviceTracker(link_threshold=0.5)
+        tracker.database.add(self.FIRST, qos_data_signature(1, 0, 0))
+        tracker.database.add(self.SECOND, qos_data_signature(0, 1, 0))
+        calls = count_match_calls(monkeypatch, "repro.applications.tracker")
+        window = {
+            self.PSEUDONYM: qos_data_signature(1, 0.1, 0),
+            self.OTHER_PSEUDONYM: qos_data_signature(0.1, 1, 0),
+            self.FIRST: qos_data_signature(1, 0, 0),  # a real address
+        }
+        links = tracker.link_signatures(window)
+        assert calls == [2]
+        assert [(link.pseudonym, link.linked_device) for link in links] == [
+            (self.PSEUDONYM, self.FIRST),
+            (self.OTHER_PSEUDONYM, self.SECOND),
+        ]
+
+    def test_below_threshold_stays_unlinked_with_its_similarity(self):
+        tracker = DeviceTracker(link_threshold=0.8)
+        tracker.database.add(self.FIRST, qos_data_signature(1, 0, 0))
+        candidate = qos_data_signature(1, 1, 0)
+        (row,) = batch_match_signatures([candidate], tracker.database)
+        (link,) = tracker.link_signatures({self.PSEUDONYM: candidate})
+        assert link.linked_device is None
+        assert link.similarity == row[0] == pytest.approx(0.5**0.5)
+
+    def test_empty_database_leaves_every_pseudonym_unlinked(self):
+        tracker = DeviceTracker()
+        links = tracker.link_signatures(
+            {
+                self.PSEUDONYM: qos_data_signature(1, 0, 0),
+                self.OTHER_PSEUDONYM: qos_data_signature(0, 1, 0),
+            }
+        )
+        assert [(link.linked_device, link.similarity) for link in links] == [
+            (None, 0.0),
+            (None, 0.0),
+        ]
 
 
 class TestWindowSlices:

@@ -3,9 +3,8 @@
 The batch matrix formulation (packed database + matrix products) must
 reproduce the per-pair Algorithm 1 loop (``tests/oracles.py``): within
 float rounding (atol 1e-9) for cosine, bit for bit for intersection and
-Bhattacharyya, within 1e-12 for chi-square and Jensen–Shannon — per
-candidate via :func:`match_signature` and row-wise via
-:func:`batch_match_signatures`.
+Bhattacharyya, within 1e-12 for chi-square and Jensen–Shannon — for one
+candidate per :func:`batch_match_signatures` call and for many.
 """
 
 from __future__ import annotations
@@ -15,18 +14,18 @@ import pytest
 
 from repro.dot11.mac import MacAddress, vendor_mac
 from repro.core.database import ReferenceDatabase
-from repro.core.matcher import batch_match_signatures, best_match, match_signature
+from repro.core.matcher import batch_match_signatures
 from repro.core.signature import Signature
 from repro.core.similarity import (
     bhattacharyya_similarity,
     chi_square_similarity,
     cosine_similarity,
-    cosine_similarity_matrix,
     intersection_similarity,
     jensen_shannon_similarity,
     normalize_rows,
+    unit_cosine_product,
 )
-from tests.oracles import SCALAR_MEASURES, scalar_match
+from tests.oracles import SCALAR_MEASURES, first_maximum, scalar_match
 
 FRAME_TYPES = ("Data", "Beacon", "RTS", "Probe Request")
 
@@ -93,12 +92,10 @@ class TestMatchSignatureFastPath:
             database = random_database(rng)
             for _ in range(10):
                 candidate = random_signature(rng)
-                fast = match_signature(candidate, database)
+                (fast,) = batch_match_signatures([candidate], database)
                 slow = forced_scalar(candidate, database)
-                assert list(fast) == list(slow)  # same device order
-                np.testing.assert_allclose(
-                    list(fast.values()), list(slow.values()), atol=1e-9
-                )
+                assert list(slow) == database.devices  # the column order
+                np.testing.assert_allclose(fast, list(slow.values()), atol=1e-9)
 
     @NON_COSINE
     def test_non_cosine_measure_uses_scalar_path(self, measure, tolerance):
@@ -107,22 +104,24 @@ class TestMatchSignatureFastPath:
         rng = np.random.default_rng(1)
         database = random_database(rng, devices=5)
         candidate = random_signature(rng)
-        scores = match_signature(candidate, database, measure)
+        (scores,) = batch_match_signatures([candidate], database, measure)
         expected = scalar_match(candidate, database, SCALAR_MEASURES[measure])
-        assert list(scores) == list(expected)
-        assert_scores_agree(scores.values(), expected.values(), tolerance)
+        assert list(expected) == database.devices
+        assert_scores_agree(scores.tolist(), expected.values(), tolerance)
 
     def test_best_match_agrees_with_scalar(self):
         rng = np.random.default_rng(2)
         database = random_database(rng, devices=20)
         for _ in range(10):
             candidate = random_signature(rng)
-            winner, score = best_match(candidate, database)
+            (row,) = batch_match_signatures([candidate], database)
+            column = int(row.argmax())
+            winner, score = database.devices[column], float(row[column])
             slow = forced_scalar(candidate, database)
-            slow_winner = max(slow, key=lambda d: (slow[d], ))
+            _slow_winner, slow_score = first_maximum(slow)
             # argmax up to float noise: the winner's scores must agree
             assert score == pytest.approx(slow[winner], abs=1e-9)
-            assert slow[slow_winner] <= score + 1e-9
+            assert slow_score <= score + 1e-9
 
     def test_bin_mismatch_raises_like_scalar(self):
         database = ReferenceDatabase()
@@ -134,7 +133,7 @@ class TestMatchSignatureFastPath:
             histograms={"Data": np.array([1.0, 0.0, 0.0])}, weights={"Data": 1.0}
         )
         with pytest.raises(ValueError):
-            match_signature(candidate, database)
+            batch_match_signatures([candidate], database)
         with pytest.raises(ValueError):
             forced_scalar(candidate, database)
 
@@ -148,7 +147,7 @@ class TestBatchMatchSignatures:
         assert matrix.shape == (25, len(database))
         for row, candidate in zip(matrix, candidates):
             np.testing.assert_allclose(
-                row, list(match_signature(candidate, database).values()), atol=1e-9
+                row, batch_match_signatures([candidate], database)[0], atol=1e-9
             )
             np.testing.assert_allclose(
                 row, list(forced_scalar(candidate, database).values()), atol=1e-9
@@ -236,19 +235,19 @@ class TestPackedDatabase:
             histograms={"Beacon": np.array([1.0, 0.0])}, weights={"Beacon": 1.0}
         )
         for measure in SCALAR_MEASURES:
-            assert match_signature(candidate, database, measure) == {
-                vendor_mac("00:13:e8", 1): 0.0
-            }
-            assert batch_match_signatures([candidate], database, measure).shape == (1, 1)
+            matrix = batch_match_signatures([candidate], database, measure)
+            assert matrix.tolist() == [[0.0]]
 
 
 class TestVectorizedCosineKernels:
-    def test_cosine_similarity_matrix_matches_scalar(self):
+    def test_unit_cosine_product_matches_scalar(self):
         rng = np.random.default_rng(8)
         candidates = rng.random((7, 12))
         references = rng.random((5, 12))
         references[2] = 0.0  # zero-norm row convention
-        matrix = cosine_similarity_matrix(candidates, references)
+        matrix = unit_cosine_product(
+            normalize_rows(candidates), normalize_rows(references)
+        )
         for i in range(7):
             for j in range(5):
                 assert matrix[i, j] == pytest.approx(
@@ -263,4 +262,4 @@ class TestVectorizedCosineKernels:
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
-            cosine_similarity_matrix(np.ones((2, 3)), np.ones((2, 4)))
+            unit_cosine_product(np.ones((2, 3)), np.ones((2, 4)))

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -216,7 +215,7 @@ class TestCommands:
         )
         expected = []
         for candidate in candidates:
-            scores = np.array(list(candidate.similarities.values()))
+            scores = candidate.scores
             best = database.devices[int(scores.argmax())]
             expected.append(
                 [

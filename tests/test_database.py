@@ -14,6 +14,7 @@ import pytest
 
 from repro.dot11.mac import vendor_mac
 from repro.core.database import ReferenceDatabase
+from repro.core.matcher import batch_match_signatures
 from repro.core.signature import Signature
 from tests.oracles import pack, scalar_match
 from tests.test_batch_matching import random_database, random_signature
@@ -260,8 +261,6 @@ class TestMerge:
         assert_pack_equivalent(target)
 
     def test_merge_keeps_scores_equal_to_sequential_adds(self):
-        from repro.core.matcher import batch_match_signatures
-
         rng = np.random.default_rng(23)
         a = random_database(rng, devices=5)
         b = random_database(rng, devices=5)
@@ -280,7 +279,6 @@ class TestMerge:
 
 class TestMatchingAfterMutations:
     def test_match_scores_track_membership_changes(self):
-        from repro.core.matcher import match_signature
         from repro.core.similarity import cosine_similarity
 
         rng = np.random.default_rng(15)
@@ -294,12 +292,10 @@ class TestMatchingAfterMutations:
                 database.remove(device)
             if len(database) == 0:
                 continue
-            fast = match_signature(candidate, database)
+            (fast,) = batch_match_signatures([candidate], database)
             slow = scalar_match(candidate, database, cosine_similarity)
-            assert list(fast) == list(slow)
-            np.testing.assert_allclose(
-                list(fast.values()), list(slow.values()), atol=1e-9
-            )
+            assert list(slow) == database.devices  # the column order
+            np.testing.assert_allclose(fast, list(slow.values()), atol=1e-9)
 
     def test_stale_candidate_type_after_purge_contributes_zero(self):
         """A purged frame type must not shape-clash with candidates."""
@@ -310,10 +306,6 @@ class TestMatchingAfterMutations:
         database.add(b, one_type_signature("Beacon", 6))
         database.packed()
         database.remove(b)
-        from repro.core.matcher import batch_match_signatures, match_signature
-
         candidate = one_type_signature("Beacon", 3)  # different width
-        scores = match_signature(candidate, database)
-        assert scores == {a: 0.0}
-        matrix = batch_match_signatures([candidate], database)
-        assert matrix.shape == (1, 1) and matrix[0, 0] == 0.0
+        assert database.devices == [a]
+        assert batch_match_signatures([candidate], database).tolist() == [[0.0]]

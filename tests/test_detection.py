@@ -72,7 +72,8 @@ class TestCandidateExtraction:
     def test_similarities_populated(self, separable_setup):
         database, candidates, _config = separable_setup
         for candidate in candidates:
-            assert set(candidate.similarities) == set(database.devices)
+            assert candidate.references == tuple(database.devices)
+            assert candidate.scores.shape == (len(database),)
 
 
 class TestSimilarityTest:

@@ -2,20 +2,24 @@
 
 Previously only exercised indirectly through the pipeline tests and
 the extension benchmark; these pin the public surface —
-``FusionMatcher.learn/extract/match/identify`` and
-``FusedSignature.parameter_names`` — including the weight-normalisation
-and error paths.
+``FusionMatcher.learn/extract/match/identify`` and ``devices`` —
+including the weight-normalisation, tie and error paths.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.fusion import FusedSignature, FusionMatcher
-from repro.core.matcher import match_signature
+import numpy as np
+
+from repro.core.fusion import FusionMatcher
+from repro.core.matcher import batch_match_signatures
 from repro.core.parameters import FrameSize, InterArrivalTime
 from repro.core.signature import SignatureBuilder
+from repro.dot11.mac import MacAddress
 from repro.traces.table import FrameTable
+from tests import oracles
+from tests.conftest import count_match_calls, make_data_capture
 
 
 @pytest.fixture(scope="module")
@@ -69,39 +73,32 @@ class TestConstruction:
             )
 
 
-class TestFusedSignature:
-    def test_parameter_names(self, learnt_matcher, split_tables):
-        _, validation = split_tables
-        fused = learnt_matcher.extract(validation)
-        assert fused  # the office trace has active devices
-        for signature in fused.values():
-            assert signature.parameter_names == set(signature.per_parameter)
-            assert signature.parameter_names <= {"interarrival", "size"}
-
-    def test_empty_fused_signature(self):
-        assert FusedSignature().parameter_names == set()
-
-
 class TestLearnAndExtract:
     def test_learn_populates_per_parameter_databases(self, learnt_matcher):
-        assert learnt_matcher.devices  # union over parameter databases
+        # The union over parameter databases, in first-registration order.
+        union = []
         for name in ("interarrival", "size"):
             database = learnt_matcher._databases[name]
-            assert set(database.devices) <= learnt_matcher.devices
+            union += [device for device in database if device not in union]
+        assert union
+        assert learnt_matcher.devices == tuple(union)
 
     def test_extract_agrees_with_plain_builders(
         self, learnt_matcher, split_tables
     ):
         _, validation = split_tables
         fused = learnt_matcher.extract(validation)
+        assert fused  # the office trace has active devices
+        for signatures in fused.values():
+            assert set(signatures) <= {"interarrival", "size"}
         for parameter in learnt_matcher.parameters:
             expected = SignatureBuilder(parameter, min_observations=30).build_table(
                 validation
             )
             got = {
-                device: signature.per_parameter[parameter.name]
-                for device, signature in fused.items()
-                if parameter.name in signature.per_parameter
+                device: signatures[parameter.name]
+                for device, signatures in fused.items()
+                if parameter.name in signatures
             }
             assert set(got) == set(expected)
 
@@ -110,26 +107,50 @@ class TestMatchAndIdentify:
     def test_match_before_learn_raises(self):
         matcher = FusionMatcher([InterArrivalTime()])
         with pytest.raises(RuntimeError, match="before learn"):
-            matcher.match(FusedSignature())
+            matcher.match([{}])
 
     def test_match_is_weighted_sum_of_single_parameter_scores(
         self, learnt_matcher, split_tables
     ):
         _, validation = split_tables
-        fused = learnt_matcher.extract(validation)
-        device, signature = next(iter(fused.items()))
-        combined = learnt_matcher.match(signature)
-        assert set(combined) == learnt_matcher.devices
-        for reference in learnt_matcher.devices:
-            expected = 0.0
-            for name, single in signature.per_parameter.items():
-                scores = match_signature(
-                    single, learnt_matcher._databases[name]
-                )
-                expected += learnt_matcher.weights[name] * scores.get(
-                    reference, 0.0
-                )
-            assert combined[reference] == pytest.approx(expected, abs=1e-12)
+        candidates = list(learnt_matcher.extract(validation).values())
+        combined = learnt_matcher.match(candidates)
+        assert combined.shape == (len(candidates), len(learnt_matcher.devices))
+        for row, candidate in zip(combined, candidates):
+            for column, reference in enumerate(learnt_matcher.devices):
+                expected = 0.0
+                for name, single in candidate.items():
+                    scores = oracles.scalar_match(
+                        single, learnt_matcher._databases[name]
+                    )
+                    expected += learnt_matcher.weights[name] * scores.get(
+                        reference, 0.0
+                    )
+                assert row[column] == pytest.approx(expected, abs=1e-12)
+
+    def test_match_makes_one_call_per_parameter(
+        self, learnt_matcher, split_tables, monkeypatch
+    ):
+        _, validation = split_tables
+        candidates = list(learnt_matcher.extract(validation).values())
+        assert len(candidates) >= 2
+        calls = count_match_calls(monkeypatch, "repro.core.fusion")
+        learnt_matcher.match(candidates)
+        assert calls == [
+            sum(name in candidate for candidate in candidates)
+            for name in ("interarrival", "size")
+        ]
+
+    def test_identify_reads_the_first_maximum_of_each_row(
+        self, learnt_matcher, split_tables
+    ):
+        _, validation = split_tables
+        candidates = list(learnt_matcher.extract(validation).values())
+        matrix = learnt_matcher.match(candidates)
+        winners = learnt_matcher.identify(candidates)
+        assert winners == [
+            (learnt_matcher.devices[int(row.argmax())], row.max()) for row in matrix
+        ]
 
     def test_self_identification_on_office_trace(
         self, learnt_matcher, split_tables
@@ -137,11 +158,10 @@ class TestMatchAndIdentify:
         """Fused fingerprints identify the office devices as themselves."""
         _, validation = split_tables
         fused = learnt_matcher.extract(validation)
+        known = [device for device in fused if device in learnt_matcher.devices]
+        winners = learnt_matcher.identify([fused[device] for device in known])
         correct = total = 0
-        for device, signature in fused.items():
-            if device not in learnt_matcher.devices:
-                continue
-            winner, score = learnt_matcher.identify(signature)
+        for device, (winner, score) in zip(known, winners):
             total += 1
             correct += winner == device
             assert 0.0 <= score <= 1.0 + 1e-9
@@ -149,14 +169,34 @@ class TestMatchAndIdentify:
         assert correct == total  # static office devices: clean self-match
 
     def test_identify_on_empty_candidate(self, learnt_matcher):
-        winner, score = learnt_matcher.identify(FusedSignature())
-        # No parameters to score: every reference ties at 0, so some
-        # reference is returned with a zero combined similarity.
-        assert score == 0.0
-        assert winner in learnt_matcher.devices
+        # No parameters to score: every reference ties at 0, so the
+        # first-registered reference wins with a zero similarity.
+        assert learnt_matcher.identify([{}]) == [(learnt_matcher.devices[0], 0.0)]
 
     def test_identify_with_no_references(self):
         matcher = FusionMatcher([InterArrivalTime()], min_observations=30)
         matcher.learn(FrameTable.from_frames([]))  # nothing to learn from
-        winner, score = matcher.identify(FusedSignature())
-        assert winner is None and score == 0.0
+        assert matcher.devices == ()
+        assert matcher.match([{}, {}]).shape == (2, 0)
+        assert matcher.identify([{}, {}]) == [(None, 0.0), (None, 0.0)]
+
+    def test_tie_goes_to_the_first_registered_device(self):
+        """Two devices sending the same frames learn identical size
+        signatures; a candidate equal to both identifies as the one
+        registered first."""
+        first = MacAddress.parse("00:13:e8:00:00:01")
+        second = MacAddress.parse("00:18:f8:00:00:01")
+        ap = MacAddress.parse("00:0f:b5:00:00:01")
+        frames = []
+        for i in range(60):
+            size = 200 + 100 * (i % 5)
+            frames.append(make_data_capture(1000.0 * i, first, ap, size=size))
+            frames.append(make_data_capture(1000.0 * i + 400.0, second, ap, size=size))
+        matcher = FusionMatcher([FrameSize()], min_observations=30)
+        matcher.learn(FrameTable.from_frames(frames))
+        assert matcher.devices == (first, second)
+        reference = matcher._databases["size"].get(first)
+        (row,) = batch_match_signatures([reference], matcher._databases["size"])
+        assert row[0] == row[1]  # a true tie
+        assert matcher.identify([{"size": reference}]) == [(first, row[0])]
+        assert np.array_equal(matcher.match([{"size": reference}]), [row])

@@ -137,7 +137,7 @@ class TestJointParameter:
             (c.device, c.window_index) for c in actual
         ]
         for reference, candidate in zip(expected, actual):
-            assert reference.similarities == candidate.similarities
+            assert oracles.similarities(reference) == oracles.similarities(candidate)
 
     def test_joint_separates_what_marginals_confuse(self):
         """Two devices with identical size AND inter-arrival marginals

@@ -7,7 +7,8 @@ import pytest
 
 from repro.dot11.mac import MacAddress
 from repro.core.database import ReferenceDatabase
-from repro.core.matcher import best_match, match_signature
+from repro.core.detection import WindowCandidate
+from repro.core.matcher import batch_match_signatures
 from repro.core.signature import Signature
 
 A = MacAddress.parse("00:13:e8:00:00:0a")
@@ -20,6 +21,26 @@ def sig(histograms: dict[str, list[float]], weights: dict[str, float] | None = N
     if weights is None:
         weights = {k: 1.0 / len(arrays) for k in arrays}
     return Signature(histograms=arrays, weights=weights)
+
+
+def score_row(candidate: Signature, database: ReferenceDatabase) -> dict:
+    """The candidate's score row, keyed by reference device."""
+    (row,) = batch_match_signatures([candidate], database)
+    return dict(zip(database.devices, row.tolist()))
+
+
+def best(candidate: Signature, database: ReferenceDatabase) -> tuple:
+    """The identification rule, ``WindowCandidate.best``, on the
+    candidate's score row."""
+    (row,) = batch_match_signatures([candidate], database)
+    matched = WindowCandidate(
+        device=C,
+        window_index=0,
+        signature=candidate,
+        scores=row,
+        references=tuple(database.devices),
+    )
+    return matched.best
 
 
 class TestDatabase:
@@ -50,7 +71,7 @@ class TestAlgorithm1:
         database.add(A, sig({"Data": [1, 0, 0], "RTS": [0, 1, 0]},
                             {"Data": 0.75, "RTS": 0.25}))
         candidate = sig({"Data": [1, 0, 0], "RTS": [0, 1, 0]})
-        scores = match_signature(candidate, database)
+        scores = score_row(candidate, database)
         assert scores[A] == pytest.approx(1.0)
 
     def test_reference_weights_used(self):
@@ -59,14 +80,14 @@ class TestAlgorithm1:
         database.add(A, sig({"Data": [1, 0], "RTS": [0, 1]},
                             {"Data": 0.9, "RTS": 0.1}))
         candidate = sig({"Data": [0, 1], "RTS": [0, 1]})
-        scores = match_signature(candidate, database)
+        scores = score_row(candidate, database)
         assert scores[A] == pytest.approx(0.1)
 
     def test_missing_reference_type_contributes_zero(self):
         database = ReferenceDatabase()
         database.add(A, sig({"Data": [1, 0]}))
         candidate = sig({"Probe Request": [1, 0]})
-        assert match_signature(candidate, database)[A] == 0.0
+        assert score_row(candidate, database)[A] == 0.0
 
     def test_ranking(self):
         database = ReferenceDatabase()
@@ -74,11 +95,11 @@ class TestAlgorithm1:
         database.add(B, sig({"Data": [0.5, 0.5, 0, 0]}))
         database.add(C, sig({"Data": [0, 0, 0, 1]}))
         candidate = sig({"Data": [0.9, 0.1, 0, 0]})
-        scores = match_signature(candidate, database)
+        scores = score_row(candidate, database)
         assert scores[A] > scores[B] > scores[C]
 
     def test_empty_database(self):
-        assert match_signature(sig({"Data": [1, 0]}), ReferenceDatabase()) == {}
+        assert score_row(sig({"Data": [1, 0]}), ReferenceDatabase()) == {}
 
 
 class TestBestMatch:
@@ -86,17 +107,17 @@ class TestBestMatch:
         database = ReferenceDatabase()
         database.add(A, sig({"Data": [1, 0]}))
         database.add(B, sig({"Data": [0, 1]}))
-        winner, score = best_match(sig({"Data": [0.95, 0.05]}), database)
+        winner, score = best(sig({"Data": [0.95, 0.05]}), database)
         assert winner == A
         assert score > 0.9
 
     def test_empty_database(self):
-        winner, score = best_match(sig({"Data": [1, 0]}), ReferenceDatabase())
+        winner, score = best(sig({"Data": [1, 0]}), ReferenceDatabase())
         assert winner is None and score == 0.0
 
     def test_deterministic_tie_break(self):
         database = ReferenceDatabase()
         database.add(B, sig({"Data": [1, 0]}))
         database.add(A, sig({"Data": [1, 0]}))
-        winner, _score = best_match(sig({"Data": [1, 0]}), database)
+        winner, _score = best(sig({"Data": [1, 0]}), database)
         assert winner == B  # first registered wins ties

@@ -53,10 +53,10 @@ class TestFusion:
         correct = 0
         total = 0
         for window in split.validation.windows(15.0):
-            for device, fused in fusion.extract(window.table()).items():
-                if device not in fusion.devices:
-                    continue
-                winner, score = fusion.identify(fused)
+            fused = fusion.extract(window.table())
+            known = [device for device in fused if device in fusion.devices]
+            winners = fusion.identify([fused[device] for device in known])
+            for device, (winner, score) in zip(known, winners):
                 total += 1
                 correct += winner == device
                 assert 0.0 <= score <= 1.0 + 1e-9
@@ -86,4 +86,4 @@ class TestFusion:
         fusion = FusionMatcher(parameters=[InterArrivalTime()])
         fused = fusion.extract(small_office_trace.table())
         with pytest.raises(RuntimeError):
-            fusion.match(next(iter(fused.values())))
+            fusion.match(list(fused.values()))

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.database import ReferenceDatabase
-from repro.core.matcher import best_match, match_signature
+from repro.core.matcher import batch_match_signatures
 from repro.core.parameters import ALL_PARAMETERS, FrameSize
 from repro.core.signature import SignatureBuilder
 from repro.dot11.capture import CapturedFrame
@@ -97,9 +97,10 @@ class TestSignatureInvariants:
         database = ReferenceDatabase()
         for device, signature in signatures.items():
             database.add(device, signature)
-        for device, signature in signatures.items():
-            scores = match_signature(signature, database)
-            assert scores[device] == pytest.approx(max(scores.values()))
+        matrix = batch_match_signatures(list(signatures.values()), database)
+        for column, row in enumerate(matrix):
+            # Row i is the signature of database.devices[i].
+            assert row[column] == pytest.approx(row.max())
 
     @given(frames=capture_sequences())
     @settings(max_examples=30, suppress_health_check=[HealthCheck.too_slow])
@@ -109,9 +110,9 @@ class TestSignatureInvariants:
         database = ReferenceDatabase()
         for device, signature in signatures.items():
             database.add(device, signature)
-        for signature in signatures.values():
-            _winner, score = best_match(signature, database)
-            assert 0.0 <= score <= 1.0 + 1e-9
+        matrix = batch_match_signatures(list(signatures.values()), database)
+        assert matrix.shape == (len(signatures), len(database))
+        assert ((0.0 <= matrix) & (matrix <= 1.0 + 1e-9)).all()
 
 
 class TestPcapProperty:

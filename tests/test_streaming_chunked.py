@@ -263,11 +263,7 @@ class TestEngineEquivalence:
         )
         expected = {}
         for candidate in candidates:
-            best = max(candidate.similarities, key=candidate.similarities.__getitem__)
-            expected[(candidate.window_index, candidate.device)] = (
-                best,
-                candidate.similarities[best],
-            )
+            expected[(candidate.window_index, candidate.device)] = candidate.best
         events, _ = one_row_run(parameter.name, "tumbling")
         streamed = {
             (event.window_index, event.device): (event.best_device, event.similarity)

@@ -67,11 +67,7 @@ def batch_best(candidates):
     """(window, device) → (best reference, similarity) from the batch run."""
     out = {}
     for candidate in candidates:
-        best = max(candidate.similarities, key=lambda d: candidate.similarities[d])
-        out[(candidate.window_index, candidate.device)] = (
-            best,
-            candidate.similarities[best],
-        )
+        out[(candidate.window_index, candidate.device)] = candidate.best
     return out
 
 

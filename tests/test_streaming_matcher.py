@@ -1,9 +1,9 @@
 """Direct tests of :class:`StreamCandidate` and :class:`OnlineMatcher`.
 
 A candidate holds its row of the window's score matrix and the window's
-reference tuple; ``best`` is the row's argmax and ``similarities`` the
-per-reference dict built on read.  Both must agree with the scalar
-entry points of :mod:`repro.core.matcher` on the same signature.  The
+reference tuple, and ``best`` is the row's first maximum.  The row must
+equal the same window's :func:`batch_match_signatures` matrix and agree
+with the per-pair oracle loop (``tests.oracles.scalar_match``).  The
 live path's candidate is the batch path's class, so these checks hold
 for both.
 """
@@ -15,10 +15,11 @@ import pytest
 
 from repro.core.database import ReferenceDatabase
 from repro.core.detection import WindowCandidate
-from repro.core.matcher import best_match, match_signature
+from repro.core.matcher import batch_match_signatures
 from repro.dot11.mac import vendor_mac
 from repro.streaming import OnlineMatcher, StreamCandidate
 from repro.streaming.windows import ClosedWindow
+from tests.oracles import first_maximum, scalar_match
 from tests.test_batch_matching import random_signature
 
 
@@ -57,10 +58,11 @@ class TestStreamCandidate:
             closed_window({vendor_mac("00:18:f8", 9): shared})
         )
         winner, score = candidate.best
-        expected_winner, expected_score = best_match(shared, database)
+        expected_winner, expected_score = first_maximum(scalar_match(shared, database))
         assert winner == expected_winner == earlier
         assert score == pytest.approx(expected_score, abs=1e-12)
-        assert candidate.similarities[a] == candidate.similarities[b] == score
+        columns = [candidate.references.index(device) for device in (a, b)]
+        assert candidate.scores[columns].tolist() == [score, score]
 
     def test_similarities_equal_match_signature(self, rng):
         database = ReferenceDatabase()
@@ -71,16 +73,20 @@ class TestStreamCandidate:
         candidates = OnlineMatcher(database).match_window(closed_window(signatures))
 
         assert [c.device for c in candidates] == list(signatures)
-        for candidate in candidates:
+        matrix = batch_match_signatures(list(signatures.values()), database)
+        for candidate, row in zip(candidates, matrix):
             assert candidate.window_index == 7
             assert candidate.signature is signatures[candidate.device]
-            expected = match_signature(candidate.signature, database)
-            got = candidate.similarities
-            assert list(got) == list(expected) == database.devices
-            assert list(got.values()) == pytest.approx(list(expected.values()), abs=1e-12)
+            assert candidate.references == tuple(database.devices)
+            assert candidate.scores.tolist() == row.tolist()
+            expected = scalar_match(candidate.signature, database)
+            assert list(expected) == database.devices
+            assert candidate.scores.tolist() == pytest.approx(
+                list(expected.values()), abs=1e-12
+            )
             winner, score = candidate.best
-            assert score == max(got.values())
-            assert winner == best_match(candidate.signature, database)[0]
+            assert score == row.max()
+            assert winner == database.devices[int(row.argmax())]
 
     def test_empty_database_yields_no_candidates(self, rng):
         signatures = {vendor_mac("00:18:f8", 1): random_signature(rng)}

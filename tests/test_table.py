@@ -312,4 +312,4 @@ class TestColumnarDetectionEquivalence:
             (c.device, c.window_index) for c in columnar
         ]
         for expected, actual in zip(reference, columnar):
-            assert expected.similarities == actual.similarities
+            assert oracles.similarities(expected) == oracles.similarities(actual)

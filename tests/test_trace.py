@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
+from repro.dot11.capture import CapturedFrame
 from repro.dot11.mac import MacAddress
+from repro.radiotap.pcap import read_trace_pcap, write_trace_pcap
 from repro.traces.filters import (
     broadcast_data_only,
     data_frames_only,
@@ -160,6 +164,33 @@ class TestPcapRoundTrip:
         back = Trace.from_pcap(path, name="loaded")
         assert len(back) == 20
         assert back.senders() == {A, B}
+
+    def test_loaded_trace_keeps_no_frames(self, tmp_path):
+        """A loaded trace holds only its table; its frames are decoded
+        again when read."""
+
+        def live_frames() -> int:
+            gc.collect()
+            return sum(isinstance(o, CapturedFrame) for o in gc.get_objects())
+
+        path = tmp_path / "t.pcap"
+        _trace(500).to_pcap(path)
+        before = live_frames()
+        loaded = Trace.from_pcap(path)
+        assert live_frames() == before
+        assert len(loaded.frames) == 500
+        assert live_frames() == before + 500
+
+    def test_loaded_trace_writes_what_it_read(self, small_office_trace, tmp_path):
+        start = small_office_trace.start_us
+        office = small_office_trace.slice_us(start, start + 10e6)
+        path = tmp_path / "office.pcap"
+        office.to_pcap(path)
+        expected = tmp_path / "expected.pcap"
+        write_trace_pcap(expected, read_trace_pcap(path))
+        again = tmp_path / "again.pcap"
+        assert Trace.from_pcap(path).to_pcap(again) == len(office) > 0
+        assert again.read_bytes() == expected.read_bytes()
 
 
 class TestFilters:
