@@ -7,12 +7,7 @@ discrete-event 802.11 MAC simulator standing in for the paper's
 testbeds, a pure-Python Radiotap/pcap codec, and the applications the
 paper sketches (MAC-spoof detection, rogue-AP detection, tracking).
 
-Quickstart::
-
-    from repro import quick_fingerprint_demo
-    report = quick_fingerprint_demo()
-
-or assemble the pieces (see README.md / examples/)::
+Quickstart (see README.md / examples/)::
 
     from repro.core import (
         DetectionConfig, InterArrivalTime, ReferenceDatabase,
@@ -64,44 +59,5 @@ __all__ = [
     "conference_trace",
     "evaluate_trace",
     "office_trace",
-    "quick_fingerprint_demo",
 ]
 
-
-def quick_fingerprint_demo() -> str:
-    """One-call demo: simulate a small office, fingerprint it, report.
-
-    Returns a human-readable report string (also used by the README
-    quickstart and ``examples/quickstart.py``).
-    """
-    from repro.simulator import CbrTraffic, Scenario, StationSpec, WebTraffic
-
-    scenario = Scenario(duration_s=120.0, seed=11, encrypted=True)
-    scenario.add_station(
-        StationSpec(
-            name="laptop-a",
-            profile="intel-2200bg-linux",
-            sources=[CbrTraffic(interval_ms=25)],
-        )
-    )
-    scenario.add_station(
-        StationSpec(
-            name="laptop-b",
-            profile="broadcom-4318-win",
-            sources=[WebTraffic(mean_think_s=4.0)],
-        )
-    )
-    trace = scenario.run().trace(name="quick-demo", encrypted=True)
-    outcome = evaluate_trace(
-        trace,
-        InterArrivalTime(),
-        training_s=40.0,
-        config=DetectionConfig(window_s=20.0),
-    )
-    lines = [
-        f"trace: {trace.name} ({len(trace)} frames, {trace.duration_s:.0f}s)",
-        f"reference devices: {outcome.reference_devices}",
-        f"similarity AUC: {outcome.auc:.3f}",
-        f"identification ratio @ FPR 0.1: {outcome.identification_at(0.1):.3f}",
-    ]
-    return "\n".join(lines)

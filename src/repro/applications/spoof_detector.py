@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.dot11.mac import MacAddress
 from repro.core.database import ReferenceDatabase
+from repro.core.detection import WindowCandidate, matched_candidates, reference_axis
 from repro.core.matcher import batch_match_signatures
 from repro.core.parameters import InterArrivalTime, NetworkParameter
-from repro.core.signature import Signature, SignatureBuilder
+from repro.core.signature import SignatureBuilder
 from repro.traces.table import FrameTable
 
 
@@ -94,50 +96,45 @@ class SpoofDetector:
         """Fingerprint one detection window; verdict per active device.
 
         The active devices are the senders with rows in ``table`` (a
-        window slice shares its parent's ``senders`` tuple).
+        window slice shares its parent's ``senders`` tuple).  One
+        :func:`~repro.core.matcher.batch_match_signatures` call matches
+        the window's signatures, and :meth:`check_matches` decides.
         """
-        return self.check_signatures(
-            self.builder.build_table(table), table.active_senders()
+        signatures = self.builder.build_table(table)
+        scores = batch_match_signatures(list(signatures.values()), self.database)
+        return self.check_matches(
+            matched_candidates(signatures, scores, self.database),
+            table.active_senders(),
         )
 
-    def check_signatures(
-        self,
-        signatures: dict[MacAddress, Signature],
-        active: set[MacAddress],
+    def check_matches(
+        self, matches: Sequence[WindowCandidate], active: set[MacAddress]
     ) -> list[SpoofCheck]:
-        """Verdicts from already-built window signatures.
+        """The spoof rule: verdicts off a window's matched candidates.
 
-        ``active`` is every sender seen in the window — devices too
-        quiet to clear the signature gate still get an INSUFFICIENT
-        verdict.  The allow-listed devices with a signature are matched
-        in one :func:`~repro.core.matcher.batch_match_signatures` call:
-        a device's self-similarity is its own column of its row, and
-        its best other similarity the maximum of the other columns
-        (0.0 with one reference).  This is also the streaming spoof
-        guard's per-window entry point.
+        ``matches`` hold their rows of this detector's database's score
+        matrix (``ValueError`` otherwise); ``active`` is every sender
+        seen in the window — one too quiet for a signature has no row
+        and is INSUFFICIENT.  A device's self-similarity is its own
+        column of its row, and its best other similarity the maximum of
+        the other columns (0.0 with one reference).  Batch
+        :meth:`check_window` and the streaming spoof guard decide here.
         """
-        ordered = sorted(active, key=lambda m: m.value)
-        matched = [d for d in ordered if d in self.database and d in signatures]
-        scores = batch_match_signatures(
-            [signatures[device] for device in matched], self.database
-        )
-        column = {device: index for index, device in enumerate(self.database)}
-        rows = np.arange(len(matched))
-        own = [column[device] for device in matched]
-        self_sims = scores[rows, own]
-        # Clipped cosine scores are >= 0, so with the own column zeroed
-        # a row's maximum is the best other reference (0.0 if none).
-        scores[rows, own] = 0.0
-        best_others = scores.max(axis=1, initial=0.0)
-        evidence = dict(zip(matched, zip(self_sims.tolist(), best_others.tolist())))
+        references = reference_axis(matches, self.database)
+        column = {device: index for index, device in enumerate(references)}
+        rows = {candidate.device: candidate.scores for candidate in matches}
         checks: list[SpoofCheck] = []
-        for device in ordered:
-            if device not in self.database:
+        for device in sorted(active, key=lambda m: m.value):
+            if device not in column:
                 verdict, self_sim, best_other = SpoofVerdict.UNKNOWN_DEVICE, 0.0, 0.0
-            elif device not in evidence:
+            elif device not in rows:
                 verdict, self_sim, best_other = SpoofVerdict.INSUFFICIENT, 0.0, 0.0
             else:
-                self_sim, best_other = evidence[device]
+                own = column[device]
+                self_sim = float(rows[device][own])
+                # Clipped cosine scores are >= 0, so the best other
+                # reference is the other columns' maximum (0.0 if none).
+                best_other = float(np.delete(rows[device], own).max(initial=0.0))
                 genuine = self_sim >= self.accept_threshold and (
                     self_sim >= best_other + self.margin
                 )

@@ -11,13 +11,14 @@ device.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.dot11.mac import MacAddress
 from repro.core.database import ReferenceDatabase
+from repro.core.detection import WindowCandidate, matched_candidates, reference_axis
 from repro.core.matcher import batch_match_signatures
 from repro.core.parameters import InterArrivalTime, NetworkParameter
-from repro.core.signature import Signature, SignatureBuilder
+from repro.core.signature import SignatureBuilder
 from repro.traces.table import FrameTable
 
 
@@ -92,53 +93,48 @@ class DeviceTracker:
             self.database.add(device, signature)
         return len(signatures)
 
-    def link_signatures(
-        self, signatures: dict[MacAddress, Signature], window_index: int = 0
-    ) -> list[PseudonymLink]:
-        """Link already-built window signatures to learnt devices.
-
-        Only locally-administered (randomised-looking) addresses are
-        treated as pseudonyms; devices still using their real address
-        are trivially trackable and skipped.  All pseudonyms of the
-        window are matched in one
-        :func:`~repro.core.matcher.batch_match_signatures` call, and
-        each row's first maximum is its link, kept only when above 0.0
-        and at least ``link_threshold``; a tie goes to the
-        earliest-registered reference.  This is also the streaming live
-        tracker's per-window entry point.
-        """
-        pseudonyms = [
-            sender for sender in signatures if sender.is_locally_administered
-        ]
-        if not pseudonyms:
-            return []
-        scores = batch_match_signatures(
-            [signatures[pseudonym] for pseudonym in pseudonyms], self.database
-        )
-        references = self.database.devices
-        links: list[PseudonymLink] = []
-        for pseudonym, row in zip(pseudonyms, scores):
-            linked, similarity = None, 0.0
-            if row.size:
-                column = int(row.argmax())
-                similarity = float(row[column])
-                if similarity > 0.0 and similarity >= self.link_threshold:
-                    linked = references[column]
-            links.append(
-                PseudonymLink(
-                    pseudonym=pseudonym,
-                    linked_device=linked,
-                    similarity=similarity,
-                    window_index=window_index,
-                )
-            )
-        return links
-
     def track_window(
         self, table: FrameTable, window_index: int = 0
     ) -> list[PseudonymLink]:
-        """Link every pseudonymous sender in one observation window."""
-        return self.link_signatures(self.builder.build_table(table), window_index)
+        """Link every pseudonymous sender in one observation window:
+        one :func:`~repro.core.matcher.batch_match_signatures` call
+        matches the window's signatures, and :meth:`link_matches` links.
+        """
+        signatures = self.builder.build_table(table)
+        scores = batch_match_signatures(list(signatures.values()), self.database)
+        return self.link_matches(
+            matched_candidates(signatures, scores, self.database, window_index)
+        )
+
+    def link_matches(self, matches: Sequence[WindowCandidate]) -> list[PseudonymLink]:
+        """The link rule: each pseudonym's link off its matched row.
+
+        Only locally-administered (randomised-looking) addresses are
+        treated as pseudonyms; devices still using their real address
+        are trivially trackable and skipped.  ``matches`` hold their
+        rows of this tracker's database's score matrix (``ValueError``
+        otherwise).  A row's first maximum is its link, kept only when
+        above 0.0 and at least ``link_threshold``; a tie goes to the
+        earliest-registered reference.  Batch :meth:`track_window` and
+        the streaming live tracker link here.
+        """
+        reference_axis(matches, self.database)
+        links: list[PseudonymLink] = []
+        for candidate in matches:
+            if not candidate.device.is_locally_administered:
+                continue
+            linked, similarity = candidate.best
+            if not (similarity > 0.0 and similarity >= self.link_threshold):
+                linked = None
+            links.append(
+                PseudonymLink(
+                    pseudonym=candidate.device,
+                    linked_device=linked,
+                    similarity=similarity,
+                    window_index=candidate.window_index,
+                )
+            )
+        return links
 
     def track(self, windows: Iterable[FrameTable]) -> TrackingReport:
         """Track across a sequence of observation windows."""

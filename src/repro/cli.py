@@ -368,25 +368,17 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     database, parameter_name = _load_store(args.db)
     parameter = parameter_by_name(parameter_name)
 
+    # The guards read the engine's rows: they need the store (the
+    # allow-list is the learnt database), not a signature builder.
     analyzers = []
     if args.spoof_guard:
         from repro.applications.spoof_detector import SpoofDetector
 
-        detector = SpoofDetector(
-            parameter=parameter,
-            min_observations=args.min_observations,
-            database=database,  # the allow-list is the learnt db
-        )
-        analyzers.append(OnlineSpoofGuard(detector))
+        analyzers.append(OnlineSpoofGuard(SpoofDetector(parameter, database=database)))
     if args.track:
         from repro.applications.tracker import DeviceTracker
 
-        tracker = DeviceTracker(
-            parameter=parameter,
-            min_observations=args.min_observations,
-            database=database,
-        )
-        analyzers.append(LiveTracker(tracker))
+        analyzers.append(LiveTracker(DeviceTracker(parameter, database=database)))
 
     def console_sink(event: StreamEvent) -> None:
         if isinstance(event, WindowClosed):

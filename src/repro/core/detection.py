@@ -13,6 +13,7 @@ and one ``np.searchsorted`` over all thresholds (DESIGN.md §8).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -71,6 +72,34 @@ class WindowCandidate:
             return None, 0.0
         column = int(self.scores.argmax())
         return self.references[column], float(self.scores[column])
+
+
+def matched_candidates(
+    signatures: dict[MacAddress, Signature],
+    scores: np.ndarray,
+    database: ReferenceDatabase,
+    window_index: int = 0,
+) -> list[WindowCandidate]:
+    """One window's candidates, each holding its row of ``scores``.
+
+    ``scores`` is the :func:`~repro.core.matcher.batch_match_signatures`
+    matrix of ``signatures`` (in their order) against ``database``.
+    """
+    references = tuple(database.devices)
+    return [
+        WindowCandidate(device, window_index, signature, row, references)
+        for (device, signature), row in zip(signatures.items(), scores)
+    ]
+
+
+def reference_axis(
+    candidates: Sequence[WindowCandidate], database: ReferenceDatabase
+) -> tuple[MacAddress, ...]:
+    """``database``'s devices, checked to be every candidate's column order."""
+    references = tuple(database.devices)
+    if any(candidate.references != references for candidate in candidates):
+        raise ValueError("candidates were not matched against this database")
+    return references
 
 
 def _columnar_window_candidates(
@@ -144,9 +173,7 @@ def _score_matrix(
     candidates: list[WindowCandidate], database: ReferenceDatabase
 ) -> tuple[np.ndarray, np.ndarray]:
     """The candidates' stacked score rows and true columns (−1: unknown)."""
-    references = tuple(database.devices)
-    if any(candidate.references != references for candidate in candidates):
-        raise ValueError("candidates were not matched against this database")
+    references = reference_axis(candidates, database)
     columns = {device: column for column, device in enumerate(references)}
     truth = np.array([columns.get(c.device, -1) for c in candidates], dtype=np.intp)
     rows = [candidate.scores for candidate in candidates]

@@ -229,9 +229,11 @@ def iter_trace_pcap(
     precision inside the capture) and fall back to the pcap record
     timestamp; Prism timestamps are the record timestamp, because the
     32-bit Prism MAC time wraps every ~71 minutes.  Any other linktype
-    raises :class:`PcapError`.  Frames whose FCS fails verification are
-    kept unless ``skip_bad_fcs`` is set — mirroring the choice a real
-    monitoring deployment must make.
+    raises :class:`PcapError`.  A radiotap record carries the trailing
+    FCS only when its Flags field says so; Prism records always carry
+    it.  Frames whose FCS fails verification are kept unless
+    ``skip_bad_fcs`` is set — mirroring the choice a real monitoring
+    deployment must make.
     """
     with PcapReader(source) as reader:
         prism = reader.linktype == LINKTYPE_PRISM_HEADER
@@ -253,7 +255,8 @@ def iter_trace_pcap(
                     else record.timestamp_us
                 )
                 signal_dbm = header.antenna_signal_dbm
-            decoded = decode_dot11(record.data[header.length :], has_fcs=True)
+            has_fcs = prism or header.has_fcs
+            decoded = decode_dot11(record.data[header.length :], has_fcs=has_fcs)
             if skip_bad_fcs and not decoded.fcs_ok:
                 continue
             yield CapturedFrame(

@@ -121,6 +121,8 @@ class ServiceConfig:
             raise ValueError(f"shard count must be >= 1: {self.shard_count}")
         if self.queue_chunks < 1:
             raise ValueError(f"queue_chunks must be >= 1: {self.queue_chunks}")
+        if self.min_observations < 1:
+            raise ValueError(f"min_observations must be >= 1: {self.min_observations}")
         if self.merge_policy not in ("replace", "keep", "error"):
             raise ValueError(f"unknown merge policy: {self.merge_policy!r}")
         if (
@@ -162,7 +164,7 @@ class ReferenceHarvester(WindowAnalyzer):
     def __init__(self, database: ReferenceDatabase) -> None:
         self.database = database
 
-    def on_window(self, closed: ClosedWindow) -> list:
+    def on_window(self, closed: ClosedWindow, matches: list) -> list:
         for device, signature in closed.signatures.items():
             self.database.add(device, signature)
         return []

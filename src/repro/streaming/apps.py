@@ -5,13 +5,15 @@ Each adapter turns one batch application into a window analyzer the
 :meth:`~WindowAnalyzer.on_table` for every routed row span of a chunk
 (optional pre-window state) and :meth:`~WindowAnalyzer.on_window`
 whenever a detection window closes, and the adapter answers with typed
-alert events.  The underlying detectors are the
-unmodified batch implementations — the adapters reuse their
-signature-level entry points (``check_signatures``,
-``check_signature``, ``link_signatures``), so batch and streaming
-verdicts are computed by the same code: one
-:func:`~repro.core.matcher.batch_match_signatures` call per closed
-window, whose score rows give every verdict and link.
+alert events.  ``on_window`` also receives the window's candidates as
+the engine's :class:`~repro.streaming.matcher.OnlineMatcher` matched
+them, in the one Algorithm 1 call per closed window.  The spoof guard
+and the live tracker read their verdicts off those rows through the
+batch detectors' rules (``SpoofDetector.check_matches``,
+``DeviceTracker.link_matches``), so batch and streaming verdicts are
+computed by the same code.  The rogue-AP guard matches the AP's
+own-frame signature, which the engine never builds, in its own
+one-row call (``RogueApDetector.check_signature``).
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import numpy as np
 from repro.dot11.mac import MacAddress
 from repro.applications.rogue_ap import RogueApDetector, ap_own_rows
 from repro.applications.spoof_detector import SpoofDetector, SpoofVerdict
-from repro.applications.tracker import DeviceTracker
+from repro.applications.tracker import DeviceTracker, TrackingReport
+from repro.core.database import ReferenceDatabase
 from repro.streaming.builder import StreamingSignatureBuilder
 from repro.streaming.events import (
     PseudonymLinked,
@@ -29,6 +32,7 @@ from repro.streaming.events import (
     SpoofAlert,
     StreamEvent,
 )
+from repro.streaming.matcher import StreamCandidate
 from repro.streaming.windows import ClosedWindow
 from repro.traces.table import FrameTable
 
@@ -45,20 +49,47 @@ class WindowAnalyzer:
         every chunk source (interned, wire-decoded or mask-selected).
         """
 
-    def on_window(self, closed: ClosedWindow) -> list[StreamEvent]:
-        """Called when a detection window closes; returns alert events."""
+    def on_window(
+        self, closed: ClosedWindow, matches: list[StreamCandidate]
+    ) -> list[StreamEvent]:
+        """Called when a detection window closes; returns alert events.
+
+        ``matches`` are the engine's matched candidates, one per entry
+        of ``closed.signatures`` (none without a non-empty database).
+        """
         return []
+
+
+def _window_rows(
+    closed: ClosedWindow, matches: list[StreamCandidate], database: ReferenceDatabase
+) -> list[StreamCandidate]:
+    """The engine's matches of ``closed`` as rows of ``database``.
+
+    An empty database matches nothing: each candidate then stands
+    unmatched (no references), as a batch call leaves it.  Unmatched
+    candidates with a non-empty database mean the engine matched
+    against another database or none, and are refused.
+    """
+    if not matches and len(database) == 0:
+        return [
+            StreamCandidate(device, closed.index, signature)
+            for device, signature in closed.signatures.items()
+        ]
+    if len(matches) != len(closed.signatures):
+        raise ValueError("window candidates were not matched against this database")
+    return matches
 
 
 class OnlineSpoofGuard(WindowAnalyzer):
     """MAC-spoof detection per closed window (Section VII-B1, live).
 
     Wraps a learnt :class:`~repro.applications.spoof_detector.SpoofDetector`;
-    every closed window's candidate signatures are checked against the
+    every closed window's matched candidates are checked against the
     allow-list references and non-genuine verdicts become
-    :class:`~repro.streaming.events.SpoofAlert` events.  ``alert_on``
-    selects which verdicts are alert-worthy (the default flags spoofed
-    and unknown devices; INSUFFICIENT windows are routine on quiet
+    :class:`~repro.streaming.events.SpoofAlert` events; the engine
+    must match against ``detector.database``.  ``alert_on`` selects
+    which verdicts are alert-worthy (the default flags spoofed and
+    unknown devices; INSUFFICIENT windows are routine on quiet
     devices).
     """
 
@@ -72,8 +103,11 @@ class OnlineSpoofGuard(WindowAnalyzer):
         self.detector = detector
         self.alert_on = alert_on
 
-    def on_window(self, closed: ClosedWindow) -> list[StreamEvent]:
-        checks = self.detector.check_signatures(closed.signatures, closed.senders)
+    def on_window(
+        self, closed: ClosedWindow, matches: list[StreamCandidate]
+    ) -> list[StreamEvent]:
+        rows = _window_rows(closed, matches, self.detector.database)
+        checks = self.detector.check_matches(rows, closed.senders)
         return [
             SpoofAlert(
                 timestamp_us=closed.end_us,
@@ -123,7 +157,9 @@ class OnlineRogueApGuard(WindowAnalyzer):
             self._own_frames += count
             self._builder.update_table(span.select(own))
 
-    def on_window(self, closed: ClosedWindow) -> list[StreamEvent]:
+    def on_window(
+        self, closed: ClosedWindow, matches: list[StreamCandidate]
+    ) -> list[StreamEvent]:
         signature = self._builder.signature(self.ap)
         observations = self._own_frames
         self._builder = self._new_builder()  # next tumbling span
@@ -148,21 +184,23 @@ class LiveTracker(WindowAnalyzer):
     """Cross-window pseudonym linking (Section VII-B3, live).
 
     The paper's tracker becomes a true live tracker: every closed
-    window's randomised-looking senders are linked against the learnt
-    signatures in one batch call and each link (or explicit non-link)
-    is emitted as a :class:`~repro.streaming.events.PseudonymLinked`
-    event.  The accumulated :class:`~repro.applications.tracker.TrackingReport`
+    window's randomised-looking senders are linked off their rows of
+    the engine's match (which must be against ``tracker.database``) and
+    each link (or explicit non-link) is emitted as a
+    :class:`~repro.streaming.events.PseudonymLinked` event.  The
+    accumulated :class:`~repro.applications.tracker.TrackingReport`
     stays queryable mid-stream via :attr:`report`.
     """
 
     def __init__(self, tracker: DeviceTracker) -> None:
-        from repro.applications.tracker import TrackingReport
-
         self.tracker = tracker
         self.report = TrackingReport()
 
-    def on_window(self, closed: ClosedWindow) -> list[StreamEvent]:
-        links = self.tracker.link_signatures(closed.signatures, closed.index)
+    def on_window(
+        self, closed: ClosedWindow, matches: list[StreamCandidate]
+    ) -> list[StreamEvent]:
+        rows = _window_rows(closed, matches, self.tracker.database)
+        links = self.tracker.link_matches(rows)
         self.report.links.extend(links)
         return [
             PseudonymLinked(

@@ -12,8 +12,10 @@
    guard's own-traffic accumulator);
 3. when a detection window closes, its candidates are matched against
    the live reference database in one batch call
-   (:class:`~repro.streaming.matcher.OnlineMatcher`) and the window
-   analyzers produce application alerts;
+   (:class:`~repro.streaming.matcher.OnlineMatcher`), and the window
+   analyzers receive those matched candidates with the window: the
+   spoof guard and live tracker read their verdicts off the rows, so
+   each closed window costs one Algorithm 1 call whatever is attached;
 4. everything observable leaves as a typed
    :class:`~repro.streaming.events.StreamEvent` delivered to the
    registered sinks.
@@ -33,7 +35,6 @@ from typing import Iterable
 
 from repro.dot11.mac import MacAddress
 from repro.core.database import ReferenceDatabase
-from repro.core.similarity import SimilarityMeasure, cosine_similarity
 from repro.traces.table import FrameTable
 from repro.streaming.apps import WindowAnalyzer
 from repro.streaming.events import (
@@ -81,18 +82,18 @@ class StreamEngine:
         builder_factory,
         database: ReferenceDatabase | None = None,
         window: WindowConfig | None = None,
-        measure: SimilarityMeasure = cosine_similarity,
         analyzers: Iterable[WindowAnalyzer] = (),
         sinks: Iterable[EventSink] = (),
     ) -> None:
         """``builder_factory`` makes one
         :class:`StreamingSignatureBuilder` per detection window (a
         zero-argument callable, e.g. ``lambda: StreamingSignatureBuilder(
-        parameter, min_observations=50)``)."""
+        parameter, min_observations=50)``); the spoof guard and live
+        tracker need their detector's ``database`` here."""
         self._windows = WindowManager(builder_factory, window)
         self._windows.on_evict = self._emit_eviction
         self._windows.on_sweep = self._sample_resident
-        self._matcher = OnlineMatcher(database, measure) if database is not None else None
+        self._matcher = OnlineMatcher(database) if database is not None else None
         self._analyzers: list[WindowAnalyzer] = list(analyzers)
         self._sinks: list[EventSink] = list(sinks)
         self.stats = StreamStats()
@@ -212,7 +213,7 @@ class StreamEngine:
                 )
             )
         for analyzer in self._analyzers:
-            for event in analyzer.on_window(closed):
+            for event in analyzer.on_window(closed, matches):
                 self._emit(event)
 
     def _emit_eviction(

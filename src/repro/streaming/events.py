@@ -1,7 +1,7 @@
 """Typed events emitted by the streaming engine, and event sinks.
 
-The engine is event-driven end to end: frame sources push
-:class:`~repro.dot11.capture.CapturedFrame` objects in, and every
+The engine is event-driven end to end: chunked sources push columnar
+:class:`~repro.traces.table.FrameTable` chunks in, and every
 observable outcome — a detection window closing, a candidate matched
 against the reference database, an application alert — leaves the
 engine as a :class:`StreamEvent` delivered to registered sinks.

@@ -16,15 +16,16 @@ the matrix and the window's reference-device tuple (the column order).
 The identification test needs only the argmax of Algorithm 1's
 similarity vector, so :attr:`StreamCandidate.best` reads it straight
 off the row, and a consumer that needs one reference's score reads
-that reference's column.
+that reference's column.  The engine hands these candidates to every
+analyzer (:mod:`repro.streaming.apps`), so a closed window is matched
+once, with the cosine measure the guards' thresholds are stated in.
 """
 
 from __future__ import annotations
 
 from repro.core.database import ReferenceDatabase
-from repro.core.detection import WindowCandidate
+from repro.core.detection import WindowCandidate, matched_candidates
 from repro.core.matcher import batch_match_signatures
-from repro.core.similarity import SimilarityMeasure, cosine_similarity
 from repro.streaming.windows import ClosedWindow
 
 
@@ -35,30 +36,13 @@ StreamCandidate = WindowCandidate
 class OnlineMatcher:
     """Algorithm 1 over closed windows, with live reference updates."""
 
-    def __init__(
-        self,
-        database: ReferenceDatabase | None = None,
-        measure: SimilarityMeasure = cosine_similarity,
-    ) -> None:
+    def __init__(self, database: ReferenceDatabase | None = None) -> None:
         self.database = database if database is not None else ReferenceDatabase()
-        self.measure = measure
 
     def match_window(self, closed: ClosedWindow) -> list[StreamCandidate]:
         """Match every candidate of one closed window in a single batch."""
         if not closed.signatures or len(self.database) == 0:
             return []
         signatures = closed.signatures
-        scores = batch_match_signatures(
-            list(signatures.values()), self.database, self.measure
-        )
-        references = tuple(self.database.devices)
-        return [
-            StreamCandidate(
-                device=device,
-                window_index=closed.index,
-                signature=signature,
-                scores=row,
-                references=references,
-            )
-            for (device, signature), row in zip(signatures.items(), scores)
-        ]
+        scores = batch_match_signatures(list(signatures.values()), self.database)
+        return matched_candidates(signatures, scores, self.database, closed.index)

@@ -16,6 +16,7 @@ from repro.applications.rogue_ap import RogueApDetector, ap_own_rows
 from repro.applications.spoof_detector import SpoofDetector, SpoofVerdict
 from repro.applications.tracker import DeviceTracker
 from repro.core.database import ReferenceDatabase
+from repro.core.detection import matched_candidates
 from repro.core.matcher import batch_match_signatures
 from repro.core.parameters import InterArrivalTime
 from repro.core.signature import Signature
@@ -23,6 +24,8 @@ from repro.dot11.frames import FrameSubtype
 from repro.dot11.mac import MacAddress
 from repro.persistence import load_database, save_database
 from repro.simulator import CbrTraffic, Scenario, StationSpec, WebTraffic
+from repro.streaming import OnlineMatcher
+from repro.streaming.windows import ClosedWindow
 from repro.traces.table import FrameTable
 from tests import oracles
 from tests.conftest import count_match_calls, make_data_capture
@@ -116,6 +119,22 @@ class TestSpoofDetector:
         verdicts = {c.device: c for c in detector.check_window(result.table())}
         assert verdicts[macs["attacker"]].verdict is SpoofVerdict.UNKNOWN_DEVICE
 
+    def test_check_window_matches_once(self, spoof_scenario, monkeypatch):
+        """The batch entry matches every signature of the window in one
+        call and reads its verdicts off those rows."""
+        result, macs = spoof_scenario
+        table = result.table()
+        detector = SpoofDetector(min_observations=30)
+        detector.learn(table.slice_us(0.0, 60e6), {macs["legit-1"], macs["legit-2"]})
+        window = table.slice_us(60e6, np.inf)
+        calls = count_match_calls(monkeypatch, "repro.applications.spoof_detector")
+        checks = detector.check_window(window)
+        signatures = detector.builder.build_table(window)
+        assert calls == [len(signatures)]
+        assert checks == detector.check_matches(
+            matched(signatures, detector.database), window.active_senders()
+        )
+
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             SpoofDetector(accept_threshold=1.5)
@@ -129,13 +148,31 @@ def qos_data_signature(*mass: float) -> Signature:
     )
 
 
+def matched(signatures: dict, database: ReferenceDatabase, window_index: int = 0):
+    """A window's candidates with their rows of the window's one call."""
+    scores = batch_match_signatures(list(signatures.values()), database)
+    return matched_candidates(signatures, scores, database, window_index)
+
+
+def engine_match(signatures: dict, senders: set, database: ReferenceDatabase):
+    """The stream engine's match of a closed window with these candidates."""
+    closed = ClosedWindow(
+        index=0,
+        start_us=0.0,
+        end_us=1e6,
+        frame_count=0,
+        signatures=signatures,
+        senders=senders,
+    )
+    return OnlineMatcher(database).match_window(closed)
+
+
 class TestSpoofRule:
-    """``check_signatures`` matches a window's allow-listed devices in
-    one batch call: a device's self-similarity is its own column of its
-    row, its best other similarity the maximum of the other columns
-    (0.0 with one reference), and it is genuine when the self-similarity
-    is at least ``accept_threshold`` and at least the best other plus
-    ``margin``."""
+    """``check_matches`` reads a window's matched rows: a device's
+    self-similarity is its own column of its row, its best other
+    similarity the maximum of the other columns (0.0 with one
+    reference), and it is genuine when the self-similarity is at least
+    ``accept_threshold`` and at least the best other plus ``margin``."""
 
     A = MacAddress.parse("00:13:e8:00:00:0a")
     B = MacAddress.parse("00:18:f8:00:00:0b")
@@ -151,14 +188,17 @@ class TestSpoofRule:
 
     def test_one_call_per_window(self, monkeypatch):
         detector = self._detector()
+        engine_calls = count_match_calls(monkeypatch, "repro.streaming.matcher")
         calls = count_match_calls(monkeypatch, "repro.applications.spoof_detector")
         window = {
             self.A: qos_data_signature(1, 0.2, 0),
             self.C: qos_data_signature(0.1, 1, 0),
         }
         active = {self.A, self.B, self.C, self.STRANGER}
-        checks = detector.check_signatures(window, active)
-        assert calls == [2]
+        matches = engine_match(window, active, detector.database)
+        checks = detector.check_matches(matches, active)
+        assert engine_calls == [2]
+        assert calls == []  # the rule reads the engine's rows
         assert [(check.device, check.verdict) for check in checks] == [
             (self.STRANGER, SpoofVerdict.UNKNOWN_DEVICE),
             (self.A, SpoofVerdict.GENUINE),
@@ -173,7 +213,8 @@ class TestSpoofRule:
             self.B: qos_data_signature(0.3, 1, 0.5),
             self.C: qos_data_signature(1, 0.8, 0.1),
         }
-        checks = detector.check_signatures(window, set(window))
+        matches = matched(window, detector.database)
+        checks = detector.check_matches(matches, set(window))
         matrix = batch_match_signatures(
             [window[check.device] for check in checks], detector.database
         )
@@ -186,8 +227,9 @@ class TestSpoofRule:
     def test_one_reference_leaves_best_other_at_zero(self):
         detector = SpoofDetector()
         detector.database.add(self.A, qos_data_signature(1, 0, 0))
-        (check,) = detector.check_signatures(
-            {self.A: qos_data_signature(1, 0.5, 0)}, {self.A}
+        (check,) = detector.check_matches(
+            matched({self.A: qos_data_signature(1, 0.5, 0)}, detector.database),
+            {self.A},
         )
         assert check.self_similarity > 0.55
         assert check.best_other_similarity == 0.0
@@ -205,8 +247,9 @@ class TestSpoofRule:
     def test_threshold_and_margin(self, accept_threshold, margin, verdict):
         # Self 0.995 against A, best other 0.774 against C.
         detector = self._detector(accept_threshold=accept_threshold, margin=margin)
-        (check,) = detector.check_signatures(
-            {self.A: qos_data_signature(1, 0.1, 0)}, {self.A}
+        (check,) = detector.check_matches(
+            matched({self.A: qos_data_signature(1, 0.1, 0)}, detector.database),
+            {self.A},
         )
         assert check.verdict is verdict
 
@@ -349,6 +392,27 @@ class TestTracker:
         tracker.learn(result.table())
         assert tracker.track_window(result.table()) == []
 
+    def test_track_window_matches_once(self, spoof_scenario, monkeypatch):
+        """The batch entry matches every signature of the window in one
+        call and links off those rows."""
+        import random
+
+        result, macs = spoof_scenario
+        device = macs["legit-1"]
+        later = [c for c in result.captures if c.timestamp_us >= 60e6]
+        pseudonym = device.randomized(random.Random(5))
+        window = FrameTable.from_frames(spoof_mac(later, device, pseudonym))
+        tracker = DeviceTracker(min_observations=30, link_threshold=0.4)
+        tracker.learn(result.table().slice_us(0.0, 60e6))
+        calls = count_match_calls(monkeypatch, "repro.applications.tracker")
+        links = tracker.track_window(window, window_index=2)
+        signatures = tracker.builder.build_table(window)
+        assert calls == [len(signatures)]
+        assert [link.pseudonym for link in links] == [pseudonym]
+        assert links == tracker.link_matches(
+            matched(signatures, tracker.database, window_index=2)
+        )
+
     def test_batch_port_equals_scalar_linking(self, spoof_scenario):
         """track_window's single batch call links like the per-pair
         Algorithm 1 loop, pseudonym by pseudonym."""
@@ -384,7 +448,7 @@ class TestTracker:
 
 
 class TestTrackerLinkRule:
-    """``link_signatures`` links a pseudonym to the first reference with
+    """``link_matches`` links a pseudonym to the first reference with
     its row's maximum score, and only when that maximum is above 0.0
     and at least ``link_threshold``."""
 
@@ -408,7 +472,9 @@ class TestTrackerLinkRule:
         tracker.database.add(second, signature)
         (row,) = batch_match_signatures([signature], tracker.database)
         assert row[0] == row[1] > 0.5  # a true tie
-        (link,) = tracker.link_signatures({self.PSEUDONYM: signature})
+        (link,) = tracker.link_matches(
+            matched({self.PSEUDONYM: signature}, tracker.database)
+        )
         assert link.linked_device == first
         assert link.similarity == row[0]
 
@@ -419,7 +485,9 @@ class TestTrackerLinkRule:
         candidate = self._signature("QoS Data")  # no frame type in common
         (row,) = batch_match_signatures([candidate], tracker.database)
         assert row.tolist() == [0.0]
-        (link,) = tracker.link_signatures({self.PSEUDONYM: candidate})
+        (link,) = tracker.link_matches(
+            matched({self.PSEUDONYM: candidate}, tracker.database)
+        )
         assert link.linked_device is None
         assert link.similarity == 0.0
 
@@ -428,14 +496,18 @@ class TestTrackerLinkRule:
         tracker = DeviceTracker(link_threshold=0.5)
         tracker.database.add(self.FIRST, qos_data_signature(1, 0, 0))
         tracker.database.add(self.SECOND, qos_data_signature(0, 1, 0))
+        engine_calls = count_match_calls(monkeypatch, "repro.streaming.matcher")
         calls = count_match_calls(monkeypatch, "repro.applications.tracker")
         window = {
             self.PSEUDONYM: qos_data_signature(1, 0.1, 0),
             self.OTHER_PSEUDONYM: qos_data_signature(0.1, 1, 0),
             self.FIRST: qos_data_signature(1, 0, 0),  # a real address
         }
-        links = tracker.link_signatures(window)
-        assert calls == [2]
+        links = tracker.link_matches(
+            engine_match(window, set(window), tracker.database)
+        )
+        assert engine_calls == [3]  # the engine matches every candidate
+        assert calls == []  # the rule reads the engine's rows
         assert [(link.pseudonym, link.linked_device) for link in links] == [
             (self.PSEUDONYM, self.FIRST),
             (self.OTHER_PSEUDONYM, self.SECOND),
@@ -446,17 +518,22 @@ class TestTrackerLinkRule:
         tracker.database.add(self.FIRST, qos_data_signature(1, 0, 0))
         candidate = qos_data_signature(1, 1, 0)
         (row,) = batch_match_signatures([candidate], tracker.database)
-        (link,) = tracker.link_signatures({self.PSEUDONYM: candidate})
+        (link,) = tracker.link_matches(
+            matched({self.PSEUDONYM: candidate}, tracker.database)
+        )
         assert link.linked_device is None
         assert link.similarity == row[0] == pytest.approx(0.5**0.5)
 
     def test_empty_database_leaves_every_pseudonym_unlinked(self):
         tracker = DeviceTracker()
-        links = tracker.link_signatures(
-            {
-                self.PSEUDONYM: qos_data_signature(1, 0, 0),
-                self.OTHER_PSEUDONYM: qos_data_signature(0, 1, 0),
-            }
+        links = tracker.link_matches(
+            matched(
+                {
+                    self.PSEUDONYM: qos_data_signature(1, 0, 0),
+                    self.OTHER_PSEUDONYM: qos_data_signature(0, 1, 0),
+                },
+                tracker.database,
+            )
         )
         assert [(link.linked_device, link.similarity) for link in links] == [
             (None, 0.0),
@@ -568,11 +645,11 @@ class TestApplicationsAcceptLoadedDatabase:
                 pseudonym_of[sender] = sender.randomized(rng)
             pseudonymous.append(frame.with_sender(pseudonym_of[sender]))
         window = FrameTable.from_frames(pseudonymous)
-        links = tracker.link_signatures(
-            tracker.builder.build_table(window), window_index=0
+        links = tracker.link_matches(
+            matched(tracker.builder.build_table(window), tracker.database)
         )
-        plain_links = learner.link_signatures(
-            learner.builder.build_table(window), window_index=0
+        plain_links = learner.link_matches(
+            matched(learner.builder.build_table(window), learner.database)
         )
         assert links  # the office devices are active enough to link
         assert [(link.pseudonym, link.linked_device) for link in links] == [

@@ -12,6 +12,7 @@ from repro.core.parameters import InterArrivalTime
 from repro.core.signature import SignatureBuilder
 from repro.persistence import load_database
 from repro.traces.trace import Trace
+from tests.conftest import count_match_calls
 from tests.test_persistence import assert_databases_equal
 
 
@@ -304,6 +305,54 @@ class TestCommands:
         lines = [json.loads(line) for line in events_path.read_text().splitlines()]
         assert any(payload["event"] == "WindowClosed" for payload in lines)
         assert any(payload["event"] == "DeviceMatched" for payload in lines)
+
+    def test_stream_guards_read_the_engine_match(
+        self, tmp_path, office_pcap, small_office_trace, monkeypatch, capsys
+    ):
+        """``stream --spoof-guard --track`` makes one Algorithm 1 call
+        per closed window with candidates, in the engine's matcher: the
+        spoof guard and the live tracker read its rows."""
+        import random
+
+        from repro.applications.attacks import spoof_mac
+        from repro.radiotap.pcap import write_trace_pcap
+
+        store = tmp_path / "store"
+        assert main(
+            ["learn", str(office_pcap), "--db", str(store), "--min-observations", "30"]
+        ) == 0
+        device = load_database(store).database.devices[0]
+        pseudonym = device.randomized(random.Random(3))
+        capture = tmp_path / "pseudonymous.pcap"
+        write_trace_pcap(capture, spoof_mac(small_office_trace.frames, device, pseudonym))
+        calls = {
+            module: count_match_calls(monkeypatch, module)
+            for module in (
+                "repro.streaming.matcher",
+                "repro.applications.spoof_detector",
+                "repro.applications.tracker",
+            )
+        }
+        capsys.readouterr()
+        events_path = tmp_path / "events.jsonl"
+        argv = ["stream", str(capture), "--db", str(store), "--window-s", "30"]
+        argv += ["--min-observations", "30", "--spoof-guard", "--track"]
+        assert main(argv + ["--events", str(events_path)]) == 0
+        out = capsys.readouterr().out
+        assert f"ALERT window 0: {pseudonym} unknown" in out
+        assert f"LINK window 0: {pseudonym} -> {device}" in out
+        events = [json.loads(line) for line in events_path.read_text().splitlines()]
+        windows = [
+            event["candidate_count"]
+            for event in events
+            if event["event"] == "WindowClosed" and event["candidate_count"]
+        ]
+        assert len(windows) == 3
+        assert calls == {
+            "repro.streaming.matcher": windows,
+            "repro.applications.spoof_detector": [],
+            "repro.applications.tracker": [],
+        }
 
     def test_stream_parser_defaults(self):
         args = build_parser().parse_args(["stream", "x.pcap", "--db", "d.db"])

@@ -10,6 +10,7 @@ import pytest
 from repro.dot11.capture import CapturedFrame
 from repro.dot11.frames import Dot11Frame, FrameSubtype, ack_frame
 from repro.dot11.mac import MacAddress
+from repro.radiotap.dot11_codec import encode_dot11
 from repro.radiotap.pcap import (
     LINKTYPE_IEEE802_11_RADIOTAP,
     PcapError,
@@ -18,6 +19,7 @@ from repro.radiotap.pcap import (
     read_trace_pcap,
     write_trace_pcap,
 )
+from repro.radiotap.writer import build_radiotap
 
 A = MacAddress.parse("00:13:e8:00:00:01")
 B = MacAddress.parse("00:18:f8:00:00:02")
@@ -143,3 +145,26 @@ class TestTracePersistence:
 
     def test_linktype_constant(self):
         assert LINKTYPE_IEEE802_11_RADIOTAP == 127
+
+
+class TestRadiotapFcsFlag:
+    """A radiotap record holds the trailing FCS only when its Flags FCS
+    bit is set: without it the frame keeps its full size and is not
+    refused as a bad FCS."""
+
+    @pytest.mark.parametrize("fcs_at_end", [True, False])
+    def test_frame_read_as_the_flag_says(self, fcs_at_end):
+        (sample,) = _sample_frames(1)
+        data = encode_dot11(sample.frame)
+        if not fcs_at_end:
+            data = data[:-4]  # captured without the FCS
+        buffer = io.BytesIO()
+        with PcapWriter(buffer) as writer:
+            radiotap = build_radiotap(fcs_at_end=fcs_at_end)
+            writer.write_record(1000.0, radiotap + data)
+        (loaded,) = read_trace_pcap(buffer.getvalue(), skip_bad_fcs=True)
+        written = io.BytesIO()
+        write_trace_pcap(written, [sample])
+        (expected,) = read_trace_pcap(written.getvalue())
+        assert loaded.size == sample.size == 200
+        assert loaded.frame == expected.frame

@@ -634,6 +634,12 @@ class TestServerBehaviour:
         assert stats.frames == sum(len(c) for c in chunks)
         assert_databases_equal(merged, baseline)
 
+    @pytest.mark.parametrize("field", ["queue_chunks", "min_observations"])
+    def test_config_refuses_counts_below_one(self, field):
+        """Refused at construction, not when a sensor's first window opens."""
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            make_config(**{field: 0})
+
     def test_bad_sensor_ids_rejected(self):
         with pytest.raises(ValueError):
             SensorPipeline("", make_config())

@@ -262,6 +262,7 @@ class TestApplicationAdapters:
         sink = CollectingSink()
         engine = StreamEngine(
             lambda: StreamingSignatureBuilder(PARAMETER, min_observations=MIN_OBS),
+            database=detector.database,
             window=WindowConfig(window_s=WINDOW_S),
             analyzers=[OnlineSpoofGuard(detector)],
             sinks=[sink],
@@ -296,6 +297,7 @@ class TestApplicationAdapters:
         sink = CollectingSink()
         engine = StreamEngine(
             lambda: StreamingSignatureBuilder(PARAMETER, min_observations=MIN_OBS),
+            database=tracker.database,
             window=WindowConfig(window_s=WINDOW_S),
             analyzers=[LiveTracker(tracker)],
             sinks=[sink],
@@ -346,6 +348,7 @@ class TestApplicationAdapters:
             sink = CollectingSink()
             StreamEngine(
                 lambda: StreamingSignatureBuilder(PARAMETER, min_observations=MIN_OBS),
+                database=detector.database,
                 window=WindowConfig(window_s=WINDOW_S),
                 analyzers=[OnlineSpoofGuard(detector), LiveTracker(tracker)],
                 sinks=[sink],
@@ -356,6 +359,64 @@ class TestApplicationAdapters:
         assert any(isinstance(event, SpoofAlert) for event in expected)
         assert any(isinstance(event, PseudonymLinked) for event in expected)
         assert events_of(decoded) == expected
+
+    @pytest.mark.parametrize("engine_database", ["none", "empty", "other"])
+    @pytest.mark.parametrize("guard", ["spoof", "tracker"])
+    def test_guards_refuse_rows_of_another_database(
+        self, reference_setup, engine_database, guard
+    ):
+        """The guards read the engine's rows, so an engine that matched
+        against another database, or none, raises instead of giving
+        verdicts off the wrong rows."""
+        from repro.applications.spoof_detector import SpoofDetector
+        from repro.applications.tracker import DeviceTracker
+
+        _, database, split = reference_setup
+        other = None if engine_database == "none" else ReferenceDatabase()
+        if engine_database == "other":
+            first = database.devices[0]
+            other.add(first, database.get(first))
+        if guard == "spoof":
+            detector = SpoofDetector(min_observations=MIN_OBS, database=database)
+            analyzer = OnlineSpoofGuard(detector)
+        else:
+            tracker = DeviceTracker(min_observations=MIN_OBS, database=database)
+            analyzer = LiveTracker(tracker)
+        engine = make_engine(other, analyzers=[analyzer])
+        with pytest.raises(ValueError, match="not matched against this database"):
+            engine.run_chunked(replay_chunk_source(split.validation.table()))
+
+    def test_empty_database_leaves_every_pseudonym_unlinked(self, reference_setup):
+        """An empty reference database matches nothing: the live tracker
+        still reports each pseudonym, unlinked at 0.0, as the batch
+        tracker does."""
+        import random
+
+        from repro.applications.attacks import spoof_mac
+        from repro.applications.tracker import DeviceTracker
+
+        _, database, split = reference_setup
+        device = database.devices[0]
+        pseudonym = device.randomized(random.Random(3))
+        observed = FrameTable.from_frames(
+            spoof_mac(split.validation.frames, device, pseudonym)
+        )
+        tracker = DeviceTracker(min_observations=MIN_OBS)
+        expected = [
+            (link.window_index, link.pseudonym, None, 0.0)
+            for link in tracker.track(observed.windows(WINDOW_S)).links
+        ]
+        assert expected
+        for engine_database in (None, tracker.database):
+            sink = CollectingSink()
+            make_engine(
+                engine_database, analyzers=[LiveTracker(tracker)], sinks=[sink]
+            ).run_chunked(replay_chunk_source(observed))
+            links = sink.of_type(PseudonymLinked)
+            assert [
+                (link.window_index, link.pseudonym, link.linked_device, link.similarity)
+                for link in links
+            ] == expected
 
     def test_rogue_ap_guard_alerts_on_impostor(self, reference_setup):
         from repro.applications.attacks import spoof_mac
