@@ -9,10 +9,13 @@ live batch matching included.  It must sustain ``REQUIRED_FPS``
 frames/second, and a second run in ``CHECK_CHUNK_FRAMES``-frame chunks
 must emit identical events and stats.
 
-Results (frames/sec plus the peak resident signature count, the
-streaming working-set metric) are written to ``BENCH_streaming.json``
-so the perf trajectory is machine-readable alongside the batch
-matching benchmark.
+Results (frames/sec, the peak resident signature count, the streaming
+working-set metric, and the median window close latency) are written to
+``BENCH_streaming.json`` so the perf trajectory is machine-readable
+alongside the batch matching benchmark.  The close latency is recorded
+only, with no bar: per window, the time from handing over the chunk
+that closes it to the window's last event, as the repository benchmark
+(``perfbench``) measures alert latency.
 """
 
 from __future__ import annotations
@@ -86,6 +89,32 @@ def synth_frames(count: int, rng: np.random.Generator, t0: float) -> list[Captur
     return frames
 
 
+class CloseLatency:
+    """An event sink timing each window from the handover of the chunk
+    that closes it (the flush, for the last windows) to its last event."""
+
+    def __init__(self) -> None:
+        self._handoff = 0.0
+        self._first: dict[int, float] = {}
+        self._last: dict[int, float] = {}
+
+    def feed(self, chunks):
+        for chunk in chunks:
+            self._handoff = time.perf_counter()
+            yield chunk
+        self._handoff = time.perf_counter()
+
+    def __call__(self, event) -> None:
+        now = time.perf_counter()
+        self._first.setdefault(event.window_index, self._handoff)
+        self._last[event.window_index] = now
+
+    def p50_ms(self) -> float:
+        return 1e3 * float(
+            np.median([self._last[i] - self._first[i] for i in self._last])
+        )
+
+
 def test_streaming_engine_throughput():
     rng = np.random.default_rng(4711)
     training = synth_frames(TRAIN_FRAMES, rng, t0=1000.0)
@@ -111,9 +140,11 @@ def test_streaming_engine_throughput():
     # receives columnar batches straight from the capture layer.
     chunks = list(table_chunks(validation, CHUNK_FRAMES))
     sink = CollectingSink()
+    latency = CloseLatency()
     engine = make_engine(sink)
+    engine.subscribe(latency)
     start = time.perf_counter()
-    stats = engine.run_chunked(iter(chunks))
+    stats = engine.run_chunked(latency.feed(chunks))
     seconds = time.perf_counter() - start
     fps = stats.frames / seconds
 
@@ -138,7 +169,7 @@ def test_streaming_engine_throughput():
         f"\nstreaming: {fps:,.0f} frames/s in {CHUNK_FRAMES}-frame chunks over "
         f"{STREAM_FRAMES:,} frames ({stats.windows_closed} windows, "
         f"{stats.candidates} candidates, peak {stats.peak_resident_devices} "
-        f"resident signatures)"
+        f"resident signatures, window close latency p50 {latency.p50_ms():.3f} ms)"
     )
     write_bench_json(
         "streaming",
@@ -152,6 +183,7 @@ def test_streaming_engine_throughput():
             "windows_closed": stats.windows_closed,
             "candidates": stats.candidates,
             "peak_resident_signatures": stats.peak_resident_devices,
+            "close_latency_p50_ms": latency.p50_ms(),
             "required_frames_per_s": REQUIRED_FPS,
         },
     )

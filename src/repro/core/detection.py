@@ -13,7 +13,7 @@ and one ``np.searchsorted`` over all thresholds (DESIGN.md §8).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -54,11 +54,18 @@ class WindowCandidate:
 
     device: MacAddress
     window_index: int
-    signature: Signature
+    #: The window's signatures, ``device``'s among them (a live
+    #: window's :class:`~repro.core.signature.SignatureBlock`).
+    signatures: Mapping[MacAddress, Signature]
     #: This candidate's row of the score matrix (empty until matched).
     scores: np.ndarray = field(default_factory=lambda: np.empty(0))
     #: The reference devices, in ``scores`` column order.
     references: tuple[MacAddress, ...] = ()
+
+    @property
+    def signature(self) -> Signature:
+        """This candidate's signature, looked up in its window's."""
+        return self.signatures[self.device]
 
     @property
     def best(self) -> tuple[MacAddress | None, float]:
@@ -75,7 +82,7 @@ class WindowCandidate:
 
 
 def matched_candidates(
-    signatures: dict[MacAddress, Signature],
+    signatures: Mapping[MacAddress, Signature],
     scores: np.ndarray,
     database: ReferenceDatabase,
     window_index: int = 0,
@@ -87,8 +94,8 @@ def matched_candidates(
     """
     references = tuple(database.devices)
     return [
-        WindowCandidate(device, window_index, signature, row, references)
-        for (device, signature), row in zip(signatures.items(), scores)
+        WindowCandidate(device, window_index, signatures, row, references)
+        for device, row in zip(signatures, scores)
     ]
 
 
@@ -131,12 +138,9 @@ def _columnar_window_candidates(
             table.senders,
             table.ftype_keys,
         )
-        for device, signature in signatures.items():
-            candidates.append(
-                WindowCandidate(
-                    device=device, window_index=window_index, signature=signature
-                )
-            )
+        candidates.extend(
+            WindowCandidate(device, window_index, signatures) for device in signatures
+        )
     return candidates
 
 

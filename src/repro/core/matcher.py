@@ -35,6 +35,13 @@ reproduces the scalar zero-norm convention, and a candidate frame type
 no reference exhibits contributes nothing, exactly as in the scalar
 loop.
 
+``Ĉ_f`` holds all M candidates, with a zero row where a candidate lacks
+``f``: a :class:`~repro.core.signature.SignatureBlock` (a closed
+streaming window) divides these padded blocks out of its counts, and a
+sequence of signatures is stacked into them.  A zero row scores 0.0
+against every reference, so it adds exactly +0.0, and each product is
+weighted and added into the result in place.
+
 The other measures run on the same packed view: for each candidate,
 ``sim += w_f ⊙ measure(hist^f(c), R_f)`` over the candidate's frame
 types in the candidate's own order, where ``R_f`` is the ``(N, bins)``
@@ -51,59 +58,102 @@ earliest-registered reference.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.database import ReferenceDatabase
-from repro.core.signature import Signature
+from repro.core.database import PackedDatabase, ReferenceDatabase
+from repro.core.signature import Signature, SignatureBlock
 from repro.core.similarity import (
     SimilarityMeasure,
     cosine_similarity,
     normalize_rows,
     unit_cosine_product,
 )
+from repro.dot11.mac import MacAddress
 
 
 def batch_match_signatures(
-    candidates: Sequence[Signature],
+    candidates: Sequence[Signature] | Mapping[MacAddress, Signature],
     database: ReferenceDatabase,
     measure: SimilarityMeasure = cosine_similarity,
 ) -> np.ndarray:
     """Algorithm 1 for many candidates at once.
 
-    Returns the ``(len(candidates), len(database))`` similarity matrix;
-    column ``j`` is ``database.devices[j]``.  For the cosine measure
-    this is one matrix–matrix product per frame type (accumulated in
-    sorted frame-type order, so the float sum does not depend on
-    database construction order); other measures score each candidate
-    against the packed frequency matrices.
+    ``candidates`` is a sequence of signatures or a device → signature
+    mapping, in its order.  Returns the ``(len(candidates),
+    len(database))`` similarity matrix; column ``j`` is
+    ``database.devices[j]``.  For the cosine measure this is one
+    matrix–matrix product per frame type over the candidates' padded
+    ``(M, bins)`` rows (a :class:`~repro.core.signature.SignatureBlock`
+    hands over its own), accumulated in sorted frame-type order so the
+    float sum does not depend on database construction order; other
+    measures score each candidate against the packed frequency
+    matrices.  A candidate histogram whose width differs from the
+    database's for its frame type raises ``ValueError``.
     """
     packed = database.packed()
     if packed is None:
         return np.zeros((len(candidates), 0), dtype=np.float64)
     totals = np.zeros((len(candidates), len(packed.devices)), dtype=np.float64)
+    signatures = candidates.values() if isinstance(candidates, Mapping) else candidates
     if measure is not cosine_similarity:
-        for row, candidate in enumerate(candidates):
+        for row, candidate in enumerate(signatures):
             for ftype_key, histogram in candidate.histograms.items():
                 references = packed.frequencies.get(ftype_key)
-                if references is not None:
-                    totals[row] += packed.weights[ftype_key] * measure(
-                        histogram, references
-                    )
+                if references is None:
+                    continue
+                width, held = histogram.shape[-1], references.shape[-1]
+                if width != held:
+                    raise _width_error(ftype_key, width, held)
+                totals[row] += packed.weights[ftype_key] * measure(
+                    histogram, references
+                )
         return totals
+    if isinstance(candidates, SignatureBlock):
+        histograms = candidates.histograms
+    else:
+        histograms = _stack(signatures, packed)
     for ftype_key in sorted(packed.normalized):
-        references = packed.normalized[ftype_key]
-        rows = [
-            row
-            for row, candidate in enumerate(candidates)
-            if ftype_key in candidate.histograms
-        ]
-        if not rows:
+        rows = histograms.get(ftype_key)
+        if rows is None:
             continue
-        stacked = np.stack(
-            [candidates[row].histograms[ftype_key] for row in rows]
-        ).astype(np.float64, copy=False)
-        scores = unit_cosine_product(normalize_rows(stacked), references)
-        totals[rows] += scores * packed.weights[ftype_key]
+        references = packed.normalized[ftype_key]
+        if rows.shape[-1] != references.shape[-1]:
+            raise _width_error(ftype_key, rows.shape[-1], references.shape[-1])
+        # A zero row (a candidate lacking the type) scores 0.0 against
+        # every reference and adds exactly +0.0, so padding leaves the
+        # other rows' sums as they were.
+        scores = unit_cosine_product(normalize_rows(rows), references)
+        scores *= packed.weights[ftype_key]
+        totals += scores
     return totals
+
+
+def _width_error(ftype_key: str, width: int, held: int) -> ValueError:
+    return ValueError(
+        f"frame type {ftype_key!r}: candidate histogram has {width} bins, "
+        f"the reference database holds {held}"
+    )
+
+
+def _stack(
+    candidates: Collection[Signature], packed: PackedDatabase
+) -> dict[str, np.ndarray]:
+    """Each packed frame type's ``(M, bins)`` candidate histogram rows,
+    a zero row where a candidate lacks the type (the
+    :attr:`SignatureBlock.histograms` layout)."""
+    widths = {key: matrix.shape[-1] for key, matrix in packed.normalized.items()}
+    stacked: dict[str, np.ndarray] = {}
+    for row, candidate in enumerate(candidates):
+        for ftype_key, histogram in candidate.histograms.items():
+            held = widths.get(ftype_key)
+            if held is None:
+                continue
+            if histogram.shape[-1] != held:
+                raise _width_error(ftype_key, histogram.shape[-1], held)
+            rows = stacked.get(ftype_key)
+            if rows is None:
+                rows = stacked[ftype_key] = np.zeros((len(candidates), held))
+            rows[row] = histogram
+    return stacked

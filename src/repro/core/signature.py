@@ -9,10 +9,16 @@ of the device's observations that frame type contributes:
 The builder enforces the implementation's minimum-observation rule
 (Section V-C): a signature is only emitted for devices with at least
 ``min_observations`` attributed observations (the paper uses 50).
+
+:class:`SignatureBlock` is the one read-out of bin counts into
+Definition 1, for many devices at once; the batch builder here and the
+streaming builder (:mod:`repro.streaming.builder`) both read out
+through it.
 """
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Iterator, Mapping
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -60,36 +66,105 @@ class Signature:
         """Weight of one frame type (0 if absent)."""
         return self.weights.get(ftype_key, 0.0)
 
-    @classmethod
-    def from_counts(
-        cls,
-        ftype_keys: Sequence[str],
-        counts: np.ndarray,
-        totals: Sequence[float],
-        order: Sequence[int],
-    ) -> "Signature":
-        """Definition 1 read-out of one device's bin counts.
 
-        ``counts[f]`` holds the bin counts of frame type
-        ``ftype_keys[f]`` and ``totals[f]`` their sum ``|P^f|``;
-        ``order`` lists the frame types to read out, in the signature's
-        dict order.  The histogram is ``counts[f] / |P^f|`` and the
-        weight ``|P^f| / Σ|P|``, summed over ``order``; a frame type
-        with no observation is left out.  Both builders read out
-        through here, each ordering by its own first-seen rule.
-        """
-        total = sum(totals[f] for f in order)
-        histograms: dict[str, np.ndarray] = {}
-        weights: dict[str, float] = {}
-        observation_counts: dict[str, int] = {}
-        for f in order:
-            count = totals[f]
-            if count > 0:
-                key = ftype_keys[f]
-                histograms[key] = counts[f] / count
-                weights[key] = count / total
-                observation_counts[key] = int(count)
-        return cls(histograms, weights, observation_counts)
+class SignatureBlock(Mapping[MacAddress, Signature]):
+    """Definition 1 for many devices at once: the one read-out of bin counts.
+
+    Row ``rows[i]`` (default ``i``) of ``counts`` (frame types × bins),
+    ``totals`` (their sums ``|P^f|``) and ``first_seen`` (a key per frame
+    type, smaller = seen first) describes ``devices[i]``, so a builder
+    hands over its arrays without gathering them; column ``f`` is the
+    frame type ``frame_types[f]``.  Frame type ``f``'s histogram is
+    ``counts[row, f] / |P^f|``, its weight ``|P^f| / Σ|P|`` and its
+    observation count ``|P^f|``; integer (batch) and float (streaming)
+    counts of the same integers give the same floats.
+
+    The block is a read-only device → :class:`Signature` mapping that
+    keeps the counts as arrays: a signature is read out only when a
+    device is looked up (:meth:`items` reads every device out in one
+    pass), with its frame types in ``first_seen`` order and frame types
+    without observations left out, and it owns its histograms.  The
+    matcher reads :attr:`histograms` instead and builds no signature.
+    """
+
+    __slots__ = (
+        "devices", "frame_types", "counts", "totals", "first_seen", "rows", "_index"
+    )
+
+    def __init__(
+        self,
+        devices: Sequence[MacAddress],
+        frame_types: Sequence[str],
+        counts: np.ndarray,
+        totals: np.ndarray,
+        first_seen: np.ndarray,
+        rows: np.ndarray | None = None,
+    ) -> None:
+        self.devices = tuple(devices)
+        self.frame_types = tuple(frame_types)
+        self.counts = counts
+        self.totals = totals
+        self.first_seen = first_seen
+        self.rows = np.arange(len(self.devices)) if rows is None else rows
+        self._index = {device: i for i, device in enumerate(self.devices)}
+
+    @property
+    def histograms(self) -> dict[str, np.ndarray]:
+        """Frame type → ``(len(devices), bins)`` frequency rows, a zero
+        row where a device lacks the type, for the types some device
+        shows: the same divisions as a read-out, one per frame type."""
+        totals = self.totals[self.rows]
+        shown = totals > 0
+        return {
+            self.frame_types[f]: self.counts[self.rows, f]
+            / np.where(shown[:, f], totals[:, f], 1)[:, None]
+            for f in np.flatnonzero(shown.any(axis=0)).tolist()
+        }
+
+    def __getitem__(self, device: MacAddress) -> Signature:
+        i = self._index[device]
+        (signature,) = self._read_out(self.rows[i : i + 1])
+        return signature
+
+    def items(self) -> ItemsView[MacAddress, Signature]:
+        """Every device with its signature, all read out in one pass."""
+        return dict(zip(self.devices, self._read_out(self.rows))).items()
+
+    def _read_out(self, rows: np.ndarray) -> list[Signature]:
+        """The signatures held in ``rows``, with one argsort for all."""
+        totals = self.totals[rows]
+        shown = totals > 0
+        # Masses are integers, exact in any summation order.
+        mass = totals.sum(axis=1, keepdims=True)
+        key = np.where(shown, self.first_seen[rows], np.iinfo(np.int64).max)
+        keys = self.frame_types
+        signatures = []
+        for row, order, count, observations, weights in zip(
+            rows.tolist(),
+            np.argsort(key, axis=1).tolist(),
+            shown.sum(axis=1).tolist(),
+            totals.tolist(),
+            (totals / np.where(mass > 0, mass, 1)).tolist(),
+        ):
+            counts = self.counts[row]
+            columns = order[:count]
+            signatures.append(
+                Signature(
+                    {keys[f]: counts[f] / observations[f] for f in columns},
+                    {keys[f]: weights[f] for f in columns},
+                    {keys[f]: int(observations[f]) for f in columns},
+                )
+            )
+        return signatures
+
+    def __contains__(self, device: object) -> bool:
+        return device in self._index
+
+    def __iter__(self) -> Iterator[MacAddress]:
+        return iter(self.devices)
+
+    def __len__(self) -> int:
+        return len(self.devices)
 
 
 class SignatureBuilder:
@@ -179,13 +254,14 @@ class SignatureBuilder:
         first_seen = first_seen.reshape(active.size, n_ftypes)
         sender_first = first_seen.min(axis=1)
 
-        eligible = np.flatnonzero(sender_totals >= self.min_observations).tolist()
-        eligible.sort(key=sender_first.__getitem__)
-        signatures: dict[MacAddress, Signature] = {}
-        for s in eligible:
-            present = np.flatnonzero(ftype_totals[s] > 0).tolist()
-            present.sort(key=first_seen[s].__getitem__)
-            signatures[senders[int(active[s])]] = Signature.from_counts(
-                ftype_keys, counts[s], ftype_totals[s].tolist(), present
-            )
-        return signatures
+        eligible = np.flatnonzero(sender_totals >= self.min_observations)
+        eligible = eligible[np.argsort(sender_first[eligible])]
+        block = SignatureBlock(
+            [senders[code] for code in active[eligible].tolist()],
+            ftype_keys,
+            counts,
+            ftype_totals,
+            first_seen,
+            rows=eligible,
+        )
+        return dict(block.items())

@@ -72,8 +72,8 @@ def _window_rows(
     """
     if not matches and len(database) == 0:
         return [
-            StreamCandidate(device, closed.index, signature)
-            for device, signature in closed.signatures.items()
+            StreamCandidate(device, closed.index, closed.signatures)
+            for device in closed.signatures
         ]
     if len(matches) != len(closed.signatures):
         raise ValueError("window candidates were not matched against this database")

@@ -17,12 +17,16 @@ every resident device's bin counters in one dense state per builder:
 * per-row ``t0_us`` and ``last_seen_us`` vectors.
 
 The counters are *exactly* the batch builder's histogram counts, and
-both builders read signatures out through
-:meth:`~repro.core.signature.Signature.from_counts`, so
+both builders read signatures out through one
+:class:`~repro.core.signature.SignatureBlock`, so
 :meth:`signature`/:meth:`signatures` reproduce
 :meth:`SignatureBuilder.build` bin-for-bin on the same frames, in any
 chunking (property-tested in ``tests/test_streaming_builder.py`` and
-``tests/test_streaming_chunked.py``).  A chunk folds in with one flat
+``tests/test_streaming_chunked.py``).  :meth:`signatures` gates every
+resident row with one reduction and returns the gated devices' arrays
+as that block, which a closed window hands to the matcher as is: a
+:class:`~repro.core.signature.Signature` is built only for a device a
+consumer looks up in it.  A chunk folds in with one flat
 ``np.bincount`` over ``(row, column, bin)`` and one dict lookup per
 sender; every checkpoint-visible detail is the same for every chunking
 of the same rows (payloads pinned in ``tests/golden/``, DESIGN.md §8).
@@ -40,7 +44,7 @@ if TYPE_CHECKING:
 from repro.dot11.mac import MacAddress
 from repro.core.histogram import BinSpec
 from repro.core.parameters import NetworkParameter
-from repro.core.signature import DEFAULT_MIN_OBSERVATIONS, Signature
+from repro.core.signature import DEFAULT_MIN_OBSERVATIONS, Signature, SignatureBlock
 
 #: First-seen sequence of a (row, column) pair holding no observation.
 _UNSEEN = -1
@@ -235,32 +239,36 @@ class StreamingSignatureBuilder:
     def signature(self, device: MacAddress) -> Signature | None:
         """The device's current signature (``None`` below the gate)."""
         row = self._rows.get(device)
-        return None if row is None else self._signature(row)
-
-    def _signature(self, row: int) -> Signature | None:
-        columns = self._columns_of(row)
-        totals = self._totals[row].tolist()
-        if sum(totals[column] for column in columns) < self.min_observations:
+        if row is None:
             return None
-        return Signature.from_counts(
-            self._ftype_keys, self._counts[row], totals, columns
-        )
+        return self._block([device], np.array([row])).get(device)
 
-    def signatures(self) -> dict[MacAddress, Signature]:
-        """Signatures of every resident device clearing the gate."""
-        resident = list(self._rows.items())
-        if resident:
-            # Masses are integers, exact in any summation order, so one
-            # row reduction gates every device at once.
-            rows = [row for _, row in resident]
-            clear = self._totals[rows].sum(axis=1) >= self.min_observations
-            resident = [item for item, ok in zip(resident, clear.tolist()) if ok]
-        out: dict[MacAddress, Signature] = {}
-        for device, row in resident:
-            signature = self._signature(row)
-            if signature is not None:
-                out[device] = signature
-        return out
+    def signatures(self) -> SignatureBlock:
+        """Every resident device clearing the gate, as one block.
+
+        The block holds a copy of the gated devices' counters, taken in
+        one pass; a :class:`Signature` is built only for a device that
+        is looked up in it.
+        """
+        rows = np.fromiter(self._rows.values(), dtype=np.int64, count=len(self._rows))
+        return self._block(list(self._rows), rows)
+
+    def _block(self, devices: list[MacAddress], rows: np.ndarray) -> SignatureBlock:
+        """The block of those ``devices`` (held in ``rows``) that clear
+        the gate, with frame types in first-seen order."""
+        columns = len(self._ftype_keys)
+        totals = self._totals[rows, :columns]
+        # Masses are integers, exact in any summation order, so one
+        # row reduction gates every device at once.
+        gated = np.flatnonzero(totals.sum(axis=1) >= self.min_observations)
+        rows = rows[gated]
+        return SignatureBlock(
+            [devices[i] for i in gated.tolist()],
+            self._ftype_keys,
+            self._counts[rows, :columns],
+            totals[gated],
+            self._seen[rows, :columns],
+        )
 
     # -- checkpointing -------------------------------------------------
     def export_state(self) -> dict:

@@ -2,7 +2,11 @@
 
 :class:`OnlineMatcher` rides the packed matrix engine
 (:func:`~repro.core.matcher.batch_match_signatures`): each closed
-window is matched in one matrix product per frame type.  Reference
+window is matched in one matrix product per frame type.  The window's
+candidates arrive as arrays: ``closed.signatures`` is its builder's
+:class:`~repro.core.signature.SignatureBlock`, whose padded
+per-frame-type histogram rows the matcher scores directly, so matching
+a window builds no :class:`~repro.core.signature.Signature`.  Reference
 updates may be interleaved with live matching — the deployment loop
 the paper's applications imply (learn newly authorised devices,
 retire old ones, keep fingerprinting): the database's ``add`` and
@@ -12,7 +16,9 @@ it.
 The window's score matrix is the result, carried by the batch path's
 candidate class: :class:`StreamCandidate` *is*
 :class:`~repro.core.detection.WindowCandidate`, which holds its row of
-the matrix and the window's reference-device tuple (the column order).
+the matrix, the window's reference-device tuple (the column order) and
+the window's block, from which its ``signature`` is read out only when a
+consumer asks for it.
 The identification test needs only the argmax of Algorithm 1's
 similarity vector, so :attr:`StreamCandidate.best` reads it straight
 off the row, and a consumer that needs one reference's score reads
@@ -41,8 +47,8 @@ class OnlineMatcher:
 
     def match_window(self, closed: ClosedWindow) -> list[StreamCandidate]:
         """Match every candidate of one closed window in a single batch."""
-        if not closed.signatures or len(self.database) == 0:
-            return []
         signatures = closed.signatures
-        scores = batch_match_signatures(list(signatures.values()), self.database)
+        if not signatures or len(self.database) == 0:
+            return []
+        scores = batch_match_signatures(signatures, self.database)
         return matched_candidates(signatures, scores, self.database, closed.index)

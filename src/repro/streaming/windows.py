@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -97,8 +97,11 @@ class ClosedWindow:
     start_us: float
     end_us: float
     frame_count: int
-    #: Devices that cleared the minimum-observation gate.
-    signatures: dict[MacAddress, Signature]
+    #: Devices that cleared the minimum-observation gate, as the
+    #: builder's :class:`~repro.core.signature.SignatureBlock`: the
+    #: matcher reads its arrays, and a :class:`Signature` is built only
+    #: for a device looked up in it.
+    signatures: Mapping[MacAddress, Signature]
     #: Every attributable sender seen in the window (superset of
     #: ``signatures`` — low-activity devices appear here only).
     senders: set[MacAddress]
@@ -231,10 +234,7 @@ class WindowManager:
         count = hi - lo
         if count <= 0:
             return
-        codes = np.unique(chunk.sender_idx[lo:hi])
-        if codes.size and codes[0] == -1:
-            codes = codes[1:]
-        senders = [chunk.senders[code] for code in codes.tolist()]
+        senders = [chunk.senders[code] for code in chunk.sender_codes(lo, hi).tolist()]
         for window in self._windows:
             window.frame_count += count
             window.builder.update_table(chunk, lo, hi)

@@ -233,8 +233,18 @@ class FrameTable:
         Read from the sender codes present, not from :attr:`senders`,
         which a slice shares with its parent.
         """
-        codes = np.unique(self.sender_idx[self.sender_idx >= 0])
-        return {self.senders[code] for code in codes.tolist()}
+        return {self.senders[code] for code in self.sender_codes().tolist()}
+
+    def sender_codes(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """The sender codes present in rows ``[lo, hi)``, ascending.
+
+        Unattributable rows (``-1``) are left out.  One ``bincount``
+        over the intern table, which is several times faster than a
+        sort or hash based ``np.unique`` on a chunk's rows.
+        """
+        codes = self.sender_idx[lo:hi]
+        present = np.bincount(codes[codes >= 0], minlength=len(self.senders))
+        return np.flatnonzero(present)
 
     def sender_code(self, sender: MacAddress) -> int:
         """Intern code of one sender (-1 if it never transmitted)."""

@@ -4,7 +4,7 @@ The runtime has one implementation of each batch stage of the paper's
 method: columnar extraction (``observe_table``), binning
 (``BinSpec.index_many``), signature assembly from binned observation
 codes (``SignatureBuilder.build_binned`` and its read-out
-``Signature.from_counts``) and Algorithm 1 on the packed reference
+``SignatureBlock``) and Algorithm 1 on the packed reference
 matrices (``batch_match_signatures``).  The original per-frame,
 per-value and per-pair code lives here, so the equivalence suites and
 the perf benchmarks compare the runtime against an independent
@@ -291,12 +291,10 @@ def window_candidates(
     through :func:`build`."""
     candidates = []
     for window_index, window in enumerate(validation.windows(config.window_s)):
-        for device, signature in build(builder, window.frames).items():
-            candidates.append(
-                WindowCandidate(
-                    device=device, window_index=window_index, signature=signature
-                )
-            )
+        signatures = build(builder, window.frames)
+        candidates.extend(
+            WindowCandidate(device, window_index, signatures) for device in signatures
+        )
     scores = batch_match_signatures(
         [candidate.signature for candidate in candidates], database, config.measure
     )

@@ -137,6 +137,28 @@ class TestMatchSignatureFastPath:
         with pytest.raises(ValueError):
             forced_scalar(candidate, database)
 
+    @pytest.mark.parametrize("measure", [cosine_similarity, intersection_similarity])
+    @pytest.mark.parametrize("beside", ["alone", "first", "second"])
+    def test_bin_mismatch_error_does_not_depend_on_the_batch(self, measure, beside):
+        """A 4-bin candidate against a 5-bin store raises one error,
+        whatever else the batch holds."""
+        database = ReferenceDatabase()
+        database.add(
+            vendor_mac("00:13:e8", 1),
+            Signature(histograms={"Data": np.full(5, 0.2)}, weights={"Data": 1.0}),
+        )
+        narrow = Signature(histograms={"Data": np.full(4, 0.25)}, weights={"Data": 1.0})
+        fitting = Signature(histograms={"Data": np.full(5, 0.2)}, weights={"Data": 1.0})
+        candidates = {
+            "alone": [narrow], "first": [narrow, fitting], "second": [fitting, narrow]
+        }[beside]
+        message = (
+            "frame type 'Data': candidate histogram has 4 bins, "
+            "the reference database holds 5"
+        )
+        with pytest.raises(ValueError, match=message):
+            batch_match_signatures(candidates, database, measure)
+
 
 class TestBatchMatchSignatures:
     def test_rows_equal_match_signature(self):

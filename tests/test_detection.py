@@ -202,7 +202,7 @@ def scored(database: ReferenceDatabase, *rows) -> list[WindowCandidate]:
         WindowCandidate(
             device=device,
             window_index=index,
-            signature=SIGNATURE,
+            signatures={device: SIGNATURE},
             scores=np.array(row, dtype=np.float64),
             references=references,
         )

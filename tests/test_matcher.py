@@ -36,7 +36,7 @@ def best(candidate: Signature, database: ReferenceDatabase) -> tuple:
     matched = WindowCandidate(
         device=C,
         window_index=0,
-        signature=candidate,
+        signatures={C: candidate},
         scores=row,
         references=tuple(database.devices),
     )

@@ -7,7 +7,7 @@ import pytest
 
 from repro.dot11.mac import MacAddress
 from repro.core.parameters import FrameSize, InterArrivalTime
-from repro.core.signature import Signature, SignatureBuilder
+from repro.core.signature import Signature, SignatureBlock, SignatureBuilder
 from repro.dot11.frames import FrameSubtype
 from repro.traces.table import FrameTable
 from tests.conftest import make_data_capture
@@ -129,23 +129,28 @@ class TestSignatureValidation:
         assert signature.frame_types == {"QoS Data"}
 
 
-class TestFromCounts:
+class TestSignatureBlock:
     """The Definition 1 read-out both builders share."""
 
     def test_definition_1(self):
-        counts = np.array([[1, 3, 0], [0, 0, 4]], dtype=np.int64)
-        signature = Signature.from_counts(["Beacon", "Data"], counts, [4, 4], [0, 1])
+        counts = np.array([[[1, 3, 0], [0, 0, 4]]], dtype=np.int64)
+        block = SignatureBlock(
+            [A], ["Beacon", "Data"], counts, np.array([[4, 4]]), np.array([[0, 1]])
+        )
+        signature = block[A]
         assert list(signature.histograms) == ["Beacon", "Data"]
         assert signature.histograms["Beacon"].tolist() == [0.25, 0.75, 0.0]
         assert signature.histograms["Data"].tolist() == [0.0, 0.0, 1.0]
         assert signature.weights == {"Beacon": 0.5, "Data": 0.5}
         assert signature.observation_counts == {"Beacon": 4, "Data": 4}
 
-    def test_order_is_dict_order_and_empty_types_left_out(self):
-        counts = np.array([[0.0, 2.0], [0.0, 0.0], [1.0, 0.0], [5.0, 5.0]])
-        signature = Signature.from_counts(
-            ["Data", "Beacon", "Probe", "Unread"], counts, [2.0, 0.0, 1.0, 10.0], [2, 1, 0]
+    def test_order_is_first_seen_order_and_empty_types_left_out(self):
+        counts = np.array([[[0.0, 2.0], [0.0, 0.0], [1.0, 0.0]]])
+        block = SignatureBlock(
+            [A], ["Data", "Beacon", "Probe"], counts, np.array([[2.0, 0.0, 1.0]]),
+            np.array([[2, 1, 0]]),
         )
+        signature = block[A]
         assert list(signature.histograms) == ["Probe", "Data"]
         assert list(signature.weights) == ["Probe", "Data"]
         assert signature.weights["Data"] == 2.0 / 3.0
@@ -154,12 +159,48 @@ class TestFromCounts:
     def test_integer_and_float_counts_read_out_alike(self):
         """Batch counts are int64, streaming counts float64: the same
         integers give bit-identical signatures."""
-        counts = np.array([[3, 0, 7], [1, 1, 1]], dtype=np.int64)
-        batch = Signature.from_counts(["a", "b"], counts, [10, 3], [1, 0])
-        streaming = Signature.from_counts(
-            ["a", "b"], counts.astype(np.float64), [10.0, 3.0], [1, 0]
-        )
+        counts = np.array([[[3, 0, 7], [1, 1, 1]]], dtype=np.int64)
+        totals, first_seen = np.array([[10, 3]]), np.array([[1, 0]])
+        batch = SignatureBlock([A], ["a", "b"], counts, totals, first_seen)[A]
+        streaming = SignatureBlock(
+            [A], ["a", "b"], counts.astype(float), totals.astype(float), first_seen
+        )[A]
+        assert list(batch.histograms) == list(streaming.histograms) == ["b", "a"]
         for key in ("a", "b"):
             assert np.array_equal(batch.histograms[key], streaming.histograms[key])
         assert batch.weights == streaming.weights
         assert batch.observation_counts == streaming.observation_counts
+
+    def test_histogram_rows_are_padded_per_frame_type(self):
+        """The matcher's view: one row per device and frame type some
+        device shows, zero where a device lacks it."""
+        counts = np.array(
+            [[[2, 2], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 5]]], dtype=np.int64
+        )
+        block = SignatureBlock(
+            [A, B], ["x", "y", "z"], counts, counts.sum(axis=2), np.zeros((2, 3), int)
+        )
+        assert list(block.histograms) == ["x", "z"]
+        assert block.histograms["x"].tolist() == [[0.5, 0.5], [0.0, 0.0]]
+        assert block.histograms["z"].tolist() == [[0.0, 0.0], [0.0, 1.0]]
+        assert block[A].weights == {"x": 1.0} and block[B].weights == {"z": 1.0}
+
+    def test_read_out_owns_its_histograms(self):
+        counts = np.array([[[1, 3]]], dtype=np.int64)
+        block = SignatureBlock([A], ["x"], counts, np.array([[4]]), np.array([[0]]))
+        histogram = block[A].histograms["x"]
+        assert not np.shares_memory(histogram, block.counts)
+        assert B not in block and block.get(B) is None
+        assert list(block) == [A] and len(block) == 1
+
+    def test_rows_pick_each_devices_counts(self):
+        """A builder hands over its arrays with the gated rows' indices."""
+        counts = np.array([[[1, 1]], [[9, 9]], [[0, 4]]], dtype=np.int64)
+        block = SignatureBlock(
+            [B, A], ["x"], counts, counts.sum(axis=2), np.zeros((3, 1), int),
+            rows=np.array([2, 0]),
+        )
+        assert block[B].histograms["x"].tolist() == [0.0, 1.0]
+        assert block[A].histograms["x"].tolist() == [0.5, 0.5]
+        assert block.histograms["x"].tolist() == [[0.0, 1.0], [0.5, 0.5]]
+        assert list(dict(block.items())) == [B, A]

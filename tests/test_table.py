@@ -276,6 +276,18 @@ class TestTableSlicing:
         assert table.sender_code(SENDERS[0]) == 0
         assert table.sender_code(SENDERS[3]) == -1
 
+    @given(frames=capture_sequences(), data=st.data())
+    def test_sender_codes_are_the_codes_present(self, frames, data):
+        """Ascending, ``-1`` left out: what ``np.unique`` gives."""
+        table = FrameTable.from_frames(frames)
+        lo = data.draw(st.integers(0, len(table)))
+        hi = data.draw(st.integers(lo, len(table)))
+        span = table.sender_idx[lo:hi]
+        expected = np.unique(span[span >= 0])
+        assert table.sender_codes(lo, hi).tolist() == expected.tolist()
+        present = {frame.sender for frame in frames} - {None}
+        assert table.active_senders() == present
+
     def test_pcap_table_holds_the_written_frames(self, tmp_path):
         from repro.radiotap.pcap import write_trace_pcap
 
