@@ -210,7 +210,8 @@ def decode_chunk(payload: bytes) -> FrameTable:
     try:
         header = json.loads(payload[_U32.size : body].decode("utf-8"))
         rows = int(header["rows"])
-        senders = tuple(MacAddress(int(value)) for value in header["senders"])
+        values = [int(value) for value in header["senders"]]
+        senders = tuple(map(MacAddress, values))
         ftype_keys = tuple(str(key) for key in header["ftype_keys"])
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as error:
         raise WireError(f"malformed chunk header: {error}") from error
@@ -229,7 +230,12 @@ def decode_chunk(payload: bytes) -> FrameTable:
         offset += rows * np.dtype(dtype).itemsize
     if rows:
         _check_values(columns, len(senders), len(ftype_keys))
-    return FrameTable(senders=senders, ftype_keys=ftype_keys, **columns)
+    return FrameTable(
+        senders=senders,
+        ftype_keys=ftype_keys,
+        sender_values=np.array(values, dtype=np.int64),
+        **columns,
+    )
 
 
 def _check_values(columns: dict, sender_count: int, ftype_count: int) -> None:

@@ -9,8 +9,10 @@ every resident device's bin counters in one dense state per builder:
 
 * ``counts[row, column, bin]`` and ``totals[row, column]`` — one row per
   resident device, one column per frame type the builder has met;
-* a device → row dict in first-kept-observation order (rows freed by
-  eviction are reused) and a frame-type → column dict;
+* a device → row dict in first-kept-observation order, keyed by the
+  48-bit MAC integer (rows freed by eviction are reused), a row →
+  :class:`~repro.dot11.mac.MacAddress` list for read-out, and a
+  frame-type → column dict;
 * a first-seen sequence number per ``(row, column)``, so each device's
   frame types read out in the order they first appeared — the dict
   order of its signature and of the checkpoint payload;
@@ -26,14 +28,18 @@ chunking (property-tested in ``tests/test_streaming_builder.py`` and
 resident row with one reduction and returns the gated devices' arrays
 as that block, which a closed window hands to the matcher as is: a
 :class:`~repro.core.signature.Signature` is built only for a device a
-consumer looks up in it.  A chunk folds in with one flat
-``np.bincount`` over ``(row, column, bin)`` and one dict lookup per
-sender; every checkpoint-visible detail is the same for every chunking
+consumer looks up in it.  A span folds in at a cost that follows its
+kept observations, not the resident state: its senders are looked up
+by MAC integer (:attr:`~repro.traces.table.FrameTable.sender_values`,
+no address is hashed), and counts and totals grow by one
+``np.add.at`` scatter-add over the span's own ``(row, column, bin)``
+cells.  Every checkpoint-visible detail is the same for every chunking
 of the same rows (payloads pinned in ``tests/golden/``, DESIGN.md §8).
 """
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
@@ -80,13 +86,15 @@ class StreamingSignatureBuilder:
 
     def _clear(self) -> None:
         """Drop every device and frame type (empty dense state)."""
-        self._rows: dict[MacAddress, int] = {}
+        #: MAC integer → row, in first-kept-observation order.  Integer
+        #: keys hash in C, where a MacAddress hashes in Python.
+        self._rows: dict[int, int] = {}
+        #: row → resident device (``None`` on a free row), for read-out.
+        self._devices: list[MacAddress | None] = []
         self._columns: dict[str, int] = {}
         #: column → frame-type key (inverse of ``_columns``).
         self._ftype_keys: list[str] = []
         self._free_rows: list[int] = []
-        #: Rows ever handed out: the used prefix of the arrays.
-        self._row_count = 0
         #: Next first-seen sequence number.
         self._sequence = 0
         self._counts = np.zeros((0, 0, self._bin_count))
@@ -95,15 +103,17 @@ class StreamingSignatureBuilder:
         self._t0_us = np.zeros(0)
         self._last_seen_us = np.zeros(0)
 
-    def _reserve(self, rows: int, columns: int) -> None:
-        """Grow the arrays (doubling) to hold ``rows`` × ``columns``."""
+    def _reserve(self) -> None:
+        """Grow the arrays to hold every row handed out and every
+        column: rows to twice the demand, so a window's population
+        regrows them once or twice, and columns (a handful of frame
+        types) to the demand."""
+        rows, columns = len(self._devices), len(self._ftype_keys)
         held_rows, held_columns = self._totals.shape
         if rows <= held_rows and columns <= held_columns:
             return
-        rows = held_rows if rows <= held_rows else max(rows, 2 * held_rows, 16)
-        columns = (
-            held_columns if columns <= held_columns else max(columns, 2 * held_columns, 4)
-        )
+        rows = held_rows if rows <= held_rows else 2 * rows
+        columns = max(held_columns, columns)
         counts = np.zeros((rows, columns, self._bin_count))
         counts[:held_rows, :held_columns] = self._counts
         totals = np.zeros((rows, columns))
@@ -114,26 +124,29 @@ class StreamingSignatureBuilder:
         self._t0_us = np.resize(self._t0_us, rows)
         self._last_seen_us = np.resize(self._last_seen_us, rows)
 
-    def _new_rows(self, devices: list[MacAddress]) -> list[int]:
-        """Zeroed rows for newly kept devices (freed rows first), in
-        order; the caller sets their ``t0_us``/``last_seen_us``."""
-        reused = min(len(devices), len(self._free_rows))
-        rows = [self._free_rows.pop() for _ in range(reused)]
-        start = self._row_count
-        self._row_count += len(devices) - reused
-        rows.extend(range(start, self._row_count))
-        self._reserve(self._row_count, len(self._ftype_keys))
-        self._rows.update(zip(devices, rows))
-        return rows
+    def _new_rows(self, values: list[int], devices: list[MacAddress]) -> np.ndarray:
+        """Rows for newly kept devices (freed rows first), in order; the
+        caller reserves the arrays and sets ``t0_us``/``last_seen_us``."""
+        free = self._free_rows
+        reused = [free.pop() for _ in range(min(len(values), len(free)))]
+        for row, device in zip(reused, devices):
+            self._devices[row] = device
+        start = len(self._devices)
+        self._devices.extend(devices[len(reused) :])
+        added = range(start, len(self._devices))
+        self._rows.update(zip(values, chain(reused, added)))
+        return np.concatenate(
+            (np.array(reused, dtype=np.int64), np.arange(added.start, added.stop))
+        )
 
     def _column(self, ftype_key: str) -> int:
-        """The frame type's column, added on first use."""
+        """The frame type's column, added on first use (the caller
+        reserves the arrays)."""
         column = self._columns.get(ftype_key)
         if column is None:
             column = len(self._ftype_keys)
             self._columns[ftype_key] = column
             self._ftype_keys.append(ftype_key)
-            self._reserve(self._row_count, column + 1)
         return column
 
     def _columns_of(self, row: int) -> list[int]:
@@ -151,12 +164,13 @@ class StreamingSignatureBuilder:
 
         Observations are extracted in one
         :meth:`~repro.core.parameters.ObservationStream.push_table`
-        pass, binned with ``index_many`` and folded into the dense
-        counters with one flat ``np.bincount``.  The channel clock
-        carries across calls, so a window spanning many chunks can be
-        fed chunk by chunk, and the resulting state (counts, totals,
-        ``t0_us``/``last_seen_us``, device and frame-type order,
-        channel clock) does not depend on where the chunks were cut.
+        pass, binned with ``index_many`` and scatter-added into the
+        dense counters at the span's own ``(row, column, bin)`` cells.
+        The channel clock carries across calls, so a window spanning
+        many chunks can be fed chunk by chunk, and the resulting state
+        (counts, totals, ``t0_us``/``last_seen_us``, device and
+        frame-type order, channel clock) does not depend on where the
+        chunks were cut.
         """
         if hi is None:
             hi = len(table)
@@ -187,61 +201,71 @@ class StreamingSignatureBuilder:
         stamps: np.ndarray,
         kept: int,
     ) -> None:
-        """Batch fold: one bincount over (row, column, bin).
+        """Batch fold: one scatter-add over the span's (row, column, bin).
 
-        Increments are unit weights, so batch-summed integer counts
-        added to the held float counters reproduce one-at-a-time
-        additions exactly (integers are exact in float64).  New devices
-        take rows, and new (device, frame type) pairs take first-seen
-        numbers, in first-kept-observation order, found with the
-        reversed-scatter trick (duplicate fancy-assignment indices keep
-        the last write) — so the orders do not depend on the chunking.
+        Every step costs in proportion to the span's kept observations
+        (and the chunk's intern tuple), not to the resident state.
+        Increments are unit weights added into float counters that hold
+        integers, so the counts do not depend on the order or grouping
+        of the additions (integers are exact in float64).  Devices are
+        looked up by MAC integer (:attr:`FrameTable.sender_values`).
+        New devices take rows, and new (device, frame type) pairs take
+        first-seen numbers, in first-kept-observation order, found with
+        the reversed-scatter trick (duplicate fancy-assignment indices
+        keep the last write) — so the orders do not depend on the
+        chunking.
         """
-        senders = table.senders
+        n_senders = len(table.senders)
         order = np.arange(kept, dtype=np.int64)
-        first = np.full(len(senders), kept, dtype=np.int64)
+        first = np.full(n_senders, kept, dtype=np.int64)
         first[sender_k[::-1]] = order[::-1]
-        last = np.zeros(len(senders), dtype=np.int64)
+        last = np.zeros(n_senders, dtype=np.int64)
         last[sender_k] = order
         codes = np.flatnonzero(first < kept)
         codes = codes[np.argsort(first[codes])]
-        devices = [senders[code] for code in codes.tolist()]
-        row_get = self._rows.get
-        rows = np.array([row_get(device, -1) for device in devices], dtype=np.int64)
-        fresh = np.flatnonzero(rows < 0)
-        if fresh.size:
-            rows[fresh] = self._new_rows([devices[i] for i in fresh.tolist()])
-            self._t0_us[rows[fresh]] = stamps[first[codes[fresh]]]
-        self._last_seen_us[rows] = stamps[last[codes]]
-        row_of = np.zeros(len(senders), dtype=np.int64)
-        row_of[codes] = rows
-        fcodes = np.flatnonzero(np.bincount(ftype_k, minlength=len(table.ftype_keys)))
-        column_of = np.zeros(len(table.ftype_keys), dtype=np.int64)
-        column_of[fcodes] = [self._column(table.ftype_keys[f]) for f in fcodes.tolist()]
-        n_columns = self._totals.shape[1]
-        n_pairs = self._row_count * n_columns
-        cells = n_pairs * self._bin_count
-        pair = row_of[sender_k] * n_columns + column_of[ftype_k]
-        self._counts.reshape(-1)[:cells] += np.bincount(
-            pair * self._bin_count + bin_k, minlength=cells
+        values = table.sender_values[codes].tolist()
+        rows = np.fromiter(
+            map(self._rows.get, values, repeat(-1)), dtype=np.int64, count=len(values)
         )
-        self._totals.reshape(-1)[:n_pairs] += np.bincount(pair, minlength=n_pairs)
-        first_pair = np.full(n_pairs, kept, dtype=np.int64)
-        first_pair[pair[::-1]] = order[::-1]
-        seen = self._seen.reshape(-1)
-        fresh = np.flatnonzero((first_pair < kept) & (seen[:n_pairs] == _UNSEEN))
+        fresh = np.flatnonzero(rows < 0)
+        ftype_keys = table.ftype_keys
+        fcodes = np.flatnonzero(np.bincount(ftype_k, minlength=len(ftype_keys)))
+        column_of = np.zeros(len(ftype_keys), dtype=np.int64)
+        column_of[fcodes] = [self._column(ftype_keys[f]) for f in fcodes.tolist()]
         if fresh.size:
-            fresh = fresh[np.argsort(first_pair[fresh])]
-            seen[fresh] = np.arange(self._sequence, self._sequence + fresh.size)
-            self._sequence += int(fresh.size)
+            fresh_codes = codes[fresh]
+            rows[fresh] = self._new_rows(
+                table.sender_values[fresh_codes].tolist(),
+                list(map(table.senders.__getitem__, fresh_codes.tolist())),
+            )
+        self._reserve()
+        if fresh.size:
+            self._t0_us[rows[fresh]] = stamps[first[fresh_codes]]
+        self._last_seen_us[rows] = stamps[last[codes]]
+        row_of = np.zeros(n_senders, dtype=np.int64)
+        row_of[codes] = rows
+        pair = row_of[sender_k] * self._totals.shape[1] + column_of[ftype_k]
+        np.add.at(self._counts.reshape(-1), pair * self._bin_count + bin_k, 1.0)
+        np.add.at(self._totals.reshape(-1), pair, 1.0)
+        # Pairs never seen take the next sequence numbers in the order
+        # of their first observation; each one's slot holds that
+        # observation's index (among the unseen pairs') until numbered.
+        seen = self._seen.reshape(-1)
+        unseen = pair[seen[pair] == _UNSEEN]
+        if unseen.size:
+            order = order[: unseen.size]
+            seen[unseen[::-1]] = order[::-1]
+            firsts = unseen[seen[unseen] == order]
+            seen[firsts] = np.arange(self._sequence, self._sequence + firsts.size)
+            self._sequence += int(firsts.size)
 
     # -- read-out ------------------------------------------------------
     def signature(self, device: MacAddress) -> Signature | None:
         """The device's current signature (``None`` below the gate)."""
-        row = self._rows.get(device)
+        row = self._rows.get(device.value)
         if row is None:
             return None
-        return self._block([device], np.array([row])).get(device)
+        return self._block(np.array([row])).get(device)
 
     def signatures(self) -> SignatureBlock:
         """Every resident device clearing the gate, as one block.
@@ -250,12 +274,15 @@ class StreamingSignatureBuilder:
         one pass; a :class:`Signature` is built only for a device that
         is looked up in it.
         """
-        rows = np.fromiter(self._rows.values(), dtype=np.int64, count=len(self._rows))
-        return self._block(list(self._rows), rows)
+        return self._block(self._resident_rows())
 
-    def _block(self, devices: list[MacAddress], rows: np.ndarray) -> SignatureBlock:
-        """The block of those ``devices`` (held in ``rows``) that clear
-        the gate, with frame types in first-seen order."""
+    def _resident_rows(self) -> np.ndarray:
+        """The resident devices' rows, in first-kept order."""
+        return np.fromiter(self._rows.values(), dtype=np.int64, count=len(self._rows))
+
+    def _block(self, rows: np.ndarray) -> SignatureBlock:
+        """The block of the devices held in ``rows`` that clear the
+        gate, with frame types in first-seen order."""
         columns = len(self._ftype_keys)
         totals = self._totals[rows, :columns]
         # Masses are integers, exact in any summation order, so one
@@ -263,7 +290,7 @@ class StreamingSignatureBuilder:
         gated = np.flatnonzero(totals.sum(axis=1) >= self.min_observations)
         rows = rows[gated]
         return SignatureBlock(
-            [devices[i] for i in gated.tolist()],
+            list(map(self._devices.__getitem__, rows.tolist())),
             self._ftype_keys,
             self._counts[rows, :columns],
             totals[gated],
@@ -279,12 +306,12 @@ class StreamingSignatureBuilder:
         first-seen order.
         """
         devices = []
-        for device, row in self._rows.items():
+        for value, row in self._rows.items():
             columns = self._columns_of(row)
             keys = [self._ftype_keys[column] for column in columns]
             devices.append(
                 {
-                    "mac": device.value,
+                    "mac": value,
                     "t0_us": float(self._t0_us[row]),
                     "last_seen_us": float(self._last_seen_us[row]),
                     "counts": dict(zip(keys, self._counts[row, columns].tolist())),
@@ -310,7 +337,9 @@ class StreamingSignatureBuilder:
         The builder must have been constructed with the same parameter,
         binning and gating configuration the snapshot was taken under —
         a mismatch raises ``ValueError`` instead of silently mixing
-        incompatible histograms.
+        incompatible histograms.  So does a malformed device entry: a
+        device listed twice, or a frame type whose counts are not one
+        per bin or whose total is not their sum.
         """
         for key, mine in (
             ("parameter", self.parameter.name),
@@ -324,21 +353,61 @@ class StreamingSignatureBuilder:
                     f"checkpoint {key} mismatch: snapshot has {theirs!r}, "
                     f"this builder has {mine!r}"
                 )
+        entries = payload["devices"]
+        devices = [MacAddress(int(entry["mac"])) for entry in entries]
+        listed: set[int] = set()
+        for device in devices:
+            if device.value in listed:
+                raise ValueError(f"checkpoint device {device} is listed twice")
+            listed.add(device.value)
+        histograms = [
+            self._checked_counts(device, entry)
+            for device, entry in zip(devices, entries)
+        ]
         self._stream.restore_state(payload.get("stream", {}))
         self.frames_seen = int(payload["frames_seen"])
         self.observations_kept = int(payload["observations_kept"])
         self._clear()
-        for entry in payload["devices"]:
-            (row,) = self._new_rows([MacAddress(int(entry["mac"]))])
+        rows = self._new_rows([device.value for device in devices], devices)
+        for counts in histograms:
+            for ftype_key in counts:
+                self._column(ftype_key)
+        self._reserve()
+        for row, entry, counts in zip(rows, entries, histograms):
             self._t0_us[row] = float(entry["t0_us"])
             self._last_seen_us[row] = float(entry["last_seen_us"])
-            totals = entry["totals"]
-            for ftype_key, counts in entry["counts"].items():
-                column = self._column(ftype_key)
+            for ftype_key, histogram in counts.items():
+                column = self._columns[ftype_key]
                 self._seen[row, column] = self._sequence
                 self._sequence += 1
-                self._counts[row, column] = counts
-                self._totals[row, column] = float(totals[ftype_key])
+                self._counts[row, column] = histogram
+                # Checked equal to the snapshot's total.
+                self._totals[row, column] = histogram.sum()
+
+    def _checked_counts(
+        self, device: MacAddress, entry: dict
+    ) -> dict[str, np.ndarray]:
+        """One checkpoint device entry's counts, frame type → bin
+        counts, refused with ``ValueError`` (naming the device and the
+        frame type) unless they fit this builder."""
+        counts = {}
+        totals = entry["totals"]
+        for ftype_key, values in entry["counts"].items():
+            histogram = np.asarray(values, dtype=np.float64)
+            if histogram.shape != (self._bin_count,):
+                raise ValueError(
+                    f"checkpoint device {device} frame type {ftype_key!r} has "
+                    f"{histogram.size} bin counts, this builder has "
+                    f"{self._bin_count} bins"
+                )
+            total = totals.get(ftype_key)
+            if total is None or float(total) != histogram.sum():
+                raise ValueError(
+                    f"checkpoint device {device} frame type {ftype_key!r} has total "
+                    f"{total!r}, its counts sum to {histogram.sum()!r}"
+                )
+            counts[ftype_key] = histogram
+        return counts
 
     # -- residency -----------------------------------------------------
     @property
@@ -348,11 +417,11 @@ class StreamingSignatureBuilder:
 
     def devices(self) -> Iterator[MacAddress]:
         """Resident devices, in first-observation order."""
-        return iter(self._rows)
+        return map(self._devices.__getitem__, self._rows.values())
 
     def last_seen_us(self, device: MacAddress) -> float | None:
         """When the device last contributed a kept observation."""
-        row = self._rows.get(device)
+        row = self._rows.get(device.value)
         return None if row is None else float(self._last_seen_us[row])
 
     def evict(self, device: MacAddress) -> bool:
@@ -360,9 +429,10 @@ class StreamingSignatureBuilder:
 
         The freed row is zeroed and handed to the next new device.
         """
-        row = self._rows.pop(device, None)
+        row = self._rows.pop(device.value, None)
         if row is None:
             return False
+        self._devices[row] = None
         self._counts[row] = 0.0
         self._totals[row] = 0.0
         self._seen[row] = _UNSEEN
@@ -377,12 +447,9 @@ class StreamingSignatureBuilder:
         return after a long silence — exactness is traded for memory,
         so it is opt-in (see ``WindowConfig.idle_timeout_s``).
         """
-        horizon = now_us - idle_timeout_s * 1e6
-        victims = [
-            device
-            for device, row in self._rows.items()
-            if self._last_seen_us[row] < horizon
-        ]
+        rows = self._resident_rows()
+        idle = rows[self._last_seen_us[rows] < now_us - idle_timeout_s * 1e6]
+        victims = list(map(self._devices.__getitem__, idle.tolist()))
         for device in victims:
             self.evict(device)
         return victims

@@ -142,7 +142,7 @@ class StreamEngine:
 
         The window manager cuts the chunk at window boundaries and each
         span updates the open builders through the vectorized
-        ``observe_table``/``bincount`` path (DESIGN.md §8).  Events,
+        ``observe_table``/scatter-add path (DESIGN.md §8).  Events,
         stats and resumable state do not depend on where the chunks
         were cut.  Analyzers receive the routed spans through
         :meth:`~repro.streaming.apps.WindowAnalyzer.on_table`, after

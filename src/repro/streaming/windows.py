@@ -26,7 +26,10 @@ Frames arrive as columnar chunks (:meth:`WindowManager.update_table`),
 which the manager cuts at window boundaries so each constant-open-set
 span routes to the open builders as one vectorized update; closures,
 evictions and state do not depend on where the chunks were cut
-(DESIGN.md §8).
+(DESIGN.md §8).  A window tests each span's senders by MAC integer
+(:attr:`~repro.traces.table.FrameTable.sender_values`) and adds a
+:class:`~repro.dot11.mac.MacAddress` to the sender set it hands out only
+the first time it sees that sender, so no address is hashed per span.
 
 One deliberate edge diverges from the batch path: when the capture's
 *last* frame sits exactly on a window boundary, ``Trace.windows``
@@ -110,7 +113,16 @@ class ClosedWindow:
 
 
 class _OpenWindow:
-    __slots__ = ("index", "start_us", "end_us", "builder", "frame_count", "senders", "evicted")
+    __slots__ = (
+        "index",
+        "start_us",
+        "end_us",
+        "builder",
+        "frame_count",
+        "senders",
+        "sender_values",
+        "evicted",
+    )
 
     def __init__(self, index: int, start_us: float, end_us: float, builder) -> None:
         self.index = index
@@ -119,7 +131,24 @@ class _OpenWindow:
         self.builder = builder
         self.frame_count = 0
         self.senders: set[MacAddress] = set()
+        #: The MAC integers of ``senders``: each span's senders are
+        #: checked against these, so an address is hashed only the
+        #: first time the window sees it.
+        self.sender_values: set[int] = set()
         self.evicted: list[MacAddress] = []
+
+    def add_senders(
+        self, chunk: "FrameTable", codes: np.ndarray, values: list[int]
+    ) -> None:
+        """Add a span's senders: intern ``codes`` of ``chunk`` and their
+        MAC integers ``values``."""
+        known = self.sender_values
+        fresh = [
+            code for code, value in zip(codes.tolist(), values) if value not in known
+        ]
+        if fresh:
+            known.update(values)
+            self.senders.update(map(chunk.senders.__getitem__, fresh))
 
 
 class WindowManager:
@@ -234,11 +263,12 @@ class WindowManager:
         count = hi - lo
         if count <= 0:
             return
-        senders = [chunk.senders[code] for code in chunk.sender_codes(lo, hi).tolist()]
+        codes = chunk.sender_codes(lo, hi)
+        values = chunk.sender_values[codes].tolist()
         for window in self._windows:
             window.frame_count += count
             window.builder.update_table(chunk, lo, hi)
-            window.senders.update(senders)
+            window.add_senders(chunk, codes, values)
 
     def _sweep(self, now_us: float) -> None:
         """One idle-eviction sweep across the open windows."""
@@ -303,7 +333,7 @@ class WindowManager:
                     "start_us": window.start_us,
                     "end_us": window.end_us,
                     "frame_count": window.frame_count,
-                    "senders": sorted(sender.value for sender in window.senders),
+                    "senders": sorted(window.sender_values),
                     "evicted": [device.value for device in window.evicted],
                     "builder": window.builder.export_state(),
                 }
@@ -343,6 +373,7 @@ class WindowManager:
                 builder=self._builder_factory(),
             )
             window.frame_count = int(entry["frame_count"])
+            window.sender_values = {int(value) for value in entry["senders"]}
             window.senders = {MacAddress(int(value)) for value in entry["senders"]}
             window.evicted = [MacAddress(int(value)) for value in entry["evicted"]]
             window.builder.restore_state(entry["builder"])

@@ -31,6 +31,11 @@ parent's columns (zero copy) sharing the intern tuples, never copied
 per window; :meth:`FrameTable.select` copies the rows of a mask.  A
 slice keeps its parent's ``senders`` tuple, so the senders a slice
 holds rows of are read from its codes (:meth:`FrameTable.active_senders`).
+The senders' 48-bit MAC integers are also held as one ``int64`` array,
+:attr:`FrameTable.sender_values`, computed once per intern tuple and
+shared with every slice and selection: the live path keys its
+per-device state by these integers, which hash in C, and compares them
+as one vector (:meth:`FrameTable.sender_code`).
 
 Frames become rows in one place, :class:`RowInterner`: the simulated
 monitor's capture buffer appends through it as frames are decoded, and
@@ -111,7 +116,8 @@ class FrameTable:
     ``SimulationResult.table()``); slice it with
     :meth:`slice_rows` / :meth:`slice_us` / :meth:`windows` — all views
     — or copy a row subset with :meth:`select`.  A table built from bare
-    columns without ``flags`` gets an all-zero flags column.
+    columns without ``flags`` gets an all-zero flags column, and one
+    built without ``sender_values`` computes them on first use.
     """
 
     __slots__ = (
@@ -123,6 +129,7 @@ class FrameTable:
         "flags",
         "senders",
         "ftype_keys",
+        "_sender_values",
     )
 
     def __init__(
@@ -135,6 +142,7 @@ class FrameTable:
         senders: tuple[MacAddress, ...],
         ftype_keys: tuple[str, ...],
         flags: np.ndarray | None = None,
+        sender_values: np.ndarray | None = None,
     ) -> None:
         self.timestamp_us = timestamp_us
         self.size = size
@@ -146,6 +154,7 @@ class FrameTable:
         )
         self.senders = senders
         self.ftype_keys = ftype_keys
+        self._sender_values = sender_values
 
     # -- construction --------------------------------------------------
     @classmethod
@@ -177,12 +186,26 @@ class FrameTable:
         """Timestamp of the last row (0 for an empty table)."""
         return float(self.timestamp_us[-1]) if len(self) else 0.0
 
+    @property
+    def sender_values(self) -> np.ndarray:
+        """The senders' MAC integers: ``sender_values[code] ==
+        senders[code].value``, as one ``int64`` array shared by every
+        table over the same intern tuple."""
+        values = self._sender_values
+        if values is None:
+            values = self._sender_values = np.fromiter(
+                (sender.value for sender in self.senders),
+                dtype=np.int64,
+                count=len(self.senders),
+            )
+        return values
+
     # -- row subsets ---------------------------------------------------
     def slice_rows(self, lo: int, hi: int) -> "FrameTable":
         """Row range ``[lo, hi)`` as a zero-copy view table.
 
-        Column slices are NumPy views; the intern tuples are shared
-        with the parent.
+        Column slices are NumPy views; the intern tuples (and
+        :attr:`sender_values`) are shared with the parent.
         """
         return FrameTable(
             timestamp_us=self.timestamp_us[lo:hi],
@@ -193,13 +216,15 @@ class FrameTable:
             senders=self.senders,
             ftype_keys=self.ftype_keys,
             flags=self.flags[lo:hi],
+            sender_values=self.sender_values,
         )
 
     def select(self, mask: np.ndarray) -> "FrameTable":
         """The rows of a boolean mask, in order, as a standalone table.
 
-        The columns are copies; the intern tuples are shared with the
-        parent, so codes keep their meaning.
+        The columns are copies; the intern tuples (and
+        :attr:`sender_values`) are shared with the parent, so codes keep
+        their meaning.
         """
         return FrameTable(
             timestamp_us=self.timestamp_us[mask],
@@ -210,6 +235,7 @@ class FrameTable:
             senders=self.senders,
             ftype_keys=self.ftype_keys,
             flags=self.flags[mask],
+            sender_values=self.sender_values,
         )
 
     def slice_us(self, start_us: float, end_us: float) -> "FrameTable":
@@ -238,20 +264,20 @@ class FrameTable:
     def sender_codes(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """The sender codes present in rows ``[lo, hi)``, ascending.
 
-        Unattributable rows (``-1``) are left out.  One ``bincount``
-        over the intern table, which is several times faster than a
-        sort or hash based ``np.unique`` on a chunk's rows.
+        Unattributable rows (``-1``) are left out.  One scatter into a
+        flag per intern code, which is several times faster than a sort
+        or hash based ``np.unique`` on a chunk's rows.
         """
-        codes = self.sender_idx[lo:hi]
-        present = np.bincount(codes[codes >= 0], minlength=len(self.senders))
-        return np.flatnonzero(present)
+        present = np.zeros(len(self.senders) + 1, dtype=bool)
+        # The sentinel -1 marks the spare last flag, which is dropped.
+        present[self.sender_idx[lo:hi]] = True
+        return np.flatnonzero(present[:-1])
 
     def sender_code(self, sender: MacAddress) -> int:
-        """Intern code of one sender (-1 if it never transmitted)."""
-        try:
-            return self.senders.index(sender)
-        except ValueError:
-            return -1
+        """Intern code of one sender (-1 if it never transmitted): its
+        first index in :attr:`senders`, found with one vector compare."""
+        hits = np.flatnonzero(self.sender_values == sender.value)
+        return int(hits[0]) if hits.size else -1
 
     def mask_ftypes(self, labels: Iterable[str]) -> np.ndarray:
         """Boolean row mask selecting the given frame-type labels."""
@@ -338,6 +364,7 @@ class RowInterner:
 
     def table(self, rows: list[tuple]) -> FrameTable:
         """``rows`` as a :class:`FrameTable` over the current intern tuples."""
+        codes = self._sender_codes
         return FrameTable(
             timestamp_us=row_column(rows, 0, np.float64),
             size=row_column(rows, 1, np.float64),
@@ -347,6 +374,8 @@ class RowInterner:
             senders=tuple(self.senders),
             ftype_keys=tuple(subtype.label for subtype in self.subtypes),
             flags=row_column(rows, 4, np.uint8),
+            # The code dict is keyed by MAC integer in code order.
+            sender_values=np.fromiter(codes, dtype=np.int64, count=len(codes)),
         )
 
 

@@ -11,12 +11,14 @@ from __future__ import annotations
 import io
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.database import ReferenceDatabase
 from repro.core.detection import DetectionConfig, extract_window_candidates
 from repro.core.parameters import InterArrivalTime
 from repro.core.signature import SignatureBuilder
+from repro.dot11.mac import MacAddress
 from repro.streaming import (
     CollectingSink,
     DeviceMatched,
@@ -61,6 +63,50 @@ def make_engine(database, window_s=WINDOW_S, **kwargs):
         window=WindowConfig(window_s=window_s),
         **kwargs,
     )
+
+
+def _busy_capture(seed: int, frames: int, devices: int = 120) -> FrameTable:
+    """A busy channel as one table: ``devices`` senders, each with its
+    own gap scale and frame-type mix, and one ACK row in five."""
+    rng = np.random.default_rng(seed)
+    device = rng.integers(devices, size=frames)
+    scale = np.linspace(60.0, 400.0, devices)[device]
+    ftype = (device + (rng.random(frames) < 0.3)) % 3
+    ack = rng.random(frames) < 0.2
+    ftype[ack] = 3
+    return FrameTable(
+        timestamp_us=np.cumsum(rng.exponential(scale)) + 1000.0,
+        size=np.full(frames, 200.0),
+        rate_mbps=np.full(frames, 54.0),
+        sender_idx=np.where(ack, -1, device),
+        ftype_idx=ftype,
+        senders=tuple(MacAddress(0x02_00_00_00_10_00 + d) for d in range(devices)),
+        ftype_keys=("QoS Data", "Data", "Null", "ACK"),
+    )
+
+
+def _interned_chunks(table: FrameTable, chunk_frames: int) -> list[FrameTable]:
+    """``table`` cut into chunks that each intern their own senders, in
+    first-appearance order, as a live source's chunks do."""
+    chunks = []
+    for lo in range(0, len(table), chunk_frames):
+        span = table.slice_rows(lo, min(lo + chunk_frames, len(table)))
+        codes = span.sender_idx[span.sender_idx >= 0]
+        present = list(dict.fromkeys(codes.tolist()))
+        local = np.full(len(table.senders) + 1, -1)
+        local[present] = np.arange(len(present))
+        chunks.append(
+            FrameTable(
+                timestamp_us=span.timestamp_us,
+                size=span.size,
+                rate_mbps=span.rate_mbps,
+                sender_idx=local[span.sender_idx],
+                ftype_idx=span.ftype_idx,
+                senders=tuple(table.senders[code] for code in present),
+                ftype_keys=span.ftype_keys,
+            )
+        )
+    return chunks
 
 
 def batch_best(candidates):
@@ -170,6 +216,32 @@ class TestEngineBehaviour:
         assert engine.matcher is None
         assert sink.of_type(WindowClosed)
         assert not sink.of_type(DeviceMatched)
+
+    def test_address_hashing_does_not_depend_on_chunking(self, monkeypatch):
+        """The live path keys its per-span work by MAC integer: an
+        address is hashed per window (its sender set and candidate
+        block), never per chunk or span, so 512-row chunks hash exactly
+        as often as 8192-row ones."""
+        training, capture = (_busy_capture(seed, 60_000) for seed in (1, 2))
+        builder = SignatureBuilder(PARAMETER, min_observations=MIN_OBS)
+        database = ReferenceDatabase.from_training_table(builder, training)
+        hashes = {}
+        for chunk_frames in (8192, 512):
+            chunks = _interned_chunks(capture, chunk_frames)
+            counted = [0]
+            plain_hash = MacAddress.__hash__
+
+            def counting_hash(self):
+                counted[0] += 1
+                return plain_hash(self)
+
+            sink = CollectingSink()
+            with monkeypatch.context() as patch:
+                patch.setattr(MacAddress, "__hash__", counting_hash)
+                make_engine(database, window_s=1.0, sinks=[sink]).run_chunked(chunks)
+            assert sink.of_type(DeviceMatched)
+            hashes[chunk_frames] = counted[0]
+        assert hashes[512] == hashes[8192]
 
     def test_live_reference_updates_between_windows(self, reference_setup):
         """Database add/remove mid-stream: the next window matches

@@ -25,6 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.parameters import InterArrivalTime, parameter_by_name
+from repro.dot11.mac import MacAddress
 from repro.streaming import StreamingSignatureBuilder
 from tests.test_streaming_chunked import TABLE, chunk_spans
 
@@ -95,6 +96,51 @@ def test_decay_checkpoint_is_rejected():
     golden = json.loads(GOLDEN_PATH.read_text())[PAYLOAD]
     with pytest.raises(ValueError, match="decay_half_life_s"):
         make_builder().restore_state({**golden, "decay_half_life_s": 3.0})
+
+
+def _corrupted_golden(corrupt) -> tuple[dict, str, str]:
+    """The golden payload with ``corrupt(entry, ftype)`` applied to its
+    first device's first frame type; returns the payload and the
+    device and frame type an error must name."""
+    payload = json.loads(GOLDEN_PATH.read_text())[PAYLOAD]
+    entry = payload["devices"][0]
+    ftype = next(iter(entry["counts"]))
+    corrupt(payload, entry, ftype)
+    return payload, str(MacAddress(entry["mac"])), ftype
+
+
+def test_checkpoint_counts_must_hold_one_count_per_bin():
+    """A one-element counts list is refused, not broadcast over the bins."""
+
+    def corrupt(payload, entry, ftype):
+        entry["counts"][ftype] = [7.0]
+        entry["totals"][ftype] = 7.0
+
+    payload, device, ftype = _corrupted_golden(corrupt)
+    with pytest.raises(ValueError, match=f"{device}.*{ftype}.*1 bin counts"):
+        make_builder().restore_state(payload)
+
+
+def test_checkpoint_listing_a_device_twice_is_rejected():
+    """A repeated device is refused, where it used to leave an orphan row."""
+
+    def corrupt(payload, entry, ftype):
+        payload["devices"].append(dict(entry))
+
+    payload, device, _ = _corrupted_golden(corrupt)
+    with pytest.raises(ValueError, match=f"{device} is listed twice"):
+        make_builder().restore_state(payload)
+
+
+def test_checkpoint_total_must_equal_its_count_sum():
+    """A total off its counts' sum is refused, not taken as the mass."""
+
+    def corrupt(payload, entry, ftype):
+        entry["totals"][ftype] = 1e9
+
+    payload, device, ftype = _corrupted_golden(corrupt)
+    with pytest.raises(ValueError, match=f"{device}.*{ftype}.*total 1000000000.0"):
+        make_builder().restore_state(payload)
 
 
 def test_golden_payload_is_discriminative():

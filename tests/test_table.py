@@ -276,6 +276,37 @@ class TestTableSlicing:
         assert table.sender_code(SENDERS[0]) == 0
         assert table.sender_code(SENDERS[3]) == -1
 
+    def test_sender_code_on_views_compares_integers(self, monkeypatch):
+        """First index or -1 on a row view and a selection, which share
+        the parent's MAC integers, and no address compared in Python."""
+        a, b = SENDERS[0], SENDERS[1]
+        table = FrameTable(
+            timestamp_us=np.array([0.0, 1.0, 2.0]),
+            size=np.full(3, 100.0),
+            rate_mbps=np.full(3, 54.0),
+            sender_idx=np.array([0, 1, 2]),
+            ftype_idx=np.zeros(3, dtype=np.int64),
+            senders=(a, b, a),
+            ftype_keys=("QoS Data",),
+        )
+        view = table.slice_rows(1, 3)
+        chosen = table.select(np.array([False, True, False]))
+        assert view.sender_values is table.sender_values
+        assert chosen.sender_values is table.sender_values
+        assert table.sender_values.tolist() == [a.value, b.value, a.value]
+        compared = []
+
+        def counting_eq(self, other):
+            compared.append(other)
+            return isinstance(other, MacAddress) and self.value == other.value
+
+        monkeypatch.setattr(MacAddress, "__eq__", counting_eq)
+        for subset in (view, chosen):
+            assert subset.sender_code(MacAddress(a.value)) == 0
+            assert subset.sender_code(MacAddress(b.value)) == 1
+            assert subset.sender_code(SENDERS[3]) == -1
+        assert compared == []
+
     @given(frames=capture_sequences(), data=st.data())
     def test_sender_codes_are_the_codes_present(self, frames, data):
         """Ascending, ``-1`` left out: what ``np.unique`` gives."""
