@@ -11,7 +11,10 @@ contiguous ``(N_devices, n_bins)`` frequency matrix, one ``(N_devices,)``
 weight vector, and the unit-normalised frequency rows — so Algorithm 1
 for cosine reduces to one matrix–vector product per frame type, and
 every other measure to one row-wise pass over the frequency matrix (see
-DESIGN.md "Batch matrix layout").
+DESIGN.md "Batch matrix layout").  The unit rows are derived in one
+place, :meth:`PackedDatabase.from_matrices`, and stored column-major,
+so that their transpose, the matching GEMM's right-hand operand, is
+C-contiguous.
 
 The pack is built on demand: :meth:`ReferenceDatabase.add` and
 :meth:`ReferenceDatabase.remove` only drop the cached pack, and the
@@ -114,8 +117,35 @@ class PackedDatabase:
     frequencies: dict[str, np.ndarray]
     #: ftype → ``(N,)`` reference frame-type weights.
     weights: dict[str, np.ndarray]
-    #: ftype → ``(N, n_bins)`` unit rows ``r_i/‖r_i‖`` (cosine fast path).
+    #: ftype → ``(N, n_bins)`` unit rows ``r_i/‖r_i‖`` (cosine fast
+    #: path), stored column-major so that their transpose, the GEMM's
+    #: right-hand operand, is C-contiguous.
     normalized: dict[str, np.ndarray]
+
+    @classmethod
+    def from_matrices(
+        cls,
+        devices: tuple[MacAddress, ...],
+        frequencies: dict[str, np.ndarray],
+        weights: dict[str, np.ndarray],
+    ) -> "PackedDatabase":
+        """The pack of these frequency matrices and weight vectors,
+        frame types in ``frequencies`` order.
+
+        The one derivation of :attr:`normalized`: each frequency
+        matrix's :func:`~repro.core.similarity.normalize_rows`, copied
+        to column-major order, which leaves every value as it was.
+        """
+        return cls(
+            devices=devices,
+            frame_types=tuple(frequencies),
+            frequencies=frequencies,
+            weights=weights,
+            normalized={
+                ftype_key: np.asfortranarray(normalize_rows(matrix))
+                for ftype_key, matrix in frequencies.items()
+            },
+        )
 
     def bin_count(self, ftype_key: str) -> int | None:
         """Histogram width of one frame type (``None`` if absent)."""
@@ -129,8 +159,9 @@ class PackedDatabase:
         """Pack signatures whose frame types agree on their widths.
 
         One pass per frame type: the histograms of the devices that
-        exhibit it are stacked into their rows of a zero matrix.  Frame
-        types keep their first-seen order.
+        exhibit it are stacked into their rows of a zero matrix, then
+        :meth:`from_matrices` derives the unit rows.  Frame types keep
+        their first-seen order.
         """
         count = len(entries)
         holders: dict[str, list[int]] = {}
@@ -139,7 +170,6 @@ class PackedDatabase:
                 holders.setdefault(ftype_key, []).append(row)
         frequencies: dict[str, np.ndarray] = {}
         weights: dict[str, np.ndarray] = {}
-        normalized: dict[str, np.ndarray] = {}
         for ftype_key, rows in holders.items():
             signatures = [entries[row][1] for row in rows]
             stacked = np.stack([s.histograms[ftype_key] for s in signatures])
@@ -149,13 +179,8 @@ class PackedDatabase:
             weight[rows] = [s.weight(ftype_key) for s in signatures]
             frequencies[ftype_key] = matrix
             weights[ftype_key] = weight
-            normalized[ftype_key] = normalize_rows(matrix)
-        return cls(
-            devices=tuple(device for device, _ in entries),
-            frame_types=tuple(holders),
-            frequencies=frequencies,
-            weights=weights,
-            normalized=normalized,
+        return cls.from_matrices(
+            tuple(device for device, _ in entries), frequencies, weights
         )
 
 

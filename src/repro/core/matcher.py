@@ -35,6 +35,11 @@ reproduces the scalar zero-norm convention, and a candidate frame type
 no reference exhibits contributes nothing, exactly as in the scalar
 loop.
 
+The pack stores each ``R̂_f`` column-major, so ``R̂_fᵀ``, the product's
+right-hand operand, is C-contiguous and BLAS reads it as stored; the
+values, and on the shapes live matching runs the products' bits, are
+those of a row-major ``R̂_f``.
+
 ``Ĉ_f`` holds all M candidates, with a zero row where a candidate lacks
 ``f``: a :class:`~repro.core.signature.SignatureBlock` (a closed
 streaming window) divides these padded blocks out of its counts, and a

@@ -32,6 +32,8 @@ per-frame scalar extractors survive as test oracles
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.dot11.phy import PAPER_RATE_AXIS
@@ -113,15 +115,39 @@ class ObservationStream:
         )
         if self._parameter.table_memory:
             self._previous_t = float(table.timestamp_us[hi - 1])
-        return observed._replace(positions=observed.positions + lo)
+        # observe_table returns fresh arrays, so the shift to chunk
+        # coordinates is done in place.
+        positions = observed.positions
+        positions += lo
+        return observed
 
     def export_state(self) -> dict:
         """Checkpointable state: the channel clock, if the parameter has one."""
         return {"previous_t": self._previous_t} if self._parameter.table_memory else {}
 
     def restore_state(self, state: dict) -> None:
-        """Re-arm the stream from :meth:`export_state` output."""
-        self._previous_t = state.get("previous_t")
+        """Re-arm the stream from :meth:`export_state` output.
+
+        The clock must be ``None`` or a finite number, and ``None`` for
+        a parameter without table memory; anything else raises
+        ``ValueError``.
+        """
+        previous_t = state.get("previous_t")
+        if previous_t is not None:
+            if not self._parameter.table_memory:
+                raise ValueError(
+                    f"checkpoint previous_t {previous_t!r}: parameter "
+                    f"{self._parameter.name!r} carries no channel clock"
+                )
+            if not (
+                isinstance(previous_t, (int, float))
+                and not isinstance(previous_t, bool)
+                and math.isfinite(previous_t)
+            ):
+                raise ValueError(
+                    f"checkpoint previous_t is not a finite number: {previous_t!r}"
+                )
+        self._previous_t = previous_t
 
 
 def _attributable_positions(table: FrameTable) -> np.ndarray:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from pathlib import Path
 
@@ -62,6 +63,10 @@ def load_checkpoint(engine, path: str | Path) -> None:
     The engine must be freshly constructed with the same builder
     factory and :class:`~repro.streaming.windows.WindowConfig` the
     snapshot was taken under (config mismatches raise ``ValueError``).
+    A malformed snapshot raises ``ValueError`` naming the field before
+    the engine changes: a negative or non-integer counter, a timestamp
+    that is not finite or runs backwards, or what
+    :meth:`~repro.streaming.windows.WindowManager.restore_state` refuses.
     """
     from repro.streaming.engine import StreamStats
 
@@ -74,5 +79,46 @@ def load_checkpoint(engine, path: str | Path) -> None:
             f"unsupported checkpoint version {version} "
             f"(this build reads versions 1..{CHECKPOINT_VERSION})"
         )
+    stats = _checked_stats(StreamStats(**payload["stats"]))
     engine._windows.restore_state(payload["windows"])
-    engine.stats = StreamStats(**payload["stats"])
+    engine.stats = stats
+
+
+def _checked_stats(stats):
+    """``stats`` as restored, refused with ``ValueError`` (naming the
+    field) unless every counter is a non-negative integer and the
+    timestamps are both unset or finite and in order."""
+    counters = {
+        name: getattr(stats, name)
+        for name in (
+            "frames", "windows_closed", "candidates", "events", "peak_resident_devices"
+        )
+    }
+    counters.update(
+        (f"events_by_type[{name!r}]", count)
+        for name, count in stats.events_by_type.items()
+    )
+    for name, value in counters.items():
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise ValueError(
+                f"checkpoint stats {name} is not a non-negative integer: {value!r}"
+            )
+    first, last = stats.first_timestamp_us, stats.last_timestamp_us
+    for name, value in (("first_timestamp_us", first), ("last_timestamp_us", last)):
+        if value is not None and not (
+            isinstance(value, (int, float))
+            and not isinstance(value, bool)
+            and math.isfinite(value)
+        ):
+            raise ValueError(f"checkpoint stats {name} is not finite: {value!r}")
+    if (first is None) != (last is None):
+        raise ValueError(
+            "checkpoint stats first_timestamp_us and last_timestamp_us must be "
+            f"set together: {first!r}, {last!r}"
+        )
+    if first is not None and last < first:
+        raise ValueError(
+            f"checkpoint stats last_timestamp_us {last!r} runs backwards from "
+            f"first_timestamp_us {first!r}"
+        )
+    return stats

@@ -17,9 +17,11 @@ A saved database is a directory of three files:
 
 Loading checks the three files against each other, so a store torn by
 a crash between its writes is refused rather than misread.  The loaded
-matrices become the database's cached pack, with one vectorized
-row-normalisation per frame type and no repack, and the signature
-histograms are views into the same arrays (no duplication).
+matrices become the database's cached pack through
+:meth:`~repro.core.database.PackedDatabase.from_matrices`, the one
+derivation of the unit rows (one vectorized row-normalisation per frame
+type, no repack), and the signature histograms are views into the same
+arrays (no duplication).
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import numpy as np
 from repro.dot11.mac import MacAddress
 from repro.core.database import PackedDatabase, ReferenceDatabase
 from repro.core.signature import Signature
-from repro.core.similarity import normalize_rows
 
 #: On-disk format identifier and current version.
 FORMAT_NAME = "repro-refdb"
@@ -202,13 +203,7 @@ def load_database(path: str | Path) -> LoadedDatabase:
                 for ftype, observed in line["observation_counts"].items()
             },
         )
-    packed = PackedDatabase(
-        devices=tuple(devices),
-        frame_types=tuple(frequencies),
-        frequencies=frequencies,
-        weights=weights,
-        normalized={ftype: normalize_rows(m) for ftype, m in frequencies.items()},
-    )
+    packed = PackedDatabase.from_matrices(tuple(devices), frequencies, weights)
     return LoadedDatabase(
         database=ReferenceDatabase._from_pack(signatures, packed),
         parameter=meta.get("parameter"),

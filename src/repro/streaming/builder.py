@@ -128,6 +128,11 @@ class StreamingSignatureBuilder:
         """Rows for newly kept devices (freed rows first), in order; the
         caller reserves the arrays and sets ``t0_us``/``last_seen_us``."""
         free = self._free_rows
+        if not free:  # no eviction yet: the rows simply follow on
+            start = len(self._devices)
+            self._devices.extend(devices)
+            self._rows.update(zip(values, range(start, len(self._devices))))
+            return np.arange(start, len(self._devices))
         reused = [free.pop() for _ in range(min(len(values), len(free)))]
         for row, device in zip(reused, devices):
             self._devices[row] = device
@@ -337,9 +342,11 @@ class StreamingSignatureBuilder:
         The builder must have been constructed with the same parameter,
         binning and gating configuration the snapshot was taken under —
         a mismatch raises ``ValueError`` instead of silently mixing
-        incompatible histograms.  So does a malformed device entry: a
-        device listed twice, or a frame type whose counts are not one
-        per bin or whose total is not their sum.
+        incompatible histograms.  So does a frame or observation count
+        that is not a non-negative integer, a channel clock the stream
+        refuses, and a malformed device entry: a device listed twice, or
+        a frame type whose counts are not one per bin or whose total is
+        not their sum.
         """
         for key, mine in (
             ("parameter", self.parameter.name),
@@ -353,6 +360,12 @@ class StreamingSignatureBuilder:
                     f"checkpoint {key} mismatch: snapshot has {theirs!r}, "
                     f"this builder has {mine!r}"
                 )
+        for key in ("frames_seen", "observations_kept"):
+            count = payload[key]
+            if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+                raise ValueError(
+                    f"checkpoint {key} is not a non-negative integer: {count!r}"
+                )
         entries = payload["devices"]
         devices = [MacAddress(int(entry["mac"])) for entry in entries]
         listed: set[int] = set()
@@ -365,8 +378,8 @@ class StreamingSignatureBuilder:
             for device, entry in zip(devices, entries)
         ]
         self._stream.restore_state(payload.get("stream", {}))
-        self.frames_seen = int(payload["frames_seen"])
-        self.observations_kept = int(payload["observations_kept"])
+        self.frames_seen = payload["frames_seen"]
+        self.observations_kept = payload["observations_kept"]
         self._clear()
         rows = self._new_rows([device.value for device in devices], devices)
         for counts in histograms:

@@ -26,10 +26,11 @@ Frames arrive as columnar chunks (:meth:`WindowManager.update_table`),
 which the manager cuts at window boundaries so each constant-open-set
 span routes to the open builders as one vectorized update; closures,
 evictions and state do not depend on where the chunks were cut
-(DESIGN.md §8).  A window tests each span's senders by MAC integer
-(:attr:`~repro.traces.table.FrameTable.sender_values`) and adds a
-:class:`~repro.dot11.mac.MacAddress` to the sender set it hands out only
-the first time it sees that sender, so no address is hashed per span.
+(DESIGN.md §8).  An open window keeps only its senders' MAC integers
+(:attr:`~repro.traces.table.FrameTable.sender_values`), and a closed
+window hands them out as a :class:`SenderSet`, which builds a
+:class:`~repro.dot11.mac.MacAddress` only for a consumer that iterates
+it, so routing hashes no address.
 
 One deliberate edge diverges from the batch path: when the capture's
 *last* frame sits exactly on a window boundary, ``Trace.windows``
@@ -43,9 +44,11 @@ window split differs, and only on that measure-zero boundary case.
 
 from __future__ import annotations
 
+import math
 from collections import deque
+from collections.abc import Set
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -92,6 +95,38 @@ class WindowConfig:
         return self.window_s if self.slide_s is None else self.slide_s
 
 
+class SenderSet(Set):
+    """A window's senders as a read-only set of
+    :class:`~repro.dot11.mac.MacAddress`, held as their MAC integers.
+
+    ``len`` and membership read the integers; iterating builds one
+    address per sender, so a window whose senders nobody reads builds
+    none.  It compares equal to a ``set`` of the same addresses, and
+    set operators return plain sets.
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: set[int]) -> None:
+        self.values = values
+
+    @classmethod
+    def _from_iterable(cls, devices: Iterable[MacAddress]) -> set[MacAddress]:
+        return set(devices)
+
+    def __contains__(self, device: object) -> bool:
+        return isinstance(device, MacAddress) and device.value in self.values
+
+    def __iter__(self) -> Iterator[MacAddress]:
+        return map(MacAddress, self.values)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __repr__(self) -> str:
+        return f"SenderSet({sorted(self, key=lambda device: device.value)})"
+
+
 @dataclass(slots=True)
 class ClosedWindow:
     """Everything a completed detection window produced."""
@@ -106,8 +141,9 @@ class ClosedWindow:
     #: for a device looked up in it.
     signatures: Mapping[MacAddress, Signature]
     #: Every attributable sender seen in the window (superset of
-    #: ``signatures`` — low-activity devices appear here only).
-    senders: set[MacAddress]
+    #: ``signatures`` — low-activity devices appear here only); a
+    #: :class:`SenderSet` when the window manager closed the window.
+    senders: Set[MacAddress]
     #: Devices dropped mid-window by idle eviction.
     evicted: list[MacAddress] = field(default_factory=list)
 
@@ -119,7 +155,6 @@ class _OpenWindow:
         "end_us",
         "builder",
         "frame_count",
-        "senders",
         "sender_values",
         "evicted",
     )
@@ -130,25 +165,9 @@ class _OpenWindow:
         self.end_us = end_us
         self.builder = builder
         self.frame_count = 0
-        self.senders: set[MacAddress] = set()
-        #: The MAC integers of ``senders``: each span's senders are
-        #: checked against these, so an address is hashed only the
-        #: first time the window sees it.
+        #: The MAC integers of the window's senders.
         self.sender_values: set[int] = set()
         self.evicted: list[MacAddress] = []
-
-    def add_senders(
-        self, chunk: "FrameTable", codes: np.ndarray, values: list[int]
-    ) -> None:
-        """Add a span's senders: intern ``codes`` of ``chunk`` and their
-        MAC integers ``values``."""
-        known = self.sender_values
-        fresh = [
-            code for code, value in zip(codes.tolist(), values) if value not in known
-        ]
-        if fresh:
-            known.update(values)
-            self.senders.update(map(chunk.senders.__getitem__, fresh))
 
 
 class WindowManager:
@@ -263,12 +282,11 @@ class WindowManager:
         count = hi - lo
         if count <= 0:
             return
-        codes = chunk.sender_codes(lo, hi)
-        values = chunk.sender_values[codes].tolist()
+        values = chunk.sender_values[chunk.sender_codes(lo, hi)].tolist()
         for window in self._windows:
             window.frame_count += count
             window.builder.update_table(chunk, lo, hi)
-            window.add_senders(chunk, codes, values)
+            window.sender_values.update(values)
 
     def _sweep(self, now_us: float) -> None:
         """One idle-eviction sweep across the open windows."""
@@ -289,9 +307,14 @@ class WindowManager:
             end_us=window.end_us,
             frame_count=window.frame_count,
             signatures=window.builder.signatures(),
-            senders=window.senders,
+            senders=SenderSet(window.sender_values),
             evicted=window.evicted,
         )
+
+    def _span_of(self, origin_us: float, index: int) -> tuple[float, float]:
+        """``(start_us, end_us)`` of the window at slide position ``index``."""
+        start_us = origin_us + index * (self.config.effective_slide_s * 1e6)
+        return start_us, start_us + self.config.window_s * 1e6
 
     def _open_windows_containing(self, t_us: float) -> None:
         assert self._origin_us is not None
@@ -302,14 +325,14 @@ class WindowManager:
         if earliest > self._next_index:
             self._next_index = earliest  # skip windows that never saw a frame
         while True:
-            start_us = self._origin_us + self._next_index * slide_us
+            start_us, end_us = self._span_of(self._origin_us, self._next_index)
             if start_us > t_us:
                 break
             self._windows.append(
                 _OpenWindow(
                     index=self._next_index,
                     start_us=start_us,
-                    end_us=start_us + window_us,
+                    end_us=end_us,
                     builder=self._builder_factory(),
                 )
             )
@@ -347,7 +370,15 @@ class WindowManager:
         The manager must have been constructed with the same
         :class:`WindowConfig` the snapshot was taken under; each open
         window gets a fresh builder from the factory, re-armed with the
-        snapshot's accumulators.
+        snapshot's accumulators.  The whole payload is checked before
+        the manager changes: a ``ValueError`` naming the field (and the
+        window index) refuses a config mismatch, a negative or
+        non-integer count, open windows out of strictly increasing index
+        order or not below ``next_index``, window bounds other than the
+        ones this manager computes for the index, a sender or evicted
+        device that is not a 48-bit integer, a sender listed twice, a
+        builder channel clock outside its window, and whatever the
+        builder refuses.
         """
         config = payload.get("config", {})
         mine = {
@@ -361,23 +392,68 @@ class WindowManager:
                 f"this manager has {mine}"
             )
         origin = payload.get("origin_us")
-        self._origin_us = None if origin is None else float(origin)
-        self._next_index = int(payload["next_index"])
-        self._frames_since_sweep = int(payload.get("frames_since_sweep", 0))
-        self._windows = deque()
-        for entry in payload["open"]:
-            window = _OpenWindow(
-                index=int(entry["index"]),
-                start_us=float(entry["start_us"]),
-                end_us=float(entry["end_us"]),
-                builder=self._builder_factory(),
+        if origin is not None and not (
+            isinstance(origin, (int, float))
+            and not isinstance(origin, bool)
+            and math.isfinite(origin)
+        ):
+            raise ValueError(f"checkpoint origin_us is not a finite number: {origin!r}")
+        origin = None if origin is None else float(origin)
+        next_index = _count(payload["next_index"], "next_index")
+        frames_since_sweep = _count(
+            payload.get("frames_since_sweep", 0), "frames_since_sweep"
+        )
+        if frames_since_sweep >= _EVICTION_SWEEP_FRAMES:
+            raise ValueError(
+                f"checkpoint frames_since_sweep {frames_since_sweep} is not below "
+                f"the sweep interval {_EVICTION_SWEEP_FRAMES}"
             )
-            window.frame_count = int(entry["frame_count"])
-            window.sender_values = {int(value) for value in entry["senders"]}
-            window.senders = {MacAddress(int(value)) for value in entry["senders"]}
-            window.evicted = [MacAddress(int(value)) for value in entry["evicted"]]
+        windows: deque[_OpenWindow] = deque()
+        previous = -1
+        for entry in payload["open"]:
+            index = _count(entry["index"], "open window index")
+            where = f"open window {index}"
+            if index <= previous:
+                raise ValueError(
+                    f"checkpoint {where} follows window {previous}: open windows "
+                    f"must be in strictly increasing index order"
+                )
+            if index >= next_index:
+                raise ValueError(
+                    f"checkpoint {where} is not below next_index {next_index}"
+                )
+            if origin is None:
+                raise ValueError(f"checkpoint {where} has no origin_us")
+            previous = index
+            start_us, end_us = self._span_of(origin, index)
+            for key, expected in (("start_us", start_us), ("end_us", end_us)):
+                if entry[key] != expected:
+                    raise ValueError(
+                        f"checkpoint {where} {key} is {entry[key]!r}, "
+                        f"the window config puts it at {expected!r}"
+                    )
+            window = _OpenWindow(index, start_us, end_us, self._builder_factory())
+            window.frame_count = _count(entry["frame_count"], f"{where} frame_count")
+            window.sender_values = set(_macs(entry["senders"], f"{where} senders"))
+            if len(window.sender_values) != len(entry["senders"]):
+                raise ValueError(f"checkpoint {where} lists a sender twice")
+            window.evicted = list(
+                map(MacAddress, _macs(entry["evicted"], f"{where} evicted"))
+            )
             window.builder.restore_state(entry["builder"])
-            self._windows.append(window)
+            # Every row routed to a window lies inside it, the last one
+            # (the channel clock) included.
+            clock = entry["builder"].get("stream", {}).get("previous_t")
+            if clock is not None and not start_us <= clock < end_us:
+                raise ValueError(
+                    f"checkpoint {where} channel clock previous_t {clock!r} lies "
+                    f"outside the window [{start_us!r}, {end_us!r})"
+                )
+            windows.append(window)
+        self._origin_us = origin
+        self._next_index = next_index
+        self._frames_since_sweep = frames_since_sweep
+        self._windows = windows
 
     # ------------------------------------------------------------------
     @property
@@ -393,3 +469,22 @@ class WindowManager:
         """(index, start_us, end_us) of the open windows."""
         for window in self._windows:
             yield window.index, window.start_us, window.end_us
+
+
+def _is_integer(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _count(value: object, name: str) -> int:
+    """A checkpoint count: a non-negative integer, else ``ValueError``."""
+    if not _is_integer(value) or value < 0:
+        raise ValueError(f"checkpoint {name} is not a non-negative integer: {value!r}")
+    return value
+
+
+def _macs(values: list, name: str) -> list[int]:
+    """Checkpoint MAC integers, each refused unless a 48-bit integer."""
+    for value in values:
+        if not _is_integer(value) or not 0 <= value < 1 << 48:
+            raise ValueError(f"checkpoint {name}: {value!r} is not a 48-bit MAC integer")
+    return values

@@ -16,6 +16,7 @@ from repro.dot11.mac import vendor_mac
 from repro.core.database import ReferenceDatabase
 from repro.core.matcher import batch_match_signatures
 from repro.core.signature import Signature
+from repro.core.similarity import normalize_rows
 from tests.oracles import pack, scalar_match
 from tests.test_batch_matching import random_database, random_signature
 
@@ -309,3 +310,21 @@ class TestMatchingAfterMutations:
         candidate = one_type_signature("Beacon", 3)  # different width
         assert database.devices == [a]
         assert batch_match_signatures([candidate], database).tolist() == [[0.0]]
+
+
+def test_unit_rows_derive_once_in_gemm_layout(tmp_path):
+    """The builder's pack and a loaded store's pack derive ``normalized``
+    alike: the unit rows of ``frequencies``, stored so that their
+    transpose (the GEMM's right-hand operand) is C-contiguous."""
+    from repro.persistence import load_database, save_database
+
+    database = random_database(np.random.default_rng(71), devices=30)
+    packed = database.packed()
+    save_database(database, tmp_path / "store")
+    loaded = load_database(tmp_path / "store").database.packed()
+    for ftype in packed.frame_types:
+        for view in (packed, loaded):
+            unit = view.normalized[ftype]
+            assert np.array_equal(unit, normalize_rows(view.frequencies[ftype]))
+            assert unit.T.flags.c_contiguous
+        assert np.array_equal(packed.normalized[ftype], loaded.normalized[ftype])

@@ -9,6 +9,8 @@ against the per-frame oracles of ``tests/oracles.py``.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,30 @@ def streamed(parameter, frames, sizes=(1,)) -> list[Observation]:
 
 class TestOnlineStreams:
     """The online stream must match the batch extractors in any chunking."""
+
+    @pytest.mark.parametrize("clock", [float("nan"), float("inf"), "1000.0", True])
+    def test_restore_refuses_a_clock_that_is_not_a_finite_number(self, clock):
+        stream = InterArrivalTime().online()
+        with pytest.raises(ValueError, match="previous_t is not a finite number"):
+            stream.restore_state({"previous_t": clock})
+
+    def test_restore_refuses_a_clock_for_a_parameter_without_memory(self):
+        stream = FrameSize().online()
+        with pytest.raises(ValueError, match="carries no channel clock"):
+            stream.restore_state({"previous_t": 1000.0})
+        stream.restore_state({"previous_t": None})
+        assert stream.export_state() == {}
+
+    def test_restored_clock_resumes_the_stream(self):
+        frames = figure1_frames()
+        table = FrameTable.from_frames(frames)
+        whole = InterArrivalTime().online().push_table(table, 0, len(table))
+        first = InterArrivalTime().online()
+        first.push_table(table, 0, 2)
+        resumed = InterArrivalTime().online()
+        resumed.restore_state(json.loads(json.dumps(first.export_state())))
+        rest = resumed.push_table(table, 2, len(table))
+        assert rest.values.tolist() == whole.values[whole.positions >= 2].tolist()
 
     def test_builtin_streams_match_batch_on_figure1(self):
         frames = figure1_frames()

@@ -303,6 +303,57 @@ class TestStreamCheckpoint:
         with pytest.raises(ValueError, match="checkpoint"):
             engine.restore(bogus)
 
+    def tampered(self, tmp_path, setting, change) -> tuple:
+        """A checkpoint after 500 frames with ``change`` applied to its
+        payload, and a fresh engine to restore it into."""
+        frames, parameter, database = setting
+        engine = make_engine(parameter, database, CollectingSink())
+        for chunk in table_chunks(frames[:500]):
+            engine.process_chunk(chunk)
+        path = engine.checkpoint(tmp_path / "ck.json")
+        payload = json.loads(path.read_text())
+        change(payload)
+        path.write_text(json.dumps(payload))
+        return path, make_engine(parameter, database, CollectingSink())
+
+    @pytest.mark.parametrize(
+        "field", ["frames", "windows_closed", "candidates", "events", "peak_resident_devices"]
+    )
+    def test_negative_counter_refused(self, tmp_path, setting, field):
+        path, fresh = self.tampered(
+            tmp_path, setting, lambda payload: payload["stats"].update({field: -1})
+        )
+        with pytest.raises(ValueError, match=f"stats {field} is not a non-negative"):
+            fresh.restore(path)
+        assert fresh.stats.frames == 0 and fresh._windows.open_windows == 0
+
+    def test_negative_event_type_count_refused(self, tmp_path, setting):
+        def change(payload):
+            payload["stats"]["events_by_type"]["WindowClosed"] = -2
+
+        path, fresh = self.tampered(tmp_path, setting, change)
+        with pytest.raises(ValueError, match="events_by_type\\['WindowClosed'\\]"):
+            fresh.restore(path)
+
+    @pytest.mark.parametrize("field", ["first_timestamp_us", "last_timestamp_us"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_timestamp_that_is_not_finite_refused(self, tmp_path, setting, field, value):
+        path, fresh = self.tampered(
+            tmp_path, setting, lambda payload: payload["stats"].update({field: value})
+        )
+        with pytest.raises(ValueError, match=f"stats {field} is not finite"):
+            fresh.restore(path)
+        assert fresh.stats.frames == 0 and fresh._windows.open_windows == 0
+
+    def test_timestamps_running_backwards_refused(self, tmp_path, setting):
+        def change(payload):
+            stats = payload["stats"]
+            stats["last_timestamp_us"] = stats["first_timestamp_us"] - 1.0
+
+        path, fresh = self.tampered(tmp_path, setting, change)
+        with pytest.raises(ValueError, match="last_timestamp_us .* runs backwards"):
+            fresh.restore(path)
+
     def test_checkpoint_before_first_frame(self, tmp_path, setting):
         frames, parameter, database = setting
         engine = make_engine(parameter, database, CollectingSink())

@@ -37,6 +37,7 @@ from repro.streaming import (
     replay_chunk_source,
     table_chunks,
 )
+from repro.streaming.windows import WindowManager
 from repro.traces.table import FrameTable
 from tests import oracles
 from tests.test_wire import wire_round_trip
@@ -218,10 +219,11 @@ class TestEngineBehaviour:
         assert not sink.of_type(DeviceMatched)
 
     def test_address_hashing_does_not_depend_on_chunking(self, monkeypatch):
-        """The live path keys its per-span work by MAC integer: an
-        address is hashed per window (its sender set and candidate
-        block), never per chunk or span, so 512-row chunks hash exactly
-        as often as 8192-row ones."""
+        """The live path keys its per-span work and each window's sender
+        set by MAC integer: the only addresses hashed are the candidates
+        a closed window hands the matcher (its signature block indexes
+        them once), so the count equals the candidate count, and
+        512-row chunks hash exactly as often as 8192-row ones."""
         training, capture = (_busy_capture(seed, 60_000) for seed in (1, 2))
         builder = SignatureBuilder(PARAMETER, min_observations=MIN_OBS)
         database = ReferenceDatabase.from_training_table(builder, training)
@@ -236,12 +238,45 @@ class TestEngineBehaviour:
                 return plain_hash(self)
 
             sink = CollectingSink()
+            engine = make_engine(database, window_s=1.0, sinks=[sink])
             with monkeypatch.context() as patch:
                 patch.setattr(MacAddress, "__hash__", counting_hash)
-                make_engine(database, window_s=1.0, sinks=[sink]).run_chunked(chunks)
+                stats = engine.run_chunked(chunks)
             assert sink.of_type(DeviceMatched)
+            assert counted[0] == stats.candidates
             hashes[chunk_frames] = counted[0]
         assert hashes[512] == hashes[8192]
+
+    @pytest.mark.parametrize("slide_s", [None, 0.1])
+    @pytest.mark.parametrize("restore", [False, True])
+    def test_window_senders_equal_batch_active_senders(self, slide_s, restore):
+        """``ClosedWindow.senders`` holds MAC integers but reads as the
+        batch ``active_senders()`` of the window's rows, for tumbling
+        and sliding windows, and across a checkpoint restore."""
+        capture = _busy_capture(3, 20_000)
+        config = WindowConfig(window_s=0.3, slide_s=slide_s)
+
+        def manager():
+            return WindowManager(
+                lambda: StreamingSignatureBuilder(PARAMETER, min_observations=MIN_OBS),
+                config,
+            )
+
+        windows = manager()
+        closed = []
+        chunks = _interned_chunks(capture, 1500)
+        for number, chunk in enumerate(chunks):
+            if restore and number == len(chunks) // 2:
+                resumed = manager()
+                resumed.restore_state(json.loads(json.dumps(windows.export_state())))
+                windows = resumed
+            closed += [item[1] for item in windows.update_table(chunk) if item[0] == "closed"]
+        closed += windows.flush()
+        assert len(closed) >= 10
+        for window in closed:
+            batch = capture.slice_us(window.start_us, window.end_us).active_senders()
+            assert window.senders == batch
+            assert all(device in window.senders for device in batch)
 
     def test_live_reference_updates_between_windows(self, reference_setup):
         """Database add/remove mid-stream: the next window matches

@@ -8,10 +8,12 @@ empty stretches of the stream.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.dot11.mac import MacAddress, vendor_mac
-from repro.core.parameters import FrameSize
+from repro.core.parameters import FrameSize, InterArrivalTime
 from repro.streaming.builder import StreamingSignatureBuilder
 from repro.streaming.windows import WindowConfig, WindowManager
 from repro.traces.table import FrameTable
@@ -140,3 +142,107 @@ class TestConfigValidation:
             WindowConfig(window_s=10.0, slide_s=0.0)
         with pytest.raises(ValueError):
             WindowConfig(window_s=10.0, idle_timeout_s=-1.0)
+
+
+class TestRestoreValidation:
+    """``restore_state`` checks the whole payload before it changes the
+    manager, and names the field and the window index it refuses."""
+
+    @staticmethod
+    def sliding() -> WindowManager:
+        """Sliding windows over a parameter with a channel clock."""
+        return WindowManager(
+            lambda: StreamingSignatureBuilder(InterArrivalTime(), min_observations=1),
+            WindowConfig(window_s=10.0, slide_s=5.0),
+        )
+
+    def snapshot(self) -> dict:
+        """A JSON round-tripped payload with windows 15 and 16 open."""
+        windows = self.sliding()
+        frames = [make_data_capture(t * 1e6, (A, B)[t % 2], AP) for t in range(85)]
+        feed(windows, *frames)
+        payload = json.loads(json.dumps(windows.export_state()))
+        assert [entry["index"] for entry in payload["open"]] == [15, 16]
+        assert payload["next_index"] == 17
+        return payload
+
+    def refused(self, payload: dict, match: str) -> None:
+        windows = self.sliding()
+        windows.restore_state(self.snapshot())
+        before = windows.export_state()
+        with pytest.raises(ValueError, match=match):
+            windows.restore_state(payload)
+        assert windows.export_state() == before
+
+    def test_valid_snapshot_round_trips(self):
+        payload = self.snapshot()
+        windows = self.sliding()
+        windows.restore_state(payload)
+        assert windows.export_state() == payload
+
+    def test_window_listed_twice_is_refused(self):
+        payload = self.snapshot()
+        payload["open"].append(payload["open"][-1])
+        self.refused(payload, "open window 16 follows window 16")
+
+    def test_negative_next_index_is_refused(self):
+        payload = self.snapshot()
+        payload["next_index"] = -3
+        self.refused(payload, "next_index is not a non-negative integer")
+
+    def test_window_not_below_next_index_is_refused(self):
+        payload = self.snapshot()
+        payload["next_index"] = 16
+        self.refused(payload, "open window 16 is not below next_index 16")
+
+    def test_reversed_windows_are_refused(self):
+        payload = self.snapshot()
+        payload["open"].reverse()
+        self.refused(payload, "open window 15 follows window 16")
+
+    def test_end_before_start_is_refused(self):
+        payload = self.snapshot()
+        entry = payload["open"][0]
+        entry["end_us"] = entry["start_us"] - 1.0
+        self.refused(payload, "open window 15 end_us")
+
+    def test_start_off_the_slide_grid_is_refused(self):
+        payload = self.snapshot()
+        payload["open"][1]["start_us"] += 1.0
+        self.refused(payload, "open window 16 start_us")
+
+    def test_negative_frame_count_is_refused(self):
+        payload = self.snapshot()
+        payload["open"][0]["frame_count"] = -1
+        self.refused(payload, "open window 15 frame_count")
+
+    def test_fractional_frame_count_is_refused(self):
+        payload = self.snapshot()
+        payload["open"][0]["frame_count"] = 2.5
+        self.refused(payload, "open window 15 frame_count")
+
+    def test_sender_listed_twice_is_refused(self):
+        payload = self.snapshot()
+        senders = payload["open"][1]["senders"]
+        senders.append(senders[0])
+        self.refused(payload, "open window 16 lists a sender twice")
+
+    def test_sender_beyond_48_bits_is_refused(self):
+        payload = self.snapshot()
+        payload["open"][1]["senders"][0] = 1 << 48
+        self.refused(payload, "open window 16 senders: .* 48-bit")
+
+    def test_sweep_counter_past_the_interval_is_refused(self):
+        payload = self.snapshot()
+        payload["frames_since_sweep"] = 600
+        self.refused(payload, "frames_since_sweep")
+
+    def test_channel_clock_outside_the_window_is_refused(self):
+        payload = self.snapshot()
+        payload["open"][1]["builder"]["stream"] = {"previous_t": 1e18}
+        self.refused(payload, "open window 16 channel clock previous_t 1e\\+18")
+
+    def test_negative_builder_frame_count_is_refused(self):
+        payload = self.snapshot()
+        payload["open"][0]["builder"]["frames_seen"] = -4
+        self.refused(payload, "frames_seen is not a non-negative integer")
