@@ -45,7 +45,10 @@ those of a row-major ``R̂_f``.
 streaming window) divides these padded blocks out of its counts, and a
 sequence of signatures is stacked into them.  A zero row scores 0.0
 against every reference, so it adds exactly +0.0, and each product is
-weighted and added into the result in place.
+weighted in place.  The first weighted product becomes the result and
+the others are added into it: every term is non-negative, so that is
+the sum started from a zero matrix, bit for bit, without allocating or
+adding the zeros.
 
 The other measures run on the same packed view: for each candidate,
 ``sim += w_f ⊙ measure(hist^f(c), R_f)`` over the candidate's frame
@@ -100,9 +103,10 @@ def batch_match_signatures(
     packed = database.packed()
     if packed is None:
         return np.zeros((len(candidates), 0), dtype=np.float64)
-    totals = np.zeros((len(candidates), len(packed.devices)), dtype=np.float64)
+    shape = (len(candidates), len(packed.devices))
     signatures = candidates.values() if isinstance(candidates, Mapping) else candidates
     if measure is not cosine_similarity:
+        totals = np.zeros(shape, dtype=np.float64)
         for row, candidate in enumerate(signatures):
             for ftype_key, histogram in candidate.histograms.items():
                 references = packed.frequencies.get(ftype_key)
@@ -119,6 +123,7 @@ def batch_match_signatures(
         histograms = candidates.histograms
     else:
         histograms = _stack(signatures, packed)
+    totals = None
     for ftype_key in sorted(packed.normalized):
         rows = histograms.get(ftype_key)
         if rows is None:
@@ -131,8 +136,13 @@ def batch_match_signatures(
         # other rows' sums as they were.
         scores = unit_cosine_product(normalize_rows(rows), references)
         scores *= packed.weights[ftype_key]
-        totals += scores
-    return totals
+        if totals is None:
+            # Scores and weights are non-negative, so the first block
+            # is exactly what it would add to a zero matrix.
+            totals = scores
+        else:
+            totals += scores
+    return np.zeros(shape, dtype=np.float64) if totals is None else totals
 
 
 def _width_error(ftype_key: str, width: int, held: int) -> ValueError:

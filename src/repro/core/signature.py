@@ -112,12 +112,13 @@ class SignatureBlock(Mapping[MacAddress, Signature]):
     def histograms(self) -> dict[str, np.ndarray]:
         """Frame type → ``(len(devices), bins)`` frequency rows, a zero
         row where a device lacks the type, for the types some device
-        shows: the same divisions as a read-out, one per frame type."""
+        shows: the same divisions as a read-out, made for the whole
+        block at once, so each frame type's rows are a view."""
         totals = self.totals[self.rows]
         shown = totals > 0
+        frequencies = self.counts[self.rows] / np.where(shown, totals, 1)[..., None]
         return {
-            self.frame_types[f]: self.counts[self.rows, f]
-            / np.where(shown[:, f], totals[:, f], 1)[:, None]
+            self.frame_types[f]: frequencies[:, f]
             for f in np.flatnonzero(shown.any(axis=0)).tolist()
         }
 

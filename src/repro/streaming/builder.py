@@ -218,38 +218,38 @@ class StreamingSignatureBuilder:
         first-seen numbers, in first-kept-observation order, found with
         the reversed-scatter trick (duplicate fancy-assignment indices
         keep the last write) — so the orders do not depend on the
-        chunking.
+        chunking.  The same rule gives each row its latest stamp, with
+        ``last_seen_us`` assigned at every observation's row.
         """
         n_senders = len(table.senders)
         order = np.arange(kept, dtype=np.int64)
         first = np.full(n_senders, kept, dtype=np.int64)
         first[sender_k[::-1]] = order[::-1]
-        last = np.zeros(n_senders, dtype=np.int64)
-        last[sender_k] = order
         codes = np.flatnonzero(first < kept)
-        codes = codes[np.argsort(first[codes])]
-        values = table.sender_values[codes].tolist()
         rows = np.fromiter(
-            map(self._rows.get, values, repeat(-1)), dtype=np.int64, count=len(values)
+            map(self._rows.get, table.sender_values[codes].tolist(), repeat(-1)),
+            dtype=np.int64,
+            count=codes.size,
         )
-        fresh = np.flatnonzero(rows < 0)
+        fresh = codes[rows < 0]
         ftype_keys = table.ftype_keys
         fcodes = np.flatnonzero(np.bincount(ftype_k, minlength=len(ftype_keys)))
         column_of = np.zeros(len(ftype_keys), dtype=np.int64)
         column_of[fcodes] = [self._column(ftype_keys[f]) for f in fcodes.tolist()]
+        row_of = np.zeros(n_senders, dtype=np.int64)
+        row_of[codes] = rows
         if fresh.size:
-            fresh_codes = codes[fresh]
-            rows[fresh] = self._new_rows(
-                table.sender_values[fresh_codes].tolist(),
-                list(map(table.senders.__getitem__, fresh_codes.tolist())),
+            fresh = fresh[np.argsort(first[fresh])]
+            row_of[fresh] = self._new_rows(
+                table.sender_values[fresh].tolist(),
+                list(map(table.senders.__getitem__, fresh.tolist())),
             )
         self._reserve()
         if fresh.size:
-            self._t0_us[rows[fresh]] = stamps[first[fresh_codes]]
-        self._last_seen_us[rows] = stamps[last[codes]]
-        row_of = np.zeros(n_senders, dtype=np.int64)
-        row_of[codes] = rows
-        pair = row_of[sender_k] * self._totals.shape[1] + column_of[ftype_k]
+            self._t0_us[row_of[fresh]] = stamps[first[fresh]]
+        row_k = row_of[sender_k]
+        self._last_seen_us[row_k] = stamps
+        pair = row_k * self._totals.shape[1] + column_of[ftype_k]
         np.add.at(self._counts.reshape(-1), pair * self._bin_count + bin_k, 1.0)
         np.add.at(self._totals.reshape(-1), pair, 1.0)
         # Pairs never seen take the next sequence numbers in the order

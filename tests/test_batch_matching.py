@@ -285,3 +285,29 @@ class TestVectorizedCosineKernels:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             unit_cosine_product(np.ones((2, 3)), np.ones((2, 4)))
+
+    def test_cosine_totals_equal_a_sum_started_from_zeros(self):
+        """The first weighted product stands in for ``zeros + product``:
+        same bits, and no negative zero, for candidates with and
+        without each frame type."""
+        rng = np.random.default_rng(26)
+        database = random_database(rng)
+        candidates = [random_signature(rng) for _ in range(9)]
+        candidates.append(
+            Signature(histograms={"ATIM": np.ones(40) / 40}, weights={"ATIM": 1.0})
+        )
+        packed = database.packed()
+        expected = np.zeros((len(candidates), len(database)))
+        for ftype in sorted(packed.normalized):
+            rows = np.zeros((len(candidates), 40))
+            for row, candidate in enumerate(candidates):
+                if ftype in candidate.histograms:
+                    rows[row] = candidate.histograms[ftype]
+            scores = unit_cosine_product(normalize_rows(rows), packed.normalized[ftype])
+            scores *= packed.weights[ftype]
+            expected += scores
+        matrix = batch_match_signatures(candidates, database)
+        assert np.array_equal(matrix, expected)
+        assert not np.signbit(matrix).any()
+        unknown = batch_match_signatures(candidates[-1:], database)
+        assert unknown.shape == (1, len(database)) and not unknown.any()

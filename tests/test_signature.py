@@ -185,6 +185,26 @@ class TestSignatureBlock:
         assert block.histograms["z"].tolist() == [[0.0, 0.0], [0.0, 1.0]]
         assert block[A].weights == {"x": 1.0} and block[B].weights == {"z": 1.0}
 
+    def test_histogram_rows_equal_each_read_out_bit_for_bit(self):
+        """The one division for the whole block gives every device's
+        read-out histogram, and a zero row where it lacks the type."""
+        rng = np.random.default_rng(26)
+        counts = rng.integers(0, 9, size=(6, 4, 7)).astype(np.float64)
+        counts[rng.random((6, 4)) < 0.4] = 0.0
+        counts[:, 3] = 0.0  # a frame type no device shows
+        devices = [MacAddress(value) for value in range(1, 6)]
+        block = SignatureBlock(
+            devices, ["a", "b", "c", "d"], counts, counts.sum(axis=2),
+            np.zeros((6, 4), int), rows=np.array([5, 0, 3, 1, 2]),
+        )
+        histograms = block.histograms
+        assert "d" not in histograms
+        for i, device in enumerate(devices):
+            read_out = block[device].histograms
+            for key, rows in histograms.items():
+                expected = read_out.get(key, np.zeros(7))
+                assert np.array_equal(rows[i], expected)
+
     def test_read_out_owns_its_histograms(self):
         counts = np.array([[[1, 3]]], dtype=np.int64)
         block = SignatureBlock([A], ["x"], counts, np.array([[4]]), np.array([[0]]))
