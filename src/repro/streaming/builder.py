@@ -226,23 +226,30 @@ class StreamingSignatureBuilder:
         first = np.full(n_senders, kept, dtype=np.int64)
         first[sender_k[::-1]] = order[::-1]
         codes = np.flatnonzero(first < kept)
-        rows = np.fromiter(
-            map(self._rows.get, table.sender_values[codes].tolist(), repeat(-1)),
-            dtype=np.int64,
-            count=codes.size,
-        )
-        fresh = codes[rows < 0]
+        # A builder holding no device (a new window's first span) has
+        # no row and no first-seen number to look up.
+        held = bool(self._rows)
+        row_of = np.zeros(n_senders, dtype=np.int64)
+        if held:
+            rows = np.fromiter(
+                map(self._rows.get, table.sender_values[codes].tolist(), repeat(-1)),
+                dtype=np.int64,
+                count=codes.size,
+            )
+            row_of[codes] = rows
+            fresh = codes[rows < 0]
+        else:
+            fresh = codes
         ftype_keys = table.ftype_keys
         fcodes = np.flatnonzero(np.bincount(ftype_k, minlength=len(ftype_keys)))
         column_of = np.zeros(len(ftype_keys), dtype=np.int64)
         column_of[fcodes] = [self._column(ftype_keys[f]) for f in fcodes.tolist()]
-        row_of = np.zeros(n_senders, dtype=np.int64)
-        row_of[codes] = rows
         if fresh.size:
             fresh = fresh[np.argsort(first[fresh])]
+            senders = table.senders
             row_of[fresh] = self._new_rows(
                 table.sender_values[fresh].tolist(),
-                list(map(table.senders.__getitem__, fresh.tolist())),
+                [senders[code] for code in fresh.tolist()],
             )
         self._reserve()
         if fresh.size:
@@ -256,7 +263,7 @@ class StreamingSignatureBuilder:
         # of their first observation; each one's slot holds that
         # observation's index (among the unseen pairs') until numbered.
         seen = self._seen.reshape(-1)
-        unseen = pair[seen[pair] == _UNSEEN]
+        unseen = pair[seen[pair] == _UNSEEN] if held else pair
         if unseen.size:
             order = order[: unseen.size]
             seen[unseen[::-1]] = order[::-1]

@@ -141,10 +141,12 @@ class TestResidency:
         assert builder.resident_count == 1
         assert builder.signature(a) is None
 
-    def test_evicted_row_is_reused_clean(self):
+    @pytest.mark.parametrize("evict_all", [False, True])
+    def test_evicted_row_is_reused_clean(self, evict_all):
         """A new device takes the row an evicted one freed, with none
         of its counts or frame types: its state equals a fresh
-        builder's for the same frames, listed after the survivors."""
+        builder's for the same frames, listed after the survivors, also
+        when no device survives and the span's pairs are all new."""
         from repro.core.parameters import FrameSize
 
         a, b, c = (vendor_mac("00:13:e8", i) for i in (1, 2, 3))
@@ -158,17 +160,24 @@ class TestResidency:
             ],
         )
         assert builder.evict(a)
+        survivors = [b.value]
+        if evict_all:
+            assert builder.evict(b)
+            survivors = []
         table = FrameTable.from_frames(
-            [make_data_capture(t, c, AP, size=300) for t in (2000.0, 2200.0)]
+            [
+                make_data_capture(2000.0, c, AP, size=300),
+                make_data_capture(2200.0, c, AP, size=300, subtype=FrameSubtype.BEACON),
+            ]
         )
         builder.update_table(table)
         fresh = StreamingSignatureBuilder(FrameSize(), min_observations=1)
         fresh.update_table(table)
 
         devices = builder.export_state()["devices"]
-        assert [entry["mac"] for entry in devices] == [b.value, c.value]
-        assert devices[1] == fresh.export_state()["devices"][0]
-        assert builder.resident_count == 2
+        assert [entry["mac"] for entry in devices] == survivors + [c.value]
+        assert devices[-1] == fresh.export_state()["devices"][0]
+        assert builder.resident_count == len(survivors) + 1
 
     def test_evict_idle_drops_only_stale_devices(self):
         from repro.core.parameters import FrameSize
