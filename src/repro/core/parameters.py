@@ -32,8 +32,6 @@ per-frame scalar extractors survive as test oracles
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.dot11.phy import PAPER_RATE_AXIS
@@ -115,11 +113,13 @@ class ObservationStream:
         )
         if self._parameter.table_memory:
             self._previous_t = float(table.timestamp_us[hi - 1])
-        # observe_table returns fresh arrays, so the shift to chunk
-        # coordinates is done in place.
-        positions = observed.positions
-        positions += lo
-        return observed
+        return observed._replace(positions=observed.positions + lo)
+
+    @property
+    def previous_t(self) -> float | None:
+        """The channel clock: the last pushed row's timestamp, ``None``
+        before the first row and for a parameter without table memory."""
+        return self._previous_t
 
     def export_state(self) -> dict:
         """Checkpointable state: the channel clock, if the parameter has one."""
@@ -132,21 +132,15 @@ class ObservationStream:
         a parameter without table memory; anything else raises
         ``ValueError``.
         """
-        previous_t = state.get("previous_t")
-        if previous_t is not None:
-            if not self._parameter.table_memory:
-                raise ValueError(
-                    f"checkpoint previous_t {previous_t!r}: parameter "
-                    f"{self._parameter.name!r} carries no channel clock"
-                )
-            if not (
-                isinstance(previous_t, (int, float))
-                and not isinstance(previous_t, bool)
-                and math.isfinite(previous_t)
-            ):
-                raise ValueError(
-                    f"checkpoint previous_t is not a finite number: {previous_t!r}"
-                )
+        # Imported here: the persistence package imports this module.
+        from repro.persistence.checkpoint import checked_time
+
+        previous_t = checked_time(state.get("previous_t"), "previous_t")
+        if previous_t is not None and not self._parameter.table_memory:
+            raise ValueError(
+                f"checkpoint previous_t {previous_t!r}: parameter "
+                f"{self._parameter.name!r} carries no channel clock"
+            )
         self._previous_t = previous_t
 
 

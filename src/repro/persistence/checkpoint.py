@@ -15,6 +15,9 @@ Every piece is JSON-shaped already.  Feeding the remaining frames to a
 restored engine, in any chunking, produces exactly the events and
 stats an uninterrupted run would have produced (pinned in
 ``tests/test_persistence.py`` and ``tests/test_streaming_chunked.py``).
+Every reader of a checkpoint checks its counts and clocks with
+:func:`checked_count` and :func:`checked_time` before it changes
+anything.
 Deliberately **not** captured: the reference database (persist it
 with :mod:`repro.persistence.store` — it evolves independently of the
 capture position) and the analyzers' own row-level state (re-attach
@@ -84,33 +87,38 @@ def load_checkpoint(engine, path: str | Path) -> None:
     engine.stats = stats
 
 
+def checked_count(value, name: str) -> int:
+    """A checkpoint count: ``value`` if it is a non-negative integer,
+    else ``ValueError`` naming the field ``name``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValueError(f"checkpoint {name} is not a non-negative integer: {value!r}")
+    return value
+
+
+def checked_time(value, name: str) -> float | None:
+    """A checkpoint clock or timestamp: ``value`` if it is ``None`` or a
+    finite number, else ``ValueError`` naming the field ``name``."""
+    if value is not None and not (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    ):
+        raise ValueError(f"checkpoint {name} is not a finite number: {value!r}")
+    return value
+
+
 def _checked_stats(stats):
     """``stats`` as restored, refused with ``ValueError`` (naming the
     field) unless every counter is a non-negative integer and the
     timestamps are both unset or finite and in order."""
-    counters = {
-        name: getattr(stats, name)
-        for name in (
-            "frames", "windows_closed", "candidates", "events", "peak_resident_devices"
-        )
-    }
-    counters.update(
-        (f"events_by_type[{name!r}]", count)
-        for name, count in stats.events_by_type.items()
-    )
-    for name, value in counters.items():
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ValueError(
-                f"checkpoint stats {name} is not a non-negative integer: {value!r}"
-            )
-    first, last = stats.first_timestamp_us, stats.last_timestamp_us
-    for name, value in (("first_timestamp_us", first), ("last_timestamp_us", last)):
-        if value is not None and not (
-            isinstance(value, (int, float))
-            and not isinstance(value, bool)
-            and math.isfinite(value)
-        ):
-            raise ValueError(f"checkpoint stats {name} is not finite: {value!r}")
+    for name in (
+        "frames", "windows_closed", "candidates", "events", "peak_resident_devices"
+    ):
+        checked_count(getattr(stats, name), f"stats {name}")
+    for name, count in stats.events_by_type.items():
+        checked_count(count, f"stats events_by_type[{name!r}]")
+    first = checked_time(stats.first_timestamp_us, "stats first_timestamp_us")
+    last = checked_time(stats.last_timestamp_us, "stats last_timestamp_us")
     if (first is None) != (last is None):
         raise ValueError(
             "checkpoint stats first_timestamp_us and last_timestamp_us must be "

@@ -51,6 +51,7 @@ from repro.dot11.mac import MacAddress
 from repro.core.histogram import BinSpec
 from repro.core.parameters import NetworkParameter
 from repro.core.signature import DEFAULT_MIN_OBSERVATIONS, Signature, SignatureBlock
+from repro.persistence.checkpoint import checked_count
 
 #: First-seen sequence of a (row, column) pair holding no observation.
 _UNSEEN = -1
@@ -128,11 +129,6 @@ class StreamingSignatureBuilder:
         """Rows for newly kept devices (freed rows first), in order; the
         caller reserves the arrays and sets ``t0_us``/``last_seen_us``."""
         free = self._free_rows
-        if not free:  # no eviction yet: the rows simply follow on
-            start = len(self._devices)
-            self._devices.extend(devices)
-            self._rows.update(zip(values, range(start, len(self._devices))))
-            return np.arange(start, len(self._devices))
         reused = [free.pop() for _ in range(min(len(values), len(free)))]
         for row, device in zip(reused, devices):
             self._devices[row] = device
@@ -226,30 +222,23 @@ class StreamingSignatureBuilder:
         first = np.full(n_senders, kept, dtype=np.int64)
         first[sender_k[::-1]] = order[::-1]
         codes = np.flatnonzero(first < kept)
-        # A builder holding no device (a new window's first span) has
-        # no row and no first-seen number to look up.
-        held = bool(self._rows)
+        rows = np.fromiter(
+            map(self._rows.get, table.sender_values[codes].tolist(), repeat(-1)),
+            dtype=np.int64,
+            count=codes.size,
+        )
         row_of = np.zeros(n_senders, dtype=np.int64)
-        if held:
-            rows = np.fromiter(
-                map(self._rows.get, table.sender_values[codes].tolist(), repeat(-1)),
-                dtype=np.int64,
-                count=codes.size,
-            )
-            row_of[codes] = rows
-            fresh = codes[rows < 0]
-        else:
-            fresh = codes
+        row_of[codes] = rows
+        fresh = codes[rows < 0]
         ftype_keys = table.ftype_keys
         fcodes = np.flatnonzero(np.bincount(ftype_k, minlength=len(ftype_keys)))
         column_of = np.zeros(len(ftype_keys), dtype=np.int64)
         column_of[fcodes] = [self._column(ftype_keys[f]) for f in fcodes.tolist()]
         if fresh.size:
             fresh = fresh[np.argsort(first[fresh])]
-            senders = table.senders
             row_of[fresh] = self._new_rows(
                 table.sender_values[fresh].tolist(),
-                [senders[code] for code in fresh.tolist()],
+                list(map(table.senders.__getitem__, fresh.tolist())),
             )
         self._reserve()
         if fresh.size:
@@ -263,7 +252,7 @@ class StreamingSignatureBuilder:
         # of their first observation; each one's slot holds that
         # observation's index (among the unseen pairs') until numbered.
         seen = self._seen.reshape(-1)
-        unseen = pair[seen[pair] == _UNSEEN] if held else pair
+        unseen = pair[seen[pair] == _UNSEEN]
         if unseen.size:
             order = order[: unseen.size]
             seen[unseen[::-1]] = order[::-1]
@@ -367,12 +356,10 @@ class StreamingSignatureBuilder:
                     f"checkpoint {key} mismatch: snapshot has {theirs!r}, "
                     f"this builder has {mine!r}"
                 )
-        for key in ("frames_seen", "observations_kept"):
-            count = payload[key]
-            if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-                raise ValueError(
-                    f"checkpoint {key} is not a non-negative integer: {count!r}"
-                )
+        frames_seen = checked_count(payload["frames_seen"], "frames_seen")
+        observations_kept = checked_count(
+            payload["observations_kept"], "observations_kept"
+        )
         entries = payload["devices"]
         devices = [MacAddress(int(entry["mac"])) for entry in entries]
         listed: set[int] = set()
@@ -385,8 +372,8 @@ class StreamingSignatureBuilder:
             for device, entry in zip(devices, entries)
         ]
         self._stream.restore_state(payload.get("stream", {}))
-        self.frames_seen = payload["frames_seen"]
-        self.observations_kept = payload["observations_kept"]
+        self.frames_seen = frames_seen
+        self.observations_kept = observations_kept
         self._clear()
         rows = self._new_rows([device.value for device in devices], devices)
         for counts in histograms:
@@ -438,6 +425,13 @@ class StreamingSignatureBuilder:
     def devices(self) -> Iterator[MacAddress]:
         """Resident devices, in first-observation order."""
         return map(self._devices.__getitem__, self._rows.values())
+
+    @property
+    def channel_clock_us(self) -> float | None:
+        """The observation stream's channel clock: the last fed row's
+        timestamp (``None`` before any row, or for a parameter without
+        one)."""
+        return self._stream.previous_t
 
     def last_seen_us(self, device: MacAddress) -> float | None:
         """When the device last contributed a kept observation."""

@@ -44,7 +44,6 @@ window split differs, and only on that measure-zero boundary case.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from collections.abc import Set
 from dataclasses import dataclass, field
@@ -57,6 +56,7 @@ if TYPE_CHECKING:
 
 from repro.dot11.mac import MacAddress
 from repro.core.signature import Signature
+from repro.persistence.checkpoint import checked_count, checked_time
 from repro.streaming.builder import StreamingSignatureBuilder
 
 #: Idle-eviction sweeps run at most once per this many frames.
@@ -391,16 +391,10 @@ class WindowManager:
                 f"checkpoint window config mismatch: snapshot has {config}, "
                 f"this manager has {mine}"
             )
-        origin = payload.get("origin_us")
-        if origin is not None and not (
-            isinstance(origin, (int, float))
-            and not isinstance(origin, bool)
-            and math.isfinite(origin)
-        ):
-            raise ValueError(f"checkpoint origin_us is not a finite number: {origin!r}")
+        origin = checked_time(payload.get("origin_us"), "origin_us")
         origin = None if origin is None else float(origin)
-        next_index = _count(payload["next_index"], "next_index")
-        frames_since_sweep = _count(
+        next_index = checked_count(payload["next_index"], "next_index")
+        frames_since_sweep = checked_count(
             payload.get("frames_since_sweep", 0), "frames_since_sweep"
         )
         if frames_since_sweep >= _EVICTION_SWEEP_FRAMES:
@@ -411,7 +405,7 @@ class WindowManager:
         windows: deque[_OpenWindow] = deque()
         previous = -1
         for entry in payload["open"]:
-            index = _count(entry["index"], "open window index")
+            index = checked_count(entry["index"], "open window index")
             where = f"open window {index}"
             if index <= previous:
                 raise ValueError(
@@ -433,7 +427,9 @@ class WindowManager:
                         f"the window config puts it at {expected!r}"
                     )
             window = _OpenWindow(index, start_us, end_us, self._builder_factory())
-            window.frame_count = _count(entry["frame_count"], f"{where} frame_count")
+            window.frame_count = checked_count(
+                entry["frame_count"], f"{where} frame_count"
+            )
             window.sender_values = set(_macs(entry["senders"], f"{where} senders"))
             if len(window.sender_values) != len(entry["senders"]):
                 raise ValueError(f"checkpoint {where} lists a sender twice")
@@ -443,7 +439,7 @@ class WindowManager:
             window.builder.restore_state(entry["builder"])
             # Every row routed to a window lies inside it, the last one
             # (the channel clock) included.
-            clock = entry["builder"].get("stream", {}).get("previous_t")
+            clock = window.builder.channel_clock_us
             if clock is not None and not start_us <= clock < end_us:
                 raise ValueError(
                     f"checkpoint {where} channel clock previous_t {clock!r} lies "
@@ -471,20 +467,9 @@ class WindowManager:
             yield window.index, window.start_us, window.end_us
 
 
-def _is_integer(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _count(value: object, name: str) -> int:
-    """A checkpoint count: a non-negative integer, else ``ValueError``."""
-    if not _is_integer(value) or value < 0:
-        raise ValueError(f"checkpoint {name} is not a non-negative integer: {value!r}")
-    return value
-
-
 def _macs(values: list, name: str) -> list[int]:
     """Checkpoint MAC integers, each refused unless a 48-bit integer."""
     for value in values:
-        if not _is_integer(value) or not 0 <= value < 1 << 48:
+        if checked_count(value, name) >= 1 << 48:
             raise ValueError(f"checkpoint {name}: {value!r} is not a 48-bit MAC integer")
     return values

@@ -216,6 +216,7 @@ class TestOnlineStreams:
         first.push_table(table, 0, 2)
         resumed = InterArrivalTime().online()
         resumed.restore_state(json.loads(json.dumps(first.export_state())))
+        assert resumed.previous_t == first.previous_t == table.timestamp_us[1]
         rest = resumed.push_table(table, 2, len(table))
         assert rest.values.tolist() == whole.values[whole.positions >= 2].tolist()
 

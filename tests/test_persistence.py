@@ -341,7 +341,7 @@ class TestStreamCheckpoint:
         path, fresh = self.tampered(
             tmp_path, setting, lambda payload: payload["stats"].update({field: value})
         )
-        with pytest.raises(ValueError, match=f"stats {field} is not finite"):
+        with pytest.raises(ValueError, match=f"stats {field} is not a finite number"):
             fresh.restore(path)
         assert fresh.stats.frames == 0 and fresh._windows.open_windows == 0
 
