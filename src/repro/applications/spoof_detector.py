@@ -54,7 +54,8 @@ class SpoofDetector:
     ``accept_threshold`` is the minimum self-similarity a genuine
     device must show; ``margin`` additionally requires the claimed
     identity to beat every *other* reference by this much, catching
-    attackers whose traffic resembles a different known device.
+    attackers whose traffic resembles a different known device.  Both
+    are similarities, so each must lie in [0, 1].
     """
 
     def __init__(
@@ -71,6 +72,8 @@ class SpoofDetector:
         fresh empty database filled by :meth:`learn`."""
         if not 0.0 <= accept_threshold <= 1.0:
             raise ValueError(f"threshold out of range: {accept_threshold}")
+        if not 0.0 <= margin <= 1.0:
+            raise ValueError(f"margin out of range: {margin}")
         self.parameter = parameter if parameter is not None else InterArrivalTime()
         self.accept_threshold = accept_threshold
         self.margin = margin

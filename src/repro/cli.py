@@ -45,8 +45,8 @@ command that reads a pcap accepts either:
 final checkpoint written, sinks flushed, then exit — and both accept
 ``--stats-json PATH`` to dump their final statistics machine-readably.
 An out-of-range number (a negative or, where it must be positive,
-zero count; a duration that is not positive; a port outside
-0..65535) is a usage error, exit 2.
+zero count; a duration or scale that is not a finite positive number;
+a port outside 0..65535) is a usage error, exit 2.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import signal
 import sys
 import time
@@ -713,8 +714,8 @@ def _non_negative_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
     return value
 
 

@@ -13,6 +13,7 @@ fingerprints against the best single parameter.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +31,8 @@ class FusionMatcher:
     """Learn and match multi-parameter fingerprints.
 
     ``weights`` assigns each parameter's contribution to the combined
-    score; they are normalised internally, so any positive scale works.
+    score; each must be a finite non-negative number, and they are
+    normalised internally, so any positive scale works.
     """
 
     def __init__(
@@ -47,6 +49,14 @@ class FusionMatcher:
         missing = {p.name for p in parameters} - set(raw)
         if missing:
             raise ValueError(f"missing fusion weights for: {sorted(missing)}")
+        for p in parameters:
+            # A NaN weight would make every fused score NaN, and a
+            # negative one push the fused similarity outside [0, 1].
+            if not 0 <= raw[p.name] < math.inf:
+                raise ValueError(
+                    f"fusion weight for {p.name!r} must be a finite non-negative "
+                    f"number: {raw[p.name]!r}"
+                )
         total = sum(raw[p.name] for p in parameters)
         if total <= 0:
             raise ValueError("fusion weights must sum to a positive value")

@@ -22,12 +22,12 @@ evaluation (ablated in ``benchmarks/test_ablation_bin_width.py``).
 Each parameter's extractor is :meth:`~NetworkParameter.observe_table`
 over a columnar :class:`~repro.traces.table.FrameTable`: the
 time-derived parameters become shifted-array subtractions under a
-sender mask (DESIGN.md §6).  Streaming ingest runs ``observe_table``
-chunk span by chunk span through :class:`ObservationStream`, which
-passes in the channel clock carried from the previous span.  The
-per-frame scalar extractors survive as test oracles
-(``tests/oracles.py``); the equivalence is property-pinned in
-``tests/test_parameters.py`` and ``tests/test_table.py``.
+sender mask (DESIGN.md §6).  The streaming builder
+(:class:`~repro.streaming.builder.StreamingSignatureBuilder`) calls
+``observe_table`` on each chunk span with the channel clock it carried
+from the previous span.  The per-frame scalar extractors survive as
+test oracles (``tests/oracles.py``); the equivalence is property-pinned
+in ``tests/test_parameters.py`` and ``tests/test_table.py``.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ class NetworkParameter:
     #: The detection fast path uses this to slice a whole-trace
     #: observation batch into per-window batches: an observation at
     #: table row ``p`` is valid for a window starting at row ``lo``
-    #: iff ``p >= lo + table_memory`` (DESIGN.md §6); the streaming
-    #: :class:`ObservationStream` carries a channel clock iff it is 1.
+    #: iff ``p >= lo + table_memory`` (DESIGN.md §6); a streaming
+    #: builder carries a channel clock iff it is 1.
     table_memory: int = 0
 
     def default_bins(self) -> BinSpec:
@@ -74,74 +74,8 @@ class NetworkParameter:
         """
         raise NotImplementedError
 
-    def online(self) -> "ObservationStream":
-        """A stateful extractor over consecutive chunk spans (streaming)."""
-        return ObservationStream(self)
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
-
-
-class ObservationStream:
-    """Incremental observation extraction, one chunk span per push.
-
-    Every Section III parameter is causal with at most one frame of
-    memory (``table_memory``), so a span's observations are the
-    parameter's :meth:`~NetworkParameter.observe_table` over the span
-    with the channel clock ``t_{i-1}`` carried from the previous span
-    passed in.  Feeding a capture's rows through :meth:`push_table` in
-    any chunking therefore yields exactly the observations
-    ``observe_table`` produces on the whole capture.  The clock is the
-    stream's only state; unattributable ACK/CTS rows advance it without
-    observing.
-    """
-
-    __slots__ = ("_parameter", "_previous_t")
-
-    def __init__(self, parameter: NetworkParameter) -> None:
-        self._parameter = parameter
-        self._previous_t: float | None = None
-
-    def push_table(self, table: FrameTable, lo: int, hi: int) -> TableObservations:
-        """The observations chunk rows ``[lo, hi)`` contribute.
-
-        ``positions`` are in the chunk's row coordinates; the stream's
-        clock advances past row ``hi - 1``.
-        """
-        observed = self._parameter.observe_table(
-            table.slice_rows(lo, hi), self._previous_t
-        )
-        if self._parameter.table_memory:
-            self._previous_t = float(table.timestamp_us[hi - 1])
-        return observed._replace(positions=observed.positions + lo)
-
-    @property
-    def previous_t(self) -> float | None:
-        """The channel clock: the last pushed row's timestamp, ``None``
-        before the first row and for a parameter without table memory."""
-        return self._previous_t
-
-    def export_state(self) -> dict:
-        """Checkpointable state: the channel clock, if the parameter has one."""
-        return {"previous_t": self._previous_t} if self._parameter.table_memory else {}
-
-    def restore_state(self, state: dict) -> None:
-        """Re-arm the stream from :meth:`export_state` output.
-
-        The clock must be ``None`` or a finite number, and ``None`` for
-        a parameter without table memory; anything else raises
-        ``ValueError``.
-        """
-        # Imported here: the persistence package imports this module.
-        from repro.persistence.checkpoint import checked_time
-
-        previous_t = checked_time(state.get("previous_t"), "previous_t")
-        if previous_t is not None and not self._parameter.table_memory:
-            raise ValueError(
-                f"checkpoint previous_t {previous_t!r}: parameter "
-                f"{self._parameter.name!r} carries no channel clock"
-            )
-        self._previous_t = previous_t
 
 
 def _attributable_positions(table: FrameTable) -> np.ndarray:

@@ -1,23 +1,29 @@
 """Streaming-engine checkpoints: stop mid-capture, resume exactly.
 
 A checkpoint is one JSON document capturing everything the
-:class:`~repro.streaming.engine.StreamEngine` accumulates while
-consuming frames:
+:class:`~repro.streaming.engine.StreamEngine` needs to close its open
+windows and to resume:
 
 * the stream counters (:class:`~repro.streaming.engine.StreamStats`);
 * the :class:`~repro.streaming.windows.WindowManager` state — stream
-  origin, next slide index, and every open window with its frame
-  count, sender set, eviction list and the full per-device histogram
-  accumulators of its :class:`~repro.streaming.builder.StreamingSignatureBuilder`,
-  including the observation extractor's channel clock.
+  origin, next slide index, frames since the last idle sweep, and every
+  open window with its bounds, frame count, sender set and the
+  per-device accumulators of its
+  :class:`~repro.streaming.builder.StreamingSignatureBuilder`: bin
+  counts and totals, each device's last-seen time, and the builder's
+  channel clock ``previous_t``.
 
-Every piece is JSON-shaped already.  Feeding the remaining frames to a
-restored engine, in any chunking, produces exactly the events and
-stats an uninterrupted run would have produced (pinned in
+Every piece is JSON-shaped already.  Format version 2 holds only what
+a resumed engine reads: an idle eviction is reported as a
+``DeviceEvicted`` event when it happens, and no window lists its
+evicted devices.  A version-1 file, which also carried fields nothing
+read back, is refused; restart that capture.  Feeding the remaining
+frames to a restored engine, in any chunking, produces exactly the
+events and stats an uninterrupted run would have produced (pinned in
 ``tests/test_persistence.py`` and ``tests/test_streaming_chunked.py``).
-Every reader of a checkpoint checks its counts and clocks with
-:func:`checked_count` and :func:`checked_time` before it changes
-anything.
+Every reader of a checkpoint checks its counts, MAC integers and
+clocks with :func:`checked_count`, :func:`checked_mac` and
+:func:`checked_time` before it changes anything.
 Deliberately **not** captured: the reference database (persist it
 with :mod:`repro.persistence.store` — it evolves independently of the
 capture position) and the analyzers' own row-level state (re-attach
@@ -35,7 +41,7 @@ from pathlib import Path
 
 #: Checkpoint format identifier and current version.
 CHECKPOINT_FORMAT = "repro-stream-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(engine, path: str | Path) -> Path:
@@ -67,8 +73,9 @@ def load_checkpoint(engine, path: str | Path) -> None:
     factory and :class:`~repro.streaming.windows.WindowConfig` the
     snapshot was taken under (config mismatches raise ``ValueError``).
     A malformed snapshot raises ``ValueError`` naming the field before
-    the engine changes: a negative or non-integer counter, a timestamp
-    that is not finite or runs backwards, or what
+    the engine changes: a version other than :data:`CHECKPOINT_VERSION`,
+    a negative or non-integer counter, a timestamp that is not finite or
+    runs backwards, or what
     :meth:`~repro.streaming.windows.WindowManager.restore_state` refuses.
     """
     from repro.streaming.engine import StreamStats
@@ -76,11 +83,11 @@ def load_checkpoint(engine, path: str | Path) -> None:
     payload = json.loads(Path(path).read_text())
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a stream checkpoint: {path}")
-    version = int(payload.get("version", 0))
-    if not 1 <= version <= CHECKPOINT_VERSION:
+    version = payload.get("version")
+    if version != CHECKPOINT_VERSION:
         raise ValueError(
-            f"unsupported checkpoint version {version} "
-            f"(this build reads versions 1..{CHECKPOINT_VERSION})"
+            f"unsupported checkpoint version {version!r} in {path}: this build "
+            f"reads version {CHECKPOINT_VERSION} only, so restart that capture"
         )
     stats = _checked_stats(StreamStats(**payload["stats"]))
     engine._windows.restore_state(payload["windows"])
@@ -92,6 +99,14 @@ def checked_count(value, name: str) -> int:
     else ``ValueError`` naming the field ``name``."""
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise ValueError(f"checkpoint {name} is not a non-negative integer: {value!r}")
+    return value
+
+
+def checked_mac(value, name: str) -> int:
+    """A checkpoint MAC integer: ``value`` if it is a 48-bit
+    non-negative integer, else ``ValueError`` naming the field ``name``."""
+    if checked_count(value, name) >= 1 << 48:
+        raise ValueError(f"checkpoint {name}: {value!r} is not a 48-bit MAC integer")
     return value
 
 

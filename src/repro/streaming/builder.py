@@ -3,9 +3,11 @@
 :class:`StreamingSignatureBuilder` is the incremental counterpart of
 :class:`~repro.core.signature.SignatureBuilder`: it consumes columnar
 row spans (:meth:`~StreamingSignatureBuilder.update_table`) through the
-parameter's :meth:`~repro.core.parameters.NetworkParameter.online`
-extractor, which carries the channel clock from span to span, and keeps
-every resident device's bin counters in one dense state per builder:
+parameter's one extractor,
+:meth:`~repro.core.parameters.NetworkParameter.observe_table`, handing
+it the channel clock ``t_{i-1}`` carried from the previous span, and
+keeps every resident device's bin counters in one dense state per
+builder:
 
 * ``counts[row, column, bin]`` and ``totals[row, column]`` — one row per
   resident device, one column per frame type the builder has met;
@@ -16,7 +18,10 @@ every resident device's bin counters in one dense state per builder:
 * a first-seen sequence number per ``(row, column)``, so each device's
   frame types read out in the order they first appeared — the dict
   order of its signature and of the checkpoint payload;
-* per-row ``t0_us`` and ``last_seen_us`` vectors.
+* a per-row ``last_seen_us`` vector, which idle eviction reads;
+* the channel clock ``previous_t``: the last fed row's timestamp, for
+  the inter-arrival and medium-access parameters (``None`` for the
+  others, which carry no memory from frame to frame).
 
 The counters are *exactly* the batch builder's histogram counts, and
 both builders read signatures out through one
@@ -40,7 +45,7 @@ of the same rows (payloads pinned in ``tests/golden/``, DESIGN.md §8).
 from __future__ import annotations
 
 from itertools import chain, repeat
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -51,7 +56,7 @@ from repro.dot11.mac import MacAddress
 from repro.core.histogram import BinSpec
 from repro.core.parameters import NetworkParameter
 from repro.core.signature import DEFAULT_MIN_OBSERVATIONS, Signature, SignatureBlock
-from repro.persistence.checkpoint import checked_count
+from repro.persistence.checkpoint import checked_mac, checked_time
 
 #: First-seen sequence of a (row, column) pair holding no observation.
 _UNSEEN = -1
@@ -79,10 +84,11 @@ class StreamingSignatureBuilder:
         self.parameter = parameter
         self.bins = bins if bins is not None else parameter.default_bins()
         self.min_observations = min_observations
-        self._stream = parameter.online()
         self._bin_count = self.bins.bin_count
-        self.frames_seen = 0
-        self.observations_kept = 0
+        #: The channel clock ``t_{i-1}`` (the last fed row's timestamp);
+        #: ``None`` before the first row and for a parameter without
+        #: table memory.
+        self._previous_t: float | None = None
         self._clear()
 
     def _clear(self) -> None:
@@ -101,7 +107,6 @@ class StreamingSignatureBuilder:
         self._counts = np.zeros((0, 0, self._bin_count))
         self._totals = np.zeros((0, 0))
         self._seen = np.full((0, 0), _UNSEEN, dtype=np.int64)
-        self._t0_us = np.zeros(0)
         self._last_seen_us = np.zeros(0)
 
     def _reserve(self) -> None:
@@ -122,12 +127,11 @@ class StreamingSignatureBuilder:
         seen = np.full((rows, columns), _UNSEEN, dtype=np.int64)
         seen[:held_rows, :held_columns] = self._seen
         self._counts, self._totals, self._seen = counts, totals, seen
-        self._t0_us = np.resize(self._t0_us, rows)
         self._last_seen_us = np.resize(self._last_seen_us, rows)
 
     def _new_rows(self, values: list[int], devices: list[MacAddress]) -> np.ndarray:
         """Rows for newly kept devices (freed rows first), in order; the
-        caller reserves the arrays and sets ``t0_us``/``last_seen_us``."""
+        caller reserves the arrays and sets ``last_seen_us``."""
         free = self._free_rows
         reused = [free.pop() for _ in range(min(len(values), len(free)))]
         for row, device in zip(reused, devices):
@@ -164,33 +168,35 @@ class StreamingSignatureBuilder:
         many observations were kept.
 
         Observations are extracted in one
-        :meth:`~repro.core.parameters.ObservationStream.push_table`
-        pass, binned with ``index_many`` and scatter-added into the
+        :meth:`~repro.core.parameters.NetworkParameter.observe_table`
+        call over the span, against the channel clock the previous call
+        left, binned with ``index_many`` and scatter-added into the
         dense counters at the span's own ``(row, column, bin)`` cells.
-        The channel clock carries across calls, so a window spanning
-        many chunks can be fed chunk by chunk, and the resulting state
-        (counts, totals, ``t0_us``/``last_seen_us``, device and
+        The clock then advances past row ``hi - 1``, so a window
+        spanning many chunks can be fed chunk by chunk, and the
+        resulting state (counts, totals, ``last_seen_us``, device and
         frame-type order, channel clock) does not depend on where the
-        chunks were cut.
+        chunks were cut.  Unattributable ACK/CTS rows advance the clock
+        without observing.
         """
         if hi is None:
             hi = len(table)
-        count = hi - lo
-        if count <= 0:
+        if hi <= lo:
             return 0
-        pushed = self._stream.push_table(table, lo, hi)
-        self.frames_seen += count
-        bin_idx = self.bins.index_many(pushed.values)
+        span = table.slice_rows(lo, hi)
+        observed = self.parameter.observe_table(span, self._previous_t)
+        if self.parameter.table_memory:
+            self._previous_t = float(span.timestamp_us[-1])
+        bin_idx = self.bins.index_many(observed.values)
         keep = bin_idx >= 0
         kept = int(np.count_nonzero(keep))
         if kept == 0:
             return 0
-        self.observations_kept += kept
-        sender_k = pushed.sender_idx[keep]
-        ftype_k = pushed.ftype_idx[keep]
+        sender_k = observed.sender_idx[keep]
+        ftype_k = observed.ftype_idx[keep]
         bin_k = bin_idx[keep]
-        stamps = table.timestamp_us[pushed.positions[keep]]
-        self._fold(table, sender_k, ftype_k, bin_k, stamps, kept)
+        stamps = span.timestamp_us[observed.positions[keep]]
+        self._fold(span, sender_k, ftype_k, bin_k, stamps, kept)
         return kept
 
     def _fold(
@@ -241,8 +247,6 @@ class StreamingSignatureBuilder:
                 list(map(table.senders.__getitem__, fresh.tolist())),
             )
         self._reserve()
-        if fresh.size:
-            self._t0_us[row_of[fresh]] = stamps[first[fresh]]
         row_k = row_of[sender_k]
         self._last_seen_us[row_k] = stamps
         pair = row_k * self._totals.shape[1] + column_of[ftype_k]
@@ -313,7 +317,6 @@ class StreamingSignatureBuilder:
             devices.append(
                 {
                     "mac": value,
-                    "t0_us": float(self._t0_us[row]),
                     "last_seen_us": float(self._last_seen_us[row]),
                     "counts": dict(zip(keys, self._counts[row, columns].tolist())),
                     "totals": dict(zip(keys, self._totals[row, columns].tolist())),
@@ -323,12 +326,7 @@ class StreamingSignatureBuilder:
             "parameter": self.parameter.name,
             "bin_count": self._bin_count,
             "min_observations": self.min_observations,
-            # The format's decay key is always null: builders do not
-            # decay, and restore_state rejects a snapshot that did.
-            "decay_half_life_s": None,
-            "frames_seen": self.frames_seen,
-            "observations_kept": self.observations_kept,
-            "stream": self._stream.export_state(),
+            "previous_t": self._previous_t,
             "devices": devices,
         }
 
@@ -338,17 +336,19 @@ class StreamingSignatureBuilder:
         The builder must have been constructed with the same parameter,
         binning and gating configuration the snapshot was taken under —
         a mismatch raises ``ValueError`` instead of silently mixing
-        incompatible histograms.  So does a frame or observation count
-        that is not a non-negative integer, a channel clock the stream
-        refuses, and a malformed device entry: a device listed twice, or
-        a frame type whose counts are not one per bin or whose total is
-        not their sum.
+        incompatible histograms.  So does a channel clock that is not
+        ``None`` or a finite number, or that a parameter without table
+        memory would never carry, and a malformed device entry: a device
+        that is not a 48-bit integer or is listed twice, a
+        ``last_seen_us`` that is not a finite number, a total without
+        counts, or a frame type whose counts are not one finite
+        non-negative integer per bin, or whose total is not their sum or
+        is zero.
         """
         for key, mine in (
             ("parameter", self.parameter.name),
             ("bin_count", self._bin_count),
             ("min_observations", self.min_observations),
-            ("decay_half_life_s", None),
         ):
             theirs = payload.get(key)
             if theirs != mine:
@@ -356,33 +356,34 @@ class StreamingSignatureBuilder:
                     f"checkpoint {key} mismatch: snapshot has {theirs!r}, "
                     f"this builder has {mine!r}"
                 )
-        frames_seen = checked_count(payload["frames_seen"], "frames_seen")
-        observations_kept = checked_count(
-            payload["observations_kept"], "observations_kept"
-        )
+        previous_t = checked_time(payload["previous_t"], "previous_t")
+        if previous_t is not None and not self.parameter.table_memory:
+            raise ValueError(
+                f"checkpoint previous_t {previous_t!r}: parameter "
+                f"{self.parameter.name!r} carries no channel clock"
+            )
         entries = payload["devices"]
-        devices = [MacAddress(int(entry["mac"])) for entry in entries]
+        devices = [
+            MacAddress(checked_mac(entry["mac"], "device mac")) for entry in entries
+        ]
         listed: set[int] = set()
         for device in devices:
             if device.value in listed:
                 raise ValueError(f"checkpoint device {device} is listed twice")
             listed.add(device.value)
-        histograms = [
-            self._checked_counts(device, entry)
+        checked = [
+            self._checked_entry(device, entry)
             for device, entry in zip(devices, entries)
         ]
-        self._stream.restore_state(payload.get("stream", {}))
-        self.frames_seen = frames_seen
-        self.observations_kept = observations_kept
+        self._previous_t = previous_t
         self._clear()
         rows = self._new_rows([device.value for device in devices], devices)
-        for counts in histograms:
+        for _, counts in checked:
             for ftype_key in counts:
                 self._column(ftype_key)
         self._reserve()
-        for row, entry, counts in zip(rows, entries, histograms):
-            self._t0_us[row] = float(entry["t0_us"])
-            self._last_seen_us[row] = float(entry["last_seen_us"])
+        for row, (last_seen_us, counts) in zip(rows, checked):
+            self._last_seen_us[row] = last_seen_us
             for ftype_key, histogram in counts.items():
                 column = self._columns[ftype_key]
                 self._seen[row, column] = self._sequence
@@ -391,30 +392,56 @@ class StreamingSignatureBuilder:
                 # Checked equal to the snapshot's total.
                 self._totals[row, column] = histogram.sum()
 
-    def _checked_counts(
+    def _checked_entry(
         self, device: MacAddress, entry: dict
-    ) -> dict[str, np.ndarray]:
-        """One checkpoint device entry's counts, frame type → bin
-        counts, refused with ``ValueError`` (naming the device and the
-        frame type) unless they fit this builder."""
+    ) -> tuple[float, dict[str, np.ndarray]]:
+        """One checkpoint device entry's ``last_seen_us`` and counts
+        (frame type → bin counts), refused with ``ValueError`` (naming
+        the device, and the frame type where there is one) unless they
+        fit this builder."""
+        last_seen_us = checked_time(
+            entry["last_seen_us"], f"device {device} last_seen_us"
+        )
+        if last_seen_us is None:
+            raise ValueError(f"checkpoint device {device} has no last_seen_us")
         counts = {}
         totals = entry["totals"]
+        stray = totals.keys() - entry["counts"].keys()
+        if stray:
+            raise ValueError(
+                f"checkpoint device {device} has totals but no counts for "
+                f"frame types {sorted(stray)}"
+            )
         for ftype_key, values in entry["counts"].items():
+            where = f"device {device} frame type {ftype_key!r}"
             histogram = np.asarray(values, dtype=np.float64)
             if histogram.shape != (self._bin_count,):
                 raise ValueError(
-                    f"checkpoint device {device} frame type {ftype_key!r} has "
-                    f"{histogram.size} bin counts, this builder has "
-                    f"{self._bin_count} bins"
+                    f"checkpoint {where} has {histogram.size} bin counts, this "
+                    f"builder has {self._bin_count} bins"
                 )
-            total = totals.get(ftype_key)
-            if total is None or float(total) != histogram.sum():
+            # The counters hold whole observation counts.
+            bad = histogram[
+                ~np.isfinite(histogram)
+                | (histogram < 0)
+                | (histogram != np.floor(histogram))
+            ]
+            if bad.size:
                 raise ValueError(
-                    f"checkpoint device {device} frame type {ftype_key!r} has total "
-                    f"{total!r}, its counts sum to {histogram.sum()!r}"
+                    f"checkpoint {where} has a count that is not a finite "
+                    f"non-negative integer: {float(bad[0])!r}"
                 )
+            total = checked_time(totals.get(ftype_key), f"{where} total")
+            if total != histogram.sum():
+                raise ValueError(
+                    f"checkpoint {where} has total {total!r}, its counts sum to "
+                    f"{histogram.sum()!r}"
+                )
+            # A frame type is listed from its first kept observation on.
+            if not total:
+                raise ValueError(f"checkpoint {where} holds no observation")
             counts[ftype_key] = histogram
-        return counts
+        return float(last_seen_us), counts
 
     # -- residency -----------------------------------------------------
     @property
@@ -422,16 +449,11 @@ class StreamingSignatureBuilder:
         """Number of devices currently holding accumulators."""
         return len(self._rows)
 
-    def devices(self) -> Iterator[MacAddress]:
-        """Resident devices, in first-observation order."""
-        return map(self._devices.__getitem__, self._rows.values())
-
     @property
     def channel_clock_us(self) -> float | None:
-        """The observation stream's channel clock: the last fed row's
-        timestamp (``None`` before any row, or for a parameter without
-        one)."""
-        return self._stream.previous_t
+        """The channel clock: the last fed row's timestamp (``None``
+        before any row, or for a parameter without table memory)."""
+        return self._previous_t
 
     def last_seen_us(self, device: MacAddress) -> float | None:
         """When the device last contributed a kept observation."""

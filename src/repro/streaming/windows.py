@@ -16,7 +16,9 @@ the window's rows — after which the window's state is dropped.
 Memory is therefore bounded by the device population of the open
 windows, never by the stream length.  Optional idle eviction
 additionally drops per-device accumulators that stay silent inside a
-long window (see :meth:`StreamingSignatureBuilder.evict_idle`).
+long window (see :meth:`StreamingSignatureBuilder.evict_idle`); each
+drop is reported once, through :attr:`WindowManager.on_evict` at the
+sweep, and no window keeps a list of them.
 
 Window indices count *slide positions* from the stream origin, so they
 stay aligned with the batch pipeline's enumeration even when wholly
@@ -44,9 +46,10 @@ window split differs, and only on that measure-zero boundary case.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from collections.abc import Set
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -56,7 +59,7 @@ if TYPE_CHECKING:
 
 from repro.dot11.mac import MacAddress
 from repro.core.signature import Signature
-from repro.persistence.checkpoint import checked_count, checked_time
+from repro.persistence.checkpoint import checked_count, checked_mac, checked_time
 from repro.streaming.builder import StreamingSignatureBuilder
 
 #: Idle-eviction sweeps run at most once per this many frames.
@@ -69,7 +72,8 @@ class WindowConfig:
 
     ``slide_s=None`` means tumbling windows (slide == window).
     ``idle_timeout_s`` enables in-window idle-device eviction; leave
-    ``None`` (the default) for exact batch equivalence.
+    ``None`` (the default) for exact batch equivalence.  Every duration
+    given must be positive and finite.
     """
 
     window_s: float = 300.0
@@ -77,16 +81,18 @@ class WindowConfig:
     idle_timeout_s: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.window_s > 0:
-            raise ValueError(f"window size must be positive: {self.window_s}")
+        if not 0 < self.window_s < math.inf:
+            raise ValueError(
+                f"window size must be positive and finite: {self.window_s}"
+            )
         slide = self.slide_s
         if slide is not None and not 0 < slide <= self.window_s:
             raise ValueError(
                 f"slide must be in (0, window_s]: {slide} vs {self.window_s}"
             )
-        if self.idle_timeout_s is not None and not self.idle_timeout_s > 0:
+        if self.idle_timeout_s is not None and not 0 < self.idle_timeout_s < math.inf:
             raise ValueError(
-                f"idle timeout must be positive: {self.idle_timeout_s}"
+                f"idle timeout must be positive and finite: {self.idle_timeout_s}"
             )
 
     @property
@@ -144,8 +150,6 @@ class ClosedWindow:
     #: ``signatures`` — low-activity devices appear here only); a
     #: :class:`SenderSet` when the window manager closed the window.
     senders: Set[MacAddress]
-    #: Devices dropped mid-window by idle eviction.
-    evicted: list[MacAddress] = field(default_factory=list)
 
 
 class _OpenWindow:
@@ -156,7 +160,6 @@ class _OpenWindow:
         "builder",
         "frame_count",
         "sender_values",
-        "evicted",
     )
 
     def __init__(self, index: int, start_us: float, end_us: float, builder) -> None:
@@ -167,7 +170,6 @@ class _OpenWindow:
         self.frame_count = 0
         #: The MAC integers of the window's senders.
         self.sender_values: set[int] = set()
-        self.evicted: list[MacAddress] = []
 
 
 class WindowManager:
@@ -186,11 +188,11 @@ class WindowManager:
         self._origin_us: float | None = None
         self._next_index = 0
         self._frames_since_sweep = 0
-        #: Prompt idle-eviction notification: called as
+        #: Idle-eviction notification: called as
         #: ``on_evict(window_index, device, sweep_t_us)`` the moment a
         #: sweep drops a device, so live sinks see evictions when they
-        #: happen instead of at window close (``ClosedWindow.evicted``
-        #: still carries the per-window summary).
+        #: happen.  It is the only report of an eviction: neither the
+        #: open window nor the closed one lists its evicted devices.
         self.on_evict: Callable[[int, MacAddress, float], None] | None = None
         #: Called with no arguments right before each idle sweep, so the
         #: engine can sample the resident set at its pre-sweep peak.
@@ -294,11 +296,9 @@ class WindowManager:
             self.on_sweep()
         for window in self._windows:
             victims = window.builder.evict_idle(now_us, self.config.idle_timeout_s)
-            if victims:
-                window.evicted.extend(victims)
-                if self.on_evict is not None:
-                    for device in victims:
-                        self.on_evict(window.index, device, now_us)
+            if self.on_evict is not None:
+                for device in victims:
+                    self.on_evict(window.index, device, now_us)
 
     def _close(self, window: _OpenWindow) -> ClosedWindow:
         return ClosedWindow(
@@ -308,7 +308,6 @@ class WindowManager:
             frame_count=window.frame_count,
             signatures=window.builder.signatures(),
             senders=SenderSet(window.sender_values),
-            evicted=window.evicted,
         )
 
     def _span_of(self, origin_us: float, index: int) -> tuple[float, float]:
@@ -357,7 +356,6 @@ class WindowManager:
                     "end_us": window.end_us,
                     "frame_count": window.frame_count,
                     "senders": sorted(window.sender_values),
-                    "evicted": [device.value for device in window.evicted],
                     "builder": window.builder.export_state(),
                 }
                 for window in self._windows
@@ -375,10 +373,9 @@ class WindowManager:
         window index) refuses a config mismatch, a negative or
         non-integer count, open windows out of strictly increasing index
         order or not below ``next_index``, window bounds other than the
-        ones this manager computes for the index, a sender or evicted
-        device that is not a 48-bit integer, a sender listed twice, a
-        builder channel clock outside its window, and whatever the
-        builder refuses.
+        ones this manager computes for the index, a sender that is not a
+        48-bit integer, a sender listed twice, a builder channel clock
+        outside its window, and whatever the builder refuses.
         """
         config = payload.get("config", {})
         mine = {
@@ -430,12 +427,11 @@ class WindowManager:
             window.frame_count = checked_count(
                 entry["frame_count"], f"{where} frame_count"
             )
-            window.sender_values = set(_macs(entry["senders"], f"{where} senders"))
+            window.sender_values = {
+                checked_mac(value, f"{where} senders") for value in entry["senders"]
+            }
             if len(window.sender_values) != len(entry["senders"]):
                 raise ValueError(f"checkpoint {where} lists a sender twice")
-            window.evicted = list(
-                map(MacAddress, _macs(entry["evicted"], f"{where} evicted"))
-            )
             window.builder.restore_state(entry["builder"])
             # Every row routed to a window lies inside it, the last one
             # (the channel clock) included.
@@ -465,11 +461,3 @@ class WindowManager:
         """(index, start_us, end_us) of the open windows."""
         for window in self._windows:
             yield window.index, window.start_us, window.end_us
-
-
-def _macs(values: list, name: str) -> list[int]:
-    """Checkpoint MAC integers, each refused unless a 48-bit integer."""
-    for value in values:
-        if checked_count(value, name) >= 1 << 48:
-            raise ValueError(f"checkpoint {name}: {value!r} is not a 48-bit MAC integer")
-    return values

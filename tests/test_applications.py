@@ -262,6 +262,7 @@ class TestDetectorThresholds:
             pytest.param(
                 lambda value: SpoofDetector(accept_threshold=value), id="spoof"
             ),
+            pytest.param(lambda value: SpoofDetector(margin=value), id="spoof-margin"),
             pytest.param(
                 lambda value: RogueApDetector(accept_threshold=value), id="rogue-ap"
             ),

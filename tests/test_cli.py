@@ -104,6 +104,7 @@ class TestParser:
             "match {pcap} --db {db} --window-s -5",
             "evaluate {pcap} --training-s 9 --window-s 0",
             "stream {pcap} --db {db} --window-s -5",
+            "stream {pcap} --db {db} --window-s inf",
             "stream {pcap} --db {db} --idle-timeout-s 0",
             "stream {pcap} --db {db} --slide-s 0",
             "stream {pcap} --db {db} --window-s 10 --slide-s 20",
@@ -114,6 +115,7 @@ class TestParser:
             "stream {pcap} --db {db} --min-observations 0",
             "histogram {pcap} --device 00:11:22:33:44:55 --min-observations 0",
             "simulate office1 --out {pcap} --scale 0",
+            "simulate office1 --out {pcap} --scale inf",
             "evaluate --scenario office-baseline --scale 0",
             "evaluate {pcap} --training-s 0",
             "evaluate {pcap} --training-s -60",

@@ -65,6 +65,16 @@ class TestConstruction:
                 [InterArrivalTime(), FrameSize()], weights={"size": 1.0}
             )
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -1.0])
+    def test_weight_that_is_not_finite_and_non_negative_rejected(self, weight):
+        """A NaN weight made every fused score NaN, and a negative one
+        fused similarities outside [0, 1], even with a positive sum."""
+        with pytest.raises(ValueError, match="'interarrival' must be a finite"):
+            FusionMatcher(
+                [InterArrivalTime(), FrameSize()],
+                weights={"interarrival": weight, "size": 2.0},
+            )
+
     def test_non_positive_weight_sum_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             FusionMatcher(

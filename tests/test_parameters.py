@@ -9,8 +9,6 @@ against the per-frame oracles of ``tests/oracles.py``.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
@@ -170,55 +168,35 @@ class TestRateExtraction:
 
 
 def streamed(parameter, frames, sizes=(1,)) -> list[Observation]:
-    """Observations of ``frames`` pushed through the parameter's online
-    stream in chunk spans cycling through ``sizes``."""
+    """Observations of ``frames`` extracted with ``observe_table`` span
+    by span, in spans cycling through ``sizes``, each span handed the
+    previous span's last timestamp as its channel clock ``t_{i-1}``
+    (which the parameters without memory must ignore)."""
     table = FrameTable.from_frames(frames)
-    stream = parameter.online()
+    previous_t = None
     out: list[Observation] = []
     lo, step = 0, 0
     while lo < len(table):
         hi = min(len(table), lo + sizes[step % len(sizes)])
-        pushed = stream.push_table(table, lo, hi)
+        span = table.slice_rows(lo, hi)
+        observed = parameter.observe_table(span, previous_t)
+        previous_t = float(span.timestamp_us[-1])
         out.extend(
             Observation(table.senders[s], table.ftype_keys[f], v)
             for s, f, v in zip(
-                pushed.sender_idx.tolist(),
-                pushed.ftype_idx.tolist(),
-                pushed.values.tolist(),
+                observed.sender_idx.tolist(),
+                observed.ftype_idx.tolist(),
+                observed.values.tolist(),
             )
         )
-        assert pushed.positions.tolist() == sorted(pushed.positions.tolist())
+        assert observed.positions.tolist() == sorted(observed.positions.tolist())
         lo, step = hi, step + 1
     return out
 
 
 class TestOnlineStreams:
-    """The online stream must match the batch extractors in any chunking."""
-
-    @pytest.mark.parametrize("clock", [float("nan"), float("inf"), "1000.0", True])
-    def test_restore_refuses_a_clock_that_is_not_a_finite_number(self, clock):
-        stream = InterArrivalTime().online()
-        with pytest.raises(ValueError, match="previous_t is not a finite number"):
-            stream.restore_state({"previous_t": clock})
-
-    def test_restore_refuses_a_clock_for_a_parameter_without_memory(self):
-        stream = FrameSize().online()
-        with pytest.raises(ValueError, match="carries no channel clock"):
-            stream.restore_state({"previous_t": 1000.0})
-        stream.restore_state({"previous_t": None})
-        assert stream.export_state() == {}
-
-    def test_restored_clock_resumes_the_stream(self):
-        frames = figure1_frames()
-        table = FrameTable.from_frames(frames)
-        whole = InterArrivalTime().online().push_table(table, 0, len(table))
-        first = InterArrivalTime().online()
-        first.push_table(table, 0, 2)
-        resumed = InterArrivalTime().online()
-        resumed.restore_state(json.loads(json.dumps(first.export_state())))
-        assert resumed.previous_t == first.previous_t == table.timestamp_us[1]
-        rest = resumed.push_table(table, 2, len(table))
-        assert rest.values.tolist() == whole.values[whole.positions >= 2].tolist()
+    """Span-by-span extraction with a carried clock must match the
+    batch extractors in any chunking."""
 
     def test_builtin_streams_match_batch_on_figure1(self):
         frames = figure1_frames()

@@ -316,6 +316,16 @@ class TestStreamCheckpoint:
         path.write_text(json.dumps(payload))
         return path, make_engine(parameter, database, CollectingSink())
 
+    def test_version_1_checkpoint_refused(self, tmp_path, setting):
+        """Format 2 dropped version 1's write-only fields; a version-1
+        file is refused before the engine changes."""
+        path, fresh = self.tampered(
+            tmp_path, setting, lambda payload: payload.update(version=1)
+        )
+        with pytest.raises(ValueError, match="checkpoint version 1"):
+            fresh.restore(path)
+        assert fresh.stats.frames == 0 and fresh._windows.open_windows == 0
+
     @pytest.mark.parametrize(
         "field", ["frames", "windows_closed", "candidates", "events", "peak_resident_devices"]
     )

@@ -9,13 +9,15 @@ weights and observation counts — for every network parameter.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.dot11.capture import CapturedFrame
 from repro.dot11.frames import FrameSubtype, ack_frame
 from repro.dot11.mac import MacAddress, vendor_mac
-from repro.core.parameters import ALL_PARAMETERS, InterArrivalTime
+from repro.core.parameters import ALL_PARAMETERS, FrameSize, InterArrivalTime
 from repro.core.signature import SignatureBuilder
 from repro.streaming.builder import StreamingSignatureBuilder
 from repro.traces.table import FrameTable
@@ -147,8 +149,6 @@ class TestResidency:
         of its counts or frame types: its state equals a fresh
         builder's for the same frames, listed after the survivors, also
         when no device survives and the span's pairs are all new."""
-        from repro.core.parameters import FrameSize
-
         a, b, c = (vendor_mac("00:13:e8", i) for i in (1, 2, 3))
         builder = StreamingSignatureBuilder(FrameSize(), min_observations=1)
         feed(
@@ -180,8 +180,6 @@ class TestResidency:
         assert builder.resident_count == len(survivors) + 1
 
     def test_evict_idle_drops_only_stale_devices(self):
-        from repro.core.parameters import FrameSize
-
         # Frame size keeps every attributed observation, so the idle
         # device retains state across the long gaps below.
         builder = StreamingSignatureBuilder(FrameSize(), min_observations=1)
@@ -199,3 +197,49 @@ class TestResidency:
     def test_min_observations_validated(self):
         with pytest.raises(ValueError):
             StreamingSignatureBuilder(InterArrivalTime(), min_observations=0)
+
+
+class TestChannelClock:
+    """The builder carries the channel clock ``t_{i-1}`` from span to
+    span and through its checkpoint payload."""
+
+    @pytest.mark.parametrize("clock", [float("nan"), float("inf"), "1000.0", True])
+    def test_restore_refuses_a_clock_that_is_not_a_finite_number(self, clock):
+        builder = StreamingSignatureBuilder(InterArrivalTime())
+        payload = {**builder.export_state(), "previous_t": clock}
+        with pytest.raises(ValueError, match="previous_t is not a finite number"):
+            builder.restore_state(payload)
+
+    def test_restore_refuses_a_clock_for_a_parameter_without_memory(self):
+        builder = StreamingSignatureBuilder(FrameSize())
+        payload = builder.export_state()
+        with pytest.raises(ValueError, match="carries no channel clock"):
+            builder.restore_state({**payload, "previous_t": 1000.0})
+        builder.restore_state(payload)
+        assert builder.export_state()["previous_t"] is None
+
+    def test_restored_clock_resumes_the_stream(self):
+        """Row 2 is observed against the restored clock (row 1's ACK),
+        so the resumed builder ends where an uninterrupted one does, and
+        one resumed without the clock does not."""
+        from tests.test_parameters import figure1_frames
+
+        table = FrameTable.from_frames(figure1_frames())
+
+        def builder() -> StreamingSignatureBuilder:
+            return StreamingSignatureBuilder(InterArrivalTime(), min_observations=1)
+
+        whole = builder()
+        whole.update_table(table)
+        first = builder()
+        first.update_table(table, 0, 2)
+        payload = json.loads(json.dumps(first.export_state()))
+        assert payload["previous_t"] == table.timestamp_us[1]
+        resumed, cold = builder(), builder()
+        resumed.restore_state(payload)
+        cold.restore_state({**payload, "previous_t": None})
+        for other in (resumed, cold):
+            other.update_table(table, 2, len(table))
+        assert resumed.channel_clock_us == whole.channel_clock_us
+        assert resumed.export_state() == whole.export_state()
+        assert cold.export_state() != whole.export_state()

@@ -8,8 +8,7 @@ the inter-arrival builder fed ``FRAMES`` in mixed chunk sizes against
 the ``nodecay`` entry of ``tests/golden/streaming_builder_state.json``,
 and for the other four parameters against
 ``tests/golden/streaming_builder_params.json``.  The comparison is on
-the serialised text, so key order counts; the payload keeps the
-format's ``decay_half_life_s`` key, always null.
+the serialised text, so key order counts.
 
 Regenerate only after a deliberate change to the checkpoint format:
 
@@ -91,22 +90,16 @@ def test_restore_then_export_round_trips_the_golden_payload(name):
     assert dump(builder.export_state()) == dump(golden)
 
 
-def test_decay_checkpoint_is_rejected():
-    """A snapshot taken with a decay half-life cannot be resumed."""
-    golden = json.loads(GOLDEN_PATH.read_text())[PAYLOAD]
-    with pytest.raises(ValueError, match="decay_half_life_s"):
-        make_builder().restore_state({**golden, "decay_half_life_s": 3.0})
-
-
 def _corrupted_golden(corrupt) -> tuple[dict, str, str]:
     """The golden payload with ``corrupt(entry, ftype)`` applied to its
     first device's first frame type; returns the payload and the
     device and frame type an error must name."""
     payload = json.loads(GOLDEN_PATH.read_text())[PAYLOAD]
     entry = payload["devices"][0]
+    device = str(MacAddress(entry["mac"]))
     ftype = next(iter(entry["counts"]))
     corrupt(payload, entry, ftype)
-    return payload, str(MacAddress(entry["mac"])), ftype
+    return payload, device, ftype
 
 
 def test_checkpoint_counts_must_hold_one_count_per_bin():
@@ -143,6 +136,85 @@ def test_checkpoint_total_must_equal_its_count_sum():
         make_builder().restore_state(payload)
 
 
+def test_checkpoint_total_without_counts_is_rejected():
+    """A total for a frame type the entry holds no counts for is
+    refused, not dropped."""
+
+    def corrupt(payload, entry, ftype):
+        entry["totals"]["Disassociation"] = 3.0
+
+    payload, device, _ = _corrupted_golden(corrupt)
+    with pytest.raises(ValueError, match=f"{device} has totals but no counts"):
+        make_builder().restore_state(payload)
+
+
+def test_checkpoint_frame_type_without_observations_is_rejected():
+    """A frame type is written from its first kept observation on, so
+    an all-zero one is refused."""
+
+    def corrupt(payload, entry, ftype):
+        entry["counts"][ftype] = [0.0] * len(entry["counts"][ftype])
+        entry["totals"][ftype] = 0.0
+
+    payload, device, ftype = _corrupted_golden(corrupt)
+    with pytest.raises(ValueError, match=f"{device}.*{ftype}.*holds no observation"):
+        make_builder().restore_state(payload)
+
+
+def test_checkpoint_total_must_be_a_number():
+    """A total written as text is refused, not parsed."""
+
+    def corrupt(payload, entry, ftype):
+        entry["totals"][ftype] = str(entry["totals"][ftype])
+
+    payload, device, ftype = _corrupted_golden(corrupt)
+    with pytest.raises(ValueError, match=f"{device}.*{ftype}.* total is not a finite"):
+        make_builder().restore_state(payload)
+
+
+@pytest.mark.parametrize("mac", [1.7, "12", True])
+def test_checkpoint_mac_must_be_an_integer(mac):
+    """A MAC the writer never writes is refused, not truncated or
+    parsed into some device."""
+
+    def corrupt(payload, entry, ftype):
+        entry["mac"] = mac
+
+    payload, _, _ = _corrupted_golden(corrupt)
+    with pytest.raises(ValueError, match="device mac is not a non-negative integer"):
+        make_builder().restore_state(payload)
+
+
+@pytest.mark.parametrize("count", [-3.0, 0.5, float("inf")])
+def test_checkpoint_counts_must_be_finite_non_negative_integers(count):
+    """A count no feed can produce is refused, also when its total is
+    adjusted to match."""
+
+    def corrupt(payload, entry, ftype):
+        entry["counts"][ftype][0] = count
+        entry["totals"][ftype] = sum(entry["counts"][ftype])
+
+    payload, device, ftype = _corrupted_golden(corrupt)
+    with pytest.raises(
+        ValueError, match=f"{device}.*{ftype}.*not a finite non-negative integer"
+    ):
+        make_builder().restore_state(payload)
+
+
+@pytest.mark.parametrize("last_seen_us", [float("nan"), float("inf"), None])
+def test_checkpoint_last_seen_must_be_a_finite_number(last_seen_us):
+    """A last-seen time that is not a finite number is refused: a
+    device stamped NaN or inf could not be idle-evicted until it sent
+    again."""
+
+    def corrupt(payload, entry, ftype):
+        entry["last_seen_us"] = last_seen_us
+
+    payload, device, _ = _corrupted_golden(corrupt)
+    with pytest.raises(ValueError, match=f"{device}.*last_seen_us"):
+        make_builder().restore_state(payload)
+
+
 def test_golden_payload_is_discriminative():
     """Guard against a regenerated-but-degenerate file: every builder
     holds several devices over several frame types."""
@@ -152,4 +224,4 @@ def test_golden_payload_is_discriminative():
     for payload in [*golden.values(), *others.values()]:
         assert len(payload["devices"]) >= 5
         assert all(len(entry["counts"]) >= 2 for entry in payload["devices"])
-    assert others["access"]["stream"]["previous_t"] is not None
+    assert others["access"]["previous_t"] is not None
