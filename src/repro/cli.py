@@ -410,11 +410,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             parameter, min_observations=args.min_observations
         ),
         database=database,
-        window=WindowConfig(
-            window_s=args.window_s,
-            slide_s=args.slide_s,
-            idle_timeout_s=args.idle_timeout_s,
-        ),
+        window=WindowConfig(window_s=args.window_s, slide_s=args.slide_s),
         analyzers=analyzers,
         sinks=[console_sink],
     )
@@ -505,11 +501,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServiceConfig(
         parameter=parameter_by_name(args.parameter),
         shard_count=args.shards,
-        window=WindowConfig(
-            window_s=args.window_s,
-            slide_s=args.slide_s,
-            idle_timeout_s=args.idle_timeout_s,
-        ),
+        window=WindowConfig(window_s=args.window_s, slide_s=args.slide_s),
         min_observations=args.min_observations,
         queue_chunks=args.queue_chunks,
         merge_policy=args.merge_policy,
@@ -828,12 +820,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument("--min-observations", type=_positive_int, default=50)
     stream.add_argument(
-        "--idle-timeout-s",
-        type=_positive_float,
-        default=None,
-        help="evict devices idle this long inside a window (memory bound)",
-    )
-    stream.add_argument(
         "--spoof-guard",
         action="store_true",
         help="alert when a database device's traffic stops matching it",
@@ -891,7 +877,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--window-s", type=_positive_float, default=300.0)
     serve.add_argument("--slide-s", type=_positive_float, default=None)
-    serve.add_argument("--idle-timeout-s", type=_positive_float, default=None)
     serve.add_argument(
         "--queue-chunks", type=_positive_int, default=8,
         help="bounded per-sensor ingest queue (backpressure threshold)",

@@ -6,24 +6,23 @@ windows and to resume:
 
 * the stream counters (:class:`~repro.streaming.engine.StreamStats`);
 * the :class:`~repro.streaming.windows.WindowManager` state — stream
-  origin, next slide index, frames since the last idle sweep, and every
-  open window with its bounds, frame count, sender set and the
-  per-device accumulators of its
+  origin, next slide index, and every open window with its bounds,
+  frame count, sender set and the per-device accumulators of its
   :class:`~repro.streaming.builder.StreamingSignatureBuilder`: bin
-  counts and totals, each device's last-seen time, and the builder's
-  channel clock ``previous_t``.
+  counts and totals, and the builder's channel clock ``previous_t``.
 
-Every piece is JSON-shaped already.  Format version 2 holds only what
-a resumed engine reads: an idle eviction is reported as a
-``DeviceEvicted`` event when it happens, and no window lists its
-evicted devices.  A version-1 file, which also carried fields nothing
-read back, is refused; restart that capture.  Feeding the remaining
-frames to a restored engine, in any chunking, produces exactly the
-events and stats an uninterrupted run would have produced (pinned in
-``tests/test_persistence.py`` and ``tests/test_streaming_chunked.py``).
-Every reader of a checkpoint checks its counts, MAC integers and
-clocks with :func:`checked_count`, :func:`checked_mac` and
-:func:`checked_time` before it changes anything.
+Every piece is JSON-shaped already.  Format version 3 holds only what
+a resumed engine reads: a window keeps every device it saw until it
+closes, so no device carries a timestamp.  A file of an older version
+is refused (version 2 also held each device's last-seen time and an
+idle-sweep counter, version 1 fields nothing read back); restart that
+capture.  Feeding the remaining frames to a restored engine, in any
+chunking, produces exactly the events and stats an uninterrupted run
+would have produced (pinned in ``tests/test_persistence.py`` and
+``tests/test_streaming_chunked.py``).  Every reader of a checkpoint
+checks its counts, MAC integers and clocks with :func:`checked_count`,
+:func:`checked_mac` and :func:`checked_time` before it changes
+anything.
 Deliberately **not** captured: the reference database (persist it
 with :mod:`repro.persistence.store` — it evolves independently of the
 capture position) and the analyzers' own row-level state (re-attach
@@ -41,7 +40,7 @@ from pathlib import Path
 
 #: Checkpoint format identifier and current version.
 CHECKPOINT_FORMAT = "repro-stream-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def save_checkpoint(engine, path: str | Path) -> Path:
@@ -112,14 +111,17 @@ def checked_mac(value, name: str) -> int:
 
 def checked_time(value, name: str) -> float | None:
     """A checkpoint clock or timestamp: ``value`` if it is ``None`` or a
-    finite number, else ``ValueError`` naming the field ``name``."""
-    if value is not None and not (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    ):
-        raise ValueError(f"checkpoint {name} is not a finite number: {value!r}")
-    return value
+    finite number (an integer beyond float range is not), else
+    ``ValueError`` naming the field ``name``."""
+    if value is None:
+        return None
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return value
+        except OverflowError:
+            pass
+    raise ValueError(f"checkpoint {name} is not a finite number: {value!r}")
 
 
 def _checked_stats(stats):

@@ -20,7 +20,9 @@ concurrently**, as a service rather than a one-shot CLI run.
 * per-sensor **checkpoint/resume** reuses
   :mod:`repro.persistence.checkpoint`: a manifest naming a snapshot
   directory that holds one engine checkpoint and one persisted harvest
-  store per shard.  A
+  store per shard.  A restore checks the whole manifest before it
+  restores any engine, and refuses one its writer could not have
+  written (:meth:`SensorPipeline.restore`).  A
   sensor that dies mid-session is checkpointed; when it reconnects and
   re-sends its capture, the skip-processed trim replays the remainder
   **event-for-event identically** (``tests/test_service.py``);
@@ -55,6 +57,7 @@ from typing import Callable, Iterable
 
 from repro.core.database import ReferenceDatabase, merge_databases
 from repro.core.parameters import NetworkParameter
+from repro.persistence.checkpoint import checked_count, checked_time
 from repro.service.router import VNODES, ShardRouter
 from repro.service.wire import (
     RECORD_CHUNK,
@@ -75,7 +78,7 @@ from repro.traces.table import FrameTable
 
 #: Sensor-checkpoint manifest identifier and version.
 MANIFEST_FORMAT = "repro-sensor-checkpoint"
-MANIFEST_VERSION = 2
+MANIFEST_VERSION = 3
 
 _MANIFEST_FILE = "manifest.json"
 #: Snapshot directories are ``snapshot-<n>``; ``n`` is never reused.
@@ -148,7 +151,6 @@ class ServiceConfig:
             "vnodes": VNODES,
             "window_s": self.window.window_s,
             "slide_s": self.window.slide_s,
-            "idle_timeout_s": self.window.idle_timeout_s,
             "min_observations": self.min_observations,
         }
 
@@ -358,31 +360,15 @@ class SensorPipeline:
         config: ServiceConfig,
         sinks: "Iterable[EventSink] | None" = None,
     ) -> "SensorPipeline":
-        """Rebuild a pipeline from its :meth:`checkpoint` snapshot."""
+        """Rebuild a pipeline from its :meth:`checkpoint` snapshot.
+
+        The whole manifest is checked before any engine is restored
+        (:func:`_checked_manifest`).
+        """
         from repro.persistence.store import load_database
 
         base = Path(directory) / sensor
-        manifest = json.loads((base / _MANIFEST_FILE).read_text())
-        if manifest.get("format") != MANIFEST_FORMAT:
-            raise ValueError(f"not a sensor checkpoint: {base}")
-        version = int(manifest.get("version", 0))
-        if version == 1:
-            raise ValueError(
-                f"sensor checkpoint {base} is version 1, whose shard files "
-                "were overwritten in place and may mix two snapshots; "
-                "delete it and re-ingest the sensor's capture"
-            )
-        if version != MANIFEST_VERSION:
-            raise ValueError(
-                f"unsupported sensor checkpoint version {version} "
-                f"(this build reads version {MANIFEST_VERSION})"
-            )
-        fingerprint = config.fingerprint()
-        if manifest["config"] != fingerprint:
-            raise ValueError(
-                f"sensor checkpoint config mismatch for {sensor!r}: "
-                f"snapshot has {manifest['config']}, service has {fingerprint}"
-            )
+        manifest = _checked_manifest(base, sensor, config)
         snapshot = base / manifest["snapshot"]
         pipeline = cls(sensor, config, sinks=sinks)
         for shard, engine in enumerate(pipeline.engines):
@@ -392,22 +378,83 @@ class SensorPipeline:
                 load_database(snapshot / f"harvest-{shard}").database,
                 on_conflict="error",
             )
-        pipeline.frames = int(manifest["frames"])
-        pipeline.chunks = int(manifest["chunks"])
-        horizon = manifest["horizon_us"]
+        pipeline.frames = manifest["frames"]
+        pipeline.chunks = manifest["chunks"]
+        horizon = manifest.get("horizon_us")
         pipeline.horizon_us = None if horizon is None else float(horizon)
-        pipeline.completed = bool(manifest["completed"])
+        pipeline.completed = manifest["completed"]
         pipeline.resumed_from_frames = pipeline.frames
         return pipeline
+
+
+def _checked_manifest(base: Path, sensor: str, config: ServiceConfig) -> dict:
+    """The sensor's manifest, refused with ``ValueError`` (naming the
+    sensor and the field) unless its writer could have written it: a
+    version other than :data:`MANIFEST_VERSION` (an older checkpoint
+    must be re-ingested), another config fingerprint, a snapshot that
+    is not a ``snapshot-<n>`` directory directly under the sensor's
+    directory, counts that are not non-negative integers, a horizon
+    that is not a finite number or is not set exactly when frames were
+    consumed, or a ``completed`` that is not a bool.  A missing field
+    reads as ``null``, which only a horizon before the first frame
+    may be."""
+    manifest = json.loads((base / _MANIFEST_FILE).read_text())
+    if not isinstance(manifest, dict) or manifest.get("format") != MANIFEST_FORMAT:
+        raise ValueError(f"not a sensor checkpoint: {base}")
+    version = manifest.get("version")
+    if type(version) is not int or version != MANIFEST_VERSION:
+        raise ValueError(
+            f"sensor checkpoint {base} has version {version!r}, this build "
+            f"reads version {MANIFEST_VERSION} only: delete it and re-ingest "
+            "the sensor's capture"
+        )
+    fingerprint = config.fingerprint()
+    if manifest.get("config") != fingerprint:
+        raise ValueError(
+            f"sensor checkpoint config mismatch for {sensor!r}: "
+            f"snapshot has {manifest.get('config')}, service has {fingerprint}"
+        )
+    where = f"sensor {sensor!r} manifest"
+    snapshot = manifest.get("snapshot")
+    if not (
+        isinstance(snapshot, str)
+        and _snapshot_number(snapshot) is not None
+        and (base / snapshot).is_dir()
+    ):
+        raise ValueError(
+            f"{where} snapshot {snapshot!r} is not a snapshot-<n> directory "
+            f"in {base}"
+        )
+    frames = checked_count(manifest.get("frames"), f"{where} frames")
+    checked_count(manifest.get("chunks"), f"{where} chunks")
+    horizon = checked_time(manifest.get("horizon_us"), f"{where} horizon_us")
+    if (horizon is None) != (frames == 0):
+        raise ValueError(
+            f"{where} horizon_us is {horizon!r} with {frames} frames: it is "
+            "set exactly when frames were consumed"
+        )
+    if not isinstance(manifest.get("completed"), bool):
+        raise ValueError(
+            f"{where} completed is not a bool: {manifest.get('completed')!r}"
+        )
+    return manifest
+
+
+def _snapshot_number(name: str) -> int | None:
+    """``n`` of a ``snapshot-<n>`` name, ``None`` for any other name."""
+    number = name[len(_SNAPSHOT_PREFIX) :]
+    if name.startswith(_SNAPSHOT_PREFIX) and number.isascii() and number.isdigit():
+        return int(number)
+    return None
 
 
 def _snapshot_dirs(base: Path) -> dict[int, Path]:
     """A sensor's snapshot directories, keyed by their number."""
     found = {}
     for path in base.iterdir():
-        number = path.name[len(_SNAPSHOT_PREFIX) :]
-        if path.name.startswith(_SNAPSHOT_PREFIX) and number.isdigit():
-            found[int(number)] = path
+        number = _snapshot_number(path.name)
+        if number is not None:
+            found[number] = path
     return found
 
 

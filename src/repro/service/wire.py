@@ -43,7 +43,10 @@ Corruption never passes silently: a wrong magic, an unsupported
 version (version-1 records, which lack the flags column, included), a
 length/checksum mismatch, or a stream that ends mid-record all raise
 :class:`WireError` with the byte offset where decoding stopped.  So
-does a chunk whose values a captured frame could not hold: an intern
+does a chunk whose header the encoder could not have written (a row
+count that is not a non-negative integer, senders that are not
+distinct 48-bit MAC integers, frame-type keys that are not distinct
+strings) or whose values a captured frame could not hold: an intern
 code out of range, a timestamp or size that is not finite and
 non-negative, or a rate that is not finite and positive.
 """
@@ -209,14 +212,18 @@ def decode_chunk(payload: bytes) -> FrameTable:
         )
     try:
         header = json.loads(payload[_U32.size : body].decode("utf-8"))
-        rows = int(header["rows"])
-        values = [int(value) for value in header["senders"]]
-        senders = tuple(map(MacAddress, values))
-        ftype_keys = tuple(str(key) for key in header["ftype_keys"])
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as error:
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise WireError(f"malformed chunk header: {error}") from error
-    if rows < 0:
-        raise WireError(f"negative chunk row count: {rows}")
+    if not isinstance(header, dict):
+        raise WireError(f"chunk header is not an object: {header!r}")
+    rows = header.get("rows")
+    if type(rows) is not int or rows < 0:
+        raise WireError(f"chunk header rows is not a non-negative integer: {rows!r}")
+    values = _header_list(header, "senders", int)
+    if values and not (min(values) >= 0 and max(values) < 1 << 48):
+        raise WireError("chunk header senders holds a value that is not a 48-bit MAC")
+    ftype_keys = tuple(_header_list(header, "ftype_keys", str))
+    senders = tuple(map(MacAddress, values))
     expected = body + rows * _ROW_BYTES
     if len(payload) != expected:
         raise WireError(
@@ -236,6 +243,24 @@ def decode_chunk(payload: bytes) -> FrameTable:
         sender_values=np.array(values, dtype=np.int64),
         **columns,
     )
+
+
+def _header_list(header: dict, name: str, kind: type) -> list:
+    """The chunk header's list ``name``, refused with :class:`WireError`
+    unless it is a list of distinct items of exactly type ``kind`` (so
+    no ``bool`` passes for an ``int``)."""
+    items = header.get(name)
+    if not isinstance(items, list):
+        raise WireError(f"chunk header {name} is not a list: {items!r}")
+    if not set(map(type, items)) <= {kind}:
+        bad = next(item for item in items if type(item) is not kind)
+        raise WireError(
+            f"chunk header {name} holds an entry that is not a "
+            f"{kind.__name__}: {bad!r}"
+        )
+    if len(set(items)) != len(items):
+        raise WireError(f"chunk header {name} lists an entry twice")
+    return items
 
 
 def _check_values(columns: dict, sender_count: int, ftype_count: int) -> None:

@@ -10,7 +10,8 @@ length run in bounded memory at wire speed (DESIGN.md §4):
   histograms fed chunk by chunk, provably equivalent to the batch
   builder;
 * :class:`WindowManager` — tumbling/sliding detection windows with
-  observation-count gating and idle-device eviction;
+  observation-count gating, each keeping every frame it saw until it
+  closes;
 * :class:`OnlineMatcher` — Algorithm 1 over closed windows against a
   live reference database, whose packed view is rebuilt on the first
   match after an ``add`` or ``remove``;
@@ -31,7 +32,6 @@ from repro.streaming.builder import StreamingSignatureBuilder
 from repro.streaming.engine import StreamEngine, StreamStats
 from repro.streaming.events import (
     CollectingSink,
-    DeviceEvicted,
     DeviceMatched,
     JsonLinesSink,
     PseudonymLinked,
@@ -58,7 +58,6 @@ from repro.streaming.windows import ClosedWindow, WindowConfig, WindowManager
 __all__ = [
     "ClosedWindow",
     "CollectingSink",
-    "DeviceEvicted",
     "DeviceMatched",
     "JsonLinesSink",
     "LiveTracker",

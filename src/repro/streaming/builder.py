@@ -11,14 +11,13 @@ builder:
 
 * ``counts[row, column, bin]`` and ``totals[row, column]`` — one row per
   resident device, one column per frame type the builder has met;
-* a device → row dict in first-kept-observation order, keyed by the
-  48-bit MAC integer (rows freed by eviction are reused), a row →
+* a device → row dict keyed by the 48-bit MAC integer, with rows
+  handed out in first-kept-observation order and never freed, a row →
   :class:`~repro.dot11.mac.MacAddress` list for read-out, and a
   frame-type → column dict;
 * a first-seen sequence number per ``(row, column)``, so each device's
   frame types read out in the order they first appeared — the dict
   order of its signature and of the checkpoint payload;
-* a per-row ``last_seen_us`` vector, which idle eviction reads;
 * the channel clock ``previous_t``: the last fed row's timestamp, for
   the inter-arrival and medium-access parameters (``None`` for the
   others, which carry no memory from frame to frame).
@@ -44,7 +43,7 @@ of the same rows (payloads pinned in ``tests/golden/``, DESIGN.md §8).
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -69,8 +68,8 @@ class StreamingSignatureBuilder:
     the batch :class:`~repro.core.signature.SignatureBuilder`; chunks
     are fed through :meth:`update_table` and signatures can be read out
     at any instant.  Memory is O(resident devices × frame types ×
-    bins), independent of stream length; :meth:`evict` and
-    :meth:`evict_idle` bound the resident set.
+    bins), independent of stream length: a window's builder holds the
+    devices of that window and is dropped when the window closes.
     """
 
     def __init__(
@@ -96,18 +95,16 @@ class StreamingSignatureBuilder:
         #: MAC integer → row, in first-kept-observation order.  Integer
         #: keys hash in C, where a MacAddress hashes in Python.
         self._rows: dict[int, int] = {}
-        #: row → resident device (``None`` on a free row), for read-out.
-        self._devices: list[MacAddress | None] = []
+        #: row → resident device, for read-out.
+        self._devices: list[MacAddress] = []
         self._columns: dict[str, int] = {}
         #: column → frame-type key (inverse of ``_columns``).
         self._ftype_keys: list[str] = []
-        self._free_rows: list[int] = []
         #: Next first-seen sequence number.
         self._sequence = 0
         self._counts = np.zeros((0, 0, self._bin_count))
         self._totals = np.zeros((0, 0))
         self._seen = np.full((0, 0), _UNSEEN, dtype=np.int64)
-        self._last_seen_us = np.zeros(0)
 
     def _reserve(self) -> None:
         """Grow the arrays to hold every row handed out and every
@@ -127,22 +124,14 @@ class StreamingSignatureBuilder:
         seen = np.full((rows, columns), _UNSEEN, dtype=np.int64)
         seen[:held_rows, :held_columns] = self._seen
         self._counts, self._totals, self._seen = counts, totals, seen
-        self._last_seen_us = np.resize(self._last_seen_us, rows)
 
     def _new_rows(self, values: list[int], devices: list[MacAddress]) -> np.ndarray:
-        """Rows for newly kept devices (freed rows first), in order; the
-        caller reserves the arrays and sets ``last_seen_us``."""
-        free = self._free_rows
-        reused = [free.pop() for _ in range(min(len(values), len(free)))]
-        for row, device in zip(reused, devices):
-            self._devices[row] = device
+        """Rows for newly kept devices, in order after the held ones;
+        the caller reserves the arrays."""
         start = len(self._devices)
-        self._devices.extend(devices[len(reused) :])
-        added = range(start, len(self._devices))
-        self._rows.update(zip(values, chain(reused, added)))
-        return np.concatenate(
-            (np.array(reused, dtype=np.int64), np.arange(added.start, added.stop))
-        )
+        self._devices.extend(devices)
+        self._rows.update(zip(values, range(start, len(self._devices))))
+        return np.arange(start, len(self._devices))
 
     def _column(self, ftype_key: str) -> int:
         """The frame type's column, added on first use (the caller
@@ -174,10 +163,9 @@ class StreamingSignatureBuilder:
         dense counters at the span's own ``(row, column, bin)`` cells.
         The clock then advances past row ``hi - 1``, so a window
         spanning many chunks can be fed chunk by chunk, and the
-        resulting state (counts, totals, ``last_seen_us``, device and
-        frame-type order, channel clock) does not depend on where the
-        chunks were cut.  Unattributable ACK/CTS rows advance the clock
-        without observing.
+        resulting state (counts, totals, device and frame-type order,
+        channel clock) does not depend on where the chunks were cut.
+        Unattributable ACK/CTS rows advance the clock without observing.
         """
         if hi is None:
             hi = len(table)
@@ -195,8 +183,7 @@ class StreamingSignatureBuilder:
         sender_k = observed.sender_idx[keep]
         ftype_k = observed.ftype_idx[keep]
         bin_k = bin_idx[keep]
-        stamps = span.timestamp_us[observed.positions[keep]]
-        self._fold(span, sender_k, ftype_k, bin_k, stamps, kept)
+        self._fold(span, sender_k, ftype_k, bin_k, kept)
         return kept
 
     def _fold(
@@ -205,7 +192,6 @@ class StreamingSignatureBuilder:
         sender_k: np.ndarray,
         ftype_k: np.ndarray,
         bin_k: np.ndarray,
-        stamps: np.ndarray,
         kept: int,
     ) -> None:
         """Batch fold: one scatter-add over the span's (row, column, bin).
@@ -220,8 +206,7 @@ class StreamingSignatureBuilder:
         first-seen numbers, in first-kept-observation order, found with
         the reversed-scatter trick (duplicate fancy-assignment indices
         keep the last write) — so the orders do not depend on the
-        chunking.  The same rule gives each row its latest stamp, with
-        ``last_seen_us`` assigned at every observation's row.
+        chunking.
         """
         n_senders = len(table.senders)
         order = np.arange(kept, dtype=np.int64)
@@ -247,9 +232,7 @@ class StreamingSignatureBuilder:
                 list(map(table.senders.__getitem__, fresh.tolist())),
             )
         self._reserve()
-        row_k = row_of[sender_k]
-        self._last_seen_us[row_k] = stamps
-        pair = row_k * self._totals.shape[1] + column_of[ftype_k]
+        pair = row_of[sender_k] * self._totals.shape[1] + column_of[ftype_k]
         np.add.at(self._counts.reshape(-1), pair * self._bin_count + bin_k, 1.0)
         np.add.at(self._totals.reshape(-1), pair, 1.0)
         # Pairs never seen take the next sequence numbers in the order
@@ -279,11 +262,7 @@ class StreamingSignatureBuilder:
         one pass; a :class:`Signature` is built only for a device that
         is looked up in it.
         """
-        return self._block(self._resident_rows())
-
-    def _resident_rows(self) -> np.ndarray:
-        """The resident devices' rows, in first-kept order."""
-        return np.fromiter(self._rows.values(), dtype=np.int64, count=len(self._rows))
+        return self._block(np.arange(self.resident_count))
 
     def _block(self, rows: np.ndarray) -> SignatureBlock:
         """The block of the devices held in ``rows`` that clear the
@@ -317,7 +296,6 @@ class StreamingSignatureBuilder:
             devices.append(
                 {
                     "mac": value,
-                    "last_seen_us": float(self._last_seen_us[row]),
                     "counts": dict(zip(keys, self._counts[row, columns].tolist())),
                     "totals": dict(zip(keys, self._totals[row, columns].tolist())),
                 }
@@ -339,8 +317,7 @@ class StreamingSignatureBuilder:
         incompatible histograms.  So does a channel clock that is not
         ``None`` or a finite number, or that a parameter without table
         memory would never carry, and a malformed device entry: a device
-        that is not a 48-bit integer or is listed twice, a
-        ``last_seen_us`` that is not a finite number, a total without
+        that is not a 48-bit integer or is listed twice, a total without
         counts, or a frame type whose counts are not one finite
         non-negative integer per bin, or whose total is not their sum or
         is zero.
@@ -378,12 +355,11 @@ class StreamingSignatureBuilder:
         self._previous_t = previous_t
         self._clear()
         rows = self._new_rows([device.value for device in devices], devices)
-        for _, counts in checked:
+        for counts in checked:
             for ftype_key in counts:
                 self._column(ftype_key)
         self._reserve()
-        for row, (last_seen_us, counts) in zip(rows, checked):
-            self._last_seen_us[row] = last_seen_us
+        for row, counts in zip(rows, checked):
             for ftype_key, histogram in counts.items():
                 column = self._columns[ftype_key]
                 self._seen[row, column] = self._sequence
@@ -392,18 +368,10 @@ class StreamingSignatureBuilder:
                 # Checked equal to the snapshot's total.
                 self._totals[row, column] = histogram.sum()
 
-    def _checked_entry(
-        self, device: MacAddress, entry: dict
-    ) -> tuple[float, dict[str, np.ndarray]]:
-        """One checkpoint device entry's ``last_seen_us`` and counts
-        (frame type → bin counts), refused with ``ValueError`` (naming
-        the device, and the frame type where there is one) unless they
-        fit this builder."""
-        last_seen_us = checked_time(
-            entry["last_seen_us"], f"device {device} last_seen_us"
-        )
-        if last_seen_us is None:
-            raise ValueError(f"checkpoint device {device} has no last_seen_us")
+    def _checked_entry(self, device: MacAddress, entry: dict) -> dict[str, np.ndarray]:
+        """One checkpoint device entry's counts (frame type → bin
+        counts), refused with ``ValueError`` (naming the device, and the
+        frame type where there is one) unless they fit this builder."""
         counts = {}
         totals = entry["totals"]
         stray = totals.keys() - entry["counts"].keys()
@@ -441,7 +409,7 @@ class StreamingSignatureBuilder:
             if not total:
                 raise ValueError(f"checkpoint {where} holds no observation")
             counts[ftype_key] = histogram
-        return float(last_seen_us), counts
+        return counts
 
     # -- residency -----------------------------------------------------
     @property
@@ -454,38 +422,3 @@ class StreamingSignatureBuilder:
         """The channel clock: the last fed row's timestamp (``None``
         before any row, or for a parameter without table memory)."""
         return self._previous_t
-
-    def last_seen_us(self, device: MacAddress) -> float | None:
-        """When the device last contributed a kept observation."""
-        row = self._rows.get(device.value)
-        return None if row is None else float(self._last_seen_us[row])
-
-    def evict(self, device: MacAddress) -> bool:
-        """Drop one device's accumulators; ``False`` if absent.
-
-        The freed row is zeroed and handed to the next new device.
-        """
-        row = self._rows.pop(device.value, None)
-        if row is None:
-            return False
-        self._devices[row] = None
-        self._counts[row] = 0.0
-        self._totals[row] = 0.0
-        self._seen[row] = _UNSEEN
-        self._free_rows.append(row)
-        return True
-
-    def evict_idle(self, now_us: float, idle_timeout_s: float) -> list[MacAddress]:
-        """Drop devices with no kept observation for ``idle_timeout_s``.
-
-        Returns the evicted devices.  This bounds the resident set on
-        open-ended streams at the cost of forgetting devices that
-        return after a long silence — exactness is traded for memory,
-        so it is opt-in (see ``WindowConfig.idle_timeout_s``).
-        """
-        rows = self._resident_rows()
-        idle = rows[self._last_seen_us[rows] < now_us - idle_timeout_s * 1e6]
-        victims = list(map(self._devices.__getitem__, idle.tolist()))
-        for device in victims:
-            self.evict(device)
-        return victims

@@ -23,9 +23,9 @@
 With tumbling windows the emitted matches are identical
 to the batch pipeline (:func:`~repro.core.detection.extract_window_candidates`)
 on the same frames — the equivalence the streaming tests pin down —
-while memory stays bounded by the live working set (open windows ×
-resident devices), which :class:`StreamStats` tracks as
-``peak_resident_devices``.
+while memory stays bounded by the live working set: every device an
+open window has seen, held until that window closes and dropped with
+it.  :class:`StreamStats` tracks it as ``peak_resident_devices``.
 """
 
 from __future__ import annotations
@@ -33,17 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.dot11.mac import MacAddress
 from repro.core.database import ReferenceDatabase
 from repro.traces.table import FrameTable
 from repro.streaming.apps import WindowAnalyzer
-from repro.streaming.events import (
-    DeviceEvicted,
-    DeviceMatched,
-    EventSink,
-    StreamEvent,
-    WindowClosed,
-)
+from repro.streaming.events import DeviceMatched, EventSink, StreamEvent, WindowClosed
 from repro.streaming.matcher import OnlineMatcher, StreamCandidate
 from repro.streaming.windows import ClosedWindow, WindowConfig, WindowManager
 
@@ -58,9 +51,9 @@ class StreamStats:
     events: int = 0
     #: Peak simultaneous per-device accumulators across open windows —
     #: the engine's working-set high-water mark: the largest resident
-    #: count after routing any frame, taken before that frame's idle
-    #: sweep (if any).  Sampled after every routed span and right
-    #: before every sweep, so it does not depend on the chunking.
+    #: count after routing any frame.  Residency drops only when a
+    #: window closes and grows in between, so sampling it after every
+    #: routed span gives a peak that does not depend on the chunking.
     peak_resident_devices: int = 0
     events_by_type: dict[str, int] = field(default_factory=dict)
     first_timestamp_us: float | None = None
@@ -91,8 +84,6 @@ class StreamEngine:
         parameter, min_observations=50)``); the spoof guard and live
         tracker need their detector's ``database`` here."""
         self._windows = WindowManager(builder_factory, window)
-        self._windows.on_evict = self._emit_eviction
-        self._windows.on_sweep = self._sample_resident
         self._matcher = OnlineMatcher(database) if database is not None else None
         self._analyzers: list[WindowAnalyzer] = list(analyzers)
         self._sinks: list[EventSink] = list(sinks)
@@ -215,21 +206,6 @@ class StreamEngine:
         for analyzer in self._analyzers:
             for event in analyzer.on_window(closed, matches):
                 self._emit(event)
-
-    def _emit_eviction(
-        self, window_index: int, device: MacAddress, now_us: float
-    ) -> None:
-        """Prompt idle-eviction notification from the window manager.
-
-        Emitted with the sweep timestamp the moment the accumulator is
-        dropped — not buffered until the window closes — so live sinks
-        see evictions when they happen.
-        """
-        self._emit(
-            DeviceEvicted(
-                timestamp_us=now_us, window_index=window_index, device=device
-            )
-        )
 
     def _emit(self, event: StreamEvent) -> None:
         self.stats.events += 1

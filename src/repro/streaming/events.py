@@ -102,14 +102,6 @@ class PseudonymLinked(StreamEvent):
     similarity: float
 
 
-@dataclass(frozen=True, slots=True)
-class DeviceEvicted(StreamEvent):
-    """An idle device's accumulator was dropped to bound memory."""
-
-    window_index: int
-    device: MacAddress
-
-
 class CollectingSink:
     """Stores every event in order; convenience filter by type."""
 

@@ -12,13 +12,11 @@ Each open window owns one
 :class:`~repro.streaming.builder.StreamingSignatureBuilder`, so closing
 a window yields one candidate signature per device that cleared the
 minimum-observation gate — identical to running the batch builder on
-the window's rows — after which the window's state is dropped.
-Memory is therefore bounded by the device population of the open
-windows, never by the stream length.  Optional idle eviction
-additionally drops per-device accumulators that stay silent inside a
-long window (see :meth:`StreamingSignatureBuilder.evict_idle`); each
-drop is reported once, through :attr:`WindowManager.on_evict` at the
-sweep, and no window keeps a list of them.
+the window's rows — after which the window's state is dropped.  A
+window keeps every device it saw until it closes (Definition 1 builds
+a candidate from all of the window's observations), so memory is
+bounded by the device population of the open windows, never by the
+stream length.
 
 Window indices count *slide positions* from the stream origin, so they
 stay aligned with the batch pipeline's enumeration even when wholly
@@ -26,9 +24,9 @@ empty stretches of the stream never open a window.
 
 Frames arrive as columnar chunks (:meth:`WindowManager.update_table`),
 which the manager cuts at window boundaries so each constant-open-set
-span routes to the open builders as one vectorized update; closures,
-evictions and state do not depend on where the chunks were cut
-(DESIGN.md §8).  An open window keeps only its senders' MAC integers
+span routes to the open builders as one vectorized update; closures
+and state do not depend on where the chunks were cut (DESIGN.md §8).
+An open window keeps only its senders' MAC integers
 (:attr:`~repro.traces.table.FrameTable.sender_values`), and a closed
 window hands them out as a :class:`SenderSet`, which builds a
 :class:`~repro.dot11.mac.MacAddress` only for a consumer that iterates
@@ -62,23 +60,17 @@ from repro.core.signature import Signature
 from repro.persistence.checkpoint import checked_count, checked_mac, checked_time
 from repro.streaming.builder import StreamingSignatureBuilder
 
-#: Idle-eviction sweeps run at most once per this many frames.
-_EVICTION_SWEEP_FRAMES = 512
-
 
 @dataclass(frozen=True)
 class WindowConfig:
     """Streaming window parameters.
 
-    ``slide_s=None`` means tumbling windows (slide == window).
-    ``idle_timeout_s`` enables in-window idle-device eviction; leave
-    ``None`` (the default) for exact batch equivalence.  Every duration
-    given must be positive and finite.
+    ``slide_s=None`` means tumbling windows (slide == window).  Every
+    duration given must be positive and finite.
     """
 
     window_s: float = 300.0
     slide_s: float | None = None
-    idle_timeout_s: float | None = None
 
     def __post_init__(self) -> None:
         if not 0 < self.window_s < math.inf:
@@ -89,10 +81,6 @@ class WindowConfig:
         if slide is not None and not 0 < slide <= self.window_s:
             raise ValueError(
                 f"slide must be in (0, window_s]: {slide} vs {self.window_s}"
-            )
-        if self.idle_timeout_s is not None and not 0 < self.idle_timeout_s < math.inf:
-            raise ValueError(
-                f"idle timeout must be positive and finite: {self.idle_timeout_s}"
             )
 
     @property
@@ -187,16 +175,6 @@ class WindowManager:
         self._windows: deque[_OpenWindow] = deque()
         self._origin_us: float | None = None
         self._next_index = 0
-        self._frames_since_sweep = 0
-        #: Idle-eviction notification: called as
-        #: ``on_evict(window_index, device, sweep_t_us)`` the moment a
-        #: sweep drops a device, so live sinks see evictions when they
-        #: happen.  It is the only report of an eviction: neither the
-        #: open window nor the closed one lists its evicted devices.
-        self.on_evict: Callable[[int, MacAddress, float], None] | None = None
-        #: Called with no arguments right before each idle sweep, so the
-        #: engine can sample the resident set at its pre-sweep peak.
-        self.on_sweep: Callable[[], None] | None = None
 
     # ------------------------------------------------------------------
     def update_table(self, chunk: "FrameTable") -> Iterator[tuple]:
@@ -213,9 +191,6 @@ class WindowManager:
         ``("closed", ClosedWindow)`` items in index order, and
         ``("frames", lo, hi)`` items after rows ``[lo, hi)`` have been
         routed (the engine forwards those spans to analyzers).
-        Idle-eviction sweeps run every :data:`_EVICTION_SWEEP_FRAMES`
-        routed frames, wherever the chunks end, and report through
-        :attr:`on_sweep` and :attr:`on_evict`.
         """
         count = len(chunk)
         if count == 0:
@@ -264,23 +239,7 @@ class WindowManager:
         return closed
 
     def _route(self, chunk: "FrameTable", lo: int, hi: int) -> None:
-        """Route chunk rows ``[lo, hi)``, splitting at sweep points."""
-        if hi <= lo:
-            return
-        if self.config.idle_timeout_s is None:
-            self._route_span(chunk, lo, hi)
-            return
-        stamps = chunk.timestamp_us
-        while lo < hi:
-            cut = min(hi, lo + _EVICTION_SWEEP_FRAMES - self._frames_since_sweep)
-            self._route_span(chunk, lo, cut)
-            self._frames_since_sweep += cut - lo
-            if self._frames_since_sweep >= _EVICTION_SWEEP_FRAMES:
-                self._frames_since_sweep = 0
-                self._sweep(float(stamps[cut - 1]))
-            lo = cut
-
-    def _route_span(self, chunk: "FrameTable", lo: int, hi: int) -> None:
+        """Route chunk rows ``[lo, hi)`` to every open window."""
         count = hi - lo
         if count <= 0:
             return
@@ -289,16 +248,6 @@ class WindowManager:
             window.frame_count += count
             window.builder.update_table(chunk, lo, hi)
             window.sender_values.update(values)
-
-    def _sweep(self, now_us: float) -> None:
-        """One idle-eviction sweep across the open windows."""
-        if self.on_sweep is not None:
-            self.on_sweep()
-        for window in self._windows:
-            victims = window.builder.evict_idle(now_us, self.config.idle_timeout_s)
-            if self.on_evict is not None:
-                for device in victims:
-                    self.on_evict(window.index, device, now_us)
 
     def _close(self, window: _OpenWindow) -> ClosedWindow:
         return ClosedWindow(
@@ -344,11 +293,9 @@ class WindowManager:
             "config": {
                 "window_s": self.config.window_s,
                 "slide_s": self.config.slide_s,
-                "idle_timeout_s": self.config.idle_timeout_s,
             },
             "origin_us": self._origin_us,
             "next_index": self._next_index,
-            "frames_since_sweep": self._frames_since_sweep,
             "open": [
                 {
                     "index": window.index,
@@ -381,7 +328,6 @@ class WindowManager:
         mine = {
             "window_s": self.config.window_s,
             "slide_s": self.config.slide_s,
-            "idle_timeout_s": self.config.idle_timeout_s,
         }
         if config != mine:
             raise ValueError(
@@ -391,14 +337,6 @@ class WindowManager:
         origin = checked_time(payload.get("origin_us"), "origin_us")
         origin = None if origin is None else float(origin)
         next_index = checked_count(payload["next_index"], "next_index")
-        frames_since_sweep = checked_count(
-            payload.get("frames_since_sweep", 0), "frames_since_sweep"
-        )
-        if frames_since_sweep >= _EVICTION_SWEEP_FRAMES:
-            raise ValueError(
-                f"checkpoint frames_since_sweep {frames_since_sweep} is not below "
-                f"the sweep interval {_EVICTION_SWEEP_FRAMES}"
-            )
         windows: deque[_OpenWindow] = deque()
         previous = -1
         for entry in payload["open"]:
@@ -444,7 +382,6 @@ class WindowManager:
             windows.append(window)
         self._origin_us = origin
         self._next_index = next_index
-        self._frames_since_sweep = frames_since_sweep
         self._windows = windows
 
     # ------------------------------------------------------------------

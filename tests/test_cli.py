@@ -105,7 +105,6 @@ class TestParser:
             "evaluate {pcap} --training-s 9 --window-s 0",
             "stream {pcap} --db {db} --window-s -5",
             "stream {pcap} --db {db} --window-s inf",
-            "stream {pcap} --db {db} --idle-timeout-s 0",
             "stream {pcap} --db {db} --slide-s 0",
             "stream {pcap} --db {db} --window-s 10 --slide-s 20",
             "stream {pcap} --db {db} --checkpoint-every-s 0",

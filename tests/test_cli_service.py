@@ -76,7 +76,6 @@ class TestServeParser:
             ("--window-s", "0"),
             ("--window-s", "-5"),
             ("--slide-s", "0"),
-            ("--idle-timeout-s", "0"),
             ("--min-observations", "0"),
         ],
     )

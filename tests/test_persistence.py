@@ -316,13 +316,15 @@ class TestStreamCheckpoint:
         path.write_text(json.dumps(payload))
         return path, make_engine(parameter, database, CollectingSink())
 
-    def test_version_1_checkpoint_refused(self, tmp_path, setting):
-        """Format 2 dropped version 1's write-only fields; a version-1
-        file is refused before the engine changes."""
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_version_1_checkpoint_refused(self, tmp_path, setting, version):
+        """Format 2 dropped version 1's write-only fields, and format 3
+        version 2's idle-eviction state; an older file is refused
+        before the engine changes."""
         path, fresh = self.tampered(
-            tmp_path, setting, lambda payload: payload.update(version=1)
+            tmp_path, setting, lambda payload: payload.update(version=version)
         )
-        with pytest.raises(ValueError, match="checkpoint version 1"):
+        with pytest.raises(ValueError, match=f"checkpoint version {version}"):
             fresh.restore(path)
         assert fresh.stats.frames == 0 and fresh._windows.open_windows == 0
 
@@ -346,7 +348,10 @@ class TestStreamCheckpoint:
             fresh.restore(path)
 
     @pytest.mark.parametrize("field", ["first_timestamp_us", "last_timestamp_us"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "value",
+        [float("nan"), float("inf"), pytest.param(10**400, id="int-beyond-float")],
+    )
     def test_timestamp_that_is_not_finite_refused(self, tmp_path, setting, field, value):
         path, fresh = self.tampered(
             tmp_path, setting, lambda payload: payload["stats"].update({field: value})

@@ -14,7 +14,8 @@ The load-bearing claims (DESIGN.md §9) pinned here:
 * **Torn checkpoints**: a crash at any write of a sensor checkpoint
   leaves the previous snapshot whole, and resuming from it equals the
   uninterrupted run; a version-1 manifest, which may describe a torn
-  snapshot, is refused.
+  snapshot, is refused, and so is any manifest its writer could not
+  have written.
 * **Malformed chunks**: a chunk with a valid checksum but values no
   captured frame could hold pauses its sensor instead of killing the
   ingest worker.
@@ -62,10 +63,14 @@ from repro.streaming import (
     replay_chunk_source,
     table_chunks,
 )
+from repro.service.server import MANIFEST_VERSION
 from repro.traces.table import FrameTable
 
 from tests.test_persistence import assert_databases_equal
 from tests.test_streaming_chunked import synth_frames
+
+#: A manifest field deleted instead of set.
+MISSING = object()
 
 
 def make_config(**overrides) -> ServiceConfig:
@@ -481,9 +486,12 @@ class TestKillAndResume:
         manifest = json.loads((base / "manifest.json").read_text())
         assert manifest["snapshot"] == "snapshot-2"
 
-    def test_version_1_manifest_is_refused(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_version_1_manifest_is_refused(self, tmp_path, version):
         """A version-1 snapshot overwrote its shard files in place, so
-        it may mix two snapshots: restoring it is refused."""
+        it may mix two snapshots, and a version-2 fingerprint names the
+        idle timeout this build no longer has: restoring either is
+        refused by its version number."""
         config = make_config()
         pipeline = SensorPipeline("sensor-0", config)
         for chunk in sensor_captures(1, frames=300)["sensor-0"]:
@@ -491,9 +499,57 @@ class TestKillAndResume:
         base = pipeline.checkpoint(tmp_path)
         manifest_path = base / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["version"] = 1
+        manifest["version"] = version
         manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="re-ingest"):
+        with pytest.raises(ValueError, match=f"version {version}.*re-ingest"):
+            SensorPipeline.restore(tmp_path, "sensor-0", config)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("version", str(MANIFEST_VERSION)),
+            ("snapshot", "../sensor-1/snapshot-1"),
+            ("snapshot", "snapshot-9"),
+            ("snapshot", 1),
+            ("frames", "12"),
+            ("frames", 12.7),
+            ("frames", -5),
+            ("chunks", "12"),
+            ("chunks", 12.7),
+            ("chunks", -5),
+            ("completed", "no"),
+            ("horizon_us", float("nan")),
+            ("horizon_us", "1e9"),
+            ("horizon_us", None),
+            ("frames", MISSING),
+            ("snapshot", MISSING),
+            ("horizon_us", MISSING),
+        ],
+    )
+    def test_manifest_its_writer_never_writes_is_refused(
+        self, tmp_path, monkeypatch, field, value
+    ):
+        """Every manifest field is checked before any engine is
+        restored; a refusal names the sensor and the field."""
+        config = make_config()
+        for sensor, chunks in sensor_captures(2, frames=300).items():
+            pipeline = SensorPipeline(sensor, config)
+            for chunk in chunks:
+                pipeline.ingest(chunk)
+            pipeline.checkpoint(tmp_path)
+        manifest_path = tmp_path / "sensor-0" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        if value is MISSING:
+            del manifest[field]
+        else:
+            manifest[field] = value
+        manifest_path.write_text(json.dumps(manifest))
+
+        def restored(engine, path):
+            raise AssertionError(f"engine restored from {path} before the check")
+
+        monkeypatch.setattr(StreamEngine, "restore", restored)
+        with pytest.raises(ValueError, match=f"sensor-0.*{field}"):
             SensorPipeline.restore(tmp_path, "sensor-0", config)
 
     def test_checkpoint_rejects_config_mismatch(self, tmp_path):

@@ -12,9 +12,9 @@ that exists for its own sake:
   payloads pinned in ``tests/golden/``);
 * tumbling-window matches equal
   :func:`~repro.core.detection.extract_window_candidates`;
-* sliding windows, idle eviction and checkpoint splices cut mid-chunk
-  emit exactly the events and :class:`StreamStats` of a run in 1-row
-  chunks.
+* sliding windows, residency peaks and checkpoint splices cut
+  mid-chunk emit exactly the events and :class:`StreamStats` of a run
+  in 1-row chunks.
 
 Each 1-row reference is computed once per parametrisation.  Signatures
 and ``ClosedWindow`` objects hold ndarray fields, so equivalence is
@@ -41,7 +41,6 @@ from repro.dot11.frames import Dot11Frame, FrameSubtype
 from repro.dot11.mac import vendor_mac
 from repro.streaming import (
     CollectingSink,
-    DeviceEvicted,
     DeviceMatched,
     StreamEngine,
     StreamingSignatureBuilder,
@@ -188,15 +187,11 @@ class TestBuilderEquivalence:
             assert_signatures_equal(batch, chunked.signatures())
 
 
-def make_engine(
-    parameter, sink, window_s=10.0, slide_s=None, idle_timeout_s=None, database=None
-):
+def make_engine(parameter, sink, window_s=10.0, slide_s=None, database=None):
     return StreamEngine(
         lambda: StreamingSignatureBuilder(parameter, min_observations=10),
         database=database,
-        window=WindowConfig(
-            window_s=window_s, slide_s=slide_s, idle_timeout_s=idle_timeout_s
-        ),
+        window=WindowConfig(window_s=window_s, slide_s=slide_s),
         sinks=[sink],
     )
 
@@ -341,79 +336,27 @@ class TestEngineEquivalence:
             assert first_sink.events + second_sink.events == whole_events
             assert second.stats == whole_stats
 
-
-class TestPromptEviction:
-    def frames_with_idle_device(self):
-        a, b = vendor_mac("00:13:e8", 1), vendor_mac("00:18:f8", 2)
-        frames = [
-            make_data_capture(0.0, a, AP),
-            make_data_capture(1000.0, a, AP),
-        ]
-        t = 1000.0
-        for _ in range(1100):  # B alone, far past A's idle timeout
-            t += 20_000.0
-            frames.append(make_data_capture(t, b, AP))
-        return frames, a
-
-    def test_eviction_emitted_at_sweep_time_not_window_close(self):
-        frames, a = self.frames_with_idle_device()
-        sink = CollectingSink()
-        engine = make_engine(
-            InterArrivalTime(), sink, window_s=3600.0, idle_timeout_s=5.0
-        )
-        engine.run_chunked(table_chunks(frames, 256))
-        (evicted,) = sink.of_type(DeviceEvicted)
-        (closed,) = sink.of_type(WindowClosed)
-        assert evicted.device == a
-        # Prompt emission: the sweep fires mid-window, long before the
-        # window's end stamps the closure.
-        assert evicted.timestamp_us < closed.end_us
-        assert sink.events.index(evicted) < sink.events.index(closed)
-
-    def test_eviction_events_identical_under_chunking(self):
-        """Tumbling and sliding windows: any chunking emits the events
-        and stats of a run in 1-row chunks."""
-        frames, _ = self.frames_with_idle_device()
-        for slide_s in (None, 900.0):
-            make = functools.partial(
-                make_engine,
-                InterArrivalTime(),
-                window_s=3600.0,
-                slide_s=slide_s,
-                idle_timeout_s=5.0,
-            )
-            reference_events, reference_stats = run_chunks(
-                make, table_chunks(frames, 1)
-            )
-            assert any(isinstance(event, DeviceEvicted) for event in reference_events)
-            for chunk_frames in (256, 512, 513, 4096):
-                events, stats = run_chunks(make, table_chunks(frames, chunk_frames))
-                assert events == reference_events
-                assert stats == reference_stats
-
     def test_peak_resident_devices_independent_of_chunking(self):
-        """Devices arrive one after another and go idle, so each sweep
-        drops the resident count: the peak before a sweep must count
-        wherever the chunks happen to end."""
+        """Devices arrive one after another through short tumbling
+        windows, so residency drops at every window close: the peak
+        before a close must count wherever the chunks happen to end."""
         frames = []
         t = 0.0
         for number in range(60):
             device = vendor_mac("00:13:e8", number + 1)
+            # Uneven dwell times give the windows uneven populations.
             for _ in range(40):
-                t += 1000.0
+                t += 1000.0 * (1 + number % 3)
                 frames.append(make_data_capture(t, device, AP))
-        make = functools.partial(
-            make_engine,
-            InterArrivalTime(),
-            window_s=3600.0,
-            idle_timeout_s=0.05,
-        )
+        make = functools.partial(make_engine, InterArrivalTime(), window_s=0.25)
         runs = [
             run_chunks(make, table_chunks(frames, chunk_frames))
             for chunk_frames in (1, 100, 512, 513, 4096)
         ]
         reference_events, reference_stats = runs[0]
-        assert any(isinstance(event, DeviceEvicted) for event in reference_events)
+        assert reference_stats.windows_closed > 10
+        # Residency grew inside windows and dropped at their closes.
+        assert 1 < reference_stats.peak_resident_devices < 60
         for events, stats in runs[1:]:
             assert events == reference_events
             assert stats == reference_stats

@@ -28,11 +28,10 @@ def manager(
     window_s: float = 10.0,
     slide_s: float | None = None,
     min_observations: int = 1,
-    idle_timeout_s: float | None = None,
 ) -> WindowManager:
     return WindowManager(
         lambda: StreamingSignatureBuilder(FrameSize(), min_observations=min_observations),
-        WindowConfig(window_s=window_s, slide_s=slide_s, idle_timeout_s=idle_timeout_s),
+        WindowConfig(window_s=window_s, slide_s=slide_s),
     )
 
 
@@ -115,25 +114,6 @@ class TestSliding:
         assert [w.index for w in closed] == [0, 1, 2]
 
 
-class TestEviction:
-    def test_idle_devices_are_swept_inside_long_windows(self):
-        windows = manager(window_s=3600.0, idle_timeout_s=5.0)
-        evicted = []
-        windows.on_evict = lambda index, device, now_us: evicted.append((index, device))
-        feed(windows, make_data_capture(0.0, A, AP))
-        feed(windows, make_data_capture(1000.0, A, AP))
-        # Enough traffic from B to trigger a sweep (512-frame cadence)
-        # long after A went silent.
-        feed(
-            windows,
-            *[make_data_capture(1000.0 + 20_000.0 * i, B, AP) for i in range(1, 1101)],
-        )
-        (closed,) = windows.flush()
-        assert evicted == [(closed.index, A)]
-        assert A not in closed.signatures
-        assert B in closed.signatures
-
-
 class TestConfigValidation:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -142,14 +122,10 @@ class TestConfigValidation:
             WindowConfig(window_s=10.0, slide_s=20.0)
         with pytest.raises(ValueError):
             WindowConfig(window_s=10.0, slide_s=0.0)
-        with pytest.raises(ValueError):
-            WindowConfig(window_s=10.0, idle_timeout_s=-1.0)
         # An infinite window would fail only on the first chunk, when a
         # NaN slide position is converted to an integer.
         with pytest.raises(ValueError, match="window size .* finite"):
             WindowConfig(window_s=float("inf"), slide_s=float("inf"))
-        with pytest.raises(ValueError, match="idle timeout .* finite"):
-            WindowConfig(window_s=10.0, idle_timeout_s=float("inf"))
 
 
 class TestRestoreValidation:
@@ -239,11 +215,6 @@ class TestRestoreValidation:
         payload = self.snapshot()
         payload["open"][1]["senders"][0] = 1 << 48
         self.refused(payload, "open window 16 senders: .* 48-bit")
-
-    def test_sweep_counter_past_the_interval_is_refused(self):
-        payload = self.snapshot()
-        payload["frames_since_sweep"] = 600
-        self.refused(payload, "frames_since_sweep")
 
     def test_channel_clock_outside_the_window_is_refused(self):
         payload = self.snapshot()

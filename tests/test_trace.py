@@ -136,7 +136,6 @@ NAN = float("nan")
         # One next() call: a regression yields windows instead of hanging.
         lambda: next(window_bounds(np.array([0.0, 1e6]), NAN)),
         lambda: WindowConfig(window_s=NAN),
-        lambda: WindowConfig(idle_timeout_s=NAN),
         lambda: _trace().split(NAN),
         lambda: _one_station(NAN),
         lambda: next(_one_station(5.0).stream(chunk_s=NAN)),
@@ -144,7 +143,6 @@ NAN = float("nan")
     ids=[
         "window_bounds",
         "window_s",
-        "idle_timeout_s",
         "split",
         "scenario_duration",
         "stream_chunk",

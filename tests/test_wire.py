@@ -12,6 +12,7 @@ table.
 from __future__ import annotations
 
 import io
+import json
 import struct
 from dataclasses import replace
 
@@ -274,6 +275,35 @@ class TestRejection:
         payload[offset : offset + 8] = struct.pack("<d", value)
         with pytest.raises(WireError, match=column):
             decode_chunk(bytes(payload))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rows", "30"),
+            ("rows", 30.0),
+            ("senders", "12"),
+            ("senders", [1.5]),
+            ("senders", [True]),
+            ("senders", ["x"]),
+            ("senders", [1 << 60]),
+            ("senders", [-1]),
+            ("senders", [7, 7]),
+            ("ftype_keys", "Data"),
+            ("ftype_keys", [1]),
+            ("ftype_keys", ["Data", "Data"]),
+        ],
+    )
+    def test_chunk_header_checked(self, field, value):
+        """A header the encoder never writes is refused with a
+        ``WireError`` naming the field, before any column is read."""
+        table = FrameTable.from_frames(synth_frames(count=30))
+        payload = read_record(io.BytesIO(encode_chunk(table)))[1]
+        (length,) = struct.unpack_from("<I", payload)
+        header = json.loads(payload[4 : 4 + length])
+        header[field] = value
+        text = json.dumps(header).encode("utf-8")
+        with pytest.raises(WireError, match=f"chunk header {field}"):
+            decode_chunk(struct.pack("<I", len(text)) + text + payload[4 + length :])
 
     def test_version_1_record_refused(self):
         record = bytearray(self._chunk_record())
